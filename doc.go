@@ -33,12 +33,14 @@
 //
 // With promptcache.WithDecodeScheduler, the decode phase is fused
 // across requests: every concurrent generation joins a token scheduler
-// as a lane after its prefill, and each scheduler iteration samples all
-// lanes (per-request samplers and stop conditions), retires finished or
-// cancelled lanes, admits waiting ones, and runs ONE batched model step
-// (model.DecodeStepBatch) for the survivors — a single layer walk and a
-// batched output head per token for the whole batch, instead of one per
-// request. A request's token and logit streams are bit-identical to
+// as a lane after its prefill, and each scheduler iteration admits
+// waiting lanes, runs ONE batched model step (model.DecodeStepBatchMulti)
+// for all of them — a single layer walk and a batched output head per
+// step for the whole batch, instead of one per request — then samples
+// every lane (per-request samplers and stop conditions) and retires
+// finished or cancelled ones. There is one fused walk: it runs the same
+// per-token layer body as solo decode, and model.DecodeStepBatch is its
+// one-position-per-lane entry point. A request's token and logit streams are bit-identical to
 // solo decoding; the scheduler changes throughput, never output.
 // /v1/stats (and core.Cache.SchedStats) expose queue depth, active
 // lanes, the batch-size histogram and decode tokens/sec;
@@ -51,8 +53,8 @@
 // fused decode step widens: a back-off n-gram draft source — the same
 // radix-structure family as module mining, trained on the token streams
 // decode actually produced per serving class, no second model — proposes
-// up to MaxDraft tokens per lane, and ONE batched verify step
-// (model.DecodeStepBatchMulti) scores every proposed position. Each lane
+// up to MaxDraft tokens per lane, and the same fused step, at several
+// positions per lane, scores every proposed position. Each lane
 // accepts exactly the longest proposal prefix matching what solo decode
 // would have sampled, falls back to the verified next token on
 // rejection, and truncates unverified KV rows — so output is
@@ -132,9 +134,9 @@
 // registry, module residency, eviction, stats), while prefills,
 // view stitching and decoding run outside it. A serve pins the encoded
 // modules it reads, making them immune to eviction while their states
-// are viewed; batch requests fan out over a bounded worker pool sharing
-// one paged block pool, and their results view the pool's blocks rather
-// than module memory. Schema registration and prefetch encode under the
+// are viewed. There is one serve path: a batch request is its prompts
+// served individually over a bounded worker pool, so members sharing a
+// module view the same resident states and hold ordinary pins. Schema registration and prefetch encode under the
 // lock — the deliberate one-time cost — so serves that start
 // mid-registration wait for it, while serves already prefilling are
 // unaffected. See the "Concurrency" section of README.md for the full

@@ -1,7 +1,8 @@
 // Batchserver demonstrates §3.4's batch optimization on the real engine:
 // a burst of prompts importing the same documents is served as one
-// InferBatch call, with each distinct module's attention states stored
-// once in a shared paged pool instead of per prompt.
+// InferBatch call: every prompt is an ordinary cached serve, so prompts
+// importing the same document view its one resident copy of attention
+// states instead of holding their own.
 //
 //	go run ./examples/batchserver
 package main
@@ -51,6 +52,6 @@ func main() {
 	stats := resp.Stats
 	fmt.Printf("\nbatch of %d: %d module references shared\n", stats.Prompts, stats.SharedModules)
 	fmt.Printf("logical KV bytes %8d (if every prompt duplicated modules)\n", stats.LogicalBytes)
-	fmt.Printf("physical KV bytes %7d (shared paged pool)\n", stats.PhysicalBytes)
+	fmt.Printf("physical KV bytes %7d (each module viewed in place)\n", stats.PhysicalBytes)
 	fmt.Printf("memory saved: %.0f%% — the §3.4 batch effect\n", 100*stats.Savings())
 }

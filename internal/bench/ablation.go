@@ -134,35 +134,18 @@ func AblationMasking() (*Report, error) {
 
 // AblationPagedSharing reproduces the §3.4/§5.4 batch-memory argument:
 // 100 requests sharing a 1K-token module out of 2K-token prompts halve
-// the KV footprint when module blocks are shared via the paged pool.
+// the KV footprint when every request views the module's one copy. The
+// accounting is core.BatchStats': logical bytes sum every reference,
+// physical bytes count each distinct buffer once.
 func AblationPagedSharing() *Report {
-	m := hw.Llama7B()
 	const (
 		requests     = 100
 		moduleTokens = 1000
 		uniqueTokens = 1000
-		blockTokens  = 16
 	)
-	pool := kvcache.NewPagedPool(blockTokens, m.BytesPerToken())
-	// Engine-shape payloads are irrelevant for accounting; use a minimal
-	// cache shaped 1 layer × 1 dim and count bytes via the pool's rate.
-	mkKV := func(tokens, posBase int) *kvcache.Cache {
-		kv := kvcache.New(1, 1, tokens)
-		for i := 0; i < tokens; i++ {
-			kv.AppendToken(0, []float32{0}, []float32{0})
-			kv.AppendPos(posBase + i)
-		}
-		return kv
-	}
-	shared := pool.Store(mkKV(moduleTokens, 0))
-	for r := 1; r < requests; r++ {
-		_ = pool.Retain(shared)
-	}
-	for r := 0; r < requests; r++ {
-		_ = pool.Store(mkKV(uniqueTokens, moduleTokens))
-	}
-	phys := pool.PhysicalBytes()
-	logical := pool.LogicalBytes()
+	perToken := hw.Llama7B().BytesPerToken()
+	logical := requests * (moduleTokens + uniqueTokens) * perToken
+	phys := (moduleTokens + requests*uniqueTokens) * perToken
 	rep := &Report{
 		ID:     "ablation-paged",
 		Title:  "Batch memory with shared prompt modules (100 × 2K-token prompts, 1K shared)",

@@ -8,22 +8,23 @@ import (
 	"sync"
 
 	"repro/internal/kvcache"
-	"repro/internal/model"
 	"repro/internal/pml"
 )
 
-// BatchStats reports the memory effect of serving a batch with shared
-// prompt modules (§3.4: "Prompt Cache can reduce the memory footprint ...
-// when combined with methods like paged attention, allowing for a larger
-// working batch size").
+// BatchStats reports the memory effect of serving a batch whose prompts
+// share prompt modules (§3.4: "Prompt Cache can reduce the memory
+// footprint ... allowing for a larger working batch size"). Every prompt's
+// KV views alias the module buffers directly, so the footprint is plain
+// arithmetic over what the batch's results reference.
 type BatchStats struct {
 	Prompts int
 	// LogicalBytes is what the batch's module states would occupy if
-	// every prompt duplicated them; PhysicalBytes is the actual shared
-	// footprint (each distinct module stored once).
+	// every prompt held its own copy (summed over every spliced part of
+	// every prompt); PhysicalBytes is the actual shared footprint (each
+	// distinct states buffer counted once).
 	LogicalBytes, PhysicalBytes int64
-	// SharedModules counts module references served from an earlier
-	// prompt's blocks.
+	// SharedModules counts part references beyond the first to the same
+	// buffer: references minus distinct buffers.
 	SharedModules int
 }
 
@@ -35,85 +36,14 @@ func (b BatchStats) Savings() float64 {
 	return 1 - float64(b.PhysicalBytes)/float64(b.LogicalBytes)
 }
 
-// blockRegistry guards a batch's module→blocks map behind its own small
-// lock, so concurrent serves publish and share attention-state blocks
-// without ever touching the cache-wide mutex.
-type blockRegistry struct {
-	pool *kvcache.PagedPool
-
-	mu     sync.Mutex
-	blocks map[string][]kvcache.BlockID
-	shared int
-}
-
-// has reports whether the registry already holds blocks for key. Handed
-// to planServeLocked so prompts after the first skip pinning (and, under
-// capacity pressure, re-encoding) modules the batch has already
-// materialized.
-func (r *blockRegistry) has(key string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.blocks[key]
-	return ok
-}
-
-// retainLocked shares an existing entry. Published blocks are never
-// released during a batch, so refcounts only grow.
-func (r *blockRegistry) retainLocked(ids []kvcache.BlockID) ([]kvcache.BlockID, error) {
-	if err := r.pool.Retain(ids); err != nil {
-		return nil, err
-	}
-	r.shared++
-	return ids, nil
-}
-
-// acquire returns the shared blocks backing a part, storing its states
-// on first use and retaining the existing blocks on every later one.
-// The expensive step — materializing and copying the states into the
-// pool — runs outside r.mu (double-checked publish), so a worker
-// storing a large module never stalls the others' lookups.
-func (r *blockRegistry) acquire(part servePart) ([]kvcache.BlockID, error) {
-	r.mu.Lock()
-	ids, have := r.blocks[part.key]
-	if have {
-		defer r.mu.Unlock()
-		return r.retainLocked(ids)
-	}
-	r.mu.Unlock()
-
-	st := part.states()
-	if st == nil {
-		// A key-only part (planned via has) whose entry vanished —
-		// impossible while entries are append-only, kept as a guard.
-		//pclint:ignore errtaxonomy unreachable internal guard: a tripped invariant is a bug, and 500 is the honest status for it
-		return nil, fmt.Errorf("core: batch part %q has no states to share", part.key)
-	}
-	var fresh []kvcache.BlockID
-	if st.Len() > 0 {
-		fresh = r.pool.Store(st)
-	}
-	r.mu.Lock()
-	if ids, have := r.blocks[part.key]; have {
-		// Another worker published first: discard ours, share theirs.
-		defer r.mu.Unlock()
-		if fresh != nil {
-			_ = r.pool.Release(fresh)
-		}
-		return r.retainLocked(ids)
-	}
-	r.blocks[part.key] = fresh
-	r.mu.Unlock()
-	return fresh, nil
-}
-
-// ServeBatch serves a batch of prompts derived from registered schemas,
-// sharing each distinct module's attention states across the batch
-// through a reference-counted paged pool instead of duplicating them per
-// prompt. Prompts fan out over a bounded worker pool (ServeOpts.
-// BatchWorkers; default GOMAXPROCS) and prefill concurrently — only the
-// brief metadata planning and block bookkeeping serialize. Results are
-// positionally parallel to prompts and identical to serving each prompt
-// alone.
+// ServeBatch serves a batch of prompts derived from registered schemas:
+// each prompt is an ordinary ServeParsed — same plan, same pins, same
+// zero-copy views — fanned out over a bounded worker pool
+// (ServeOpts.BatchWorkers; default GOMAXPROCS), so prompts importing the
+// same module read the one resident copy and prefill concurrently.
+// Results are positionally parallel to prompts, identical to serving each
+// prompt alone, and like any cached result hold module pins until Closed.
+// On error nothing stays pinned: results already served are closed.
 func (c *Cache) ServeBatch(ctx context.Context, prompts []string, opts ServeOpts) ([]*ServeResult, BatchStats, error) {
 	if len(prompts) == 0 {
 		return nil, BatchStats{}, fmt.Errorf("%w: empty batch", ErrBadPrompt)
@@ -128,10 +58,6 @@ func (c *Cache) ServeBatch(ctx context.Context, prompts []string, opts ServeOpts
 		parsed[i] = p
 	}
 
-	reg := &blockRegistry{
-		pool:   kvcache.NewPagedPool(16, int64(c.m.Cfg.KVDim())*int64(c.m.Cfg.NLayers)*2*4),
-		blocks: map[string][]kvcache.BlockID{},
-	}
 	workers := opts.BatchWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -157,13 +83,10 @@ func (c *Cache) ServeBatch(ctx context.Context, prompts []string, opts ServeOpts
 					errs[i] = err
 					continue
 				}
-				res, err := c.serveShared(ctx, parsed[i], opts, reg)
-				if err != nil {
-					errs[i] = err
+				results[i], errs[i] = c.ServeParsed(ctx, parsed[i], opts)
+				if errs[i] != nil {
 					cancel() // abort the rest of the batch promptly
-					continue
 				}
-				results[i] = res
 			}
 		}()
 	}
@@ -173,126 +96,48 @@ func (c *Cache) ServeBatch(ctx context.Context, prompts []string, opts ServeOpts
 	close(work)
 	wg.Wait()
 
-	// Report the lowest-indexed real failure; prompts that aborted only
-	// because a sibling failed are casualties, not causes.
-	var cancelErr error
+	if i, err := firstCause(errs); err != nil {
+		for _, res := range results {
+			res.Close()
+		}
+		return nil, stats, fmt.Errorf("batch[%d]: %w", i, err)
+	}
+
+	seen := map[*kvcache.Cache]bool{}
+	for _, res := range results {
+		for _, st := range res.spliced {
+			b := st.Bytes(4)
+			stats.LogicalBytes += b
+			if seen[st] {
+				stats.SharedModules++
+				continue
+			}
+			seen[st] = true
+			stats.PhysicalBytes += b
+		}
+	}
+	return results, stats, nil
+}
+
+// firstCause picks the error a failed batch reports: the lowest-indexed
+// real failure — prompts that aborted only because a sibling failed (or
+// the caller cancelled) are casualties, not causes, and are reported only
+// when nothing else went wrong.
+func firstCause(errs []error) (int, error) {
 	cancelIdx := -1
 	for i, err := range errs {
 		if err == nil {
 			continue
 		}
-		if errors.Is(err, context.Canceled) {
-			if cancelIdx < 0 {
-				cancelErr, cancelIdx = err, i
-			}
-			continue
+		if !errors.Is(err, context.Canceled) {
+			return i, err
 		}
-		return nil, stats, fmt.Errorf("batch[%d]: %w", i, err)
+		if cancelIdx < 0 {
+			cancelIdx = i
+		}
 	}
 	if cancelIdx >= 0 {
-		return nil, stats, fmt.Errorf("batch[%d]: %w", cancelIdx, cancelErr)
+		return cancelIdx, errs[cancelIdx]
 	}
-	stats.SharedModules = reg.shared
-	stats.PhysicalBytes = reg.pool.PhysicalBytes()
-	stats.LogicalBytes = reg.pool.LogicalBytes()
-	return results, stats, nil
-}
-
-// serveShared is ServeParsed with module states shared through the
-// batch's paged pool: plan and pin under the cache lock, publish or
-// retain blocks under the registry's own lock, prefill under no lock at
-// all. Each prompt's KV is a segmented view over the pool's block
-// payloads — the per-module copy happens once at publish time and every
-// prompt after that stitches views, so per-request cost stays O(1) in
-// prefix length. Parameter-supplied slots still require per-prompt
-// filtering, so exclusion happens as view splits over each block.
-//
-// Module pins release when this serve returns, not at result close: the
-// result's views point into pool payloads (kept alive by the views
-// themselves), never into module buffers.
-func (c *Cache) serveShared(ctx context.Context, prompt *pml.Prompt, opts ServeOpts, reg *blockRegistry) (*ServeResult, error) {
-	c.mu.Lock()
-	plan, err := c.planServeLocked(prompt, opts, reg.has)
-	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	// Resolve pending disk-tier parts before assembly (the registry needs
-	// materialized states); this may append to plan.pinned, so the defer
-	// must re-read the slice rather than capture it now.
-	if err := c.resolveDiskParts(plan, prompt.SchemaName); err != nil {
-		c.unpinModules(plan.pinned)
-		return nil, err
-	}
-	defer func() { c.unpinModules(plan.pinned) }()
-
-	newToks, newPos, err := c.gatherNewTokens(plan.layout, prompt, plan.bindings, plan.included)
-	if err != nil {
-		return nil, err
-	}
-	// Module mining sees batch traffic too: the mined part flows through
-	// the registry like any module (keyed "schema/~mined/N"), so sibling
-	// prompts hitting the same prefix share one block copy.
-	fullToks, fullPos := newToks, newPos
-	var class, minedName string
-	if c.miner != nil || c.draft != nil {
-		class = servingClass(prompt.SchemaName, plan)
-	}
-	if c.miner != nil {
-		var n int
-		minedName, n = c.spliceMined(plan, prompt.SchemaName, class, newToks, newPos)
-		newToks, newPos = newToks[n:], newPos[n:]
-	}
-
-	seq := c.m.NewSeq(plan.tailCap)
-	for _, part := range plan.parts {
-		ids, err := reg.acquire(part)
-		if err != nil {
-			return nil, err
-		}
-		if len(ids) == 0 {
-			continue
-		}
-		payloads, err := reg.pool.Payloads(ids)
-		if err != nil {
-			return nil, err
-		}
-		excl := plan.excluded
-		if part.noExclude {
-			excl = nil
-		}
-		for _, pay := range payloads {
-			addViews(seq, pay, excl)
-		}
-	}
-	res, err := c.finishServe(ctx, plan, seq, newToks, newPos)
-	if err != nil {
-		return nil, err
-	}
-	if minedName != "" {
-		res.Modules = append(res.Modules[:len(res.Modules):len(res.Modules)], minedName)
-	}
-	if c.miner != nil {
-		// Observe before the deferred unpin: a promotion copies rows out
-		// of the still-stable views.
-		c.observeServe(prompt.SchemaName, class, fullToks, fullPos, seq)
-	}
-	res.class = class
-	return res, nil
-}
-
-// GenerateBatch continues every result greedily, returning the generated
-// token ids per prompt. Decoding stays sequential: GenerateOpts carries
-// one Sampler instance, and samplers may hold mutable state (RNGs,
-// repetition windows) that concurrent decodes would corrupt.
-func (c *Cache) GenerateBatch(ctx context.Context, results []*ServeResult, opts model.GenerateOpts) ([][]int, error) {
-	out := make([][]int, len(results))
-	for i, res := range results {
-		gen, err := c.Generate(ctx, res, opts)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch generate[%d]: %w", i, err)
-		}
-		out[i] = gen
-	}
-	return out, nil
+	return -1, nil
 }

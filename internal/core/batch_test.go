@@ -2,11 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/tensor"
 )
 
 func TestServeBatchMatchesIndividualServes(t *testing.T) {
@@ -29,8 +30,11 @@ func TestServeBatchMatchesIndividualServes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := tensor.MaxAbsDiff(batch[i].Logits, solo.Logits); d > 1e-4 {
-			t.Fatalf("prompt %d: batch vs solo logits differ by %v", i, d)
+		// Same code path, so bit equality rather than a tolerance.
+		for j := range solo.Logits {
+			if math.Float32bits(batch[i].Logits[j]) != math.Float32bits(solo.Logits[j]) {
+				t.Fatalf("prompt %d: batch vs solo logit %d differ: %v vs %v", i, j, batch[i].Logits[j], solo.Logits[j])
+			}
 		}
 		if batch[i].CachedTokens != solo.CachedTokens {
 			t.Fatalf("prompt %d: cached token mismatch", i)
@@ -115,7 +119,9 @@ func TestServeBatchErrors(t *testing.T) {
 	}
 }
 
-func TestGenerateBatch(t *testing.T) {
+// TestBatchResultsGenerateLikeSolo: a batch member is an ordinary serve
+// result, so decoding from it matches decoding from a solo serve.
+func TestBatchResultsGenerateLikeSolo(t *testing.T) {
 	c := llamaCache(t)
 	mustRegister(t, c, travelSchema)
 	prompts := []string{
@@ -126,30 +132,84 @@ func TestGenerateBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gens, err := c.GenerateBatch(context.Background(), batch, model.GenerateOpts{MaxTokens: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gens) != 2 {
-		t.Fatalf("gens = %d", len(gens))
-	}
-	// Batch generation must match solo generation per prompt.
 	for i, p := range prompts {
+		defer batch[i].Close()
+		gen, err := c.Generate(context.Background(), batch[i], model.GenerateOpts{MaxTokens: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
 		solo, err := c.Serve(context.Background(), p, ServeOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer solo.Close()
 		soloGen, err := c.Generate(context.Background(), solo, model.GenerateOpts{MaxTokens: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(soloGen) != len(gens[i]) {
-			t.Fatalf("prompt %d: lengths differ", i)
-		}
-		for j := range soloGen {
-			if soloGen[j] != gens[i][j] {
-				t.Fatalf("prompt %d: generation diverges", i)
-			}
+		if fmt.Sprint(gen) != fmt.Sprint(soloGen) {
+			t.Fatalf("prompt %d: batch generation %v != solo %v", i, gen, soloGen)
 		}
 	}
+}
+
+// TestServeBatchLedger: batch members hold ordinary module pins, so once
+// every result is closed — or the batch failed and closed them itself —
+// no module stays pinned and the pool holds exactly the resident modules.
+func TestServeBatchLedger(t *testing.T) {
+	c := llamaCache(t)
+	mustRegister(t, c, travelSchema)
+	ctx := context.Background()
+	good := []string{
+		`<prompt schema="travel"><trip-plan duration="two days"/><miami/>Plan it.</prompt>`,
+		`<prompt schema="travel"><miami/>Just the beaches please.</prompt>`,
+		`<prompt schema="travel"><tokyo/>Temples first.</prompt>`,
+	}
+	assertLedger := func(when string) {
+		t.Helper()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		var resident int64
+		for sname, e := range c.schemas {
+			for name, em := range e.modules {
+				if em.pins != 0 {
+					t.Errorf("%s: module %s/%s has %d pins", when, sname, name, em.pins)
+				}
+				if em.state == stateResident {
+					resident += em.Bytes()
+				}
+			}
+			for _, es := range e.scaffolds {
+				resident += es.KV.Bytes(4)
+			}
+		}
+		if used := c.pool.Used(); used != resident {
+			t.Errorf("%s: pool holds %d bytes, resident modules sum to %d", when, used, resident)
+		}
+	}
+
+	batch, _, err := c.ServeBatch(ctx, good, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := 0
+	c.mu.Lock()
+	for _, em := range c.schemas["travel"].modules {
+		pinned += em.pins
+	}
+	c.mu.Unlock()
+	if pinned == 0 {
+		t.Fatal("open batch results hold no pins")
+	}
+	for _, res := range batch {
+		res.Close()
+	}
+	assertLedger("after closed batch")
+
+	// Fails on its third prompt (union clash) after two members served.
+	bad := append(append([]string{}, good[:2]...), `<prompt schema="travel"><tokyo/><miami/>x</prompt>`)
+	if _, _, err := c.ServeBatch(ctx, bad, ServeOpts{BatchWorkers: 1}); !errors.Is(err, ErrBadPrompt) {
+		t.Fatalf("failing batch returned %v, want ErrBadPrompt", err)
+	}
+	assertLedger("after failed batch")
 }

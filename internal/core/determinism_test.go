@@ -39,7 +39,7 @@ func TestServeDeterministicMultiParam(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		// The raw uncached streams, straight from the gatherer.
 		c.mu.Lock()
-		plan, err := c.planServeLocked(prompt, ServeOpts{}, nil)
+		plan, err := c.planServeLocked(prompt, ServeOpts{})
 		c.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)

@@ -44,6 +44,10 @@ type ServeResult struct {
 	// into, pinned against eviction until Close (or Materialize).
 	pins *pinSet
 
+	// spliced lists the precomputed states buffers the KV views alias,
+	// one per spliced part; ServeBatch's footprint accounting reads it.
+	spliced []*kvcache.Cache
+
 	// class is the serve's serving-class key (see servingClass), set when
 	// mining or speculation is active. Generate hands it to the decode
 	// scheduler so draft-source lookups stay scoped to streams whose
@@ -70,8 +74,8 @@ func (p *pinSet) release() {
 // Close releases the module pins backing this result's KV views, making
 // the modules evictable again. Call it when done decoding from the
 // result; a Session does so when it closes. Closing is idempotent, safe
-// on results without pins (baselines, batch members), and must not race
-// with reads of the result's KV.
+// on results without pins (baselines), and must not race with reads of
+// the result's KV.
 func (r *ServeResult) Close() {
 	if r != nil {
 		r.pins.release()
@@ -127,7 +131,7 @@ func (c *Cache) Serve(ctx context.Context, promptSrc string, opts ServeOpts) (*S
 // result must outlive its pins.
 func (c *Cache) ServeParsed(ctx context.Context, prompt *pml.Prompt, opts ServeOpts) (*ServeResult, error) {
 	c.mu.Lock()
-	plan, err := c.planServeLocked(prompt, opts, nil)
+	plan, err := c.planServeLocked(prompt, opts)
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -165,18 +169,21 @@ func (c *Cache) ServeParsed(ctx context.Context, prompt *pml.Prompt, opts ServeO
 	// headers, not O(prefix) rows. The pins guarantee every part's
 	// states stay intact while the views are readable.
 	seq := c.m.NewSeq(plan.tailCap)
-	for _, part := range plan.parts {
+	spliced := make([]*kvcache.Cache, len(plan.parts))
+	for i, part := range plan.parts {
 		excl := plan.excluded
 		if part.noExclude {
 			excl = nil
 		}
-		addViews(seq, part.states(), excl)
+		spliced[i] = part.states()
+		addViews(seq, spliced[i], excl)
 	}
 	res, err := c.finishServe(ctx, plan, seq, newToks, newPos)
 	if err != nil {
 		ps.release()
 		return nil, err
 	}
+	res.spliced = spliced
 	if minedName != "" {
 		// Copy-on-append: res.Modules aliases plan.included.
 		res.Modules = append(res.Modules[:len(res.Modules):len(res.Modules)], minedName)
@@ -194,8 +201,7 @@ func (c *Cache) ServeParsed(ctx context.Context, prompt *pml.Prompt, opts ServeO
 // servePart is one stretch of precomputed attention states to splice
 // into a served prompt, in emission order.
 type servePart struct {
-	// key identifies the states for cross-prompt sharing
-	// ("schema/module" or "schema/scaffold/name").
+	// key names the states ("schema/module" or "schema/scaffold/name").
 	key string
 	// em is a pinned resident module; its States() may be read outside
 	// the cache lock until the pin is released.
@@ -240,12 +246,7 @@ type servePlan struct {
 // planServeLocked validates the prompt, selects scaffold overrides, and
 // pins every module the serve needs. Callers hold c.mu; the returned
 // plan is read entirely outside it. On error no pins are retained.
-//
-// shared, when non-nil, reports keys whose states are already
-// materialized elsewhere (a batch's block registry): those modules are
-// planned as key-only parts — no pin, no promotion, no re-encode — and
-// resolved against the registry at assembly time.
-func (c *Cache) planServeLocked(prompt *pml.Prompt, opts ServeOpts, shared func(key string) bool) (*servePlan, error) {
+func (c *Cache) planServeLocked(prompt *pml.Prompt, opts ServeOpts) (*servePlan, error) {
 	e, ok := c.schemas[prompt.SchemaName]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownSchema, prompt.SchemaName)
@@ -340,10 +341,6 @@ func (c *Cache) planServeLocked(prompt *pml.Prompt, opts ServeOpts, shared func(
 					emittedScaffold[es.Name] = true
 				}
 			}
-			continue
-		}
-		if key := prompt.SchemaName + "/" + name; shared != nil && shared(key) {
-			plan.parts = append(plan.parts, servePart{key: key})
 			continue
 		}
 		part, err := c.acquireModuleLocked(prompt.SchemaName, e, name)
@@ -596,26 +593,6 @@ func addViews(seq *kvcache.Seq, src *kvcache.Cache, excluded map[int]bool) {
 	}
 	if lo >= 0 {
 		seq.AddView(src, lo, src.Len())
-	}
-}
-
-// appendFiltered appends src's rows to dst, skipping rows whose position
-// is excluded (supplied parameter buffers) — the materializing
-// counterpart of addViews, kept for snapshot/test paths that need owned
-// storage.
-func appendFiltered(dst, src *kvcache.Cache, excluded map[int]bool) {
-	if len(excluded) == 0 {
-		dst.AppendCache(src)
-		return
-	}
-	for i, p := range src.Pos {
-		if excluded[p] {
-			continue
-		}
-		for l := 0; l < src.NLayers; l++ {
-			dst.AppendToken(l, src.KeyRow(l, i), src.ValueRow(l, i))
-		}
-		dst.AppendPos(p)
 	}
 }
 

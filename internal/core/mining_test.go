@@ -130,8 +130,8 @@ func TestMinedPrefixDiffersByArguments(t *testing.T) {
 	}
 }
 
-// TestMinedBatchServe: serveShared observes and splices too, and the
-// mined part flows through the batch block registry.
+// TestMinedBatchServe: batch members observe and splice mined prefixes
+// like any serve.
 func TestMinedBatchServe(t *testing.T) {
 	c := miningCache(t, model.LlamaStyle(coreVocab, 77))
 	solo := serveMined(t, c)

@@ -148,6 +148,10 @@ type Scheduler struct {
 	hist                       []int64
 
 	specSteps, draftProposed, draftAccepted int64
+
+	// stepToks/stepPos are the run loop's per-step argument headers,
+	// reused across steps so a fused step allocates nothing.
+	stepToks, stepPos [][]int
 }
 
 // newScheduler builds a scheduler over m with the given fused-step width
@@ -239,9 +243,8 @@ func (s *Scheduler) Generate(ctx context.Context, class string, kv kvcache.KV, l
 // outright — samplers, KV tails, scratch — and takes s.mu only for
 // admission and stats, never across model work or emit callbacks.
 func (s *Scheduler) run() {
-	var active, keep []*schedLane
+	var active []*schedLane
 	var lanes []*model.DecodeLane
-	var tokens, positions []int
 	var kvs []kvcache.KV
 	var expired []*schedLane
 	for {
@@ -293,13 +296,13 @@ func (s *Scheduler) run() {
 		// Sample-and-retire phase: per lane, the exact pre-step sequence
 		// of the solo loop (MaxTokens, ctx, sample, stop token, emit,
 		// MaxSeq), so retirement decisions match solo decoding bit for
-		// bit. A ready lane ran that sequence inside settle against the
-		// verify step's logits and skips it here. With a draft source,
-		// each surviving lane then proposes draft tokens to verify
-		// alongside its sampled one.
-		keep = keep[:0]
+		// bit. Only a lane's first iteration runs it here: after that the
+		// lane is ready — settle already ran the sequence against the
+		// previous step's logits. With a draft source, each surviving
+		// lane then proposes draft tokens to verify alongside its sampled
+		// one.
+		keep := active[:0] // filtered in place
 		lanes, kvs = lanes[:0], kvs[:0]
-		spec := false
 		for _, ln := range active {
 			if ln.ready {
 				ln.ready = false
@@ -313,94 +316,49 @@ func (s *Scheduler) run() {
 					ln.spec = append(ln.spec, s.draft.Propose(ln.specClass, ln.out, budget)...)
 				}
 			}
-			if len(ln.spec) > 1 {
-				spec = true
-			}
 			keep = append(keep, ln)
 			lanes = append(lanes, ln.dl)
 			kvs = append(kvs, ln.kv)
 		}
-		active = active[:0]
-		active = append(active, keep...)
-		if len(lanes) == 0 {
-			continue
+		active = keep
+		if len(lanes) > 0 {
+			active = s.step(active, lanes, kvs)
 		}
-
-		if spec {
-			s.stepSpec(&active, lanes, kvs)
-			continue
-		}
-
-		// One fused model step for every surviving lane. With no drafts
-		// anywhere in the batch (speculation off, or every draft cold)
-		// this is exactly the pre-speculation hot path.
-		tokens, positions = tokens[:0], positions[:0]
-		for _, ln := range active {
-			tokens = append(tokens, ln.next)
-			positions = append(positions, ln.pos)
-		}
-		start := time.Now()
-		err := s.m.DecodeStepBatch(lanes, tokens, positions, kvs)
-		elapsed := time.Since(start)
-		if err != nil {
-			// Malformed batch call: a scheduler bug, not a lane's fault.
-			// Fail every lane rather than decode from corrupt state.
-			for _, ln := range active {
-				s.retire(ln, err)
-			}
-			active = active[:0]
-			continue
-		}
-		keep = keep[:0]
-		for _, ln := range active {
-			if lerr := ln.dl.Err(); lerr != nil {
-				s.retire(ln, lerr)
-				continue
-			}
-			ln.logits = ln.dl.Logits()
-			keep = append(keep, ln)
-		}
-		active = active[:0]
-		active = append(active, keep...)
-
-		s.mu.Lock()
-		s.steps++
-		s.tokens += int64(len(lanes))
-		s.hist[len(lanes)-1]++
-		s.decodeNs += elapsed.Nanoseconds()
-		s.mu.Unlock()
 	}
 }
 
-// stepSpec runs one fused verify step for a batch in which at least one
-// lane carries draft tokens, then settles every lane's acceptance.
-// active is rewritten in place to the lanes that survived.
-func (s *Scheduler) stepSpec(active *[]*schedLane, lanes []*model.DecodeLane, kvs []kvcache.KV) {
-	mtoks := make([][]int, 0, len(lanes))
-	mpos := make([][]int, 0, len(lanes))
-	for _, ln := range *active {
+// step runs one fused model step for every lane in active — each lane's
+// sampled token plus whatever draft tokens it proposed, so a batch with no
+// drafts anywhere is a plain k = 1 step — then settles every lane. It
+// returns active filtered in place to the lanes that survived.
+func (s *Scheduler) step(active []*schedLane, lanes []*model.DecodeLane, kvs []kvcache.KV) []*schedLane {
+	s.stepToks, s.stepPos = s.stepToks[:0], s.stepPos[:0]
+	for _, ln := range active {
 		ln.specPos = ln.specPos[:0]
 		for j := range ln.spec {
 			ln.specPos = append(ln.specPos, ln.pos+j)
 		}
-		mtoks = append(mtoks, ln.spec)
-		mpos = append(mpos, ln.specPos)
+		s.stepToks = append(s.stepToks, ln.spec)
+		s.stepPos = append(s.stepPos, ln.specPos)
 	}
 
 	start := time.Now()
-	err := s.m.DecodeStepBatchMulti(lanes, mtoks, mpos, kvs)
+	err := s.m.DecodeStepBatchMulti(lanes, s.stepToks, s.stepPos, kvs)
 	elapsed := time.Since(start)
 	if err != nil {
-		for _, ln := range *active {
+		// Malformed batch call: a scheduler bug, not a lane's fault.
+		// Fail every lane rather than decode from corrupt state.
+		for _, ln := range active {
 			s.retire(ln, err)
 		}
-		*active = (*active)[:0]
-		return
+		return active[:0]
 	}
 
-	var produced, proposed, accepted int64
-	keep := (*active)[:0]
-	for _, ln := range *active {
+	// Every stepped lane fed one sampled token; accepted drafts are the
+	// tokens produced without a step of their own.
+	var proposed, accepted int64
+	keep := active[:0]
+	for _, ln := range active {
 		if lerr := ln.dl.Err(); lerr != nil {
 			// The failed lane appended nothing; solo decode would fail the
 			// same step with the same error.
@@ -408,58 +366,54 @@ func (s *Scheduler) stepSpec(active *[]*schedLane, lanes []*model.DecodeLane, kv
 			continue
 		}
 		proposed += int64(len(ln.spec) - 1)
-		p, a, retired := s.settle(ln)
-		produced += int64(p)
+		a, retired := s.settle(ln)
 		accepted += int64(a)
-		if retired {
-			continue
+		if !retired {
+			keep = append(keep, ln)
 		}
-		keep = append(keep, ln)
 	}
-	*active = keep
 
 	s.mu.Lock()
 	s.steps++
-	s.specSteps++
-	s.tokens += produced
+	if proposed > 0 {
+		s.specSteps++
+	}
+	s.tokens += int64(len(lanes)) + accepted
 	s.hist[len(lanes)-1]++
 	s.decodeNs += elapsed.Nanoseconds()
 	s.draftProposed += proposed
 	s.draftAccepted += accepted
 	s.mu.Unlock()
+	return keep
 }
 
-// settle replays the solo post-step sequence over a lane's verify
-// logits: position j's logits feed the exact advance() the solo loop
-// would run next, and the draft token at j+1 is accepted only when the
-// lane's own sampler picked precisely it. On divergence — or any
-// retirement — the speculative tail rows are truncated away, so the
-// lane's KV, sampler state, token stream and emitted output are
-// bit-identical to never having speculated. A surviving lane leaves
-// settle step-ready: its next token is sampled and emitted, awaiting the
-// next fused step.
-func (s *Scheduler) settle(ln *schedLane) (produced, accepted int, retired bool) {
+// settle replays the solo post-step sequence over a lane's step logits:
+// position j's logits feed the exact advance() the solo loop would run
+// next, and the draft token at j+1 is accepted only when the lane's own
+// sampler picked precisely it. On divergence — or any retirement — the
+// speculative tail rows are truncated away, so the lane's KV, sampler
+// state, token stream and emitted output are bit-identical to never
+// having speculated. A surviving lane leaves settle step-ready: its next
+// token is sampled and emitted, awaiting the next fused step. With no
+// drafts (k = 1) that is one advance and nothing to truncate.
+func (s *Scheduler) settle(ln *schedLane) (accepted int, retired bool) {
 	n := len(ln.spec)
 	base := ln.kv.Len() - n
-	for j := 0; j < n; j++ {
+	for j := 0; ; j++ {
 		ln.logits = ln.dl.LogitsAt(j)
 		if stop, err := s.advance(ln); stop {
 			ln.kv.Truncate(base + j + 1)
 			s.retire(ln, err)
-			return produced, accepted, true
+			return accepted, true
 		}
-		produced++
-		if j+1 < n {
-			if ln.next == ln.spec[j+1] {
-				accepted++
-				continue
-			}
-			ln.kv.Truncate(base + j + 1)
+		if j+1 < n && ln.next == ln.spec[j+1] {
+			accepted++
+			continue
 		}
+		ln.kv.Truncate(base + j + 1)
 		ln.ready = true
-		return produced, accepted, false
+		return accepted, false
 	}
-	return produced, accepted, false // unreachable: the loop exits via ready
 }
 
 // draftBudget bounds a lane's draft width: the request's MaxDraft, the

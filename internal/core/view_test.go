@@ -95,6 +95,25 @@ func TestSuppliedParamsSplitSegments(t *testing.T) {
 	}
 }
 
+// appendFiltered appends src's rows to dst, skipping rows whose position
+// is excluded (supplied parameter buffers) — the materializing reference
+// the zero-copy addViews path is compared against.
+func appendFiltered(dst, src *kvcache.Cache, excluded map[int]bool) {
+	if len(excluded) == 0 {
+		dst.AppendCache(src)
+		return
+	}
+	for i, p := range src.Pos {
+		if excluded[p] {
+			continue
+		}
+		for l := 0; l < src.NLayers; l++ {
+			dst.AppendToken(l, src.KeyRow(l, i), src.ValueRow(l, i))
+		}
+		dst.AppendPos(p)
+	}
+}
+
 // TestSeqServeBitIdenticalToMaterialized: the zero-copy view path must
 // produce bit-identical logits and generations to the old materializing
 // path (appendFiltered into a flat cache), including excluded-parameter
@@ -125,7 +144,7 @@ func TestSeqServeBitIdenticalToMaterialized(t *testing.T) {
 			// Reference: the pre-refactor path — copy every module row
 			// through appendFiltered into one flat cache, then prefill.
 			c.mu.Lock()
-			plan, err := c.planServeLocked(prompt, ServeOpts{}, nil)
+			plan, err := c.planServeLocked(prompt, ServeOpts{})
 			c.mu.Unlock()
 			if err != nil {
 				t.Fatal(err)

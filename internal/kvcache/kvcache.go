@@ -4,9 +4,8 @@
 // that splices cached module states into a serve without copying a row —
 // one step past the paper's buffered concatenation (§4.2), whose
 // materializing operators (AppendCache/Concat) remain for snapshots and
-// owned storage — and a paged block pool with reference counting for
-// sharing module states across concurrent requests in a batch (§3.4).
-// The KV interface is the read/append surface the model works against;
+// owned storage. Requests that import the same module share its states
+// (§3.4) simply by viewing the same Cache. The KV interface is the read/append surface the model works against;
 // both *Cache and *Seq satisfy it.
 package kvcache
 

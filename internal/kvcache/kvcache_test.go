@@ -1,7 +1,6 @@
 package kvcache
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 
@@ -180,198 +179,5 @@ func TestConcatPreservesTotalProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// ---- PagedPool ----
-
-func makeKV(tokens int) *Cache {
-	c := New(2, 4, tokens)
-	fill(c, tokens, 0, uint64(tokens)+100)
-	return c
-}
-
-func TestPagedStoreGatherRoundTrip(t *testing.T) {
-	p := NewPagedPool(4, 64)
-	kv := makeKV(10)
-	ids := p.Store(kv)
-	if len(ids) != 3 { // ceil(10/4)
-		t.Fatalf("blocks = %d", len(ids))
-	}
-	got, err := p.Gather(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != kv.Len() {
-		t.Fatalf("gather len = %d", got.Len())
-	}
-	for i := range kv.Pos {
-		if got.Pos[i] != kv.Pos[i] {
-			t.Fatal("gather positions differ")
-		}
-	}
-	for l := 0; l < 2; l++ {
-		for i := 0; i < kv.Len()*kv.KVDim; i++ {
-			if got.K[l][i] != kv.K[l][i] {
-				t.Fatal("gather keys differ")
-			}
-		}
-	}
-}
-
-func TestPagedSharingSavesPhysicalMemory(t *testing.T) {
-	p := NewPagedPool(4, 100)
-	ids := p.Store(makeKV(8)) // 2 blocks, 800 physical bytes
-	if err := p.Retain(ids); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Retain(ids); err != nil {
-		t.Fatal(err)
-	}
-	// 3 logical references, 1 physical copy.
-	if p.PhysicalBytes() != 800 {
-		t.Fatalf("physical = %d", p.PhysicalBytes())
-	}
-	if p.LogicalBytes() != 2400 {
-		t.Fatalf("logical = %d", p.LogicalBytes())
-	}
-}
-
-func TestPagedReleaseFreesAtZero(t *testing.T) {
-	p := NewPagedPool(4, 1)
-	ids := p.Store(makeKV(8))
-	if err := p.Retain(ids); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Release(ids); err != nil {
-		t.Fatal(err)
-	}
-	if p.LiveBlocks() != 2 {
-		t.Fatalf("live = %d after partial release", p.LiveBlocks())
-	}
-	if err := p.Release(ids); err != nil {
-		t.Fatal(err)
-	}
-	if p.LiveBlocks() != 0 {
-		t.Fatalf("live = %d after full release", p.LiveBlocks())
-	}
-}
-
-func TestPagedDoubleFree(t *testing.T) {
-	p := NewPagedPool(4, 1)
-	ids := p.Store(makeKV(4))
-	if err := p.Release(ids); err != nil {
-		t.Fatal(err)
-	}
-	err := p.Release(ids)
-	if !errors.Is(err, ErrDoubleFree) {
-		t.Fatalf("want ErrDoubleFree, got %v", err)
-	}
-}
-
-func TestPagedRetainDeadBlock(t *testing.T) {
-	p := NewPagedPool(4, 1)
-	ids := p.Store(makeKV(4))
-	if err := p.Release(ids); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Retain(ids); err == nil {
-		t.Fatal("Retain of dead block should fail")
-	}
-}
-
-func TestPagedGatherDeadBlock(t *testing.T) {
-	p := NewPagedPool(4, 1)
-	ids := p.Store(makeKV(4))
-	if err := p.Release(ids); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Gather(ids); err == nil {
-		t.Fatal("Gather of dead block should fail")
-	}
-}
-
-func TestPagedIDRecycling(t *testing.T) {
-	p := NewPagedPool(4, 1)
-	ids1 := p.Store(makeKV(4))
-	if err := p.Release(ids1); err != nil {
-		t.Fatal(err)
-	}
-	ids2 := p.Store(makeKV(4))
-	if ids2[0] != ids1[0] {
-		t.Fatalf("expected id recycling, got %v then %v", ids1, ids2)
-	}
-}
-
-func TestPagedPeakTracksHighWater(t *testing.T) {
-	p := NewPagedPool(4, 10)
-	a := p.Store(makeKV(8))
-	_ = p.Store(makeKV(8))
-	if err := p.Release(a); err != nil {
-		t.Fatal(err)
-	}
-	if p.PhysicalBytes() != 80 {
-		t.Fatalf("physical = %d", p.PhysicalBytes())
-	}
-	if p.PeakPhysicalBytes() != 160 {
-		t.Fatalf("peak = %d", p.PeakPhysicalBytes())
-	}
-}
-
-func TestPagedRefCountsBalanced(t *testing.T) {
-	// Property: after r retains and r+1 releases, pool is empty.
-	check := func(r uint8) bool {
-		p := NewPagedPool(4, 1)
-		ids := p.Store(makeKV(8))
-		n := int(r % 5)
-		for i := 0; i < n; i++ {
-			if p.Retain(ids) != nil {
-				return false
-			}
-		}
-		for i := 0; i < n+1; i++ {
-			if p.Release(ids) != nil {
-				return false
-			}
-		}
-		return p.LiveBlocks() == 0 && p.PhysicalBytes() == 0
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPagedConcurrentRetainRelease(t *testing.T) {
-	p := NewPagedPool(4, 1)
-	ids := p.Store(makeKV(16))
-	const workers = 8
-	done := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := 0; i < 100; i++ {
-				if err := p.Retain(ids); err != nil {
-					done <- err
-					return
-				}
-				if err := p.Release(ids); err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := p.RefCounts(); len(got) != 4 {
-		t.Fatalf("blocks = %d", len(got))
-	}
-	for _, rc := range p.RefCounts() {
-		if rc != 1 {
-			t.Fatalf("refcount = %d, want 1", rc)
-		}
 	}
 }

@@ -57,7 +57,6 @@ func DefaultConfig() *Config {
 	return &Config{
 		GuardedMutexes: []string{
 			core + ".Cache.mu",
-			core + ".blockRegistry.mu",
 			core + ".Scheduler.mu",
 			// The draft source's table lock: Propose runs on the scheduler's
 			// decode path between fused steps, so nothing heavy may ever run
@@ -70,8 +69,8 @@ func DefaultConfig() *Config {
 			model + ".Model.PrefillCtx",
 			model + ".Model.Decode",
 			model + ".Model.DecodeStepBatch",
-			// The speculative verify step: a widened fused step, as heavy as
-			// DecodeStepBatch times the draft depth.
+			// The fused step at any width: as heavy as DecodeStepBatch times
+			// the draft depth.
 			model + ".Model.DecodeStepBatchMulti",
 			model + ".Model.Generate",
 			model + ".Model.GenerateStream",
@@ -92,7 +91,6 @@ func DefaultConfig() *Config {
 			tensor + ".parallelBackend.MatMul",
 			tensor + ".parallelBackend.AttendRowBlock",
 			tensor + ".parallelBackend.OutputHead",
-			tensor + ".MatMul",
 		},
 
 		Acquires: []AcquireSpec{
@@ -121,10 +119,10 @@ func DefaultConfig() *Config {
 			// Scheduler lane joins and retirement order.
 			core + ".Scheduler.run",
 			core + ".Scheduler.advance",
-			// Speculative verify and settle: token emission across lanes
+			// The fused step and settle: token emission across lanes
 			// (already reachable from run; listed so the root survives a
 			// future refactor that severs that path).
-			core + ".Scheduler.stepSpec",
+			core + ".Scheduler.step",
 			// Manifest writing: warm restarts replay this byte stream.
 			core + ".Cache.SaveAll",
 			core + ".Cache.SaveSchemaStates",

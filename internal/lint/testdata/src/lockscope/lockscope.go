@@ -48,8 +48,8 @@ func (c *Cache) spawned(m *Model) {
 	go m.Prefill() // the goroutine does not hold c.mu: fine
 }
 
-// MatMulKernel stands in for a package-level tensor kernel entry point
-// (tensor.MatMul and the backend methods in the real config).
+// MatMulKernel stands in for a tensor kernel entry point (the backend
+// methods in the real config).
 func MatMulKernel() {}
 
 func (c *Cache) badKernel() {

@@ -152,3 +152,156 @@ func TestDecodeStepBatchLaneError(t *testing.T) {
 		t.Fatal("expected shape error")
 	}
 }
+
+// TestDecodeStepBatchMultiMatchesSequential: a k-position step leaves
+// every lane with exactly the logits and KV rows that k single-position
+// steps produce — the k = 1 and k > 1 entries are one walk.
+func TestDecodeStepBatchMultiMatchesSequential(t *testing.T) {
+	for _, cfg := range allConfigs(43) {
+		t.Run(cfg.Name, func(t *testing.T) {
+			m := MustNew(cfg)
+			const lanesN, k = 3, 4
+			mk := func(i int) *kvcache.Cache {
+				n := 3 + i
+				kv := m.NewCache(n + k)
+				if _, err := m.Prefill(randTokens(rng.New(uint64(7+i)), n), seqPositions(n, 0), kv); err != nil {
+					t.Fatal(err)
+				}
+				return kv
+			}
+			seqLanes, multiLanes := make([]*DecodeLane, lanesN), make([]*DecodeLane, lanesN)
+			seqKVs, multiKVs := make([]kvcache.KV, lanesN), make([]kvcache.KV, lanesN)
+			toks, poss := make([][]int, lanesN), make([][]int, lanesN)
+			for i := range toks {
+				seqLanes[i], multiLanes[i] = m.NewDecodeLane(), m.NewDecodeLane()
+				defer seqLanes[i].Close()
+				defer multiLanes[i].Close()
+				seqKVs[i], multiKVs[i] = mk(i), mk(i)
+				toks[i] = randTokens(rng.New(uint64(500+i)), k)
+				poss[i] = seqPositions(k, 3+i+16*i) // lane-specific position gap
+			}
+
+			if err := m.DecodeStepBatchMulti(multiLanes, toks, poss, multiKVs); err != nil {
+				t.Fatal(err)
+			}
+			stepToks, stepPos := make([]int, lanesN), make([]int, lanesN)
+			for j := 0; j < k; j++ {
+				for i := range toks {
+					stepToks[i], stepPos[i] = toks[i][j], poss[i][j]
+				}
+				if err := m.DecodeStepBatch(seqLanes, stepToks, stepPos, seqKVs); err != nil {
+					t.Fatal(err)
+				}
+				for i := range toks {
+					if err := multiLanes[i].Err(); err != nil {
+						t.Fatal(err)
+					}
+					if d := tensor.MaxAbsDiff(multiLanes[i].LogitsAt(j), seqLanes[i].Logits()); d != 0 {
+						t.Fatalf("lane %d position %d: multi logits diverge from sequential by %v", i, j, d)
+					}
+				}
+			}
+			for i := range toks {
+				a, b := multiKVs[i].(*kvcache.Cache), seqKVs[i].(*kvcache.Cache)
+				for l := 0; l < cfg.NLayers; l++ {
+					if a.Len() != b.Len() || tensor.MaxAbsDiff(a.K[l], b.K[l]) != 0 || tensor.MaxAbsDiff(a.V[l], b.V[l]) != 0 {
+						t.Fatalf("lane %d layer %d: multi KV rows diverge from sequential", i, l)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDecodeStepBatchMultiMalformedLeavesLanesUntouched: a malformed
+// lane shape anywhere in the call is rejected before any lane's cache is
+// touched — earlier lanes must not be left with positions but no rows.
+func TestDecodeStepBatchMultiMalformedLeavesLanesUntouched(t *testing.T) {
+	m := MustNew(LlamaStyle(testVocab, 5))
+	lanes := []*DecodeLane{m.NewDecodeLane(), m.NewDecodeLane(), m.NewDecodeLane()}
+	kvs := make([]kvcache.KV, len(lanes))
+	for i := range lanes {
+		defer lanes[i].Close()
+		kv := m.NewCache(8)
+		if _, err := m.Prefill(randTokens(rng.New(3), 4), seqPositions(4, 0), kv); err != nil {
+			t.Fatal(err)
+		}
+		kvs[i] = kv
+	}
+	ok := []int{tokenizer.WordBase, tokenizer.WordBase + 1}
+	for name, bad := range map[string][2][]int{
+		"empty lane":       {{}, {}},
+		"tokens≠positions": {ok, {4}},
+	} {
+		err := m.DecodeStepBatchMulti(lanes,
+			[][]int{ok, ok, bad[0]},
+			[][]int{{4, 5}, {4, 5}, bad[1]},
+			kvs)
+		if err == nil {
+			t.Fatalf("%s: expected a shape error", name)
+		}
+		for i, kv := range kvs {
+			if kv.Len() != 4 {
+				t.Fatalf("%s: lane %d cache has %d rows after a rejected call, want 4", name, i, kv.Len())
+			}
+		}
+	}
+}
+
+// TestDecodeStepAllocFree pins the DecodeLane promise: once warm, a fused
+// step allocates nothing, at k = 1 through either entry point and at
+// k = 4. (Scalar backend: the parallel one spawns goroutines per step.)
+func TestDecodeStepAllocFree(t *testing.T) {
+	m := MustNew(LlamaStyle(testVocab, 5))
+	m.SetBackend(tensor.Scalar())
+	const lanesN, runs = 2, 5
+	for _, k := range []int{1, 4} {
+		lanes := make([]*DecodeLane, lanesN)
+		kvs := make([]kvcache.KV, lanesN)
+		toks, poss := make([][]int, lanesN), make([][]int, lanesN)
+		flatToks, flatPos := make([]int, lanesN), make([]int, lanesN)
+		for i := range lanes {
+			lanes[i] = m.NewDecodeLane()
+			defer lanes[i].Close()
+			// Capacity for the prefix plus every measured step, so cache
+			// growth stays out of the measurement.
+			kv := m.NewCache(4 + 2*(runs+2)*k)
+			if _, err := m.Prefill(randTokens(rng.New(uint64(11+i)), 4), seqPositions(4, 0), kv); err != nil {
+				t.Fatal(err)
+			}
+			kvs[i] = kv
+			toks[i], poss[i] = randTokens(rng.New(uint64(21+i)), k), make([]int, k)
+		}
+		next := 4
+		multi := func() {
+			for i := range poss {
+				for j := range poss[i] {
+					poss[i][j] = next + j
+				}
+			}
+			next += k
+			if err := m.DecodeStepBatchMulti(lanes, toks, poss, kvs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		multi() // warm lane scratch, score buffers and head headers
+		if n := testing.AllocsPerRun(runs, multi); n != 0 {
+			t.Errorf("k=%d: DecodeStepBatchMulti allocates %v per step, want 0", k, n)
+		}
+		if k != 1 {
+			continue
+		}
+		single := func() {
+			for i := range flatPos {
+				flatToks[i], flatPos[i] = toks[i][0], next
+			}
+			next++
+			if err := m.DecodeStepBatch(lanes, flatToks, flatPos, kvs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(runs, single); n != 0 {
+			t.Errorf("DecodeStepBatch allocates %v per step, want 0", n)
+		}
+	}
+}

@@ -44,8 +44,10 @@ type scratch struct {
 	// steps reuse one vocab-wide buffer instead of allocating per token.
 	// Lazily sized: prefills compute logits once and never need them.
 	lgH, lgOut []float32
-	// dst1/hs1 are 1-lane output-head headers for the solo decode path.
-	dst1, hs1 [1][]float32
+	// dsts/hs are the batched output head's per-vector headers; a fused
+	// step keeps them in its first lane's scratch so they are reused
+	// across steps.
+	dsts, hs [][]float32
 }
 
 func (m *Model) newScratch() *scratch {
@@ -81,6 +83,8 @@ func (m *Model) putScratch(sc *scratch) {
 	clear(sc.spans[:cap(sc.spans)])
 	sc.spans = sc.spans[:0]
 	sc.att = tensor.AttendArgs{}
+	clear(sc.dsts[:cap(sc.dsts)])
+	clear(sc.hs[:cap(sc.hs)])
 	m.scratchPool.Put(sc)
 }
 
@@ -153,55 +157,78 @@ func (m *Model) Decode(token, pos int, kv kvcache.KV) ([]float32, error) {
 	return m.logits(sc.x), nil
 }
 
+// checkToken rejects a token or position the model cannot embed.
+func (m *Model) checkToken(token, pos int) error {
+	if token < 0 || token >= m.Cfg.VocabSize {
+		return fmt.Errorf("model: token %d out of vocab %d", token, m.Cfg.VocabSize)
+	}
+	if pos < 0 || pos >= m.Cfg.MaxSeq {
+		return fmt.Errorf("model: position %d out of range [0,%d)", pos, m.Cfg.MaxSeq)
+	}
+	return nil
+}
+
+// embed writes a checked token's input embedding at pos into x.
+func (m *Model) embed(x []float32, token, pos int) {
+	copy(x, m.embedding.Row(token))
+	if m.Cfg.PosEnc == Learned {
+		tensor.Add(x, m.posTable.Row(pos))
+	}
+}
+
 // step processes a single token through every layer, appending its KV
 // states to kv. After step returns, sc.x holds the final hidden state
-// (pre final-norm; logits() applies it).
+// (pre final-norm; logits() applies it). It is the reference token loop:
+// the fused decode walk runs the same layerToken body in a different
+// loop order.
 func (m *Model) step(token, pos int, kv kvcache.KV, sc *scratch) error {
-	cfg := &m.Cfg
-	if token < 0 || token >= cfg.VocabSize {
-		return fmt.Errorf("model: token %d out of vocab %d", token, cfg.VocabSize)
+	if err := m.checkToken(token, pos); err != nil {
+		return err
 	}
-	if pos < 0 || pos >= cfg.MaxSeq {
-		return fmt.Errorf("model: position %d out of range [0,%d)", pos, cfg.MaxSeq)
-	}
-	copy(sc.x, m.embedding.Row(token))
-	if cfg.PosEnc == Learned {
-		tensor.Add(sc.x, m.posTable.Row(pos))
-	}
+	m.embed(sc.x, token, pos)
 
 	// The token's position is recorded before the layer loop; each layer
 	// appends its K/V rows, so after layer l the cache's layer-l buffers
 	// have exactly len(Pos) rows.
 	kv.AppendPos(pos)
 	n := kv.Len() // rows to attend over at each layer, including self
-
 	for l := range m.layers {
-		ly := &m.layers[l]
-		m.norm(sc.h, sc.x, ly.attnNormW, ly.attnNormB)
-
-		m.bk.MatVecT(sc.q, ly.wq, sc.h)
-		m.bk.MatVecT(sc.k, ly.wk, sc.h)
-		m.bk.MatVecT(sc.v, ly.wv, sc.h)
-		if cfg.PosEnc == RoPE {
-			m.applyRope(sc.q, cfg.NHeads, pos)
-			m.applyRope(sc.k, cfg.NKVHeads, pos)
-		}
-		kv.AppendToken(l, sc.k, sc.v)
-
-		m.attend(sc, kv, l, n, pos)
-
-		m.bk.MatVecT(sc.proj, ly.wo, sc.attnOut)
-		if cfg.ParallelAttn {
-			// Falcon block: x = x + attn(h) + ffn(h), same normed input.
-			tensor.Add(sc.x, sc.proj)
-			m.ffn(sc, ly, sc.h)
-		} else {
-			tensor.Add(sc.x, sc.proj)
-			m.norm(sc.h, sc.x, ly.ffnNormW, ly.ffnNormB)
-			m.ffn(sc, ly, sc.h)
-		}
+		m.layerToken(l, sc, kv, n, pos)
 	}
 	return nil
+}
+
+// layerToken is the per-token layer body: it carries the hidden state in
+// sc.x through layer l for the token at pos, appending the token's K/V
+// row to kv and attending over kv's first n rows (the token's own row
+// last). Every decode path — step, and the fused walk for any lane and
+// position count — runs exactly this sequence per token per layer, which
+// is why their outputs agree bit for bit.
+func (m *Model) layerToken(l int, sc *scratch, kv kvcache.KV, n, pos int) {
+	cfg := &m.Cfg
+	ly := &m.layers[l]
+	m.norm(sc.h, sc.x, ly.attnNormW, ly.attnNormB)
+
+	m.bk.MatVecT(sc.q, ly.wq, sc.h)
+	m.bk.MatVecT(sc.k, ly.wk, sc.h)
+	m.bk.MatVecT(sc.v, ly.wv, sc.h)
+	if cfg.PosEnc == RoPE {
+		m.applyRope(sc.q, cfg.NHeads, pos)
+		m.applyRope(sc.k, cfg.NKVHeads, pos)
+	}
+	kv.AppendToken(l, sc.k, sc.v)
+
+	m.attend(sc, kv, l, n, pos)
+
+	m.bk.MatVecT(sc.proj, ly.wo, sc.attnOut)
+	tensor.Add(sc.x, sc.proj)
+	if !cfg.ParallelAttn {
+		// Sequential block: the FFN reads the post-attention residual.
+		// (Falcon's parallel block reuses the attention's normed input:
+		// x = x + attn(h) + ffn(h).)
+		m.norm(sc.h, sc.x, ly.ffnNormW, ly.ffnNormB)
+	}
+	m.ffn(sc, ly, sc.h)
 }
 
 // attend computes multi-head attention for the newest cache row (index

@@ -5,10 +5,11 @@ import "sync"
 // Work thresholds (in multiply-adds) below which the parallel backend
 // stays sequential: a goroutine spawn+join costs on the order of
 // microseconds, so every shard must carry enough arithmetic to amortize
-// it. matmulParallelThreshold (tensor.go) plays the same role for
-// MatMul, counted in output elements as the package-level entry always
-// has.
+// it.
 const (
+	// matmulParallelThreshold gates row-sharding of MatMul, counted in
+	// output elements.
+	matmulParallelThreshold = 64 * 64
 	// matVecTParallelThreshold gates column-sharding of dst = Wᵀ·h.
 	matVecTParallelThreshold = 32 * 1024
 	// outputHeadParallelThreshold gates vocab-sharding of the output

@@ -3,9 +3,7 @@ package tensor
 // scalarBackend is the reference implementation: every kernel runs
 // sequentially on the calling goroutine, in the canonical accumulation
 // order all other backends must reproduce bit-for-bit. The bodies are
-// the package-level routines this engine has always run on — kept
-// single-threaded here even where the package-level entry points shard
-// (MatMul), so "scalar" genuinely means one core.
+// the package-level routines this engine has always run on.
 type scalarBackend struct{}
 
 func (*scalarBackend) Name() string { return "scalar" }

@@ -25,8 +25,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Matrix is a dense row-major float32 matrix with Rows x Cols elements.
@@ -77,21 +75,6 @@ func (m *Matrix) SliceRows(lo, hi int) *Matrix {
 	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }
 
-// matmulParallelThreshold is the output-element count above which MatMul
-// fans work out across GOMAXPROCS goroutines.
-const matmulParallelThreshold = 64 * 64
-
-// MatMul computes dst = a × b where a is (n×k) and b is (k×m).
-// dst must be (n×m) and must not alias a or b.
-func MatMul(dst, a, b *Matrix) {
-	checkMatMul(dst, a, b)
-	if a.Rows*b.Cols >= matmulParallelThreshold {
-		matMulParallel(dst, a, b)
-		return
-	}
-	matMulRange(dst, a, b, 0, a.Rows)
-}
-
 func checkMatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
@@ -121,35 +104,6 @@ func matMulRange(dst, a, b *Matrix, lo, hi int) {
 			}
 		}
 	}
-}
-
-func matMulParallel(dst, a, b *Matrix) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers <= 1 {
-		matMulRange(dst, a, b, 0, a.Rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulRange(dst, a, b, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // MatVec computes dst = m × v for a (rows×cols) matrix and len-cols vector.

@@ -20,7 +20,7 @@ func TestMatMulSmall(t *testing.T) {
 	a := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float32{7, 8, 9, 10, 11, 12})
 	dst := NewMatrix(2, 2)
-	MatMul(dst, a, b)
+	Scalar().MatMul(dst, a, b)
 	want := []float32{58, 64, 139, 154}
 	for i, w := range want {
 		if !almostEq(dst.Data[i], w, 1e-5) {
@@ -39,7 +39,7 @@ func TestMatMulIdentity(t *testing.T) {
 		id.Set(i, i, 1)
 	}
 	dst := NewMatrix(n, n)
-	MatMul(dst, a, id)
+	Scalar().MatMul(dst, a, id)
 	if MaxAbsDiff(dst.Data, a.Data) > 1e-6 {
 		t.Fatal("A*I != A")
 	}
@@ -55,8 +55,8 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	r.FillNormal(b.Data, 1)
 	par := NewMatrix(80, 80)
 	ser := NewMatrix(80, 80)
-	MatMul(par, a, b) // 80*80 = 6400 >= threshold
-	matMulRange(ser, a, b, 0, a.Rows)
+	NewParallel(4).MatMul(par, a, b) // 80*80 = 6400 >= threshold
+	Scalar().MatMul(ser, a, b)
 	if MaxAbsDiff(par.Data, ser.Data) != 0 {
 		t.Fatal("parallel and serial matmul differ")
 	}
@@ -68,7 +68,7 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Fatal("expected shape panic")
 		}
 	}()
-	MatMul(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 2))
+	Scalar().MatMul(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 2))
 }
 
 func TestMatMulAssociativityProperty(t *testing.T) {
@@ -87,13 +87,13 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 		r.FillNormal(b.Data, 1)
 		r.FillNormal(c.Data, 1)
 		ab := NewMatrix(n, m)
-		MatMul(ab, a, b)
+		Scalar().MatMul(ab, a, b)
 		abc1 := NewMatrix(n, p)
-		MatMul(abc1, ab, c)
+		Scalar().MatMul(abc1, ab, c)
 		bc := NewMatrix(k, p)
-		MatMul(bc, b, c)
+		Scalar().MatMul(bc, b, c)
 		abc2 := NewMatrix(n, p)
-		MatMul(abc2, a, bc)
+		Scalar().MatMul(abc2, a, bc)
 		return MaxAbsDiff(abc1.Data, abc2.Data) < 1e-3
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
@@ -111,7 +111,7 @@ func TestMatVecMatchesMatMul(t *testing.T) {
 	MatVec(got, m, v)
 	vm := FromSlice(7, 1, v)
 	want := NewMatrix(13, 1)
-	MatMul(want, m, vm)
+	Scalar().MatMul(want, m, vm)
 	if MaxAbsDiff(got, want.Data) > 1e-5 {
 		t.Fatal("MatVec != MatMul with column vector")
 	}
@@ -333,19 +333,6 @@ func TestCosineSimilarity(t *testing.T) {
 func TestMaxAbsDiff(t *testing.T) {
 	if got := MaxAbsDiff([]float32{1, 2}, []float32{1, 5}); got != 3 {
 		t.Fatalf("MaxAbsDiff = %v", got)
-	}
-}
-
-func BenchmarkMatMul128(b *testing.B) {
-	r := rng.New(1)
-	a := NewMatrix(128, 128)
-	c := NewMatrix(128, 128)
-	dst := NewMatrix(128, 128)
-	r.FillNormal(a.Data, 1)
-	r.FillNormal(c.Data, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(dst, a, c)
 	}
 }
 

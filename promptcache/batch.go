@@ -7,8 +7,8 @@ import (
 	"repro/internal/core"
 )
 
-// BatchRequest completes several prompts in one call with each distinct
-// module's attention states shared across the batch through a paged pool
+// BatchRequest completes several prompts in one call. Prompts importing
+// the same module read the one resident copy of its attention states
 // (§3.4's batch-memory optimization).
 type BatchRequest struct {
 	Prompts []string
@@ -47,10 +47,11 @@ type BatchResponse struct {
 	Stats   core.BatchStats
 }
 
-// InferBatch serves and generates a batch of prompts with module states
-// shared across the batch; prefills run concurrently over the request's
-// worker bound. Cancelling ctx aborts between (and inside) per-prompt
-// prefills and decode steps.
+// InferBatch serves and generates a batch of prompts: each is an ordinary
+// cached serve, run concurrently over the request's worker bound, so
+// members share module states exactly as concurrent Infer calls do.
+// Cancelling ctx aborts between (and inside) per-prompt prefills and
+// decode steps.
 func (c *Client) InferBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	// A batch occupies one admission slot as a unit — it is one caller's
 	// bulk request, not N independent arrivals — and it always rides the
@@ -67,6 +68,13 @@ func (c *Client) InferBatch(ctx context.Context, req BatchRequest) (*BatchRespon
 	if err != nil {
 		return nil, err
 	}
+	// Members hold module pins like any serve; release them once the
+	// batch is done decoding, whichever way it ends.
+	defer func() {
+		for _, res := range results {
+			res.Close()
+		}
+	}()
 	out := &BatchResponse{Stats: stats, Results: make([]*Response, len(results))}
 	gen := req.Gen.withFallback(req.MaxTokens, req.Sampler, req.StopToken, SLOBatch)
 	one := Request{PrefillOnly: req.PrefillOnly, Gen: gen}

@@ -25,8 +25,9 @@
 // outside the lock. Pinned modules cannot be evicted while a view reads
 // them — Infer releases its pins after generation, Sessions hold theirs
 // until Close (Session.Materialize releases them early by copying the
-// state into owned storage). InferBatch fans its prompts
-// out over a bounded worker pool sharing one paged block pool.
+// state into owned storage). InferBatch is the same serve path fanned
+// out over a bounded worker pool: members importing a module view its
+// one resident copy, and their pins release when the batch returns.
 //
 // With WithDecodeScheduler the decode phase is continuous-batched:
 // concurrent generations join a shared token scheduler after their

@@ -105,38 +105,6 @@ func BenchmarkFig8Parameterized(b *testing.B) {
 	useCaseBench(b, bench.TripPlanSchema, bench.TripPlanPrompt)
 }
 
-// BenchmarkEngineTTFT is the measured Fig-5 analogue on the Go engine:
-// per document length, baseline prefill vs cached serve.
-func BenchmarkEngineTTFT(b *testing.B) {
-	m, err := model.New(model.LlamaStyle(tokenizer.WordBase+2048, 777))
-	if err != nil {
-		b.Fatal(err)
-	}
-	client := promptcache.New(m)
-	ctx := context.Background()
-	for _, n := range []int{128, 256, 512} {
-		name := fmt.Sprintf("bench-%d", n)
-		if _, err := client.RegisterSchema(bench.EngineSchema(name, n, uint64(n))); err != nil {
-			b.Fatal(err)
-		}
-		prompt := fmt.Sprintf("<prompt schema=%q><doc/><user>summarize the document</user></prompt>", name)
-		b.Run(fmt.Sprintf("baseline-%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := client.Infer(ctx, promptcache.Request{Prompt: prompt, Baseline: true, PrefillOnly: true}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("cached-%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := client.Infer(ctx, promptcache.Request{Prompt: prompt, PrefillOnly: true}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkServeCachedPrefix is the zero-copy headline: TTFT of serving
 // a tiny user suffix over a cached prefix of 512/2K/8K tokens, cached
 // (segment views, no per-request copy of module rows) vs baseline (full
@@ -227,73 +195,6 @@ func BenchmarkServeParallel(b *testing.B) {
 			default:
 			}
 		})
-	}
-}
-
-// BenchmarkDecodeContinuous measures decode-phase throughput for
-// concurrent generations, fused (continuous-batching scheduler: one
-// shared model step per token for the whole batch) vs sequential (each
-// request drives its own per-token loop). One op = N concurrent requests
-// each decoding 24 tokens over a 256-token cached prefix; both modes
-// emit bit-identical token streams, so the delta is pure scheduling.
-// `pcbench -json BENCH_decode.json decode` tracks the same grid across
-// PRs.
-func BenchmarkDecodeContinuous(b *testing.B) {
-	build := func(fused bool) *promptcache.Client {
-		b.Helper()
-		m, err := model.New(model.LlamaStyle(tokenizer.WordBase+2048, 444))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var opts []promptcache.Option
-		if fused {
-			opts = append(opts, promptcache.WithDecodeScheduler(16))
-		}
-		client := promptcache.New(m, opts...)
-		if _, err := client.RegisterSchema(bench.EngineSchema("cont", 256, 4)); err != nil {
-			b.Fatal(err)
-		}
-		return client
-	}
-	clients := map[string]*promptcache.Client{"fused": build(true), "sequential": build(false)}
-	const prompt = `<prompt schema="cont"><doc/><user>summarize the document</user></prompt>`
-	const maxTok = 24
-	ctx := context.Background()
-	for _, streams := range []int{1, 4, 8, 16} {
-		for _, mode := range []string{"fused", "sequential"} {
-			client := clients[mode]
-			b.Run(fmt.Sprintf("%s-%d", mode, streams), func(b *testing.B) {
-				fail := make(chan error, 1)
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					for s := 0; s < streams; s++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							// StopToken -1 keeps untrained-model EOS from
-							// shortening replies, so every stream decodes the
-							// full 24 tokens and modes stay comparable.
-							if _, err := client.Infer(ctx, promptcache.Request{
-								Prompt: prompt, MaxTokens: maxTok, StopToken: -1,
-							}); err != nil {
-								select {
-								case fail <- err:
-								default:
-								}
-							}
-						}()
-					}
-					wg.Wait()
-				}
-				b.StopTimer()
-				select {
-				case err := <-fail:
-					b.Fatal(err)
-				default:
-				}
-				b.ReportMetric(float64(streams*maxTok*b.N)/b.Elapsed().Seconds(), "tok/s")
-			})
-		}
 	}
 }
 

@@ -6,42 +6,52 @@
 //	pcbench all                  # run everything
 //	pcbench fig3 table2 ...      # run specific experiments
 //	pcbench -csv fig5            # emit CSV instead of a table
-//	pcbench -json BENCH_serve.json serve
-//	pcbench -json BENCH_decode.json decode
-//	pcbench -json BENCH_spec.json speculate
-//	pcbench -json BENCH_load.json load
-//	pcbench -json BENCH_kernels.json kernels
-//	                             # serve/decode/load/kernels experiment +
-//	                             # machine-readable points for cross-PR
-//	                             # perf tracking
-//	pcbench -count 5 -json BENCH_serve.json serve
-//	                             # run 5 times, emit the per-metric
-//	                             # median point — de-noised numbers for
-//	                             # the CI perf gate
+//
+// The repo's own performance is not measured here: that is
+// `bash benchmark/run.sh`, compared across commits by cmd/benchdiff.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 
 	"repro/internal/bench"
 )
 
+// resolve turns the command line's experiment arguments into the ids to
+// run, expanding "all" and rejecting any unknown id before the first
+// experiment starts.
+func resolve(args []string) ([]string, error) {
+	known := map[string]bool{}
+	var all []string
+	for _, e := range bench.Experiments() {
+		known[e.ID] = true
+		if !e.Variant {
+			all = append(all, e.ID)
+		}
+	}
+	var ids []string
+	for _, a := range args {
+		switch {
+		case a == "all":
+			ids = append(ids, all...)
+		case known[a]:
+			ids = append(ids, a)
+		default:
+			return nil, fmt.Errorf("unknown experiment %q (see `pcbench list`)", a)
+		}
+	}
+	return ids, nil
+}
+
 func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	jsonOut := flag.String("json", "", "write the serve experiment's measured points to this file (e.g. BENCH_serve.json)")
-	count := flag.Int("count", 1, "run the serve/decode measurement this many times and report per-metric medians")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pcbench [-csv] [-json file] [-count n] <experiment>... | all | list\n")
+		fmt.Fprintf(os.Stderr, "usage: pcbench [-csv] <experiment>... | all | list\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *count < 1 {
-		fmt.Fprintf(os.Stderr, "pcbench: -count must be >= 1 (got %d)\n", *count)
-		os.Exit(2)
-	}
 	args := flag.Args()
 	if len(args) == 0 {
 		flag.Usage()
@@ -49,159 +59,18 @@ func main() {
 	}
 	if args[0] == "list" {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-20s %s\n", e[0], e[1])
+			fmt.Printf("%-20s %s\n", e.ID, e.Summary)
 		}
 		return
 	}
-	if args[0] == "all" {
-		args = nil
-		for _, e := range bench.Experiments() {
-			if e[0] == "table1-quick" || e[0] == "fig3-all" || e[0] == "fig4-all" {
-				continue
-			}
-			args = append(args, e[0])
-		}
-	}
-	// -json emits machine-readable perf points; only the serve, decode,
-	// load and kernels experiments produce them, so refuse to no-op
-	// silently — and refuse the ambiguous case where several would
-	// overwrite one output file.
-	if *jsonOut != "" {
-		jsonable := 0
-		for _, id := range []string{"serve", "decode", "speculate", "load", "kernels"} {
-			if slices.Contains(args, id) {
-				jsonable++
-			}
-		}
-		switch {
-		case jsonable == 0:
-			fmt.Fprintf(os.Stderr, "pcbench: -json requires the serve, decode, speculate, load or kernels experiment (got %v)\n", args)
-			os.Exit(2)
-		case jsonable > 1:
-			fmt.Fprintf(os.Stderr, "pcbench: -json with several point-emitting experiments would overwrite %s; run them separately\n", *jsonOut)
-			os.Exit(2)
-		}
+	ids, err := resolve(args)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pcbench: %v\n", err)
+		os.Exit(2)
 	}
 	failed := false
-	for _, id := range args {
-		var rep *bench.Report
-		var err error
-		switch {
-		case id == "serve" && (*jsonOut != "" || *count > 1):
-			// Measure -count times, collapse to per-metric medians, and
-			// emit both the table and (with -json) the JSON trajectory.
-			var points []bench.ServePoint
-			runs := make([][]bench.ServePoint, 0, *count)
-			for i := 0; i < *count && err == nil; i++ {
-				points, err = bench.ServeCachedPrefixPoints(bench.DefaultServeSizes)
-				runs = append(runs, points)
-			}
-			if err == nil && *count > 1 {
-				points, err = bench.MedianServePoints(runs)
-			}
-			if err == nil {
-				rep = bench.ServeReport(points)
-				if *jsonOut != "" {
-					var data []byte
-					if data, err = bench.ServePointsJSON(points); err == nil {
-						err = os.WriteFile(*jsonOut, data, 0o644)
-					}
-				}
-			}
-			if err != nil {
-				rep = nil
-			}
-		case id == "load" && (*jsonOut != "" || *count > 1):
-			var points []bench.LoadPoint
-			runs := make([][]bench.LoadPoint, 0, *count)
-			for i := 0; i < *count && err == nil; i++ {
-				points, err = bench.LoadOverloadPoints(bench.DefaultLoadMults, bench.DefaultLoadRequests)
-				runs = append(runs, points)
-			}
-			if err == nil && *count > 1 {
-				points, err = bench.MedianLoadPoints(runs)
-			}
-			if err == nil {
-				rep = bench.LoadReport(points)
-				if *jsonOut != "" {
-					var data []byte
-					if data, err = bench.LoadPointsJSON(points); err == nil {
-						err = os.WriteFile(*jsonOut, data, 0o644)
-					}
-				}
-			}
-			if err != nil {
-				rep = nil
-			}
-		case id == "kernels" && (*jsonOut != "" || *count > 1):
-			var points []bench.KernelPoint
-			runs := make([][]bench.KernelPoint, 0, *count)
-			for i := 0; i < *count && err == nil; i++ {
-				points, err = bench.KernelPoints()
-				runs = append(runs, points)
-			}
-			if err == nil && *count > 1 {
-				points, err = bench.MedianKernelPoints(runs)
-			}
-			if err == nil {
-				rep = bench.KernelReport(points)
-				if *jsonOut != "" {
-					var data []byte
-					if data, err = bench.KernelPointsJSON(points); err == nil {
-						err = os.WriteFile(*jsonOut, data, 0o644)
-					}
-				}
-			}
-			if err != nil {
-				rep = nil
-			}
-		case id == "speculate" && (*jsonOut != "" || *count > 1):
-			var points []bench.SpecPoint
-			runs := make([][]bench.SpecPoint, 0, *count)
-			for i := 0; i < *count && err == nil; i++ {
-				points, err = bench.SpeculatePoints(bench.DefaultSpecScenarios)
-				runs = append(runs, points)
-			}
-			if err == nil && *count > 1 {
-				points, err = bench.MedianSpecPoints(runs)
-			}
-			if err == nil {
-				rep = bench.SpecReport(points)
-				if *jsonOut != "" {
-					var data []byte
-					if data, err = bench.SpecPointsJSON(points); err == nil {
-						err = os.WriteFile(*jsonOut, data, 0o644)
-					}
-				}
-			}
-			if err != nil {
-				rep = nil
-			}
-		case id == "decode" && (*jsonOut != "" || *count > 1):
-			var points []bench.DecodePoint
-			runs := make([][]bench.DecodePoint, 0, *count)
-			for i := 0; i < *count && err == nil; i++ {
-				points, err = bench.DecodeContinuousPoints(bench.DefaultDecodeStreams)
-				runs = append(runs, points)
-			}
-			if err == nil && *count > 1 {
-				points, err = bench.MedianDecodePoints(runs)
-			}
-			if err == nil {
-				rep = bench.DecodeReport(points)
-				if *jsonOut != "" {
-					var data []byte
-					if data, err = bench.DecodePointsJSON(points); err == nil {
-						err = os.WriteFile(*jsonOut, data, 0o644)
-					}
-				}
-			}
-			if err != nil {
-				rep = nil
-			}
-		default:
-			rep, err = bench.Run(id)
-		}
+	for _, id := range ids {
+		rep, err := bench.Run(id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pcbench: %v\n", err)
 			failed = true

@@ -19,8 +19,9 @@
 // attention over the cached rows (linear in prefix, tiny constant, vs
 // the baseline's quadratic full prefill), and allocations per cached
 // serve are suffix-sized, independent of prefix length
-// (BenchmarkServeCachedPrefix asserts both; `pcbench -json
-// BENCH_serve.json serve` tracks the trajectory).
+// (BenchmarkServeCachedPrefix shows both with -benchmem; the promptcache
+// test TestCachedServeAllocationIndependentOfPrefix asserts the
+// allocation half).
 //
 // Views change pin lifetimes: a module stays pinned — immune to
 // eviction — until every result viewing it closes. Infer closes its
@@ -43,9 +44,8 @@
 // one-position-per-lane entry point. A request's token and logit streams are bit-identical to
 // solo decoding; the scheduler changes throughput, never output.
 // /v1/stats (and core.Cache.SchedStats) expose queue depth, active
-// lanes, the batch-size histogram and decode tokens/sec;
-// BenchmarkDecodeContinuous and `pcbench -json BENCH_decode.json
-// decode` track fused-vs-sequential throughput.
+// lanes, the batch-size histogram and decode tokens/sec; the benchmark
+// of record's decode.long workload measures it through the server.
 //
 // # Speculative decoding
 //
@@ -62,9 +62,8 @@
 // wrong draft costs verify width, never a token. Requests opt in or out
 // per call via promptcache.GenConfig.Speculation; `pcserve -speculate`
 // wires it into the server (the /v1/stats "speculation" block tracks
-// acceptance), and `pcbench -json BENCH_spec.json speculate` tracks
-// tokens-per-step and throughput against solo decode on LongBench
-// replays.
+// acceptance), and the benchmark of record's decode.spec workload
+// measures tokens per second against decode.long's identical requests.
 //
 // # Generation options
 //

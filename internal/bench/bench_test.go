@@ -424,21 +424,64 @@ func TestQuantExperiment(t *testing.T) {
 	}
 }
 
+// TestRunRegistry checks the table itself; each experiment's content has
+// its own test above.
 func TestRunRegistry(t *testing.T) {
+	seen := map[string]bool{}
 	for _, e := range Experiments() {
-		if e[0] == "table1" || strings.HasPrefix(e[0], "fig3-all") || strings.HasPrefix(e[0], "fig4-all") {
-			continue // covered elsewhere; table1 full grid is slow
+		if e.ID == "" || e.Summary == "" || e.run == nil {
+			t.Errorf("incomplete registry entry %+v", e)
 		}
-		rep, err := Run(e[0])
-		if err != nil {
-			t.Fatalf("%s: %v", e[0], err)
+		if seen[e.ID] {
+			t.Errorf("duplicate experiment id %q", e.ID)
 		}
-		if rep.ID == "" || len(rep.Rows) == 0 {
-			t.Fatalf("%s: empty report", e[0])
-		}
+		seen[e.ID] = true
+	}
+	// Resolution runs the cheapest entry; the lookup is the same for all.
+	if rep, err := Run("table2"); err != nil || rep.ID != "table2" {
+		t.Fatalf("Run(table2) = %v, %v", rep, err)
 	}
 	if _, err := Run("bogus"); err == nil {
 		t.Fatal("unknown id should error")
+	}
+}
+
+// TestEngineLatencyShape: measured on this machine, cached serving beats
+// the baseline at every document length and the advantage widens with
+// length (Fig. 5's shape). The margins are ≥ 15×, so wall-clock is safe.
+func TestEngineLatencyShape(t *testing.T) {
+	rep, err := EngineLatency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rows) != 4 || rep.Rows[0][0] != "128" || rep.Rows[3][0] != "1024" {
+		t.Fatalf("rows = %v, want lengths 128..1024", rep.Rows)
+	}
+	for _, row := range rep.Rows {
+		if base, cached := parseCell(t, row[1]), parseCell(t, row[2]); cached >= base {
+			t.Errorf("%s tokens: cached %v ms not below baseline %v ms", row[0], cached, base)
+		}
+	}
+	if short, long := parseCell(t, rep.Rows[0][3]), parseCell(t, rep.Rows[3][3]); long <= short {
+		t.Errorf("advantage at 1024 tokens (%vx) should exceed 128 tokens (%vx)", long, short)
+	}
+}
+
+// TestEngineServingShape: both Prompt Cache configurations replay the
+// trace faster than serving it with no reuse.
+func TestEngineServingShape(t *testing.T) {
+	rep, err := EngineServing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rows) != 3 {
+		t.Fatalf("rows = %v", rep.Rows)
+	}
+	noReuse := parseCell(t, rep.Rows[0][1])
+	for _, row := range rep.Rows[1:] {
+		if ms := parseCell(t, row[1]); ms >= noReuse {
+			t.Errorf("%s: %v ms not below no-reuse %v ms", row[0], ms, noReuse)
+		}
 	}
 }
 

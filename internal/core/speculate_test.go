@@ -25,17 +25,22 @@ func specDraftOpts() DraftOpts { return DraftOpts{MinHits: 1} }
 // where "never worse" means "identical"), and on a warmed draft (pass 2,
 // where drafts are actually proposed and accepted). Heterogeneous
 // samplers (greedy, temperature, top-k), concurrent mid-run joins,
-// RoPE and ALiBi, both tensor backends.
+// RoPE and ALiBi, both tensor backends. The never-proposes case sets a
+// draft threshold no transition can meet: the speculating scheduler must
+// then take the plain fused path on every step, at exactly one token per
+// lane-step.
 func TestSpeculationGoldenSpecVsSolo(t *testing.T) {
 	archs := []struct {
-		name string
-		cfg  model.Config
-		spec tensor.Backend
+		name  string
+		cfg   model.Config
+		spec  tensor.Backend
+		draft DraftOpts
 	}{
-		{"llama", model.LlamaStyle(coreVocab, 77), tensor.Scalar()},
-		{"llama-parallel", model.LlamaStyle(coreVocab, 77), tensor.NewParallel(4)},
-		{"mpt-alibi", model.MPTStyle(coreVocab, 77), tensor.Scalar()},
-		{"mpt-alibi-parallel", model.MPTStyle(coreVocab, 77), tensor.NewParallel(4)},
+		{"llama", model.LlamaStyle(coreVocab, 77), tensor.Scalar(), specDraftOpts()},
+		{"llama-parallel", model.LlamaStyle(coreVocab, 77), tensor.NewParallel(4), specDraftOpts()},
+		{"mpt-alibi", model.MPTStyle(coreVocab, 77), tensor.Scalar(), specDraftOpts()},
+		{"mpt-alibi-parallel", model.MPTStyle(coreVocab, 77), tensor.NewParallel(4), specDraftOpts()},
+		{"llama-never-proposes", model.LlamaStyle(coreVocab, 77), tensor.Scalar(), DraftOpts{MinHits: 1 << 30}},
 	}
 	for _, arch := range archs {
 		t.Run(arch.name, func(t *testing.T) {
@@ -44,7 +49,7 @@ func TestSpeculationGoldenSpecVsSolo(t *testing.T) {
 			solo.Model().SetBackend(tensor.Scalar())
 			spec := newTestCache(t, arch.cfg,
 				WithDecodeScheduler(4),
-				WithSpeculation(specDraftOpts()),
+				WithSpeculation(arch.draft),
 				WithBackend(arch.spec))
 			reqs := goldenRequests()
 			for _, c := range []*Cache{solo, spec} {
@@ -108,10 +113,16 @@ func TestSpeculationGoldenSpecVsSolo(t *testing.T) {
 			if !st.Enabled || st.Observed == 0 {
 				t.Fatalf("draft source never trained: %+v", st)
 			}
+			ss := spec.SchedStats()
+			if arch.draft.MinHits > 1 {
+				if got := ss.AcceptedPerStep(); st.DraftProposed != 0 || got != 1 {
+					t.Fatalf("unqualified draft proposed %d tokens, AcceptedPerStep = %v, want 0 and exactly 1", st.DraftProposed, got)
+				}
+				return
+			}
 			if st.SpecSteps == 0 || st.DraftProposed == 0 || st.DraftAccepted == 0 {
 				t.Fatalf("warmed pass never speculated: %+v", st)
 			}
-			ss := spec.SchedStats()
 			if got := ss.AcceptedPerStep(); got <= 1 {
 				t.Fatalf("AcceptedPerStep = %v with %d tokens / %d steps", got, ss.TokensDecoded, ss.Steps)
 			}

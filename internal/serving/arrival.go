@@ -8,12 +8,11 @@ import (
 	"repro/internal/rng"
 )
 
-// Arrival-time distributions for load replay. A trace on its own fixes
-// *what* arrives; an arrival process fixes *when*. Attaching seeded
-// arrival offsets to a trace turns the analytic replay machinery into a
-// load harness: the same request stream can be offered gently (uniform),
-// realistically (Poisson), or adversarially (bursty) and replayed
-// against a real in-process server (see ReplayLoad).
+// Arrival-time distributions for recorded traces. A trace on its own
+// fixes *what* arrives; an arrival process fixes *when*. `pctrace
+// -record -arrival` stamps seeded arrival offsets onto a trace, so the
+// same request stream can be scheduled gently (uniform), realistically
+// (Poisson), or adversarially (bursty).
 const (
 	ArrivalUniform = "uniform" // evenly spaced at exactly the offered rate
 	ArrivalPoisson = "poisson" // exponential inter-arrivals (memoryless)

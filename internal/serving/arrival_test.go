@@ -2,14 +2,9 @@ package serving
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"testing"
 	"time"
-
-	"repro/internal/model"
-	"repro/internal/tokenizer"
-	"repro/promptcache"
 )
 
 func TestGenerateArrivalsDeterministicAndSorted(t *testing.T) {
@@ -130,95 +125,5 @@ func TestAssignArrivalsRoundTrip(t *testing.T) {
 		if got[i].ArrivalMS != float64(arrivals[i])/float64(time.Millisecond) {
 			t.Fatalf("arrival %d mis-stamped: %v", i, got[i].ArrivalMS)
 		}
-	}
-}
-
-const loadSchema = `<schema name="load"><module name="doc">harbor archive council garden bridge records visitors seasonal trade history</module></schema>`
-
-func newLoadClient(t *testing.T, slots, queue int) *promptcache.Client {
-	t.Helper()
-	m, err := model.New(model.LlamaStyle(tokenizer.WordBase+2048, 17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := promptcache.New(m, promptcache.WithAdmission(promptcache.AdmissionConfig{
-		MaxConcurrent: slots, MaxQueue: queue,
-	}))
-	if _, err := client.RegisterSchema(loadSchema); err != nil {
-		t.Fatal(err)
-	}
-	return client
-}
-
-// TestReplayLoadOverloadSheds: an open-loop burst far beyond capacity
-// must shed (never fail) and account every request exactly once. The
-// decode is long enough (64 tokens, tens of milliseconds) that the
-// whole burst is in flight while the first request still holds the
-// only slot — shedding is guaranteed, not a scheduling race.
-func TestReplayLoadOverloadSheds(t *testing.T) {
-	client := newLoadClient(t, 1, 1)
-	const n = 24
-	prompts := make([]string, n)
-	for i := range prompts {
-		prompts[i] = `<prompt schema="load"><doc/>Summarize the town records.</prompt>`
-	}
-	arrivals := make([]time.Duration, n) // all at t=0: a maximal burst
-	st, err := ReplayLoad(context.Background(), client, prompts, arrivals, LoadOpts{MaxTokens: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Completed+st.Shed+st.Failed != st.Offered {
-		t.Fatalf("requests not reconciled: %+v", st)
-	}
-	if st.Failed != 0 {
-		t.Fatalf("overload must shed, not fail: %+v", st)
-	}
-	if st.Shed == 0 || st.ShedRate <= 0 {
-		t.Fatalf("a %d-wide burst into 1 slot + 1 queue never shed: %+v", n, st)
-	}
-	if st.Completed == 0 {
-		t.Fatalf("shedding collapsed into serving nothing: %+v", st)
-	}
-	if st.P50TTFT <= 0 || st.P99TTFT < st.P50TTFT || st.P95TTFT > st.P99TTFT {
-		t.Fatalf("TTFT percentiles inconsistent: %+v", st)
-	}
-	if st.TokensOut == 0 || st.TokensPerSec <= 0 {
-		t.Fatalf("no decode throughput recorded: %+v", st)
-	}
-	// The single queue seat is held for a full multi-millisecond serve,
-	// so the 1ms sampler must observe it occupied at least once.
-	if st.MaxQueueDepth < 1 {
-		t.Fatalf("queue never observed occupied during overload: %+v", st)
-	}
-}
-
-// TestReplayLoadUnderCapacityNoSheds: the same burst within admission
-// bounds completes everything.
-func TestReplayLoadUnderCapacityNoSheds(t *testing.T) {
-	client := newLoadClient(t, 8, 8)
-	const n = 6
-	prompts := make([]string, n)
-	for i := range prompts {
-		prompts[i] = `<prompt schema="load"><doc/>List the seasonal visitors.</prompt>`
-	}
-	st, err := ReplayLoad(context.Background(), client, prompts, make([]time.Duration, n), LoadOpts{MaxTokens: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Shed != 0 || st.Failed != 0 || st.Completed != n {
-		t.Fatalf("under-capacity burst did not complete cleanly: %+v", st)
-	}
-}
-
-func TestReplayLoadRejectsBadInput(t *testing.T) {
-	client := newLoadClient(t, 1, 1)
-	if _, err := ReplayLoad(context.Background(), client, nil, nil, LoadOpts{}); err == nil {
-		t.Error("empty replay accepted")
-	}
-	if _, err := ReplayLoad(context.Background(), client, []string{"a", "b"}, []time.Duration{0}, LoadOpts{}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := ReplayLoad(context.Background(), client, []string{"a", "b"}, []time.Duration{time.Second, 0}, LoadOpts{}); err == nil {
-		t.Error("unsorted arrivals accepted")
 	}
 }

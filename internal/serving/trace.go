@@ -27,9 +27,8 @@ type Request struct {
 	SuffixToks []int `json:"suffix_toks,omitempty"`
 	// ArrivalMS, when present, is the request's arrival offset in
 	// milliseconds since replay start (see GenerateArrivals /
-	// AssignArrivals). The analytic RunTrace ignores it; the real-server
-	// load harness (ReplayLoad) paces dispatch by it. Legacy traces
-	// without it replay back-to-back.
+	// AssignArrivals), recorded by `pctrace -record -arrival`. The
+	// analytic RunTrace ignores it and replays back-to-back.
 	ArrivalMS float64 `json:"arrival_ms,omitempty"`
 }
 

@@ -6,8 +6,9 @@ import (
 	"repro/internal/rng"
 )
 
-// Kernel microbenchmarks per backend, mirroring the shapes pcbench's
-// kernels experiment records into BENCH_kernels.json. Run with
+// Kernel microbenchmarks per backend, for measuring while you work; the
+// benchmark of record's tensor.* per-layer metrics are the checked
+// numbers. Run with
 // `go test -bench 'MatMul|MatVec|OutputHead|AttendRowBlock' ./internal/tensor/`.
 
 func benchBackends(b *testing.B, run func(b *testing.B, bk Backend)) {

@@ -235,7 +235,6 @@ func New(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	m := &Model{Cfg: cfg, bk: tensor.Auto()}
-	root := rng.New(cfg.Seed)
 	std := float32(0.06)
 
 	initMat := func(label string, rows, cols int) *tensor.Matrix {
@@ -282,7 +281,6 @@ func New(cfg Config) (*Model, error) {
 	}
 	m.finalNormW = ones(cfg.Dim)
 	m.finalNormB = make([]float32, cfg.Dim)
-	_ = root
 	return m, nil
 }
 

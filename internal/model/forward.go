@@ -240,10 +240,12 @@ func (m *Model) layerToken(l int, sc *scratch, kv kvcache.KV, n, pos int) {
 // causal bound covers the whole cache.
 func (m *Model) attend(sc *scratch, kv kvcache.KV, l, n, qPos int) {
 	cfg := &m.Cfg
-	if cap(sc.scores) < n {
-		// Headroom: decode grows n by one per step; sizing exactly would
-		// reallocate the score buffer every token of every reply.
-		sc.scores = make([]float32, n+256)
+	group := cfg.NHeads / cfg.NKVHeads
+	if cap(sc.scores) < group*n {
+		// One score row per query head of a KV group. Headroom: decode
+		// grows n by one per step; sizing exactly would reallocate the
+		// score buffer every token of every reply.
+		sc.scores = make([]float32, group*(n+256))
 	}
 	sc.segs = kv.AppendSegments(sc.segs[:0], l, n)
 	sc.spans = sc.spans[:0]
@@ -254,11 +256,11 @@ func (m *Model) attend(sc *scratch, kv kvcache.KV, l, n, qPos int) {
 	sc.att = tensor.AttendArgs{
 		Q: &sc.qMat, Out: &sc.outMat,
 		Spans: sc.spans, Past: n - 1, Positions: sc.qPos[:],
-		NHeads: cfg.NHeads, Group: cfg.NHeads / cfg.NKVHeads,
+		NHeads: cfg.NHeads, Group: group,
 		HeadDim: cfg.HeadDim(), Width: cfg.KVDim(),
 		InvSqrt:     float32(1 / math.Sqrt(float64(cfg.HeadDim()))),
 		AlibiSlopes: m.alibiSlope, // nil unless ALiBi
-		Scores:      sc.scores[:n],
+		Scores:      sc.scores[:group*n],
 	}
 	m.bk.AttendRowBlock(&sc.att)
 }

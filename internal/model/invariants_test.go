@@ -80,14 +80,12 @@ var goldenPrints = map[string]logitsPrint{
 	"gpt2-style":        {Tokens: []int{197, 157, 695, 157, 157, 520, 340}, Prefill: 0x2f1eda188a4ed5ec, Decode: 0xe64aecf507375af3, Verify: 0x59d51e7b09798688},
 }
 
-// hashLogits folds the bits of each logit vector into h.
-func hashLogits(h hash.Hash64, vecs ...[]float32) {
+// hashLogits folds the bits of a logit vector into h.
+func hashLogits(h hash.Hash64, logits []float32) {
 	var b [4]byte
-	for _, v := range vecs {
-		for _, x := range v {
-			binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
-			h.Write(b[:])
-		}
+	for _, x := range logits {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
+		h.Write(b[:])
 	}
 }
 

@@ -16,6 +16,11 @@ import (
 // chunks rather than token by token.
 const chunkThreshold = 16
 
+// attendTileRows is the attention kernel's query tile, T in
+// tensor.AttendArgs.Scores: scratch for T·Group score rows lets each
+// (query tile, KV head) unit read its K and V rows once.
+const attendTileRows = 8
+
 // prefillChunk runs the forward pass over a whole chunk with batched
 // matmuls. It is numerically equivalent to the sequential path: both use
 // the same ascending-k accumulation order per output element, and
@@ -53,12 +58,13 @@ func (m *Model) prefillChunk(ctx context.Context, tokens, positions []int, kv kv
 	proj := tensor.NewMatrix(n, cfg.Dim)
 	ffn1 := tensor.NewMatrix(n, cfg.FFNDim)
 	ffn3 := tensor.NewMatrix(n, cfg.FFNDim)
-	scores := make([]float32, past+n)
+	group := cfg.NHeads / cfg.NKVHeads
+	scores := make([]float32, min(n, attendTileRows)*group*(past+n))
 	var segs []kvcache.Segment
 	var spans []tensor.Span
 	att := tensor.AttendArgs{
 		Q: q, Out: attnOut, Past: past, Positions: positions,
-		NHeads: cfg.NHeads, Group: cfg.NHeads / cfg.NKVHeads,
+		NHeads: cfg.NHeads, Group: group,
 		HeadDim: cfg.HeadDim(), Width: cfg.KVDim(),
 		InvSqrt:     float32(1 / math.Sqrt(float64(cfg.HeadDim()))),
 		AlibiSlopes: m.alibiSlope, Scores: scores,

@@ -18,13 +18,14 @@ import (
 // input, every output element must be bit-for-bit equal to what the
 // scalar reference produces (compare with math.Float32bits, not a
 // tolerance). The only freedom a backend has is scheduling — which
-// worker computes which independent output element, and in what order
-// whole elements complete. Inside a reduction (a dot product, a softmax
-// sum, a norm accumulator) the reference accumulation order is part of
-// the contract and must not change, because float addition does not
-// commute in rounding. This is what lets golden-logits tests, the fused
-// ≡ solo decode guarantee and cross-machine cache reuse hold regardless
-// of which backend served a request.
+// worker computes which independent unit of output (a matrix row range,
+// a vocab range, an attention (query tile, KV head) unit), and in what
+// order whole units complete. Inside a reduction (a dot product, a
+// softmax sum, a norm accumulator) the reference accumulation order is
+// part of the contract and must not change, because float addition is
+// not associative in rounding. This is what lets golden-logits tests,
+// the fused ≡ solo decode guarantee and cross-machine cache reuse hold
+// regardless of which backend served a request.
 type Backend interface {
 	// Name identifies the backend ("scalar", "parallel").
 	Name() string
@@ -78,10 +79,15 @@ type Span struct {
 // rows [0, Past+i+1) — the chunk-prefill causal clamp; a single decode
 // step is the n=1, Past=rows-1 special case.
 //
-// Every (token, head) pair is an independent output: backends may
-// compute pairs in any order or concurrently, but within a pair the
-// score pass, softmax and weighted-V combine follow the reference
-// order (spans in order, rows ascending, the w == 0 skip preserved).
+// The independent unit of work is (query tile, KV head): up to T = 8
+// consecutive query rows × the Group query heads sharing one KV head.
+// A unit reads each of its K and V rows once for all of its
+// (token, head) pairs. Backends may compute units in any order or
+// concurrently. Within a pair the order is fixed: each score is one
+// ascending sum over the head dimension, the softmax covers the pair's
+// own causal rows, and the weighted-V combine adds rows in span order,
+// ascending, skipping w == 0. Softmax and V accumulation are never split
+// across keys.
 type AttendArgs struct {
 	Q, Out *Matrix // n × (NHeads·HeadDim); Out rows are overwritten
 	Spans  []Span
@@ -99,78 +105,239 @@ type AttendArgs struct {
 	// -slope[h]·max(0, qPos-p) computed from explicit position IDs.
 	AlibiSlopes []float32
 
-	// Scores is caller scratch with len >= Past+Q.Rows, used by
-	// sequential execution; parallel workers substitute pooled buffers.
+	// Scores is caller scratch for sequential execution; parallel workers
+	// substitute pooled buffers. It holds one score row of up to
+	// Past+Q.Rows floats per pair of a unit, so a unit runs in one pass
+	// when len >= min(T, Q.Rows)·Group·(Past+Q.Rows). The minimum is
+	// Past+Q.Rows: shorter scratch splits a unit's pairs into passes,
+	// which gives the same bits but reads K and V once per pass.
 	Scores []float32
 }
 
-// attendPairs computes the flattened (token, head) pairs [lo, hi) of an
-// attention row block, pair idx = token*NHeads + head. This is the one
-// shared reference body: both backends run exactly this code, differing
-// only in how pairs are distributed.
-func attendPairs(a *AttendArgs, scores []float32, lo, hi int) {
-	hd, width := a.HeadDim, a.Width
-	for idx := lo; idx < hi; idx++ {
-		i, h := idx/a.NHeads, idx%a.NHeads
-		rows := a.Past + i + 1
-		qPos := a.Positions[i]
-		base := (h / a.Group) * hd
-		qh := a.Q.Row(i)[h*hd : (h+1)*hd]
-		s := scores[:rows]
-		off := 0
-		for _, sp := range a.Spans {
-			if off >= rows {
-				break
+// attendTile is T, the query rows of one attention unit. A unit is
+// (query tile, KV head): its pairs are the tile's rows × the Group query
+// heads sharing that KV head, and it reads each of the head's K and V
+// rows once for all of them.
+const attendTile = 8
+
+// attendPassPairs caps the pairs one pass over a unit's keys carries, so
+// the per-pair slice headers live in fixed arrays on the stack.
+const attendPassPairs = 32
+
+// attendUnits computes units [lo, hi) of an attention row block in
+// tile-major order: unit u is query tile u/nKV with KV head u%nKV. This
+// is the one attention body; backends differ only in how they split
+// units across goroutines.
+func attendUnits(a *AttendArgs, scores []float32, lo, hi int) {
+	nKV := a.NHeads / a.Group
+	for u := lo; u < hi; u++ {
+		i0 := (u / nKV) * attendTile
+		attendUnit(a, scores, i0, min(i0+attendTile, a.Q.Rows), u%nKV)
+	}
+}
+
+// attendUnitCount is the number of (query tile, KV head) units in a.
+func attendUnitCount(a *AttendArgs) int {
+	return (a.Q.Rows + attendTile - 1) / attendTile * (a.NHeads / a.Group)
+}
+
+// attendPass is one pass over a unit's keys for up to attendPassPairs
+// pairs, ordered row-major (query row, then head within the group). Pair
+// p's causal row count rows[p] is therefore nondecreasing in p, so the
+// pairs that cover key r are always a suffix of the pass.
+type attendPass struct {
+	q, s, o [attendPassPairs][]float32 // query head, score row, output head
+	rows    [attendPassPairs]int
+	n       int
+}
+
+// attendUnit computes query rows [i0, i1) × the query heads of KV head g.
+// Each pair's score row takes Past+i1 floats of scratch; when scores
+// holds fewer than every pair's row, the pairs run in several passes.
+func attendUnit(a *AttendArgs, scores []float32, i0, i1, g int) {
+	hd, stride := a.HeadDim, a.Past+i1
+	perPass := min(len(scores)/stride, attendPassPairs)
+	if perPass < 1 {
+		panic(fmt.Sprintf("tensor: AttendRowBlock scratch %d < %d rows", len(scores), stride))
+	}
+	pairs := (i1 - i0) * a.Group
+	for p0 := 0; p0 < pairs; p0 += perPass {
+		var ps attendPass
+		ps.n = min(perPass, pairs-p0)
+		for p := 0; p < ps.n; p++ {
+			i, h := i0+(p0+p)/a.Group, g*a.Group+(p0+p)%a.Group
+			rows := a.Past + i + 1
+			ps.q[p] = a.Q.Row(i)[h*hd : (h+1)*hd]
+			ps.o[p] = a.Out.Row(i)[h*hd : (h+1)*hd]
+			ps.s[p] = scores[p*stride : p*stride+rows]
+			ps.rows[p] = rows
+		}
+		ps.score(a, g*hd)
+		for p := 0; p < ps.n; p++ {
+			if a.AlibiSlopes != nil {
+				i, h := i0+(p0+p)/a.Group, g*a.Group+(p0+p)%a.Group
+				alibi(a, ps.s[p], a.Positions[i], a.AlibiSlopes[h])
 			}
-			lim := len(sp.Pos)
-			if off+lim > rows {
-				lim = rows - off
-			}
-			for j := 0; j < lim; j++ {
-				row := j * width
-				sc := Dot(qh, sp.K[row+base:row+base+hd]) * a.InvSqrt
-				if a.AlibiSlopes != nil {
-					// Bias from explicit position IDs (§4.2): the classic
-					// -slope·distance, where distance uses the recorded
-					// positions, not array indices, so module gaps behave
-					// like the paper's "white space".
-					dist := qPos - sp.Pos[j]
-					if dist < 0 {
-						dist = 0
-					}
-					sc -= a.AlibiSlopes[h] * float32(dist)
+			Softmax(ps.s[p])
+		}
+		ps.combine(a, g*hd)
+	}
+}
+
+// score writes s[p][r] = (q[p]·K[r])·InvSqrt for every pair and causal
+// key. Each score is one ascending sum over the head dimension, whichever
+// of Dot4/Dot2/Dot computes it; IEEE multiplication commutes, so
+// Dot4(k, q0, …) equals Dot(qᵢ, k) bit for bit. With four or more pairs
+// each K row is loaded once and scored against every pair that covers
+// it; with fewer (a decode step), each pair scores four keys per call.
+func (ps *attendPass) score(a *AttendArgs, base int) {
+	hd, width, inv := a.HeadDim, a.Width, a.InvSqrt
+	if ps.n < 4 {
+		for p := 0; p < ps.n; p++ {
+			q, s := ps.q[p], ps.s[p]
+			off := 0
+			for _, sp := range a.Spans {
+				if off >= len(s) {
+					break
 				}
-				s[off+j] = sc
+				lim := min(len(sp.Pos), len(s)-off)
+				k := sp.K
+				j := 0
+				for ; j+4 <= lim; j += 4 {
+					r := j*width + base
+					d0, d1, d2, d3 := Dot4(q, k[r:r+hd], k[r+width:r+width+hd],
+						k[r+2*width:r+2*width+hd], k[r+3*width:r+3*width+hd])
+					s[off+j], s[off+j+1], s[off+j+2], s[off+j+3] = d0*inv, d1*inv, d2*inv, d3*inv
+				}
+				for ; j < lim; j++ {
+					r := j*width + base
+					s[off+j] = Dot(q, k[r:r+hd]) * inv
+				}
+				off += lim
 			}
-			off += lim
 		}
-		Softmax(s)
-		oh := a.Out.Row(i)[h*hd : (h+1)*hd]
-		for t := range oh {
-			oh[t] = 0
+		return
+	}
+	n, last := ps.n, ps.rows[ps.n-1]
+	lo, off := 0, 0
+	for _, sp := range a.Spans {
+		if off >= last {
+			break
 		}
-		off = 0
-		for _, sp := range a.Spans {
-			if off >= rows {
-				break
+		lim := min(len(sp.Pos), last-off)
+		for j := 0; j < lim; j++ {
+			r := off + j
+			for ps.rows[lo] <= r {
+				lo++
 			}
-			lim := len(sp.Pos)
-			if off+lim > rows {
-				lim = rows - off
+			k := sp.K[j*width+base : j*width+base+hd]
+			p := lo
+			for ; p+4 <= n; p += 4 {
+				d0, d1, d2, d3 := Dot4(k, ps.q[p], ps.q[p+1], ps.q[p+2], ps.q[p+3])
+				ps.s[p][r], ps.s[p+1][r], ps.s[p+2][r], ps.s[p+3][r] = d0*inv, d1*inv, d2*inv, d3*inv
 			}
-			for j := 0; j < lim; j++ {
-				w := s[off+j]
-				if w == 0 {
+			if p+2 <= n {
+				d0, d1 := Dot2(k, ps.q[p], ps.q[p+1])
+				ps.s[p][r], ps.s[p+1][r] = d0*inv, d1*inv
+				p += 2
+			}
+			if p < n {
+				ps.s[p][r] = Dot(k, ps.q[p]) * inv
+			}
+		}
+		off += lim
+	}
+}
+
+// alibi subtracts the ALiBi bias from one pair's scaled scores. The bias
+// comes from explicit position IDs (§4.2): the classic -slope·distance,
+// where distance uses the recorded positions, not array indices, so
+// module gaps behave like the paper's "white space".
+func alibi(a *AttendArgs, s []float32, qPos int, slope float32) {
+	off := 0
+	for _, sp := range a.Spans {
+		if off >= len(s) {
+			break
+		}
+		lim := min(len(sp.Pos), len(s)-off)
+		for j, p := range sp.Pos[:lim] {
+			dist := qPos - p
+			if dist < 0 {
+				dist = 0
+			}
+			s[off+j] -= slope * float32(dist)
+		}
+		off += lim
+	}
+}
+
+// combine writes o[p] = Σ_r s[p][r]·V[r] for every pair, each output
+// accumulating over keys in ascending order and skipping w == 0 (adding
+// 0·v could turn -0 into +0 or an Inf into NaN). Each V row is loaded
+// once for every pair that covers it. Where four consecutive keys are
+// covered by every pair, an output element takes the four adds in one
+// visit — the same adds in the same order.
+func (ps *attendPass) combine(a *AttendArgs, base int) {
+	hd, width := a.HeadDim, a.Width
+	for p := 0; p < ps.n; p++ {
+		clear(ps.o[p])
+	}
+	n, first, last := ps.n, ps.rows[0], ps.rows[ps.n-1]
+	lo, off := 0, 0
+	for _, sp := range a.Spans {
+		if off >= last {
+			break
+		}
+		lim := min(len(sp.Pos), last-off)
+		v := sp.V
+		j := 0
+		for bulk := min(lim, first-off); j+4 <= bulk; j += 4 {
+			r := j*width + base
+			v0, v1 := v[r:r+hd], v[r+width:r+width+hd]
+			v2, v3 := v[r+2*width:r+2*width+hd], v[r+3*width:r+3*width+hd]
+			for p := 0; p < n; p++ {
+				w := ps.s[p][off+j : off+j+4]
+				w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
+				o := ps.o[p]
+				if w0 == 0 || w1 == 0 || w2 == 0 || w3 == 0 {
+					axpy(o, w0, v0)
+					axpy(o, w1, v1)
+					axpy(o, w2, v2)
+					axpy(o, w3, v3)
 					continue
 				}
-				row := j * width
-				vh := sp.V[row+base : row+base+hd]
-				for t := range oh {
-					oh[t] += w * vh[t]
+				v0, v1, v2, v3 := v0[:len(o)], v1[:len(o)], v2[:len(o)], v3[:len(o)]
+				for t, x := range o {
+					x += w0 * v0[t]
+					x += w1 * v1[t]
+					x += w2 * v2[t]
+					x += w3 * v3[t]
+					o[t] = x
 				}
 			}
-			off += lim
 		}
+		for ; j < lim; j++ {
+			r := off + j
+			for ps.rows[lo] <= r {
+				lo++
+			}
+			vr := v[j*width+base : j*width+base+hd]
+			for p := lo; p < n; p++ {
+				axpy(ps.o[p], ps.s[p][r], vr)
+			}
+		}
+		off += lim
+	}
+}
+
+// axpy computes o += w·v, skipping w == 0.
+func axpy(o []float32, w float32, v []float32) {
+	if w == 0 {
+		return
+	}
+	v = v[:len(o)]
+	for t := range o {
+		o[t] += w * v[t]
 	}
 }
 

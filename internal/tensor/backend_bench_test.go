@@ -67,12 +67,27 @@ func BenchmarkOutputHead(b *testing.B) {
 	})
 }
 
+// BenchmarkAttendRowBlock runs the attention kernel at the benchmark
+// workloads' shapes (llama-style: 4 heads, GQA 2, head dim 16) plus one
+// MHA shape.
 func BenchmarkAttendRowBlock(b *testing.B) {
-	r := rng.NewString("bench/attend")
-	a := buildAttend(r, 32, 256, 4, 1, 16, false)
-	benchBackends(b, func(b *testing.B, bk Backend) {
-		for i := 0; i < b.N; i++ {
-			bk.AttendRowBlock(a)
-		}
-	})
+	for _, sh := range []struct {
+		name           string
+		n, past, group int
+	}{
+		{"doc_qa_suffix_16on2000", 16, 2000, 2},
+		{"doc_qa_decode_1on2000", 1, 2000, 2},
+		{"chat_prefill_256on32", 256, 32, 2},
+		{"mha_32on256", 32, 256, 1},
+	} {
+		a := buildAttend(rng.NewString("bench/attend/"+sh.name),
+			attendShape{n: sh.n, past: sh.past, nHeads: 4, group: sh.group, headDim: 16})
+		b.Run(sh.name, func(b *testing.B) {
+			benchBackends(b, func(b *testing.B, bk Backend) {
+				for i := 0; i < b.N; i++ {
+					bk.AttendRowBlock(a)
+				}
+			})
+		})
+	}
 }

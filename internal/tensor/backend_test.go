@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -117,21 +118,98 @@ func TestBackendsBitIdenticalOutputHead(t *testing.T) {
 	}
 }
 
+// attendPairsRef is the test oracle for AttendRowBlock: one (token, head)
+// pair at a time, one Dot per key, the reference order every backend
+// must reproduce bit for bit. It was the engine's attention body before
+// the tile body replaced it.
+func attendPairsRef(a *AttendArgs) {
+	hd, width := a.HeadDim, a.Width
+	scores := make([]float32, a.Past+a.Q.Rows)
+	for i := 0; i < a.Q.Rows; i++ {
+		for h := 0; h < a.NHeads; h++ {
+			rows := a.Past + i + 1
+			qPos := a.Positions[i]
+			base := (h / a.Group) * hd
+			qh := a.Q.Row(i)[h*hd : (h+1)*hd]
+			s := scores[:rows]
+			off := 0
+			for _, sp := range a.Spans {
+				if off >= rows {
+					break
+				}
+				lim := min(len(sp.Pos), rows-off)
+				for j := 0; j < lim; j++ {
+					row := j * width
+					sc := Dot(qh, sp.K[row+base:row+base+hd]) * a.InvSqrt
+					if a.AlibiSlopes != nil {
+						dist := qPos - sp.Pos[j]
+						if dist < 0 {
+							dist = 0
+						}
+						sc -= a.AlibiSlopes[h] * float32(dist)
+					}
+					s[off+j] = sc
+				}
+				off += lim
+			}
+			Softmax(s)
+			oh := a.Out.Row(i)[h*hd : (h+1)*hd]
+			clear(oh)
+			off = 0
+			for _, sp := range a.Spans {
+				if off >= rows {
+					break
+				}
+				lim := min(len(sp.Pos), rows-off)
+				for j := 0; j < lim; j++ {
+					w := s[off+j]
+					if w == 0 {
+						continue
+					}
+					row := j * width
+					vh := sp.V[row+base : row+base+hd]
+					for t := range oh {
+						oh[t] += w * vh[t]
+					}
+				}
+				off += lim
+			}
+		}
+	}
+}
+
+// attendShape parameterizes buildAttend. Splits are the row indices
+// where a new KV span starts (nil: one random split); qScale widens the
+// score range, so large enough values drive softmax weights to exactly 0.
+type attendShape struct {
+	n, past, nHeads, group, headDim int
+	alibi                           bool
+	splits                          []int
+	qScale                          float32
+}
+
 // buildAttend builds a deterministic attention block: n query tokens
 // over past+n cached rows split into spans, optionally with ALiBi
 // slopes, with position gaps so the explicit-position path is exercised.
-func buildAttend(r *rng.RNG, n, past, nHeads, group, headDim int, alibi bool) *AttendArgs {
+// Its scratch is sized for whole units.
+func buildAttend(r *rng.RNG, sh attendShape) *AttendArgs {
+	n, past, nHeads, group, headDim := sh.n, sh.past, sh.nHeads, sh.group, sh.headDim
 	width := (nHeads / group) * headDim
 	rows := past + n
 	q := NewMatrix(n, nHeads*headDim)
 	out := NewMatrix(n, nHeads*headDim)
 	fillSigned(r, q.Data)
-
-	// Split the KV rows into 1–3 spans at arbitrary boundaries.
-	bounds := []int{rows}
-	if rows > 2 {
-		bounds = []int{1 + r.Intn(rows-1), rows}
+	if sh.qScale != 0 {
+		for i := range q.Data {
+			q.Data[i] *= sh.qScale
+		}
 	}
+
+	bounds := sh.splits
+	if bounds == nil && rows > 2 {
+		bounds = []int{1 + r.Intn(rows-1)}
+	}
+	bounds = append(append([]int(nil), bounds...), rows)
 	var spans []Span
 	pos := 0
 	row := 0
@@ -156,7 +234,7 @@ func buildAttend(r *rng.RNG, n, past, nHeads, group, headDim int, alibi bool) *A
 		positions[i] = last.Pos[len(last.Pos)-1] + i // query rows are the tail of the cache
 	}
 	var slopes []float32
-	if alibi {
+	if sh.alibi {
 		slopes = make([]float32, nHeads)
 		for i := range slopes {
 			slopes[i] = float32(math.Pow(2, -float64(i+1)))
@@ -166,33 +244,76 @@ func buildAttend(r *rng.RNG, n, past, nHeads, group, headDim int, alibi bool) *A
 		Q: q, Out: out, Spans: spans, Past: past, Positions: positions,
 		NHeads: nHeads, Group: group, HeadDim: headDim, Width: width,
 		InvSqrt:     float32(1 / math.Sqrt(float64(headDim))),
-		AlibiSlopes: slopes, Scores: make([]float32, rows),
+		AlibiSlopes: slopes, Scores: make([]float32, min(attendTile, n)*group*rows),
+	}
+}
+
+// checkAttend runs every backend, scalar included, against the oracle,
+// once with whole-unit scratch and once with the minimum Past+n, which
+// splits each unit's pairs into passes on the sequential path.
+func checkAttend(t *testing.T, a *AttendArgs, backends []Backend, what string) {
+	t.Helper()
+	attendPairsRef(a)
+	want := append([]float32(nil), a.Out.Data...)
+	full := a.Scores
+	defer func() { a.Scores = full }()
+	for _, scratch := range []int{len(full), a.Past + a.Q.Rows} {
+		a.Scores = full[:scratch]
+		for _, bk := range backends {
+			clear(a.Out.Data)
+			bk.AttendRowBlock(a)
+			if i, ok := bitsEqual(want, a.Out.Data); !ok {
+				t.Fatalf("Attend %s %s workers=%d scratch=%d: bit mismatch at %d: %v vs %v",
+					what, bk.Name(), bk.Workers(), scratch, i, a.Out.Data[i], want[i])
+			}
+		}
 	}
 }
 
 func TestBackendsBitIdenticalAttend(t *testing.T) {
 	r := rng.NewString("backend/attend")
-	cases := []struct {
-		n, past, nHeads, group, headDim int
-		alibi                           bool
-	}{
-		{1, 0, 1, 1, 4, false},
-		{1, 7, 4, 2, 8, false},
-		{3, 5, 4, 1, 4, true},
-		{16, 33, 4, 2, 16, false},
-		{5, 64, 6, 3, 8, true},
+	const T = attendTile
+	cases := []attendShape{
+		{n: 1, past: 0, nHeads: 1, group: 1, headDim: 4},
+		{n: 1, past: 7, nHeads: 4, group: 2, headDim: 8},
+		{n: 3, past: 5, nHeads: 4, group: 1, headDim: 4, alibi: true},
+		{n: 16, past: 33, nHeads: 4, group: 2, headDim: 16},
+		{n: 5, past: 64, nHeads: 6, group: 3, headDim: 8, alibi: true},
+		// MQA: every query head shares one KV head; 48 pairs per tile
+		// exceed one pass.
+		{n: T + 1, past: 20, nHeads: 6, group: 6, headDim: 4},
+		// A span boundary inside tile 0's causal tail, and one inside
+		// tile 1's.
+		{n: 2*T + 3, past: 10, nHeads: 4, group: 2, headDim: 8, splits: []int{13, 10 + T + 4}},
+		// Weights that underflow to exactly 0, so the w == 0 skip runs.
+		{n: T, past: 40, nHeads: 4, group: 4, headDim: 8, qScale: 64},
+		{n: 1, past: 40, nHeads: 4, group: 2, headDim: 8, qScale: 64, alibi: true},
 	}
-	for _, c := range cases {
-		a := buildAttend(r, c.n, c.past, c.nHeads, c.group, c.headDim, c.alibi)
-		Scalar().AttendRowBlock(a)
-		want := append([]float32(nil), a.Out.Data...)
-		for _, bk := range challengers() {
-			clear(a.Out.Data)
-			bk.AttendRowBlock(a)
-			if i, ok := bitsEqual(want, a.Out.Data); !ok {
-				t.Fatalf("Attend %+v workers=%d: bit mismatch at %d", c, bk.Workers(), i)
-			}
+	for _, n := range []int{1, T - 1, T, T + 1, 2*T + 3} {
+		for _, group := range []int{1, 2, 3, 4} {
+			cases = append(cases, attendShape{n: n, past: 9, nHeads: 12, group: group, headDim: 4, alibi: group == 3})
 		}
+	}
+	backends := append([]Backend{Scalar()}, challengers()...)
+	for _, c := range cases {
+		checkAttend(t, buildAttend(r, c), backends, fmt.Sprintf("%+v", c))
+	}
+}
+
+// TestAttendWeightsUnderflow confirms that qScale 64 reaches the w == 0
+// skip: some of the pair's softmax weights are exactly 0.
+func TestAttendWeightsUnderflow(t *testing.T) {
+	a := buildAttend(rng.NewString("backend/underflow"),
+		attendShape{n: 1, past: 40, nHeads: 1, group: 1, headDim: 8, qScale: 64})
+	var s []float32
+	for _, sp := range a.Spans {
+		for j := range sp.Pos {
+			s = append(s, Dot(a.Q.Row(0), sp.K[j*a.Width:(j+1)*a.Width])*a.InvSqrt)
+		}
+	}
+	Softmax(s)
+	if !slices.Contains(s, 0) {
+		t.Fatal("no softmax weight underflowed to 0")
 	}
 }
 
@@ -227,16 +348,28 @@ func TestAutoHonorsEnv(t *testing.T) {
 	}
 }
 
-// FuzzBackendKernels drives MatVecT and OutputHead across fuzzer-chosen
-// shapes and worker counts, asserting bit-identity against the scalar
-// reference. The corpus seeds cover the shard-boundary hazards (odd
-// sizes, more workers than elements).
+// fold maps any fuzzer int onto [lo, hi].
+func fold(x, lo, hi int) int {
+	m := x % (hi - lo + 1)
+	if m < 0 {
+		m = -m
+	}
+	return lo + m
+}
+
+// FuzzBackendKernels drives MatVecT, OutputHead and AttendRowBlock across
+// fuzzer-chosen shapes and worker counts, asserting bit-identity against
+// the scalar reference (MatVecT, OutputHead) or the attention oracle.
+// The corpus seeds cover the shard-boundary hazards (odd sizes, more
+// workers than elements) and tile edges. Attention parameters are folded
+// into range rather than skipped, so every input exercises the kernel.
 func FuzzBackendKernels(f *testing.F) {
-	f.Add(uint64(1), 7, 3, 2, 4)
-	f.Add(uint64(2), 1, 1, 1, 1)
-	f.Add(uint64(3), 65, 129, 3, 8)
-	f.Add(uint64(4), 16, 512, 2, 3)
-	f.Fuzz(func(t *testing.T, seed uint64, in, out, lanes, workers int) {
+	f.Add(uint64(1), 7, 3, 2, 4, 1, 30, 1, 2, 8, 0, 0, false)
+	f.Add(uint64(2), 1, 1, 1, 1, 8, 0, 1, 1, 4, 3, 5, true)
+	f.Add(uint64(3), 65, 129, 3, 8, 9, 17, 2, 3, 6, 18, 20, false)
+	f.Add(uint64(4), 16, 512, 2, 3, 19, 50, 3, 4, 16, 52, 60, true)
+	f.Fuzz(func(t *testing.T, seed uint64, in, out, lanes, workers int,
+		n, past, kvHeads, group, headDim, split0, split1 int, alibi bool) {
 		if in < 1 || in > 512 || out < 1 || out > 512 || lanes < 1 || lanes > 8 || workers < 1 || workers > 16 {
 			t.Skip()
 		}
@@ -273,5 +406,14 @@ func FuzzBackendKernels(f *testing.F) {
 				t.Fatalf("OutputHead lane %d workers=%d: bit mismatch at %d", k, workers, i)
 			}
 		}
+
+		sh := attendShape{
+			n: fold(n, 1, 3*attendTile), past: fold(past, 0, 300),
+			group: fold(group, 1, 6), headDim: fold(headDim, 1, 20), alibi: alibi,
+		}
+		sh.nHeads = fold(kvHeads, 1, 3) * sh.group
+		rows := sh.past + sh.n
+		sh.splits = []int{fold(split0, 0, rows), fold(split1, 0, rows)}
+		checkAttend(t, buildAttend(r, sh), []Backend{Scalar(), bk}, fmt.Sprintf("%+v", sh))
 	})
 }

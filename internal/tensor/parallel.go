@@ -16,16 +16,16 @@ const (
 	// head (vocab × dim × lanes). Decode calls it once per generated
 	// token, so the bar sits where logitsInto's historically did.
 	outputHeadParallelThreshold = 32 * 1024
-	// attendParallelThreshold gates (token, head)-sharding of an
-	// attention row block, counted as score+combine multiply-adds.
+	// attendParallelThreshold gates unit-sharding of an attention row
+	// block, counted as score+combine multiply-adds.
 	attendParallelThreshold = 32 * 1024
 )
 
 // parallelBackend tiles the scalar kernels across goroutines. The
 // tiling is always across independent output elements — matrix rows,
-// output-head vocab ranges, (token, head) attention pairs — never
-// inside a reduction, so every element is produced by the exact scalar
-// code (attendPairs, matMulRange, matVecTRange, outputHeadRange) and
+// output-head vocab ranges, (query tile, KV head) attention units —
+// never inside a reduction, so every element is produced by the exact
+// scalar code (attendUnits, matMulRange, matVecTRange, outputHeadRange) and
 // results are bit-identical to the scalar backend on every input.
 // Elementwise kernels and the dot-product family are inherited from
 // the embedded scalar reference unchanged.
@@ -114,22 +114,27 @@ var attendScores = sync.Pool{New: func() any { return new([]float32) }}
 
 func (p *parallelBackend) AttendRowBlock(a *AttendArgs) {
 	checkAttendArgs(a)
-	n, pairs := a.Q.Rows, a.Q.Rows*a.NHeads
+	n := a.Q.Rows
 	// Score + combine work across the block: token i touches Past+i+1
 	// rows twice per head, HeadDim wide.
 	rowSum := n*a.Past + n*(n+1)/2
 	workers := boundedWorkers(p.workers, 2*rowSum*a.HeadDim*a.NHeads, attendParallelThreshold)
+	units := attendUnitCount(a)
 	if workers <= 1 {
-		attendPairs(a, a.Scores, 0, pairs)
+		attendUnits(a, a.Scores, 0, units)
 		return
 	}
-	maxRows := a.Past + n
-	shard(pairs, workers, func(lo, hi int) {
+	// Contiguous ranges of tile-major units: a worker owns whole query
+	// tiles unless there are fewer tiles than workers. Splitting one row's
+	// heads across workers makes them write adjacent output columns, the
+	// same cache lines, once per key.
+	size := min(attendTile, n) * a.Group * (a.Past + n)
+	shard(units, workers, func(lo, hi int) {
 		buf := attendScores.Get().(*[]float32)
-		if cap(*buf) < maxRows {
-			*buf = make([]float32, maxRows)
+		if cap(*buf) < size {
+			*buf = make([]float32, size)
 		}
-		attendPairs(a, (*buf)[:maxRows], lo, hi)
+		attendUnits(a, (*buf)[:size], lo, hi)
 		attendScores.Put(buf)
 	})
 }

@@ -34,7 +34,7 @@ func (*scalarBackend) Dot4(a, b0, b1, b2, b3 []float32) (float32, float32, float
 
 func (*scalarBackend) AttendRowBlock(a *AttendArgs) {
 	checkAttendArgs(a)
-	attendPairs(a, a.Scores, 0, a.Q.Rows*a.NHeads)
+	attendUnits(a, a.Scores, 0, attendUnitCount(a))
 }
 
 func (*scalarBackend) OutputHead(dsts [][]float32, emb *Matrix, hs [][]float32) {

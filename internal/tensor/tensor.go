@@ -14,7 +14,7 @@
 // interface, the unit of hardware specialization: "scalar" is the
 // single-threaded reference, "parallel" tiles the same arithmetic across
 // goroutines (matrix rows, output-head vocab ranges, attention
-// (token, head) pairs, MatVecT output columns). Backends are
+// (query tile, KV head) units, MatVecT output columns). Backends are
 // bit-identical by contract — parallelism only ever crosses independent
 // output elements, never a reduction — so golden-logits tests and
 // cross-machine cache reuse hold under any backend. Select maps names to
@@ -85,8 +85,7 @@ func checkMatMul(dst, a, b *Matrix) {
 // matMulRange computes rows [lo, hi) of dst = a×b with a k-blocked inner
 // loop (i-k-j order) that keeps b's rows streaming through cache.
 func matMulRange(dst, a, b *Matrix, lo, hi int) {
-	n, k, m := a.Rows, a.Cols, b.Cols
-	_ = n
+	k, m := a.Cols, b.Cols
 	for i := lo; i < hi; i++ {
 		out := dst.Data[i*m : (i+1)*m]
 		for j := range out {

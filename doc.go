@@ -39,10 +39,12 @@
 // for all of them — a single layer walk and a batched output head per
 // step for the whole batch, instead of one per request — then samples
 // every lane (per-request samplers and stop conditions) and retires
-// finished or cancelled ones. There is one fused walk: it runs the same
-// per-token layer body as solo decode, and model.DecodeStepBatch is its
-// one-position-per-lane entry point. A request's token and logit streams are bit-identical to
-// solo decoding; the scheduler changes throughput, never output.
+// finished or cancelled ones. There is one fused walk and one layer
+// body: each lane's k positions run as a k-row block through the body
+// that prefill (k = n) and solo decode (k = 1) also run, and
+// model.DecodeStepBatch is the walk's one-position-per-lane entry point.
+// A request's token and logit streams are bit-identical to solo
+// decoding; the scheduler changes throughput, never output.
 // /v1/stats (and core.Cache.SchedStats) expose queue depth, active
 // lanes, the batch-size histogram and decode tokens/sec; the benchmark
 // of record's decode.long workload measures it through the server.

@@ -10,9 +10,10 @@ import (
 )
 
 // TestBackendsBitIdenticalForward is the model-level half of the backend
-// contract: a full forward pass — chunked prefill (24 tokens, above
-// chunkThreshold), per-token decode through Complete, and the final
-// logits — must be bit-for-bit identical under every backend, for every
+// contract: a full forward pass — a 24-token prefill block (wide enough
+// that the parallel backend shards its matmuls), per-token decode through
+// Complete, and the final logits — must be bit-for-bit identical under
+// every backend, for every
 // architecture family. tensor's own tests prove the kernels agree
 // element by element; this proves the model wires them so that nothing
 // (scratch reuse, span conversion, lane batching) depends on the

@@ -186,9 +186,9 @@ type layer struct {
 type Model struct {
 	Cfg Config
 
-	// scratchPool recycles per-forward-pass temporaries across requests,
-	// so steady-state prefill/decode allocates no scratch.
-	scratchPool sync.Pool
+	// blockPool recycles forward-pass blocks across requests, so
+	// steady-state prefill/decode allocates no scratch.
+	blockPool sync.Pool
 
 	// PrefillProbe, when non-nil, is called with +1 as a prefill enters
 	// the forward pass and -1 as it leaves (including error returns).

@@ -8,96 +8,61 @@ import (
 )
 
 // DecodeLane is one sequence's slot in a fused decode batch. It owns the
-// pooled scratch the lane's forward passes run in, so a lane that decodes
-// a whole reply through DecodeStepBatch allocates nothing per token —
-// exactly the property the solo decode loop has. Acquire with
-// NewDecodeLane, release with Close.
+// pooled block the lane's steps run in, so a lane that decodes a whole
+// reply through DecodeStepBatch allocates nothing per token — exactly the
+// property the solo decode loop has. Acquire with NewDecodeLane, release
+// with Close.
 //
 // A lane is not synchronized: it belongs to whichever goroutine is
 // driving the batch (the continuous-batching scheduler, or a solo
 // generation loop using itself as a batch of one).
 type DecodeLane struct {
 	m *Model
-	// sc runs step position 0; extra holds pooled scratch for positions
-	// 1..k-1 of a multi-position step, kept for the lane's lifetime so
-	// steady speculative decode allocates nothing per step.
-	sc    *scratch
-	extra []*scratch
+	// b holds a step's k positions as its rows, and their logits until
+	// the next step.
+	b *block
 
-	// per-step state, valid between a step call and the next: pos and
-	// rows are each position's query position and attention row count
-	// (kv.Len() right after its AppendPos), len(pos) the step's k.
+	// err and skip report the latest step: a lane that failed validation
+	// appended nothing and sat the walk out.
 	err  error
-	skip bool // lane failed validation; excluded from the fused walk
-	pos  []int
-	rows []int
+	skip bool
 }
 
-// NewDecodeLane acquires a lane backed by pooled scratch.
+// NewDecodeLane acquires a lane backed by a pooled block.
 func (m *Model) NewDecodeLane() *DecodeLane {
-	return &DecodeLane{m: m, sc: m.getScratch()}
+	return &DecodeLane{m: m, b: m.getBlock()}
 }
 
-// Close returns the lane's scratch to the model pool. The lane (and any
+// Close returns the lane's block to the model pool. The lane (and any
 // logits it returned) must not be used afterwards. Closing twice is safe.
 func (l *DecodeLane) Close() {
-	if l.sc != nil {
-		l.m.putScratch(l.sc)
-		l.sc = nil
+	if l.b != nil {
+		l.m.putBlock(l.b)
+		l.b = nil
 	}
-	for _, sc := range l.extra {
-		l.m.putScratch(sc)
-	}
-	l.extra = nil
 }
 
 // Logits returns the lane's next-token logits from the latest
 // DecodeStepBatch call. The slice aliases lane scratch: it is valid until
 // the lane's next step or Close, and must not be mutated.
-func (l *DecodeLane) Logits() []float32 { return l.sc.lgOut }
+func (l *DecodeLane) Logits() []float32 { return l.LogitsAt(0) }
 
 // LogitsAt returns the next-token logits computed at position j of the
 // latest DecodeStepBatchMulti call (LogitsAt(0) == Logits()). Same
 // aliasing rules as Logits.
-func (l *DecodeLane) LogitsAt(j int) []float32 { return l.scratchAt(j).lgOut }
-
-// scratchAt maps a step position to its scratch: position 0 is the
-// lane's own, the rest come from the extra pool.
-func (l *DecodeLane) scratchAt(j int) *scratch {
-	if j == 0 {
-		return l.sc
-	}
-	return l.extra[j-1]
-}
+func (l *DecodeLane) LogitsAt(j int) []float32 { return l.b.logits.Row(j) }
 
 // Err reports the lane's failure from the latest step call, or nil. A
 // failed lane appended nothing to its cache; other lanes in the same
 // batch are unaffected.
 func (l *DecodeLane) Err() error { return l.err }
 
-// begin opens the lane's next step over toks at poss: validate, embed
-// each token into its position's scratch, and record the positions in kv
-// ahead of the layer walk, mirroring the head of step(). Validation is
-// all-or-nothing: a lane with any out-of-range token or position appends
-// nothing and sits the walk out, reporting through Err().
+// begin opens the lane's next step over toks at poss as its block, or
+// marks the lane failed without touching kv.
 func (l *DecodeLane) begin(toks, poss []int, kv kvcache.KV) {
-	m := l.m
-	l.err, l.skip = nil, false
-	l.pos, l.rows = l.pos[:0], l.rows[:0]
-	for j := range toks {
-		if l.err = m.checkToken(toks[j], poss[j]); l.err != nil {
-			l.skip = true
-			return
-		}
-	}
-	for len(l.extra) < len(toks)-1 {
-		l.extra = append(l.extra, m.getScratch())
-	}
-	for j := range toks {
-		m.embed(l.scratchAt(j).x, toks[j], poss[j])
-		kv.AppendPos(poss[j])
-		l.pos = append(l.pos, poss[j])
-		l.rows = append(l.rows, kv.Len())
+	l.err = l.m.check(toks, poss)
+	if l.skip = l.err != nil; !l.skip {
+		l.m.begin(l.b, toks, poss, kv)
 	}
 }
 
@@ -123,19 +88,21 @@ func (m *Model) DecodeStepBatch(lanes []*DecodeLane, tokens, positions []int, kv
 // lanes[i].LogitsAt(j)). k = 1 is ordinary decode; k > 1 is the
 // speculative verify step scoring several consecutive draft tokens. The
 // layer loop runs once for the whole batch — each layer's weights are
-// walked a single time while every lane and position passes through it —
-// which is what lets a continuous-batching scheduler charge N concurrent
+// walked a single time while every lane passes through it — which is
+// what lets a continuous-batching scheduler charge N concurrent
 // generations one shared model traversal per step instead of N.
 //
 // Bit-identity with sequential solo decode is structural: the walk is
-// layer-outer, lane-inner, position-inner, and every position runs the
-// same layerToken body step() does, over its own scratch, with exactly
-// the inputs a solo decode would give it. Position j's attention at
-// layer l sees rows 0..base+j, whose layer-l K/V values were appended
-// earlier in the same layer pass and equal the sequential values. So if
-// the scored tokens match what solo decode would have sampled, the logits
-// at every position match bit-for-bit — the invariant the acceptance loop
-// in internal/core relies on, and what lets rejected drafts fall back to
+// layer-outer, lane-inner, and each lane's k positions run as one block
+// through layerBlock, the body solo Decode (k = 1) and Prefill (k = n)
+// run, with exactly the inputs a solo decode would give them. A weight
+// application reads each weight once for all k rows yet sums every
+// element as a single row would, and position j's attention at layer l
+// sees rows 0..base+j, whose layer-l K/V values were appended earlier in
+// the same pass and equal the sequential values. So if the scored tokens
+// match what solo decode would have sampled, the logits at every
+// position match bit-for-bit — the invariant the acceptance loop in
+// internal/core relies on, and what lets rejected drafts fall back to
 // the verified token without recomputing anything.
 //
 // Lane failures (token out of vocab, position out of range) are reported
@@ -202,40 +169,35 @@ func (m *Model) walkLanes(lanes []*DecodeLane, kvs []kvcache.KV) {
 	// (tied head) is the model's largest matrix and decode streams all of
 	// it per step, so walking each vocab row once for all k·N logit
 	// vectors is the fused step's main memory-bandwidth win. Per-vector
-	// dot products are unchanged in value and order. The header slices
-	// live in the first lane's pooled scratch, so steady decode reuses
-	// them.
-	head := lanes[0].sc
+	// dot products are unchanged in value and order. The final norm reuses
+	// each block's h rows, free once the walk is done; the header slices
+	// live in the first lane's block, so steady decode reuses them.
+	head := lanes[0].b
 	dsts, hs := head.dsts[:0], head.hs[:0]
 	for _, ln := range lanes {
 		if ln.skip {
 			continue
 		}
-		for j := range ln.pos {
-			sc := ln.scratchAt(j)
-			if sc.lgOut == nil {
-				sc.lgH = make([]float32, m.Cfg.Dim)
-				sc.lgOut = make([]float32, m.Cfg.VocabSize)
-			}
-			m.norm(sc.lgH, sc.x, m.finalNormW, m.finalNormB)
-			dsts = append(dsts, sc.lgOut)
-			hs = append(hs, sc.lgH)
+		b := ln.b
+		setRows(&b.logits, len(b.pos))
+		for j := range b.pos {
+			m.norm(b.h.Row(j), b.x.Row(j), m.finalNormW, m.finalNormB)
+			dsts = append(dsts, b.logits.Row(j))
+			hs = append(hs, b.h.Row(j))
 		}
 	}
 	m.bk.OutputHead(dsts, m.embedding, hs)
 	head.dsts, head.hs = dsts, hs
 }
 
-// stepLanes is the one fused layer walk — layer-outer, lane-inner,
-// position-inner — for a lane range.
+// stepLanes is the fused layer walk — layer-outer, lane-inner — for a
+// lane range: each lane's block passes through layer l before any lane
+// reaches layer l+1.
 func (m *Model) stepLanes(lanes []*DecodeLane, kvs []kvcache.KV) {
 	for l := range m.layers {
 		for i, ln := range lanes {
-			if ln.skip {
-				continue
-			}
-			for j, pos := range ln.pos {
-				m.layerToken(l, ln.scratchAt(j), kvs[i], ln.rows[j], pos)
+			if !ln.skip {
+				m.layerBlock(l, ln.b, kvs[i])
 			}
 		}
 	}

@@ -25,67 +25,90 @@ func (m *Model) NewSeq(tailCap int) *kvcache.Seq {
 	return kvcache.NewSeq(m.Cfg.NLayers, m.Cfg.KVDim(), tailCap)
 }
 
-// scratch holds per-forward-pass temporaries so the token loop does not
-// allocate. One scratch per goroutine; Model itself stays read-only.
-type scratch struct {
-	x, h, attnOut, proj []float32
-	q, k, v             []float32
-	ffn1, ffn3          []float32
-	scores              []float32
-	segs                []kvcache.Segment
-	spans               []tensor.Span
-	// qMat/outMat are reusable 1-row matrix headers over q and attnOut,
-	// and att the reusable argument block, so the per-token attention
-	// dispatch through the backend interface allocates nothing.
-	qMat, outMat tensor.Matrix
-	qPos         [1]int
-	att          tensor.AttendArgs
-	// lgH/lgOut back logitsInto during decode loops, so repeated decode
-	// steps reuse one vocab-wide buffer instead of allocating per token.
-	// Lazily sized: prefills compute logits once and never need them.
-	lgH, lgOut []float32
-	// dsts/hs are the batched output head's per-vector headers; a fused
-	// step keeps them in its first lane's scratch so they are reused
-	// across steps.
+// attendTileRows is the attention kernel's query tile, T in
+// tensor.AttendArgs.Scores: scratch for T·Group score rows lets each
+// (query tile, KV head) unit read its K and V rows once.
+const attendTileRows = 8
+
+// block is the scratch of one forward pass over k positions: one row per
+// position in every intermediate. It is the unit every walk runs — a
+// prefill is blocks of up to maxBlockRows of its tokens, a decode step a
+// block of one, a speculative verify step a block of 1 + drafts. Matrices
+// keep the capacity of the largest k they have held and are resliced per
+// pass, so a warm block allocates nothing. Blocks are pooled on the
+// Model; one block belongs to one goroutine at a time.
+type block struct {
+	x, h, q, k, v, attnOut, proj, ffn1, ffn3 tensor.Matrix
+	// logits holds a fused step's next-token logits, one row per
+	// position, until the lane's next step. Prefills never size it.
+	logits tensor.Matrix
+
+	pos  []int // query position of each row
+	past int   // cache rows preceding row 0
+
+	scores []float32
+	segs   []kvcache.Segment
+	spans  []tensor.Span
+	att    tensor.AttendArgs
+	// dsts/hs are the output head's per-row headers; a fused step keeps
+	// them in its first lane's block.
 	dsts, hs [][]float32
 }
 
-func (m *Model) newScratch() *scratch {
-	d := m.Cfg.Dim
-	sc := &scratch{
-		x: make([]float32, d), h: make([]float32, d),
-		attnOut: make([]float32, d), proj: make([]float32, d),
-		q: make([]float32, d), k: make([]float32, m.Cfg.KVDim()), v: make([]float32, m.Cfg.KVDim()),
-		ffn1: make([]float32, m.Cfg.FFNDim), ffn3: make([]float32, m.Cfg.FFNDim),
-	}
-	sc.qMat = tensor.Matrix{Rows: 1, Cols: d, Data: sc.q}
-	sc.outMat = tensor.Matrix{Rows: 1, Cols: d, Data: sc.attnOut}
-	return sc
+func (m *Model) newBlock() *block {
+	d, kvd, f := m.Cfg.Dim, m.Cfg.KVDim(), m.Cfg.FFNDim
+	b := &block{}
+	b.x.Cols, b.h.Cols, b.q.Cols, b.attnOut.Cols, b.proj.Cols = d, d, d, d, d
+	b.k.Cols, b.v.Cols = kvd, kvd
+	b.ffn1.Cols, b.ffn3.Cols = f, f
+	b.logits.Cols = m.Cfg.VocabSize
+	return b
 }
 
-// getScratch takes a scratch from the model's pool (grown buffers —
-// scores, segment lists, logits — carry over), falling back to a fresh
-// one. Steady-state serving allocates no per-request scratch at all.
-func (m *Model) getScratch() *scratch {
-	if v := m.scratchPool.Get(); v != nil {
-		return v.(*scratch)
+// open sizes the block for the positions poss, which follow past cache
+// rows. Row contents are stale: every pass writes a matrix before
+// reading it.
+func (b *block) open(poss []int, past int) {
+	for _, mt := range [...]*tensor.Matrix{&b.x, &b.h, &b.q, &b.k, &b.v, &b.attnOut, &b.proj, &b.ffn1, &b.ffn3} {
+		setRows(mt, len(poss))
 	}
-	return m.newScratch()
+	b.pos = append(b.pos[:0], poss...)
+	b.past = past
 }
 
-func (m *Model) putScratch(sc *scratch) {
+// setRows reslices mt to rows rows, growing its backing array only when
+// its capacity is short.
+func setRows(mt *tensor.Matrix, rows int) {
+	n := rows * mt.Cols
+	if cap(mt.Data) < n {
+		mt.Data = make([]float32, n)
+	}
+	mt.Rows, mt.Data = rows, mt.Data[:n]
+}
+
+// getBlock takes a block from the model's pool (grown buffers carry
+// over), falling back to a fresh one. Steady-state serving allocates no
+// per-request scratch at all.
+func (m *Model) getBlock() *block {
+	if v := m.blockPool.Get(); v != nil {
+		return v.(*block)
+	}
+	return m.newBlock()
+}
+
+func (m *Model) putBlock(b *block) {
 	// Segments (and the spans mirroring them) alias module K/V buffers;
 	// a pooled stale reference would keep an evicted module's multi-MB
 	// backing arrays reachable. Clear the full capacity —
 	// AppendSegments reuses slots without zeroing.
-	clear(sc.segs[:cap(sc.segs)])
-	sc.segs = sc.segs[:0]
-	clear(sc.spans[:cap(sc.spans)])
-	sc.spans = sc.spans[:0]
-	sc.att = tensor.AttendArgs{}
-	clear(sc.dsts[:cap(sc.dsts)])
-	clear(sc.hs[:cap(sc.hs)])
-	m.scratchPool.Put(sc)
+	clear(b.segs[:cap(b.segs)])
+	b.segs = b.segs[:0]
+	clear(b.spans[:cap(b.spans)])
+	b.spans = b.spans[:0]
+	b.att = tensor.AttendArgs{}
+	clear(b.dsts[:cap(b.dsts)])
+	clear(b.hs[:cap(b.hs)])
+	m.blockPool.Put(b)
 }
 
 // Prefill runs the forward pass over tokens with the given explicit
@@ -102,11 +125,11 @@ func (m *Model) Prefill(tokens, positions []int, kv kvcache.KV) ([]float32, erro
 	return m.PrefillCtx(context.Background(), tokens, positions, kv)
 }
 
-// PrefillCtx is Prefill with cancellation: ctx is checked between tokens
-// on the sequential path and between layers on the chunked path, so a
-// long prefill aborts mid-flight instead of running to completion. On
-// cancellation the cache may hold a partial prefix; callers either
-// discard it or Truncate back to the pre-call length.
+// PrefillCtx is Prefill with cancellation: ctx is checked before each
+// layer, so a long prefill aborts mid-flight instead of running to
+// completion. On cancellation the cache may hold a partial prefix (the
+// positions of the blocks begun, and rows for the layers walked); callers
+// either discard it or Truncate back to the pre-call length.
 func (m *Model) PrefillCtx(ctx context.Context, tokens, positions []int, kv kvcache.KV) ([]float32, error) {
 	if len(tokens) != len(positions) {
 		return nil, fmt.Errorf("model: %d tokens but %d positions", len(tokens), len(positions))
@@ -118,30 +141,7 @@ func (m *Model) PrefillCtx(ctx context.Context, tokens, positions []int, kv kvca
 		m.PrefillProbe(+1)
 		defer m.PrefillProbe(-1)
 	}
-	if len(tokens) >= chunkThreshold {
-		return m.prefillChunk(ctx, tokens, positions, kv)
-	}
-	return m.prefillSequential(ctx, tokens, positions, kv)
-}
-
-// prefillSequential is the reference per-token path; prefillChunk must
-// agree with it (tested bit-close).
-func (m *Model) prefillSequential(ctx context.Context, tokens, positions []int, kv kvcache.KV) ([]float32, error) {
-	sc := m.getScratch()
-	defer m.putScratch(sc)
-	var logits []float32
-	for i, tok := range tokens {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := m.step(tok, positions[i], kv, sc); err != nil {
-			return nil, err
-		}
-		if i == len(tokens)-1 {
-			logits = m.logits(sc.x)
-		}
-	}
-	return logits, nil
+	return m.forward(ctx, tokens, positions, kv)
 }
 
 // Decode runs one autoregressive step: it appends token at position pos to
@@ -149,135 +149,153 @@ func (m *Model) prefillSequential(ctx context.Context, tokens, positions []int, 
 // allocated; decode loops that can reuse buffers go through a DecodeLane
 // and DecodeStepBatch.
 func (m *Model) Decode(token, pos int, kv kvcache.KV) ([]float32, error) {
-	sc := m.getScratch()
-	defer m.putScratch(sc)
-	if err := m.step(token, pos, kv, sc); err != nil {
+	return m.forward(context.Background(), []int{token}, []int{pos}, kv)
+}
+
+// maxBlockRows caps a block's rows. A longer prefill runs as consecutive
+// blocks, which gives the same bits — a row's sums and causal rows do not
+// depend on the block that carries it — so a pooled block, and a decode
+// lane that later draws it, never holds more than this many rows.
+const maxBlockRows = 256
+
+// forward runs tokens at positions through every layer in blocks of at
+// most maxBlockRows and returns freshly allocated next-token logits for
+// the last token.
+func (m *Model) forward(ctx context.Context, tokens, positions []int, kv kvcache.KV) ([]float32, error) {
+	if err := m.check(tokens, positions); err != nil {
 		return nil, err
 	}
-	return m.logits(sc.x), nil
+	b := m.getBlock()
+	defer m.putBlock(b)
+	for lo := 0; lo < len(tokens); lo += maxBlockRows {
+		hi := min(lo+maxBlockRows, len(tokens))
+		m.begin(b, tokens[lo:hi], positions[lo:hi], kv)
+		for l := range m.layers {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			m.layerBlock(l, b, kv)
+		}
+	}
+	// The final norm reuses the last row of h, free once the walk is done.
+	last := len(b.pos) - 1
+	logits := make([]float32, m.Cfg.VocabSize)
+	m.norm(b.h.Row(last), b.x.Row(last), m.finalNormW, m.finalNormB)
+	b.dsts, b.hs = append(b.dsts[:0], logits), append(b.hs[:0], b.h.Row(last))
+	m.bk.OutputHead(b.dsts, m.embedding, b.hs)
+	return logits, nil
 }
 
-// checkToken rejects a token or position the model cannot embed.
-func (m *Model) checkToken(token, pos int) error {
-	if token < 0 || token >= m.Cfg.VocabSize {
-		return fmt.Errorf("model: token %d out of vocab %d", token, m.Cfg.VocabSize)
-	}
-	if pos < 0 || pos >= m.Cfg.MaxSeq {
-		return fmt.Errorf("model: position %d out of range [0,%d)", pos, m.Cfg.MaxSeq)
+// check rejects any token or position the model cannot embed; callers
+// run it before touching the cache, so a bad input leaves it unchanged.
+func (m *Model) check(tokens, positions []int) error {
+	for i, tok := range tokens {
+		if tok < 0 || tok >= m.Cfg.VocabSize {
+			return fmt.Errorf("model: token %d out of vocab %d", tok, m.Cfg.VocabSize)
+		}
+		if pos := positions[i]; pos < 0 || pos >= m.Cfg.MaxSeq {
+			return fmt.Errorf("model: position %d out of range [0,%d)", pos, m.Cfg.MaxSeq)
+		}
 	}
 	return nil
 }
 
-// embed writes a checked token's input embedding at pos into x.
-func (m *Model) embed(x []float32, token, pos int) {
-	copy(x, m.embedding.Row(token))
-	if m.Cfg.PosEnc == Learned {
-		tensor.Add(x, m.posTable.Row(pos))
+// begin opens b over checked tokens at positions: each token is embedded
+// into its row and its position recorded in kv ahead of the layer walk,
+// so after layerBlock(l) the cache's layer-l buffers hold exactly
+// kv.Len() rows.
+func (m *Model) begin(b *block, tokens, positions []int, kv kvcache.KV) {
+	b.open(positions, kv.Len())
+	for i, tok := range tokens {
+		x := b.x.Row(i)
+		copy(x, m.embedding.Row(tok))
+		if m.Cfg.PosEnc == Learned {
+			tensor.Add(x, m.posTable.Row(positions[i]))
+		}
+		kv.AppendPos(positions[i])
 	}
 }
 
-// step processes a single token through every layer, appending its KV
-// states to kv. After step returns, sc.x holds the final hidden state
-// (pre final-norm; logits() applies it). It is the reference token loop:
-// the fused decode walk runs the same layerToken body in a different
-// loop order.
-func (m *Model) step(token, pos int, kv kvcache.KV, sc *scratch) error {
-	if err := m.checkToken(token, pos); err != nil {
-		return err
-	}
-	m.embed(sc.x, token, pos)
-
-	// The token's position is recorded before the layer loop; each layer
-	// appends its K/V rows, so after layer l the cache's layer-l buffers
-	// have exactly len(Pos) rows.
-	kv.AppendPos(pos)
-	n := kv.Len() // rows to attend over at each layer, including self
-	for l := range m.layers {
-		m.layerToken(l, sc, kv, n, pos)
-	}
-	return nil
-}
-
-// layerToken is the per-token layer body: it carries the hidden state in
-// sc.x through layer l for the token at pos, appending the token's K/V
-// row to kv and attending over kv's first n rows (the token's own row
-// last). Every decode path — step, and the fused walk for any lane and
-// position count — runs exactly this sequence per token per layer, which
-// is why their outputs agree bit for bit.
-func (m *Model) layerToken(l int, sc *scratch, kv kvcache.KV, n, pos int) {
+// layerBlock is the one layer body. It carries the block's hidden states
+// in b.x through layer l: norm, each projection as one k-row matrix
+// product, RoPE, each row's K/V appended to kv, attention of row i over
+// kv's first past+i+1 rows, the output projection and the FFN. Prefill
+// (k up to maxBlockRows), decode (k = 1) and the speculative verify step
+// (k = 1 + drafts) all run it, and every output element is the same
+// ascending sum whatever k is and whichever rows share the block — so a
+// prefill, token-by-token decode and a verify step agree bit for bit.
+func (m *Model) layerBlock(l int, b *block, kv kvcache.KV) {
 	cfg := &m.Cfg
 	ly := &m.layers[l]
-	m.norm(sc.h, sc.x, ly.attnNormW, ly.attnNormB)
-
-	m.bk.MatVecT(sc.q, ly.wq, sc.h)
-	m.bk.MatVecT(sc.k, ly.wk, sc.h)
-	m.bk.MatVecT(sc.v, ly.wv, sc.h)
-	if cfg.PosEnc == RoPE {
-		m.applyRope(sc.q, cfg.NHeads, pos)
-		m.applyRope(sc.k, cfg.NKVHeads, pos)
+	for i := range b.pos {
+		m.norm(b.h.Row(i), b.x.Row(i), ly.attnNormW, ly.attnNormB)
 	}
-	kv.AppendToken(l, sc.k, sc.v)
+	m.bk.MatMul(&b.q, &b.h, ly.wq)
+	m.bk.MatMul(&b.k, &b.h, ly.wk)
+	m.bk.MatMul(&b.v, &b.h, ly.wv)
+	for i, pos := range b.pos {
+		if cfg.PosEnc == RoPE {
+			m.applyRope(b.q.Row(i), cfg.NHeads, pos)
+			m.applyRope(b.k.Row(i), cfg.NKVHeads, pos)
+		}
+		kv.AppendToken(l, b.k.Row(i), b.v.Row(i))
+	}
 
-	m.attend(sc, kv, l, n, pos)
+	m.attend(b, kv, l)
 
-	m.bk.MatVecT(sc.proj, ly.wo, sc.attnOut)
-	tensor.Add(sc.x, sc.proj)
+	m.bk.MatMul(&b.proj, &b.attnOut, ly.wo)
+	tensor.Add(b.x.Data, b.proj.Data)
 	if !cfg.ParallelAttn {
 		// Sequential block: the FFN reads the post-attention residual.
 		// (Falcon's parallel block reuses the attention's normed input:
 		// x = x + attn(h) + ffn(h).)
-		m.norm(sc.h, sc.x, ly.ffnNormW, ly.ffnNormB)
+		for i := range b.pos {
+			m.norm(b.h.Row(i), b.x.Row(i), ly.ffnNormW, ly.ffnNormB)
+		}
 	}
-	m.ffn(sc, ly, sc.h)
+	m.bk.MatMul(&b.ffn1, &b.h, ly.w1)
+	switch cfg.Act {
+	case SwiGLU:
+		m.bk.SiLU(b.ffn1.Data)
+		m.bk.MatMul(&b.ffn3, &b.h, ly.w3)
+		tensor.Mul(b.ffn1.Data, b.ffn3.Data)
+	case GELU:
+		m.bk.GELU(b.ffn1.Data)
+	}
+	m.bk.MatMul(&b.proj, &b.ffn1, ly.w2)
+	tensor.Add(b.x.Data, b.proj.Data)
 }
 
-// attend computes multi-head attention for the newest cache row (index
-// n-1, at position qPos) over rows [0, n) of layer l, writing the merged
-// heads to sc.attnOut. It walks the view's contiguous segments rather
-// than fetching rows one at a time through the KV interface, so a
-// segmented Seq attends as fast as a flat cache. The arithmetic is the
-// backend's AttendRowBlock kernel, called as the 1-token block whose
-// causal bound covers the whole cache.
-func (m *Model) attend(sc *scratch, kv kvcache.KV, l, n, qPos int) {
+// attend computes multi-head attention for the block's rows over rows
+// [0, past+k) of layer l, writing the merged heads to b.attnOut. It walks
+// the view's contiguous segments in place — cached module rows are never
+// copied — through the backend's AttendRowBlock, whose causal clamp
+// gives row i the rows [0, past+i+1).
+func (m *Model) attend(b *block, kv kvcache.KV, l int) {
 	cfg := &m.Cfg
+	n := b.past + len(b.pos)
 	group := cfg.NHeads / cfg.NKVHeads
-	if cap(sc.scores) < group*n {
-		// One score row per query head of a KV group. Headroom: decode
-		// grows n by one per step; sizing exactly would reallocate the
-		// score buffer every token of every reply.
-		sc.scores = make([]float32, group*(n+256))
+	pairs := min(len(b.pos), attendTileRows) * group // score rows per unit
+	if cap(b.scores) < pairs*n {
+		// Headroom: decode grows n by one per step; sizing exactly would
+		// reallocate the score buffer every token of every reply.
+		b.scores = make([]float32, pairs*(n+256))
 	}
-	sc.segs = kv.AppendSegments(sc.segs[:0], l, n)
-	sc.spans = sc.spans[:0]
-	for _, seg := range sc.segs {
-		sc.spans = append(sc.spans, tensor.Span{K: seg.K, V: seg.V, Pos: seg.Pos})
+	b.segs = kv.AppendSegments(b.segs[:0], l, n)
+	b.spans = b.spans[:0]
+	for _, seg := range b.segs {
+		b.spans = append(b.spans, tensor.Span{K: seg.K, V: seg.V, Pos: seg.Pos})
 	}
-	sc.qPos[0] = qPos
-	sc.att = tensor.AttendArgs{
-		Q: &sc.qMat, Out: &sc.outMat,
-		Spans: sc.spans, Past: n - 1, Positions: sc.qPos[:],
+	b.att = tensor.AttendArgs{
+		Q: &b.q, Out: &b.attnOut,
+		Spans: b.spans, Past: b.past, Positions: b.pos,
 		NHeads: cfg.NHeads, Group: group,
 		HeadDim: cfg.HeadDim(), Width: cfg.KVDim(),
 		InvSqrt:     float32(1 / math.Sqrt(float64(cfg.HeadDim()))),
 		AlibiSlopes: m.alibiSlope, // nil unless ALiBi
-		Scores:      sc.scores[:group*n],
+		Scores:      b.scores[:pairs*n],
 	}
-	m.bk.AttendRowBlock(&sc.att)
-}
-
-// ffn applies the feed-forward block to h and adds it into sc.x.
-func (m *Model) ffn(sc *scratch, ly *layer, h []float32) {
-	m.bk.MatVecT(sc.ffn1, ly.w1, h)
-	switch m.Cfg.Act {
-	case SwiGLU:
-		m.bk.SiLU(sc.ffn1)
-		m.bk.MatVecT(sc.ffn3, ly.w3, h)
-		tensor.Mul(sc.ffn1, sc.ffn3)
-	case GELU:
-		m.bk.GELU(sc.ffn1)
-	}
-	m.bk.MatVecT(sc.proj, ly.w2, sc.ffn1)
-	tensor.Add(sc.x, sc.proj)
+	m.bk.AttendRowBlock(&b.att)
 }
 
 // applyRope rotates each head's (even, odd) pairs by the position's
@@ -306,24 +324,4 @@ func (m *Model) norm(dst, x, w, b []float32) {
 	case LayerNorm:
 		m.bk.LayerNorm(dst, x, w, b, 1e-5)
 	}
-}
-
-// logits applies the final norm and the tied output head into fresh
-// slices — for results that outlive the forward pass (prefill returns,
-// the public Decode). Loops use logitsInto with scratch-owned buffers.
-func (m *Model) logits(x []float32) []float32 {
-	h := make([]float32, len(x))
-	out := make([]float32, m.Cfg.VocabSize)
-	m.logitsInto(out, h, x)
-	return out
-}
-
-// logitsInto applies the final norm (using h, len Dim) and writes the
-// output-head logits into dst (len VocabSize) through the backend's
-// OutputHead kernel — the parallel backend shards the vocab scan into
-// disjoint dst ranges, the scalar backend walks it sequentially; either
-// way each logit is the same ascending-index dot product.
-func (m *Model) logitsInto(dst, h, x []float32) {
-	m.norm(h, x, m.finalNormW, m.finalNormB)
-	m.bk.OutputHead([][]float32{dst}, m.embedding, [][]float32{h})
 }

@@ -91,8 +91,9 @@ func hashLogits(h hash.Hash64, logits []float32) {
 
 // goldenRun drives the three cases the fingerprint covers over a
 // segmented cache of two modules with position gaps: a 17-token prefill
-// (the chunked path), three greedy decode steps after it, and one
-// DecodeStepBatchMulti scoring k = 3 positions.
+// (one block crossing matmul and attention tile edges), three greedy
+// decode steps after it, and one DecodeStepBatchMulti scoring k = 3
+// positions.
 func goldenRun(t *testing.T, m *Model) logitsPrint {
 	t.Helper()
 	r := rng.NewString("golden/forward")

@@ -34,11 +34,13 @@ type Backend interface {
 	Workers() int
 
 	// MatMul computes dst = a × b (a: n×k, b: k×m, dst: n×m, no aliasing).
+	// Each element is one sum over k ascending, whatever n is, so a row's
+	// result never depends on how many rows share the call: a weight
+	// application gives the same bits one position at a time or a whole
+	// block at once.
 	MatMul(dst, a, b *Matrix)
-	// MatVec computes dst = m × v (row-major dot products).
-	MatVec(dst []float32, m *Matrix, v []float32)
 	// MatVecT computes dst = Wᵀ·h for W stored (in × out):
-	// dst[j] = Σ_i W[i][j]·h[i], accumulated over i ascending.
+	// dst[j] = Σ_i W[i][j]·h[i] — MatMul with a one-row a, the same sums.
 	MatVecT(dst []float32, w *Matrix, h []float32)
 
 	// Dot/Dot2/Dot4 are the row-block reduction kernels (one pass over a,

@@ -47,21 +47,47 @@ func fillSigned(r *rng.RNG, data []float32) {
 	}
 }
 
+// matMulRef is the test oracle for MatMul and MatVecT: one output row at
+// a time, each element accumulated over p ascending, skipping
+// a[i][p] == 0 — the order every backend must reproduce bit for bit. It
+// was the engine's matmul body before the tiled body replaced it, and
+// MatVecT's was the same loop over one row.
+func matMulRef(dst, a, b *Matrix) {
+	k, m := a.Cols, b.Cols
+	for i := 0; i < a.Rows; i++ {
+		out := dst.Data[i*m : (i+1)*m]
+		clear(out)
+		for p, av := range a.Data[i*k : (i+1)*k] {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.Data[p*m : (p+1)*m] {
+				out[j] += av * bv
+			}
+		}
+	}
+}
+
+// TestBackendsBitIdenticalMatMul checks every backend, scalar included,
+// against the oracle, with column counts on both sides of the kernel's
+// eight-column run and row counts from a decode step to a prefill.
 func TestBackendsBitIdenticalMatMul(t *testing.T) {
 	r := rng.NewString("backend/matmul")
-	shapes := [][3]int{{1, 1, 1}, {3, 5, 7}, {17, 13, 1}, {80, 96, 80}, {65, 33, 129}}
+	shapes := [][3]int{{1, 1, 1}, {3, 5, 7}, {17, 13, 1}, {80, 96, 80}, {65, 33, 129},
+		{1, 64, 176}, {5, 64, 8}, {6, 9, 9}, {7, 31, 15}, {2, 16, 17}, {256, 64, 176}}
+	backends := append([]Backend{Scalar()}, challengers()...)
 	for _, sh := range shapes {
 		n, k, mm := sh[0], sh[1], sh[2]
 		a, b := NewMatrix(n, k), NewMatrix(k, mm)
 		fillSigned(r, a.Data)
 		fillSigned(r, b.Data)
 		want := NewMatrix(n, mm)
-		Scalar().MatMul(want, a, b)
-		for _, bk := range challengers() {
+		matMulRef(want, a, b)
+		for _, bk := range backends {
 			got := NewMatrix(n, mm)
 			bk.MatMul(got, a, b)
 			if i, ok := bitsEqual(want.Data, got.Data); !ok {
-				t.Fatalf("MatMul %dx%dx%d workers=%d: bit mismatch at %d", n, k, mm, bk.Workers(), i)
+				t.Fatalf("MatMul %dx%dx%d %s workers=%d: bit mismatch at %d", n, k, mm, bk.Name(), bk.Workers(), i)
 			}
 		}
 	}
@@ -70,19 +96,20 @@ func TestBackendsBitIdenticalMatMul(t *testing.T) {
 func TestBackendsBitIdenticalMatVecT(t *testing.T) {
 	r := rng.NewString("backend/matvect")
 	shapes := [][2]int{{1, 1}, {7, 3}, {64, 65}, {257, 129}, {512, 384}}
+	backends := append([]Backend{Scalar()}, challengers()...)
 	for _, sh := range shapes {
 		in, out := sh[0], sh[1]
 		w := NewMatrix(in, out)
 		h := make([]float32, in)
 		fillSigned(r, w.Data)
 		fillSigned(r, h)
-		want := make([]float32, out)
-		Scalar().MatVecT(want, w, h)
-		for _, bk := range challengers() {
+		want := NewMatrix(1, out)
+		matMulRef(want, FromSlice(1, in, h), w)
+		for _, bk := range backends {
 			got := make([]float32, out)
 			bk.MatVecT(got, w, h)
-			if i, ok := bitsEqual(want, got); !ok {
-				t.Fatalf("MatVecT %dx%d workers=%d: bit mismatch at %d", in, out, bk.Workers(), i)
+			if i, ok := bitsEqual(want.Data, got); !ok {
+				t.Fatalf("MatVecT %dx%d %s workers=%d: bit mismatch at %d", in, out, bk.Name(), bk.Workers(), i)
 			}
 		}
 	}
@@ -357,9 +384,10 @@ func fold(x, lo, hi int) int {
 	return lo + m
 }
 
-// FuzzBackendKernels drives MatVecT, OutputHead and AttendRowBlock across
-// fuzzer-chosen shapes and worker counts, asserting bit-identity against
-// the scalar reference (MatVecT, OutputHead) or the attention oracle.
+// FuzzBackendKernels drives MatMul, MatVecT, OutputHead and
+// AttendRowBlock across fuzzer-chosen shapes and worker counts, asserting
+// bit-identity against the matmul oracle, the scalar reference
+// (OutputHead) or the attention oracle.
 // The corpus seeds cover the shard-boundary hazards (odd sizes, more
 // workers than elements) and tile edges. Attention parameters are folded
 // into range rather than skipped, so every input exercises the kernel.
@@ -376,15 +404,21 @@ func FuzzBackendKernels(f *testing.F) {
 		r := rng.NewString(fmt.Sprintf("fuzz/%d/%d/%d/%d/%d", seed, in, out, lanes, workers))
 		bk := NewParallel(workers)
 
+		// MatMul with lanes rows, and MatVecT on its first row, against the
+		// oracle.
 		w := NewMatrix(in, out)
-		h := make([]float32, in)
+		a := NewMatrix(lanes, in)
 		fillSigned(r, w.Data)
-		fillSigned(r, h)
-		want := make([]float32, out)
-		got := make([]float32, out)
-		Scalar().MatVecT(want, w, h)
-		bk.MatVecT(got, w, h)
-		if i, ok := bitsEqual(want, got); !ok {
+		fillSigned(r, a.Data)
+		want, got := NewMatrix(lanes, out), NewMatrix(lanes, out)
+		matMulRef(want, a, w)
+		bk.MatMul(got, a, w)
+		if i, ok := bitsEqual(want.Data, got.Data); !ok {
+			t.Fatalf("MatMul %dx%dx%d workers=%d: bit mismatch at %d", lanes, in, out, workers, i)
+		}
+		clear(got.Data)
+		bk.MatVecT(got.Row(0), w, a.Row(0))
+		if i, ok := bitsEqual(want.Row(0), got.Row(0)); !ok {
 			t.Fatalf("MatVecT %dx%d workers=%d: bit mismatch at %d", in, out, workers, i)
 		}
 

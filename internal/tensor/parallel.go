@@ -7,14 +7,12 @@ import "sync"
 // microseconds, so every shard must carry enough arithmetic to amortize
 // it.
 const (
-	// matmulParallelThreshold gates row-sharding of MatMul, counted in
-	// output elements.
-	matmulParallelThreshold = 64 * 64
-	// matVecTParallelThreshold gates column-sharding of dst = Wᵀ·h.
-	matVecTParallelThreshold = 32 * 1024
+	// matMulParallelThreshold gates column-sharding of MatMul and
+	// MatVecT.
+	matMulParallelThreshold = 32 * 1024
 	// outputHeadParallelThreshold gates vocab-sharding of the output
-	// head (vocab × dim × lanes). Decode calls it once per generated
-	// token, so the bar sits where logitsInto's historically did.
+	// head (vocab × dim × lanes), which decode calls once per generated
+	// token.
 	outputHeadParallelThreshold = 32 * 1024
 	// attendParallelThreshold gates unit-sharding of an attention row
 	// block, counted as score+combine multiply-adds.
@@ -22,10 +20,10 @@ const (
 )
 
 // parallelBackend tiles the scalar kernels across goroutines. The
-// tiling is always across independent output elements — matrix rows,
-// output-head vocab ranges, (query tile, KV head) attention units —
-// never inside a reduction, so every element is produced by the exact
-// scalar code (attendUnits, matMulRange, matVecTRange, outputHeadRange) and
+// tiling is always across independent output elements — matrix product
+// columns, output-head vocab ranges, (query tile, KV head) attention
+// units — never inside a reduction, so every element is produced by the
+// exact scalar code (attendUnits, matMulRange, outputHeadRange) and
 // results are bit-identical to the scalar backend on every input.
 // Elementwise kernels and the dot-product family are inherited from
 // the embedded scalar reference unchanged.
@@ -79,24 +77,27 @@ func boundedWorkers(workers, totalWork, minWork int) int {
 
 func (p *parallelBackend) MatMul(dst, a, b *Matrix) {
 	checkMatMul(dst, a, b)
-	if a.Rows*b.Cols < matmulParallelThreshold {
-		matMulRange(dst, a, b, 0, a.Rows)
-		return
-	}
-	shard(a.Rows, p.workers, func(lo, hi int) { matMulRange(dst, a, b, lo, hi) })
+	p.matMul(dst, a, b)
 }
 
 func (p *parallelBackend) MatVecT(dst []float32, w *Matrix, h []float32) {
 	checkMatVecT(dst, w, h)
-	workers := boundedWorkers(p.workers, w.Rows*w.Cols, matVecTParallelThreshold)
+	p.matMul(rowOf(dst), rowOf(h), w)
+}
+
+// matMul shards dst = a×b by output columns, in runs of eight so only
+// the last shard has a ragged run: each worker computes its columns of
+// every row, reading only its stripe of b, and each element is still
+// the one ascending sum — the boundary slices the output, never the
+// reduction. Columns rather than rows, so a one-row decode step and a
+// many-row prefill split the same way.
+func (p *parallelBackend) matMul(dst, a, b *Matrix) {
+	workers := boundedWorkers(p.workers, a.Rows*a.Cols*b.Cols, matMulParallelThreshold)
 	if workers <= 1 {
-		matVecTRange(dst, w, h, 0, w.Cols)
+		matMulRange(dst, a, b, 0, b.Cols)
 		return
 	}
-	// Column shards: each worker owns dst[lo:hi], and every column's
-	// accumulation still walks rows i ascending with the hv == 0 skip —
-	// the shard boundary slices the output, never the reduction.
-	shard(w.Cols, workers, func(lo, hi int) { matVecTRange(dst, w, h, lo, hi) })
+	shard((b.Cols+7)/8, workers, func(lo, hi int) { matMulRange(dst, a, b, 8*lo, min(8*hi, b.Cols)) })
 }
 
 func (p *parallelBackend) OutputHead(dsts [][]float32, emb *Matrix, hs [][]float32) {

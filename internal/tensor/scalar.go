@@ -12,16 +12,12 @@ func (*scalarBackend) Workers() int { return 1 }
 
 func (*scalarBackend) MatMul(dst, a, b *Matrix) {
 	checkMatMul(dst, a, b)
-	matMulRange(dst, a, b, 0, a.Rows)
-}
-
-func (*scalarBackend) MatVec(dst []float32, m *Matrix, v []float32) {
-	MatVec(dst, m, v)
+	matMulRange(dst, a, b, 0, b.Cols)
 }
 
 func (*scalarBackend) MatVecT(dst []float32, w *Matrix, h []float32) {
 	checkMatVecT(dst, w, h)
-	matVecTRange(dst, w, h, 0, w.Cols)
+	matMulRange(rowOf(dst), rowOf(h), w, 0, w.Cols)
 }
 
 func (*scalarBackend) Dot(a, b []float32) float32 { return Dot(a, b) }

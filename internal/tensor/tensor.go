@@ -13,8 +13,8 @@
 // The hot-path kernels are additionally exposed through the Backend
 // interface, the unit of hardware specialization: "scalar" is the
 // single-threaded reference, "parallel" tiles the same arithmetic across
-// goroutines (matrix rows, output-head vocab ranges, attention
-// (query tile, KV head) units, MatVecT output columns). Backends are
+// goroutines (matrix product columns, output-head vocab ranges,
+// attention (query tile, KV head) units). Backends are
 // bit-identical by contract — parallelism only ever crosses independent
 // output elements, never a reduction — so golden-logits tests and
 // cross-machine cache reuse hold under any backend. Select maps names to
@@ -82,45 +82,54 @@ func checkMatMul(dst, a, b *Matrix) {
 	}
 }
 
-// matMulRange computes rows [lo, hi) of dst = a×b with a k-blocked inner
-// loop (i-k-j order) that keeps b's rows streaming through cache.
+// matMulRange computes columns [lo, hi) of dst = a×b for every row of a:
+// dst[i][j] = Σ_p a[i][p]·b[p][j], one sum per element, ascending in p
+// from +0. It is the one weight-application body: MatMul and MatVecT (a
+// one-row a) both run it, so a model layer runs it at any row count and
+// a row's sums never depend on the rows beside it.
+//
+// Eight columns go at a time, each summed in its own register across all
+// of p, so no output is loaded or stored inside a reduction (the
+// row-at-a-time axpy loop this replaced did both for every term). On
+// the model's shapes this runs at the scalar multiply-add rate whatever
+// the row count; tiling rows as well, to read each weight once per
+// several rows, measured no faster, because the weights stay in cache.
+// Terms with a[i][p] == 0 are added, not skipped: for finite b such a
+// term is ±0, and adding ±0 to a round-to-nearest sum that began at +0
+// never changes its bits.
 func matMulRange(dst, a, b *Matrix, lo, hi int) {
-	k, m := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
-		out := dst.Data[i*m : (i+1)*m]
-		for j := range out {
-			out[j] = 0
-		}
-		arow := a.Data[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
+	m, bd := b.Cols, b.Data
+	for i := 0; i < a.Rows; i++ {
+		x, d := a.Row(i), dst.Row(i)
+		j := lo
+		for ; j+8 <= hi; j += 8 {
+			var s0, s1, s2, s3, s4, s5, s6, s7 float32
+			off := j
+			for _, xv := range x {
+				w := bd[off : off+8 : off+8]
+				s0 += xv * w[0]
+				s1 += xv * w[1]
+				s2 += xv * w[2]
+				s3 += xv * w[3]
+				s4 += xv * w[4]
+				s5 += xv * w[5]
+				s6 += xv * w[6]
+				s7 += xv * w[7]
+				off += m
 			}
-			brow := b.Data[p*m : (p+1)*m]
-			for j, bv := range brow {
-				out[j] += av * bv
+			d[j], d[j+1], d[j+2], d[j+3] = s0, s1, s2, s3
+			d[j+4], d[j+5], d[j+6], d[j+7] = s4, s5, s6, s7
+		}
+		for ; j < hi; j++ {
+			var s float32
+			off := j
+			for _, xv := range x {
+				s += xv * bd[off]
+				off += m
 			}
+			d[j] = s
 		}
 	}
-}
-
-// MatVec computes dst = m × v for a (rows×cols) matrix and len-cols vector.
-func MatVec(dst []float32, m *Matrix, v []float32) {
-	if len(v) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("tensor: MatVec shapes m=%dx%d v=%d dst=%d", m.Rows, m.Cols, len(v), len(dst)))
-	}
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = Dot(m.Row(i), v)
-	}
-}
-
-// MatVecT computes dst = Wᵀ·h for W stored as (in × out):
-// dst[j] = Σ_i W[i][j] · h[i]. Walking W row-major keeps the weight
-// matrix streaming through cache while h stays resident.
-func MatVecT(dst []float32, w *Matrix, h []float32) {
-	checkMatVecT(dst, w, h)
-	matVecTRange(dst, w, h, 0, w.Cols)
 }
 
 func checkMatVecT(dst []float32, w *Matrix, h []float32) {
@@ -129,24 +138,8 @@ func checkMatVecT(dst []float32, w *Matrix, h []float32) {
 	}
 }
 
-// matVecTRange computes dst[j] = Σ_i W[i][j]·h[i] for columns
-// j in [lo, hi). Each column accumulates over i ascending with the
-// h[i] == 0 skip, so any column partition yields identical bits.
-func matVecTRange(dst []float32, w *Matrix, h []float32, lo, hi int) {
-	out := dst[lo:hi]
-	for j := range out {
-		out[j] = 0
-	}
-	for i, hv := range h {
-		if hv == 0 {
-			continue
-		}
-		row := w.Row(i)[lo:hi]
-		for j, wv := range row {
-			out[j] += hv * wv
-		}
-	}
-}
+// rowOf views v as a one-row matrix, so MatVecT runs the MatMul body.
+func rowOf(v []float32) *Matrix { return &Matrix{Rows: 1, Cols: len(v), Data: v} }
 
 // Dot returns the inner product of a and b.
 func Dot(a, b []float32) float32 {

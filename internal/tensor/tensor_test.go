@@ -101,19 +101,24 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 	}
 }
 
+// TestMatVecMatchesMatMul: MatVecT is MatMul with a one-row left
+// operand, and a row of a many-row MatMul does not depend on its
+// neighbours — the property that lets one layer body serve a decode
+// step (one row) and a prefill (many) with the same bits.
 func TestMatVecMatchesMatMul(t *testing.T) {
 	r := rng.New(8)
-	m := NewMatrix(13, 7)
-	r.FillNormal(m.Data, 1)
-	v := make([]float32, 7)
-	r.FillNormal(v, 1)
-	got := make([]float32, 13)
-	MatVec(got, m, v)
-	vm := FromSlice(7, 1, v)
-	want := NewMatrix(13, 1)
-	Scalar().MatMul(want, m, vm)
-	if MaxAbsDiff(got, want.Data) > 1e-5 {
-		t.Fatal("MatVec != MatMul with column vector")
+	w := NewMatrix(13, 7)
+	r.FillNormal(w.Data, 1)
+	a := NewMatrix(6, 13)
+	fillSigned(r, a.Data)
+	block := NewMatrix(6, 7)
+	Scalar().MatMul(block, a, w)
+	for i := 0; i < a.Rows; i++ {
+		got := make([]float32, 7)
+		Scalar().MatVecT(got, w, a.Row(i))
+		if j, ok := bitsEqual(got, block.Row(i)); !ok {
+			t.Fatalf("row %d: MatVecT differs from the block MatMul at column %d", i, j)
+		}
 	}
 }
 

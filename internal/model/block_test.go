@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/kvcache"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 // sameBits reports whether a and b are equal bit for bit.
@@ -129,6 +130,28 @@ func TestChunkedGenerationEndToEnd(t *testing.T) {
 			if out[i] != seqGen[i] {
 				t.Fatalf("%s: generations diverge at %d", cfg.Name, i)
 			}
+		}
+	}
+}
+
+// TestPrefillAllocatesOnlyLogits pins the block promise for prefill, the
+// same block body a decode step runs at k = n: once warm, a Prefill
+// allocates only the logits it returns. (Scalar backend: the parallel one
+// spawns goroutines per call.)
+func TestPrefillAllocatesOnlyLogits(t *testing.T) {
+	m := MustNew(LlamaStyle(testVocab, 5))
+	m.SetBackend(tensor.Scalar())
+	for _, n := range []int{1, 16} {
+		toks, pos := randTokens(rng.New(31), n), seqPositions(n, 0)
+		kv := m.NewCache(n)
+		prefill := func() {
+			kv.Truncate(0)
+			if _, err := m.Prefill(toks, pos, kv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(5, prefill); got != 1 {
+			t.Errorf("n=%d: Prefill allocates %v per call, want 1 (the logits it returns)", n, got)
 		}
 	}
 }

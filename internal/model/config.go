@@ -186,9 +186,12 @@ type layer struct {
 type Model struct {
 	Cfg Config
 
-	// blockPool recycles forward-pass blocks across requests, so
-	// steady-state prefill/decode allocates no scratch.
-	blockPool sync.Pool
+	// idle holds up to maxIdleBlocks forward-pass blocks between uses, so
+	// steady-state prefill/decode allocates no scratch. It is a plain
+	// stack, not a sync.Pool: which block a pass draws, and so what it
+	// allocates, must not depend on the P it runs on or on collections.
+	idleMu sync.Mutex
+	idle   []*block
 
 	// PrefillProbe, when non-nil, is called with +1 as a prefill enters
 	// the forward pass and -1 as it leaves (including error returns).

@@ -247,3 +247,61 @@ func TestDecodeStepBatchMultiMalformedLeavesLanesUntouched(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeStepAllocFree pins the DecodeLane promise: once warm, a fused
+// step allocates nothing, at k = 1 through either entry point and at
+// k = 4. (Scalar backend: the parallel one spawns goroutines per step.)
+func TestDecodeStepAllocFree(t *testing.T) {
+	m := MustNew(LlamaStyle(testVocab, 5))
+	m.SetBackend(tensor.Scalar())
+	const lanesN, runs = 2, 5
+	for _, k := range []int{1, 4} {
+		lanes := make([]*DecodeLane, lanesN)
+		kvs := make([]kvcache.KV, lanesN)
+		toks, poss := make([][]int, lanesN), make([][]int, lanesN)
+		flatToks, flatPos := make([]int, lanesN), make([]int, lanesN)
+		for i := range lanes {
+			lanes[i] = m.NewDecodeLane()
+			defer lanes[i].Close()
+			// Capacity for the prefix plus every measured step, so cache
+			// growth stays out of the measurement.
+			kv := m.NewCache(4 + 2*(runs+2)*k)
+			if _, err := m.Prefill(randTokens(rng.New(uint64(11+i)), 4), seqPositions(4, 0), kv); err != nil {
+				t.Fatal(err)
+			}
+			kvs[i] = kv
+			toks[i], poss[i] = randTokens(rng.New(uint64(21+i)), k), make([]int, k)
+		}
+		next := 4
+		multi := func() {
+			for i := range poss {
+				for j := range poss[i] {
+					poss[i][j] = next + j
+				}
+			}
+			next += k
+			if err := m.DecodeStepBatchMulti(lanes, toks, poss, kvs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		multi() // warm lane blocks, score buffers and head headers
+		if n := testing.AllocsPerRun(runs, multi); n != 0 {
+			t.Errorf("k=%d: DecodeStepBatchMulti allocates %v per step, want 0", k, n)
+		}
+		if k != 1 {
+			continue
+		}
+		single := func() {
+			for i := range flatPos {
+				flatToks[i], flatPos[i] = toks[i][0], next
+			}
+			next++
+			if err := m.DecodeStepBatch(lanes, flatToks, flatPos, kvs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(runs, single); n != 0 {
+			t.Errorf("DecodeStepBatch allocates %v per step, want 0", n)
+		}
+	}
+}

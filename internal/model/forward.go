@@ -86,14 +86,26 @@ func setRows(mt *tensor.Matrix, rows int) {
 	mt.Rows, mt.Data = rows, mt.Data[:n]
 }
 
-// getBlock takes a block from the model's pool (grown buffers carry
-// over), falling back to a fresh one. Steady-state serving allocates no
-// per-request scratch at all.
+// maxIdleBlocks bounds the blocks a model keeps between passes: enough
+// for a full decode batch's lanes plus concurrent prefills. Blocks
+// returned beyond it are left to the collector.
+const maxIdleBlocks = 16
+
+// getBlock takes the most recently returned idle block (grown buffers
+// carry over), falling back to a fresh one. Steady-state serving
+// allocates no per-request scratch at all.
 func (m *Model) getBlock() *block {
-	if v := m.blockPool.Get(); v != nil {
-		return v.(*block)
+	m.idleMu.Lock()
+	n := len(m.idle)
+	if n == 0 {
+		m.idleMu.Unlock()
+		return m.newBlock()
 	}
-	return m.newBlock()
+	b := m.idle[n-1]
+	m.idle[n-1] = nil
+	m.idle = m.idle[:n-1]
+	m.idleMu.Unlock()
+	return b
 }
 
 func (m *Model) putBlock(b *block) {
@@ -108,7 +120,11 @@ func (m *Model) putBlock(b *block) {
 	b.att = tensor.AttendArgs{}
 	clear(b.dsts[:cap(b.dsts)])
 	clear(b.hs[:cap(b.hs)])
-	m.blockPool.Put(b)
+	m.idleMu.Lock()
+	if len(m.idle) < maxIdleBlocks {
+		m.idle = append(m.idle, b)
+	}
+	m.idleMu.Unlock()
 }
 
 // Prefill runs the forward pass over tokens with the given explicit

@@ -56,15 +56,6 @@ func TestCachedServeAllocationIndependentOfPrefix(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 
-	// Pooled scratch (the attention score rows) grows once to the longest
-	// cached prefix it has served; warm it at both lengths so the counted
-	// serves measure the steady state, not that one-time growth. sync.Pool
-	// keeps one block per P, so one P keeps the warmed block the one the
-	// counted serves draw.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	serve(256, false)
-	serve(1024, false)
-
 	// AllocsPerRun makes one warm-up call before the counted ones, so the
 	// bytes are those of runs+1 serves.
 	const runs = 5

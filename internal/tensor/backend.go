@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -83,13 +84,17 @@ type Span struct {
 //
 // The independent unit of work is (query tile, KV head): up to T = 8
 // consecutive query rows × the Group query heads sharing one KV head.
-// A unit reads each of its K and V rows once for all of its
-// (token, head) pairs. Backends may compute units in any order or
-// concurrently. Within a pair the order is fixed: each score is one
-// ascending sum over the head dimension, the softmax covers the pair's
-// own causal rows, and the weighted-V combine adds rows in span order,
+// Every (token, head) pair of a unit reads the same K and V rows, so the
+// unit is where those loads are shared. Backends may compute units in
+// any order or concurrently. Within a pair the arithmetic is fixed, stage by stage:
+// each score is one ascending sum over the head dimension times InvSqrt,
+// minus the ALiBi bias; the softmax takes the max of the pair's own
+// causal scores, e = exp(s−max) with the float32 sum of the e ascending,
+// and w = e·(1/sum); the weighted-V combine adds w·V rows in span order,
 // ascending, skipping w == 0. Softmax and V accumulation are never split
-// across keys.
+// across keys. A body may fuse the stages — track the max while scoring,
+// form each w as the combine loads it — as long as every such value is
+// the same float32 the staged order computes.
 type AttendArgs struct {
 	Q, Out *Matrix // n × (NHeads·HeadDim); Out rows are overwritten
 	Spans  []Span
@@ -118,8 +123,7 @@ type AttendArgs struct {
 
 // attendTile is T, the query rows of one attention unit. A unit is
 // (query tile, KV head): its pairs are the tile's rows × the Group query
-// heads sharing that KV head, and it reads each of the head's K and V
-// rows once for all of them.
+// heads sharing that KV head, all reading that head's K and V rows.
 const attendTile = 8
 
 // attendPassPairs caps the pairs one pass over a unit's keys carries, so
@@ -146,18 +150,30 @@ func attendUnitCount(a *AttendArgs) int {
 // attendPass is one pass over a unit's keys for up to attendPassPairs
 // pairs, ordered row-major (query row, then head within the group). Pair
 // p's causal row count rows[p] is therefore nondecreasing in p, so the
-// pairs that cover key r are always a suffix of the pass.
+// pairs that cover key r are always a suffix of the pass, and every pair
+// covers keys [0, rows[0]).
 type attendPass struct {
-	q, s, o [attendPassPairs][]float32 // query head, score row, output head
-	rows    [attendPassPairs]int
-	n       int
+	q, s, o  [attendPassPairs][]float32 // query head, score row, output head
+	rows     [attendPassPairs]int
+	max, inv [attendPassPairs]float32 // score max, then 1/Σe
+	n        int
 }
 
 // attendUnit computes query rows [i0, i1) × the query heads of KV head g.
 // Each pair's score row takes Past+i1 floats of scratch; when scores
 // holds fewer than every pair's row, the pairs run in several passes.
+//
+// A pass walks each pair's scores three times where the staged order
+// walks them five: score stores the scaled scores and keeps their max
+// (the ALiBi walk, when on, biases them and takes the max instead);
+// expSum turns them into e = exp(s−max) and sums them; combine forms
+// each weight w = e·inv as it loads it, the product the staged
+// normalize pass would have stored. The max is the staged scan's: kept
+// with the same `s > max` test in the same ascending order, but seeded
+// from -Inf rather than s[0]. The two differ only when s[0] is NaN, and
+// then the pass takes s[0] as the max, as the scan would.
 func attendUnit(a *AttendArgs, scores []float32, i0, i1, g int) {
-	hd, stride := a.HeadDim, a.Past+i1
+	hd, stride, base := a.HeadDim, a.Past+i1, g*a.HeadDim
 	perPass := min(len(scores)/stride, attendPassPairs)
 	if perPass < 1 {
 		panic(fmt.Sprintf("tensor: AttendRowBlock scratch %d < %d rows", len(scores), stride))
@@ -174,88 +190,179 @@ func attendUnit(a *AttendArgs, scores []float32, i0, i1, g int) {
 			ps.s[p] = scores[p*stride : p*stride+rows]
 			ps.rows[p] = rows
 		}
-		ps.score(a, g*hd)
+		ps.score(a, base)
 		for p := 0; p < ps.n; p++ {
+			s := ps.s[p]
 			if a.AlibiSlopes != nil {
 				i, h := i0+(p0+p)/a.Group, g*a.Group+(p0+p)%a.Group
-				alibi(a, ps.s[p], a.Positions[i], a.AlibiSlopes[h])
+				ps.max[p] = alibi(a, s, a.Positions[i], a.AlibiSlopes[h])
 			}
-			Softmax(ps.s[p])
+			if m := s[0]; m != m {
+				ps.max[p] = m
+			}
+			ps.inv[p] = 1 / expSum(s, ps.max[p])
 		}
-		ps.combine(a, g*hd)
+		ps.combine(a, base)
 	}
 }
 
 // score writes s[p][r] = (q[p]·K[r])·InvSqrt for every pair and causal
-// key. Each score is one ascending sum over the head dimension, whichever
-// of Dot4/Dot2/Dot computes it; IEEE multiplication commutes, so
-// Dot4(k, q0, …) equals Dot(qᵢ, k) bit for bit. With four or more pairs
-// each K row is loaded once and scored against every pair that covers
-// it; with fewer (a decode step), each pair scores four keys per call.
+// key, and max[p], their max. Each score is one ascending sum over the
+// head dimension, whichever kernel computes it. The keys every pair
+// covers, [0, rows[0]), go two pairs at a time through scoreRow2 (an odd
+// last pair through scoreRow); for a decode step that is every key. The
+// causal tail [rows[0], rows[n-1]) — under T keys — goes key by key over
+// the pairs that cover it.
 func (ps *attendPass) score(a *AttendArgs, base int) {
 	hd, width, inv := a.HeadDim, a.Width, a.InvSqrt
-	if ps.n < 4 {
-		for p := 0; p < ps.n; p++ {
-			q, s := ps.q[p], ps.s[p]
-			off := 0
-			for _, sp := range a.Spans {
-				if off >= len(s) {
-					break
-				}
-				lim := min(len(sp.Pos), len(s)-off)
-				k := sp.K
-				j := 0
-				for ; j+4 <= lim; j += 4 {
-					r := j*width + base
-					d0, d1, d2, d3 := Dot4(q, k[r:r+hd], k[r+width:r+width+hd],
-						k[r+2*width:r+2*width+hd], k[r+3*width:r+3*width+hd])
-					s[off+j], s[off+j+1], s[off+j+2], s[off+j+3] = d0*inv, d1*inv, d2*inv, d3*inv
-				}
-				for ; j < lim; j++ {
-					r := j*width + base
-					s[off+j] = Dot(q, k[r:r+hd]) * inv
-				}
-				off += lim
-			}
-		}
-		return
+	n, first, last := ps.n, ps.rows[0], ps.rows[ps.n-1]
+	p := 0
+	for ; p+2 <= n; p += 2 {
+		ps.max[p], ps.max[p+1] = scoreRow2(a, base, ps.q[p], ps.q[p+1], ps.s[p][:first], ps.s[p+1][:first])
 	}
-	n, last := ps.n, ps.rows[ps.n-1]
+	if p < n {
+		ps.max[p] = scoreRow(a, base, ps.q[p], ps.s[p][:first])
+	}
 	lo, off := 0, 0
 	for _, sp := range a.Spans {
 		if off >= last {
 			break
 		}
 		lim := min(len(sp.Pos), last-off)
-		for j := 0; j < lim; j++ {
+		for j := max(first-off, 0); j < lim; j++ {
 			r := off + j
 			for ps.rows[lo] <= r {
 				lo++
 			}
 			k := sp.K[j*width+base : j*width+base+hd]
-			p := lo
-			for ; p+4 <= n; p += 4 {
-				d0, d1, d2, d3 := Dot4(k, ps.q[p], ps.q[p+1], ps.q[p+2], ps.q[p+3])
-				ps.s[p][r], ps.s[p+1][r], ps.s[p+2][r], ps.s[p+3][r] = d0*inv, d1*inv, d2*inv, d3*inv
-			}
-			if p+2 <= n {
-				d0, d1 := Dot2(k, ps.q[p], ps.q[p+1])
-				ps.s[p][r], ps.s[p+1][r] = d0*inv, d1*inv
-				p += 2
-			}
-			if p < n {
-				ps.s[p][r] = Dot(k, ps.q[p]) * inv
+			for p := lo; p < n; p++ {
+				v := Dot(ps.q[p], k) * inv
+				ps.s[p][r] = v
+				if v > ps.max[p] {
+					ps.max[p] = v
+				}
 			}
 		}
 		off += lim
 	}
 }
 
-// alibi subtracts the ALiBi bias from one pair's scaled scores. The bias
-// comes from explicit position IDs (§4.2): the classic -slope·distance,
-// where distance uses the recorded positions, not array indices, so
-// module gaps behave like the paper's "white space".
-func alibi(a *AttendArgs, s []float32, qPos int, slope float32) {
+// scoreRow writes one pair's scaled scores for keys [0, len(s)), four
+// keys per Dot4 call, and returns their max.
+func scoreRow(a *AttendArgs, base int, q, s []float32) float32 {
+	hd, width, inv := a.HeadDim, a.Width, a.InvSqrt
+	m := float32(math.Inf(-1))
+	off := 0
+	for _, sp := range a.Spans {
+		if off >= len(s) {
+			break
+		}
+		lim := min(len(sp.Pos), len(s)-off)
+		k, t := sp.K, s[off:off+lim]
+		j := 0
+		for ; j+4 <= lim; j += 4 {
+			r := j*width + base
+			d0, d1, d2, d3 := Dot4(q, k[r:r+hd], k[r+width:r+width+hd],
+				k[r+2*width:r+2*width+hd], k[r+3*width:r+3*width+hd])
+			t[j], t[j+1], t[j+2], t[j+3] = d0*inv, d1*inv, d2*inv, d3*inv
+			m = max4(m, t[j], t[j+1], t[j+2], t[j+3])
+		}
+		for ; j < lim; j++ {
+			r := j*width + base
+			t[j] = Dot(q, k[r:r+hd]) * inv
+			if t[j] > m {
+				m = t[j]
+			}
+		}
+		off += lim
+	}
+	return m
+}
+
+// scoreRow2 is scoreRow for two pairs: dot2x4 scores both query heads
+// against four keys in one walk over the head dimension.
+func scoreRow2(a *AttendArgs, base int, q0, q1, s0, s1 []float32) (m0, m1 float32) {
+	hd, width, inv := a.HeadDim, a.Width, a.InvSqrt
+	m0, m1 = float32(math.Inf(-1)), float32(math.Inf(-1))
+	off := 0
+	for _, sp := range a.Spans {
+		if off >= len(s0) {
+			break
+		}
+		lim := min(len(sp.Pos), len(s0)-off)
+		k, t0, t1 := sp.K, s0[off:off+lim], s1[off:off+lim]
+		j := 0
+		for ; j+4 <= lim; j += 4 {
+			a0, a1, a2, a3, b0, b1, b2, b3 := dot2x4(q0, q1, k[j*width+base:], width)
+			t0[j], t0[j+1], t0[j+2], t0[j+3] = a0*inv, a1*inv, a2*inv, a3*inv
+			t1[j], t1[j+1], t1[j+2], t1[j+3] = b0*inv, b1*inv, b2*inv, b3*inv
+			m0 = max4(m0, t0[j], t0[j+1], t0[j+2], t0[j+3])
+			m1 = max4(m1, t1[j], t1[j+1], t1[j+2], t1[j+3])
+		}
+		for ; j < lim; j++ {
+			r := j*width + base
+			d0, d1 := Dot2(k[r:r+hd], q0, q1)
+			t0[j], t1[j] = d0*inv, d1*inv
+			if t0[j] > m0 {
+				m0 = t0[j]
+			}
+			if t1[j] > m1 {
+				m1 = t1[j]
+			}
+		}
+		off += lim
+	}
+	return m0, m1
+}
+
+// dot2x4 is the 2 × 4 register tile: the dot products of the query heads
+// q0 and q1 with the four K heads k[i·width:][:len(q0)], in one walk over
+// the head dimension that loads each K element once for both. Each of the
+// eight sums is its own ascending accumulation.
+func dot2x4(q0, q1, k []float32, width int) (a0, a1, a2, a3, b0, b1, b2, b3 float32) {
+	hd := len(q0)
+	q1 = q1[:hd]
+	k0, k1, k2, k3 := k[:hd], k[width:][:hd], k[2*width:][:hd], k[3*width:][:hd]
+	for d, x := range q0 {
+		y := q1[d]
+		a0 += x * k0[d]
+		a1 += x * k1[d]
+		a2 += x * k2[d]
+		a3 += x * k3[d]
+		b0 += y * k0[d]
+		b1 += y * k1[d]
+		b2 += y * k2[d]
+		b3 += y * k3[d]
+	}
+	return
+}
+
+// max4 folds v0…v3, in order, into the running max m with the staged
+// scan's `v > m` test (so NaN is skipped and -0 does not displace +0;
+// the builtin max does neither).
+func max4(m, v0, v1, v2, v3 float32) float32 {
+	if v0 > m {
+		m = v0
+	}
+	if v1 > m {
+		m = v1
+	}
+	if v2 > m {
+		m = v2
+	}
+	if v3 > m {
+		m = v3
+	}
+	return m
+}
+
+// alibi subtracts the ALiBi bias from one pair's scaled scores and
+// returns their max. The bias comes from explicit position IDs (§4.2):
+// the classic -slope·distance, where distance uses the recorded
+// positions, not array indices, so module gaps behave like the paper's
+// "white space".
+func alibi(a *AttendArgs, s []float32, qPos int, slope float32) float32 {
+	m := float32(math.Inf(-1))
 	off := 0
 	for _, sp := range a.Spans {
 		if off >= len(s) {
@@ -268,67 +375,153 @@ func alibi(a *AttendArgs, s []float32, qPos int, slope float32) {
 				dist = 0
 			}
 			s[off+j] -= slope * float32(dist)
+			if s[off+j] > m {
+				m = s[off+j]
+			}
 		}
 		off += lim
 	}
+	return m
 }
 
-// combine writes o[p] = Σ_r s[p][r]·V[r] for every pair, each output
-// accumulating over keys in ascending order and skipping w == 0 (adding
-// 0·v could turn -0 into +0 or an Inf into NaN). Each V row is loaded
-// once for every pair that covers it. Where four consecutive keys are
-// covered by every pair, an output element takes the four adds in one
-// visit — the same adds in the same order.
+// combine writes o[p] = Σ_r (s[p][r]·inv[p])·V[r] for every pair: each
+// weight is formed as it is loaded, each output accumulates over keys in
+// ascending order and skips w == 0 (adding 0·v could turn -0 into +0 or
+// an Inf into NaN). Like score, it goes two pairs at a time over the
+// keys every pair covers, through combineRow2 (an odd last pair through
+// combineRow), then key by key over the causal tail.
 func (ps *attendPass) combine(a *AttendArgs, base int) {
 	hd, width := a.HeadDim, a.Width
-	for p := 0; p < ps.n; p++ {
-		clear(ps.o[p])
-	}
 	n, first, last := ps.n, ps.rows[0], ps.rows[ps.n-1]
+	p := 0
+	for ; p+2 <= n; p += 2 {
+		combineRow2(a, base, ps.o[p], ps.o[p+1], ps.s[p][:first], ps.s[p+1][:first], ps.inv[p], ps.inv[p+1])
+	}
+	if p < n {
+		combineRow(a, base, ps.o[p], ps.s[p][:first], ps.inv[p])
+	}
 	lo, off := 0, 0
 	for _, sp := range a.Spans {
 		if off >= last {
 			break
 		}
 		lim := min(len(sp.Pos), last-off)
-		v := sp.V
-		j := 0
-		for bulk := min(lim, first-off); j+4 <= bulk; j += 4 {
-			r := j*width + base
-			v0, v1 := v[r:r+hd], v[r+width:r+width+hd]
-			v2, v3 := v[r+2*width:r+2*width+hd], v[r+3*width:r+3*width+hd]
-			for p := 0; p < n; p++ {
-				w := ps.s[p][off+j : off+j+4]
-				w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
-				o := ps.o[p]
-				if w0 == 0 || w1 == 0 || w2 == 0 || w3 == 0 {
-					axpy(o, w0, v0)
-					axpy(o, w1, v1)
-					axpy(o, w2, v2)
-					axpy(o, w3, v3)
-					continue
-				}
-				v0, v1, v2, v3 := v0[:len(o)], v1[:len(o)], v2[:len(o)], v3[:len(o)]
-				for t, x := range o {
-					x += w0 * v0[t]
-					x += w1 * v1[t]
-					x += w2 * v2[t]
-					x += w3 * v3[t]
-					o[t] = x
-				}
-			}
-		}
-		for ; j < lim; j++ {
+		for j := max(first-off, 0); j < lim; j++ {
 			r := off + j
 			for ps.rows[lo] <= r {
 				lo++
 			}
-			vr := v[j*width+base : j*width+base+hd]
+			vr := sp.V[j*width+base : j*width+base+hd]
 			for p := lo; p < n; p++ {
-				axpy(ps.o[p], ps.s[p][r], vr)
+				axpy(ps.o[p], ps.s[p][r]*ps.inv[p], vr)
 			}
 		}
 		off += lim
+	}
+}
+
+// combineRow overwrites o with Σ_r (s[r]·inv)·V[r] over keys [0, len(s))
+// for one pair. Four keys at a time, an output element takes the four
+// adds in one visit — the same adds in the same order; if one of the
+// four weights is 0, the keys go through axpy instead, which skips it.
+func combineRow(a *AttendArgs, base int, o, s []float32, inv float32) {
+	hd, width := a.HeadDim, a.Width
+	clear(o)
+	off := 0
+	for _, sp := range a.Spans {
+		if off >= len(s) {
+			break
+		}
+		lim := min(len(sp.Pos), len(s)-off)
+		v, t := sp.V, s[off:off+lim]
+		j := 0
+		for ; j+4 <= lim; j += 4 {
+			r := j*width + base
+			v0, v1 := v[r:][:len(o)], v[r+width:][:len(o)]
+			v2, v3 := v[r+2*width:][:len(o)], v[r+3*width:][:len(o)]
+			w0, w1, w2, w3 := t[j]*inv, t[j+1]*inv, t[j+2]*inv, t[j+3]*inv
+			if w0 == 0 || w1 == 0 || w2 == 0 || w3 == 0 {
+				axpy(o, w0, v0)
+				axpy(o, w1, v1)
+				axpy(o, w2, v2)
+				axpy(o, w3, v3)
+				continue
+			}
+			for d, x := range o {
+				x += w0 * v0[d]
+				x += w1 * v1[d]
+				x += w2 * v2[d]
+				x += w3 * v3[d]
+				o[d] = x
+			}
+		}
+		for ; j < lim; j++ {
+			axpy(o, t[j]*inv, v[j*width+base:j*width+base+hd])
+		}
+		off += lim
+	}
+}
+
+// combineRow2 is combineRow for two pairs: axpy2x4 adds four keys' V
+// rows into both outputs in one walk. If any of the eight weights is 0,
+// the four keys go through axpy instead, which skips it.
+func combineRow2(a *AttendArgs, base int, o0, o1, s0, s1 []float32, inv0, inv1 float32) {
+	hd, width := a.HeadDim, a.Width
+	clear(o0)
+	clear(o1)
+	off := 0
+	for _, sp := range a.Spans {
+		if off >= len(s0) {
+			break
+		}
+		lim := min(len(sp.Pos), len(s0)-off)
+		v, t0, t1 := sp.V, s0[off:off+lim], s1[off:off+lim]
+		j := 0
+		for ; j+4 <= lim; j += 4 {
+			r := j*width + base
+			w0, w1, w2, w3 := t0[j]*inv0, t0[j+1]*inv0, t0[j+2]*inv0, t0[j+3]*inv0
+			u0, u1, u2, u3 := t1[j]*inv1, t1[j+1]*inv1, t1[j+2]*inv1, t1[j+3]*inv1
+			if w0 == 0 || w1 == 0 || w2 == 0 || w3 == 0 || u0 == 0 || u1 == 0 || u2 == 0 || u3 == 0 {
+				for i, w := range [4]float32{w0, w1, w2, w3} {
+					axpy(o0, w, v[r+i*width:r+i*width+hd])
+				}
+				for i, u := range [4]float32{u0, u1, u2, u3} {
+					axpy(o1, u, v[r+i*width:r+i*width+hd])
+				}
+				continue
+			}
+			axpy2x4(o0, o1, v[r:], width, w0, w1, w2, w3, u0, u1, u2, u3)
+		}
+		for ; j < lim; j++ {
+			vr := v[j*width+base : j*width+base+hd]
+			axpy(o0, t0[j]*inv0, vr)
+			axpy(o1, t1[j]*inv1, vr)
+		}
+		off += lim
+	}
+}
+
+// axpy2x4 is the combine's 2 × 4 register tile: it adds w·V and u·V for
+// the four V heads v[i·width:][:len(o0)] into the outputs o0 and o1,
+// loading each V element once for both. Each output element takes its
+// four adds in ascending key order, as four axpy calls would.
+func axpy2x4(o0, o1, v []float32, width int, w0, w1, w2, w3, u0, u1, u2, u3 float32) {
+	hd := len(o0)
+	o1 = o1[:hd]
+	v0, v1, v2, v3 := v[:hd], v[width:][:hd], v[2*width:][:hd], v[3*width:][:hd]
+	for d, x := range o0 {
+		e0, e1, e2, e3 := v0[d], v1[d], v2[d], v3[d]
+		x += w0 * e0
+		x += w1 * e1
+		x += w2 * e2
+		x += w3 * e3
+		o0[d] = x
+		y := o1[d]
+		y += u0 * e0
+		y += u1 * e1
+		y += u2 * e2
+		y += u3 * e3
+		o1[d] = y
 	}
 }
 

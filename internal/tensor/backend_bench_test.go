@@ -91,3 +91,15 @@ func BenchmarkAttendRowBlock(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSoftmax runs Softmax over one 2,000-key score row, the length
+// of a doc_qa pair's row.
+func BenchmarkSoftmax(b *testing.B) {
+	src := make([]float32, 2000)
+	rng.NewString("bench/softmax").FillNormal(src, 2)
+	x := make([]float32, len(src))
+	for i := 0; i < b.N; i++ {
+		copy(x, src)
+		Softmax(x)
+	}
+}

@@ -146,9 +146,10 @@ func TestBackendsBitIdenticalOutputHead(t *testing.T) {
 }
 
 // attendPairsRef is the test oracle for AttendRowBlock: one (token, head)
-// pair at a time, one Dot per key, the reference order every backend
-// must reproduce bit for bit. It was the engine's attention body before
-// the tile body replaced it.
+// pair at a time, one Dot per key, a staged softmaxRef between the score
+// and combine walks — the reference order every backend must reproduce
+// bit for bit. It was the engine's attention body before the tile body
+// replaced it.
 func attendPairsRef(a *AttendArgs) {
 	hd, width := a.HeadDim, a.Width
 	scores := make([]float32, a.Past+a.Q.Rows)
@@ -179,7 +180,7 @@ func attendPairsRef(a *AttendArgs) {
 				}
 				off += lim
 			}
-			Softmax(s)
+			softmaxRef(s)
 			oh := a.Out.Row(i)[h*hd : (h+1)*hd]
 			clear(oh)
 			off = 0
@@ -321,9 +322,40 @@ func TestBackendsBitIdenticalAttend(t *testing.T) {
 			cases = append(cases, attendShape{n: n, past: 9, nHeads: 12, group: group, headDim: 4, alibi: group == 3})
 		}
 	}
+	// Decode steps: one query row, whose Group pairs go two at a time
+	// through the 2 × 4 tiles (an odd Group leaves one pair to the
+	// single-pair path). Spans of 5, 13, 13 and 7 rows run the per-key
+	// tails, and qScale 64 puts weights of 0 inside a tile.
+	for _, group := range []int{1, 2, 3, 4} {
+		for _, alibi := range []bool{false, true} {
+			for _, qScale := range []float32{0, 64} {
+				cases = append(cases, attendShape{n: 1, past: 37, nHeads: 2 * group, group: group, headDim: 5,
+					alibi: alibi, qScale: qScale, splits: []int{5, 18, 31}})
+			}
+		}
+	}
 	backends := append([]Backend{Scalar()}, challengers()...)
 	for _, c := range cases {
 		checkAttend(t, buildAttend(r, c), backends, fmt.Sprintf("%+v", c))
+	}
+	// Non-finite keys: a NaN score on the first key seeds the softmax max
+	// with NaN; an infinite score puts Inf − Inf into exp(s−max).
+	for _, bad := range []struct {
+		row int
+		v   float32
+	}{{0, float32(math.NaN())}, {0, float32(math.Inf(-1))}, {21, float32(math.Inf(1))}} {
+		for _, n := range []int{1, T + 2} {
+			a := buildAttend(r, attendShape{n: n, past: 30, nHeads: 4, group: 2, headDim: 4, splits: []int{9}})
+			row := bad.row
+			for _, sp := range a.Spans {
+				if row < len(sp.Pos) {
+					sp.K[row*a.Width] = bad.v
+					break
+				}
+				row -= len(sp.Pos)
+			}
+			checkAttend(t, a, backends, fmt.Sprintf("n=%d key %d = %v", n, bad.row, bad.v))
+		}
 	}
 }
 
@@ -396,6 +428,8 @@ func FuzzBackendKernels(f *testing.F) {
 	f.Add(uint64(2), 1, 1, 1, 1, 8, 0, 1, 1, 4, 3, 5, true)
 	f.Add(uint64(3), 65, 129, 3, 8, 9, 17, 2, 3, 6, 18, 20, false)
 	f.Add(uint64(4), 16, 512, 2, 3, 19, 50, 3, 4, 16, 52, 60, true)
+	// A decode step (n = 1) over 2 KV heads of Group 2, head dim 9.
+	f.Add(uint64(5), 9, 11, 1, 2, 0, 45, 1, 1, 8, 7, 22, false)
 	f.Fuzz(func(t *testing.T, seed uint64, in, out, lanes, workers int,
 		n, past, kvHeads, group, headDim, split0, split1 int, alibi bool) {
 		if in < 1 || in > 512 || out < 1 || out > 512 || lanes < 1 || lanes > 8 || workers < 1 || workers > 16 {

@@ -208,15 +208,9 @@ func Mul(dst, src []float32) {
 	}
 }
 
-// Scale multiplies every element of dst by s.
-func Scale(dst []float32, s float32) {
-	for i := range dst {
-		dst[i] *= s
-	}
-}
-
 // Softmax normalizes x in place into a probability distribution,
-// subtracting the max first for numerical stability.
+// subtracting the max first for numerical stability. The exponential is
+// exp32, which equals float32(math.Exp) bit for bit.
 func Softmax(x []float32) {
 	if len(x) == 0 {
 		return
@@ -227,13 +221,7 @@ func Softmax(x []float32) {
 			maxv = v
 		}
 	}
-	var sum float32
-	for i, v := range x {
-		e := float32(math.Exp(float64(v - maxv)))
-		x[i] = e
-		sum += e
-	}
-	inv := 1 / sum
+	inv := 1 / expSum(x, maxv)
 	for i := range x {
 		x[i] *= inv
 	}
@@ -281,7 +269,7 @@ func LayerNorm(dst, x, gamma, beta []float32, eps float32) {
 // SiLU applies x*sigmoid(x) elementwise in place (Llama FFN activation).
 func SiLU(x []float32) {
 	for i, v := range x {
-		x[i] = v / (1 + float32(math.Exp(float64(-v))))
+		x[i] = v / (1 + exp32(-v))
 	}
 }
 

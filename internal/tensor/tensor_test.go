@@ -280,7 +280,7 @@ func TestArgMax(t *testing.T) {
 	}
 }
 
-func TestAddMulScale(t *testing.T) {
+func TestAddMul(t *testing.T) {
 	a := []float32{1, 2, 3}
 	Add(a, []float32{10, 20, 30})
 	if a[2] != 33 {
@@ -289,10 +289,6 @@ func TestAddMulScale(t *testing.T) {
 	Mul(a, []float32{2, 2, 2})
 	if a[0] != 22 {
 		t.Fatalf("Mul = %v", a)
-	}
-	Scale(a, 0.5)
-	if a[0] != 11 {
-		t.Fatalf("Scale = %v", a)
 	}
 }
 
@@ -338,15 +334,5 @@ func TestCosineSimilarity(t *testing.T) {
 func TestMaxAbsDiff(t *testing.T) {
 	if got := MaxAbsDiff([]float32{1, 2}, []float32{1, 5}); got != 3 {
 		t.Fatalf("MaxAbsDiff = %v", got)
-	}
-}
-
-func BenchmarkSoftmax1K(b *testing.B) {
-	r := rng.New(2)
-	x := make([]float32, 1024)
-	r.FillNormal(x, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Softmax(x)
 	}
 }

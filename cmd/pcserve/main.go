@@ -46,10 +46,10 @@
 // bound each class's total latency (expiry is HTTP 504). The
 // "admission" block of GET /stats keeps the ledger.
 //
-// With -backend the tensor kernel backend is pinned ("scalar" or
-// "parallel"); the default "auto" picks per the host's core count (and
-// honors PC_BACKEND). Backends are bit-identical — outputs never depend
-// on the choice. Startup logs the selection with the detected CPU, and
+// With -backend the tensor kernel backend is pinned: "scalar" is one
+// worker, "parallel" and the default "auto" one worker per CPU. Outputs
+// are bit-identical at any worker count — they never depend on the
+// choice. Startup logs the selection with the detected CPU, and
 // the "backend" block of GET /stats reports it.
 //
 //	pcserve -cache-dir /var/lib/pcserve -cache-codec int8
@@ -81,7 +81,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	arch := flag.String("arch", "llama", "architecture family: llama, llama-large, mpt, falcon, gpt2")
-	backend := flag.String("backend", "auto", "tensor kernel backend: auto (hardware-based, honors PC_BACKEND), scalar, or parallel; all backends are bit-identical")
+	backend := flag.String("backend", "auto", "tensor kernel backend: auto or parallel (one worker per CPU) or scalar (one worker); outputs are bit-identical at any worker count")
 	seed := flag.Uint64("seed", 1, "weight seed")
 	vocab := flag.Int("vocab", tokenizer.WordBase+8192, "vocabulary size")
 	maxSessions := flag.Int("max-sessions", server.DefaultMaxSessions, "maximum concurrently open sessions")

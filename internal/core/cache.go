@@ -264,18 +264,14 @@ func WithFaultInjection(in *faultinject.Injector) Option {
 	return func(c *Cache) { c.inject = in }
 }
 
-// WithBackend pins the model's kernel backend (default: tensor.Auto()'s
-// hardware-based choice). Backends are bit-identical by contract — the
-// choice affects core utilization and latency, never outputs — so cached
-// module states encoded under one backend are valid under any other.
-// Applies at construction; like model.SetBackend it must not change
-// after serving begins.
+// WithBackend pins the model's kernel backend (default: tensor.Auto(),
+// one worker per CPU). Outputs are bit-identical at any worker count —
+// the choice affects core utilization and latency, never outputs — so
+// cached module states encoded under one backend are valid under any
+// other. Applies at construction; like model.SetBackend it must not
+// change after serving begins.
 func WithBackend(b tensor.Backend) Option {
-	return func(c *Cache) {
-		if b != nil {
-			c.m.SetBackend(b)
-		}
-	}
+	return func(c *Cache) { c.m.SetBackend(b) }
 }
 
 // NewCache builds a Prompt Cache around a model.

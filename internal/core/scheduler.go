@@ -149,9 +149,11 @@ type Scheduler struct {
 
 	specSteps, draftProposed, draftAccepted int64
 
-	// stepToks/stepPos are the run loop's per-step argument headers,
-	// reused across steps so a fused step allocates nothing.
+	// stepToks/stepPos are the run loop's per-step argument headers and
+	// stepDone the lanes a step retires, reused across steps so a fused
+	// step allocates nothing.
 	stepToks, stepPos [][]int
+	stepDone          []*schedLane
 }
 
 // newScheduler builds a scheduler over m with the given fused-step width
@@ -357,18 +359,20 @@ func (s *Scheduler) step(active []*schedLane, lanes []*model.DecodeLane, kvs []k
 	// Every stepped lane fed one sampled token; accepted drafts are the
 	// tokens produced without a step of their own.
 	var proposed, accepted int64
-	keep := active[:0]
+	keep, done := active[:0], s.stepDone[:0]
 	for _, ln := range active {
-		if lerr := ln.dl.Err(); lerr != nil {
+		if ln.err = ln.dl.Err(); ln.err != nil {
 			// The failed lane appended nothing; solo decode would fail the
 			// same step with the same error.
-			s.retire(ln, lerr)
+			done = append(done, ln)
 			continue
 		}
 		proposed += int64(len(ln.spec) - 1)
-		a, retired := s.settle(ln)
+		a, stop := s.settle(ln)
 		accepted += int64(a)
-		if !retired {
+		if stop {
+			done = append(done, ln)
+		} else {
 			keep = append(keep, ln)
 		}
 	}
@@ -384,6 +388,14 @@ func (s *Scheduler) step(active []*schedLane, lanes []*model.DecodeLane, kvs []k
 	s.draftProposed += proposed
 	s.draftAccepted += accepted
 	s.mu.Unlock()
+	// Retire only once the step is counted: retiring hands a lane's
+	// stream back to its Generate caller, whose next stats read must
+	// already see the step that produced it.
+	for _, ln := range done {
+		s.retire(ln, ln.err)
+	}
+	clear(done)
+	s.stepDone = done[:0]
 	return keep
 }
 
@@ -395,15 +407,15 @@ func (s *Scheduler) step(active []*schedLane, lanes []*model.DecodeLane, kvs []k
 // state, token stream and emitted output are bit-identical to never
 // having speculated. A surviving lane leaves settle step-ready: its next
 // token is sampled and emitted, awaiting the next fused step. With no
-// drafts (k = 1) that is one advance and nothing to truncate.
-func (s *Scheduler) settle(ln *schedLane) (accepted int, retired bool) {
+// drafts (k = 1) that is one advance and nothing to truncate. A lane that
+// stops instead carries its outcome in ln.err for the caller to retire.
+func (s *Scheduler) settle(ln *schedLane) (accepted int, stop bool) {
 	n := len(ln.spec)
 	base := ln.kv.Len() - n
 	for j := 0; ; j++ {
 		ln.logits = ln.dl.LogitsAt(j)
-		if stop, err := s.advance(ln); stop {
+		if stop, ln.err = s.advance(ln); stop {
 			ln.kv.Truncate(base + j + 1)
-			s.retire(ln, err)
 			return accepted, true
 		}
 		if j+1 < n && ln.next == ln.spec[j+1] {

@@ -84,26 +84,26 @@ func runGolden(ctx context.Context, c *Cache, rq goldenReq) goldenRun {
 // run. Covered on RoPE and on ALiBi (whose position gaps between modules
 // exercise the §4.2 "white space" path during decode attention).
 func TestSchedulerGoldenFused(t *testing.T) {
-	// The backend dimension makes this also the cross-backend golden: the
-	// solo reference always runs the scalar backend, while the fused cache
-	// runs the backend under test — so a "parallel" pass proves scheduler
-	// fusion AND kernel parallelism together reproduce the sequential
-	// scalar streams bit for bit.
+	// The worker dimension makes this also the cross-worker golden: the
+	// solo reference always runs one worker, while the fused cache runs
+	// the count under test — so a 4-worker pass proves scheduler fusion
+	// AND kernel parallelism together reproduce the sequential
+	// one-worker streams bit for bit.
 	archs := []struct {
 		name  string
 		cfg   model.Config
 		fused tensor.Backend
 	}{
-		{"llama", model.LlamaStyle(coreVocab, 77), tensor.Scalar()},
-		{"llama-parallel", model.LlamaStyle(coreVocab, 77), tensor.NewParallel(4)},
-		{"mpt-alibi", model.MPTStyle(coreVocab, 77), tensor.Scalar()},
-		{"mpt-alibi-parallel", model.MPTStyle(coreVocab, 77), tensor.NewParallel(4)},
+		{"llama", model.LlamaStyle(coreVocab, 77), tensor.NewBackend(1)},
+		{"llama-parallel", model.LlamaStyle(coreVocab, 77), tensor.NewBackend(4)},
+		{"mpt-alibi", model.MPTStyle(coreVocab, 77), tensor.NewBackend(1)},
+		{"mpt-alibi-parallel", model.MPTStyle(coreVocab, 77), tensor.NewBackend(4)},
 	}
 	for _, arch := range archs {
 		t.Run(arch.name, func(t *testing.T) {
 			ctx := context.Background()
 			solo := newTestCache(t, arch.cfg)
-			solo.Model().SetBackend(tensor.Scalar())
+			solo.Model().SetBackend(tensor.NewBackend(1))
 			fused := newTestCache(t, arch.cfg, WithDecodeScheduler(4), WithBackend(arch.fused))
 			reqs := goldenRequests()
 			for _, c := range []*Cache{solo, fused} {

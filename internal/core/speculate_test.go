@@ -36,17 +36,17 @@ func TestSpeculationGoldenSpecVsSolo(t *testing.T) {
 		spec  tensor.Backend
 		draft DraftOpts
 	}{
-		{"llama", model.LlamaStyle(coreVocab, 77), tensor.Scalar(), specDraftOpts()},
-		{"llama-parallel", model.LlamaStyle(coreVocab, 77), tensor.NewParallel(4), specDraftOpts()},
-		{"mpt-alibi", model.MPTStyle(coreVocab, 77), tensor.Scalar(), specDraftOpts()},
-		{"mpt-alibi-parallel", model.MPTStyle(coreVocab, 77), tensor.NewParallel(4), specDraftOpts()},
-		{"llama-never-proposes", model.LlamaStyle(coreVocab, 77), tensor.Scalar(), DraftOpts{MinHits: 1 << 30}},
+		{"llama", model.LlamaStyle(coreVocab, 77), tensor.NewBackend(1), specDraftOpts()},
+		{"llama-parallel", model.LlamaStyle(coreVocab, 77), tensor.NewBackend(4), specDraftOpts()},
+		{"mpt-alibi", model.MPTStyle(coreVocab, 77), tensor.NewBackend(1), specDraftOpts()},
+		{"mpt-alibi-parallel", model.MPTStyle(coreVocab, 77), tensor.NewBackend(4), specDraftOpts()},
+		{"llama-never-proposes", model.LlamaStyle(coreVocab, 77), tensor.NewBackend(1), DraftOpts{MinHits: 1 << 30}},
 	}
 	for _, arch := range archs {
 		t.Run(arch.name, func(t *testing.T) {
 			ctx := context.Background()
 			solo := newTestCache(t, arch.cfg)
-			solo.Model().SetBackend(tensor.Scalar())
+			solo.Model().SetBackend(tensor.NewBackend(1))
 			spec := newTestCache(t, arch.cfg,
 				WithDecodeScheduler(4),
 				WithSpeculation(arch.draft),

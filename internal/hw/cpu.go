@@ -16,7 +16,7 @@ type CPUInfo struct {
 	// Cores is the number of logical CPUs usable by the process.
 	Cores int
 	// MaxProcs is the GOMAXPROCS ceiling on simultaneously executing
-	// goroutines — the fan-out the parallel backend can actually use.
+	// goroutines — the fan-out a multi-worker backend can actually use.
 	MaxProcs int
 	// Vector names the baseline vector ISA the compiler may assume for
 	// Arch ("sse2" on amd64, "neon" on arm64, ...). Without cgo or

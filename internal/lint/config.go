@@ -81,16 +81,10 @@ func DefaultConfig() *Config {
 			"repro/internal/quant.EncodeKV",
 			"repro/internal/quant.DecodeKV",
 			// Backend kernel entry points: the heaviest compute in the
-			// repo. The callgraph is static, so calls through the Backend
-			// interface are invisible — listing both concrete backends
-			// catches direct kernel calls and keeps any future
-			// lock-then-compute shortcut from slipping in.
-			tensor + ".scalarBackend.MatMul",
-			tensor + ".scalarBackend.AttendRowBlock",
-			tensor + ".scalarBackend.OutputHead",
-			tensor + ".parallelBackend.MatMul",
-			tensor + ".parallelBackend.AttendRowBlock",
-			tensor + ".parallelBackend.OutputHead",
+			// repo, and a lock-then-compute shortcut must not slip in.
+			tensor + ".Backend.MatMul",
+			tensor + ".Backend.AttendRowBlock",
+			tensor + ".Backend.OutputHead",
 		},
 
 		Acquires: []AcquireSpec{

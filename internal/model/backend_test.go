@@ -11,13 +11,12 @@ import (
 
 // TestBackendsBitIdenticalForward is the model-level half of the backend
 // contract: a full forward pass — a 24-token prefill block (wide enough
-// that the parallel backend shards its matmuls), per-token decode through
-// Complete, and the final logits — must be bit-for-bit identical under
-// every backend, for every
-// architecture family. tensor's own tests prove the kernels agree
-// element by element; this proves the model wires them so that nothing
-// (scratch reuse, span conversion, lane batching) depends on the
-// backend either.
+// that several workers shard its matmuls), per-token decode through
+// Complete, and the final logits — must be bit-for-bit identical at
+// every worker count, for every architecture family. tensor's own tests
+// prove the kernels agree element by element; this proves the model
+// wires them so that nothing (scratch reuse, span conversion, lane
+// batching) depends on the worker count either.
 func TestBackendsBitIdenticalForward(t *testing.T) {
 	for _, cfg := range allConfigs(7788) {
 		cfg := cfg
@@ -37,8 +36,8 @@ func TestBackendsBitIdenticalForward(t *testing.T) {
 				}
 				return out, logits
 			}
-			wantOut, wantLg := run(tensor.Scalar())
-			for _, bk := range []tensor.Backend{tensor.NewParallel(4), tensor.NewParallel(3)} {
+			wantOut, wantLg := run(tensor.NewBackend(1))
+			for _, bk := range []tensor.Backend{tensor.NewBackend(4), tensor.NewBackend(3)} {
 				gotOut, gotLg := run(bk)
 				if fmt.Sprint(gotOut) != fmt.Sprint(wantOut) {
 					t.Fatalf("workers=%d: greedy continuation diverged: %v vs %v", bk.Workers(), gotOut, wantOut)

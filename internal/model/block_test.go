@@ -136,11 +136,11 @@ func TestChunkedGenerationEndToEnd(t *testing.T) {
 
 // TestPrefillAllocatesOnlyLogits pins the block promise for prefill, the
 // same block body a decode step runs at k = n: once warm, a Prefill
-// allocates only the logits it returns. (Scalar backend: the parallel one
-// spawns goroutines per call.)
+// allocates only the logits it returns. (One worker: more spawn
+// goroutines per call.)
 func TestPrefillAllocatesOnlyLogits(t *testing.T) {
 	m := MustNew(LlamaStyle(testVocab, 5))
-	m.SetBackend(tensor.Scalar())
+	m.SetBackend(tensor.NewBackend(1))
 	for _, n := range []int{1, 16} {
 		toks, pos := randTokens(rng.New(31), n), seqPositions(n, 0)
 		kv := m.NewCache(n)

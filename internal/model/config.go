@@ -211,23 +211,18 @@ type Model struct {
 	finalNormW []float32
 	finalNormB []float32
 
-	// bk is the kernel backend every forward pass dispatches through.
-	// New sets it to tensor.Auto(); SetBackend overrides it. Backends are
-	// bit-identical by contract, so the choice affects scheduling only.
+	// bk runs every forward pass's heavy kernels. New sets it to
+	// tensor.Auto(); SetBackend overrides it. Outputs are bit-identical
+	// at any worker count, so the choice affects scheduling only.
 	bk tensor.Backend
 }
 
-// SetBackend replaces the kernel backend (nil restores tensor.Auto()'s
-// choice). Like PrefillProbe, this is a pre-serving knob: set it before
-// any forward pass runs and do not change it while requests are in
-// flight. All backends produce bit-identical outputs, so swapping
-// between runs never invalidates cached KV state or golden logits.
-func (m *Model) SetBackend(b tensor.Backend) {
-	if b == nil {
-		b = tensor.Auto()
-	}
-	m.bk = b
-}
+// SetBackend replaces the kernel backend. Like PrefillProbe, this is a
+// pre-serving knob: set it before any forward pass runs and do not
+// change it while requests are in flight. Every worker count produces
+// bit-identical outputs, so swapping between runs never invalidates
+// cached KV state or golden logits.
+func (m *Model) SetBackend(b tensor.Backend) { m.bk = b }
 
 // Backend returns the kernel backend forward passes run on.
 func (m *Model) Backend() tensor.Backend { return m.bk }

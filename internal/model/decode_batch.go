@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/kvcache"
 )
@@ -136,31 +135,16 @@ func (m *Model) walkLanes(lanes []*DecodeLane, kvs []kvcache.KV) {
 	// Lanes share nothing but the read-only weights, so a multi-worker
 	// backend fans whole lanes out across goroutines — each worker runs
 	// the full layer loop for a contiguous lane range, which cannot
-	// change any lane's operation sequence or numbers.
+	// change any lane's operation sequence or numbers. One worker steps
+	// the lanes inline, with no closure to allocate.
 	active := 0
 	for _, ln := range lanes {
 		if !ln.skip {
 			active++
 		}
 	}
-	if workers := m.bk.Workers(); workers > 1 && active >= 2 {
-		if workers > len(lanes) {
-			workers = len(lanes)
-		}
-		chunk := (len(lanes) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < len(lanes); lo += chunk {
-			hi := lo + chunk
-			if hi > len(lanes) {
-				hi = len(lanes)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				m.stepLanes(lanes[lo:hi], kvs[lo:hi])
-			}(lo, hi)
-		}
-		wg.Wait()
+	if m.bk.Workers() > 1 && active >= 2 {
+		m.bk.Shard(len(lanes), func(lo, hi int) { m.stepLanes(lanes[lo:hi], kvs[lo:hi]) })
 	} else {
 		m.stepLanes(lanes, kvs)
 	}

@@ -250,10 +250,10 @@ func TestDecodeStepBatchMultiMalformedLeavesLanesUntouched(t *testing.T) {
 
 // TestDecodeStepAllocFree pins the DecodeLane promise: once warm, a fused
 // step allocates nothing, at k = 1 through either entry point and at
-// k = 4. (Scalar backend: the parallel one spawns goroutines per step.)
+// k = 4. (One worker: more spawn goroutines per step.)
 func TestDecodeStepAllocFree(t *testing.T) {
 	m := MustNew(LlamaStyle(testVocab, 5))
-	m.SetBackend(tensor.Scalar())
+	m.SetBackend(tensor.NewBackend(1))
 	const lanesN, runs = 2, 5
 	for _, k := range []int{1, 4} {
 		lanes := make([]*DecodeLane, lanesN)

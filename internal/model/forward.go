@@ -272,11 +272,11 @@ func (m *Model) layerBlock(l int, b *block, kv kvcache.KV) {
 	m.bk.MatMul(&b.ffn1, &b.h, ly.w1)
 	switch cfg.Act {
 	case SwiGLU:
-		m.bk.SiLU(b.ffn1.Data)
+		tensor.SiLU(b.ffn1.Data)
 		m.bk.MatMul(&b.ffn3, &b.h, ly.w3)
 		tensor.Mul(b.ffn1.Data, b.ffn3.Data)
 	case GELU:
-		m.bk.GELU(b.ffn1.Data)
+		tensor.GELU(b.ffn1.Data)
 	}
 	m.bk.MatMul(&b.proj, &b.ffn1, ly.w2)
 	tensor.Add(b.x.Data, b.proj.Data)
@@ -336,8 +336,8 @@ func (m *Model) applyRope(vec []float32, nHeads, pos int) {
 func (m *Model) norm(dst, x, w, b []float32) {
 	switch m.Cfg.Norm {
 	case RMSNorm:
-		m.bk.RMSNorm(dst, x, w, 1e-5)
+		tensor.RMSNorm(dst, x, w, 1e-5)
 	case LayerNorm:
-		m.bk.LayerNorm(dst, x, w, b, 1e-5)
+		tensor.LayerNorm(dst, x, w, b, 1e-5)
 	}
 }

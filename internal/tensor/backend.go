@@ -3,68 +3,217 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"strings"
+	"sync"
 )
 
-// Backend is the kernel dispatch surface the transformer engine runs on.
-// Every hot loop in internal/model bottoms out in one of these methods,
-// so a Backend is the unit of hardware specialization: the scalar
-// backend is the single-threaded reference implementation, the parallel
-// backend tiles the same arithmetic across goroutines, and a future
-// accelerator backend would slot in behind the same interface.
+// Backend runs the engine's heavy kernels over a fixed number of worker
+// goroutines. Every hot loop in internal/model bottoms out in one of its
+// methods, and each method is one leaf body (matMulRange, attendUnits,
+// outputHeadRange) split across the workers.
 //
-// The contract every implementation must honor is bit-identity: for any
-// input, every output element must be bit-for-bit equal to what the
-// scalar reference produces (compare with math.Float32bits, not a
-// tolerance). The only freedom a backend has is scheduling — which
-// worker computes which independent unit of output (a matrix row range,
-// a vocab range, an attention (query tile, KV head) unit), and in what
-// order whole units complete. Inside a reduction (a dot product, a
-// softmax sum, a norm accumulator) the reference accumulation order is
-// part of the contract and must not change, because float addition is
-// not associative in rounding. This is what lets golden-logits tests,
-// the fused ≡ solo decode guarantee and cross-machine cache reuse hold
-// regardless of which backend served a request.
-type Backend interface {
-	// Name identifies the backend ("scalar", "parallel").
-	Name() string
-	// Workers reports the goroutine fan-out the backend may use; 1 means
-	// strictly sequential execution on the calling goroutine.
-	Workers() int
+// One worker is the reference: every kernel runs on the calling
+// goroutine in the canonical accumulation order. More workers only
+// decide which worker computes which independent unit of output — a run
+// of matrix product columns, an output-head vocab range, an attention
+// (query tile, KV head) unit — never a part of a reduction, so every
+// output element is bit-for-bit what one worker computes (compare with
+// math.Float32bits, not a tolerance). Inside a reduction (a dot product,
+// a softmax sum, a norm accumulator) the reference order is part of the
+// contract, because float addition is not associative in rounding. This
+// is what lets golden-logits tests, the fused ≡ solo decode guarantee
+// and cross-machine cache reuse hold at any worker count.
+//
+// The zero value is the one-worker reference.
+type Backend struct {
+	workers int
+}
 
-	// MatMul computes dst = a × b (a: n×k, b: k×m, dst: n×m, no aliasing).
-	// Each element is one sum over k ascending, whatever n is, so a row's
-	// result never depends on how many rows share the call: a weight
-	// application gives the same bits one position at a time or a whole
-	// block at once.
-	MatMul(dst, a, b *Matrix)
-	// MatVecT computes dst = Wᵀ·h for W stored (in × out):
-	// dst[j] = Σ_i W[i][j]·h[i] — MatMul with a one-row a, the same sums.
-	MatVecT(dst []float32, w *Matrix, h []float32)
+// NewBackend returns a Backend with the given worker count; a
+// non-positive count selects GOMAXPROCS.
+func NewBackend(workers int) Backend {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return Backend{workers: workers}
+}
 
-	// Dot/Dot2/Dot4 are the row-block reduction kernels (one pass over a,
-	// 1/2/4 bit-identical sums). Reductions are never parallelized.
-	Dot(a, b []float32) float32
-	Dot2(a, b0, b1 []float32) (float32, float32)
-	Dot4(a, b0, b1, b2, b3 []float32) (float32, float32, float32, float32)
+// Backends lists the selectable backend names.
+func Backends() []string { return []string{"scalar", "parallel"} }
 
-	// AttendRowBlock computes causal multi-head attention for a block of
-	// query rows over segmented KV spans; see AttendArgs.
-	AttendRowBlock(a *AttendArgs)
-	// OutputHead computes the tied output head for a batch of normed
-	// hidden states: dsts[k][t] = emb.Row(t) · hs[k] for every vocab row
-	// t and lane k, reading each embedding row once per lane group.
-	OutputHead(dsts [][]float32, emb *Matrix, hs [][]float32)
+// Select maps a backend name to a worker count: "scalar" is one worker;
+// "parallel", "auto" and "" are Auto's count.
+func Select(name string) (Backend, error) {
+	switch name {
+	case "", "auto", "parallel":
+		return Auto(), nil
+	case "scalar":
+		return NewBackend(1), nil
+	}
+	return Backend{}, fmt.Errorf("tensor: unknown backend %q (have auto, %s)", name, strings.Join(Backends(), ", "))
+}
 
-	// Elementwise kernels; identical scalar code in every backend, on the
-	// interface so a device backend can keep the whole pass resident.
-	Softmax(x []float32)
-	RMSNorm(dst, x, weight []float32, eps float32)
-	LayerNorm(dst, x, gamma, beta []float32, eps float32)
-	SiLU(x []float32)
-	GELU(x []float32)
+// Auto is the startup default: one worker per CPU available to the
+// process. The count affects scheduling only — outputs are bit-identical
+// at any count — so it never needs to be pinned for correctness, only
+// for benchmarking.
+func Auto() Backend { return NewBackend(0) }
+
+// Name is "scalar" for the one-worker reference and "parallel" above it.
+func (bk Backend) Name() string {
+	if bk.Workers() == 1 {
+		return "scalar"
+	}
+	return "parallel"
+}
+
+// Workers reports the goroutine fan-out; 1 means strictly sequential
+// execution on the calling goroutine.
+func (bk Backend) Workers() int { return max(bk.workers, 1) }
+
+// Work thresholds (in multiply-adds) below which a kernel stays on the
+// calling goroutine: a goroutine spawn+join costs on the order of
+// microseconds, so every shard must carry enough arithmetic to amortize
+// it.
+const (
+	// matMulParallelThreshold gates column-sharding of MatMul and
+	// MatVecT.
+	matMulParallelThreshold = 32 * 1024
+	// outputHeadParallelThreshold gates vocab-sharding of the output
+	// head (vocab × dim × lanes), which decode calls once per generated
+	// token.
+	outputHeadParallelThreshold = 32 * 1024
+	// attendParallelThreshold gates unit-sharding of an attention row
+	// block, counted as score+combine multiply-adds.
+	attendParallelThreshold = 32 * 1024
+)
+
+// Shard runs fn over [0, n) split into contiguous ranges, one per worker
+// goroutine; one worker runs fn(0, n) inline. It is for callers whose
+// ranges are independent and each heavy enough to amortize a goroutine.
+func (bk Backend) Shard(n int, fn func(lo, hi int)) { shard(n, bk.workers, fn) }
+
+// shard runs fn over [0, n) split into contiguous ranges across at most
+// workers goroutines (one range per worker, the last possibly short).
+// workers <= 1 or n <= 1 runs inline.
+func shard(n, workers int, fn func(lo, hi int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		fn(0, n)
+		return
+	}
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += chunk {
+		hi := lo + chunk
+		if hi > n {
+			hi = n
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
+}
+
+// boundedWorkers caps the fan-out so each shard carries at least
+// minWork multiply-adds of the given total.
+func boundedWorkers(workers, totalWork, minWork int) int {
+	if totalWork < minWork || workers <= 1 {
+		return 1
+	}
+	if maxW := totalWork / minWork; workers > maxW {
+		workers = maxW
+	}
+	return workers
+}
+
+// MatMul computes dst = a × b (a: n×k, b: k×m, dst: n×m, no aliasing).
+// Each element is one sum over k ascending, whatever n is, so a row's
+// result never depends on how many rows share the call: a weight
+// application gives the same bits one position at a time or a whole
+// block at once.
+func (bk Backend) MatMul(dst, a, b *Matrix) {
+	checkMatMul(dst, a, b)
+	bk.matMul(dst, a, b)
+}
+
+// MatVecT computes dst = Wᵀ·h for W stored (in × out):
+// dst[j] = Σ_i W[i][j]·h[i] — MatMul with a one-row a, the same sums.
+func (bk Backend) MatVecT(dst []float32, w *Matrix, h []float32) {
+	checkMatVecT(dst, w, h)
+	bk.matMul(rowOf(dst), rowOf(h), w)
+}
+
+// matMul shards dst = a×b by output columns, in runs of eight so only
+// the last shard has a ragged run: each worker computes its columns of
+// every row, reading only its stripe of b, and each element is still
+// the one ascending sum — the boundary slices the output, never the
+// reduction. Columns rather than rows, so a one-row decode step and a
+// many-row prefill split the same way.
+func (bk Backend) matMul(dst, a, b *Matrix) {
+	workers := boundedWorkers(bk.workers, a.Rows*a.Cols*b.Cols, matMulParallelThreshold)
+	if workers <= 1 {
+		matMulRange(dst, a, b, 0, b.Cols)
+		return
+	}
+	shard((b.Cols+7)/8, workers, func(lo, hi int) { matMulRange(dst, a, b, 8*lo, min(8*hi, b.Cols)) })
+}
+
+// OutputHead computes the tied output head for a batch of normed hidden
+// states: dsts[k][t] = emb.Row(t) · hs[k] for every vocab row t and lane
+// k, reading each embedding row once per lane group. Workers split the
+// vocabulary.
+func (bk Backend) OutputHead(dsts [][]float32, emb *Matrix, hs [][]float32) {
+	if len(hs) == 0 {
+		return
+	}
+	checkOutputHead(dsts, emb, hs)
+	workers := boundedWorkers(bk.workers, emb.Rows*emb.Cols*len(hs), outputHeadParallelThreshold)
+	if workers <= 1 {
+		outputHeadRange(dsts, emb, hs, 0, emb.Rows)
+		return
+	}
+	shard(emb.Rows, workers, func(lo, hi int) { outputHeadRange(dsts, emb, hs, lo, hi) })
+}
+
+// attendScores pools per-worker score buffers for sharded attention;
+// the caller-provided scratch only serves the sequential path.
+var attendScores = sync.Pool{New: func() any { return new([]float32) }}
+
+// AttendRowBlock computes causal multi-head attention for a block of
+// query rows over segmented KV spans; see AttendArgs. Workers split the
+// (query tile, KV head) units.
+func (bk Backend) AttendRowBlock(a *AttendArgs) {
+	checkAttendArgs(a)
+	n := a.Q.Rows
+	// Score + combine work across the block: token i touches Past+i+1
+	// rows twice per head, HeadDim wide.
+	rowSum := n*a.Past + n*(n+1)/2
+	workers := boundedWorkers(bk.workers, 2*rowSum*a.HeadDim*a.NHeads, attendParallelThreshold)
+	units := attendUnitCount(a)
+	if workers <= 1 {
+		attendUnits(a, a.Scores, 0, units)
+		return
+	}
+	// Contiguous ranges of tile-major units: a worker owns whole query
+	// tiles unless there are fewer tiles than workers. Splitting one row's
+	// heads across workers makes them write adjacent output columns, the
+	// same cache lines, once per key.
+	size := min(attendTile, n) * a.Group * (a.Past + n)
+	shard(units, workers, func(lo, hi int) {
+		buf := attendScores.Get().(*[]float32)
+		if cap(*buf) < size {
+			*buf = make([]float32, size)
+		}
+		attendUnits(a, (*buf)[:size], lo, hi)
+		attendScores.Put(buf)
+	})
 }
 
 // Span is one contiguous run of cached KV rows, mirroring
@@ -85,7 +234,7 @@ type Span struct {
 // The independent unit of work is (query tile, KV head): up to T = 8
 // consecutive query rows × the Group query heads sharing one KV head.
 // Every (token, head) pair of a unit reads the same K and V rows, so the
-// unit is where those loads are shared. Backends may compute units in
+// unit is where those loads are shared. Workers may compute units in
 // any order or concurrently. Within a pair the arithmetic is fixed, stage by stage:
 // each score is one ascending sum over the head dimension times InvSqrt,
 // minus the ALiBi bias; the softmax takes the max of the pair's own
@@ -132,8 +281,8 @@ const attendPassPairs = 32
 
 // attendUnits computes units [lo, hi) of an attention row block in
 // tile-major order: unit u is query tile u/nKV with KV head u%nKV. This
-// is the one attention body; backends differ only in how they split
-// units across goroutines.
+// is the one attention body; worker counts differ only in how they
+// split units across goroutines.
 func attendUnits(a *AttendArgs, scores []float32, lo, hi int) {
 	nKV := a.NHeads / a.Group
 	for u := lo; u < hi; u++ {
@@ -587,57 +736,4 @@ func checkOutputHead(dsts [][]float32, emb *Matrix, hs [][]float32) {
 				k, len(hs[k]), len(dsts[k]), emb.Rows, emb.Cols))
 		}
 	}
-}
-
-// Backends lists the selectable backend names.
-func Backends() []string { return []string{"scalar", "parallel"} }
-
-var scalarInstance Backend = &scalarBackend{}
-
-// Scalar returns the single-threaded reference backend. Every kernel
-// runs on the calling goroutine in the canonical accumulation order;
-// the other backends are verified bit-for-bit against it.
-func Scalar() Backend { return scalarInstance }
-
-// NewParallel returns the goroutine-tiled backend with the given worker
-// fan-out (non-positive selects GOMAXPROCS). With one worker it degrades
-// to the scalar execution schedule while keeping its own name, which is
-// what 1-CPU CI runs under when "parallel" is pinned.
-func NewParallel(workers int) Backend {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &parallelBackend{workers: workers}
-}
-
-// Select maps a backend name to an instance: "scalar", "parallel", or
-// ""/"auto" for Auto's choice.
-func Select(name string) (Backend, error) {
-	switch name {
-	case "", "auto":
-		return Auto(), nil
-	case "scalar":
-		return Scalar(), nil
-	case "parallel":
-		return NewParallel(0), nil
-	}
-	return nil, fmt.Errorf("tensor: unknown backend %q (have auto, %s)", name, strings.Join(Backends(), ", "))
-}
-
-// Auto picks the startup default: the PC_BACKEND environment variable
-// when it names a backend, else parallel when more than one CPU is
-// available to the process, else scalar. The choice affects scheduling
-// only — outputs are bit-identical either way — so Auto never needs to
-// be pinned for correctness, only for benchmarking.
-func Auto() Backend {
-	switch os.Getenv("PC_BACKEND") {
-	case "scalar":
-		return Scalar()
-	case "parallel":
-		return NewParallel(0)
-	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		return NewParallel(0)
-	}
-	return Scalar()
 }

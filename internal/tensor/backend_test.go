@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -28,11 +29,10 @@ func bitsEqual(a, b []float32) (int, bool) {
 	return 0, true
 }
 
-// challengers are the non-reference backends under test: varied worker
-// counts exercise chunk remainders (3 workers over odd sizes) and the
-// degenerate 1-worker schedule.
+// challengers are the worker counts checked against the one-worker
+// reference: 3 workers over odd sizes exercise chunk remainders.
 func challengers() []Backend {
-	return []Backend{NewParallel(4), NewParallel(3), NewParallel(1)}
+	return []Backend{NewBackend(4), NewBackend(3)}
 }
 
 // fillSigned fills data with a deterministic mix of normals and exact
@@ -68,14 +68,14 @@ func matMulRef(dst, a, b *Matrix) {
 	}
 }
 
-// TestBackendsBitIdenticalMatMul checks every backend, scalar included,
+// TestBackendsBitIdenticalMatMul checks every worker count, 1 included,
 // against the oracle, with column counts on both sides of the kernel's
 // eight-column run and row counts from a decode step to a prefill.
 func TestBackendsBitIdenticalMatMul(t *testing.T) {
 	r := rng.NewString("backend/matmul")
 	shapes := [][3]int{{1, 1, 1}, {3, 5, 7}, {17, 13, 1}, {80, 96, 80}, {65, 33, 129},
 		{1, 64, 176}, {5, 64, 8}, {6, 9, 9}, {7, 31, 15}, {2, 16, 17}, {256, 64, 176}}
-	backends := append([]Backend{Scalar()}, challengers()...)
+	backends := append([]Backend{NewBackend(1)}, challengers()...)
 	for _, sh := range shapes {
 		n, k, mm := sh[0], sh[1], sh[2]
 		a, b := NewMatrix(n, k), NewMatrix(k, mm)
@@ -96,7 +96,7 @@ func TestBackendsBitIdenticalMatMul(t *testing.T) {
 func TestBackendsBitIdenticalMatVecT(t *testing.T) {
 	r := rng.NewString("backend/matvect")
 	shapes := [][2]int{{1, 1}, {7, 3}, {64, 65}, {257, 129}, {512, 384}}
-	backends := append([]Backend{Scalar()}, challengers()...)
+	backends := append([]Backend{NewBackend(1)}, challengers()...)
 	for _, sh := range shapes {
 		in, out := sh[0], sh[1]
 		w := NewMatrix(in, out)
@@ -130,7 +130,7 @@ func TestBackendsBitIdenticalOutputHead(t *testing.T) {
 			want[k] = make([]float32, vocab)
 			got[k] = make([]float32, vocab)
 		}
-		Scalar().OutputHead(want, emb, hs)
+		NewBackend(1).OutputHead(want, emb, hs)
 		for _, bk := range challengers() {
 			for k := range got {
 				clear(got[k])
@@ -276,7 +276,7 @@ func buildAttend(r *rng.RNG, sh attendShape) *AttendArgs {
 	}
 }
 
-// checkAttend runs every backend, scalar included, against the oracle,
+// checkAttend runs every worker count, 1 included, against the oracle,
 // once with whole-unit scratch and once with the minimum Past+n, which
 // splits each unit's pairs into passes on the sequential path.
 func checkAttend(t *testing.T, a *AttendArgs, backends []Backend, what string) {
@@ -334,7 +334,7 @@ func TestBackendsBitIdenticalAttend(t *testing.T) {
 			}
 		}
 	}
-	backends := append([]Backend{Scalar()}, challengers()...)
+	backends := append([]Backend{NewBackend(1)}, challengers()...)
 	for _, c := range cases {
 		checkAttend(t, buildAttend(r, c), backends, fmt.Sprintf("%+v", c))
 	}
@@ -376,34 +376,31 @@ func TestAttendWeightsUnderflow(t *testing.T) {
 	}
 }
 
+// TestSelect checks the names' worker counts: "scalar" is one worker,
+// every other name one per CPU, and Name is "scalar" exactly at one
+// worker.
 func TestSelect(t *testing.T) {
-	for _, name := range Backends() {
+	procs := runtime.GOMAXPROCS(0)
+	for name, want := range map[string]int{"scalar": 1, "parallel": procs, "auto": procs, "": procs} {
 		bk, err := Select(name)
 		if err != nil {
 			t.Fatalf("Select(%q): %v", name, err)
 		}
-		if bk.Name() != name {
-			t.Fatalf("Select(%q).Name() = %q", name, bk.Name())
+		if bk.Workers() != want {
+			t.Fatalf("Select(%q).Workers() = %d, want %d", name, bk.Workers(), want)
 		}
 	}
-	for _, name := range []string{"", "auto"} {
-		if _, err := Select(name); err != nil {
-			t.Fatalf("Select(%q): %v", name, err)
+	for _, workers := range []int{1, 2, 3, 4} {
+		bk := NewBackend(workers)
+		if got := bk.Name(); (got == "scalar") != (workers == 1) || !slices.Contains(Backends(), got) {
+			t.Fatalf("NewBackend(%d).Name() = %q", workers, got)
 		}
+	}
+	if got := (Backend{}).Workers(); got != 1 {
+		t.Fatalf("zero Backend has %d workers, want 1", got)
 	}
 	if _, err := Select("cuda"); err == nil {
 		t.Fatal("Select(cuda) should fail")
-	}
-}
-
-func TestAutoHonorsEnv(t *testing.T) {
-	t.Setenv("PC_BACKEND", "scalar")
-	if got := Auto().Name(); got != "scalar" {
-		t.Fatalf("Auto() under PC_BACKEND=scalar = %q", got)
-	}
-	t.Setenv("PC_BACKEND", "parallel")
-	if got := Auto().Name(); got != "parallel" {
-		t.Fatalf("Auto() under PC_BACKEND=parallel = %q", got)
 	}
 }
 
@@ -418,7 +415,7 @@ func fold(x, lo, hi int) int {
 
 // FuzzBackendKernels drives MatMul, MatVecT, OutputHead and
 // AttendRowBlock across fuzzer-chosen shapes and worker counts, asserting
-// bit-identity against the matmul oracle, the scalar reference
+// bit-identity against the matmul oracle, the one-worker reference
 // (OutputHead) or the attention oracle.
 // The corpus seeds cover the shard-boundary hazards (odd sizes, more
 // workers than elements) and tile edges. Attention parameters are folded
@@ -436,7 +433,7 @@ func FuzzBackendKernels(f *testing.F) {
 			t.Skip()
 		}
 		r := rng.NewString(fmt.Sprintf("fuzz/%d/%d/%d/%d/%d", seed, in, out, lanes, workers))
-		bk := NewParallel(workers)
+		bk := NewBackend(workers)
 
 		// MatMul with lanes rows, and MatVecT on its first row, against the
 		// oracle.
@@ -467,7 +464,7 @@ func FuzzBackendKernels(f *testing.F) {
 			wantL[k] = make([]float32, out)
 			gotL[k] = make([]float32, out)
 		}
-		Scalar().OutputHead(wantL, emb, hs)
+		NewBackend(1).OutputHead(wantL, emb, hs)
 		bk.OutputHead(gotL, emb, hs)
 		for k := range wantL {
 			if i, ok := bitsEqual(wantL[k], gotL[k]); !ok {
@@ -482,6 +479,6 @@ func FuzzBackendKernels(f *testing.F) {
 		sh.nHeads = fold(kvHeads, 1, 3) * sh.group
 		rows := sh.past + sh.n
 		sh.splits = []int{fold(split0, 0, rows), fold(split1, 0, rows)}
-		checkAttend(t, buildAttend(r, sh), []Backend{Scalar(), bk}, fmt.Sprintf("%+v", sh))
+		checkAttend(t, buildAttend(r, sh), []Backend{NewBackend(1), bk}, fmt.Sprintf("%+v", sh))
 	})
 }

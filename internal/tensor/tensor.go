@@ -10,16 +10,15 @@
 //
 // # Backends
 //
-// The hot-path kernels are additionally exposed through the Backend
-// interface, the unit of hardware specialization: "scalar" is the
-// single-threaded reference, "parallel" tiles the same arithmetic across
-// goroutines (matrix product columns, output-head vocab ranges,
-// attention (query tile, KV head) units). Backends are
-// bit-identical by contract — parallelism only ever crosses independent
-// output elements, never a reduction — so golden-logits tests and
-// cross-machine cache reuse hold under any backend. Select maps names to
-// instances; Auto picks per the host (and the PC_BACKEND environment
-// variable).
+// The hot-path kernels (MatMul, AttendRowBlock, OutputHead) run through
+// Backend, one concrete type that holds a worker count. One worker
+// ("scalar") is the single-threaded reference; more ("parallel") split
+// the same leaf bodies across goroutines by independent output elements
+// (matrix product columns, output-head vocab ranges, attention (query
+// tile, KV head) units), never inside a reduction, so outputs are
+// bit-identical at any worker count and golden-logits tests and
+// cross-machine cache reuse hold. Select maps names to worker counts;
+// Auto uses one worker per CPU available to the process.
 package tensor
 
 import (

@@ -20,7 +20,7 @@ func TestMatMulSmall(t *testing.T) {
 	a := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float32{7, 8, 9, 10, 11, 12})
 	dst := NewMatrix(2, 2)
-	Scalar().MatMul(dst, a, b)
+	NewBackend(1).MatMul(dst, a, b)
 	want := []float32{58, 64, 139, 154}
 	for i, w := range want {
 		if !almostEq(dst.Data[i], w, 1e-5) {
@@ -39,7 +39,7 @@ func TestMatMulIdentity(t *testing.T) {
 		id.Set(i, i, 1)
 	}
 	dst := NewMatrix(n, n)
-	Scalar().MatMul(dst, a, id)
+	NewBackend(1).MatMul(dst, a, id)
 	if MaxAbsDiff(dst.Data, a.Data) > 1e-6 {
 		t.Fatal("A*I != A")
 	}
@@ -55,8 +55,8 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	r.FillNormal(b.Data, 1)
 	par := NewMatrix(80, 80)
 	ser := NewMatrix(80, 80)
-	NewParallel(4).MatMul(par, a, b) // 80*80 = 6400 >= threshold
-	Scalar().MatMul(ser, a, b)
+	NewBackend(4).MatMul(par, a, b) // 80*80 = 6400 >= threshold
+	NewBackend(1).MatMul(ser, a, b)
 	if MaxAbsDiff(par.Data, ser.Data) != 0 {
 		t.Fatal("parallel and serial matmul differ")
 	}
@@ -68,7 +68,7 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Fatal("expected shape panic")
 		}
 	}()
-	Scalar().MatMul(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 2))
+	NewBackend(1).MatMul(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 2))
 }
 
 func TestMatMulAssociativityProperty(t *testing.T) {
@@ -87,13 +87,13 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 		r.FillNormal(b.Data, 1)
 		r.FillNormal(c.Data, 1)
 		ab := NewMatrix(n, m)
-		Scalar().MatMul(ab, a, b)
+		NewBackend(1).MatMul(ab, a, b)
 		abc1 := NewMatrix(n, p)
-		Scalar().MatMul(abc1, ab, c)
+		NewBackend(1).MatMul(abc1, ab, c)
 		bc := NewMatrix(k, p)
-		Scalar().MatMul(bc, b, c)
+		NewBackend(1).MatMul(bc, b, c)
 		abc2 := NewMatrix(n, p)
-		Scalar().MatMul(abc2, a, bc)
+		NewBackend(1).MatMul(abc2, a, bc)
 		return MaxAbsDiff(abc1.Data, abc2.Data) < 1e-3
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
@@ -112,10 +112,10 @@ func TestMatVecMatchesMatMul(t *testing.T) {
 	a := NewMatrix(6, 13)
 	fillSigned(r, a.Data)
 	block := NewMatrix(6, 7)
-	Scalar().MatMul(block, a, w)
+	NewBackend(1).MatMul(block, a, w)
 	for i := 0; i < a.Rows; i++ {
 		got := make([]float32, 7)
-		Scalar().MatVecT(got, w, a.Row(i))
+		NewBackend(1).MatVecT(got, w, a.Row(i))
 		if j, ok := bitsEqual(got, block.Row(i)); !ok {
 			t.Fatalf("row %d: MatVecT differs from the block MatMul at column %d", i, j)
 		}

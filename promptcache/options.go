@@ -79,12 +79,12 @@ func MustEvictionPolicy(name string) Option {
 	return opt
 }
 
-// WithBackend selects the tensor kernel backend by name: "scalar" (the
-// single-threaded reference), "parallel" (goroutine-tiled across cores),
-// or ""/"auto" to re-run the hardware-based default (which also honors
-// the PC_BACKEND environment variable). All backends are bit-identical —
-// the choice affects latency and core utilization, never outputs — so it
-// is safe to vary per deployment without invalidating cached modules.
+// WithBackend selects the tensor kernel backend by name: "scalar" (one
+// worker, the single-threaded reference), or "parallel", "auto" or ""
+// (one worker per CPU available to the process). Outputs are
+// bit-identical at any worker count — the choice affects latency and
+// core utilization, never outputs — so it is safe to vary per deployment
+// without invalidating cached modules.
 func WithBackend(name string) (Option, error) {
 	b, err := tensor.Select(name)
 	if err != nil {

@@ -65,13 +65,13 @@
 // their Must* variants (MustBackend, MustEvictionPolicy) panic on a bad
 // name and exist for compile-time-constant names in tests and examples.
 //
-// WithBackend selects the tensor kernel backend by name ("scalar",
-// "parallel", or "auto" for the hardware-based default). Backends are
-// bit-identical by contract: the parallel backend tiles the same
-// arithmetic across cores without ever reordering a reduction, so the
-// choice moves latency and core utilization, never tokens or logits —
+// WithBackend selects the tensor kernel backend's worker count by name
+// ("scalar" for one worker; "parallel" or "auto", the default, for one
+// per CPU). Outputs are bit-identical by contract: more workers split the
+// same arithmetic across cores without ever reordering a reduction, so
+// the choice moves latency and core utilization, never tokens or logits —
 // cached modules, snapshots and golden outputs are portable across
-// backends and machines.
+// worker counts and machines.
 //
 // With WithModuleMining the cache grows itself: alongside the explicit
 // PML modules a schema declares, the engine watches the uncached token

@@ -66,8 +66,9 @@ type TierSnapshot struct {
 }
 
 // BackendSnapshot identifies the kernel backend forward passes run on
-// and what the runtime detected about the host. Backends are
-// bit-identical, so this block explains latency numbers, never outputs.
+// and what the runtime detected about the host. Outputs are
+// bit-identical at any worker count, so this block explains latency
+// numbers, never outputs.
 type BackendSnapshot struct {
 	Name     string `json:"name"`
 	Workers  int    `json:"workers"`

@@ -3,13 +3,15 @@ package hw
 import (
 	"fmt"
 	"runtime"
+
+	"repro/internal/tensor"
 )
 
 // CPUInfo describes the host CPU as far as a pure-Go, cgo-free build can
-// see it: architecture, core counts, and the baseline vector ISA the Go
-// compiler targets on that architecture. It feeds backend auto-selection
-// (internal/tensor) and the pcserve startup/stats reporting, so an
-// operator can tell which kernels a deployment actually ran on.
+// see it: architecture, core counts, and the vector ISA the kernels run
+// on. It feeds backend auto-selection (internal/tensor) and the pcserve
+// startup/stats reporting, so an operator can tell which kernels a
+// deployment actually ran on.
 type CPUInfo struct {
 	// Arch is runtime.GOARCH ("amd64", "arm64", ...).
 	Arch string
@@ -18,11 +20,11 @@ type CPUInfo struct {
 	// MaxProcs is the GOMAXPROCS ceiling on simultaneously executing
 	// goroutines — the fan-out a multi-worker backend can actually use.
 	MaxProcs int
-	// Vector names the baseline vector ISA the compiler may assume for
-	// Arch ("sse2" on amd64, "neon" on arm64, ...). Without cgo or
-	// per-model cpuid this is the guaranteed floor, not the best the
-	// silicon offers; it is reported so regressions across machines can
-	// be attributed.
+	// Vector names the vector ISA the weight matmul runs on: "avx2" when
+	// internal/tensor's start-up probe selected its AVX2 body, otherwise
+	// the baseline the compiler may assume for Arch ("sse2" on amd64,
+	// "neon" on arm64, ...), which is what the Go bodies run on. It is
+	// reported so speed differences across machines can be attributed.
 	Vector string
 }
 
@@ -34,8 +36,17 @@ func DetectCPU() CPUInfo {
 		Arch:     runtime.GOARCH,
 		Cores:    runtime.NumCPU(),
 		MaxProcs: runtime.GOMAXPROCS(0),
-		Vector:   vectorBaseline(runtime.GOARCH),
+		Vector:   vectorISA(),
 	}
+}
+
+// vectorISA is the selected vector body's ISA, or the baseline when the
+// Go bodies run.
+func vectorISA() string {
+	if v := tensor.VectorISA(); v != "" {
+		return v
+	}
+	return vectorBaseline(runtime.GOARCH)
 }
 
 // vectorBaseline maps an architecture to the vector ISA the Go compiler
@@ -54,7 +65,7 @@ func vectorBaseline(arch string) string {
 	return "scalar"
 }
 
-// String renders the info on one line, e.g. "amd64 (sse2), 8 cores, GOMAXPROCS=8".
+// String renders the info on one line, e.g. "amd64 (avx2), 8 cores, GOMAXPROCS=8".
 func (c CPUInfo) String() string {
 	return fmt.Sprintf("%s (%s), %d cores, GOMAXPROCS=%d", c.Arch, c.Vector, c.Cores, c.MaxProcs)
 }

@@ -2,8 +2,11 @@ package hw
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/tensor"
 )
 
 // TestTable2MemoryPerToken pins the Table 2 MB/token column. The paper's
@@ -261,5 +264,18 @@ func TestAllDeviceListsPopulated(t *testing.T) {
 		if d.Upload.BW <= 0 || d.Local.BW <= 0 {
 			t.Fatalf("%s: non-positive link bandwidth", d.Name)
 		}
+	}
+}
+
+// TestDetectCPUVectorFollowsSelection ties the reported ISA to the
+// matmul body internal/tensor selected: its ISA when it runs a vector
+// body, the architecture's baseline when it runs the Go body.
+func TestDetectCPUVectorFollowsSelection(t *testing.T) {
+	want := tensor.VectorISA()
+	if want == "" {
+		want = vectorBaseline(runtime.GOARCH)
+	}
+	if got := DetectCPU().Vector; got != want {
+		t.Fatalf("DetectCPU().Vector = %q, want %q (tensor.VectorISA() = %q)", got, want, tensor.VectorISA())
 	}
 }

@@ -416,7 +416,10 @@ func fold(x, lo, hi int) int {
 // FuzzBackendKernels drives MatMul, MatVecT, OutputHead and
 // AttendRowBlock across fuzzer-chosen shapes and worker counts, asserting
 // bit-identity against the matmul oracle, the one-worker reference
-// (OutputHead) or the attention oracle.
+// (OutputHead) or the attention oracle. The matmul's Go and vector
+// bodies are each run directly as well, so both meet the oracle
+// whichever one the probe selected, and then meet each other on
+// non-finite operands.
 // The corpus seeds cover the shard-boundary hazards (odd sizes, more
 // workers than elements) and tile edges. Attention parameters are folded
 // into range rather than skipped, so every input exercises the kernel.
@@ -447,10 +450,38 @@ func FuzzBackendKernels(f *testing.F) {
 		if i, ok := bitsEqual(want.Data, got.Data); !ok {
 			t.Fatalf("MatMul %dx%dx%d workers=%d: bit mismatch at %d", lanes, in, out, workers, i)
 		}
+		// Both bodies directly, whichever one MatMul selected.
+		for _, body := range []func(dst, a, b *Matrix, lo, hi int){matMulRangeGo, matMulVector} {
+			if body == nil {
+				continue
+			}
+			clear(got.Data)
+			body(got, a, w, 0, out)
+			if i, ok := bitsEqual(want.Data, got.Data); !ok {
+				t.Fatalf("matmul body %dx%dx%d: bit mismatch at %d", lanes, in, out, i)
+			}
+		}
 		clear(got.Data)
 		bk.MatVecT(got.Row(0), w, a.Row(0))
 		if i, ok := bitsEqual(want.Row(0), got.Row(0)); !ok {
 			t.Fatalf("MatVecT %dx%d workers=%d: bit mismatch at %d", in, out, workers, i)
+		}
+		// The vector body against the Go body on ±0, ±Inf and NaN
+		// operands, from a fuzzer-chosen shard start. Fuzzing instruments
+		// the Go body, so NaN payloads are left to
+		// TestMatMulVectorMatchesGo.
+		if matMulVector != nil {
+			fillSpecial(r, a.Data, 4)
+			fillSpecial(r, w.Data, 4)
+			lo := 8 * fold(split0, 0, (out-1)/8)
+			clear(want.Data)
+			clear(got.Data)
+			matMulRangeGo(want, a, w, lo, out)
+			matMulVector(got, a, w, lo, out)
+			if i, ok := bitsEqualAnyNaN(want.Data, got.Data); !ok {
+				t.Fatalf("vector body %dx%dx%d from column %d: bits %#08x, Go body %#08x at %d",
+					lanes, in, out, lo, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]), i)
+			}
 		}
 
 		emb := NewMatrix(out, in) // vocab=out, dim=in

@@ -19,6 +19,21 @@
 // bit-identical at any worker count and golden-logits tests and
 // cross-machine cache reuse hold. Select maps names to worker counts;
 // Auto uses one worker per CPU available to the process.
+//
+// # Vector lanes
+//
+// The weight matmul, matMulRange under MatMul and MatVecT, has an AVX2
+// body on amd64 (matmul_amd64.s) that equals its Go body bit for bit.
+// Each ymm lane is a different output column, so a lane's sum is that
+// column's scalar sum: it starts at +0 and takes, for p ascending, one
+// VMULPS and one VADDPS per term, each rounding as the scalar MULSS and
+// ADDSS do. There is no fused multiply-add, which would skip the
+// product's rounding. The weight is the multiply's first source and the
+// running sum the add's, as in the Go body's compiled code, so even NaN
+// payloads agree. One CPUID and XGETBV probe at start-up picks the body,
+// and VectorISA reports the choice. The purego build tag leaves the
+// assembly out; every other architecture runs the Go body, whose
+// products are converted to float32 so no compiler may fuse them.
 package tensor
 
 import (
@@ -85,45 +100,73 @@ func checkMatMul(dst, a, b *Matrix) {
 // dst[i][j] = Σ_p a[i][p]·b[p][j], one sum per element, ascending in p
 // from +0. It is the one weight-application body: MatMul and MatVecT (a
 // one-row a) both run it, so a model layer runs it at any row count and
-// a row's sums never depend on the rows beside it.
-//
-// Eight columns go at a time, each summed in its own register across all
-// of p, so no output is loaded or stored inside a reduction (the
-// row-at-a-time axpy loop this replaced did both for every term). On
-// the model's shapes this runs at the scalar multiply-add rate whatever
-// the row count; tiling rows as well, to read each weight once per
-// several rows, measured no faster, because the weights stay in cache.
-// Terms with a[i][p] == 0 are added, not skipped: for finite b such a
-// term is ±0, and adding ±0 to a round-to-nearest sum that began at +0
-// never changes its bits.
+// a row's sums never depend on the rows beside it. It runs the vector
+// body when the start-up probe selected one (matmul_amd64.go), and the
+// portable matMulRangeGo otherwise; the two give the same bits.
 func matMulRange(dst, a, b *Matrix, lo, hi int) {
+	if matMulVector != nil {
+		matMulVector(dst, a, b, lo, hi)
+		return
+	}
+	matMulRangeGo(dst, a, b, lo, hi)
+}
+
+// matMulVector is the vector body of matMulRange, nil when the probe
+// found none: off amd64, under the purego build tag, or on a CPU or OS
+// without AVX2.
+var matMulVector func(dst, a, b *Matrix, lo, hi int)
+
+// vectorISA names the instruction set of matMulVector, "" without one.
+var vectorISA string
+
+// VectorISA names the vector instruction set the weight matmul runs on
+// ("avx2"), or "" when it runs the portable Go body. One CPUID and
+// XGETBV probe at start-up decides it; nothing else selects it.
+func VectorISA() string { return vectorISA }
+
+// matMulRangeGo is matMulRange's portable body, and the oracle the
+// vector body must equal bit for bit.
+//
+// Four columns go at a time, each summed in its own register across all
+// of p, so no output is loaded or stored inside a reduction (the
+// row-at-a-time axpy loop this replaced did both for every term). Four
+// is the widest power-of-two run whose sums, products and x[p] all stay
+// in registers on amd64. At eight the compiler spilled one sum to the
+// stack and then added that column's product first, which keeps the
+// other operand's payload when two NaNs meet, so no vector body could
+// match every column. Four runs 5–30 % slower than eight did on a 2-core
+// Xeon; this body serves only builds without the vector one. Tiling rows
+// as well, to read each weight once per several rows, measured no
+// faster, because the weights stay in cache. Terms with a[i][p] == 0 are
+// added, not skipped: for finite b such a term is ±0, and adding ±0 to a
+// round-to-nearest sum that began at +0 never changes its bits. Every
+// product is converted to float32 before it is added: the conversion
+// rounds it, which forbids the compiler from fusing the multiply and the
+// add (arm64 otherwise emits FMADDS), so the sums are the same on every
+// architecture.
+func matMulRangeGo(dst, a, b *Matrix, lo, hi int) {
 	m, bd := b.Cols, b.Data
 	for i := 0; i < a.Rows; i++ {
 		x, d := a.Row(i), dst.Row(i)
 		j := lo
-		for ; j+8 <= hi; j += 8 {
-			var s0, s1, s2, s3, s4, s5, s6, s7 float32
+		for ; j+4 <= hi; j += 4 {
+			var s0, s1, s2, s3 float32
 			off := j
 			for _, xv := range x {
-				w := bd[off : off+8 : off+8]
-				s0 += xv * w[0]
-				s1 += xv * w[1]
-				s2 += xv * w[2]
-				s3 += xv * w[3]
-				s4 += xv * w[4]
-				s5 += xv * w[5]
-				s6 += xv * w[6]
-				s7 += xv * w[7]
+				w := bd[off : off+4 : off+4]
+				s0 += float32(xv * w[0])
+				s1 += float32(xv * w[1])
+				s2 += float32(xv * w[2])
+				s3 += float32(xv * w[3])
 				off += m
 			}
 			d[j], d[j+1], d[j+2], d[j+3] = s0, s1, s2, s3
-			d[j+4], d[j+5], d[j+6], d[j+7] = s4, s5, s6, s7
 		}
 		for ; j < hi; j++ {
 			var s float32
 			off := j
 			for _, xv := range x {
-				s += xv * bd[off]
+				s += float32(xv * bd[off])
 				off += m
 			}
 			d[j] = s

@@ -2,10 +2,10 @@
 // over the module and exits nonzero on any unsuppressed diagnostic. It
 // is wired into CI as a hard gate after staticcheck.
 //
-// The five analyzers and the invariants they machine-check — lockscope,
-// pinbalance, maporder, ctxplumb, errtaxonomy — are documented in
-// internal/lint and the README's "Static analysis" section. A false
-// positive is silenced at the site with
+// The six analyzers and the invariants they machine-check — lockscope,
+// pinbalance, maporder, ctxplumb, errtaxonomy, unreached — are
+// documented in internal/lint and the README's "Static analysis"
+// section. A false positive is silenced at the site with
 //
 //	//pclint:ignore <analyzer> <reason>
 //
@@ -57,17 +57,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	failing := 0
 	for _, d := range diags {
-		if d.Suppressed && !*showSuppressed {
-			continue
+		if !d.Suppressed || *showSuppressed {
+			fmt.Println(d)
 		}
-		if !d.Suppressed {
-			failing++
-		}
-		fmt.Println(d)
 	}
-	if failing > 0 {
+	if failing := len(lint.Unsuppressed(diags)); failing > 0 {
 		fmt.Fprintf(os.Stderr, "pclint: %d unsuppressed diagnostic(s)\n", failing)
 		os.Exit(1)
 	}

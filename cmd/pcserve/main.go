@@ -10,7 +10,7 @@
 //	POST   /v1/sessions             {"prompt": ..., "max_tokens":N}  open a multi-turn session
 //	POST   /v1/sessions/{id}/send   {"text": "..."}                  advance a session one turn
 //	DELETE /v1/sessions/{id}                                         close a session
-//	GET    /stats                                                    cache statistics
+//	GET    /v1/stats                                                 cache statistics
 //	GET    /healthz                                                  liveness
 //
 // Example:
@@ -26,7 +26,7 @@
 // With -mine the cache grows itself: the engine watches the uncached
 // token streams requests send, promotes hot shared prefixes to
 // anonymous cached modules, and splices them bit-exactly into later
-// requests — the "mining" block of GET /stats tracks the win.
+// requests — the "mining" block of GET /v1/stats tracks the win.
 //
 // With -speculate the decode phase speculates: generated token streams
 // train a per-serving-class n-gram draft source, and each decode lane
@@ -34,7 +34,7 @@
 // several tokens per step when the draft is right. Output is
 // bit-identical to non-speculative decode — requests can opt out per
 // call via {"speculation": {"enabled": false}} — and the "speculation"
-// block of GET /stats reports acceptance. Requires the decode scheduler
+// block of GET /v1/stats reports acceptance. Requires the decode scheduler
 // (-decode-batch > 0).
 //
 // With -admit N the server survives overload instead of collapsing
@@ -44,13 +44,13 @@
 // "batch" — interactive requests are admitted and decode-scheduled
 // ahead of batch backfill, and -admit-deadline / -admit-batch-deadline
 // bound each class's total latency (expiry is HTTP 504). The
-// "admission" block of GET /stats keeps the ledger.
+// "admission" block of GET /v1/stats keeps the ledger.
 //
 // With -backend the tensor kernel backend is pinned: "scalar" is one
 // worker, "parallel" and the default "auto" one worker per CPU. Outputs
 // are bit-identical at any worker count — they never depend on the
 // choice. Startup logs the selection with the detected CPU, and
-// the "backend" block of GET /stats reports it.
+// the "backend" block of GET /v1/stats reports it.
 //
 //	pcserve -cache-dir /var/lib/pcserve -cache-codec int8
 //	curl -d '{"pml":"<schema name=\"s\"><module name=\"m\">hi</module></schema>"}' localhost:8080/schemas

@@ -73,8 +73,7 @@
 // max tokens, sampler, stop conditions, SLO class, speculation — shared
 // by Request, Session defaults, BatchRequest and the HTTP request
 // shapes, which embed it so the wire keys (max_tokens, slo, speculation)
-// are the same everywhere. The older flat Request fields survive as
-// deprecated aliases that apply only when the GenConfig field is zero.
+// are the same everywhere.
 //
 // # Storage tiers & persistence
 //
@@ -118,13 +117,14 @@
 // # Static analysis
 //
 // The invariants above are machine-checked: cmd/pclint (driver in
-// internal/lint, stdlib go/types only) runs five repo-specific
+// internal/lint, stdlib go/types only) runs six repo-specific
 // analyzers as a hard CI gate — lockscope (nothing heavy under an
 // engine mutex), pinbalance (pins released on every error path),
 // maporder (no map-iteration nondeterminism on token/snapshot paths),
-// ctxplumb (entry points accept and forward context), and errtaxonomy
+// ctxplumb (entry points accept and forward context), errtaxonomy
 // (engine errors wrap the typed taxonomy the HTTP layer maps with
-// errors.Is). Deliberate exceptions carry an inline
+// errors.Is), and unreached (every exported function under internal/
+// has a non-test caller outside its own file). Deliberate exceptions carry an inline
 // "//pclint:ignore <analyzer> <reason>" directive; the reason is
 // mandatory and malformed directives are themselves diagnostics. See
 // the "Static analysis" section of README.md.
@@ -137,11 +137,11 @@
 // modules it reads, making them immune to eviction while their states
 // are viewed. There is one serve path: a batch request is its prompts
 // served individually over a bounded worker pool, so members sharing a
-// module view the same resident states and hold ordinary pins. Schema registration and prefetch encode under the
-// lock — the deliberate one-time cost — so serves that start
-// mid-registration wait for it, while serves already prefilling are
-// unaffected. See the "Concurrency" section of README.md for the full
-// contract.
+// module view the same resident states and hold ordinary pins. Schema
+// registration encodes under the lock — the deliberate one-time cost —
+// so serves that start mid-registration wait for it, while serves
+// already prefilling are unaffected. See the "Concurrency" section of
+// README.md for the full contract.
 //
 // The library implements the paper's full stack: a transformer inference
 // engine with explicit position IDs (internal/model, internal/tensor,

@@ -39,8 +39,8 @@ func main() {
 	}
 
 	resp, err := client.InferBatch(context.Background(), promptcache.BatchRequest{
-		Prompts:   prompts,
-		MaxTokens: 10,
+		Prompts: prompts,
+		Gen:     promptcache.GenConfig{MaxTokens: 10},
 	})
 	if err != nil {
 		log.Fatal(err)

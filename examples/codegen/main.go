@@ -46,7 +46,7 @@ func main() {
 
 	for _, r := range requests {
 		t0 := time.Now()
-		resp, err := client.Infer(ctx, promptcache.Request{Prompt: r.prompt, MaxTokens: 20})
+		resp, err := client.Infer(ctx, promptcache.Request{Prompt: r.prompt, Gen: promptcache.GenConfig{MaxTokens: 20}})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func main() {
 			r.label, resp.CachedTokens, resp.NewTokens, time.Since(t0))
 		fmt.Printf("  -> %s\n", resp.Text)
 	}
-	st := client.Stats()
+	st := client.Snapshot()
 	fmt.Printf("\ncache: %d modules encoded once, %d reuses across requests\n",
 		st.ModulesEncoded, st.ModulesReused)
 }

@@ -40,7 +40,7 @@ func main() {
 	for _, p := range profiles {
 		prompt := fmt.Sprintf(`<prompt schema="learner-profile">%s<user>Concisely describe the learner's profile.</user></prompt>`, p.traits)
 		t0 := time.Now()
-		resp, err := client.Infer(ctx, promptcache.Request{Prompt: prompt, MaxTokens: 18})
+		resp, err := client.Infer(ctx, promptcache.Request{Prompt: prompt, Gen: promptcache.GenConfig{MaxTokens: 18}})
 		if err != nil {
 			log.Fatal(err)
 		}

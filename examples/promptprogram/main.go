@@ -64,7 +64,7 @@ func main() {
 		  <tier_pro/>
 		  <user>Draft a first reply.</user>
 		</prompt>`,
-		MaxTokens: 16,
+		Gen: promptcache.GenConfig{MaxTokens: 16},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -81,11 +81,11 @@ func main() {
 	//    Prompt Cache applies the paper's §3.3 attention-mask
 	//    approximation, so outputs may differ slightly; declare the
 	//    modules as a <scaffold> to make them match exactly.
-	cached, err := client.Infer(ctx, promptcache.Request{Prompt: prompt, MaxTokens: 16})
+	cached, err := client.Infer(ctx, promptcache.Request{Prompt: prompt, Gen: promptcache.GenConfig{MaxTokens: 16}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseline, err := client.Infer(ctx, promptcache.Request{Prompt: prompt, Baseline: true, MaxTokens: 16})
+	baseline, err := client.Infer(ctx, promptcache.Request{Prompt: prompt, Baseline: true, Gen: promptcache.GenConfig{MaxTokens: 16}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,10 +36,8 @@ func main() {
 		start := time.Now()
 		first := time.Duration(0)
 		_, err := client.Infer(ctx, promptcache.Request{
-			Prompt:    prompt,
-			Baseline:  baseline,
-			MaxTokens: 8,
-			Sampler:   &promptcache.RepetitionPenalty{Penalty: 1.5, Window: 16},
+			Prompt:   prompt,
+			Baseline: baseline,
 			Stream: func(text string) bool {
 				if first == 0 {
 					first = time.Since(start)
@@ -48,6 +46,7 @@ func main() {
 				fmt.Printf("%s ", text)
 				return true
 			},
+			Gen: promptcache.GenConfig{MaxTokens: 8, Sampler: &promptcache.RepetitionPenalty{Penalty: 1.5, Window: 16}},
 		})
 		if err != nil {
 			log.Fatal(err)

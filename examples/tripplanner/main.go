@@ -46,7 +46,7 @@ func main() {
 	}
 	for _, tr := range trips {
 		t0 := time.Now()
-		resp, err := client.Infer(ctx, promptcache.Request{Prompt: tr.prompt, MaxTokens: 18})
+		resp, err := client.Infer(ctx, promptcache.Request{Prompt: tr.prompt, Gen: promptcache.GenConfig{MaxTokens: 18}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -106,7 +106,7 @@ func TestLongBenchPipeline(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, s := range w.Samples {
-			cres, err := client.Infer(ctx, promptcache.Request{Prompt: s.Prompt, MaxTokens: 8})
+			cres, err := client.Infer(ctx, promptcache.Request{Prompt: s.Prompt, Gen: promptcache.GenConfig{MaxTokens: 8}})
 			if err != nil {
 				t.Fatalf("%s serve: %v", name, err)
 			}
@@ -138,9 +138,13 @@ func TestServerWithQuantizedEvictingCache(t *testing.T) {
 	if _, err := probe.RegisterSchema(w.Schema); err != nil {
 		t.Fatal(err)
 	}
+	gdsf, err := evict.New("gdsf")
+	if err != nil {
+		t.Fatal(err)
+	}
 	tight := promptcache.New(m,
 		core.WithInt8Modules(),
-		core.WithEvictionPolicy(evict.NewGDSF()),
+		core.WithEvictionPolicy(gdsf),
 		core.WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: probe.PoolUsed()/2 + 1})),
 	)
 	srv := httptest.NewServer(server.New(tight))
@@ -173,7 +177,7 @@ func TestServerWithQuantizedEvictingCache(t *testing.T) {
 			t.Fatalf("no reuse through server: %v", out)
 		}
 	}
-	resp, err := srv.Client().Get(srv.URL + "/stats")
+	resp, err := srv.Client().Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func AblationScaffold() (*Report, error) {
 			return nil, err
 		}
 		ctx := context.Background()
-		base, err := client.Infer(ctx, promptcache.Request{Prompt: prompt, Baseline: true, MaxTokens: 16})
+		base, err := client.Infer(ctx, promptcache.Request{Prompt: prompt, Baseline: true, Gen: promptcache.GenConfig{MaxTokens: 16}})
 		if err != nil {
 			return nil, err
 		}
@@ -57,7 +57,8 @@ func AblationScaffold() (*Report, error) {
 			disabled bool
 		}{{"scaffold", false}, {"independent", true}} {
 			res, err := client.Infer(ctx, promptcache.Request{
-				Prompt: prompt, DisableScaffolds: mode.disabled, MaxTokens: 16,
+				Prompt: prompt, DisableScaffolds: mode.disabled,
+				Gen: promptcache.GenConfig{MaxTokens: 16},
 			})
 			if err != nil {
 				return nil, err

@@ -36,9 +36,9 @@ func (c *AccuracyConfig) defaults() {
 // table1Vocab sizes the engine vocabulary for accuracy runs.
 const table1Vocab = tokenizer.WordBase + 2048
 
-// Table1Models returns the four architecture stand-ins of Table 1, in
+// table1Models returns the four architecture stand-ins of Table 1, in
 // paper column order: Llama2 7B, Llama2 13B, MPT 7B, Falcon 7B.
-func Table1Models(seed uint64) []model.Config {
+func table1Models(seed uint64) []model.Config {
 	return []model.Config{
 		model.LlamaStyle(table1Vocab, seed),
 		model.LlamaStyleLarge(table1Vocab, seed+1),
@@ -87,11 +87,11 @@ func Table1Appendix(cfg AccuracyConfig) (*Report, error) {
 		}
 		var baseScores, cachedScores, cosines []float64
 		for _, s := range w.Samples {
-			cres, err := client.Infer(ctx, promptcache.Request{Prompt: s.Prompt, MaxTokens: cfg.MaxNewTokens})
+			cres, err := client.Infer(ctx, promptcache.Request{Prompt: s.Prompt, Gen: promptcache.GenConfig{MaxTokens: cfg.MaxNewTokens}})
 			if err != nil {
 				return nil, err
 			}
-			bres, err := client.Infer(ctx, promptcache.Request{Prompt: s.Prompt, Baseline: true, MaxTokens: cfg.MaxNewTokens})
+			bres, err := client.Infer(ctx, promptcache.Request{Prompt: s.Prompt, Baseline: true, Gen: promptcache.GenConfig{MaxTokens: cfg.MaxNewTokens}})
 			if err != nil {
 				return nil, err
 			}
@@ -124,7 +124,7 @@ func Table1(cfg AccuracyConfig) (*Report, error) {
 			"LogitCos = cosine of first-token logits cached-vs-baseline (the direct §3.3 masking measurement); GenOverlap = token overlap of the greedy generations, which amplifies any divergence.",
 		},
 	}
-	for _, mcfg := range Table1Models(cfg.Seed + 100) {
+	for _, mcfg := range table1Models(cfg.Seed + 100) {
 		m, err := model.New(mcfg)
 		if err != nil {
 			return nil, err
@@ -144,11 +144,11 @@ func Table1(cfg AccuracyConfig) (*Report, error) {
 			}
 			var baseScores, cachedScores, fidelities, cosines []float64
 			for _, s := range w.Samples {
-				cres, err := client.Infer(ctx, promptcache.Request{Prompt: s.Prompt, MaxTokens: cfg.MaxNewTokens})
+				cres, err := client.Infer(ctx, promptcache.Request{Prompt: s.Prompt, Gen: promptcache.GenConfig{MaxTokens: cfg.MaxNewTokens}})
 				if err != nil {
 					return nil, fmt.Errorf("table1 serve %s/%s: %w", mcfg.Name, d.Name, err)
 				}
-				bres, err := client.Infer(ctx, promptcache.Request{Prompt: s.Prompt, Baseline: true, MaxTokens: cfg.MaxNewTokens})
+				bres, err := client.Infer(ctx, promptcache.Request{Prompt: s.Prompt, Baseline: true, Gen: promptcache.GenConfig{MaxTokens: cfg.MaxNewTokens}})
 				if err != nil {
 					return nil, err
 				}

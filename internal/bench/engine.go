@@ -163,14 +163,14 @@ func EngineServing() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := tiered.Stats()
+	st := tiered.Snapshot()
 	rep := &Report{
 		ID:     "engine-serving",
 		Title:  "Measured trace replay on the Go engine (40 Zipf requests, 12 modules)",
 		Header: []string{"Configuration", "Mean TTFT (ms)", "Speedup"},
 		Notes: []string{
 			fmt.Sprintf("tiered cache (1/3 capacity): %d demotions, %d promotions, %d re-encodes",
-				st.ModulesDemoted, st.ModulesPromoted, st.ModulesReloaded),
+				st.Tiers.ModulesDemoted, st.Tiers.ModulesPromoted, st.ModulesReloaded),
 		},
 	}
 	rep.Rows = append(rep.Rows,

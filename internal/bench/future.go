@@ -104,11 +104,11 @@ func Quant() (*Report, error) {
 	}
 	prompt := `<prompt schema="quant-doc"><doc/><user>summarize the document briefly</user></prompt>`
 	ctx := context.Background()
-	fres, err := full.Infer(ctx, promptcache.Request{Prompt: prompt, MaxTokens: 24})
+	fres, err := full.Infer(ctx, promptcache.Request{Prompt: prompt, Gen: promptcache.GenConfig{MaxTokens: 24}})
 	if err != nil {
 		return nil, err
 	}
-	qres, err := int8c.Infer(ctx, promptcache.Request{Prompt: prompt, MaxTokens: 24})
+	qres, err := int8c.Infer(ctx, promptcache.Request{Prompt: prompt, Gen: promptcache.GenConfig{MaxTokens: 24}})
 	if err != nil {
 		return nil, err
 	}

@@ -173,11 +173,11 @@ func runUseCase(uc useCase) (*Report, error) {
 		return nil, fmt.Errorf("%s schema: %w", uc.id, err)
 	}
 	ctx := context.Background()
-	cres, err := client.Infer(ctx, promptcache.Request{Prompt: uc.prompt, MaxTokens: 24})
+	cres, err := client.Infer(ctx, promptcache.Request{Prompt: uc.prompt, Gen: promptcache.GenConfig{MaxTokens: 24}})
 	if err != nil {
 		return nil, fmt.Errorf("%s serve: %w", uc.id, err)
 	}
-	bres, err := client.Infer(ctx, promptcache.Request{Prompt: uc.prompt, Baseline: true, MaxTokens: 24})
+	bres, err := client.Infer(ctx, promptcache.Request{Prompt: uc.prompt, Baseline: true, Gen: promptcache.GenConfig{MaxTokens: 24}})
 	if err != nil {
 		return nil, err
 	}

@@ -147,7 +147,7 @@ type Stats struct {
 // modules are immune to eviction until the serve's result closes (views
 // read module memory in place). Encoding always happens under the
 // lock — it is the deliberate one-time cost (§3.3) — whether triggered
-// by RegisterSchema/Prefetch or by a serve restoring a dropped module,
+// by RegisterSchema or by a serve restoring a dropped module,
 // so a planning phase can stall behind an in-progress encode; serves
 // past planning (prefilling) never stall and never stall each other.
 type Cache struct {
@@ -210,10 +210,6 @@ type Cache struct {
 // Option configures a Cache.
 type Option func(*Cache)
 
-// WithTemplate sets the chat template (§3.2.3); default is the template
-// for the model's architecture family.
-func WithTemplate(t *pml.Template) Option { return func(c *Cache) { c.tmpl = t } }
-
 // WithPool stores module states in the given memory pool, enabling
 // capacity limits and LRU eviction (§4.1's GPU-memory configuration).
 func WithPool(p *memory.Pool) Option { return func(c *Cache) { c.pool = p } }
@@ -260,6 +256,8 @@ func WithDecodeScheduler(maxBatch int) Option {
 // tier before blob reads and writes, so robustness tests drive the
 // degrade paths (retry, re-encode, spill fallthrough) deterministically.
 // Production caches run without one at zero cost.
+//
+//pclint:ignore unreached test seam: the only way robustness tests reach the disk tier's fault points
 func WithFaultInjection(in *faultinject.Injector) Option {
 	return func(c *Cache) { c.inject = in }
 }
@@ -327,9 +325,6 @@ func (c *Cache) HostUsed() int64 {
 	}
 	return c.hostPool.Used()
 }
-
-// DiskTierEnabled reports whether a disk tier is configured.
-func (c *Cache) DiskTierEnabled() bool { return c.disk != nil }
 
 // DiskUsed returns the bytes of module blobs tracked by the disk tier
 // (0 when no disk tier is configured).
@@ -668,46 +663,9 @@ func (c *Cache) promoteLocked(key string, em *EncodedModule) error {
 	return nil
 }
 
-// getModuleLocked returns a module's states, re-encoding if it was
-// evicted.
-func (c *Cache) getModuleLocked(schemaName string, e *schemaEntry, name string) (*EncodedModule, error) {
-	em := e.modules[name]
-	if em == nil {
-		return nil, fmt.Errorf("%w: schema %q has no module %q", ErrBadPrompt, schemaName, name)
-	}
-	key := schemaName + "/" + name
-	switch em.state {
-	case stateDropped:
-		c.stats.ModulesReloaded++
-		return c.encodeModuleLocked(schemaName, e, name)
-	case stateDemoted:
-		if err := c.promoteLocked(key, em); err != nil {
-			return nil, err
-		}
-	case stateDisk:
-		// Warming path (Prefetch, snapshots): the blob read happens under
-		// the lock, like encoding. Serves use the off-lock resolve in
-		// engine.go instead.
-		kv, lerr := c.diskLoadLocked(key, em)
-		if lerr != nil {
-			// Unreadable blob: degrade to a re-encode. Corruption also
-			// deletes the blob; a transient IO error keeps it for retry.
-			c.diskLoadFailedLocked(key, em, lerr)
-			c.stats.ModulesReloaded++
-			return c.encodeModuleLocked(schemaName, e, name)
-		}
-		if err := c.installDiskStatesLocked(key, em, kv); err != nil {
-			return nil, err
-		}
-	}
-	c.policy.Touch(key, em.Bytes())
-	c.stats.ModulesReused++
-	return em, nil
-}
-
-// acquireModuleLocked is getModuleLocked for the serve planning phase:
-// it returns the module's states as a servePart safe to read outside the
-// lock. The happy path promotes or re-encodes into the primary pool and
+// acquireModuleLocked resolves one imported module for the serve
+// planning phase: it returns the module's states as a servePart safe to
+// read outside the lock. The happy path promotes or re-encodes into the primary pool and
 // pins the module, making it immune to eviction until unpinModules runs.
 // When the pool cannot hold the serve's whole working set at once — the
 // remaining eviction victims are all pinned, typically by this very
@@ -799,42 +757,6 @@ func (c *Cache) unpinModules(ems []*EncodedModule) {
 	}
 }
 
-// Prefetch warms the named modules — promoting demoted states back into
-// the primary pool and re-encoding dropped ones — before a prompt needs
-// them. §3.2.3 notes unions enable exactly this: once one member of a
-// union is known to be in play, its siblings (or the chosen member) can
-// be staged ahead of the request.
-func (c *Cache) Prefetch(schema string, names ...string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.schemas[schema]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownSchema, schema)
-	}
-	for _, name := range names {
-		if _, err := c.getModuleLocked(schema, e, name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PrefetchUnion warms every member of the union containing member.
-func (c *Cache) PrefetchUnion(schema, member string) error {
-	c.mu.Lock()
-	e, ok := c.schemas[schema]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownSchema, schema)
-	}
-	members := e.layout.UnionOf(member)
-	c.mu.Unlock()
-	if members == nil {
-		return fmt.Errorf("%w: module %q is not a union member", ErrBadPrompt, member)
-	}
-	return c.Prefetch(schema, members...)
-}
-
 // Layout returns the compiled layout of a registered schema.
 func (c *Cache) Layout(schema string) (*pml.Layout, error) {
 	c.mu.Lock()
@@ -844,4 +766,16 @@ func (c *Cache) Layout(schema string) (*pml.Layout, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownSchema, schema)
 	}
 	return e.layout, nil
+}
+
+// SchemaSource returns the PML source a registered schema was compiled
+// from: the text given to RegisterSchema, or the copy OpenDir restored.
+func (c *Cache) SchemaSource(schema string) (string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.schemas[schema]
+	if !ok {
+		return "", fmt.Errorf("%w: %q", ErrUnknownSchema, schema)
+	}
+	return e.src, nil
 }

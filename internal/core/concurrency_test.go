@@ -145,9 +145,13 @@ func TestEvictionSkipsPinnedModule(t *testing.T) {
 	// FIFO makes "a/pin" (first inserted) the victim of choice, so only
 	// pin-awareness can save it. The pool holds exactly schema a; adding
 	// b forces one eviction.
+	fifo, err := evict.New("fifo")
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := NewCache(m,
 		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need})),
-		WithEvictionPolicy(evict.NewFIFO()),
+		WithEvictionPolicy(fifo),
 	)
 	mustRegister(t, c, schemaA)
 
@@ -206,8 +210,8 @@ func TestEvictionSkipsPinnedModule(t *testing.T) {
 }
 
 // TestConcurrentServePrefetchRegisterBatch hammers every mutating entry
-// point at once — Serve, ServeBatch, Prefetch, RegisterSchema, Stats —
-// and exists mainly for the race detector.
+// point at once — Serve, ServeBatch, promotion churn, RegisterSchema,
+// Stats — and exists mainly for the race detector.
 func TestConcurrentServePrefetchRegisterBatch(t *testing.T) {
 	c := llamaCache(t)
 	mustRegister(t, c, travelSchema)
@@ -242,7 +246,7 @@ func TestConcurrentServePrefetchRegisterBatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				if err := c.Prefetch("travel", "miami", "tokyo"); err != nil {
+				if err := serveClose(ctx, c, `<prompt schema="travel"><miami/>x</prompt>`, `<prompt schema="travel"><tokyo/>x</prompt>`); err != nil {
 					errs <- err
 					return
 				}

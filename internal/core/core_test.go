@@ -531,19 +531,6 @@ func TestConcatPermutationInvariance(t *testing.T) {
 	}
 }
 
-// TestGenerateText produces a decodable string.
-func TestGenerateText(t *testing.T) {
-	c := llamaCache(t)
-	mustRegister(t, c, travelSchema)
-	res, err := c.Serve(context.Background(), `<prompt schema="travel"><tokyo/>Recommend food.</prompt>`, ServeOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.GenerateText(context.Background(), res, model.GenerateOpts{MaxTokens: 6}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestReRegisterReplacesSchema frees the old states.
 func TestReRegisterReplacesSchema(t *testing.T) {
 	c := llamaCache(t)
@@ -564,7 +551,7 @@ func TestChatTemplateAppliedToPromptText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantNew := len(pml.LlamaTemplate().Wrap(pml.RoleUser, c.Tokenizer().Encode("plan it")))
+	wantNew := len(pml.TemplateFor("llama-style").Wrap(pml.RoleUser, c.Tokenizer().Encode("plan it")))
 	if res.NewTokens != wantNew {
 		t.Fatalf("new tokens = %d, want %d (template-wrapped)", res.NewTokens, wantNew)
 	}

@@ -248,7 +248,7 @@ func (c *Cache) diskLoadLocked(key string, em *EncodedModule) (*kvcache.Cache, e
 	if !ok {
 		return nil, fmt.Errorf("core: module %s is on disk but has no blob entry: %w", key, errCorruptBlob)
 	}
-	//pclint:ignore lockscope warming path (Prefetch, snapshot restore): blob reads under the lock are the documented one-time cost; serves use the off-lock resolveDiskParts
+	//pclint:ignore lockscope snapshot path (SaveAll of a disk-resident module): blob reads under the lock are the documented one-time cost; serves use the off-lock resolveDiskParts
 	kv, err := c.disk.readBlob(entry)
 	if err != nil {
 		return nil, fmt.Errorf("core: disk tier %s: %w", key, err)
@@ -586,7 +586,7 @@ func OpenDir(m *model.Model, dir string, opts ...Option) (*Cache, error) {
 	}
 	var man diskManifest
 	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("core: snapshot manifest: %w", err)
+		return nil, fmt.Errorf("%w: manifest: %v", ErrBadSnapshot, err)
 	}
 	if man.Version != manifestVersion {
 		return nil, fmt.Errorf("%w: unsupported snapshot version %d", ErrBadSnapshot, man.Version)

@@ -773,12 +773,3 @@ func (c *Cache) GenerateStream(ctx context.Context, res *ServeResult, opts model
 	}
 	return ids, wrapDeadline(err)
 }
-
-// GenerateText is Generate plus detokenization.
-func (c *Cache) GenerateText(ctx context.Context, res *ServeResult, opts model.GenerateOpts) (string, error) {
-	ids, err := c.Generate(ctx, res, opts)
-	if err != nil {
-		return "", err
-	}
-	return c.tok.Decode(ids), nil
-}

@@ -26,6 +26,19 @@ func miningCache(t *testing.T, cfg model.Config, extra ...Option) *Cache {
 	return c
 }
 
+// serveClose serves each prompt and releases its pins: the promotion
+// and eviction churn a real workload causes.
+func serveClose(ctx context.Context, c *Cache, prompts ...string) error {
+	for _, p := range prompts {
+		res, err := c.Serve(ctx, p, ServeOpts{})
+		if err != nil {
+			return err
+		}
+		res.Close()
+	}
+	return nil
+}
+
 // serveMined serves minedPrompt and returns the closed-over result;
 // the caller owns Close.
 func serveMined(t *testing.T, c *Cache) *ServeResult {
@@ -183,7 +196,7 @@ func TestMinedModuleEvictionWaterfall(t *testing.T) {
 		t.Fatal("no promotion under memory pressure")
 	}
 	// Churn the cache so the mined module is evicted (spilling to disk).
-	if err := c.Prefetch("travel", "trip-plan", "tokyo", "miami"); err != nil {
+	if err := serveClose(context.Background(), c, `<prompt schema="travel"><trip-plan/><tokyo/>x</prompt>`, `<prompt schema="travel"><miami/>x</prompt>`); err != nil {
 		t.Fatal(err)
 	}
 	hit := serveMined(t, c)

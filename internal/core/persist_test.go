@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -361,6 +363,220 @@ func TestOpenDirRejectsDrift(t *testing.T) {
 	}
 	if _, err := OpenDir(m, dir); err == nil {
 		t.Fatal("corrupt manifest should fail")
+	}
+}
+
+// editManifest rewrites every schema source recorded in dir's manifest.
+func editManifest(t *testing.T, dir string, edit func(pml string) string) {
+	t.Helper()
+	data, err := os.ReadFile(manifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man diskManifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	for i := range man.Schemas {
+		man.Schemas[i].PML = edit(man.Schemas[i].PML)
+	}
+	if data, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifestPath(dir), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotRoundTrip: a saved directory restores every module without
+// encoding, before any serve, and the restored cache serves bit-identically.
+func TestSnapshotRoundTrip(t *testing.T) {
+	cfg := model.LlamaStyle(coreVocab, 301)
+	m, err := model.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := NewCache(m)
+	mustRegister(t, orig, travelSchema)
+	dir := t.TempDir()
+	if err := orig.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	restored, err := OpenDir(m, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Stats().ModulesRestored != 4 {
+		t.Fatalf("restored = %d", restored.Stats().ModulesRestored)
+	}
+	// Restoring skips encoding entirely (scaffolds aside; travel has none).
+	if restored.Stats().ModulesEncoded != 0 {
+		t.Fatalf("encoded = %d, want 0 on restore", restored.Stats().ModulesEncoded)
+	}
+
+	prompt := `<prompt schema="travel"><trip-plan duration="six days"/><tokyo/>Plan it.</prompt>`
+	want, err := orig.Serve(context.Background(), prompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Close()
+	got, err := restored.Serve(context.Background(), prompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Close()
+	if d := tensor.MaxAbsDiff(want.Logits, got.Logits); d != 0 {
+		t.Fatalf("snapshot-restored serve differs by %v", d)
+	}
+}
+
+// TestSnapshotWithScaffoldRebuilds: a restored schema with a scaffold
+// applies it on serve, matching the original cache's logits.
+func TestSnapshotWithScaffoldRebuilds(t *testing.T) {
+	schema := `<schema name="s">
+	  <module name="a">first clause words here</module>
+	  <module name="b">second clause words there</module>
+	  <scaffold name="ab" modules="a b"/>
+	</schema>`
+	cfg := model.LlamaStyle(coreVocab, 331)
+	m, err := model.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := NewCache(m)
+	mustRegister(t, orig, schema)
+	dir := t.TempDir()
+	if err := orig.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := OpenDir(m, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompt := `<prompt schema="s"><a/><b/>Relate them.</prompt>`
+	want, err := orig.Serve(context.Background(), prompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Close()
+	got, err := restored.Serve(context.Background(), prompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Close()
+	if len(got.Scaffolds) != 1 {
+		t.Fatal("scaffold not rebuilt on restore")
+	}
+	if d := tensor.MaxAbsDiff(want.Logits, got.Logits); d > 1e-5 {
+		t.Fatalf("scaffolded restore differs by %v", d)
+	}
+}
+
+// TestSnapshotSchemaMismatch: a manifest whose schema source names a
+// module the blobs were not encoded for is refused, not served.
+func TestSnapshotSchemaMismatch(t *testing.T) {
+	cfg := model.LlamaStyle(coreVocab, 311)
+	m, err := model.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := NewCache(m)
+	mustRegister(t, orig, travelSchema)
+	dir := t.TempDir()
+	if err := orig.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	editManifest(t, dir, func(pml string) string {
+		return strings.Replace(pml, `name="miami"`, `name="boston"`, 1)
+	})
+	if _, err := OpenDir(m, dir); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("renamed module: got %v, want errors.Is ErrBadSnapshot", err)
+	}
+}
+
+// TestSnapshotCorruptHeader: module blobs with a corrupt header do not
+// fail the restore; the first serve of each falls back to a re-encode
+// with identical logits, and the corruption is counted.
+func TestSnapshotCorruptHeader(t *testing.T) {
+	cfg := model.LlamaStyle(coreVocab, 313)
+	m, err := model.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := NewCache(m)
+	mustRegister(t, orig, travelSchema)
+	dir := t.TempDir()
+	if err := orig.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	blobs, err := filepath.Glob(filepath.Join(dir, "blobs", "*.pckv"))
+	if err != nil || len(blobs) == 0 {
+		t.Fatalf("no blobs on disk: %v", err)
+	}
+	for _, b := range blobs {
+		f, err := os.OpenFile(b, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte("XXXX"), 0); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	restored, err := OpenDir(m, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompt := `<prompt schema="travel"><trip-plan duration="six days"/><tokyo/>Plan it.</prompt>`
+	want, err := orig.Serve(context.Background(), prompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Close()
+	got, err := restored.Serve(context.Background(), prompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Close()
+	if d := tensor.MaxAbsDiff(want.Logits, got.Logits); d != 0 {
+		t.Fatalf("fallback serve differs by %v", d)
+	}
+	if st := restored.Stats(); st.DiskLoadErrors == 0 || st.ModulesEncoded == 0 {
+		t.Fatalf("corrupt blobs should be counted and re-encoded: %+v", st)
+	}
+}
+
+// TestSnapshotIntoQuantizedCache: an fp32 snapshot opened by an int8
+// cache stores what it loads quantized, and still serves.
+func TestSnapshotIntoQuantizedCache(t *testing.T) {
+	cfg := model.LlamaStyle(coreVocab, 307)
+	m, err := model.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := NewCache(m)
+	mustRegister(t, orig, travelSchema)
+	dir := t.TempDir()
+	if err := orig.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	prompt := `<prompt schema="travel"><miami/>Surf?</prompt>`
+	used := func(opts ...Option) int64 {
+		c, err := OpenDir(m, dir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Serve(context.Background(), prompt, ServeOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Close()
+		return c.PoolUsed()
+	}
+	full, q := used(), used(WithInt8Modules())
+	if q == 0 || q >= full {
+		t.Fatalf("quantized restore used %d bytes, full precision %d", q, full)
 	}
 }
 

@@ -55,21 +55,6 @@ func (s SchedStats) TokensPerSec() float64 {
 	return float64(s.TokensDecoded) / (float64(s.DecodeNs) / 1e9)
 }
 
-// AcceptedPerStep is the mean tokens a lane produces per fused step it
-// participates in — exactly 1 without speculation (each lane samples one
-// token per step regardless of batch width), above 1 when drafts are
-// being accepted. Zero before any step runs.
-func (s SchedStats) AcceptedPerStep() float64 {
-	var laneSteps int64
-	for i, n := range s.BatchHist {
-		laneSteps += n * int64(i+1)
-	}
-	if laneSteps == 0 {
-		return 0
-	}
-	return float64(s.TokensDecoded) / float64(laneSteps)
-}
-
 // schedLane is one request's sequence inside the scheduler: its KV state,
 // sampler and stop conditions, the emit sink for streaming, and the
 // model-side DecodeLane holding its scratch.

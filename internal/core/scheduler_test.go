@@ -306,7 +306,7 @@ func TestSchedulerCancelEvictsLane(t *testing.T) {
 }
 
 // TestSchedulerChurnHammer mixes scheduler decode with every mutating
-// cache entry point — Serve+Generate loops, Prefetch promotion churn,
+// cache entry point — Serve+Generate loops, promotion churn,
 // schema registration, eviction under a deliberately tiny device pool
 // with a host tier — and exists mainly for the race detector.
 func TestSchedulerChurnHammer(t *testing.T) {
@@ -346,7 +346,7 @@ func TestSchedulerChurnHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				if err := c.Prefetch("travel", "miami", "tokyo"); err != nil {
+				if err := serveClose(ctx, c, `<prompt schema="travel"><miami/>x</prompt>`, `<prompt schema="travel"><tokyo/>x</prompt>`); err != nil {
 					errs <- err
 					return
 				}

@@ -1,9 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,32 +16,23 @@ import (
 // errors.Is (the HTTP layer maps them to statuses that way), never by
 // string matching.
 
-func TestPrefetchUnknownModuleIsBadPrompt(t *testing.T) {
-	c := llamaCache(t)
-	mustRegister(t, c, travelSchema)
-	err := c.Prefetch("travel", "ghost")
-	if !errors.Is(err, ErrBadPrompt) {
-		t.Fatalf("Prefetch unknown module: got %v, want errors.Is ErrBadPrompt", err)
-	}
-}
-
-func TestPrefetchUnionNonMemberIsBadPrompt(t *testing.T) {
-	c := llamaCache(t)
-	mustRegister(t, c, travelSchema)
-	err := c.PrefetchUnion("travel", "trip-plan")
-	if !errors.Is(err, ErrBadPrompt) {
-		t.Fatalf("PrefetchUnion non-member: got %v, want errors.Is ErrBadPrompt", err)
-	}
-}
-
+// TestSnapshotGarbageIsBadSnapshot: a cache directory whose manifest is
+// not JSON is a bad snapshot, not an internal error.
 func TestSnapshotGarbageIsBadSnapshot(t *testing.T) {
 	c := llamaCache(t)
-	_, err := c.RegisterSchemaFromSnapshot(travelSchema, strings.NewReader("garbage bytes"))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte("garbage bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenDir(c.Model(), dir)
 	if !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("garbage snapshot: got %v, want errors.Is ErrBadSnapshot", err)
 	}
 }
 
+// TestSnapshotAlteredSchemaIsBadSnapshot: a manifest whose schema source
+// no longer matches its blobs (a module's text changed length) is
+// refused with ErrBadSnapshot rather than served from stale states.
 func TestSnapshotAlteredSchemaIsBadSnapshot(t *testing.T) {
 	cfg := model.LlamaStyle(coreVocab, 401)
 	m, err := model.New(cfg)
@@ -49,13 +41,14 @@ func TestSnapshotAlteredSchemaIsBadSnapshot(t *testing.T) {
 	}
 	orig := NewCache(m)
 	mustRegister(t, orig, travelSchema)
-	var buf bytes.Buffer
-	if err := orig.SaveSchemaStates("travel", &buf); err != nil {
+	dir := t.TempDir()
+	if err := orig.SaveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	altered := strings.Replace(travelSchema, "superb food", "superb food and also trains", 1)
-	fresh := NewCache(m)
-	_, err = fresh.RegisterSchemaFromSnapshot(altered, bytes.NewReader(buf.Bytes()))
+	editManifest(t, dir, func(pml string) string {
+		return strings.Replace(pml, "superb food", "superb food and also trains", 1)
+	})
+	_, err = OpenDir(m, dir)
 	if !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("stale snapshot: got %v, want errors.Is ErrBadSnapshot", err)
 	}

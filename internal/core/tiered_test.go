@@ -99,44 +99,6 @@ func TestTieredHostPoolCapBounded(t *testing.T) {
 	}
 }
 
-// TestPrefetch: warming modules promotes demoted states ahead of use, so
-// the subsequent serve performs no promotion of its own.
-func TestPrefetch(t *testing.T) {
-	cfg := model.LlamaStyle(coreVocab, 541)
-	m, err := model.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := NewCache(m)
-	mustRegister(t, probe, travelSchema)
-	need := probe.PoolUsed()
-
-	tiered := NewCache(m,
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need/2 + 1})),
-		WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM})),
-	)
-	mustRegister(t, tiered, travelSchema)
-	if tiered.Stats().ModulesDemoted == 0 {
-		t.Fatal("setup needs demotions")
-	}
-	if err := tiered.PrefetchUnion("travel", "miami"); err != nil {
-		t.Fatal(err)
-	}
-	if tiered.Stats().ModulesPromoted == 0 {
-		t.Fatal("prefetch should promote")
-	}
-	// Errors surface for unknown targets.
-	if err := tiered.Prefetch("travel", "ghost"); err == nil {
-		t.Fatal("unknown module should fail")
-	}
-	if err := tiered.Prefetch("ghost", "m"); err == nil {
-		t.Fatal("unknown schema should fail")
-	}
-	if err := tiered.PrefetchUnion("travel", "trip-plan"); err == nil {
-		t.Fatal("non-union member should fail")
-	}
-}
-
 // TestTieredReRegisterFreesHostPool: re-registering a schema releases
 // host-pool reservations of demoted modules.
 func TestTieredReRegisterFreesHostPool(t *testing.T) {

@@ -34,8 +34,8 @@ func TestServeZeroCopyAliasing(t *testing.T) {
 	if seq.ViewLen() != res.CachedTokens {
 		t.Fatalf("view rows %d != cached tokens %d", seq.ViewLen(), res.CachedTokens)
 	}
-	if seq.Segments() != 2 { // _anon0, miami
-		t.Fatalf("segments = %d, want 2", seq.Segments())
+	if len(seq.AppendSegments(nil, 0, seq.ViewLen())) != 2 { // _anon0, miami
+		t.Fatalf("segments = %d, want 2", len(seq.AppendSegments(nil, 0, seq.ViewLen())))
 	}
 
 	c.mu.Lock()
@@ -72,8 +72,8 @@ func TestSuppliedParamsSplitSegments(t *testing.T) {
 
 	seq := res.KV.(*kvcache.Seq)
 	// _anon0 (1) + trip-plan split around the duration slot (2) + miami (1).
-	if seq.Segments() != 4 {
-		t.Fatalf("segments = %d, want 4", seq.Segments())
+	if len(seq.AppendSegments(nil, 0, seq.ViewLen())) != 4 {
+		t.Fatalf("segments = %d, want 4", len(seq.AppendSegments(nil, 0, seq.ViewLen())))
 	}
 	c.mu.Lock()
 	trip := c.schemas["travel"].modules["trip-plan"]

@@ -15,8 +15,6 @@ import (
 // Policy ranks cached entries for eviction. Implementations are not
 // thread-safe; callers serialize access (core holds its own lock).
 type Policy interface {
-	// Name identifies the policy in reports.
-	Name() string
 	// Touch records an access to key (inserting it if new) with its
 	// storage size. Re-touching an existing key updates the stored size
 	// (a re-encoded module may have a different footprint) even in
@@ -34,8 +32,6 @@ type Policy interface {
 	VictimExcluding(excluded func(key string) bool) (key string, ok bool)
 	// Remove forgets an entry (after eviction or explicit free).
 	Remove(key string)
-	// Len returns the number of tracked entries.
-	Len() int
 }
 
 // --- LRU ---
@@ -56,9 +52,6 @@ type LRU struct {
 func NewLRU() *LRU {
 	return &LRU{ll: list.New(), idx: map[string]*list.Element{}}
 }
-
-// Name implements Policy.
-func (p *LRU) Name() string { return "lru" }
 
 // Touch implements Policy.
 func (p *LRU) Touch(key string, size int64) {
@@ -99,9 +92,6 @@ func (p *LRU) Remove(key string) {
 	}
 }
 
-// Len implements Policy.
-func (p *LRU) Len() int { return p.ll.Len() }
-
 // --- FIFO ---
 
 // FIFO evicts the oldest-inserted entry regardless of use.
@@ -110,13 +100,10 @@ type FIFO struct {
 	idx map[string]*list.Element
 }
 
-// NewFIFO returns an empty FIFO policy.
-func NewFIFO() *FIFO {
+// newFIFO returns an empty FIFO policy.
+func newFIFO() *FIFO {
 	return &FIFO{ll: list.New(), idx: map[string]*list.Element{}}
 }
-
-// Name implements Policy.
-func (p *FIFO) Name() string { return "fifo" }
 
 // Touch implements Policy. Re-touching keeps the insertion order fixed
 // but still refreshes the stored size: a re-encoded module's footprint
@@ -145,9 +132,6 @@ func (p *FIFO) Remove(key string) {
 	}
 }
 
-// Len implements Policy.
-func (p *FIFO) Len() int { return p.ll.Len() }
-
 // --- LFU ---
 
 type lfuEntry struct {
@@ -163,11 +147,8 @@ type LFU struct {
 	clock   int64
 }
 
-// NewLFU returns an empty LFU policy.
-func NewLFU() *LFU { return &LFU{entries: map[string]*lfuEntry{}} }
-
-// Name implements Policy.
-func (p *LFU) Name() string { return "lfu" }
+// newLFU returns an empty LFU policy.
+func newLFU() *LFU { return &LFU{entries: map[string]*lfuEntry{}} }
 
 // Touch implements Policy.
 func (p *LFU) Touch(key string, size int64) {
@@ -204,9 +185,6 @@ func (p *LFU) VictimExcluding(excluded func(string) bool) (string, bool) {
 // Remove implements Policy.
 func (p *LFU) Remove(key string) { delete(p.entries, key) }
 
-// Len implements Policy.
-func (p *LFU) Len() int { return len(p.entries) }
-
 // --- GDSF ---
 
 type gdsfEntry struct {
@@ -227,11 +205,8 @@ type GDSF struct {
 	clock   int64
 }
 
-// NewGDSF returns an empty GDSF policy.
-func NewGDSF() *GDSF { return &GDSF{entries: map[string]*gdsfEntry{}} }
-
-// Name implements Policy.
-func (p *GDSF) Name() string { return "gdsf" }
+// newGDSF returns an empty GDSF policy.
+func newGDSF() *GDSF { return &GDSF{entries: map[string]*gdsfEntry{}} }
 
 // Touch implements Policy.
 func (p *GDSF) Touch(key string, size int64) {
@@ -282,20 +257,17 @@ func (p *GDSF) Remove(key string) {
 	}
 }
 
-// Len implements Policy.
-func (p *GDSF) Len() int { return len(p.entries) }
-
 // New constructs a policy by name: "lru", "fifo", "lfu" or "gdsf".
 func New(name string) (Policy, error) {
 	switch name {
 	case "lru":
 		return NewLRU(), nil
 	case "fifo":
-		return NewFIFO(), nil
+		return newFIFO(), nil
 	case "lfu":
-		return NewLFU(), nil
+		return newLFU(), nil
 	case "gdsf":
-		return NewGDSF(), nil
+		return newGDSF(), nil
 	}
 	return nil, fmt.Errorf("evict: unknown policy %q", name)
 }

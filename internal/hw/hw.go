@@ -164,17 +164,6 @@ type Model struct {
 	Vocab  int
 }
 
-// Published model profiles. KVDim follows the paper's Table 2 accounting
-// (MHA-equivalent), which reproduces its MB/token column exactly.
-func BERTBase() Model {
-	return Model{Name: "BERT", Params: 0.11e9, Layers: 12, Dim: 768, KVDim: 768, Vocab: 30522}
-}
-
-// Falcon1B profiles tiiuae/falcon-rw-1b.
-func Falcon1B() Model {
-	return Model{Name: "Falcon 1B", Params: 1.3e9, Layers: 24, Dim: 2048, KVDim: 2048, Vocab: 50304}
-}
-
 // Llama7B profiles Llama2-7B.
 func Llama7B() Model {
 	return Model{Name: "Llama 7B", Params: 6.74e9, Layers: 32, Dim: 4096, KVDim: 4096, Vocab: 32000}
@@ -193,41 +182,19 @@ func Llama13B() Model {
 	return Model{Name: "Llama 13B", Params: 13.0e9, Layers: 40, Dim: 5120, KVDim: 5120, Vocab: 32000}
 }
 
-// MPT7B profiles mosaicml/mpt-7b.
-func MPT7B() Model {
-	return Model{Name: "MPT 7B", Params: 6.7e9, Layers: 32, Dim: 4096, KVDim: 4096, Vocab: 50432}
-}
-
-// Falcon7B profiles tiiuae/falcon-7b.
-func Falcon7B() Model {
-	return Model{Name: "Falcon 7B", Params: 7.2e9, Layers: 32, Dim: 4544, KVDim: 4544, Vocab: 65024}
-}
-
-// MPT30B profiles mosaicml/mpt-30b.
-func MPT30B() Model {
-	return Model{Name: "MPT 30B", Params: 30e9, Layers: 48, Dim: 7168, KVDim: 7168, Vocab: 50432}
-}
-
-// Falcon40B profiles tiiuae/falcon-40b.
-func Falcon40B() Model {
-	return Model{Name: "Falcon 40B", Params: 41e9, Layers: 60, Dim: 8192, KVDim: 8192, Vocab: 65024}
-}
-
-// Llama70B profiles Llama2-70B (MHA-equivalent KV accounting, per Table 2).
-func Llama70B() Model {
-	return Model{Name: "Llama 70B", Params: 69e9, Layers: 80, Dim: 8192, KVDim: 8192, Vocab: 32000}
-}
-
-// Falcon180B profiles tiiuae/falcon-180B.
-func Falcon180B() Model {
-	return Model{Name: "Falcon 180B", Params: 180e9, Layers: 80, Dim: 14848, KVDim: 14848, Vocab: 65024}
-}
-
 // Table2Models returns the eight models of Table 2 in paper order.
+// KVDim follows the paper's MHA-equivalent accounting, which reproduces
+// its MB/token column exactly.
 func Table2Models() []Model {
 	return []Model{
-		BERTBase(), Falcon1B(), Llama7B(), Llama13B(),
-		MPT30B(), Falcon40B(), Llama70B(), Falcon180B(),
+		{Name: "BERT", Params: 0.11e9, Layers: 12, Dim: 768, KVDim: 768, Vocab: 30522},
+		{Name: "Falcon 1B", Params: 1.3e9, Layers: 24, Dim: 2048, KVDim: 2048, Vocab: 50304}, // tiiuae/falcon-rw-1b
+		Llama7B(),
+		Llama13B(),
+		{Name: "MPT 30B", Params: 30e9, Layers: 48, Dim: 7168, KVDim: 7168, Vocab: 50432},
+		{Name: "Falcon 40B", Params: 41e9, Layers: 60, Dim: 8192, KVDim: 8192, Vocab: 65024},
+		{Name: "Llama 70B", Params: 69e9, Layers: 80, Dim: 8192, KVDim: 8192, Vocab: 32000},
+		{Name: "Falcon 180B", Params: 180e9, Layers: 80, Dim: 14848, KVDim: 14848, Vocab: 65024},
 	}
 }
 
@@ -246,10 +213,10 @@ func (m Model) MBPerToken() float64 {
 // WeightBytes returns the fp16 weight footprint.
 func (m Model) WeightBytes() int64 { return int64(2 * m.Params) }
 
-// PrefillFLOPs returns the forward-pass cost of a full n-token prefill:
+// prefillFLOPs returns the forward-pass cost of a full n-token prefill:
 // the 2·P·n weights term plus the paper's 4·n²·d quadratic attention term
 // per layer (§2.2).
-func (m Model) PrefillFLOPs(n int) float64 {
+func (m Model) prefillFLOPs(n int) float64 {
 	return 2*m.Params*float64(n) + 4*float64(m.Layers)*float64(n)*float64(n)*float64(m.Dim)
 }
 
@@ -261,8 +228,8 @@ func (m Model) SuffixFLOPs(mNew, nTotal int) float64 {
 		4*float64(m.Layers)*float64(mNew)*float64(nTotal)*float64(m.Dim)
 }
 
-// DecodeFLOPs returns the per-token decode cost at context length n.
-func (m Model) DecodeFLOPs(n int) float64 {
+// decodeFLOPs returns the per-token decode cost at context length n.
+func (m Model) decodeFLOPs(n int) float64 {
 	return 2*m.Params + 4*float64(m.Layers)*float64(n)*float64(m.Dim)
 }
 
@@ -289,7 +256,7 @@ func (s ModuleSource) String() string {
 // BaselineTTFT returns the modelled time-to-first-token of a full
 // KV-cache prefill of n tokens (the paper's baseline).
 func BaselineTTFT(d *Device, m Model, n int) time.Duration {
-	compute := m.PrefillFLOPs(n) / d.EffFLOPs()
+	compute := m.prefillFLOPs(n) / d.EffFLOPs()
 	return d.Overhead + time.Duration(compute*float64(time.Second))
 }
 
@@ -313,7 +280,7 @@ func CachedTTFT(d *Device, m Model, nCached, nUncached int, src ModuleSource) ti
 // DecodeTime returns the modelled per-token decode latency (TTST in
 // §5.4), the max of the compute and weight-streaming bounds.
 func DecodeTime(d *Device, m Model, n int) time.Duration {
-	compute := m.DecodeFLOPs(n) / d.EffFLOPs()
+	compute := m.decodeFLOPs(n) / d.EffFLOPs()
 	stream := float64(m.WeightBytes()) / d.EffMemBW()
 	t := compute
 	if stream > t {

@@ -185,7 +185,7 @@ func TestDecodeIsMemoryBoundOnGPU(t *testing.T) {
 	m := Llama7B()
 	// Weight streaming should dominate decode for a 7B model.
 	stream := float64(m.WeightBytes()) / d.EffMemBW()
-	compute := m.DecodeFLOPs(3000) / d.EffFLOPs()
+	compute := m.decodeFLOPs(3000) / d.EffFLOPs()
 	if stream <= compute {
 		t.Fatalf("expected memory-bound decode (stream %.4fs vs compute %.4fs)", stream, compute)
 	}
@@ -193,14 +193,14 @@ func TestDecodeIsMemoryBoundOnGPU(t *testing.T) {
 
 func TestSuffixFLOPsLessThanPrefill(t *testing.T) {
 	m := Llama7B()
-	if m.SuffixFLOPs(100, 5100) >= m.PrefillFLOPs(5100) {
+	if m.SuffixFLOPs(100, 5100) >= m.prefillFLOPs(5100) {
 		t.Fatal("suffix compute must be far below full prefill")
 	}
 	// Suffix of everything == full prefill's weights term + attention.
-	full := m.PrefillFLOPs(5000)
+	full := m.prefillFLOPs(5000)
 	suffixAll := m.SuffixFLOPs(5000, 5000)
 	if math.Abs(full-suffixAll)/full > 1e-9 {
-		t.Fatalf("SuffixFLOPs(n,n) = %g, PrefillFLOPs(n) = %g", suffixAll, full)
+		t.Fatalf("SuffixFLOPs(n,n) = %g, prefillFLOPs(n) = %g", suffixAll, full)
 	}
 }
 

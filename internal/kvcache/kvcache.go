@@ -92,31 +92,6 @@ func (c *Cache) AppendToken(l int, k, v []float32) {
 // were just appended.
 func (c *Cache) AppendPos(pos int) { c.Pos = append(c.Pos, pos) }
 
-// Clone returns a deep copy of the cache.
-func (c *Cache) Clone() *Cache {
-	out := New(c.NLayers, c.KVDim, c.Len())
-	out.Pos = append(out.Pos, c.Pos...)
-	for l := 0; l < c.NLayers; l++ {
-		out.K[l] = append(out.K[l], c.K[l]...)
-		out.V[l] = append(out.V[l], c.V[l]...)
-	}
-	return out
-}
-
-// Slice returns a deep copy of tokens [lo, hi).
-func (c *Cache) Slice(lo, hi int) *Cache {
-	if lo < 0 || hi > c.Len() || lo > hi {
-		panic(fmt.Sprintf("kvcache: Slice[%d:%d) of %d tokens", lo, hi, c.Len()))
-	}
-	out := New(c.NLayers, c.KVDim, hi-lo)
-	out.Pos = append(out.Pos, c.Pos[lo:hi]...)
-	for l := 0; l < c.NLayers; l++ {
-		out.K[l] = append(out.K[l], c.K[l][lo*c.KVDim:hi*c.KVDim]...)
-		out.V[l] = append(out.V[l], c.V[l][lo*c.KVDim:hi*c.KVDim]...)
-	}
-	return out
-}
-
 // AppendCache appends all of src's tokens to c. This is the buffered
 // concatenation operator of §4.2: c's buffers grow amortized-doubling, so
 // concatenating k module states performs O(total) copying and no
@@ -132,25 +107,6 @@ func (c *Cache) AppendCache(src *Cache) {
 		c.K[l] = append(c.K[l], src.K[l]...)
 		c.V[l] = append(c.V[l], src.V[l]...)
 	}
-}
-
-// Concat builds a new cache containing the tokens of all parts in order,
-// sized exactly once up front. Per §3.4 the semantic result is order
-// independent (transformer permutation invariance over position-tagged
-// states); tests verify that model output is unchanged under permutation.
-func Concat(parts ...*Cache) *Cache {
-	if len(parts) == 0 {
-		panic("kvcache: Concat of nothing")
-	}
-	total := 0
-	for _, p := range parts {
-		total += p.Len()
-	}
-	out := New(parts[0].NLayers, parts[0].KVDim, total)
-	for _, p := range parts {
-		out.AppendCache(p)
-	}
-	return out
 }
 
 // Truncate discards all cached tokens from index n onward.

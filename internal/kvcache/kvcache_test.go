@@ -53,45 +53,14 @@ func TestMaxPosEmpty(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	c := New(2, 4, 4)
-	fill(c, 2, 0, 3)
-	cl := c.Clone()
-	cl.K[0][0] = 999
-	cl.Pos[0] = 999
-	if c.K[0][0] == 999 || c.Pos[0] == 999 {
-		t.Fatal("Clone aliases original")
+// concat splices parts into one fresh cache through AppendCache, the
+// §4.2 concatenation operator.
+func concat(parts ...*Cache) *Cache {
+	out := New(parts[0].NLayers, parts[0].KVDim, 0)
+	for _, p := range parts {
+		out.AppendCache(p)
 	}
-}
-
-func TestSliceCopies(t *testing.T) {
-	c := New(1, 2, 8)
-	fill(c, 5, 10, 4)
-	s := c.Slice(1, 4)
-	if s.Len() != 3 {
-		t.Fatalf("slice len = %d", s.Len())
-	}
-	if s.Pos[0] != 11 || s.Pos[2] != 13 {
-		t.Fatalf("slice pos = %v", s.Pos)
-	}
-	if s.KeyRow(0, 0)[0] != c.KeyRow(0, 1)[0] {
-		t.Fatal("slice row mismatch")
-	}
-	s.K[0][0] = 777
-	if c.K[0][2] == 777 {
-		t.Fatal("Slice must deep-copy")
-	}
-}
-
-func TestSliceBoundsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c := New(1, 2, 2)
-	fill(c, 2, 0, 5)
-	c.Slice(1, 5)
+	return out
 }
 
 func TestConcatOrderAndContent(t *testing.T) {
@@ -99,7 +68,7 @@ func TestConcatOrderAndContent(t *testing.T) {
 	b := New(2, 3, 4)
 	fill(a, 2, 0, 6)
 	fill(b, 3, 50, 7)
-	out := Concat(a, b)
+	out := concat(a, b)
 	if out.Len() != 5 {
 		t.Fatalf("concat len = %d", out.Len())
 	}
@@ -173,9 +142,9 @@ func TestConcatPreservesTotalProperty(t *testing.T) {
 		fill(a, int(n1%32), 0, uint64(n1)+1)
 		fill(b, int(n2%32), 1000, uint64(n2)+2)
 		if a.Len() == 0 && b.Len() == 0 {
-			return Concat(a, b).Len() == 0
+			return concat(a, b).Len() == 0
 		}
-		return Concat(a, b).Len() == a.Len()+b.Len()
+		return concat(a, b).Len() == a.Len()+b.Len()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

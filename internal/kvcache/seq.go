@@ -14,9 +14,6 @@ type Segment struct {
 	Pos  []int
 }
 
-// Rows returns the number of token rows in the segment.
-func (s Segment) Rows() int { return len(s.Pos) }
-
 // KV is the attention-state surface the model reads and extends during
 // prefill and decode. Two implementations exist:
 //
@@ -31,12 +28,6 @@ func (s Segment) Rows() int { return len(s.Pos) }
 type KV interface {
 	// Len returns the number of cached tokens.
 	Len() int
-	// NumLayers returns the layer count.
-	NumLayers() int
-	// Width returns the flattened K/V row width (kvHeads × headDim).
-	Width() int
-	// PosAt returns the position ID of cached token i.
-	PosAt(i int) int
 	// MaxPos returns the largest position ID, or -1 when empty.
 	MaxPos() int
 	// Positions returns all position IDs in row order. The slice may
@@ -153,17 +144,8 @@ func (s *Seq) extendBase(src *Cache, lo, hi int) {
 // cached prefix); Len() - ViewLen() tokens live in the mutable tail.
 func (s *Seq) ViewLen() int { return s.base }
 
-// Segments returns the number of immutable view segments.
-func (s *Seq) Segments() int { return len(s.wins) }
-
 // Len returns the number of cached tokens (views + tail).
 func (s *Seq) Len() int { return s.base + s.tail.Len() }
-
-// NumLayers returns the layer count.
-func (s *Seq) NumLayers() int { return s.nLayers }
-
-// Width returns the flattened K/V row width.
-func (s *Seq) Width() int { return s.width }
 
 // find locates the window containing global row i. Callers guarantee
 // i < s.base.
@@ -177,15 +159,6 @@ func (s *Seq) find(i int) *window {
 		}
 	}
 	panic(fmt.Sprintf("kvcache: row %d out of %d view rows", i, s.base))
-}
-
-// PosAt returns the position ID of cached token i.
-func (s *Seq) PosAt(i int) int {
-	if i >= s.base {
-		return s.tail.Pos[i-s.base]
-	}
-	w := s.find(i)
-	return w.src.Pos[w.lo+i-w.start]
 }
 
 // MaxPos returns the largest position ID in the view, or -1 when empty.
@@ -285,25 +258,8 @@ func (s *Seq) Materialize() *Cache {
 	return out
 }
 
-// Bytes returns the footprint the sequence's tokens would occupy at
-// bytesPerScalar bytes per element. Viewed rows are counted even though
-// they are shared: this is the logical size, matching Cache.Bytes.
-func (s *Seq) Bytes(bytesPerScalar int) int64 {
-	return int64(s.Len()) * int64(s.nLayers) * int64(s.width) * 2 * int64(bytesPerScalar)
-}
-
 // Cache-side implementations of the KV surface that the flat type did
 // not already have.
-
-// NumLayers returns the layer count.
-func (c *Cache) NumLayers() int { return c.NLayers }
-
-// Width returns the flattened K/V row width.
-func (c *Cache) Width() int { return c.KVDim }
-
-// PosAt returns the position ID of cached token i.
-func (c *Cache) PosAt(i int) int { return c.Pos[i] }
-
 // Positions returns the position IDs in row order. The slice aliases the
 // cache's own storage; callers must not modify it.
 func (c *Cache) Positions() []int { return c.Pos }

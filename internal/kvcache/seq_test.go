@@ -13,10 +13,10 @@ func TestSeqViewsAndTail(t *testing.T) {
 	s := NewSeq(2, 4, 4)
 	s.AddView(a, 0, 5)
 	s.AddView(b, 1, 3) // rows at positions 11, 12
-	if s.Len() != 7 || s.ViewLen() != 7 || s.Segments() != 2 {
-		t.Fatalf("len=%d viewLen=%d segs=%d", s.Len(), s.ViewLen(), s.Segments())
+	if s.Len() != 7 || s.ViewLen() != 7 || len(s.wins) != 2 {
+		t.Fatalf("len=%d viewLen=%d segs=%d", s.Len(), s.ViewLen(), len(s.wins))
 	}
-	if s.PosAt(0) != 0 || s.PosAt(4) != 4 || s.PosAt(5) != 11 || s.PosAt(6) != 12 {
+	if s.Positions()[0] != 0 || s.Positions()[4] != 4 || s.Positions()[5] != 11 || s.Positions()[6] != 12 {
 		t.Fatalf("positions: %v", s.Positions())
 	}
 	if s.MaxPos() != 12 {
@@ -36,17 +36,17 @@ func TestSeqViewsAndTail(t *testing.T) {
 		s.AppendToken(l, row, row)
 	}
 	s.AppendPos(20)
-	if s.Len() != 8 || s.MaxPos() != 20 || s.PosAt(7) != 20 {
+	if s.Len() != 8 || s.MaxPos() != 20 || s.Positions()[7] != 20 {
 		t.Fatalf("after tail append: len=%d maxPos=%d", s.Len(), s.MaxPos())
 	}
 
 	// Segment walk covers views then tail, clamped by the row bound.
 	segs := s.AppendSegments(nil, 0, 8)
-	if len(segs) != 3 || segs[0].Rows() != 5 || segs[1].Rows() != 2 || segs[2].Rows() != 1 {
+	if len(segs) != 3 || len(segs[0].Pos) != 5 || len(segs[1].Pos) != 2 || len(segs[2].Pos) != 1 {
 		t.Fatalf("segments: %d", len(segs))
 	}
 	segs = s.AppendSegments(nil, 0, 6)
-	if len(segs) != 2 || segs[1].Rows() != 1 {
+	if len(segs) != 2 || len(segs[1].Pos) != 1 {
 		t.Fatalf("bounded segments wrong: %d", len(segs))
 	}
 
@@ -69,11 +69,11 @@ func TestSeqMergesAdjacentWindows(t *testing.T) {
 	s := NewSeq(1, 2, 2)
 	s.AddView(a, 0, 2)
 	s.AddView(a, 2, 5) // contiguous in the same source: one segment
-	if s.Segments() != 1 || s.ViewLen() != 5 {
-		t.Fatalf("segs=%d viewLen=%d, want merged 1/5", s.Segments(), s.ViewLen())
+	if len(s.wins) != 1 || s.ViewLen() != 5 {
+		t.Fatalf("segs=%d viewLen=%d, want merged 1/5", len(s.wins), s.ViewLen())
 	}
 	s.AddView(a, 5, 5) // empty: dropped
-	if s.Segments() != 1 {
+	if len(s.wins) != 1 {
 		t.Fatalf("empty window created a segment")
 	}
 }
@@ -98,8 +98,8 @@ func TestSeqMaterializeMatches(t *testing.T) {
 		t.Fatalf("materialized len %d != %d", flat.Len(), s.Len())
 	}
 	for i := 0; i < s.Len(); i++ {
-		if flat.Pos[i] != s.PosAt(i) {
-			t.Fatalf("pos[%d]: %d != %d", i, flat.Pos[i], s.PosAt(i))
+		if flat.Pos[i] != s.Positions()[i] {
+			t.Fatalf("pos[%d]: %d != %d", i, flat.Pos[i], s.Positions()[i])
 		}
 		for l := 0; l < 2; l++ {
 			kc, ks := flat.KeyRow(l, i), s.KeyRow(l, i)

@@ -38,6 +38,14 @@ type Config struct {
 	// ErrPackages: function-scope errors.New / fmt.Errorf without %w in
 	// these packages break the errors.Is taxonomy and are reported.
 	ErrPackages []string
+
+	// ReachPackages: every exported function or method in a package
+	// whose import path starts with one of these prefixes must be
+	// referenced from a non-test file other than its own.
+	ReachPackages []string
+	// ReachModules are nested modules, as directories relative to the
+	// module root, whose non-test code also counts as a reference.
+	ReachModules []string
 }
 
 // AcquireSpec is one pin-taking function.
@@ -75,7 +83,6 @@ func DefaultConfig() *Config {
 			model + ".Model.Generate",
 			model + ".Model.GenerateStream",
 			model + ".Model.generate",
-			model + ".Model.Complete",
 			core + ".diskTier.writeBlob",
 			core + ".diskTier.readBlob",
 			"repro/internal/quant.EncodeKV",
@@ -119,12 +126,16 @@ func DefaultConfig() *Config {
 			core + ".Scheduler.step",
 			// Manifest writing: warm restarts replay this byte stream.
 			core + ".Cache.SaveAll",
-			core + ".Cache.SaveSchemaStates",
 		},
 
 		CtxPackages: []string{core, "repro/promptcache"},
 		CtxPrefixes: []string{"Serve", "Baseline", "Generate", "Infer", "Continue", "Send", "NewSession"},
 
 		ErrPackages: []string{core, "repro/promptcache"},
+
+		ReachPackages: []string{"repro/internal/"},
+		// The benchmark of record links engine internals through
+		// `replace repro => ../`.
+		ReachModules: []string{"benchmark"},
 	}
 }

@@ -1,7 +1,7 @@
 // Package lint is pclint's engine: a stdlib-only static analysis driver
-// (go/parser, go/types, go/ast — no golang.org/x/tools) plus five
+// (go/parser, go/types, go/ast — no golang.org/x/tools) plus six
 // repo-specific analyzers that machine-check the serving engine's
-// correctness invariants:
+// correctness invariants and keep dead code out:
 //
 //   - lockscope: nothing heavy — prefill/decode/generate, disk blob I/O,
 //     the quant codec — may run while an engine mutex is held.
@@ -13,6 +13,10 @@
 //     forward context.Context.
 //   - errtaxonomy: errors born in the engine must wrap the typed
 //     taxonomy the HTTP layer maps to statuses.
+//   - unreached: every exported function or method under internal/
+//     must be referenced from a non-test file other than its own (the
+//     nested benchmark module counts); interface dispatch reaches the
+//     methods it can call, and standard-interface methods are exempt.
 //
 // A diagnostic is suppressed by a directive on the same line or the
 // line above:
@@ -41,11 +45,15 @@ type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
 
+	root    string // main module directory
 	checked map[string]*types.Package
 	exports map[string]string
 	gc      types.Importer
 
 	graph *callGraph
+	// extern holds the funcKeys that Config.ReachModules reference,
+	// once loadReachModules has run.
+	extern map[string]bool
 }
 
 // Package is one type-checked module package.
@@ -80,7 +88,7 @@ func (d Diagnostic) String() string {
 type analyzerFunc func(prog *Program, cfg *Config) []Diagnostic
 
 // AnalyzerNames lists every analyzer in the order they run.
-var AnalyzerNames = []string{"lockscope", "pinbalance", "maporder", "ctxplumb", "errtaxonomy"}
+var AnalyzerNames = []string{"lockscope", "pinbalance", "maporder", "ctxplumb", "errtaxonomy", "unreached"}
 
 var analyzers = map[string]analyzerFunc{
 	"lockscope":   lockscope,
@@ -88,6 +96,7 @@ var analyzers = map[string]analyzerFunc{
 	"maporder":    maporder,
 	"ctxplumb":    ctxplumb,
 	"errtaxonomy": errtaxonomy,
+	"unreached":   unreached,
 }
 
 // Run executes the named analyzers (all of them when names is empty)
@@ -102,6 +111,11 @@ func (prog *Program) Run(cfg *Config, names ...string) ([]Diagnostic, error) {
 		fn, ok := analyzers[name]
 		if !ok {
 			return nil, fmt.Errorf("lint: unknown analyzer %q", name)
+		}
+		if name == "unreached" {
+			if err := prog.loadReachModules(cfg); err != nil {
+				return nil, err
+			}
 		}
 		diags = append(diags, fn(prog, cfg)...)
 	}

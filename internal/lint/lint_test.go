@@ -191,6 +191,16 @@ func TestErrtaxonomyFixture(t *testing.T) {
 	}, "errtaxonomy", 2)
 }
 
+// TestUnreachedFixture: a function referenced only by its own file and
+// a test is flagged; a suppressed one is not; a method named nowhere
+// but reached through an interface call, and a fmt.Stringer method, are
+// reached.
+func TestUnreachedFixture(t *testing.T) {
+	checkFixture(t, "unreached", &Config{
+		ReachPackages: []string{"fix/unreached"},
+	}, "unreached", 1)
+}
+
 // TestMalformedIgnoreDirectives: an ignore naming an unknown analyzer
 // or lacking a reason is itself an unsuppressable diagnostic.
 func TestMalformedIgnoreDirectives(t *testing.T) {

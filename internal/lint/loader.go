@@ -21,7 +21,11 @@ type listPackage struct {
 	Export     string
 	Dir        string
 	GoFiles    []string
-	Module     *struct{ Path string }
+	Module     *struct {
+		Path string
+		Main bool
+		Dir  string
+	}
 }
 
 // Load type-checks the module packages matched by patterns (plus every
@@ -51,6 +55,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 
 	exports := map[string]string{}
 	var modPkgs []listPackage
+	var root string
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listPackage
@@ -63,6 +68,9 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		// module packages accumulate in type-check order.
 		if p.Module != nil {
 			modPkgs = append(modPkgs, p)
+			if p.Module.Main {
+				root = p.Module.Dir
+			}
 		} else if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
@@ -70,6 +78,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 
 	prog := &Program{
 		Fset:    token.NewFileSet(),
+		root:    root,
 		checked: map[string]*types.Package{},
 		exports: exports,
 	}

@@ -1,10 +1,9 @@
 // Package memory simulates the two storage tiers the paper stores prompt
 // modules in (§4.1): GPU HBM (fast, scarce) and host DRAM (abundant,
-// behind a host-to-device copy). It provides capacity-tracked pools with
-// peak accounting and a transfer-cost model calibrated to the paper's
-// measured copy latencies (§5.4: for 5K tokens of Llama2-7B attention
-// states, host-to-host 3.79 ms, host-to-device 5.34 ms, device-to-device
-// 0.23 ms).
+// behind a host-to-device copy). It provides capacity-tracked pools and a
+// transfer-cost model calibrated to the paper's measured copy latencies
+// (§5.4: for 5K tokens of Llama2-7B attention states, host-to-host
+// 3.79 ms, host-to-device 5.34 ms, device-to-device 0.23 ms).
 package memory
 
 import (
@@ -50,14 +49,12 @@ type Device struct {
 
 // Pool tracks allocations against a device's capacity. It is a
 // bookkeeping simulator: callers own the real buffers; the pool answers
-// "would this fit on the A40?" and records peaks for the memory-overhead
-// experiments (Table 2, §5.5).
+// "would this fit on the A40?".
 type Pool struct {
 	dev Device
 
 	mu     sync.Mutex
 	used   int64
-	peak   int64
 	allocs map[string]int64
 }
 
@@ -65,9 +62,6 @@ type Pool struct {
 func NewPool(dev Device) *Pool {
 	return &Pool{dev: dev, allocs: make(map[string]int64)}
 }
-
-// Device returns the pool's device description.
-func (p *Pool) Device() Device { return p.dev }
 
 // Alloc reserves size bytes under the given key. It fails with
 // ErrOutOfMemory if the reservation would exceed capacity, and rejects
@@ -86,9 +80,6 @@ func (p *Pool) Alloc(key string, size int64) error {
 	}
 	p.allocs[key] = size
 	p.used += size
-	if p.used > p.peak {
-		p.peak = p.used
-	}
 	return nil
 }
 
@@ -118,23 +109,6 @@ func (p *Pool) Used() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.used
-}
-
-// Peak returns the reservation high-water mark.
-func (p *Pool) Peak() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peak
-}
-
-// Free bytes remaining (capacity 0 means unlimited → returns a large number).
-func (p *Pool) Available() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.dev.Capacity <= 0 {
-		return 1 << 62
-	}
-	return p.dev.Capacity - p.used
 }
 
 // Link models a copy path between two memories with an effective
@@ -180,15 +154,6 @@ func HostToDevice() Link {
 // DeviceToDevice returns the on-GPU copy path (HBM → HBM).
 func DeviceToDevice() Link {
 	return Link{Name: "device-to-device", BW: float64(anchorBytes) / 0.23e-3, Latency: 10 * time.Microsecond}
-}
-
-// DiskToHost returns the durable-tier read path (NVMe → DRAM): ~3.5 GB/s
-// sequential read with ~80 µs submission latency, a mid-range datacenter
-// NVMe drive. Slower than any DRAM path, but loading a spilled module
-// still beats re-encoding it by orders of magnitude — the trade the disk
-// tier exists to make.
-func DiskToHost() Link {
-	return Link{Name: "disk-to-host", BW: 3.5e9, Latency: 80 * time.Microsecond}
 }
 
 // ScaledLink returns a link with bandwidth scaled by factor (e.g. a

@@ -12,8 +12,8 @@ func TestPoolAllocFree(t *testing.T) {
 	if err := p.Alloc("a", 60); err != nil {
 		t.Fatal(err)
 	}
-	if p.Used() != 60 || p.Available() != 40 {
-		t.Fatalf("used=%d avail=%d", p.Used(), p.Available())
+	if p.Used() != 60 {
+		t.Fatalf("used=%d", p.Used())
 	}
 	if !p.Has("a") || p.Has("b") {
 		t.Fatal("Has broken")
@@ -46,8 +46,8 @@ func TestPoolUnlimitedCapacity(t *testing.T) {
 	if err := p.Alloc("big", 1<<50); err != nil {
 		t.Fatal(err)
 	}
-	if p.Available() <= 0 {
-		t.Fatal("unlimited pool should have space")
+	if err := p.Alloc("bigger", 1<<61); err != nil {
+		t.Fatalf("an unlimited pool refused an allocation: %v", err)
 	}
 }
 
@@ -72,19 +72,6 @@ func TestPoolNegativeAlloc(t *testing.T) {
 	p := NewPool(Device{Capacity: 100})
 	if err := p.Alloc("a", -5); err == nil {
 		t.Fatal("negative alloc should fail")
-	}
-}
-
-func TestPoolPeak(t *testing.T) {
-	p := NewPool(Device{Capacity: 1000})
-	_ = p.Alloc("a", 400)
-	_ = p.Alloc("b", 500)
-	_ = p.Free("a")
-	if p.Peak() != 900 {
-		t.Fatalf("peak=%d", p.Peak())
-	}
-	if p.Used() != 500 {
-		t.Fatalf("used=%d", p.Used())
 	}
 }
 
@@ -183,9 +170,9 @@ func TestLatencyDominatesSmallCopies(t *testing.T) {
 	}
 }
 
-// TestDiskKindAndLink: the disk tier's device kind and its NVMe read
-// link — slower than every DRAM path, faster than re-encoding.
-func TestDiskKindAndLink(t *testing.T) {
+// TestDiskKind: the disk tier's device kind prints and pools like any
+// other.
+func TestDiskKind(t *testing.T) {
 	if Disk.String() != "Disk" {
 		t.Fatalf("Disk kind prints %q", Disk.String())
 	}
@@ -195,14 +182,5 @@ func TestDiskKindAndLink(t *testing.T) {
 	}
 	if p.Used() != 1<<20 {
 		t.Fatalf("used = %d", p.Used())
-	}
-	const size = 64 << 20
-	disk := DiskToHost().TransferTime(size)
-	host := HostToHost().TransferTime(size)
-	if disk <= host {
-		t.Fatalf("disk read %v should be slower than host memcpy %v", disk, host)
-	}
-	if disk <= 0 {
-		t.Fatal("transfer time must be positive")
 	}
 }

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 )
 
@@ -94,22 +93,6 @@ func lcs(a, b []string) int {
 	return prev[len(b)]
 }
 
-// ExactMatch returns 1 if the normalized prediction equals the normalized
-// reference, else 0.
-func ExactMatch(prediction, reference string) float64 {
-	p := normalize(prediction)
-	r := normalize(reference)
-	if len(p) != len(r) {
-		return 0
-	}
-	for i := range p {
-		if p[i] != r[i] {
-			return 0
-		}
-	}
-	return 1
-}
-
 // Contains returns 1 if the normalized reference appears as a contiguous
 // subsequence of the normalized prediction (retrieval-style accuracy).
 func Contains(prediction, reference string) float64 {
@@ -189,20 +172,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation.
-func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // TokenOverlap returns |intersection| / |union| over token id multisets;

@@ -121,9 +121,6 @@ func NewDraft(cfg DraftConfig) *Draft {
 	}
 }
 
-// Config returns the draft's effective (defaulted) configuration.
-func (d *Draft) Config() DraftConfig { return d.cfg }
-
 // ctxKey encodes a context token run as a map key.
 func ctxKey(toks []int) string {
 	var b strings.Builder

@@ -196,9 +196,6 @@ func New(cfg Config) *Miner {
 	}
 }
 
-// Config returns the miner's effective (defaulted) configuration.
-func (m *Miner) Config() Config { return m.cfg }
-
 // qualifies reports whether a decayed hit count clears the promotion
 // bar (and, symmetrically, whether a promoted node is still warm).
 func (m *Miner) qualifies(hits float64) bool { return hits > m.cfg.MinHits-1 }

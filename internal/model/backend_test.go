@@ -30,7 +30,7 @@ func TestBackendsBitIdenticalForward(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, _, err := m.Complete(toks, GenerateOpts{MaxTokens: 6})
+				out, _, err := complete(m, toks, GenerateOpts{MaxTokens: 6})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -119,7 +119,7 @@ func TestChunkedGenerationEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		out, _, err := m.Complete(toks, GenerateOpts{MaxTokens: 8})
+		out, _, err := complete(m, toks, GenerateOpts{MaxTokens: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

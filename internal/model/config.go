@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/tensor"
-	"repro/internal/tokenizer"
 )
 
 // PosEncoding selects the positional-encoding family (§4.2).
@@ -89,8 +88,8 @@ type Config struct {
 	Seed         uint64
 }
 
-// Validate reports configuration errors.
-func (c *Config) Validate() error {
+// validate reports configuration errors.
+func (c *Config) validate() error {
 	switch {
 	case c.VocabSize <= 0:
 		return fmt.Errorf("model %q: VocabSize must be positive", c.Name)
@@ -229,7 +228,7 @@ func (m *Model) Backend() tensor.Backend { return m.bk }
 
 // New builds a model with deterministically seeded weights.
 func New(cfg Config) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	m := &Model{Cfg: cfg, bk: tensor.Auto()}
@@ -283,6 +282,8 @@ func New(cfg Config) (*Model, error) {
 }
 
 // MustNew is New but panics on configuration errors; for tests and presets.
+//
+//pclint:ignore unreached test helper: model and engine tests build their fixtures through it
 func MustNew(cfg Config) *Model {
 	m, err := New(cfg)
 	if err != nil {
@@ -330,9 +331,4 @@ func (m *Model) buildAlibiSlopes() {
 // fp32).
 func (c *Config) BytesPerCachedToken(bytesPerScalar int) int64 {
 	return int64(c.NLayers) * int64(c.KVDim()) * 2 * int64(bytesPerScalar)
-}
-
-// TokenizerFor returns a tokenizer sized for this model's vocabulary.
-func (c *Config) TokenizerFor() *tokenizer.Tokenizer {
-	return tokenizer.New(c.VocabSize)
 }

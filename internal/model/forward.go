@@ -164,6 +164,8 @@ func (m *Model) PrefillCtx(ctx context.Context, tokens, positions []int, kv kvca
 // kv and returns the next-token logits. The returned slice is freshly
 // allocated; decode loops that can reuse buffers go through a DecodeLane
 // and DecodeStepBatch.
+//
+//pclint:ignore unreached test oracle: the one-token step the fused and batched decode paths are checked against
 func (m *Model) Decode(token, pos int, kv kvcache.KV) ([]float32, error) {
 	return m.forward(context.Background(), []int{token}, []int{pos}, kv)
 }

@@ -276,23 +276,3 @@ func (m *Model) generate(ctx context.Context, kv kvcache.KV, lastLogits []float3
 	}
 	return out, nil
 }
-
-// Complete is the whole-prompt convenience path used as the paper's
-// baseline: prefill tokens at positions 0..n-1 into a fresh cache, then
-// generate. It returns the generated ids and the cache (for inspection).
-func (m *Model) Complete(tokens []int, opts GenerateOpts) ([]int, *kvcache.Cache, error) {
-	if len(tokens) == 0 {
-		return nil, nil, fmt.Errorf("model: Complete with no tokens")
-	}
-	positions := make([]int, len(tokens))
-	for i := range positions {
-		positions[i] = i
-	}
-	cache := m.NewCache(len(tokens) + opts.MaxTokens)
-	logits, err := m.Prefill(tokens, positions, cache)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := m.Generate(context.Background(), cache, logits, opts)
-	return out, cache, err
-}

@@ -39,24 +39,36 @@ func randTokens(r *rng.RNG, n int) []int {
 	return t
 }
 
+// complete is the whole-prompt baseline: prefill tokens at positions
+// 0..n-1 into a fresh cache, then generate.
+func complete(m *Model, tokens []int, opts GenerateOpts) ([]int, *kvcache.Cache, error) {
+	cache := m.NewCache(len(tokens) + opts.MaxTokens)
+	logits, err := m.Prefill(tokens, seqPositions(len(tokens), 0), cache)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, err := m.Generate(context.Background(), cache, logits, opts)
+	return out, cache, err
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := LlamaStyle(testVocab, 1)
 	bad.NHeads = 3 // 64 % 3 != 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("expected invalid head split")
 	}
 	bad = LlamaStyle(testVocab, 1)
 	bad.NKVHeads = 3 // 4 % 3 != 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("expected invalid GQA group")
 	}
 	bad = LlamaStyle(testVocab, 1)
 	bad.VocabSize = 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("expected invalid vocab")
 	}
 	for _, cfg := range allConfigs(1) {
-		if err := cfg.Validate(); err != nil {
+		if err := cfg.validate(); err != nil {
 			t.Fatalf("preset %s invalid: %v", cfg.Name, err)
 		}
 	}
@@ -260,11 +272,11 @@ func TestGenerateDeterministicGreedy(t *testing.T) {
 	for _, cfg := range allConfigs(41) {
 		m := MustNew(cfg)
 		toks := randTokens(r, 6)
-		out1, _, err := m.Complete(toks, GenerateOpts{MaxTokens: 8})
+		out1, _, err := complete(m, toks, GenerateOpts{MaxTokens: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out2, _, err := m.Complete(toks, GenerateOpts{MaxTokens: 8})
+		out2, _, err := complete(m, toks, GenerateOpts{MaxTokens: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +294,7 @@ func TestGenerateDeterministicGreedy(t *testing.T) {
 func TestGenerateRespectsMaxTokens(t *testing.T) {
 	m := MustNew(LlamaStyle(testVocab, 3))
 	r := rng.New(31)
-	out, _, err := m.Complete(randTokens(r, 4), GenerateOpts{MaxTokens: 5})
+	out, _, err := complete(m, randTokens(r, 4), GenerateOpts{MaxTokens: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,11 +412,11 @@ func TestGenerateWithRepetitionPenaltyVariesOutput(t *testing.T) {
 	m := MustNew(LlamaStyle(testVocab, 95))
 	r := rng.New(95)
 	toks := randTokens(r, 8)
-	plain, _, err := m.Complete(toks, GenerateOpts{MaxTokens: 10})
+	plain, _, err := complete(m, toks, GenerateOpts{MaxTokens: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	penalized, _, err := m.Complete(toks, GenerateOpts{
+	penalized, _, err := complete(m, toks, GenerateOpts{
 		MaxTokens: 10,
 		Sampler:   &RepetitionPenalty{Penalty: 1.8, Window: 8},
 	})
@@ -433,7 +445,8 @@ func TestGenerateStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Streamed tokens match non-streamed generation exactly.
-	ref := cache.Clone()
+	ref := kvcache.New(cache.NLayers, cache.KVDim, cache.Len())
+	ref.AppendCache(cache)
 	refLogits := append([]float32(nil), logits...)
 	var streamed []int
 	out, err := m.GenerateStream(context.Background(), cache, logits, GenerateOpts{MaxTokens: 6}, func(tok int) bool {
@@ -533,8 +546,8 @@ func TestConcatEquivalentToContiguousPrefill(t *testing.T) {
 	if _, err := m.Prefill(a, seqPositions(5, 0), first); err != nil {
 		t.Fatal(err)
 	}
-	firstOnly := first.Slice(0, 5)
-	rebuilt := kvcache.Concat(firstOnly)
+	rebuilt := kvcache.New(first.NLayers, first.KVDim, 10)
+	rebuilt.AppendCache(first)
 	logits2, err := m.Prefill(b, seqPositions(5, 5), rebuilt)
 	if err != nil {
 		t.Fatal(err)

@@ -277,15 +277,6 @@ func posRange(start, n int) []int {
 	return p
 }
 
-// UnionOf returns the union member list containing module name, or nil.
-func (ly *Layout) UnionOf(name string) []string {
-	m, ok := ly.Modules[name]
-	if !ok || m.UnionID < 0 {
-		return nil
-	}
-	return ly.Unions[m.UnionID]
-}
-
 // AnonymousModules returns the always-included module names in order.
 func (ly *Layout) AnonymousModules() []string {
 	var out []string

@@ -256,9 +256,8 @@ func TestLayoutUnionSharedStart(t *testing.T) {
 	if tok.UnionID != mia.UnionID {
 		t.Fatal("union ids differ")
 	}
-	members := ly.UnionOf("miami")
-	if len(members) != 3 {
-		t.Fatalf("UnionOf = %v", members)
+	if members := ly.Unions[mia.UnionID]; len(members) != 3 {
+		t.Fatalf("union members = %v", members)
 	}
 	// The schema's total length accounts for the largest member.
 	maxLen := tok.Len
@@ -429,7 +428,7 @@ func TestNestedUnionDistinctIDs(t *testing.T) {
 func TestLayoutChatTemplateWrapping(t *testing.T) {
 	tk := tokenizer.New(tokenizer.WordBase + 4096)
 	s := mustSchema(t, `<schema name="c"><system>obey</system></schema>`)
-	ly, err := Compile(s, tk, LlamaTemplate())
+	ly, err := Compile(s, tk, llamaTemplate())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +448,7 @@ func TestLayoutChatTemplateWrapping(t *testing.T) {
 }
 
 func TestTemplateWrapRoles(t *testing.T) {
-	tm := LlamaTemplate()
+	tm := llamaTemplate()
 	content := []int{tokenizer.WordBase + 1}
 	u := tm.Wrap(RoleUser, content)
 	if u[0] != tokenizer.InstOpenID || u[len(u)-1] != tokenizer.InstCloseID {
@@ -494,56 +493,6 @@ func TestLayoutOrderIsDocumentOrder(t *testing.T) {
 		if ly.Order[i] != n {
 			t.Fatalf("order[%d] = %q, want %q", i, ly.Order[i], n)
 		}
-	}
-}
-
-func TestSerializePromptRoundTrip(t *testing.T) {
-	src := `<prompt schema="travel">
-	  <trip-plan duration="3 days" pace="relaxed"/>
-	  <travel-plan for="a week"><overseas><tokyo/></overseas></travel-plan>
-	  Highlight the surf spots.
-	  <user>And the food &amp; drink.</user>
-	</prompt>`
-	p1, err := ParsePrompt(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out1 := SerializePrompt(p1)
-	p2, err := ParsePrompt(out1)
-	if err != nil {
-		t.Fatalf("serialized prompt does not parse: %v\n%s", err, out1)
-	}
-	if out2 := SerializePrompt(p2); out2 != out1 {
-		t.Fatalf("prompt serialize/parse not a fixpoint:\n%s\nvs\n%s", out1, out2)
-	}
-	// Structure preserved.
-	if p2.SchemaName != "travel" || len(p2.Items) != 4 {
-		t.Fatalf("round-trip structure: %+v", p2)
-	}
-	imp := p2.Items[0].(*Import)
-	if imp.Args["duration"] != "3 days" || imp.Args["pace"] != "relaxed" {
-		t.Fatalf("args lost: %v", imp.Args)
-	}
-	nested := p2.Items[1].(*Import).Children[0].(*Import)
-	if nested.Name != "overseas" {
-		t.Fatalf("nesting lost: %+v", nested)
-	}
-	if txt := p2.Items[3].(*PromptText); txt.Role != RoleUser || !strings.Contains(txt.Content, "food & drink") {
-		t.Fatalf("role text lost: %+v", txt)
-	}
-}
-
-func TestSerializePromptEscapesArgs(t *testing.T) {
-	p := &Prompt{SchemaName: "s", Items: []PromptItem{
-		&Import{Name: "m", Args: map[string]string{"q": `a "quoted" <value>`}},
-	}}
-	out := SerializePrompt(p)
-	p2, err := ParsePrompt(out)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	if got := p2.Items[0].(*Import).Args["q"]; got != `a "quoted" <value>` {
-		t.Fatalf("arg round-tripped as %q", got)
 	}
 }
 

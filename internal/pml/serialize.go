@@ -70,54 +70,3 @@ func writeModule(sb *strings.Builder, m *Module, depth int) {
 	indent(sb, depth)
 	sb.WriteString("</module>\n")
 }
-
-// SerializePrompt renders a prompt AST back to PML source.
-func SerializePrompt(p *Prompt) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "<prompt schema=%q>\n", p.SchemaName)
-	writePromptItems(&sb, p.Items, 1)
-	sb.WriteString("</prompt>\n")
-	return sb.String()
-}
-
-func writePromptItems(sb *strings.Builder, items []PromptItem, depth int) {
-	for _, it := range items {
-		indent(sb, depth)
-		switch v := it.(type) {
-		case *PromptText:
-			if v.Role == RoleNone {
-				sb.WriteString(escape(v.Content))
-				sb.WriteString("\n")
-			} else {
-				fmt.Fprintf(sb, "<%s>%s</%s>\n", v.Role, escape(v.Content), v.Role)
-			}
-		case *Import:
-			sb.WriteString("<" + v.Name)
-			// Deterministic attribute order.
-			keys := make([]string, 0, len(v.Args))
-			for k := range v.Args {
-				keys = append(keys, k)
-			}
-			sortStrings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(sb, " %s=%q", k, escape(v.Args[k]))
-			}
-			if len(v.Children) == 0 {
-				sb.WriteString("/>\n")
-			} else {
-				sb.WriteString(">\n")
-				writePromptItems(sb, v.Children, depth+1)
-				indent(sb, depth)
-				fmt.Fprintf(sb, "</%s>\n", v.Name)
-			}
-		}
-	}
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}

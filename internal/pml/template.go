@@ -35,9 +35,9 @@ func (t *Template) Wrap(role Role, content []int) []int {
 	return out
 }
 
-// LlamaTemplate formats roles in the Llama2 chat style:
+// llamaTemplate formats roles in the Llama2 chat style:
 // <s>[INST] <<SYS>> system <</SYS>> user [/INST] assistant </s>.
-func LlamaTemplate() *Template {
+func llamaTemplate() *Template {
 	return &Template{
 		Name:            "llama",
 		SystemPrefix:    []int{tokenizer.SysOpenID},
@@ -49,10 +49,10 @@ func LlamaTemplate() *Template {
 	}
 }
 
-// ChatMLTemplate formats roles in the ChatML-ish style MPT uses; with this
+// chatMLTemplate formats roles in the ChatML-ish style MPT uses; with this
 // repository's special-token inventory the role markers reuse the INST and
 // SYS tokens but place BOS/EOS per message.
-func ChatMLTemplate() *Template {
+func chatMLTemplate() *Template {
 	return &Template{
 		Name:            "chatml",
 		SystemPrefix:    []int{tokenizer.BosID, tokenizer.SysOpenID},
@@ -75,9 +75,9 @@ func PlainTemplate() *Template {
 func TemplateFor(arch string) *Template {
 	switch arch {
 	case "llama-style", "llama-style-large", "codellama-style":
-		return LlamaTemplate()
+		return llamaTemplate()
 	case "mpt-style", "gpt2-style":
-		return ChatMLTemplate()
+		return chatMLTemplate()
 	default:
 		return PlainTemplate()
 	}

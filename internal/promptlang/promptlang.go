@@ -57,8 +57,8 @@ type line struct {
 	text   string
 }
 
-// Parse compiles promptlang source into a PML schema AST.
-func Parse(src string) (*pml.Schema, error) {
+// parse compiles promptlang source into a PML schema AST.
+func parse(src string) (*pml.Schema, error) {
 	lines, err := scan(src)
 	if err != nil {
 		return nil, err
@@ -94,7 +94,7 @@ func Parse(src string) (*pml.Schema, error) {
 
 // CompileToPML compiles promptlang source to PML text.
 func CompileToPML(src string) (string, error) {
-	s, err := Parse(src)
+	s, err := parse(src)
 	if err != nil {
 		return "", err
 	}

@@ -22,7 +22,7 @@ schema travel:
 `
 
 func TestParseBasicProgram(t *testing.T) {
-	s, err := Parse(travelProgram)
+	s, err := parse(travelProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCompileToPMLRoundTrip(t *testing.T) {
 }
 
 func TestIfBecomesModule(t *testing.T) {
-	s, err := Parse("schema s:\n  if ctx:\n    emit \"context text\"\n")
+	s, err := parse("schema s:\n  if ctx:\n    emit \"context text\"\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ schema s:
     if inner:
       emit "inner text"
 `
-	s, err := Parse(src)
+	s, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ schema s:
 
 func TestRoleStatements(t *testing.T) {
 	src := "schema s:\n  system \"be safe\"\n  user \"hi\"\n  assistant \"hello\"\n"
-	s, err := Parse(src)
+	s, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ schema s:
     emit "two"
   scaffold pair: a b
 `
-	s, err := Parse(src)
+	s, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ schema s:
     arg title
     arg name
 `
-	s, err := Parse(src)
+	s, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestErrors(t *testing.T) {
 		"bad indent jump":     "schema s:\n  if a:\n      emit \"x\"\n    emit \"y\"\n",
 	}
 	for label, src := range cases {
-		if _, err := Parse(src); err == nil {
+		if _, err := parse(src); err == nil {
 			t.Errorf("%s: expected error", label)
 		}
 	}
@@ -197,7 +197,7 @@ schema s:
   # the context
   emit "hello"
 `
-	s, err := Parse(src)
+	s, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ schema s:
 
 func TestTabsAsIndent(t *testing.T) {
 	src := "schema s:\n\temit \"tabbed\"\n"
-	if _, err := Parse(src); err != nil {
+	if _, err := parse(src); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -229,7 +229,7 @@ func TestCompiledSchemaServesEndToEnd(t *testing.T) {
 }
 
 func TestErrorMessageHasLine(t *testing.T) {
-	_, err := Parse("schema s:\n  emit \"ok\"\n  bogus\n")
+	_, err := parse("schema s:\n  emit \"ok\"\n  bogus\n")
 	if err == nil {
 		t.Fatal("expected error")
 	}

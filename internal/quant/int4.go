@@ -24,8 +24,8 @@ func (c *Compressed4) Len() int { return len(c.Pos) }
 // rowBytes returns the packed row width.
 func (c *Compressed4) rowBytes() int { return (c.KVDim + 1) / 2 }
 
-// Bytes returns the compressed footprint.
-func (c *Compressed4) Bytes() int64 {
+// bytes returns the compressed footprint.
+func (c *Compressed4) bytes() int64 {
 	if c.Len() == 0 {
 		return 0
 	}
@@ -150,8 +150,8 @@ func unpackRow4(dst []float32, src []byte, scale float32) {
 // RatioInt4 returns original fp32 bytes / int4 bytes.
 func RatioInt4(orig *kvcache.Cache) float64 {
 	c := CompressInt4(orig)
-	if c.Bytes() == 0 {
+	if c.bytes() == 0 {
 		return 0
 	}
-	return float64(orig.Bytes(4)) / float64(c.Bytes())
+	return float64(orig.Bytes(4)) / float64(c.bytes())
 }

@@ -82,8 +82,8 @@ func TestInt4CompressionRatio(t *testing.T) {
 		t.Fatalf("int4 ratio %.2f, want ~7.1", ratio)
 	}
 	// int4 strictly beats int8 on size.
-	if ratio <= Ratio(kv) {
-		t.Fatalf("int4 ratio %.2f should exceed int8's %.2f", ratio, Ratio(kv))
+	if int8Ratio := float64(kv.Bytes(4)) / float64(Compress(kv).Bytes()); ratio <= int8Ratio {
+		t.Fatalf("int4 ratio %.2f should exceed int8's %.2f", ratio, int8Ratio)
 	}
 }
 

@@ -80,7 +80,7 @@ func TestPositionsPreserved(t *testing.T) {
 
 func TestCompressionRatio(t *testing.T) {
 	kv := randKV(4, 64, 100, 3)
-	ratio := Ratio(kv)
+	ratio := float64(kv.Bytes(4)) / float64(Compress(kv).Bytes())
 	// fp32 (4 B) → int8 (1 B) + 1 scale per 64-wide row: 8/(2+8/64·4)≈3.76
 	if ratio < 3.5 || ratio > 4.0 {
 		t.Fatalf("compression ratio %.2f, want ~3.8", ratio)

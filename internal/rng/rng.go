@@ -82,36 +82,18 @@ func (r *RNG) Float32() float32 {
 	return float32(r.Uint64()>>40) / float32(1<<24)
 }
 
-// NormFloat64 returns a standard normal variate using the Box-Muller
+// normFloat64 returns a standard normal variate using the Box-Muller
 // transform. Two uniforms are consumed per call; no state is cached so the
 // stream stays splittable.
-func (r *RNG) NormFloat64() float64 {
+func (r *RNG) normFloat64() float64 {
 	// Avoid log(0).
 	u1 := 1 - r.Float64()
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// NormFloat32 returns a standard normal variate as float32.
-func (r *RNG) NormFloat32() float32 {
-	return float32(r.NormFloat64())
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
+// shuffle permutes the first n elements using the provided swap function.
+func (r *RNG) shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
@@ -132,7 +114,7 @@ func Choice[T any](r *RNG, items []T) T {
 func Sample[T any](r *RNG, items []T, k int) []T {
 	cp := make([]T, len(items))
 	copy(cp, items)
-	r.Shuffle(len(cp), func(i, j int) { cp[i], cp[j] = cp[j], cp[i] })
+	r.shuffle(len(cp), func(i, j int) { cp[i], cp[j] = cp[j], cp[i] })
 	if k > len(cp) {
 		k = len(cp)
 	}
@@ -142,11 +124,13 @@ func Sample[T any](r *RNG, items []T, k int) []T {
 // FillNormal fills dst with normal(0, std) float32 variates.
 func (r *RNG) FillNormal(dst []float32, std float32) {
 	for i := range dst {
-		dst[i] = r.NormFloat32() * std
+		dst[i] = float32(r.normFloat64()) * std
 	}
 }
 
 // FillUniform fills dst with uniform [lo, hi) float32 variates.
+//
+//pclint:ignore unreached test input generator: the quant and tensor kernel tests draw their operands from it
 func (r *RNG) FillUniform(dst []float32, lo, hi float32) {
 	for i := range dst {
 		dst[i] = lo + r.Float32()*(hi-lo)

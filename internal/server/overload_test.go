@@ -94,13 +94,13 @@ func TestOverloadStormShedsWith429(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		st := s.client.AdmissionStats()
+		st := s.client.Snapshot().Admission
 		if st.Inflight == slots && st.QueueDepth == queue {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st := s.client.AdmissionStats(); st.Inflight != slots || st.QueueDepth != queue {
+	if st := s.client.Snapshot().Admission; st.Inflight != slots || st.QueueDepth != queue {
 		t.Fatalf("saturation never reached: %+v", st)
 	}
 
@@ -289,5 +289,27 @@ func TestCompleteSLOField(t *testing.T) {
 	batch := adm["batch"].(map[string]any)
 	if batch["admitted"].(float64) != 1 {
 		t.Fatalf("batch-class request not accounted to the batch lane: %v", adm)
+	}
+}
+
+// TestCompleteBatchAdmitsAsBatch: /v1/complete_batch is batch traffic
+// by definition, so even an explicit "slo":"interactive" is admitted in
+// the batch lane.
+func TestCompleteBatchAdmitsAsBatch(t *testing.T) {
+	s := newAdmitServer(t, 2, 2, 0)
+	rec, out := doJSON(t, s, http.MethodPost, "/v1/complete_batch", map[string]any{
+		"prompts": []string{
+			`<prompt schema="docs"><contract/>Summarize the duties.</prompt>`,
+			`<prompt schema="docs"><rider/>Summarize the rider.</prompt>`,
+		},
+		"max_tokens": 2,
+		"slo":        "interactive",
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("complete_batch = %d %v", rec.Code, out)
+	}
+	adm := s.client.Snapshot().Admission
+	if adm.Batch.Admitted != 1 || adm.Interactive.Admitted != 0 {
+		t.Fatalf("batch admitted outside the batch lane: %+v", adm)
 	}
 }

@@ -91,8 +91,6 @@ func New(client *promptcache.Client) *Server {
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
 	s.mux.HandleFunc("GET /vocab", s.handleVocabGet)
 	s.mux.HandleFunc("PUT /vocab", s.handleVocabPut)
-	s.mux.HandleFunc("POST /vocab", s.handleVocabPut)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	return s
 }

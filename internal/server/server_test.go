@@ -481,7 +481,7 @@ func TestStats(t *testing.T) {
 	prompt := `<prompt schema="docs"><contract/>Summarize.</prompt>`
 	doJSON(t, s, http.MethodPost, "/v1/complete", CompleteRequest{Prompt: prompt, GenConfig: promptcache.GenConfig{MaxTokens: 4}})
 	doJSON(t, s, http.MethodPost, "/v1/complete", CompleteRequest{Prompt: prompt, GenConfig: promptcache.GenConfig{MaxTokens: 4}})
-	_, out := doJSON(t, s, http.MethodGet, "/stats", nil)
+	_, out := doJSON(t, s, http.MethodGet, "/v1/stats", nil)
 	if out["modules_encoded"].(float64) < 2 {
 		t.Fatalf("stats = %v", out)
 	}
@@ -541,7 +541,7 @@ func TestStreamClientDisconnectRetiresLane(t *testing.T) {
 
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		st := client.SchedulerStats()
+		st := client.Snapshot().Scheduler
 		if st.LanesJoined > 0 && st.LanesJoined == st.LanesRetired && st.ActiveLanes == 0 && st.QueueDepth == 0 {
 			if st.TokensDecoded > 4000 {
 				t.Fatalf("lane decoded %d tokens after disconnect; abort was not prompt", st.TokensDecoded)

@@ -32,6 +32,8 @@ type Backend struct {
 
 // NewBackend returns a Backend with the given worker count; a
 // non-positive count selects GOMAXPROCS.
+//
+//pclint:ignore unreached test helper: bit-identity tests pin explicit worker counts; the program picks one through Select or Auto
 func NewBackend(workers int) Backend {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

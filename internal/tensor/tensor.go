@@ -56,6 +56,8 @@ func NewMatrix(rows, cols int) *Matrix {
 }
 
 // FromSlice wraps data (not copied) as a Rows x Cols matrix.
+//
+//pclint:ignore unreached test helper: kernel tests build their operands from literal slices
 func FromSlice(rows, cols int, data []float32) *Matrix {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
@@ -68,26 +70,8 @@ func (m *Matrix) Row(i int) []float32 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
 // Set sets element (i, j).
 func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// SliceRows returns a view of rows [lo, hi).
-func (m *Matrix) SliceRows(lo, hi int) *Matrix {
-	if lo < 0 || hi > m.Rows || lo > hi {
-		panic(fmt.Sprintf("tensor: SliceRows[%d:%d) of %d rows", lo, hi, m.Rows))
-	}
-	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-}
 
 func checkMatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
@@ -342,6 +326,8 @@ func ArgMax(x []float32) int {
 
 // MaxAbsDiff returns max_i |a[i]-b[i]|; a convenience for numerical
 // equivalence assertions in tests and benchmarks.
+//
+//pclint:ignore unreached test oracle: every bit-identity and closeness test across the engine asserts through it
 func MaxAbsDiff(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("tensor: MaxAbsDiff length mismatch")

@@ -298,27 +298,6 @@ func TestDotOrthogonal(t *testing.T) {
 	}
 }
 
-func TestSliceRowsView(t *testing.T) {
-	m := FromSlice(3, 2, []float32{1, 2, 3, 4, 5, 6})
-	v := m.SliceRows(1, 3)
-	if v.Rows != 2 || v.At(0, 0) != 3 {
-		t.Fatalf("SliceRows bad view: %+v", v)
-	}
-	v.Set(0, 0, 99)
-	if m.At(1, 0) != 99 {
-		t.Fatal("SliceRows must alias parent storage")
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	m := FromSlice(1, 2, []float32{1, 2})
-	c := m.Clone()
-	c.Set(0, 0, 42)
-	if m.At(0, 0) == 42 {
-		t.Fatal("Clone aliases parent")
-	}
-}
-
 func TestCosineSimilarity(t *testing.T) {
 	if got := CosineSimilarity([]float32{1, 0}, []float32{1, 0}); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("cos same = %v", got)

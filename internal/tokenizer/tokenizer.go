@@ -68,9 +68,6 @@ func New(vocabSize int) *Tokenizer {
 	return &Tokenizer{vocabSize: vocabSize, names: make(map[int]string)}
 }
 
-// VocabSize returns the total number of token ids.
-func (t *Tokenizer) VocabSize() int { return t.vocabSize }
-
 // wordRange returns the number of word-token ids.
 func (t *Tokenizer) wordRange() int { return t.vocabSize - WordBase }
 
@@ -242,17 +239,6 @@ func pseudoWord(id int) string {
 		n /= uint64(len(vows))
 	}
 	return sb.String()
-}
-
-// IsSpecial reports whether id is a special token.
-func IsSpecial(id int) bool { return id >= 0 && id < NumSpecial }
-
-// SpecialName returns the display form of a special token id.
-func SpecialName(id int) string {
-	if !IsSpecial(id) {
-		return ""
-	}
-	return specialNames[id]
 }
 
 // UnkRun returns n copies of the <unk> token, the parameter placeholder

@@ -82,7 +82,7 @@ func TestIDsInRange(t *testing.T) {
 	tk := New(600)
 	check := func(s string) bool {
 		for _, id := range tk.Encode(s) {
-			if id < 0 || id >= tk.VocabSize() {
+			if id < 0 || id >= tk.vocabSize {
 				return false
 			}
 		}
@@ -151,21 +151,6 @@ func TestUnkRun(t *testing.T) {
 		if id != UnkID {
 			t.Fatalf("id = %d, want UnkID", id)
 		}
-	}
-}
-
-func TestIsSpecial(t *testing.T) {
-	if !IsSpecial(UnkID) || !IsSpecial(BosID) {
-		t.Fatal("specials misclassified")
-	}
-	if IsSpecial(WordBase) || IsSpecial(-1) {
-		t.Fatal("non-specials misclassified")
-	}
-	if SpecialName(UnkID) != "<unk>" {
-		t.Fatalf("SpecialName(UnkID) = %q", SpecialName(UnkID))
-	}
-	if SpecialName(-1) != "" {
-		t.Fatal("SpecialName(-1) should be empty")
 	}
 }
 

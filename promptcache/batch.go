@@ -23,21 +23,6 @@ type BatchRequest struct {
 	// the batch always admits as SLOBatch regardless of Gen.SLO — a bulk
 	// request is batch traffic by definition.
 	Gen GenConfig
-	// MaxTokens bounds generation per prompt.
-	//
-	// Deprecated: set Gen.MaxTokens instead. Applies only when
-	// Gen.MaxTokens is zero.
-	MaxTokens int
-	// Sampler selects next tokens for every prompt.
-	//
-	// Deprecated: set Gen.Sampler instead. Applies only when Gen.Sampler
-	// is nil.
-	Sampler Sampler
-	// StopToken ends each prompt's generation when sampled.
-	//
-	// Deprecated: set Gen.StopToken instead. Applies only when
-	// Gen.StopToken is zero.
-	StopToken int
 }
 
 // BatchResponse carries per-prompt results (positionally parallel to the
@@ -76,21 +61,20 @@ func (c *Client) InferBatch(ctx context.Context, req BatchRequest) (*BatchRespon
 		}
 	}()
 	out := &BatchResponse{Stats: stats, Results: make([]*Response, len(results))}
-	gen := req.Gen.withFallback(req.MaxTokens, req.Sampler, req.StopToken, SLOBatch)
-	one := Request{PrefillOnly: req.PrefillOnly, Gen: gen}
+	one := Request{PrefillOnly: req.PrefillOnly, Gen: req.Gen}
 	// Under a decode scheduler, generate every member concurrently so the
 	// whole batch decodes as simultaneous lanes of the fused steps — but
 	// only with the stateless default sampler: the request's one Sampler
 	// is shared across members, and concurrent lanes would consume its
 	// state in nondeterministic member order.
-	if c.cache.SchedEnabled() && !req.PrefillOnly && gen.Sampler == nil && len(results) > 1 {
+	if c.cache.SchedEnabled() && !req.PrefillOnly && req.Gen.Sampler == nil && len(results) > 1 {
 		errs := make([]error, len(results))
 		var wg sync.WaitGroup
 		for i, res := range results {
 			wg.Add(1)
 			go func(i int, res *core.ServeResult) {
 				defer wg.Done()
-				out.Results[i], errs[i] = c.generate(ctx, res, one, gen)
+				out.Results[i], errs[i] = c.generate(ctx, res, one)
 			}(i, res)
 		}
 		wg.Wait()
@@ -102,7 +86,7 @@ func (c *Client) InferBatch(ctx context.Context, req BatchRequest) (*BatchRespon
 		return out, nil
 	}
 	for i, res := range results {
-		resp, err := c.generate(ctx, res, one, gen)
+		resp, err := c.generate(ctx, res, one)
 		if err != nil {
 			return nil, err
 		}

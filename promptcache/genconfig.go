@@ -62,22 +62,3 @@ func (g GenConfig) generateOpts() model.GenerateOpts {
 	o.Speculation.MaxDraft = g.Speculation.MaxDraft
 	return o
 }
-
-// withFallback back-fills zero fields of g from the deprecated flat
-// aliases, so pre-GenConfig callers behave exactly as before. Explicit
-// Gen fields win.
-func (g GenConfig) withFallback(maxTokens int, sampler Sampler, stopToken int, slo SLOClass) GenConfig {
-	if g.MaxTokens == 0 {
-		g.MaxTokens = maxTokens
-	}
-	if g.Sampler == nil {
-		g.Sampler = sampler
-	}
-	if g.StopToken == 0 {
-		g.StopToken = stopToken
-	}
-	if g.SLO == SLOInteractive {
-		g.SLO = slo
-	}
-	return g
-}

@@ -3,77 +3,10 @@ package promptcache
 import (
 	"context"
 	"encoding/json"
-	"reflect"
 	"testing"
+
+	"repro/internal/model"
 )
-
-// TestDeprecatedFlatFieldsEquivalent is the migration contract: a
-// Request using the deprecated flat fields and one using Gen must
-// produce identical responses, and when both are set Gen wins.
-func TestDeprecatedFlatFieldsEquivalent(t *testing.T) {
-	c := newClient(t)
-	ctx := context.Background()
-	prompt := `<prompt schema="travel"><miami/><user>Plan a beach day.</user></prompt>`
-
-	flat, err := c.Infer(ctx, Request{Prompt: prompt, MaxTokens: 8, StopToken: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := c.Infer(ctx, Request{Prompt: prompt, Gen: GenConfig{MaxTokens: 8, StopToken: -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.Text != gen.Text || !reflect.DeepEqual(flat.Tokens, gen.Tokens) {
-		t.Fatalf("flat fields and Gen diverge:\nflat %v %q\ngen  %v %q", flat.Tokens, flat.Text, gen.Tokens, gen.Text)
-	}
-
-	// Gen wins over a conflicting flat field.
-	short, err := c.Infer(ctx, Request{
-		Prompt:    prompt,
-		MaxTokens: 8, // ignored: Gen.MaxTokens is set
-		StopToken: -1,
-		Gen:       GenConfig{MaxTokens: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(short.Tokens) != 3 {
-		t.Fatalf("Gen.MaxTokens did not win: %d tokens, want 3", len(short.Tokens))
-	}
-
-	// Gen zero fields fall back to the flat alias: StopToken -1 above
-	// came from the flat field while MaxTokens came from Gen.
-	if short.Tokens[len(short.Tokens)-1] == 0 {
-		t.Fatalf("flat StopToken=-1 fallback lost: %v", short.Tokens)
-	}
-}
-
-// TestDeprecatedBatchFlatFieldsEquivalent covers the same contract on
-// the batch entry point.
-func TestDeprecatedBatchFlatFieldsEquivalent(t *testing.T) {
-	c := newClient(t)
-	ctx := context.Background()
-	prompts := []string{
-		`<prompt schema="travel"><miami/><user>Beach day.</user></prompt>`,
-		`<prompt schema="travel"><tokyo/><user>Temple walk.</user></prompt>`,
-	}
-	flat, err := c.InferBatch(ctx, BatchRequest{Prompts: prompts, MaxTokens: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := c.InferBatch(ctx, BatchRequest{Prompts: prompts, Gen: GenConfig{MaxTokens: 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flat.Results) != len(gen.Results) {
-		t.Fatalf("response counts diverge: %d vs %d", len(flat.Results), len(gen.Results))
-	}
-	for i := range flat.Results {
-		if flat.Results[i].Text != gen.Results[i].Text {
-			t.Fatalf("batch %d diverges: %q vs %q", i, flat.Results[i].Text, gen.Results[i].Text)
-		}
-	}
-}
 
 // TestSessionGenConfig: sessions built from a Gen-style request keep the
 // config as their per-turn default.
@@ -190,8 +123,30 @@ func TestSnapshotShape(t *testing.T) {
 	if snap.ModulesReused == 0 || snap.TokensReused == 0 {
 		t.Fatalf("counters did not move: %+v", snap)
 	}
-	// Deprecated accessors remain thin views over the same counters.
-	if st := c.Stats(); st.ModulesReused != snap.ModulesReused || st.TokensReused != snap.TokensReused {
-		t.Fatalf("Stats() diverges from Snapshot(): %+v vs %+v", st, snap)
+}
+
+// TestInferBatchAdmitsAsBatch: InferBatch rides the batch admission lane
+// whatever Gen.SLO says, including its zero (interactive) value.
+func TestInferBatchAdmitsAsBatch(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(testVocab, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(m, WithAdmission(AdmissionConfig{}))
+	if _, err := c.RegisterSchema(testSchema); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.InferBatch(context.Background(), BatchRequest{
+		Prompts: []string{
+			`<prompt schema="travel"><miami/><user>Beach day.</user></prompt>`,
+			`<prompt schema="travel"><tokyo/><user>Temple walk.</user></prompt>`,
+		},
+		Gen: GenConfig{MaxTokens: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	adm := c.Snapshot().Admission
+	if adm.Batch.Admitted != 1 || adm.Interactive.Admitted != 0 {
+		t.Fatalf("batch admitted outside the batch lane: %+v", adm)
 	}
 }

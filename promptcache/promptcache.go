@@ -51,10 +51,7 @@
 // GenConfig is the single generation-options surface: Request.Gen,
 // Session defaults, BatchRequest.Gen and the HTTP request shapes all
 // take the same struct (max tokens, sampler, stop token, SLO class,
-// speculation). The flat Request fields (MaxTokens, Sampler, StopToken,
-// SLO) predate it and remain as deprecated aliases: they apply only when
-// the corresponding GenConfig field is zero, so existing callers behave
-// identically.
+// speculation).
 //
 // # Options convention
 //
@@ -80,11 +77,10 @@
 // anonymous mined modules. Mined and explicit modules coexist in one
 // inventory — same pinning, eviction, disk spill and warm-restart
 // machinery — and a request whose suffix starts with a mined prefix
-// splices its states bit-exactly, like a schema hit. MiningStatsSnapshot
-// exposes the observer tree and hit counters.
+// splices its states bit-exactly, like a schema hit. Snapshot's Mining
+// block exposes the observer tree and hit counters.
 //
-// Schema
-// registration and prefetch encode module states under the engine lock
+// Schema registration encodes module states under the engine lock
 // (encoding is the deliberate one-time cost): requests already past
 // planning are unaffected, but a request that starts while a
 // registration runs waits for it to finish — keep registrations off
@@ -145,7 +141,7 @@ func HasSnapshot(dir string) bool { return core.HasSnapshot(dir) }
 func (c *Client) SaveAll(dir string) error { return c.cache.SaveAll(dir) }
 
 // Engine exposes the underlying core.Cache for advanced uses the public
-// API does not cover (snapshots, prefetching, direct inspection).
+// API does not cover (direct inspection, engine counters).
 func (c *Client) Engine() *core.Cache { return c.cache }
 
 // Model returns the underlying model.
@@ -190,68 +186,19 @@ func (c *Client) RegisterSchema(src string) (*SchemaInfo, error) {
 // Schemas returns the names of all registered schemas, sorted.
 func (c *Client) Schemas() []string { return c.cache.SchemaNames() }
 
-// Stats returns a snapshot of cache activity counters.
-//
-// Deprecated: Snapshot returns the same counters plus every subsystem
-// block in one versioned document; this remains as a thin per-subsystem
-// view.
-func (c *Client) Stats() core.Stats { return c.cache.Stats() }
-
-// SchedStats is a snapshot of decode-scheduler activity: queue depth,
-// active lanes, fused-step counters and the batch-size histogram. It is
-// an alias of the engine's type, like Option and Sampler.
-type SchedStats = core.SchedStats
-
-// SchedulerStats returns a snapshot of the decode scheduler's activity.
-// Without WithDecodeScheduler it returns the zero snapshot
-// (Enabled false).
-//
-// Deprecated: Snapshot carries the same data in its Scheduler block;
-// this remains as a thin per-subsystem view.
-func (c *Client) SchedulerStats() SchedStats { return c.cache.SchedStats() }
-
 // SchedulerEnabled reports whether this client decodes through a
 // continuous-batching scheduler (WithDecodeScheduler), without the
-// locking and copying of a full SchedulerStats snapshot.
+// locking and copying of a full Snapshot.
 func (c *Client) SchedulerEnabled() bool { return c.cache.SchedEnabled() }
-
-// MiningStats is a snapshot of automatic module mining activity: the
-// observer tree's size, promotion/demotion counters, and the tokens
-// saved by mined-prefix hits. An alias of the engine's type, like
-// SchedStats.
-type MiningStats = core.MiningStats
-
-// MiningStatsSnapshot returns a snapshot of module-mining activity.
-// Without WithModuleMining it returns the zero snapshot (Enabled false).
-//
-// Deprecated: Snapshot carries the same data in its Mining block; this
-// remains as a thin per-subsystem view.
-func (c *Client) MiningStatsSnapshot() MiningStats { return c.cache.MiningStats() }
 
 // MiningEnabled reports whether this client mines modules from traffic
 // (WithModuleMining).
 func (c *Client) MiningEnabled() bool { return c.cache.MiningEnabled() }
 
-// AdmissionStats is a snapshot of admission-control activity: inflight
-// and queue gauges, per-class admit/shed/cancel histograms, and the
-// current Retry-After estimate. An alias of the engine's type, like
-// SchedStats.
-type AdmissionStats = core.AdmissionStats
-
-// AdmissionClassStats is one SLO class's slice of admission activity.
-type AdmissionClassStats = core.AdmissionClassStats
-
 // OverloadError is the typed payload of a shed request, carrying the
 // computed Retry-After estimate; recover it with errors.As or
 // RetryAfterHint.
 type OverloadError = core.OverloadError
-
-// AdmissionStats returns a snapshot of admission-control activity.
-// Without WithAdmission it returns the zero snapshot (Enabled false).
-//
-// Deprecated: Snapshot carries the same data in its Admission block;
-// this remains as a thin per-subsystem view.
-func (c *Client) AdmissionStats() AdmissionStats { return c.cache.AdmissionStats() }
 
 // AdmissionEnabled reports whether this client admission-controls its
 // requests (WithAdmission).
@@ -259,7 +206,7 @@ func (c *Client) AdmissionEnabled() bool { return c.cache.AdmissionEnabled() }
 
 // SpecStats is a snapshot of speculative-decoding activity: the draft
 // source's table statistics plus the scheduler's verify/accept counters.
-// An alias of the engine's type, like SchedStats.
+// An alias of the engine's type, like Option and Sampler.
 type SpecStats = core.SpecStats
 
 // SpecStats returns a snapshot of speculative-decoding activity. Without
@@ -312,8 +259,7 @@ func (c *Client) Infer(ctx context.Context, req Request) (*Response, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	gen := req.genConfig()
-	ctx, done, err := c.admit(ctx, gen.SLO)
+	ctx, done, err := c.admit(ctx, req.Gen.SLO)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +273,7 @@ func (c *Client) Infer(ctx context.Context, req Request) (*Response, error) {
 	// modules become evictable again. Sessions keep their result (and
 	// pins) open instead — see NewSession.
 	defer res.Close()
-	return c.generate(ctx, res, req, gen)
+	return c.generate(ctx, res, req)
 }
 
 // serve assembles the prompt's attention states per the request mode.
@@ -346,9 +292,8 @@ func (c *Client) serve(ctx context.Context, req Request) (*core.ServeResult, err
 }
 
 // generate runs the decode phase of a request over a served result and
-// assembles the Response. gen is the request's merged GenConfig (from
-// Request.genConfig), already used for admission.
-func (c *Client) generate(ctx context.Context, res *core.ServeResult, req Request, gen GenConfig) (*Response, error) {
+// assembles the Response, decoding with req.Gen's settings.
+func (c *Client) generate(ctx context.Context, res *core.ServeResult, req Request) (*Response, error) {
 	resp := &Response{
 		CachedTokens: res.CachedTokens,
 		NewTokens:    res.NewTokens,
@@ -359,7 +304,7 @@ func (c *Client) generate(ctx context.Context, res *core.ServeResult, req Reques
 	if req.PrefillOnly {
 		return resp, nil
 	}
-	opts := gen.generateOpts()
+	opts := req.Gen.generateOpts()
 	var (
 		ids []int
 		err error

@@ -40,8 +40,8 @@ func newClient(t *testing.T) *Client {
 func TestInferCachedCompletion(t *testing.T) {
 	c := newClient(t)
 	resp, err := c.Infer(context.Background(), Request{
-		Prompt:    `<prompt schema="travel"><miami/><user>Plan a beach day.</user></prompt>`,
-		MaxTokens: 8,
+		Prompt: `<prompt schema="travel"><miami/><user>Plan a beach day.</user></prompt>`,
+		Gen:    GenConfig{MaxTokens: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,11 +70,11 @@ func TestInferBaselineMatchesCachedSingleModule(t *testing.T) {
 		t.Fatal(err)
 	}
 	prompt := `<prompt schema="doc"><contract/>Summarize the obligations.</prompt>`
-	cached, err := c.Infer(context.Background(), Request{Prompt: prompt, MaxTokens: 8})
+	cached, err := c.Infer(context.Background(), Request{Prompt: prompt, Gen: GenConfig{MaxTokens: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := c.Infer(context.Background(), Request{Prompt: prompt, MaxTokens: 8, Baseline: true})
+	base, err := c.Infer(context.Background(), Request{Prompt: prompt, Baseline: true, Gen: GenConfig{MaxTokens: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,9 @@ func TestInferStreaming(t *testing.T) {
 	c := newClient(t)
 	var streamed []string
 	resp, err := c.Infer(context.Background(), Request{
-		Prompt:    `<prompt schema="travel"><miami/>Recommend food.</prompt>`,
-		MaxTokens: 6,
-		Stream:    func(text string) bool { streamed = append(streamed, text); return true },
+		Prompt: `<prompt schema="travel"><miami/>Recommend food.</prompt>`,
+		Stream: func(text string) bool { streamed = append(streamed, text); return true },
+		Gen:    GenConfig{MaxTokens: 6},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +129,8 @@ func TestInferCancelMidDecode(t *testing.T) {
 	defer cancel()
 	emitted := 0
 	_, err := c.Infer(ctx, Request{
-		Prompt:    `<prompt schema="travel"><miami/>Recommend food.</prompt>`,
-		MaxTokens: 1 << 20, // would decode forever without cancellation
+		Prompt: `<prompt schema="travel"><miami/>Recommend food.</prompt>`,
+		// would decode forever without cancellation
 		Stream: func(string) bool {
 			emitted++
 			if emitted == 2 {
@@ -138,6 +138,7 @@ func TestInferCancelMidDecode(t *testing.T) {
 			}
 			return true
 		},
+		Gen: GenConfig{MaxTokens: 1 << 20},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -192,8 +193,8 @@ func TestErrorTaxonomy(t *testing.T) {
 func TestSessionMultiTurn(t *testing.T) {
 	c := newClient(t)
 	sess, first, err := c.NewSession(context.Background(), Request{
-		Prompt:    `<prompt schema="travel"><miami/><user>Plan a beach day.</user></prompt>`,
-		MaxTokens: 6,
+		Prompt: `<prompt schema="travel"><miami/><user>Plan a beach day.</user></prompt>`,
+		Gen:    GenConfig{MaxTokens: 6},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,9 +238,9 @@ func TestSessionDefaultsDropPerTurnFields(t *testing.T) {
 	c := newClient(t)
 	firstTurnSink := 0
 	sess, _, err := c.NewSession(context.Background(), Request{
-		Prompt:    `<prompt schema="travel"><miami/><user>Plan a beach day.</user></prompt>`,
-		MaxTokens: 4,
-		Stream:    func(string) bool { firstTurnSink++; return true },
+		Prompt: `<prompt schema="travel"><miami/><user>Plan a beach day.</user></prompt>`,
+		Stream: func(string) bool { firstTurnSink++; return true },
+		Gen:    GenConfig{MaxTokens: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,8 +266,8 @@ func TestSessionDefaultsDropPerTurnFields(t *testing.T) {
 func TestSessionRollsBackCancelledDecode(t *testing.T) {
 	c := newClient(t)
 	sess, _, err := c.NewSession(context.Background(), Request{
-		Prompt:    `<prompt schema="travel"><miami/><user>Plan a beach day.</user></prompt>`,
-		MaxTokens: 4,
+		Prompt: `<prompt schema="travel"><miami/><user>Plan a beach day.</user></prompt>`,
+		Gen:    GenConfig{MaxTokens: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +277,6 @@ func TestSessionRollsBackCancelledDecode(t *testing.T) {
 	defer cancel()
 	emitted := 0
 	_, err = sess.SendOpts(ctx, "a follow-up that will be cancelled mid-decode", Request{
-		MaxTokens: 1 << 20,
 		Stream: func(string) bool {
 			emitted++
 			if emitted == 2 {
@@ -284,6 +284,7 @@ func TestSessionRollsBackCancelledDecode(t *testing.T) {
 			}
 			return true
 		},
+		Gen: GenConfig{MaxTokens: 1 << 20},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -304,8 +305,8 @@ func TestSessionRollsBackCancelledDecode(t *testing.T) {
 func TestSessionSurvivesCancelledTurn(t *testing.T) {
 	c := newClient(t)
 	sess, _, err := c.NewSession(context.Background(), Request{
-		Prompt:    `<prompt schema="travel"><miami/><user>Plan a beach day.</user></prompt>`,
-		MaxTokens: 4,
+		Prompt: `<prompt schema="travel"><miami/><user>Plan a beach day.</user></prompt>`,
+		Gen:    GenConfig{MaxTokens: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +333,7 @@ func TestInferBatchSharing(t *testing.T) {
 			`<prompt schema="travel"><miami/>Second question.</prompt>`,
 			`<prompt schema="travel"><tokyo/>Third question.</prompt>`,
 		},
-		MaxTokens: 4,
+		Gen: GenConfig{MaxTokens: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -377,20 +378,20 @@ func TestSchedulerRoutesAllPaths(t *testing.T) {
 
 	run := func(c *Client) (infer, streamed, turn string) {
 		t.Helper()
-		resp, err := c.Infer(ctx, Request{Prompt: prompt, MaxTokens: 8})
+		resp, err := c.Infer(ctx, Request{Prompt: prompt, Gen: GenConfig{MaxTokens: 8}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		infer = resp.Text
 		var sb strings.Builder
-		if _, err = c.Infer(ctx, Request{Prompt: prompt, MaxTokens: 8, Stream: func(text string) bool {
+		if _, err = c.Infer(ctx, Request{Prompt: prompt, Stream: func(text string) bool {
 			sb.WriteString(text)
 			return true
-		}}); err != nil {
+		}, Gen: GenConfig{MaxTokens: 8}}); err != nil {
 			t.Fatal(err)
 		}
 		streamed = sb.String()
-		sess, _, err := c.NewSession(ctx, Request{Prompt: prompt, MaxTokens: 8})
+		sess, _, err := c.NewSession(ctx, Request{Prompt: prompt, Gen: GenConfig{MaxTokens: 8}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,11 +409,11 @@ func TestSchedulerRoutesAllPaths(t *testing.T) {
 		t.Fatalf("scheduled output diverged:\ninfer  %q vs %q\nstream %q vs %q\nturn   %q vs %q",
 			gotInfer, wantInfer, gotStream, wantStream, gotTurn, wantTurn)
 	}
-	st := fused.SchedulerStats()
-	if !st.Enabled || st.LanesJoined < 4 || st.LanesJoined != st.LanesRetired {
+	st := fused.Snapshot().Scheduler
+	if st == nil || st.LanesJoined < 4 || st.LanesJoined != st.LanesRetired {
 		t.Fatalf("scheduler did not carry the decodes: %+v", st)
 	}
-	if plainStats := plain.SchedulerStats(); plainStats.Enabled {
+	if plainStats := plain.Snapshot().Scheduler; plainStats != nil {
 		t.Fatalf("unscheduled client reports a scheduler: %+v", plainStats)
 	}
 }
@@ -442,7 +443,7 @@ func TestSchedulerBatchDecodeFuses(t *testing.T) {
 			`<prompt schema="travel"><tokyo/>Two.</prompt>`,
 			`<prompt schema="travel"><trip-plan duration="two days"/><miami/>Three.</prompt>`,
 		},
-		MaxTokens: 8,
+		Gen: GenConfig{MaxTokens: 8},
 	}
 	ctx := context.Background()
 	want, err := plain.InferBatch(ctx, req)
@@ -458,7 +459,7 @@ func TestSchedulerBatchDecodeFuses(t *testing.T) {
 			t.Fatalf("batch member %d diverged: %q vs %q", i, got.Results[i].Text, want.Results[i].Text)
 		}
 	}
-	if st := fused.SchedulerStats(); st.LanesJoined < int64(len(req.Prompts)) {
+	if st := fused.Snapshot().Scheduler; st.LanesJoined < int64(len(req.Prompts)) {
 		t.Fatalf("batch members did not decode through the scheduler: %+v", st)
 	}
 }
@@ -476,8 +477,8 @@ func TestWarmRestartViaOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := Request{
-		Prompt:    `<prompt schema="travel"><tokyo/><user>Plan a temple walk.</user></prompt>`,
-		MaxTokens: 8,
+		Prompt: `<prompt schema="travel"><tokyo/><user>Plan a temple walk.</user></prompt>`,
+		Gen:    GenConfig{MaxTokens: 8},
 	}
 	want, err := orig.Infer(context.Background(), req)
 	if err != nil {
@@ -506,11 +507,11 @@ func TestWarmRestartViaOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := restored.Stats()
+	st := restored.Snapshot()
 	if st.ModulesEncoded != 0 {
 		t.Fatalf("restart re-encoded: %+v", st)
 	}
-	if st.DiskHits == 0 {
+	if st.Tiers.DiskHits == 0 {
 		t.Fatal("first request should hit the disk tier")
 	}
 	if got.Text != want.Text || got.CachedTokens != want.CachedTokens || got.NewTokens != want.NewTokens {

@@ -29,32 +29,9 @@ type Request struct {
 
 	// Gen carries the generation options: token budget, sampler, stop
 	// condition, SLO class, and speculation. The zero value means "all
-	// defaults"; explicit Gen fields win over the deprecated flat aliases
-	// below, which back-fill only fields Gen leaves zero.
+	// defaults".
 	Gen GenConfig
 
-	// SLO classifies the request's latency objective.
-	//
-	// Deprecated: set Gen.SLO instead. Kept as an alias so pre-GenConfig
-	// callers compile and behave identically; it applies only when
-	// Gen.SLO is the zero class.
-	SLO SLOClass
-
-	// MaxTokens bounds generation (default 32).
-	//
-	// Deprecated: set Gen.MaxTokens instead. Applies only when
-	// Gen.MaxTokens is zero.
-	MaxTokens int
-	// Sampler selects next tokens (default greedy, as in the paper §5.3).
-	//
-	// Deprecated: set Gen.Sampler instead. Applies only when Gen.Sampler
-	// is nil.
-	Sampler Sampler
-	// StopToken ends generation when sampled (default EOS).
-	//
-	// Deprecated: set Gen.StopToken instead. Applies only when
-	// Gen.StopToken is zero.
-	StopToken int
 	// Stream, when set, receives each generated token's text as soon as
 	// it is sampled; returning false stops generation early. The full
 	// Response is still returned at the end.
@@ -66,13 +43,6 @@ func (r *Request) validate() error {
 		return fmt.Errorf("%w: request has neither Prompt nor Parsed", ErrBadPrompt)
 	}
 	return nil
-}
-
-// genConfig merges the request's GenConfig with its deprecated flat
-// aliases: Gen wins, flat fields back-fill what Gen leaves zero. All
-// consumers (admission, decode, the servers) read this merged view.
-func (r *Request) genConfig() GenConfig {
-	return r.Gen.withFallback(r.MaxTokens, r.Sampler, r.StopToken, r.SLO)
 }
 
 // Response carries a completed inference: the generation (unless the

@@ -10,11 +10,11 @@ import (
 // implementations need only this package.
 type Sampler = model.Sampler
 
-// The engine's samplers, re-exported so Request.Sampler can be populated
+// The engine's samplers, re-exported so GenConfig.Sampler can be populated
 // without importing internal packages.
 type (
 	// GreedySampler picks the argmax token — the paper's deterministic
-	// default (§5.3), and the default when Request.Sampler is nil.
+	// default (§5.3), and the default when GenConfig.Sampler is nil.
 	GreedySampler = model.GreedySampler
 	// TemperatureSampler draws from the softmax distribution at a
 	// temperature; construct with NewTemperatureSampler for a seeded RNG.

@@ -14,8 +14,8 @@ import (
 // A Session serializes its own turns; use one Session per conversation.
 type Session struct {
 	client *Client
-	// defaults carry the merged GenConfig turns inherit from the
-	// creating request.
+	// defaults carry the Gen settings turns inherit from the creating
+	// request.
 	defaults Request
 
 	mu     sync.Mutex
@@ -26,10 +26,9 @@ type Session struct {
 
 // NewSession serves req's prompt, generates the first reply, and returns
 // the session holding the conversation's KV state alongside that first
-// Response. The request's generation settings (MaxTokens, Sampler,
-// StopToken) become the session's defaults for later Send calls;
-// per-turn fields — the prompt itself, Stream, PrefillOnly — do not
-// carry over. PrefillOnly is honored for the first reply: the session
+// Response. The request's generation settings (Gen) become the
+// session's defaults for later Send calls; per-turn fields — the prompt
+// itself, Stream, PrefillOnly — do not carry over. PrefillOnly is honored for the first reply: the session
 // starts with served state but no generated text.
 func (c *Client) NewSession(ctx context.Context, req Request) (*Session, *Response, error) {
 	if err := req.validate(); err != nil {
@@ -38,8 +37,7 @@ func (c *Client) NewSession(ctx context.Context, req Request) (*Session, *Respon
 	// The admission slot covers serve plus the first reply; each later
 	// Send admits its own turn. An idle session holds KV state but no
 	// slot, so parked conversations don't starve admission.
-	gen := req.genConfig()
-	ctx, done, err := c.admit(ctx, gen.SLO)
+	ctx, done, err := c.admit(ctx, req.Gen.SLO)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -48,17 +46,15 @@ func (c *Client) NewSession(ctx context.Context, req Request) (*Session, *Respon
 	if err != nil {
 		return nil, nil, err
 	}
-	resp, err := c.generate(ctx, res, req, gen)
+	resp, err := c.generate(ctx, res, req)
 	if err != nil {
 		res.Close()
 		return nil, nil, err
 	}
 	// Only generation settings persist: a Stream sink belongs to the
 	// turn that supplied it, not to every future turn. The SLO class
-	// persists too — a batch conversation stays batch. The merged
-	// GenConfig is stored, so deprecated flat fields on the creating
-	// request carry over exactly as explicit Gen fields would.
-	return &Session{client: c, defaults: Request{Gen: gen}, res: res}, resp, nil
+	// persists too — a batch conversation stays batch.
+	return &Session{client: c, defaults: Request{Gen: req.Gen}, res: res}, resp, nil
 }
 
 // Send appends a user turn to the session and generates the reply with
@@ -70,8 +66,8 @@ func (s *Session) Send(ctx context.Context, text string) (*Response, error) {
 	return s.SendOpts(ctx, text, s.defaults)
 }
 
-// SendOpts is Send with per-turn generation settings (MaxTokens,
-// Sampler, StopToken, Stream, SLO); prompt-selection fields of req are
+// SendOpts is Send with per-turn generation settings (Gen and Stream);
+// prompt-selection fields of req are
 // ignored — the session already owns its served state. Each turn
 // admits independently: under overload a turn can shed with
 // ErrOverloaded, leaving the session state untouched and retryable.
@@ -81,8 +77,7 @@ func (s *Session) SendOpts(ctx context.Context, text string, req Request) (*Resp
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	gen := req.genConfig()
-	ctx, done, err := s.client.admit(ctx, gen.SLO)
+	ctx, done, err := s.client.admit(ctx, req.Gen.SLO)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +92,7 @@ func (s *Session) SendOpts(ctx context.Context, text string, req Request) (*Resp
 	// Continue extends s.res.KV in place; adopt the new logits/counters.
 	s.res = res
 	req.PrefillOnly = false
-	resp, err := s.client.generate(ctx, res, req, gen)
+	resp, err := s.client.generate(ctx, res, req)
 	if err != nil {
 		// Drop the prefilled user text and any partially decoded reply:
 		// an aborted turn must not leave invisible tokens in the history.

@@ -18,9 +18,7 @@ const StatsAPIVersion = 1
 // subsystem is enabled — mining, admission, scheduler and speculation
 // blocks. Client.Snapshot assembles it and /v1/stats serializes it
 // directly, so its JSON tags ARE the monitoring contract (pinned by the
-// server's stats-contract golden test). The per-subsystem accessors
-// (Stats, SchedulerStats, MiningStatsSnapshot, AdmissionStats,
-// SpecStats) remain as thin views for callers that want one slice.
+// server's stats-contract golden test).
 type Snapshot struct {
 	APIVersion int `json:"api_version"`
 

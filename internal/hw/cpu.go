@@ -20,10 +20,11 @@ type CPUInfo struct {
 	// MaxProcs is the GOMAXPROCS ceiling on simultaneously executing
 	// goroutines — the fan-out a multi-worker backend can actually use.
 	MaxProcs int
-	// Vector names the vector ISA the weight matmul runs on: "avx2" when
-	// internal/tensor's start-up probe selected its AVX2 body, otherwise
-	// the baseline the compiler may assume for Arch ("sse2" on amd64,
-	// "neon" on arm64, ...), which is what the Go bodies run on. It is
+	// Vector names the vector ISA the weight matmul and the attention
+	// leaves run on: "avx2" when internal/tensor's start-up probe
+	// selected their AVX2 bodies, otherwise the baseline the compiler may
+	// assume for Arch ("sse2" on amd64, "neon" on arm64, ...), which is
+	// what the Go bodies run on. It is
 	// reported so speed differences across machines can be attributed.
 	Vector string
 }

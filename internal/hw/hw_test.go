@@ -268,8 +268,9 @@ func TestAllDeviceListsPopulated(t *testing.T) {
 }
 
 // TestDetectCPUVectorFollowsSelection ties the reported ISA to the
-// matmul body internal/tensor selected: its ISA when it runs a vector
-// body, the architecture's baseline when it runs the Go body.
+// matmul and attention bodies internal/tensor selected: their ISA when
+// they run vector bodies, the architecture's baseline when they run the
+// Go bodies.
 func TestDetectCPUVectorFollowsSelection(t *testing.T) {
 	want := tensor.VectorISA()
 	if want == "" {

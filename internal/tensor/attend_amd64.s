@@ -1,0 +1,532 @@
+//go:build !purego
+
+#include "textflag.h"
+
+// Bit-exact vector lanes for the attention leaves: the score and combine
+// walks under scoreRow/scoreRow2 and combineRow/combineRow2, and expSum.
+// As in matmul_amd64.s, every term is a separate VMULPS and VADDPS (no
+// fused multiply-add), and each lane repeats the Go body's operations on
+// one output element in the Go body's order.
+//
+// Operand order matters only when two NaNs meet: x86 then returns the
+// first source's payload. The Go bodies' compiled code is not uniform
+// about it, so each term below copies the order of the Go line it
+// replaces: "k first" is K·q, "w first" w·v, "v first" v·w; "sum first"
+// adds the product to the running sum, "product first" the other way
+// round. Loads that feed a first source go into a register, because
+// VMULPS and VADDPS take their memory operand as the second source.
+
+// Four key rows' dims [d, d+4), with key r's row at (lo)(r·stride) for
+// r < 4 and (hi)((r-4)·stride) for r >= 4, transposed into Y2..Y5: Yi
+// holds dim d+i of keys 0..7, one key per lane. Clobbers Y6..Y9.
+#define TRANSPOSE_8x4(lo, hi, stride, stride3) \
+	VMOVUPS     (lo), X2;                   \
+	VINSERTF128 $1, (hi), Y2, Y2;           \
+	VMOVUPS     (lo)(stride*1), X3;         \
+	VINSERTF128 $1, (hi)(stride*1), Y3, Y3; \
+	VMOVUPS     (lo)(stride*2), X4;         \
+	VINSERTF128 $1, (hi)(stride*2), Y4, Y4; \
+	VMOVUPS     (lo)(stride3*1), X5;        \
+	VINSERTF128 $1, (hi)(stride3*1), Y5, Y5; \
+	VUNPCKLPS   Y3, Y2, Y6;                 \
+	VUNPCKHPS   Y3, Y2, Y7;                 \
+	VUNPCKLPS   Y5, Y4, Y8;                 \
+	VUNPCKHPS   Y5, Y4, Y9;                 \
+	VSHUFPS     $0x44, Y8, Y6, Y2;          \
+	VSHUFPS     $0xEE, Y8, Y6, Y3;          \
+	VSHUFPS     $0x44, Y9, Y7, Y4;          \
+	VSHUFPS     $0xEE, Y9, Y7, Y5
+
+// acc += K·q[d] for the transposed dim in kd: k first, sum first.
+#define SCORE_TERM(q, kd, acc, tmp) \
+	VBROADCASTSS q, tmp;       \
+	VMULPS       tmp, kd, tmp; \
+	VADDPS       tmp, acc, acc
+
+// func scoreBlocksAVX2(s, q, k []float32, width int, inv float32, lanes *[8]float32)
+TEXT ·scoreBlocksAVX2(SB), NOSPLIT, $0-96
+	MOVQ         s_base+0(FP), DI
+	MOVQ         s_len+8(FP), CX  // keys left, a multiple of 8
+	MOVQ         q_base+24(FP), SI
+	MOVQ         q_len+32(FP), DX // head dim, a multiple of 8
+	SHLQ         $2, DX
+	MOVQ         k_base+48(FP), BX // key 0 of the next block, at dim 0
+	MOVQ         width+72(FP), R8
+	SHLQ         $2, R8            // key row stride in bytes
+	LEAQ         (R8)(R8*2), R9
+	VBROADCASTSS inv+80(FP), Y12
+	MOVQ         lanes+88(FP), AX
+	VMOVUPS      (AX), Y10
+
+block1:
+	TESTQ  CX, CX
+	JZ     done1
+	VXORPS Y0, Y0, Y0
+	MOVQ   BX, R10
+	LEAQ   (BX)(R8*4), R11
+	XORQ   AX, AX
+
+dims1:
+	TRANSPOSE_8x4(R10, R11, R8, R9)
+	SCORE_TERM(0(SI)(AX*1), Y2, Y0, Y6)
+	SCORE_TERM(4(SI)(AX*1), Y3, Y0, Y6)
+	SCORE_TERM(8(SI)(AX*1), Y4, Y0, Y6)
+	SCORE_TERM(12(SI)(AX*1), Y5, Y0, Y6)
+	ADDQ $16, AX
+	ADDQ $16, R10
+	ADDQ $16, R11
+	CMPQ AX, DX
+	JLT  dims1
+
+	VMULPS  Y12, Y0, Y0 // score·inv, the score first
+	VMOVUPS Y0, (DI)
+	VMAXPS  Y10, Y0, Y10 // a lane takes the new score only when it is greater
+	ADDQ    $32, DI
+	LEAQ    (BX)(R8*8), BX
+	SUBQ    $8, CX
+	JMP     block1
+
+done1:
+	MOVQ    lanes+88(FP), AX
+	VMOVUPS Y10, (AX)
+	VZEROUPPER
+	RET
+
+// func scoreBlocks2AVX2(s0, s1, q0, q1, k []float32, width int, inv float32, lanes *[16]float32)
+TEXT ·scoreBlocks2AVX2(SB), NOSPLIT, $64-144
+	MOVQ         s0_base+0(FP), DI
+	MOVQ         s0_len+8(FP), CX // keys left, a multiple of 8
+	MOVQ         s1_base+24(FP), R12
+	MOVQ         q0_base+48(FP), SI
+	MOVQ         q0_len+56(FP), DX // head dim, a multiple of 8
+	SHLQ         $2, DX
+	MOVQ         q1_base+72(FP), R13
+	MOVQ         k_base+96(FP), BX
+	MOVQ         width+120(FP), R8
+	SHLQ         $2, R8
+	LEAQ         (R8)(R8*2), R9
+	VBROADCASTSS inv+128(FP), Y12
+	MOVQ         lanes+136(FP), AX
+	VMOVUPS      (AX), Y10
+	VMOVUPS      32(AX), Y11
+
+block2:
+	TESTQ  CX, CX
+	JZ     done2
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	MOVQ   BX, R10
+	LEAQ   (BX)(R8*4), R11
+	XORQ   AX, AX
+
+dims2:
+	TRANSPOSE_8x4(R10, R11, R8, R9)
+	SCORE_TERM(0(SI)(AX*1), Y2, Y0, Y6)
+	SCORE_TERM(0(R13)(AX*1), Y2, Y1, Y7)
+	SCORE_TERM(4(SI)(AX*1), Y3, Y0, Y6)
+	SCORE_TERM(4(R13)(AX*1), Y3, Y1, Y7)
+	SCORE_TERM(8(SI)(AX*1), Y4, Y0, Y6)
+	SCORE_TERM(8(R13)(AX*1), Y4, Y1, Y7)
+	SCORE_TERM(12(SI)(AX*1), Y5, Y0, Y6)
+	SCORE_TERM(12(R13)(AX*1), Y5, Y1, Y7)
+	ADDQ $16, AX
+	ADDQ $16, R10
+	ADDQ $16, R11
+	CMPQ AX, DX
+	JLT  dims2
+
+	// dot2x4's compiled code keeps two of its eight sums in another
+	// order: a3 multiplies q first and b3 adds the product first. Only
+	// NaN can show the difference, so when the lanes of keys 3 and 7
+	// hold a NaN, those four sums are redone in dot2x4's order.
+	VCMPPS    $3, Y0, Y0, Y6 // UNORD_Q: NaN lanes
+	VCMPPS    $3, Y1, Y1, Y7
+	VORPS     Y7, Y6, Y6
+	VMOVMSKPS Y6, AX
+	TESTL     $0x88, AX
+	JZ        scale2
+	VMOVUPS   Y0, 0(SP)
+	VMOVUPS   Y1, 32(SP)
+	LEAQ      (BX)(R9*1), R10 // key 3's row
+	MOVQ      $12, R11        // its lane's byte offset
+
+fixkey2:
+	VXORPS X8, X8, X8
+	VXORPS X9, X9, X9
+	XORQ   AX, AX
+
+fixdims2:
+	VMOVSS (SI)(AX*1), X6
+	VMULSS (R10)(AX*1), X6, X6 // a3: q first
+	VADDSS X6, X8, X8          // sum first
+	VMOVSS (R10)(AX*1), X7
+	VMULSS (R13)(AX*1), X7, X7 // b3: k first
+	VADDSS X9, X7, X9          // product first
+	ADDQ   $4, AX
+	CMPQ   AX, DX
+	JLT    fixdims2
+	VMOVSS X8, 0(SP)(R11*1)
+	VMOVSS X9, 32(SP)(R11*1)
+	LEAQ   (R10)(R8*4), R10    // key 7
+	ADDQ   $16, R11
+	CMPQ   R11, $28
+	JLE    fixkey2
+	VMOVUPS 0(SP), Y0
+	VMOVUPS 32(SP), Y1
+
+scale2:
+	VMULPS  Y12, Y0, Y0
+	VMULPS  Y12, Y1, Y1
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (R12)
+	VMAXPS  Y10, Y0, Y10
+	VMAXPS  Y11, Y1, Y11
+	ADDQ    $32, DI
+	ADDQ    $32, R12
+	LEAQ    (BX)(R8*8), BX
+	SUBQ    $8, CX
+	JMP     block2
+
+done2:
+	MOVQ    lanes+136(FP), AX
+	VMOVUPS Y10, (AX)
+	VMOVUPS Y11, 32(AX)
+	VZEROUPPER
+	RET
+
+// The combine bodies take keys in groups of four, as the Go bodies do. A
+// group whose weights are all nonzero runs the Go tile's terms (the
+// tile's operand orders); a group with a zero weight runs axpy's for
+// each key, skipping the zero ones. The weights w = t·inv (t first) sit
+// in the frame so each can be broadcast from memory.
+
+// func combineAVX2(o, t, v []float32, width int, inv float32)
+TEXT ·combineAVX2(SB), NOSPLIT, $16-84
+	MOVQ o_base+0(FP), DI
+	MOVQ o_len+8(FP), DX // head dim, a multiple of 8
+	SHLQ $2, DX
+	MOVQ t_base+24(FP), R9
+	MOVQ t_len+32(FP), CX // keys left, a multiple of 4
+	MOVQ v_base+48(FP), BX
+	MOVQ width+72(FP), R8
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R11
+
+group1:
+	CMPQ         CX, $4
+	JLT          end1
+	VBROADCASTSS inv+80(FP), X12
+	VMOVUPS      (R9), X0
+	VMULPS       X12, X0, X0 // w = t·inv, t first
+	VMOVUPS      X0, 0(SP)
+	VXORPS       X13, X13, X13
+	VCMPPS       $0, X13, X0, X1 // w == 0, with -0 equal and NaN not
+	VMOVMSKPS    X1, AX
+	TESTL        AX, AX
+	JNZ          skip1
+
+	// combineRow's tile: v first; product first but for the third key.
+	VBROADCASTSS 0(SP), Y4
+	VBROADCASTSS 4(SP), Y5
+	VBROADCASTSS 8(SP), Y6
+	VBROADCASTSS 12(SP), Y7
+	XORQ         AX, AX
+
+tile1:
+	LEAQ    (BX)(AX*1), R10
+	VMOVUPS (R10), Y0
+	VMOVUPS (R10)(R8*1), Y1
+	VMOVUPS (R10)(R8*2), Y2
+	VMOVUPS (R10)(R11*1), Y3
+	VMOVUPS (DI)(AX*1), Y8
+	VMULPS  Y4, Y0, Y9
+	VADDPS  Y8, Y9, Y8   // product first
+	VMULPS  Y5, Y1, Y9
+	VADDPS  Y8, Y9, Y8   // product first
+	VMULPS  Y6, Y2, Y9
+	VADDPS  Y9, Y8, Y8   // sum first
+	VMULPS  Y7, Y3, Y9
+	VADDPS  Y8, Y9, Y8   // product first
+	VMOVUPS Y8, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, DX
+	JLT     tile1
+	JMP     next1
+
+skip1:
+	// axpy for each key of the group with w != 0.
+	XORQ R12, R12
+
+skipkey1:
+	VMOVSS       0(SP)(R12*4), X0
+	VUCOMISS     X13, X0
+	JNE          axpy1
+	JPS          axpy1   // NaN is not 0
+	JMP          nextkey1
+
+axpy1:
+	VBROADCASTSS X0, Y0
+	MOVQ         R12, R10
+	IMULQ        R8, R10
+	ADDQ         BX, R10
+	MOVQ         DI, R13
+	LEAQ         (DI)(DX*1), AX
+
+axpyrow1:
+	// o[d:d+8] += v[d:d+8]·w: v first, product first (axpy).
+	VMOVUPS (R10), Y1
+	VMULPS  Y0, Y1, Y1
+	VADDPS  (R13), Y1, Y1
+	VMOVUPS Y1, (R13)
+	ADDQ    $32, R10
+	ADDQ    $32, R13
+	CMPQ    R13, AX
+	JLT     axpyrow1
+
+nextkey1:
+	INCQ R12
+	CMPQ R12, $4
+	JLT  skipkey1
+
+next1:
+	ADDQ $16, R9
+	LEAQ (BX)(R8*4), BX
+	SUBQ $4, CX
+	JMP  group1
+
+end1:
+	VZEROUPPER
+	RET
+
+// func combine2AVX2(o0, o1, t0, t1, v []float32, width int, inv0, inv1 float32)
+TEXT ·combine2AVX2(SB), NOSPLIT, $32-136
+	MOVQ o0_base+0(FP), DI
+	MOVQ o0_len+8(FP), DX // head dim, a multiple of 8
+	SHLQ $2, DX
+	MOVQ o1_base+24(FP), SI
+	MOVQ t0_base+48(FP), R9
+	MOVQ t0_len+56(FP), CX // keys left, a multiple of 4
+	MOVQ t1_base+72(FP), R12
+	MOVQ v_base+96(FP), BX
+	MOVQ width+120(FP), R8
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R11
+
+group2:
+	CMPQ         CX, $4
+	JLT          end2
+	VBROADCASTSS inv0+128(FP), X12
+	VBROADCASTSS inv1+132(FP), X13
+	VMOVUPS      (R9), X0
+	VMULPS       X12, X0, X0 // w = t0·inv0, t first
+	VMOVUPS      (R12), X1
+	VMULPS       X13, X1, X1 // u = t1·inv1
+	VMOVUPS      X0, 0(SP)
+	VMOVUPS      X1, 16(SP)
+	VXORPS       X13, X13, X13
+	VCMPPS       $0, X13, X0, X2
+	VCMPPS       $0, X13, X1, X3
+	VORPS        X3, X2, X2
+	VMOVMSKPS    X2, AX
+	TESTL        AX, AX
+	JNZ          skip2
+
+	// axpy2x4: o0's terms w first, product first but for the second key;
+	// o1's v first, product first.
+	VBROADCASTSS 0(SP), Y4
+	VBROADCASTSS 4(SP), Y5
+	VBROADCASTSS 8(SP), Y6
+	VBROADCASTSS 12(SP), Y7
+	VBROADCASTSS 16(SP), Y8
+	VBROADCASTSS 20(SP), Y9
+	VBROADCASTSS 24(SP), Y10
+	VBROADCASTSS 28(SP), Y11
+	XORQ         AX, AX
+
+tile2:
+	LEAQ    (BX)(AX*1), R10
+	VMOVUPS (R10), Y0
+	VMOVUPS (R10)(R8*1), Y1
+	VMOVUPS (R10)(R8*2), Y2
+	VMOVUPS (R10)(R11*1), Y3
+	VMOVUPS (DI)(AX*1), Y12
+	VMULPS  Y0, Y4, Y13
+	VADDPS  Y12, Y13, Y12 // product first
+	VMULPS  Y1, Y5, Y13
+	VADDPS  Y13, Y12, Y12 // sum first
+	VMULPS  Y2, Y6, Y13
+	VADDPS  Y12, Y13, Y12 // product first
+	VMULPS  Y3, Y7, Y13
+	VADDPS  Y12, Y13, Y12 // product first
+	VMOVUPS Y12, (DI)(AX*1)
+	VMOVUPS (SI)(AX*1), Y14
+	VMULPS  Y8, Y0, Y15
+	VADDPS  Y14, Y15, Y14
+	VMULPS  Y9, Y1, Y15
+	VADDPS  Y14, Y15, Y14
+	VMULPS  Y10, Y2, Y15
+	VADDPS  Y14, Y15, Y14
+	VMULPS  Y11, Y3, Y15
+	VADDPS  Y14, Y15, Y14
+	VMOVUPS Y14, (SI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, DX
+	JLT     tile2
+	JMP     next2
+
+skip2:
+	// axpy for each of o0's keys with w != 0, then each of o1's.
+	XORQ R13, R13
+
+skipkey2:
+	VMOVSS   0(SP)(R13*4), X0
+	VUCOMISS X13, X0
+	JNE      axpy2
+	JPS      axpy2
+	JMP      nextkey2
+
+axpy2:
+	VBROADCASTSS X0, Y0
+	MOVQ         R13, R10
+	ANDQ         $3, R10
+	IMULQ        R8, R10
+	ADDQ         BX, R10
+	MOVQ         DI, R11
+	CMPQ         R13, $4
+	CMOVQGE      SI, R11
+	LEAQ         (R11)(DX*1), AX
+
+axpyrow2:
+	VMOVUPS (R10), Y1
+	VMULPS  Y0, Y1, Y1
+	VADDPS  (R11), Y1, Y1
+	VMOVUPS Y1, (R11)
+	ADDQ    $32, R10
+	ADDQ    $32, R11
+	CMPQ    R11, AX
+	JLT     axpyrow2
+
+nextkey2:
+	INCQ R13
+	CMPQ R13, $8
+	JLT  skipkey2
+	LEAQ (R8)(R8*2), R11
+
+next2:
+	ADDQ $16, R9
+	ADDQ $16, R12
+	LEAQ (BX)(R8*4), BX
+	SUBQ $4, CX
+	JMP  group2
+
+end2:
+	VZEROUPPER
+	RET
+
+// expSum's constants: exp32Fast's float64 terms, its float32 range ends
+// and the masks of its midpoint guard.
+DATA expConst<>+0(SB)/8, $0x40771547652b82fe  // expInvStep
+DATA expConst<>+8(SB)/8, $0x4338000000000000  // expShifter
+DATA expConst<>+16(SB)/8, $0x3f662e42fee00000 // expStepHi
+DATA expConst<>+24(SB)/8, $0x3d6a39ef35793c76 // expStepLo
+DATA expConst<>+32(SB)/8, $0x3fe0000000000000 // 0.5
+DATA expConst<>+40(SB)/8, $0x3fc5555555555555 // 1.0/6
+DATA expConst<>+48(SB)/8, $255                // table index mask
+DATA expConst<>+56(SB)/8, $0x1fffffff         // the 29 bits float32 rounding drops
+DATA expConst<>+64(SB)/8, $0x0fffe000         // expMid - expGuard
+DATA expConst<>+72(SB)/8, $0x4000             // 2·expGuard
+DATA expConst<>+80(SB)/4, $0xc2ae0000         // float32(expMin)
+DATA expConst<>+84(SB)/4, $0x42b00000         // float32(expMax)
+GLOBL expConst<>(SB), RODATA|NOPTR, $88
+
+// func expSumAVX2(x []float32, m, sum float32) (n int, s float32)
+//
+// Four float64 lanes of exp32Fast, one lane per element, in its order of
+// operations, over x's groups of four from the start. It stops before
+// the first group holding an input outside (expMin, expMax) (NaN and ±Inf
+// included) or a result the midpoint guard flags, and before a tail of
+// fewer than four, and returns how many elements it overwrote. The sum
+// is exp32's: one VADDSS per element, in order, the sum first.
+TEXT ·expSumAVX2(SB), NOSPLIT, $0-44
+	MOVQ         x_base+0(FP), SI
+	MOVQ         x_len+8(FP), CX
+	XORQ         AX, AX
+	VBROADCASTSS m+24(FP), X15
+	VMOVSS       sum+28(FP), X14
+	LEAQ         expConst<>(SB), R8
+	LEAQ         ·exp2Table(SB), R9
+	VBROADCASTSS 80(R8), X13 // expMin
+	VBROADCASTSS 84(R8), X12 // expMax
+	VBROADCASTSD 0(R8), Y11  // expInvStep
+	VBROADCASTSD 8(R8), Y10  // expShifter
+	VPXOR        Y9, Y9, Y9
+
+group:
+	LEAQ      4(AX), DX
+	CMPQ      DX, CX
+	JGT       done
+	VMOVUPS   (SI)(AX*4), X0
+	VSUBPS    X15, X0, X0 // x - m, x first
+	VCMPPS    $0x1e, X13, X0, X1 // x > expMin (GT_OQ: false on NaN)
+	VCMPPS    $0x11, X12, X0, X2 // x < expMax (LT_OQ)
+	VANDPS    X2, X1, X1
+	VMOVMSKPS X1, DX
+	CMPL      DX, $15
+	JNE       done
+
+	VCVTPS2PD    X0, Y0          // xd
+	VMULPD       Y11, Y0, Y1     // xd·expInvStep
+	VADDPD       Y10, Y1, Y1     // t = … + expShifter
+	VSUBPD       Y10, Y1, Y2     // nf = t - expShifter
+	VBROADCASTSD 16(R8), Y3
+	VMULPD       Y3, Y2, Y3      // nf·expStepHi
+	VSUBPD       Y3, Y0, Y3      // xd - nf·expStepHi
+	VBROADCASTSD 24(R8), Y4
+	VMULPD       Y4, Y2, Y4      // nf·expStepLo
+	VSUBPD       Y4, Y3, Y3      // r
+	VPBROADCASTQ 48(R8), Y4
+	VPAND        Y4, Y1, Y4      // n & 255
+	VPCMPEQQ     Y5, Y5, Y5
+	VXORPD       Y6, Y6, Y6
+	VGATHERQPD   Y5, (R9)(Y4*8), Y6 // s = exp2Table[n&255]
+	VBROADCASTSD 40(R8), Y4
+	VMULPD       Y4, Y3, Y4      // r·(1/6)
+	VBROADCASTSD 32(R8), Y5
+	VADDPD       Y4, Y5, Y4      // 0.5 + …
+	VMULPD       Y3, Y3, Y5      // r·r
+	VMULPD       Y4, Y5, Y5      // r·r·(…)
+	VADDPD       Y5, Y3, Y5      // r + …
+	VMULPD       Y5, Y6, Y5      // s·(…)
+	VADDPD       Y5, Y6, Y5      // s + …
+	VPSRLQ       $8, Y1, Y1
+	VPSLLQ       $52, Y1, Y1     // uint64(n>>8) << 52
+	VPADDQ       Y1, Y5, Y5      // b
+
+	// The guard: a lane is flagged when its 29 dropped bits minus
+	// (expMid - expGuard) lie in [0, 2·expGuard].
+	VPBROADCASTQ 56(R8), Y1
+	VPAND        Y1, Y5, Y1
+	VPBROADCASTQ 64(R8), Y2
+	VPSUBQ       Y2, Y1, Y1
+	VPBROADCASTQ 72(R8), Y2
+	VPCMPGTQ     Y2, Y1, Y2      // above the window
+	VPCMPGTQ     Y1, Y9, Y1      // below it
+	VPOR         Y2, Y1, Y1
+	VMOVMSKPD    Y1, DX
+	CMPL         DX, $15
+	JNE          done
+
+	VCVTPD2PSY Y5, X5
+	VMOVUPS    X5, (SI)(AX*4)
+	VADDSS     (SI)(AX*4), X14, X14
+	VADDSS     4(SI)(AX*4), X14, X14
+	VADDSS     8(SI)(AX*4), X14, X14
+	VADDSS     12(SI)(AX*4), X14, X14
+	ADDQ       $4, AX
+	JMP        group
+
+done:
+	MOVQ   AX, n+32(FP)
+	VMOVSS X14, s+40(FP)
+	VZEROUPPER
+	RET

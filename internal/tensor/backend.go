@@ -11,7 +11,10 @@ import (
 // Backend runs the engine's heavy kernels over a fixed number of worker
 // goroutines. Every hot loop in internal/model bottoms out in one of its
 // methods, and each method is one leaf body (matMulRange, attendUnits,
-// outputHeadRange) split across the workers.
+// outputHeadRange) split across the workers. The matmul and attention
+// leaves run AVX2 bodies where the start-up probe found them (see
+// VectorISA); those equal the Go bodies bit for bit, so the contract
+// below holds on either.
 //
 // One worker is the reference: every kernel runs on the calling
 // goroutine in the canonical accumulation order. More workers only
@@ -244,8 +247,9 @@ type Span struct {
 // and w = e·(1/sum); the weighted-V combine adds w·V rows in span order,
 // ascending, skipping w == 0. Softmax and V accumulation are never split
 // across keys. A body may fuse the stages — track the max while scoring,
-// form each w as the combine loads it — as long as every such value is
-// the same float32 the staged order computes.
+// form each w as the combine loads it — as long as every score, e and w
+// is the same float32 the staged order computes (a zero max may change
+// sign, since e = exp(s−max) does not).
 type AttendArgs struct {
 	Q, Out *Matrix // n × (NHeads·HeadDim); Out rows are overwritten
 	Spans  []Span
@@ -322,7 +326,9 @@ type attendPass struct {
 // normalize pass would have stored. The max is the staged scan's: kept
 // with the same `s > max` test in the same ascending order, but seeded
 // from -Inf rather than s[0]. The two differ only when s[0] is NaN, and
-// then the pass takes s[0] as the max, as the scan would.
+// then the pass takes s[0] as the max, as the scan would. The vector
+// score bodies keep it per lane instead (see foldLanes), which can flip
+// the sign of a zero max and no weight.
 func attendUnit(a *AttendArgs, scores []float32, i0, i1, g int) {
 	hd, stride, base := a.HeadDim, a.Past+i1, g*a.HeadDim
 	perPass := min(len(scores)/stride, attendPassPairs)
@@ -399,10 +405,19 @@ func (ps *attendPass) score(a *AttendArgs, base int) {
 }
 
 // scoreRow writes one pair's scaled scores for keys [0, len(s)), four
-// keys per Dot4 call, and returns their max.
+// keys per Dot4 call, and returns their max. With the vector body, each
+// span's whole blocks of 8 keys go through scoreBlocksAVX2 instead, and
+// the fewer than 8 left through the Go loops on the same 4-key grid.
 func scoreRow(a *AttendArgs, base int, q, s []float32) float32 {
 	hd, width, inv := a.HeadDim, a.Width, a.InvSqrt
 	m := float32(math.Inf(-1))
+	vec := attendVector && hd%8 == 0
+	var lanes [8]float32
+	if vec {
+		for i := range lanes {
+			lanes[i] = m
+		}
+	}
 	off := 0
 	for _, sp := range a.Spans {
 		if off >= len(s) {
@@ -411,6 +426,10 @@ func scoreRow(a *AttendArgs, base int, q, s []float32) float32 {
 		lim := min(len(sp.Pos), len(s)-off)
 		k, t := sp.K, s[off:off+lim]
 		j := 0
+		if vec && lim >= 8 {
+			j = lim &^ 7
+			scoreBlocksAVX2(t[:j], q, k[base:(j-1)*width+base+hd], width, inv, &lanes)
+		}
 		for ; j+4 <= lim; j += 4 {
 			r := j*width + base
 			d0, d1, d2, d3 := Dot4(q, k[r:r+hd], k[r+width:r+width+hd],
@@ -427,14 +446,25 @@ func scoreRow(a *AttendArgs, base int, q, s []float32) float32 {
 		}
 		off += lim
 	}
+	if vec {
+		m = foldLanes(m, lanes[:])
+	}
 	return m
 }
 
 // scoreRow2 is scoreRow for two pairs: dot2x4 scores both query heads
-// against four keys in one walk over the head dimension.
+// against four keys in one walk over the head dimension, and
+// scoreBlocks2AVX2 against eight.
 func scoreRow2(a *AttendArgs, base int, q0, q1, s0, s1 []float32) (m0, m1 float32) {
 	hd, width, inv := a.HeadDim, a.Width, a.InvSqrt
 	m0, m1 = float32(math.Inf(-1)), float32(math.Inf(-1))
+	vec := attendVector && hd%8 == 0
+	var lanes [16]float32
+	if vec {
+		for i := range lanes {
+			lanes[i] = m0
+		}
+	}
 	off := 0
 	for _, sp := range a.Spans {
 		if off >= len(s0) {
@@ -443,6 +473,10 @@ func scoreRow2(a *AttendArgs, base int, q0, q1, s0, s1 []float32) (m0, m1 float3
 		lim := min(len(sp.Pos), len(s0)-off)
 		k, t0, t1 := sp.K, s0[off:off+lim], s1[off:off+lim]
 		j := 0
+		if vec && lim >= 8 {
+			j = lim &^ 7
+			scoreBlocks2AVX2(t0[:j], t1[:j], q0, q1, k[base:(j-1)*width+base+hd], width, inv, &lanes)
+		}
 		for ; j+4 <= lim; j += 4 {
 			a0, a1, a2, a3, b0, b1, b2, b3 := dot2x4(q0, q1, k[j*width+base:], width)
 			t0[j], t0[j+1], t0[j+2], t0[j+3] = a0*inv, a1*inv, a2*inv, a3*inv
@@ -463,7 +497,27 @@ func scoreRow2(a *AttendArgs, base int, q0, q1, s0, s1 []float32) (m0, m1 float3
 		}
 		off += lim
 	}
+	if vec {
+		m0, m1 = foldLanes(m0, lanes[:8]), foldLanes(m1, lanes[8:])
+	}
 	return m0, m1
+}
+
+// foldLanes folds the vector score bodies' per-lane maxima into m with
+// the `>` test. Lane l keeps the max of the keys j ≡ l (mod 8) by
+// VMAXPS(new, max), which takes the new score exactly when it is
+// greater, so NaN is skipped as the ascending scan skips it. The result
+// can differ from that scan only in the sign of a zero max (+0 and -0
+// compare equal, and which one comes first differs); the max is used
+// only in exp32(s−max), where s−(+0) and s−(−0) differ only for s = ±0,
+// and exp32(±0) = 1, so no weight changes.
+func foldLanes(m float32, lanes []float32) float32 {
+	for _, v := range lanes {
+		if v > m {
+			m = v
+		}
+	}
+	return m
 }
 
 // dot2x4 is the 2 × 4 register tile: the dot products of the query heads
@@ -476,14 +530,14 @@ func dot2x4(q0, q1, k []float32, width int) (a0, a1, a2, a3, b0, b1, b2, b3 floa
 	k0, k1, k2, k3 := k[:hd], k[width:][:hd], k[2*width:][:hd], k[3*width:][:hd]
 	for d, x := range q0 {
 		y := q1[d]
-		a0 += x * k0[d]
-		a1 += x * k1[d]
-		a2 += x * k2[d]
-		a3 += x * k3[d]
-		b0 += y * k0[d]
-		b1 += y * k1[d]
-		b2 += y * k2[d]
-		b3 += y * k3[d]
+		a0 += float32(x * k0[d])
+		a1 += float32(x * k1[d])
+		a2 += float32(x * k2[d])
+		a3 += float32(x * k3[d])
+		b0 += float32(y * k0[d])
+		b1 += float32(y * k1[d])
+		b2 += float32(y * k2[d])
+		b3 += float32(y * k3[d])
 	}
 	return
 }
@@ -525,7 +579,7 @@ func alibi(a *AttendArgs, s []float32, qPos int, slope float32) float32 {
 			if dist < 0 {
 				dist = 0
 			}
-			s[off+j] -= slope * float32(dist)
+			s[off+j] -= float32(slope * float32(dist))
 			if s[off+j] > m {
 				m = s[off+j]
 			}
@@ -575,8 +629,11 @@ func (ps *attendPass) combine(a *AttendArgs, base int) {
 // for one pair. Four keys at a time, an output element takes the four
 // adds in one visit — the same adds in the same order; if one of the
 // four weights is 0, the keys go through axpy instead, which skips it.
+// With the vector body, each span's whole groups of 4 keys go through
+// combineAVX2, which makes the same choice per group.
 func combineRow(a *AttendArgs, base int, o, s []float32, inv float32) {
 	hd, width := a.HeadDim, a.Width
+	vec := attendVector && hd%8 == 0
 	clear(o)
 	off := 0
 	for _, sp := range a.Spans {
@@ -586,6 +643,10 @@ func combineRow(a *AttendArgs, base int, o, s []float32, inv float32) {
 		lim := min(len(sp.Pos), len(s)-off)
 		v, t := sp.V, s[off:off+lim]
 		j := 0
+		if vec && lim >= 4 {
+			j = lim &^ 3
+			combineAVX2(o, t[:j], v[base:(j-1)*width+base+hd], width, inv)
+		}
 		for ; j+4 <= lim; j += 4 {
 			r := j*width + base
 			v0, v1 := v[r:][:len(o)], v[r+width:][:len(o)]
@@ -599,10 +660,10 @@ func combineRow(a *AttendArgs, base int, o, s []float32, inv float32) {
 				continue
 			}
 			for d, x := range o {
-				x += w0 * v0[d]
-				x += w1 * v1[d]
-				x += w2 * v2[d]
-				x += w3 * v3[d]
+				x += float32(w0 * v0[d])
+				x += float32(w1 * v1[d])
+				x += float32(w2 * v2[d])
+				x += float32(w3 * v3[d])
 				o[d] = x
 			}
 		}
@@ -615,9 +676,11 @@ func combineRow(a *AttendArgs, base int, o, s []float32, inv float32) {
 
 // combineRow2 is combineRow for two pairs: axpy2x4 adds four keys' V
 // rows into both outputs in one walk. If any of the eight weights is 0,
-// the four keys go through axpy instead, which skips it.
+// the four keys go through axpy instead, which skips it. With the vector
+// body, each span's whole groups of 4 keys go through combine2AVX2.
 func combineRow2(a *AttendArgs, base int, o0, o1, s0, s1 []float32, inv0, inv1 float32) {
 	hd, width := a.HeadDim, a.Width
+	vec := attendVector && hd%8 == 0
 	clear(o0)
 	clear(o1)
 	off := 0
@@ -628,6 +691,10 @@ func combineRow2(a *AttendArgs, base int, o0, o1, s0, s1 []float32, inv0, inv1 f
 		lim := min(len(sp.Pos), len(s0)-off)
 		v, t0, t1 := sp.V, s0[off:off+lim], s1[off:off+lim]
 		j := 0
+		if vec && lim >= 4 {
+			j = lim &^ 3
+			combine2AVX2(o0, o1, t0[:j], t1[:j], v[base:(j-1)*width+base+hd], width, inv0, inv1)
+		}
 		for ; j+4 <= lim; j += 4 {
 			r := j*width + base
 			w0, w1, w2, w3 := t0[j]*inv0, t0[j+1]*inv0, t0[j+2]*inv0, t0[j+3]*inv0
@@ -662,16 +729,16 @@ func axpy2x4(o0, o1, v []float32, width int, w0, w1, w2, w3, u0, u1, u2, u3 floa
 	v0, v1, v2, v3 := v[:hd], v[width:][:hd], v[2*width:][:hd], v[3*width:][:hd]
 	for d, x := range o0 {
 		e0, e1, e2, e3 := v0[d], v1[d], v2[d], v3[d]
-		x += w0 * e0
-		x += w1 * e1
-		x += w2 * e2
-		x += w3 * e3
+		x += float32(w0 * e0)
+		x += float32(w1 * e1)
+		x += float32(w2 * e2)
+		x += float32(w3 * e3)
 		o0[d] = x
 		y := o1[d]
-		y += u0 * e0
-		y += u1 * e1
-		y += u2 * e2
-		y += u3 * e3
+		y += float32(u0 * e0)
+		y += float32(u1 * e1)
+		y += float32(u2 * e2)
+		y += float32(u3 * e3)
 		o1[d] = y
 	}
 }
@@ -683,7 +750,7 @@ func axpy(o []float32, w float32, v []float32) {
 	}
 	v = v[:len(o)]
 	for t := range o {
-		o[t] += w * v[t]
+		o[t] += float32(w * v[t])
 	}
 }
 

@@ -73,12 +73,30 @@ func exp32Fast(x float32) (y float32, ok bool) {
 // expSum overwrites x[i] with exp32(x[i]-m) and returns the sum of the
 // results, accumulated in float32 in ascending order: Softmax's middle
 // pass, and the only one attention keeps.
+//
+// With the vector body (attendVector), expSumAVX2 takes x four elements
+// at a time in float64 lanes and stops at a group it cannot take (an
+// input outside the fast range or a guard-flagged result) or at a tail
+// of fewer than four; that group or tail goes through the scalar loop
+// below, then the vector body resumes. There is one scalar loop on
+// purpose: its compiled order (x−m with x first, the sum as the add's
+// first source) is the one the vector body copies, and a second scalar
+// site could compile otherwise and move a NaN payload.
 func expSum(x []float32, m float32) float32 {
 	var sum float32
-	for i, v := range x {
-		e := exp32(v - m)
-		x[i] = e
-		sum += e
+	for i := 0; i < len(x); {
+		end := len(x)
+		if attendVector {
+			var n int
+			n, sum = expSumAVX2(x[i:], m, sum)
+			i += n
+			end = min(i+4, len(x))
+		}
+		for ; i < end; i++ {
+			e := exp32(x[i] - m)
+			x[i] = e
+			sum += e
+		}
 	}
 	return sum
 }

@@ -3,13 +3,15 @@
 package tensor
 
 // The AVX2 body of matMulRange (matmul_amd64.s). A start-up probe picks
-// it when the CPU has AVX2 and the OS saves the ymm registers; the
-// purego build tag leaves this file out, so matMulRange runs the Go body.
+// it, and the attention leaves' AVX2 bodies (attend_amd64.go), when the
+// CPU has AVX2 and the OS saves the ymm registers; the purego build tag
+// leaves this file out, so both run the Go bodies.
 
 func init() {
 	if hasAVX2() {
 		vectorISA = "avx2"
 		matMulVector = matMulRangeAVX2
+		attendVector = true
 	}
 }
 

@@ -100,11 +100,14 @@ func TestMatMulVectorMatchesGo(t *testing.T) {
 	}
 }
 
-// TestVectorISAFollowsSelection ties the reported ISA to the body
-// matMulRange actually runs.
+// TestVectorISAFollowsSelection ties the reported ISA to the bodies
+// matMulRange and the attention leaves actually run.
 func TestVectorISAFollowsSelection(t *testing.T) {
 	if (matMulVector != nil) != (VectorISA() != "") {
 		t.Fatalf("VectorISA() = %q with vector body set = %v", VectorISA(), matMulVector != nil)
+	}
+	if attendVector != (VectorISA() != "") {
+		t.Fatalf("VectorISA() = %q with vector attention = %v", VectorISA(), attendVector)
 	}
 	if v := VectorISA(); v != "" && (runtime.GOARCH != "amd64" || v != "avx2") {
 		t.Fatalf("VectorISA() = %q on %s", v, runtime.GOARCH)

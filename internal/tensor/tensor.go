@@ -23,17 +23,23 @@
 // # Vector lanes
 //
 // The weight matmul, matMulRange under MatMul and MatVecT, has an AVX2
-// body on amd64 (matmul_amd64.s) that equals its Go body bit for bit.
-// Each ymm lane is a different output column, so a lane's sum is that
-// column's scalar sum: it starts at +0 and takes, for p ascending, one
+// body on amd64 (matmul_amd64.s) that equals its Go body bit for bit,
+// and so do the attention leaves under AttendRowBlock (attend_amd64.s):
+// the score with one key per lane over 8-key blocks transposed in
+// registers, the combine with one head-dim element per lane, and
+// expSum with four float64 exp lanes and a sequential sum. In the
+// matmul each ymm lane is a different output column, so a lane's sum is
+// that column's scalar sum: it starts at +0 and takes, for p ascending, one
 // VMULPS and one VADDPS per term, each rounding as the scalar MULSS and
 // ADDSS do. There is no fused multiply-add, which would skip the
 // product's rounding. The weight is the multiply's first source and the
 // running sum the add's, as in the Go body's compiled code, so even NaN
-// payloads agree. One CPUID and XGETBV probe at start-up picks the body,
-// and VectorISA reports the choice. The purego build tag leaves the
-// assembly out; every other architecture runs the Go body, whose
-// products are converted to float32 so no compiler may fuse them.
+// payloads agree; the attention lanes likewise copy, term by term, the
+// operand order of the Go line each replaces. One CPUID and XGETBV
+// probe at start-up picks the bodies, and VectorISA reports the choice.
+// The purego build tag leaves the assembly out; every other
+// architecture runs the Go bodies, whose products are converted to
+// float32 so no compiler may fuse them.
 package tensor
 
 import (
@@ -100,12 +106,20 @@ func matMulRange(dst, a, b *Matrix, lo, hi int) {
 // without AVX2.
 var matMulVector func(dst, a, b *Matrix, lo, hi int)
 
-// vectorISA names the instruction set of matMulVector, "" without one.
+// attendVector is set by the same probe as matMulVector: the attention
+// leaves (scoreRow, scoreRow2, combineRow, combineRow2 at head dims that
+// are multiples of 8, and expSum) then run their vector bodies
+// (attend_amd64.s), called directly rather than through func values.
+var attendVector bool
+
+// vectorISA names the instruction set of the vector bodies, "" without
+// them.
 var vectorISA string
 
-// VectorISA names the vector instruction set the weight matmul runs on
-// ("avx2"), or "" when it runs the portable Go body. One CPUID and
-// XGETBV probe at start-up decides it; nothing else selects it.
+// VectorISA names the vector instruction set the weight matmul and the
+// attention leaves run on ("avx2"), or "" when they run the portable Go
+// bodies. One CPUID and XGETBV probe at start-up decides it; nothing
+// else selects it.
 func VectorISA() string { return vectorISA }
 
 // matMulRangeGo is matMulRange's portable body, and the oracle the
@@ -174,7 +188,7 @@ func Dot(a, b []float32) float32 {
 	}
 	var s float32
 	for i, av := range a {
-		s += av * b[i]
+		s += float32(av * b[i])
 	}
 	return s
 }
@@ -191,8 +205,8 @@ func Dot2(a, b0, b1 []float32) (float32, float32) {
 	b0, b1 = b0[:len(a)], b1[:len(a)]
 	var s0, s1 float32
 	for i, av := range a {
-		s0 += av * b0[i]
-		s1 += av * b1[i]
+		s0 += float32(av * b0[i])
+		s1 += float32(av * b1[i])
 	}
 	return s0, s1
 }
@@ -206,10 +220,10 @@ func Dot4(a, b0, b1, b2, b3 []float32) (float32, float32, float32, float32) {
 	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
 	var s0, s1, s2, s3 float32
 	for i, av := range a {
-		s0 += av * b0[i]
-		s1 += av * b1[i]
-		s2 += av * b2[i]
-		s3 += av * b3[i]
+		s0 += float32(av * b0[i])
+		s1 += float32(av * b1[i])
+		s2 += float32(av * b2[i])
+		s3 += float32(av * b3[i])
 	}
 	return s0, s1, s2, s3
 }

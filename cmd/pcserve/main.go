@@ -18,10 +18,13 @@
 //	pcserve -addr :8080 -arch llama &
 //
 // With -cache-dir the server is restart-durable: evicted modules spill
-// to disk (quantized per -cache-codec) instead of dropping, SIGINT/
-// SIGTERM snapshots every registered schema's states, and the next boot
-// warm-restores them — the first cached request after a restart pays no
-// re-encoding:
+// to disk instead of dropping, SIGINT/SIGTERM snapshots every registered
+// schema's states, and the next boot warm-restores them — the first
+// cached request after a restart pays no re-encoding. The blobs are fp32
+// by default, so a spilled or restored module serves bit-identically;
+// -cache-codec int8 or int4 trades that for ~3.5× or ~6× smaller blobs:
+//
+//	pcserve -cache-dir /var/lib/pcserve
 //
 // With -mine the cache grows itself: the engine watches the uncached
 // token streams requests send, promotes hot shared prefixes to
@@ -52,7 +55,8 @@
 // choice. Startup logs the selection with the detected CPU, and
 // the "backend" block of GET /v1/stats reports it.
 //
-//	pcserve -cache-dir /var/lib/pcserve -cache-codec int8
+// Once a server is up, drive it with:
+//
 //	curl -d '{"pml":"<schema name=\"s\"><module name=\"m\">hi</module></schema>"}' localhost:8080/schemas
 //	curl -d '{"prompt":"<prompt schema=\"s\"><m/>go</prompt>","max_tokens":16}' localhost:8080/v1/complete
 //	curl -d '{"prompt":"<prompt schema=\"s\"><m/><user>hi</user></prompt>"}' localhost:8080/v1/sessions
@@ -88,7 +92,7 @@ func main() {
 	sessionIdle := flag.Duration("session-idle", server.DefaultSessionIdleTimeout, "idle age after which abandoned sessions are reaped")
 	decodeBatch := flag.Int("decode-batch", promptcache.DefaultMaxDecodeBatch, "continuous-batching decode width: concurrent generations fuse into shared model steps (0 disables the scheduler)")
 	cacheDir := flag.String("cache-dir", "", "durable cache directory: evicted modules spill here instead of dropping, and registered schemas persist across restarts (SIGINT/SIGTERM snapshots, next boot warm-restores)")
-	cacheCodec := flag.String("cache-codec", "int8", "disk-tier codec: fp32 (bit-exact), int8 or int4")
+	cacheCodec := flag.String("cache-codec", "fp32", "disk-tier codec: fp32 (bit-exact), int8 or int4")
 	speculate := flag.Bool("speculate", false, "speculative decoding: train an n-gram draft source on served traffic and verify its proposals in widened fused steps; output is bit-identical, only tokens-per-step changes (requires the decode scheduler)")
 	specDraft := flag.Int("speculate-draft", 0, "speculation: max draft tokens verified per fused step (0 = default)")
 	specContext := flag.Int("speculate-context", 0, "speculation: n-gram context length of the draft source (0 = default)")

@@ -80,11 +80,13 @@
 // Module states live in a three-level hierarchy — device pool
 // (WithDeviceCapacity), host pool (WithHostTier), and a durable disk
 // tier (WithDiskTier) — each larger, slower and cheaper than the one
-// above, and every level cheaper than re-encoding. Eviction demotes
+// above, and every level cheaper than re-encoding. States in memory are
+// always fp32 (§4.1), so every splice is zero-copy. Eviction demotes
 // device→host; when the host tier is absent or full the module spills
-// to a content-addressed file instead of dropping, quantized per the
-// tier's codec (CodecFP32 bit-exact, CodecInt8 ~3.9× smaller, CodecInt4
-// ~7×). The next serve reads the blob back outside the engine lock and
+// to a content-addressed file instead of dropping, and that blob is the
+// one place states are quantized, per the tier's codec (CodecFP32
+// bit-exact, CodecInt8 ~3.5× smaller, CodecInt4 ~6×). The next serve
+// reads the blob back outside the engine lock, decodes it to fp32 and
 // promotes it like any host-tier hit: no capacity error, no re-encode.
 // /v1/stats exposes per-tier occupancy and movement counters.
 //

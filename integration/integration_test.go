@@ -128,12 +128,13 @@ func TestLongBenchPipeline(t *testing.T) {
 }
 
 // TestServerWithQuantizedEvictingCache drives the HTTP API over a cache
-// configured with int8 storage, a tight HBM pool and a GDSF policy — the
-// full §6 feature set composed.
+// configured with a tight HBM pool, a GDSF policy and an int8 disk tier —
+// the full §6 feature set composed: evicted modules spill quantized and
+// later serves read them back.
 func TestServerWithQuantizedEvictingCache(t *testing.T) {
 	m := newModel(t, 4)
-	// Probe footprint with an unconstrained quantized cache first.
-	probe := core.NewCache(m, core.WithInt8Modules())
+	// Probe footprint with an unconstrained cache first.
+	probe := core.NewCache(m)
 	w := longbench.Generate(mustDataset(t, "MultiNews"), longbench.GenConfig{Seed: 9, PoolDocs: 4, DocSentences: 6})
 	if _, err := probe.RegisterSchema(w.Schema); err != nil {
 		t.Fatal(err)
@@ -143,7 +144,7 @@ func TestServerWithQuantizedEvictingCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	tight := promptcache.New(m,
-		core.WithInt8Modules(),
+		promptcache.WithDiskTier(t.TempDir(), promptcache.CodecInt8),
 		core.WithEvictionPolicy(gdsf),
 		core.WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: probe.PoolUsed()/2 + 1})),
 	)
@@ -189,8 +190,9 @@ func TestServerWithQuantizedEvictingCache(t *testing.T) {
 	if stats["modules_evicted"].(float64) == 0 {
 		t.Fatalf("tight pool should evict: %v", stats)
 	}
-	if stats["modules_reloaded"].(float64) == 0 {
-		t.Fatalf("reuse after eviction should reload: %v", stats)
+	tiers := stats["tiers"].(map[string]any)
+	if tiers["modules_spilled"].(float64) == 0 || tiers["disk_hits"].(float64) == 0 {
+		t.Fatalf("eviction should spill to the int8 disk tier and reuse should read it back: %v", tiers)
 	}
 }
 

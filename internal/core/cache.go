@@ -19,7 +19,6 @@ import (
 	"repro/internal/mining"
 	"repro/internal/model"
 	"repro/internal/pml"
-	"repro/internal/quant"
 	"repro/internal/tensor"
 	"repro/internal/tokenizer"
 )
@@ -30,20 +29,19 @@ type EncodedModule struct {
 	Schema string
 	// KV holds the module's own tokens' attention states (text and
 	// parameter <unk> buffers; nested children are cached separately).
-	// Positions are absolute per the schema layout. When the cache runs
-	// with int8 storage, KV is nil and Quant holds the states.
+	// Positions are absolute per the schema layout. States are fp32
+	// wherever they are resident (§4.1); nil once evicted past the host
+	// tier.
 	KV *kvcache.Cache
-	// Quant is the compressed form (§6 compression direction); non-nil
-	// only under WithInt8Modules.
-	Quant *quant.Compressed
 	// Layout is the module's compiled layout entry; nil for mined
 	// (anonymous) modules, which have no PML source.
 	Layout *pml.ModuleLayout
 	// Mined marks an anonymous module promoted by the traffic observer
 	// (WithModuleMining): it records the serving class and the
 	// (token, position) stream prefix the states reproduce. Mined states
-	// are always fp32 (they exist for exactness) and cannot re-encode —
-	// eviction past the last tier removes the module instead.
+	// spill fp32 whatever the disk codec (they exist for exactness) and
+	// cannot re-encode — eviction past the last tier removes the module
+	// instead.
 	Mined *MinedPrefix
 	state moduleState
 	// pins counts open serves whose KV views read this module's states
@@ -66,29 +64,14 @@ const (
 	stateDemoted
 	// stateDropped: states are gone; reuse must re-encode.
 	stateDropped
-	// stateDisk: states were evicted to the durable disk tier (quantized
-	// per the tier's codec); reuse reads them back and promotes without
-	// re-encoding.
+	// stateDisk: states were evicted to the durable disk tier (encoded
+	// per the tier's codec); reuse decodes them back to fp32 and promotes
+	// without re-encoding.
 	stateDisk
 )
 
-// Bytes returns the storage footprint: compressed size under int8
-// storage, fp32 otherwise.
-func (m *EncodedModule) Bytes() int64 {
-	if m.Quant != nil {
-		return m.Quant.Bytes()
-	}
-	return m.KV.Bytes(4)
-}
-
-// States materializes the module's attention states (decompressing if
-// stored quantized).
-func (m *EncodedModule) States() *kvcache.Cache {
-	if m.Quant != nil {
-		return m.Quant.Decompress()
-	}
-	return m.KV
-}
+// Bytes returns the states' fp32 storage footprint.
+func (m *EncodedModule) Bytes() int64 { return m.KV.Bytes(4) }
 
 // EncodedScaffold is a set of modules co-encoded with a shared attention
 // span (§3.3). When all members are imported, it overrides their
@@ -164,8 +147,6 @@ type Cache struct {
 	// re-encoding. nil disables spilling.
 	disk *diskTier
 
-	compress bool
-
 	// sched, when non-nil, fuses concurrent decode loops into shared
 	// model steps (continuous batching); Generate/GenerateStream route
 	// through it. It synchronizes itself and never takes mu.
@@ -234,12 +215,6 @@ func WithEvictionPolicy(p evict.Policy) Option { return func(c *Cache) { c.polic
 func WithDiskTier(dir string, codec Codec) Option {
 	return func(c *Cache) { c.disk = newDiskTier(dir, codec) }
 }
-
-// WithInt8Modules stores module states quantized to int8 with per-row
-// scales (§6's compression direction): ~3.8× less storage and copy
-// volume, at a bounded reconstruction error paid on each use.
-// Scaffold states stay full precision (they exist for exactness).
-func WithInt8Modules() Option { return func(c *Cache) { c.compress = true } }
 
 // WithDecodeScheduler enables continuous-batching decode: concurrent
 // Generate/GenerateStream calls (and everything built on them — Infer,
@@ -506,12 +481,7 @@ func (c *Cache) encodeModuleLocked(schema string, e *schemaEntry, name string) (
 	if err != nil {
 		return nil, err
 	}
-	em := &EncodedModule{Name: name, Schema: schema, Layout: e.layout.Modules[name]}
-	if c.compress && kv.Len() > 0 {
-		em.Quant = quant.Compress(kv)
-	} else {
-		em.KV = kv
-	}
+	em := &EncodedModule{Name: name, Schema: schema, KV: kv, Layout: e.layout.Modules[name]}
 	key := schema + "/" + name
 	if err := c.reserveLocked(key, em.Bytes()); err != nil {
 		return nil, err
@@ -618,12 +588,10 @@ func (c *Cache) evictOneLocked(loading string) bool {
 				c.stats.ModulesDemoted++
 			case c.disk != nil && c.spillLocked(key, em) == nil:
 				em.KV = nil
-				em.Quant = nil
 				em.state = stateDisk
 				c.stats.ModulesSpilled++
 			default:
 				em.KV = nil
-				em.Quant = nil
 				em.state = stateDropped
 			}
 		}
@@ -692,7 +660,7 @@ func (c *Cache) acquireModuleLocked(schemaName string, e *schemaEntry, name stri
 			// eviction only clears the module's fields, never the
 			// underlying states.
 			c.stats.ModulesReused++
-			return servePart{key: key, kv: em.States()}, nil
+			return servePart{key: key, kv: em.KV}, nil
 		}
 	case stateDisk:
 		// The blob read is disk IO and must not run under the cache-wide
@@ -728,9 +696,7 @@ func (c *Cache) reencodeForServeLocked(schemaName string, e *schemaEntry, name, 
 
 // encodeTransientLocked re-encodes a dropped module without storing it:
 // the states go straight into the serve that needs them and no pool
-// residency is claimed. Under int8 storage the states take a
-// compress/decompress round trip so transient serves stay bit-identical
-// to resident ones.
+// residency is claimed.
 func (c *Cache) encodeTransientLocked(schema string, e *schemaEntry, name string) (*kvcache.Cache, error) {
 	kv, nToks, err := c.encodeStatesLocked(schema, e, name)
 	if err != nil {
@@ -738,9 +704,6 @@ func (c *Cache) encodeTransientLocked(schema string, e *schemaEntry, name string
 	}
 	c.stats.ModulesEncoded++
 	c.stats.TokensEncoded += nToks
-	if c.compress && kv.Len() > 0 {
-		kv = quant.Compress(kv).Decompress()
-	}
 	return kv, nil
 }
 

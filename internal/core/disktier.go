@@ -23,9 +23,13 @@ import (
 
 // The disk tier is the durable third level of the storage hierarchy
 // (device HBM → host DRAM → disk): encoded prompt modules that would
-// otherwise be dropped on eviction spill to content-addressed files,
-// quantized per the tier's codec, and read back on the next serve instead
-// of re-encoding. SaveAll/OpenDir extend the same blob store into a full
+// otherwise be dropped on eviction spill to content-addressed files and
+// read back on the next serve instead of re-encoding. The blob is the
+// engine's one quantization point: states are encoded per the tier's
+// codec on the way out and decoded to fp32 on the way back in, so memory
+// only ever holds fp32 states, and under CodecFP32 (and for mined modules
+// under any codec) a module serves the same bits whichever tier it came
+// through. SaveAll/OpenDir extend the same blob store into a full
 // warm-restart snapshot: every registered schema's layout and module
 // states persist across process restarts, so a restarted server answers
 // its first cached request without paying the §3.3 encoding cost again.
@@ -34,8 +38,8 @@ import (
 // quant codec so promptcache can re-export it without leaking internals.
 type Codec = quant.Codec
 
-// Re-exported codec points: fp32 passthrough for bit-paranoid
-// deployments, int8/int4 for the §6 compression trade-off.
+// Re-exported codec points: the bit-exact fp32 passthrough, and int8/int4
+// for the §6 compression trade-off (smaller blobs, bounded error).
 const (
 	CodecFP32 = quant.CodecFP32
 	CodecInt8 = quant.CodecInt8
@@ -202,7 +206,7 @@ func (c *Cache) spillLocked(key string, em *EncodedModule) error {
 		codec = CodecFP32
 	}
 	//pclint:ignore lockscope spill happens inside eviction, which must be atomic with residency bookkeeping; blobs are small and eviction rare
-	entry, err := c.disk.writeBlob(em.States(), codec)
+	entry, err := c.disk.writeBlob(em.KV, codec)
 	if err != nil {
 		return err
 	}
@@ -283,40 +287,18 @@ func (c *Cache) diskLoadFailedLocked(key string, em *EncodedModule, err error) {
 	}
 }
 
-// installDiskStatesLocked stores loaded disk states as the module's
-// resident form (compressing when the cache runs int8 storage), claiming
-// primary-pool residency. The disk blob stays: it remains the states'
-// durable form, so a later eviction re-spills for free.
+// installDiskStatesLocked stores loaded (decoded, fp32) disk states as
+// the module's resident form, claiming primary-pool residency. The disk
+// blob stays: it remains the states' durable form, so a later eviction
+// re-spills for free.
 func (c *Cache) installDiskStatesLocked(key string, em *EncodedModule, kv *kvcache.Cache) error {
-	var q *quant.Compressed
-	size := kv.Bytes(4)
-	if c.compress && kv.Len() > 0 {
-		q = quant.Compress(kv)
-		size = q.Bytes()
-	}
-	if err := c.reserveLocked(key, size); err != nil {
+	if err := c.reserveLocked(key, kv.Bytes(4)); err != nil {
 		return err
 	}
-	if q != nil {
-		em.Quant = q
-		em.KV = nil
-	} else {
-		em.KV = kv
-	}
+	em.KV = kv
 	em.state = stateResident
 	c.stats.DiskHits++
 	return nil
-}
-
-// readThroughKV shapes loaded disk states for serving without residency:
-// under int8 storage the states take the same compress/decompress round
-// trip a resident module's would, so read-through serves stay
-// bit-identical to promoted ones.
-func (c *Cache) readThroughKV(kv *kvcache.Cache) *kvcache.Cache {
-	if c.compress && kv.Len() > 0 {
-		return quant.Compress(kv).Decompress()
-	}
-	return kv
 }
 
 // --- Warm-restart persistence (SaveAll / OpenDir) ---
@@ -518,7 +500,7 @@ func manifestMinedEntry(name string, entry diskEntry, mp *MinedPrefix) manifestM
 func (c *Cache) snapshotMinedStatesLocked(key string, em *EncodedModule) (*kvcache.Cache, error) {
 	switch em.state {
 	case stateResident, stateDemoted:
-		return em.States(), nil
+		return em.KV, nil
 	case stateDisk:
 		return c.diskLoadLocked(key, em)
 	default:
@@ -533,7 +515,7 @@ func (c *Cache) snapshotMinedStatesLocked(key string, em *EncodedModule) (*kvcac
 func (c *Cache) snapshotStatesLocked(schema string, e *schemaEntry, name string, em *EncodedModule, key string) (*kvcache.Cache, error) {
 	switch em.state {
 	case stateResident, stateDemoted:
-		return em.States(), nil
+		return em.KV, nil
 	case stateDisk:
 		return c.diskLoadLocked(key, em)
 	default: // stateDropped
@@ -543,7 +525,7 @@ func (c *Cache) snapshotStatesLocked(schema string, e *schemaEntry, name string,
 		}
 		c.stats.ModulesEncoded++
 		c.stats.TokensEncoded += nToks
-		return c.readThroughKV(kv), nil
+		return kv, nil
 	}
 }
 
@@ -810,7 +792,7 @@ func (c *Cache) installDiskPartLocked(schemaName, key string, em *EncodedModule,
 				return servePart{}, err
 			}
 			c.stats.ModulesReused++
-			return servePart{key: key, kv: em.States()}, nil
+			return servePart{key: key, kv: em.KV}, nil
 		}
 		c.policy.Touch(key, em.Bytes())
 		c.stats.ModulesReused++
@@ -821,7 +803,7 @@ func (c *Cache) installDiskPartLocked(schemaName, key string, em *EncodedModule,
 		// serve it transiently, like a host-tier read-through.
 		c.stats.DiskHits++
 		c.stats.ModulesReused++
-		return servePart{key: key, kv: c.readThroughKV(kv)}, nil
+		return servePart{key: key, kv: kv}, nil
 	default: // stateDisk
 		if err := c.installDiskStatesLocked(key, em, kv); err != nil {
 			if !errors.Is(err, ErrCapacity) {
@@ -831,7 +813,7 @@ func (c *Cache) installDiskPartLocked(schemaName, key string, em *EncodedModule,
 			// without residency.
 			c.stats.DiskHits++
 			c.stats.ModulesReused++
-			return servePart{key: key, kv: c.readThroughKV(kv)}, nil
+			return servePart{key: key, kv: kv}, nil
 		}
 		c.policy.Touch(key, em.Bytes())
 		c.stats.ModulesReused++

@@ -224,7 +224,7 @@ type servePart struct {
 // cache lock: em is pinned against eviction, kv is immutable.
 func (p servePart) states() *kvcache.Cache {
 	if p.em != nil {
-		return p.em.States()
+		return p.em.KV
 	}
 	return p.kv
 }

@@ -30,8 +30,8 @@ import (
 // positions — and keyed by (token, position) pairs. Within a class the
 // spliced rows are bit-identical to what the serve would have computed,
 // so mined hits change latency, never output. To keep that guarantee
-// absolute, mined states are always stored and spilled fp32, even under
-// WithInt8Modules (like scaffolds, they exist for exactness).
+// absolute, mined states spill fp32 whatever the disk tier's codec (like
+// scaffolds, they exist for exactness); in memory every module is fp32.
 
 // minedPrefixTag prefixes every anonymous mined module's name. PML tag
 // names cannot contain '~' or '/', so mined names never collide with a
@@ -202,7 +202,7 @@ func (c *Cache) spliceMined(plan *servePlan, schemaName, class string, toks, pos
 			}
 			// Host-tier read-through without promotion.
 			c.recordMinedHitLocked(n)
-			plan.parts = append(plan.parts, servePart{key: key, kv: em.States(), noExclude: true})
+			plan.parts = append(plan.parts, servePart{key: key, kv: em.KV, noExclude: true})
 			c.mu.Unlock()
 			return name, n
 		}
@@ -267,7 +267,7 @@ func (c *Cache) spliceMinedFromDisk(plan *servePlan, schemaName, key, name strin
 				return "", 0
 			}
 			c.recordMinedHitLocked(n)
-			plan.parts = append(plan.parts, servePart{key: key, kv: em.States(), noExclude: true})
+			plan.parts = append(plan.parts, servePart{key: key, kv: em.KV, noExclude: true})
 			return name, n
 		}
 		c.policy.Touch(key, em.Bytes())
@@ -430,7 +430,6 @@ func (c *Cache) dropMinedLocked(key, schemaName string, em *EncodedModule) {
 		delete(e.modules, em.Name)
 	}
 	em.KV = nil
-	em.Quant = nil
 	em.state = stateDropped
 	if c.miner != nil {
 		c.miner.Demoted(em.Name)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary serialization for KV caches, so a serving system can persist
@@ -117,37 +118,56 @@ func ReadFrom(r io.Reader) (*Cache, error) {
 	if int64(nLayers)*int64(kvDim)*int64(tokens) > maxSerializedElements {
 		return nil, fmt.Errorf("kvcache: implausible payload %d×%d×%d", nLayers, kvDim, tokens)
 	}
-	c := New(nLayers, kvDim, tokens)
-	for i := 0; i < tokens; i++ {
-		var p int64
-		if err := binary.Read(br, binary.LittleEndian, &p); err != nil {
-			return nil, fmt.Errorf("kvcache: reading positions: %w", err)
-		}
-		c.Pos = append(c.Pos, int(p))
+	buf, err := ReadFull(br, nil, 8*tokens)
+	if err != nil {
+		return nil, fmt.Errorf("kvcache: reading positions: %w", err)
+	}
+	c := New(nLayers, kvDim, 0)
+	c.Pos = make([]int, tokens)
+	for i := range c.Pos {
+		c.Pos[i] = int(int64(binary.LittleEndian.Uint64(buf[8*i:])))
 	}
 	for l := 0; l < nLayers; l++ {
-		k, err := readFloats(br, tokens*kvDim)
-		if err != nil {
+		if c.K[l], buf, err = readFloats(br, buf, tokens*kvDim); err != nil {
 			return nil, fmt.Errorf("kvcache: layer %d keys: %w", l, err)
 		}
-		v, err := readFloats(br, tokens*kvDim)
-		if err != nil {
+		if c.V[l], buf, err = readFloats(br, buf, tokens*kvDim); err != nil {
 			return nil, fmt.Errorf("kvcache: layer %d values: %w", l, err)
 		}
-		c.K[l] = k
-		c.V[l] = v
 	}
 	return c, nil
 }
 
-func readFloats(r io.Reader, n int) ([]float32, error) {
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+// readFloats reads n float32s, reusing buf for the raw bytes.
+func readFloats(r io.Reader, buf []byte, n int) ([]float32, []byte, error) {
+	buf, err := ReadFull(r, buf, 4*n)
+	if err != nil {
+		return nil, buf, err
 	}
 	out := make([]float32, n)
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
-	return out, nil
+	return out, buf, nil
+}
+
+// readChunk is the most a read allocates before any of its bytes arrive.
+const readChunk = 1 << 20
+
+// ReadFull reads exactly n bytes from r into buf's storage and returns
+// the n-byte slice. Past buf's capacity the buffer grows only as bytes
+// arrive, so a corrupt length field cannot demand a huge allocation
+// before its read fails.
+func ReadFull(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		k := min(n-len(buf), max(len(buf), readChunk))
+		buf = slices.Grow(buf, k)
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }

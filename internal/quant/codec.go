@@ -13,9 +13,9 @@ import (
 // Codec selects the storage precision of a serialized KV payload — the
 // knob the disk tier turns to trade blob size against reconstruction
 // fidelity. CodecFP32 is the bit-exact passthrough for deployments that
-// cannot tolerate quantization error; CodecInt8 and CodecInt4 reuse the
-// in-memory compression schemes (per-row scales) at ~3.9× and ~7×
-// reduction respectively.
+// cannot tolerate quantization error; CodecInt8 and CodecInt4 quantize
+// per row (see the package doc) at ~3.9× and ~7× reduction of the
+// payload respectively.
 type Codec int
 
 const (
@@ -108,81 +108,68 @@ func checkEncodeShape(kv *kvcache.Cache) error {
 	return nil
 }
 
-// EncodeKV serializes kv under the given codec. It returns the number of
-// bytes written.
+// EncodeKV serializes kv under the given codec, quantizing each row
+// straight into the blob. It returns the number of bytes written.
 func EncodeKV(w io.Writer, kv *kvcache.Cache, codec Codec) (int64, error) {
 	if err := checkEncodeShape(kv); err != nil {
 		return 0, err
 	}
+	if codec != CodecFP32 && codec != CodecInt8 && codec != CodecInt4 {
+		return 0, fmt.Errorf("quant: cannot encode with unknown codec %d", codec)
+	}
 	bw := bufio.NewWriter(w)
-	var n int64
-	writeU32 := func(vs ...uint32) error {
-		for _, v := range vs {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-			n += 4
-		}
-		return nil
-	}
-	if err := writeU32(codecMagic, codecVersion, uint32(codec)); err != nil {
-		return n, err
-	}
-	switch codec {
-	case CodecFP32:
+	hdr := appendU32(nil, codecMagic, codecVersion, uint32(codec))
+	// bufio.Writer errors are sticky: a failed Write fails every later
+	// write and the final Flush, which reports it.
+	if codec == CodecFP32 {
+		bw.Write(hdr)
 		m, err := kv.WriteTo(bw)
-		n += m
-		if err != nil {
-			return n, err
+		if err == nil {
+			err = bw.Flush()
 		}
-	case CodecInt8:
-		c := Compress(kv)
-		if err := writeU32(uint32(c.NLayers), uint32(c.KVDim), uint32(c.Len())); err != nil {
-			return n, err
+		return int64(len(hdr)) + m, err
+	}
+	tokens, kvDim := kv.Len(), kv.KVDim
+	hdr = appendU32(hdr, uint32(kv.NLayers), uint32(kvDim), uint32(tokens))
+	for _, p := range kv.Pos {
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(int64(p)))
+	}
+	bw.Write(hdr)
+	n := int64(len(hdr))
+	rb := codec.rowBytes(kvDim)
+	scales := make([]byte, 4*tokens)
+	rows := make([]byte, tokens*rb)
+	writeRows := func(x []float32) {
+		for i := 0; i < tokens; i++ {
+			s := quantizeRow(codec, rows[i*rb:(i+1)*rb], x[i*kvDim:(i+1)*kvDim])
+			binary.LittleEndian.PutUint32(scales[4*i:], math.Float32bits(s))
 		}
-		if err := writePos(bw, c.Pos, &n); err != nil {
-			return n, err
-		}
-		for l := 0; l < c.NLayers; l++ {
-			if err := writeScaledRows(bw, c.kScale[l], int8ToBytes(c.kq[l]), &n); err != nil {
-				return n, err
-			}
-			if err := writeScaledRows(bw, c.vScale[l], int8ToBytes(c.vq[l]), &n); err != nil {
-				return n, err
-			}
-		}
-	case CodecInt4:
-		c := CompressInt4(kv)
-		if err := writeU32(uint32(c.NLayers), uint32(c.KVDim), uint32(c.Len())); err != nil {
-			return n, err
-		}
-		if err := writePos(bw, c.Pos, &n); err != nil {
-			return n, err
-		}
-		for l := 0; l < c.NLayers; l++ {
-			if err := writeScaledRows(bw, c.kScale[l], c.kq[l], &n); err != nil {
-				return n, err
-			}
-			if err := writeScaledRows(bw, c.vScale[l], c.vq[l], &n); err != nil {
-				return n, err
-			}
-		}
-	default:
-		return n, fmt.Errorf("quant: cannot encode with unknown codec %d", codec)
+		bw.Write(scales)
+		bw.Write(rows)
+		n += int64(len(scales) + len(rows))
+	}
+	for l := 0; l < kv.NLayers; l++ {
+		writeRows(kv.K[l])
+		writeRows(kv.V[l])
 	}
 	return n, bw.Flush()
 }
 
-// DecodeKV deserializes a payload written by EncodeKV, reconstructing the
-// full-precision cache (dequantizing as needed) and reporting which codec
-// produced it. Corrupt or truncated input returns an error.
+func appendU32(b []byte, vs ...uint32) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return b
+}
+
+// DecodeKV deserializes a payload written by EncodeKV, dequantizing each
+// row straight into the returned full-precision cache, and reports which
+// codec produced it. Corrupt or truncated input returns an error.
 func DecodeKV(r io.Reader) (*kvcache.Cache, Codec, error) {
 	br := bufio.NewReader(r)
 	var hdr [3]uint32
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, 0, fmt.Errorf("quant: reading spill header: %w", err)
-		}
+	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+		return nil, 0, fmt.Errorf("quant: reading spill header: %w", err)
 	}
 	if hdr[0] != codecMagic {
 		return nil, 0, fmt.Errorf("quant: bad spill magic %#x", hdr[0])
@@ -191,31 +178,28 @@ func DecodeKV(r io.Reader) (*kvcache.Cache, Codec, error) {
 		return nil, 0, fmt.Errorf("quant: unsupported spill version %d", hdr[1])
 	}
 	codec := Codec(hdr[2])
+	var kv *kvcache.Cache
+	var err error
 	switch codec {
 	case CodecFP32:
-		kv, err := kvcache.ReadFrom(br)
-		if err != nil {
-			return nil, codec, err
-		}
-		return kv, codec, nil
+		kv, err = kvcache.ReadFrom(br)
 	case CodecInt8, CodecInt4:
-		kv, err := decodeQuantized(br, codec)
-		if err != nil {
-			return nil, codec, err
-		}
-		return kv, codec, nil
+		kv, err = decodeQuantized(br, codec)
+	default:
+		return nil, codec, fmt.Errorf("quant: unknown spill codec %d", hdr[2])
 	}
-	return nil, codec, fmt.Errorf("quant: unknown spill codec %d", hdr[2])
+	if err != nil {
+		return nil, codec, err
+	}
+	return kv, codec, nil
 }
 
-// decodeQuantized reads a quantized payload into its compressed form and
-// dequantizes.
+// decodeQuantized reads a quantized payload, dequantizing one layer's K
+// or V rows at a time.
 func decodeQuantized(br io.Reader, codec Codec) (*kvcache.Cache, error) {
 	var shape [3]uint32
-	for i := range shape {
-		if err := binary.Read(br, binary.LittleEndian, &shape[i]); err != nil {
-			return nil, fmt.Errorf("quant: reading spill shape: %w", err)
-		}
+	if err := binary.Read(br, binary.LittleEndian, &shape); err != nil {
+		return nil, fmt.Errorf("quant: reading spill shape: %w", err)
 	}
 	nLayers, kvDim, tokens := int(shape[0]), int(shape[1]), int(shape[2])
 	if nLayers <= 0 || nLayers > maxCodecLayers || kvDim <= 0 || kvDim > maxCodecDim ||
@@ -228,161 +212,39 @@ func decodeQuantized(br io.Reader, codec Codec) (*kvcache.Cache, error) {
 	if int64(nLayers)*int64(kvDim)*int64(tokens) > maxCodecElements {
 		return nil, fmt.Errorf("quant: implausible spill payload %d×%d×%d", nLayers, kvDim, tokens)
 	}
-	pos, err := readPos(br, tokens)
+	buf, err := kvcache.ReadFull(br, nil, 8*tokens)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("quant: reading spill positions: %w", err)
 	}
-	rowBytes := kvDim
-	if codec == CodecInt4 {
-		rowBytes = (kvDim + 1) / 2
+	kv := kvcache.New(nLayers, kvDim, 0)
+	kv.Pos = make([]int, tokens)
+	for i := range kv.Pos {
+		kv.Pos[i] = int(int64(binary.LittleEndian.Uint64(buf[8*i:])))
 	}
-	readLayer := func() ([]float32, []byte, error) {
-		scales, err := readFloat32s(br, tokens)
-		if err != nil {
-			return nil, nil, err
+	rb := codec.rowBytes(kvDim)
+	var scales, rows []byte
+	readRows := func() ([]float32, error) {
+		var err error
+		if scales, err = kvcache.ReadFull(br, scales, 4*tokens); err != nil {
+			return nil, err
 		}
-		rows := make([]byte, tokens*rowBytes)
-		if _, err := io.ReadFull(br, rows); err != nil {
-			return nil, nil, err
+		if rows, err = kvcache.ReadFull(br, rows, tokens*rb); err != nil {
+			return nil, err
 		}
-		return scales, rows, nil
-	}
-	if codec == CodecInt8 {
-		c := &Compressed{
-			NLayers: nLayers, KVDim: kvDim, Pos: pos,
-			kq: make([][]int8, nLayers), vq: make([][]int8, nLayers),
-			kScale: make([][]float32, nLayers), vScale: make([][]float32, nLayers),
+		x := make([]float32, tokens*kvDim)
+		for i := 0; i < tokens; i++ {
+			s := math.Float32frombits(binary.LittleEndian.Uint32(scales[4*i:]))
+			dequantizeRow(codec, x[i*kvDim:(i+1)*kvDim], rows[i*rb:(i+1)*rb], s)
 		}
-		for l := 0; l < nLayers; l++ {
-			var krows, vrows []byte
-			if c.kScale[l], krows, err = readLayer(); err != nil {
-				return nil, fmt.Errorf("quant: spill layer %d keys: %w", l, err)
-			}
-			if c.vScale[l], vrows, err = readLayer(); err != nil {
-				return nil, fmt.Errorf("quant: spill layer %d values: %w", l, err)
-			}
-			c.kq[l] = bytesToInt8(krows)
-			c.vq[l] = bytesToInt8(vrows)
-		}
-		return c.Decompress(), nil
-	}
-	c := &Compressed4{
-		NLayers: nLayers, KVDim: kvDim, Pos: pos,
-		kq: make([][]byte, nLayers), vq: make([][]byte, nLayers),
-		kScale: make([][]float32, nLayers), vScale: make([][]float32, nLayers),
+		return x, nil
 	}
 	for l := 0; l < nLayers; l++ {
-		if c.kScale[l], c.kq[l], err = readLayer(); err != nil {
+		if kv.K[l], err = readRows(); err != nil {
 			return nil, fmt.Errorf("quant: spill layer %d keys: %w", l, err)
 		}
-		if c.vScale[l], c.vq[l], err = readLayer(); err != nil {
+		if kv.V[l], err = readRows(); err != nil {
 			return nil, fmt.Errorf("quant: spill layer %d values: %w", l, err)
 		}
 	}
-	return c.Decompress(), nil
-}
-
-func writePos(w io.Writer, pos []int, n *int64) error {
-	buf := make([]byte, 8*len(pos))
-	for i, p := range pos {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(int64(p)))
-	}
-	m, err := w.Write(buf)
-	*n += int64(m)
-	return err
-}
-
-func readPos(r io.Reader, tokens int) ([]int, error) {
-	buf := make([]byte, 8*tokens)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("quant: reading spill positions: %w", err)
-	}
-	pos := make([]int, tokens)
-	for i := range pos {
-		pos[i] = int(int64(binary.LittleEndian.Uint64(buf[8*i:])))
-	}
-	return pos, nil
-}
-
-func writeScaledRows(w io.Writer, scales []float32, rows []byte, n *int64) error {
-	if err := writeFloat32s(w, scales, n); err != nil {
-		return err
-	}
-	m, err := w.Write(rows)
-	*n += int64(m)
-	return err
-}
-
-func writeFloat32s(w io.Writer, xs []float32, n *int64) error {
-	buf := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(x))
-	}
-	m, err := w.Write(buf)
-	*n += int64(m)
-	return err
-}
-
-func readFloat32s(r io.Reader, n int) ([]float32, error) {
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return out, nil
-}
-
-// int8ToBytes reinterprets an int8 slice as bytes for bulk writing. The
-// copy keeps the codec free of unsafe; spill encoding is not on the serve
-// hot path.
-func int8ToBytes(xs []int8) []byte {
-	out := make([]byte, len(xs))
-	for i, x := range xs {
-		out[i] = byte(x)
-	}
-	return out
-}
-
-func bytesToInt8(bs []byte) []int8 {
-	out := make([]int8, len(bs))
-	for i, b := range bs {
-		out[i] = int8(b)
-	}
-	return out
-}
-
-// MaxErrorInt4 returns the largest elementwise reconstruction error of
-// the int4 compress→decompress round trip — the int4 counterpart of
-// MaxError, so callers can verify the codec they picked against its
-// actual error on their states.
-//
-//pclint:ignore unreached test oracle: the int4 codec tests bound reconstruction error with it
-func MaxErrorInt4(orig *kvcache.Cache) (float32, error) {
-	if orig.Len() == 0 {
-		return 0, fmt.Errorf("quant: empty cache")
-	}
-	rec := CompressInt4(orig).Decompress()
-	var maxErr float32
-	for l := 0; l < orig.NLayers; l++ {
-		for i := range orig.K[l] {
-			if d := absDiff(orig.K[l][i], rec.K[l][i]); d > maxErr {
-				maxErr = d
-			}
-			if d := absDiff(orig.V[l][i], rec.V[l][i]); d > maxErr {
-				maxErr = d
-			}
-		}
-	}
-	return maxErr, nil
-}
-
-func absDiff(a, b float32) float32 {
-	d := a - b
-	if d < 0 {
-		return -d
-	}
-	return d
+	return kv, nil
 }

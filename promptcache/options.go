@@ -13,11 +13,6 @@ import (
 // callers never need to import internal packages.
 type Option = core.Option
 
-// WithInt8Modules stores module states quantized to int8 with per-row
-// scales: ~3.8× less storage and copy volume, at a bounded
-// reconstruction error paid on each use.
-func WithInt8Modules() Option { return core.WithInt8Modules() }
-
 // Codec selects the disk tier's storage precision: CodecFP32 is the
 // bit-exact passthrough for deployments that cannot tolerate
 // quantization error, CodecInt8 (~3.9× smaller) and CodecInt4 (~7×)

@@ -109,7 +109,8 @@ type Client struct {
 }
 
 // New builds a Client around a model. Options (memory pools, eviction
-// policy, int8 storage, chat template) pass through to the engine.
+// policy, disk tier and its codec, chat template) pass through to the
+// engine.
 func New(m *model.Model, opts ...Option) *Client {
 	return &Client{cache: core.NewCache(m, opts...)}
 }

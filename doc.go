@@ -36,13 +36,13 @@
 // across requests: every concurrent generation joins a token scheduler
 // as a lane after its prefill, and each scheduler iteration admits
 // waiting lanes, runs ONE batched model step (model.DecodeStepBatchMulti)
-// for all of them — a single layer walk and a batched output head per
-// step for the whole batch, instead of one per request — then samples
-// every lane (per-request samplers and stop conditions) and retires
-// finished or cancelled ones. There is one fused walk and one layer
-// body: each lane's k positions run as a k-row block through the body
-// that prefill (k = n) and solo decode (k = 1) also run, and
-// model.DecodeStepBatch is the walk's one-position-per-lane entry point.
+// for all of them — a single layer walk per step for the whole batch,
+// instead of one per request — then samples every lane (per-request
+// samplers and stop conditions) and retires finished or cancelled ones.
+// There is one fused walk and one layer body: each lane's k positions
+// run as a k-row block through the body that prefill (k = n) and solo
+// decode (k = 1) also run, and model.DecodeStepBatch is the walk's
+// one-position-per-lane entry point.
 // A request's token and logit streams are bit-identical to solo
 // decoding; the scheduler changes throughput, never output.
 // /v1/stats (and core.Cache.SchedStats) expose queue depth, active

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -310,6 +311,11 @@ func (s *Scheduler) run() {
 		active = keep
 		if len(lanes) > 0 {
 			active = s.step(active, lanes, kvs)
+			// The loop never blocks between steps, so without a yield it
+			// keeps a core to itself until preemption. Each step's tokens
+			// go out on other goroutines (stream writes, new requests'
+			// prefills), which then queue for the remaining cores.
+			runtime.Gosched()
 		}
 	}
 }
@@ -456,12 +462,14 @@ func (s *Scheduler) advance(ln *schedLane) (stop bool, err error) {
 }
 
 // retire removes a lane from the batch: release its scratch, record the
-// outcome, and wake its Generate caller. Lanes cancelled while still
-// queued retire without ever having acquired a DecodeLane. After done
-// closes the scheduler never touches the lane or its KV again.
+// outcome, give back its slot in the active gauge, and wake its Generate
+// caller. Lanes cancelled while still queued retire without ever having
+// acquired a DecodeLane, and so without a slot. After done closes the
+// scheduler never touches the lane or its KV again.
 func (s *Scheduler) retire(ln *schedLane, err error) {
 	ln.err = err
-	if ln.dl != nil {
+	admitted := ln.dl != nil
+	if admitted {
 		ln.dl.Close()
 	}
 	if s.draft != nil && len(ln.out) >= 2 {
@@ -473,6 +481,11 @@ func (s *Scheduler) retire(ln *schedLane, err error) {
 	}
 	s.mu.Lock()
 	s.retired++
+	if admitted {
+		// In the same section as retired++, so a stats read that sees
+		// this lane retired also sees its slot free.
+		s.active--
+	}
 	if err != nil && ln.ctx.Err() != nil {
 		s.cancelled++
 	}

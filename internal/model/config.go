@@ -200,7 +200,12 @@ type Model struct {
 	// safe for concurrent calls.
 	PrefillProbe func(delta int)
 
-	embedding  *tensor.Matrix // vocab × dim; output head is tied
+	// embT is the token embedding stored transposed (dim × vocab). The
+	// output head is tied to it, so a block's logits are one MatMul of
+	// its normed rows by embT: logit t is Σ_p h[p]·emb[t][p], ascending
+	// in p, on the weight matmul's body. A token's embedding is column
+	// tok, gathered with stride vocab.
+	embT       *tensor.Matrix
 	posTable   *tensor.Matrix // maxSeq × dim, Learned only
 	ropeCos    *tensor.Matrix // maxSeq × headDim/2, RoPE only (§4.2 lookup table)
 	ropeSin    *tensor.Matrix
@@ -247,7 +252,14 @@ func New(cfg Config) (*Model, error) {
 		return w
 	}
 
-	m.embedding = initMat("embedding", cfg.VocabSize, cfg.Dim)
+	// Drawn vocab × dim like every weight, then stored transposed.
+	emb := initMat("embedding", cfg.VocabSize, cfg.Dim)
+	m.embT = tensor.NewMatrix(cfg.Dim, cfg.VocabSize)
+	for t := 0; t < cfg.VocabSize; t++ {
+		for p, v := range emb.Row(t) {
+			m.embT.Set(p, t, v)
+		}
+	}
 	switch cfg.PosEnc {
 	case Learned:
 		m.posTable = initMat("pos-table", cfg.MaxSeq, cfg.Dim)

@@ -126,12 +126,9 @@ func (m *Model) DecodeStepBatchMulti(lanes []*DecodeLane, tokens, positions [][]
 	return nil
 }
 
-// walkLanes runs the fused layer walk and the batched output head for
+// walkLanes runs the fused layer walk and each lane's output head for
 // lanes whose steps begin() opened.
 func (m *Model) walkLanes(lanes []*DecodeLane, kvs []kvcache.KV) {
-	if len(lanes) == 0 {
-		return
-	}
 	// Lanes share nothing but the read-only weights, so a multi-worker
 	// backend fans whole lanes out across goroutines — each worker runs
 	// the full layer loop for a contiguous lane range, which cannot
@@ -148,35 +145,14 @@ func (m *Model) walkLanes(lanes []*DecodeLane, kvs []kvcache.KV) {
 	} else {
 		m.stepLanes(lanes, kvs)
 	}
-
-	// Output head, batched over every (lane, position) pair: the embedding
-	// (tied head) is the model's largest matrix and decode streams all of
-	// it per step, so walking each vocab row once for all k·N logit
-	// vectors is the fused step's main memory-bandwidth win. Per-vector
-	// dot products are unchanged in value and order. The final norm reuses
-	// each block's h rows, free once the walk is done; the header slices
-	// live in the first lane's block, so steady decode reuses them.
-	head := lanes[0].b
-	dsts, hs := head.dsts[:0], head.hs[:0]
-	for _, ln := range lanes {
-		if ln.skip {
-			continue
-		}
-		b := ln.b
-		setRows(&b.logits, len(b.pos))
-		for j := range b.pos {
-			m.norm(b.h.Row(j), b.x.Row(j), m.finalNormW, m.finalNormB)
-			dsts = append(dsts, b.logits.Row(j))
-			hs = append(hs, b.h.Row(j))
-		}
-	}
-	m.bk.OutputHead(dsts, m.embedding, hs)
-	head.dsts, head.hs = dsts, hs
 }
 
 // stepLanes is the fused layer walk — layer-outer, lane-inner — for a
 // lane range: each lane's block passes through layer l before any lane
-// reaches layer l+1.
+// reaches layer l+1. Then each lane's k rows go through the output
+// head: the final norm reuses the block's h rows, free once the walk is
+// done, and one MatMul by the transposed embedding writes every row's
+// logits, each the sum a one-row forward computes.
 func (m *Model) stepLanes(lanes []*DecodeLane, kvs []kvcache.KV) {
 	for l := range m.layers {
 		for i, ln := range lanes {
@@ -184,5 +160,16 @@ func (m *Model) stepLanes(lanes []*DecodeLane, kvs []kvcache.KV) {
 				m.layerBlock(l, ln.b, kvs[i])
 			}
 		}
+	}
+	for _, ln := range lanes {
+		if ln.skip {
+			continue
+		}
+		b := ln.b
+		for j := range b.pos {
+			m.norm(b.h.Row(j), b.x.Row(j), m.finalNormW, m.finalNormB)
+		}
+		setRows(&b.logits, len(b.pos))
+		m.bk.MatMul(&b.logits, &b.h, m.embT)
 	}
 }

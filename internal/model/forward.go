@@ -50,9 +50,9 @@ type block struct {
 	segs   []kvcache.Segment
 	spans  []tensor.Span
 	att    tensor.AttendArgs
-	// dsts/hs are the output head's per-row headers; a fused step keeps
-	// them in its first lane's block.
-	dsts, hs [][]float32
+	// lastH and lastLogits view forward's last h row and its returned
+	// logits as one-row matrices, the output head's operands.
+	lastH, lastLogits tensor.Matrix
 }
 
 func (m *Model) newBlock() *block {
@@ -118,8 +118,7 @@ func (m *Model) putBlock(b *block) {
 	clear(b.spans[:cap(b.spans)])
 	b.spans = b.spans[:0]
 	b.att = tensor.AttendArgs{}
-	clear(b.dsts[:cap(b.dsts)])
-	clear(b.hs[:cap(b.hs)])
+	b.lastH, b.lastLogits = tensor.Matrix{}, tensor.Matrix{}
 	m.idleMu.Lock()
 	if len(m.idle) < maxIdleBlocks {
 		m.idle = append(m.idle, b)
@@ -199,8 +198,9 @@ func (m *Model) forward(ctx context.Context, tokens, positions []int, kv kvcache
 	last := len(b.pos) - 1
 	logits := make([]float32, m.Cfg.VocabSize)
 	m.norm(b.h.Row(last), b.x.Row(last), m.finalNormW, m.finalNormB)
-	b.dsts, b.hs = append(b.dsts[:0], logits), append(b.hs[:0], b.h.Row(last))
-	m.bk.OutputHead(b.dsts, m.embedding, b.hs)
+	b.lastH = tensor.Matrix{Rows: 1, Cols: m.Cfg.Dim, Data: b.h.Row(last)}
+	b.lastLogits = tensor.Matrix{Rows: 1, Cols: m.Cfg.VocabSize, Data: logits}
+	m.bk.MatMul(&b.lastLogits, &b.lastH, m.embT)
 	return logits, nil
 }
 
@@ -226,7 +226,9 @@ func (m *Model) begin(b *block, tokens, positions []int, kv kvcache.KV) {
 	b.open(positions, kv.Len())
 	for i, tok := range tokens {
 		x := b.x.Row(i)
-		copy(x, m.embedding.Row(tok))
+		for p := range x {
+			x[p] = m.embT.Data[p*m.Cfg.VocabSize+tok]
+		}
 		if m.Cfg.PosEnc == Learned {
 			tensor.Add(x, m.posTable.Row(positions[i]))
 		}

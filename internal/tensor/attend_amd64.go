@@ -44,3 +44,10 @@ func combine2AVX2(o0, o1, t0, t1, v []float32, width int, inv0, inv1 float32)
 //
 //go:noescape
 func expSumAVX2(x []float32, m, sum float32) (n int, s float32)
+
+// siluAVX2 runs SiLU's loop over x's whole groups of four from the
+// start, until a group holds an element whose exp32(-v) exp32Fast would
+// not take; it returns how many elements it did.
+//
+//go:noescape
+func siluAVX2(x []float32) (n int)

@@ -3,7 +3,8 @@
 #include "textflag.h"
 
 // Bit-exact vector lanes for the attention leaves: the score and combine
-// walks under scoreRow/scoreRow2 and combineRow/combineRow2, and expSum.
+// walks under scoreRow/scoreRow2 and combineRow/combineRow2, and the exp
+// lanes under expSum and SiLU.
 // As in matmul_amd64.s, every term is a separate VMULPS and VADDPS (no
 // fused multiply-add), and each lane repeats the Go body's operations on
 // one output element in the Go body's order.
@@ -423,8 +424,9 @@ end2:
 	VZEROUPPER
 	RET
 
-// expSum's constants: exp32Fast's float64 terms, its float32 range ends
-// and the masks of its midpoint guard.
+// The exp lanes' constants: exp32Fast's float64 terms, its float32
+// range ends and the masks of its midpoint guard, then SiLU's sign mask
+// and 1.
 DATA expConst<>+0(SB)/8, $0x40771547652b82fe  // expInvStep
 DATA expConst<>+8(SB)/8, $0x4338000000000000  // expShifter
 DATA expConst<>+16(SB)/8, $0x3f662e42fee00000 // expStepHi
@@ -437,96 +439,141 @@ DATA expConst<>+64(SB)/8, $0x0fffe000         // expMid - expGuard
 DATA expConst<>+72(SB)/8, $0x4000             // 2·expGuard
 DATA expConst<>+80(SB)/4, $0xc2ae0000         // float32(expMin)
 DATA expConst<>+84(SB)/4, $0x42b00000         // float32(expMax)
-GLOBL expConst<>(SB), RODATA|NOPTR, $88
+DATA expConst<>+88(SB)/4, $0x80000000         // float32 sign bit
+DATA expConst<>+92(SB)/4, $0x3f800000         // float32(1)
+GLOBL expConst<>(SB), RODATA|NOPTR, $96
+
+// Loads what EXP_LANES reads: R8 = expConst, R9 = exp2Table, X13 and X12
+// = expMin and expMax, Y11 = expInvStep, Y10 = expShifter, Y9 = 0.
+#define EXP_SETUP \
+	LEAQ         expConst<>(SB), R8; \
+	LEAQ         ·exp2Table(SB), R9; \
+	VBROADCASTSS 80(R8), X13;        \
+	VBROADCASTSS 84(R8), X12;        \
+	VBROADCASTSD 0(R8), Y11;         \
+	VBROADCASTSD 8(R8), Y10;         \
+	VPXOR        Y9, Y9, Y9
+
+// X5 = exp32 of the four float32 in X0: four float64 lanes of exp32Fast,
+// one lane per element, in its order of operations. It jumps to fail,
+// with nothing stored, when an input lies outside (expMin, expMax) (NaN
+// and ±Inf included; the compares are GT_OQ and LT_OQ, false on NaN) or
+// when the midpoint guard flags a result: a lane's 29 dropped bits minus
+// (expMid - expGuard) lie in [0, 2·expGuard]. In exp32Fast's terms: xd
+// is Y0, t Y1, nf Y2, r Y3, s Y6 and b Y5. Clobbers Y0..Y6 and DX.
+#define EXP_LANES(fail) \
+	VCMPPS       $0x1e, X13, X0, X1; \
+	VCMPPS       $0x11, X12, X0, X2; \
+	VANDPS       X2, X1, X1;         \
+	VMOVMSKPS    X1, DX;             \
+	CMPL         DX, $15;            \
+	JNE          fail;               \
+	VCVTPS2PD    X0, Y0;             \
+	VMULPD       Y11, Y0, Y1;        \
+	VADDPD       Y10, Y1, Y1;        \
+	VSUBPD       Y10, Y1, Y2;        \
+	VBROADCASTSD 16(R8), Y3;         \
+	VMULPD       Y3, Y2, Y3;         \
+	VSUBPD       Y3, Y0, Y3;         \
+	VBROADCASTSD 24(R8), Y4;         \
+	VMULPD       Y4, Y2, Y4;         \
+	VSUBPD       Y4, Y3, Y3;         \
+	VPBROADCASTQ 48(R8), Y4;         \
+	VPAND        Y4, Y1, Y4;         \
+	VPCMPEQQ     Y5, Y5, Y5;         \
+	VXORPD       Y6, Y6, Y6;         \
+	VGATHERQPD   Y5, (R9)(Y4*8), Y6; \
+	VBROADCASTSD 40(R8), Y4;         \
+	VMULPD       Y4, Y3, Y4;         \
+	VBROADCASTSD 32(R8), Y5;         \
+	VADDPD       Y4, Y5, Y4;         \
+	VMULPD       Y3, Y3, Y5;         \
+	VMULPD       Y4, Y5, Y5;         \
+	VADDPD       Y5, Y3, Y5;         \
+	VMULPD       Y5, Y6, Y5;         \
+	VADDPD       Y5, Y6, Y5;         \
+	VPSRLQ       $8, Y1, Y1;         \
+	VPSLLQ       $52, Y1, Y1;        \
+	VPADDQ       Y1, Y5, Y5;         \
+	VPBROADCASTQ 56(R8), Y1;         \
+	VPAND        Y1, Y5, Y1;         \
+	VPBROADCASTQ 64(R8), Y2;         \
+	VPSUBQ       Y2, Y1, Y1;         \
+	VPBROADCASTQ 72(R8), Y2;         \
+	VPCMPGTQ     Y2, Y1, Y2;         \
+	VPCMPGTQ     Y1, Y9, Y1;         \
+	VPOR         Y2, Y1, Y1;         \
+	VMOVMSKPD    Y1, DX;             \
+	CMPL         DX, $15;            \
+	JNE          fail;               \
+	VCVTPD2PSY   Y5, X5
 
 // func expSumAVX2(x []float32, m, sum float32) (n int, s float32)
 //
-// Four float64 lanes of exp32Fast, one lane per element, in its order of
-// operations, over x's groups of four from the start. It stops before
-// the first group holding an input outside (expMin, expMax) (NaN and ±Inf
-// included) or a result the midpoint guard flags, and before a tail of
-// fewer than four, and returns how many elements it overwrote. The sum
-// is exp32's: one VADDSS per element, in order, the sum first.
+// EXP_LANES over x's groups of four from the start, each element x - m
+// (x first). It stops before the first group EXP_LANES hands back and
+// before a tail of fewer than four, and returns how many elements it
+// overwrote. The sum is exp32's: one VADDSS per element, in order, the
+// sum first.
 TEXT ·expSumAVX2(SB), NOSPLIT, $0-44
 	MOVQ         x_base+0(FP), SI
 	MOVQ         x_len+8(FP), CX
 	XORQ         AX, AX
 	VBROADCASTSS m+24(FP), X15
 	VMOVSS       sum+28(FP), X14
-	LEAQ         expConst<>(SB), R8
-	LEAQ         ·exp2Table(SB), R9
-	VBROADCASTSS 80(R8), X13 // expMin
-	VBROADCASTSS 84(R8), X12 // expMax
-	VBROADCASTSD 0(R8), Y11  // expInvStep
-	VBROADCASTSD 8(R8), Y10  // expShifter
-	VPXOR        Y9, Y9, Y9
+	EXP_SETUP
 
 group:
-	LEAQ      4(AX), DX
-	CMPQ      DX, CX
-	JGT       done
-	VMOVUPS   (SI)(AX*4), X0
-	VSUBPS    X15, X0, X0 // x - m, x first
-	VCMPPS    $0x1e, X13, X0, X1 // x > expMin (GT_OQ: false on NaN)
-	VCMPPS    $0x11, X12, X0, X2 // x < expMax (LT_OQ)
-	VANDPS    X2, X1, X1
-	VMOVMSKPS X1, DX
-	CMPL      DX, $15
-	JNE       done
-
-	VCVTPS2PD    X0, Y0          // xd
-	VMULPD       Y11, Y0, Y1     // xd·expInvStep
-	VADDPD       Y10, Y1, Y1     // t = … + expShifter
-	VSUBPD       Y10, Y1, Y2     // nf = t - expShifter
-	VBROADCASTSD 16(R8), Y3
-	VMULPD       Y3, Y2, Y3      // nf·expStepHi
-	VSUBPD       Y3, Y0, Y3      // xd - nf·expStepHi
-	VBROADCASTSD 24(R8), Y4
-	VMULPD       Y4, Y2, Y4      // nf·expStepLo
-	VSUBPD       Y4, Y3, Y3      // r
-	VPBROADCASTQ 48(R8), Y4
-	VPAND        Y4, Y1, Y4      // n & 255
-	VPCMPEQQ     Y5, Y5, Y5
-	VXORPD       Y6, Y6, Y6
-	VGATHERQPD   Y5, (R9)(Y4*8), Y6 // s = exp2Table[n&255]
-	VBROADCASTSD 40(R8), Y4
-	VMULPD       Y4, Y3, Y4      // r·(1/6)
-	VBROADCASTSD 32(R8), Y5
-	VADDPD       Y4, Y5, Y4      // 0.5 + …
-	VMULPD       Y3, Y3, Y5      // r·r
-	VMULPD       Y4, Y5, Y5      // r·r·(…)
-	VADDPD       Y5, Y3, Y5      // r + …
-	VMULPD       Y5, Y6, Y5      // s·(…)
-	VADDPD       Y5, Y6, Y5      // s + …
-	VPSRLQ       $8, Y1, Y1
-	VPSLLQ       $52, Y1, Y1     // uint64(n>>8) << 52
-	VPADDQ       Y1, Y5, Y5      // b
-
-	// The guard: a lane is flagged when its 29 dropped bits minus
-	// (expMid - expGuard) lie in [0, 2·expGuard].
-	VPBROADCASTQ 56(R8), Y1
-	VPAND        Y1, Y5, Y1
-	VPBROADCASTQ 64(R8), Y2
-	VPSUBQ       Y2, Y1, Y1
-	VPBROADCASTQ 72(R8), Y2
-	VPCMPGTQ     Y2, Y1, Y2      // above the window
-	VPCMPGTQ     Y1, Y9, Y1      // below it
-	VPOR         Y2, Y1, Y1
-	VMOVMSKPD    Y1, DX
-	CMPL         DX, $15
-	JNE          done
-
-	VCVTPD2PSY Y5, X5
-	VMOVUPS    X5, (SI)(AX*4)
-	VADDSS     (SI)(AX*4), X14, X14
-	VADDSS     4(SI)(AX*4), X14, X14
-	VADDSS     8(SI)(AX*4), X14, X14
-	VADDSS     12(SI)(AX*4), X14, X14
-	ADDQ       $4, AX
-	JMP        group
+	LEAQ    4(AX), DX
+	CMPQ    DX, CX
+	JGT     done
+	VMOVUPS (SI)(AX*4), X0
+	VSUBPS  X15, X0, X0 // x - m, x first
+	EXP_LANES(done)
+	VMOVUPS X5, (SI)(AX*4)
+	VADDSS  (SI)(AX*4), X14, X14
+	VADDSS  4(SI)(AX*4), X14, X14
+	VADDSS  8(SI)(AX*4), X14, X14
+	VADDSS  12(SI)(AX*4), X14, X14
+	ADDQ    $4, AX
+	JMP     group
 
 done:
 	MOVQ   AX, n+32(FP)
 	VMOVSS X14, s+40(FP)
+	VZEROUPPER
+	RET
+
+// func siluAVX2(x []float32) (n int)
+//
+// SiLU's loop over x's groups of four from the start: e = EXP_LANES of
+// -v (the sign bit flipped, as Go's negation does), then v / (1 + e) in
+// float32 lanes. VADDPS and VDIVPS round as Go's float32 + and / do, and
+// EXP_LANES takes only finite inputs, so e is finite and positive and no
+// NaN can meet another. It stops where expSumAVX2 would and returns how
+// many elements it overwrote.
+TEXT ·siluAVX2(SB), NOSPLIT, $0-32
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	XORQ AX, AX
+	EXP_SETUP
+	VBROADCASTSS 88(R8), X15 // sign bit
+	VBROADCASTSS 92(R8), X14 // 1
+
+silu:
+	LEAQ    4(AX), DX
+	CMPQ    DX, CX
+	JGT     silud
+	VMOVUPS (SI)(AX*4), X8 // v
+	VXORPS  X15, X8, X0    // -v
+	EXP_LANES(silud)
+	VADDPS  X14, X5, X5    // 1 + e
+	VDIVPS  X5, X8, X5     // v / (1 + e)
+	VMOVUPS X5, (SI)(AX*4)
+	ADDQ    $4, AX
+	JMP     silu
+
+silud:
+	MOVQ AX, n+24(FP)
 	VZEROUPPER
 	RET

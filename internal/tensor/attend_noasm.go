@@ -24,3 +24,7 @@ func combine2AVX2(o0, o1, t0, t1, v []float32, width int, inv0, inv1 float32) {
 func expSumAVX2(x []float32, m, sum float32) (n int, s float32) {
 	panic("tensor: no vector attention body")
 }
+
+func siluAVX2(x []float32) (n int) {
+	panic("tensor: no vector attention body")
+}

@@ -272,6 +272,72 @@ func FuzzExpSum(f *testing.F) {
 	})
 }
 
+// checkSiLU runs SiLU over a copy of x with the vector body off and then
+// on, and fails unless every element agrees bit for bit.
+func checkSiLU(t *testing.T, x []float32, what string) {
+	t.Helper()
+	same := bitsEqual
+	if !nanPayloadsCompared {
+		same = bitsEqualAnyNaN
+	}
+	want, got := append([]float32(nil), x...), append([]float32(nil), x...)
+	withAttendVector(false, func() { SiLU(want) })
+	withAttendVector(true, func() { SiLU(got) })
+	if i, ok := same(want, got); !ok {
+		t.Fatalf("%s: SiLU(%g) is %#08x, Go loop %#08x", what, x[i],
+			math.Float32bits(got[i]), math.Float32bits(want[i]))
+	}
+}
+
+// TestSiLUVectorMatchesGo compares SiLU's vector body with its Go loop
+// bit for bit: rows of 0–67 elements at scales 1, 10, 60 and 200, mixed
+// with negated midpoint-fallback inputs (so exp32(-v) falls back), ±0,
+// ±Inf, values past the fast range's ends and two NaN payloads.
+func TestSiLUVectorMatchesGo(t *testing.T) {
+	if !attendVector {
+		t.Skip("no vector attention body on this build or CPU")
+	}
+	fallbacks := expSumInputs(t)
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		-100, 95, 87, -88, math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc0abcd)}
+	r := rng.NewString("silu/vector")
+	for _, scale := range []float32{1, 10, 60, 200} {
+		for n := 0; n <= 67; n++ {
+			for rep := range 16 {
+				x := make([]float32, n)
+				r.FillNormal(x, scale)
+				for i := range x {
+					switch {
+					case rep%4 == 1 && r.Intn(4) == 0:
+						x[i] = -fallbacks[r.Intn(len(fallbacks))]
+					case rep%4 == 3 && r.Intn(16) == 0:
+						x[i] = specials[r.Intn(len(specials))]
+					}
+				}
+				checkSiLU(t, x, fmt.Sprintf("scale %g n=%d rep %d", scale, n, rep))
+			}
+		}
+	}
+}
+
+// FuzzSiLU compares SiLU's vector body with its Go loop on
+// fuzzer-chosen rows (four bytes per element).
+func FuzzSiLU(f *testing.F) {
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 192, 0, 0, 64, 64, 0, 0, 128, 192, 0, 0, 160, 64})
+	f.Add([]byte{0, 0, 128, 127, 1, 0, 192, 127, 0, 0, 174, 194, 0, 0, 176, 66, 0, 0, 0, 128})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !attendVector {
+			t.Skip("no vector attention body on this build or CPU")
+		}
+		x := make([]float32, len(data)/4)
+		for i := range x {
+			b := data[4*i:]
+			x[i] = math.Float32frombits(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
+		}
+		checkSiLU(t, x, fmt.Sprintf("%d elements", len(x)))
+	})
+}
+
 // TestAttendRowBlockAllocFree pins that the attention kernel allocates
 // nothing at one worker: the score bodies' lane buffers must stay on the
 // stack, which holds only while the vector bodies are called directly.

@@ -10,23 +10,24 @@ import (
 
 // Backend runs the engine's heavy kernels over a fixed number of worker
 // goroutines. Every hot loop in internal/model bottoms out in one of its
-// methods, and each method is one leaf body (matMulRange, attendUnits,
-// outputHeadRange) split across the workers. The matmul and attention
-// leaves run AVX2 bodies where the start-up probe found them (see
-// VectorISA); those equal the Go bodies bit for bit, so the contract
-// below holds on either.
+// methods, and each hot method is one leaf body (matMulRange,
+// attendUnits) split across the workers; the model's output head is a
+// MatMul by the transposed embedding. The matmul and attention leaves
+// run AVX2 bodies where the start-up probe found them (see VectorISA);
+// those equal the Go bodies bit for bit, so the contract below holds on
+// either.
 //
 // One worker is the reference: every kernel runs on the calling
 // goroutine in the canonical accumulation order. More workers only
 // decide which worker computes which independent unit of output — a run
-// of matrix product columns, an output-head vocab range, an attention
-// (query tile, KV head) unit — never a part of a reduction, so every
-// output element is bit-for-bit what one worker computes (compare with
-// math.Float32bits, not a tolerance). Inside a reduction (a dot product,
-// a softmax sum, a norm accumulator) the reference order is part of the
-// contract, because float addition is not associative in rounding. This
-// is what lets golden-logits tests, the fused ≡ solo decode guarantee
-// and cross-machine cache reuse hold at any worker count.
+// of matrix product columns, an attention (query tile, KV head) unit —
+// never a part of a reduction, so every output element is bit-for-bit
+// what one worker computes (compare with math.Float32bits, not a
+// tolerance). Inside a reduction (a dot product, a softmax sum, a norm
+// accumulator) the reference order is part of the contract, because
+// float addition is not associative in rounding. This is what lets
+// golden-logits tests, the fused ≡ solo decode guarantee and
+// cross-machine cache reuse hold at any worker count.
 //
 // The zero value is the one-worker reference.
 type Backend struct {
@@ -83,11 +84,29 @@ func (bk Backend) Workers() int { return max(bk.workers, 1) }
 // it.
 const (
 	// matMulParallelThreshold gates column-sharding of MatMul and
-	// MatVecT.
-	matMulParallelThreshold = 32 * 1024
-	// outputHeadParallelThreshold gates vocab-sharding of the output
-	// head (vocab × dim × lanes), which decode calls once per generated
-	// token.
+	// MatVecT, which also computes the model's output head. The vector
+	// body finishes a shard so fast that a goroutine spawn and join
+	// outweigh the split up to about 400 K multiply-adds. Best of 5–8
+	// runs on a 2-vCPU Xeon, 1 worker inline vs 2 workers, in µs:
+	//
+	//	rows × k × m      multiply-adds   inline   2 workers
+	//	1 × 64 × 2308     148 K            11.1     13.8
+	//	16 × 64 × 176     180 K             8.1     13.2
+	//	64 × 64 × 64      262 K            10.8     17.4
+	//	2 × 64 × 2308     295 K            18.5     23.1
+	//	32 × 176 × 64     360 K            16.5     19.9
+	//	96 × 64 × 64      393 K            25.2     21.0
+	//	3 × 64 × 2308     443 K            32.8     29.0
+	//	128 × 64 × 64     524 K            28.9     25.3
+	//	4 × 64 × 2308     591 K            44.3     39.3
+	//	8 × 64 × 2308     1.18 M           82.1     60.7
+	//
+	// So one- and two-row heads run inline, while a verify step's wider
+	// head and prefill blocks from about 35 (FFN) or 96 (attention
+	// projection) rows up shard.
+	matMulParallelThreshold = 384 * 1024
+	// outputHeadParallelThreshold gates vocab-sharding of the reference
+	// OutputHead (vocab × dim × lanes).
 	outputHeadParallelThreshold = 32 * 1024
 	// attendParallelThreshold gates unit-sharding of an attention row
 	// block, counted as score+combine multiply-adds.
@@ -170,21 +189,23 @@ func (bk Backend) matMul(dst, a, b *Matrix) {
 	shard((b.Cols+7)/8, workers, func(lo, hi int) { matMulRange(dst, a, b, 8*lo, min(8*hi, b.Cols)) })
 }
 
-// OutputHead computes the tied output head for a batch of normed hidden
-// states: dsts[k][t] = emb.Row(t) · hs[k] for every vocab row t and lane
-// k, reading each embedding row once per lane group. Workers split the
-// vocabulary.
+// OutputHead computes the tied output head one dot product at a time:
+// dsts[k][t] = Dot(emb.Row(t), hs[k]) for every vocab row t and lane k.
+// Serving never runs it: the model keeps the embedding transposed and
+// computes its logits with MatMul, whose sums are these, bit for bit. It
+// stays as that head's reference and as the kernel benchmark's
+// tensor.output_head probe. Workers split the vocabulary.
 func (bk Backend) OutputHead(dsts [][]float32, emb *Matrix, hs [][]float32) {
-	if len(hs) == 0 {
-		return
-	}
 	checkOutputHead(dsts, emb, hs)
 	workers := boundedWorkers(bk.workers, emb.Rows*emb.Cols*len(hs), outputHeadParallelThreshold)
-	if workers <= 1 {
-		outputHeadRange(dsts, emb, hs, 0, emb.Rows)
-		return
-	}
-	shard(emb.Rows, workers, func(lo, hi int) { outputHeadRange(dsts, emb, hs, lo, hi) })
+	shard(emb.Rows, workers, func(lo, hi int) {
+		for k, h := range hs {
+			d := dsts[k]
+			for t := lo; t < hi; t++ {
+				d[t] = Dot(emb.Row(t), h)
+			}
+		}
+	})
 }
 
 // attendScores pools per-worker score buffers for sharded attention;
@@ -758,40 +779,6 @@ func checkAttendArgs(a *AttendArgs) {
 	if a.Q.Rows != a.Out.Rows || len(a.Positions) != a.Q.Rows {
 		panic(fmt.Sprintf("tensor: AttendRowBlock q=%d out=%d positions=%d rows",
 			a.Q.Rows, a.Out.Rows, len(a.Positions)))
-	}
-}
-
-// outputHeadRange computes dsts[k][t] for vocab rows t in [lo, hi) and
-// every lane k, reading each embedding row exactly once per lane group.
-// Lanes go through the widest batched dot kernel that fits (4/2/1): per
-// element the row loads and index arithmetic amortize over the group,
-// which is where a fused decode step beats N solo steps even when every
-// matrix is cache-resident. Per-lane sums are bit-identical to solo Dot
-// calls, so grouping is invisible in the logits.
-func outputHeadRange(dsts [][]float32, emb *Matrix, hs [][]float32, lo, hi int) {
-	k := 0
-	for ; k+4 <= len(hs); k += 4 {
-		d0, d1, d2, d3 := dsts[k], dsts[k+1], dsts[k+2], dsts[k+3]
-		h0, h1, h2, h3 := hs[k], hs[k+1], hs[k+2], hs[k+3]
-		for t := lo; t < hi; t++ {
-			row := emb.Row(t)
-			d0[t], d1[t], d2[t], d3[t] = Dot4(row, h0, h1, h2, h3)
-		}
-	}
-	if k+2 <= len(hs) {
-		d0, d1 := dsts[k], dsts[k+1]
-		h0, h1 := hs[k], hs[k+1]
-		for t := lo; t < hi; t++ {
-			row := emb.Row(t)
-			d0[t], d1[t] = Dot2(row, h0, h1)
-		}
-		k += 2
-	}
-	if k < len(hs) {
-		d, h := dsts[k], hs[k]
-		for t := lo; t < hi; t++ {
-			d[t] = Dot(emb.Row(t), h)
-		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // Kernel microbenchmarks per backend, for measuring while you work; the
 // benchmark of record's tensor.* per-layer metrics are the checked
 // numbers. Run with
-// `go test -bench 'MatMul|MatVec|OutputHead|AttendRowBlock' ./internal/tensor/`.
+// `go test -bench 'MatMul|MatVec|AttendRowBlock|Softmax' ./internal/tensor/`.
 
 func benchBackends(b *testing.B, run func(b *testing.B, bk Backend)) {
 	for _, name := range Backends() {
@@ -21,17 +21,27 @@ func benchBackends(b *testing.B, run func(b *testing.B, bk Backend)) {
 	}
 }
 
+// BenchmarkMatMul runs a square prefill-sized product and the model's
+// output head (1 and 4 rows by the benchmark model's transposed
+// embedding, dim 64 × vocab 2,308).
 func BenchmarkMatMul(b *testing.B) {
-	r := rng.NewString("bench/matmul")
-	a, m := NewMatrix(128, 256), NewMatrix(256, 256)
-	r.FillNormal(a.Data, 1)
-	r.FillNormal(m.Data, 1)
-	dst := NewMatrix(128, 256)
-	benchBackends(b, func(b *testing.B, bk Backend) {
-		for i := 0; i < b.N; i++ {
-			bk.MatMul(dst, a, m)
-		}
-	})
+	for _, sh := range []struct {
+		name    string
+		n, k, m int
+	}{{"128x256x256", 128, 256, 256}, {"head_1x64x2308", 1, 64, 2308}, {"head_4x64x2308", 4, 64, 2308}} {
+		r := rng.NewString("bench/matmul/" + sh.name)
+		a, m := NewMatrix(sh.n, sh.k), NewMatrix(sh.k, sh.m)
+		r.FillNormal(a.Data, 1)
+		r.FillNormal(m.Data, 1)
+		dst := NewMatrix(sh.n, sh.m)
+		b.Run(sh.name, func(b *testing.B) {
+			benchBackends(b, func(b *testing.B, bk Backend) {
+				for i := 0; i < b.N; i++ {
+					bk.MatMul(dst, a, m)
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkMatVec(b *testing.B) {
@@ -44,25 +54,6 @@ func BenchmarkMatVec(b *testing.B) {
 	benchBackends(b, func(b *testing.B, bk Backend) {
 		for i := 0; i < b.N; i++ {
 			bk.MatVecT(dst, w, h)
-		}
-	})
-}
-
-func BenchmarkOutputHead(b *testing.B) {
-	r := rng.NewString("bench/outputhead")
-	const vocab, dim, lanes = 8192, 64, 4
-	emb := NewMatrix(vocab, dim)
-	r.FillNormal(emb.Data, 1)
-	hs := make([][]float32, lanes)
-	dsts := make([][]float32, lanes)
-	for k := range hs {
-		hs[k] = make([]float32, dim)
-		r.FillNormal(hs[k], 1)
-		dsts[k] = make([]float32, vocab)
-	}
-	benchBackends(b, func(b *testing.B, bk Backend) {
-		for i := 0; i < b.N; i++ {
-			bk.OutputHead(dsts, emb, hs)
 		}
 	})
 }

@@ -115,31 +115,88 @@ func TestBackendsBitIdenticalMatVecT(t *testing.T) {
 	}
 }
 
-func TestBackendsBitIdenticalOutputHead(t *testing.T) {
-	r := rng.NewString("backend/outputhead")
-	for _, lanes := range []int{1, 2, 3, 4, 5, 7} {
-		vocab, dim := 301, 33
-		emb := NewMatrix(vocab, dim)
-		fillSigned(r, emb.Data)
-		hs := make([][]float32, lanes)
-		want := make([][]float32, lanes)
-		got := make([][]float32, lanes)
-		for k := range hs {
-			hs[k] = make([]float32, dim)
-			fillSigned(r, hs[k])
-			want[k] = make([]float32, vocab)
-			got[k] = make([]float32, vocab)
+// transpose returns mᵀ as a new matrix.
+func transpose(m *Matrix) *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			t.Set(j, i, v)
 		}
-		NewBackend(1).OutputHead(want, emb, hs)
-		for _, bk := range challengers() {
-			for k := range got {
-				clear(got[k])
-			}
-			bk.OutputHead(got, emb, hs)
+	}
+	return t
+}
+
+// checkHead compares the model's output head, a MatMul of the rows of
+// hs by the embedding stored transposed, with the reference OutputHead
+// at one worker, bit for bit: one lane per row of hs.
+func checkHead(t *testing.T, bk Backend, emb, embT, hs *Matrix, same func(a, b []float32) (int, bool), what string) {
+	t.Helper()
+	dsts, rows := make([][]float32, hs.Rows), make([][]float32, hs.Rows)
+	want := NewMatrix(hs.Rows, emb.Rows)
+	for k := range rows {
+		dsts[k], rows[k] = want.Row(k), hs.Row(k)
+	}
+	NewBackend(1).OutputHead(dsts, emb, rows)
+	got := NewMatrix(hs.Rows, emb.Rows)
+	bk.MatMul(got, hs, embT)
+	if i, ok := same(want.Data, got.Data); !ok {
+		t.Fatalf("%s rows=%d workers=%d: logit %d is %#08x, reference %#08x", what, hs.Rows, bk.Workers(), i,
+			math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+	}
+}
+
+// TestBackendsBitIdenticalOutputHead checks OutputHead at every worker
+// count against its one-worker reference, and the model's head (MatMul
+// by the transposed embedding) against that reference at 1–8 rows and
+// 1–4 workers: on normals with exact zeros, and on operands carrying
+// ±0, ±Inf and NaNs with distinct payloads, where only each term's
+// operand order decides which payload survives.
+func TestBackendsBitIdenticalOutputHead(t *testing.T) {
+	same := bitsEqual
+	if !nanPayloadsCompared {
+		same = bitsEqualAnyNaN
+	}
+	r := rng.NewString("backend/outputhead")
+	for _, vocab := range []int{301, 2308} {
+		dim := 33
+		if vocab > 1000 {
+			dim = 64 // the benchmark model's head
+		}
+		for lanes := 1; lanes <= 8; lanes++ {
+			emb, hs := NewMatrix(vocab, dim), NewMatrix(lanes, dim)
+			fillSigned(r, emb.Data)
+			fillSigned(r, hs.Data)
+			want := make([][]float32, lanes)
+			got := make([][]float32, lanes)
 			for k := range want {
-				if i, ok := bitsEqual(want[k], got[k]); !ok {
-					t.Fatalf("OutputHead lanes=%d workers=%d: lane %d bit mismatch at %d", lanes, bk.Workers(), k, i)
+				want[k] = make([]float32, vocab)
+				got[k] = make([]float32, vocab)
+			}
+			rows := make([][]float32, lanes)
+			for k := range rows {
+				rows[k] = hs.Row(k)
+			}
+			NewBackend(1).OutputHead(want, emb, rows)
+			for _, bk := range challengers() {
+				for k := range got {
+					clear(got[k])
 				}
+				bk.OutputHead(got, emb, rows)
+				for k := range want {
+					if i, ok := bitsEqual(want[k], got[k]); !ok {
+						t.Fatalf("OutputHead lanes=%d workers=%d: lane %d bit mismatch at %d", lanes, bk.Workers(), k, i)
+					}
+				}
+			}
+			embT := transpose(emb)
+			for workers := 1; workers <= 4; workers++ {
+				checkHead(t, NewBackend(workers), emb, embT, hs, bitsEqual, "head")
+			}
+			fillSpecial(r, emb.Data, 8)
+			fillSpecial(r, hs.Data, 8)
+			embT = transpose(emb)
+			for workers := 1; workers <= 4; workers++ {
+				checkHead(t, NewBackend(workers), emb, embT, hs, same, "head, specials")
 			}
 		}
 	}
@@ -413,10 +470,11 @@ func fold(x, lo, hi int) int {
 	return lo + m
 }
 
-// FuzzBackendKernels drives MatMul, MatVecT, OutputHead and
-// AttendRowBlock across fuzzer-chosen shapes and worker counts, asserting
-// bit-identity against the matmul oracle, the one-worker reference
-// (OutputHead) or the attention oracle. The matmul's Go and vector
+// FuzzBackendKernels drives MatMul, MatVecT, OutputHead, the model's
+// head (MatMul by the transposed embedding) and AttendRowBlock across
+// fuzzer-chosen shapes and worker counts, asserting bit-identity against
+// the matmul oracle, the one-worker OutputHead reference or the
+// attention oracle. The matmul's Go and vector
 // bodies are each run directly as well, so both meet the oracle
 // whichever one the probe selected, and then meet each other on
 // non-finite operands.
@@ -484,14 +542,17 @@ func FuzzBackendKernels(f *testing.F) {
 			}
 		}
 
+		// OutputHead at this worker count against its one-worker
+		// reference, and the model's head, a MatMul of the lanes rows of
+		// a by the transposed embedding, against that reference.
 		emb := NewMatrix(out, in) // vocab=out, dim=in
 		fillSigned(r, emb.Data)
+		fillSigned(r, a.Data)
 		hs := make([][]float32, lanes)
 		wantL := make([][]float32, lanes)
 		gotL := make([][]float32, lanes)
 		for k := range hs {
-			hs[k] = make([]float32, in)
-			fillSigned(r, hs[k])
+			hs[k] = a.Row(k)
 			wantL[k] = make([]float32, out)
 			gotL[k] = make([]float32, out)
 		}
@@ -502,6 +563,13 @@ func FuzzBackendKernels(f *testing.F) {
 				t.Fatalf("OutputHead lane %d workers=%d: bit mismatch at %d", k, workers, i)
 			}
 		}
+		embT := transpose(emb)
+		checkHead(t, bk, emb, embT, a, bitsEqual, "head")
+		// NaN payloads are left to TestBackendsBitIdenticalOutputHead,
+		// as for the matmul bodies.
+		fillSpecial(r, emb.Data, 4)
+		fillSpecial(r, a.Data, 4)
+		checkHead(t, bk, emb, transpose(emb), a, bitsEqualAnyNaN, "head, specials")
 
 		sh := attendShape{
 			n: fold(n, 1, 3*attendTile), past: fold(past, 0, 300),

@@ -10,15 +10,17 @@
 //
 // # Backends
 //
-// The hot-path kernels (MatMul, AttendRowBlock, OutputHead) run through
-// Backend, one concrete type that holds a worker count. One worker
+// The hot-path kernels (MatMul, AttendRowBlock) run through Backend, one
+// concrete type that holds a worker count. MatMul also computes the
+// model's output head, over the tied embedding stored transposed; the
+// dot-product OutputHead is only that head's reference. One worker
 // ("scalar") is the single-threaded reference; more ("parallel") split
 // the same leaf bodies across goroutines by independent output elements
-// (matrix product columns, output-head vocab ranges, attention (query
-// tile, KV head) units), never inside a reduction, so outputs are
-// bit-identical at any worker count and golden-logits tests and
-// cross-machine cache reuse hold. Select maps names to worker counts;
-// Auto uses one worker per CPU available to the process.
+// (matrix product columns, attention (query tile, KV head) units), never
+// inside a reduction, so outputs are bit-identical at any worker count
+// and golden-logits tests and cross-machine cache reuse hold. Select
+// maps names to worker counts; Auto uses one worker per CPU available to
+// the process.
 //
 // # Vector lanes
 //
@@ -27,7 +29,8 @@
 // and so do the attention leaves under AttendRowBlock (attend_amd64.s):
 // the score with one key per lane over 8-key blocks transposed in
 // registers, the combine with one head-dim element per lane, and
-// expSum with four float64 exp lanes and a sequential sum. In the
+// expSum with four float64 exp lanes and a sequential sum. SiLU runs
+// the same exp lanes, then its add and divide in float32 lanes. In the
 // matmul each ymm lane is a different output column, so a lane's sum is
 // that column's scalar sum: it starts at +0 and takes, for p ascending, one
 // VMULPS and one VADDPS per term, each rounding as the scalar MULSS and
@@ -163,8 +166,11 @@ func matMulRangeGo(dst, a, b *Matrix, lo, hi int) {
 		for ; j < hi; j++ {
 			var s float32
 			off := j
-			for _, xv := range x {
-				s += float32(xv * bd[off])
+			for p := range x {
+				// Indexed, not ranged: the compiler then multiplies with
+				// the weight as the first source, as in the runs of four
+				// above, so NaN payloads agree with every other column.
+				s += float32(bd[off] * x[p])
 				off += m
 			}
 			d[j] = s
@@ -196,8 +202,7 @@ func Dot(a, b []float32) float32 {
 // Dot2 computes a·b0 and a·b1 in a single pass over a. Each sum
 // accumulates in exactly the order Dot(a, bK) would, so the results are
 // bit-identical to two solo calls; sharing the walk loads each element
-// of a once for both sums — the inner kernel of the batched-decode
-// output head.
+// of a once for both sums — the inner kernel of scoreRow2's Go path.
 func Dot2(a, b0, b1 []float32) (float32, float32) {
 	if len(b0) != len(a) || len(b1) != len(a) {
 		panic(fmt.Sprintf("tensor: Dot2 length mismatch %d/%d vs %d", len(b0), len(b1), len(a)))
@@ -306,10 +311,24 @@ func LayerNorm(dst, x, gamma, beta []float32, eps float32) {
 	}
 }
 
-// SiLU applies x*sigmoid(x) elementwise in place (Llama FFN activation).
+// SiLU applies x*sigmoid(x) elementwise in place (Llama FFN activation):
+// x[i] = v / (1 + exp32(-v)), each operation rounded to float32.
+//
+// With the vector body (attendVector), siluAVX2 takes x four elements at
+// a time, the exp in expSum's float64 lanes and the add and divide in
+// float32 lanes, and hands back a group it cannot take or a tail of
+// fewer than four to the scalar loop below, as expSum does.
 func SiLU(x []float32) {
-	for i, v := range x {
-		x[i] = v / (1 + exp32(-v))
+	for i := 0; i < len(x); {
+		end := len(x)
+		if attendVector {
+			i += siluAVX2(x[i:])
+			end = min(i+4, len(x))
+		}
+		for ; i < end; i++ {
+			v := x[i]
+			x[i] = v / (1 + exp32(-v))
+		}
 	}
 }
 

@@ -73,6 +73,39 @@ const (
 // Bytes returns the states' fp32 storage footprint.
 func (m *EncodedModule) Bytes() int64 { return m.KV.Bytes(4) }
 
+// The three ways a mined module differs from a declared one are
+// properties of the module, not separate paths: its row count (rows),
+// its spill codec (spillCodec), and what happens when its states are
+// unavailable (unavailableLocked: a declared module re-encodes, a mined
+// one cannot and is removed).
+
+// rows is the number of cached tokens the module's states must hold:
+// the layout's own tokens, or the mined prefix's length.
+func (m *EncodedModule) rows() int {
+	if m.Mined != nil {
+		return len(m.Mined.Toks)
+	}
+	toks, _ := moduleTokens(m.Layout)
+	return len(toks)
+}
+
+// spillCodec is the codec the module's blob is written with: the tier's,
+// except that mined states always spill fp32 — they are bit-exact by
+// contract (a mined splice must reproduce the cold serve's logits).
+func (m *EncodedModule) spillCodec(tier Codec) Codec {
+	if m.Mined != nil {
+		return CodecFP32
+	}
+	return tier
+}
+
+// pin is the one place a module gains a serve pin; the returned part
+// reads the module's states in place until the pin is released.
+func (m *EncodedModule) pin(key string) servePart {
+	m.pins++
+	return servePart{key: key, em: m}
+}
+
 // EncodedScaffold is a set of modules co-encoded with a shared attention
 // span (§3.3). When all members are imported, it overrides their
 // individual states.
@@ -108,7 +141,7 @@ type Stats struct {
 
 	ModulesSpilled    int // evictions that wrote states to the disk tier
 	DiskHits          int // module states read back from the disk tier
-	DiskLoadErrors    int // unreadable disk blobs (fell back to re-encode)
+	DiskLoadErrors    int // unreadable disk blobs (fell back to re-encode; a mined module misses)
 	DiskRetries       int // transient blob-read failures recovered by backoff retry
 	TierAccountErrors int // tier bookkeeping failures; nonzero means occupancy counters drifted
 
@@ -459,17 +492,13 @@ func moduleTokens(ml *pml.ModuleLayout) (toks, pos []int) {
 // span (the §3.3 masking effect) — and returns the states plus the token
 // count. Storage and stats are the caller's: the resident and transient
 // encode paths share this body so they cannot drift.
-func (c *Cache) encodeStatesLocked(schema string, e *schemaEntry, name string) (*kvcache.Cache, int, error) {
-	ml, ok := e.layout.Modules[name]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: schema %q has no module %q", ErrBadPrompt, schema, name)
-	}
+func (c *Cache) encodeStatesLocked(key string, ml *pml.ModuleLayout) (*kvcache.Cache, int, error) {
 	toks, pos := moduleTokens(ml)
 	kv := c.m.NewCache(len(toks))
 	if len(toks) > 0 {
 		//pclint:ignore lockscope registration-time encode is the documented one-time cost under the lock (§3.3); serves never reach this
 		if _, err := c.m.Prefill(toks, pos, kv); err != nil {
-			return nil, 0, fmt.Errorf("core: encoding %s/%s: %w", schema, name, err)
+			return nil, 0, fmt.Errorf("core: encoding %s: %w", key, err)
 		}
 	}
 	return kv, len(toks), nil
@@ -477,12 +506,16 @@ func (c *Cache) encodeStatesLocked(schema string, e *schemaEntry, name string) (
 
 // encodeModuleLocked computes and stores one module's attention states.
 func (c *Cache) encodeModuleLocked(schema string, e *schemaEntry, name string) (*EncodedModule, error) {
-	kv, nToks, err := c.encodeStatesLocked(schema, e, name)
+	ml, ok := e.layout.Modules[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: schema %q has no module %q", ErrBadPrompt, schema, name)
+	}
+	key := schema + "/" + name
+	kv, nToks, err := c.encodeStatesLocked(key, ml)
 	if err != nil {
 		return nil, err
 	}
-	em := &EncodedModule{Name: name, Schema: schema, KV: kv, Layout: e.layout.Modules[name]}
-	key := schema + "/" + name
+	em := &EncodedModule{Name: name, Schema: schema, KV: kv, Layout: ml}
 	if err := c.reserveLocked(key, em.Bytes()); err != nil {
 		return nil, err
 	}
@@ -600,9 +633,7 @@ func (c *Cache) evictOneLocked(loading string) bool {
 		if em != nil && em.Mined != nil && em.state == stateDropped {
 			// A mined module cannot re-encode, so a drop past the last
 			// tier is terminal: remove it and tell the observer.
-			if schema, _, ok := splitKey(key); ok {
-				c.dropMinedLocked(key, schema, em)
-			}
+			c.dropMinedLocked(key, em)
 		}
 		return true
 	}
@@ -631,25 +662,24 @@ func (c *Cache) promoteLocked(key string, em *EncodedModule) error {
 	return nil
 }
 
-// acquireModuleLocked resolves one imported module for the serve
-// planning phase: it returns the module's states as a servePart safe to
-// read outside the lock. The happy path promotes or re-encodes into the primary pool and
-// pins the module, making it immune to eviction until unpinModules runs.
-// When the pool cannot hold the serve's whole working set at once — the
-// remaining eviction victims are all pinned, typically by this very
-// serve — it degrades to a read-through: demoted states are snapshotted
-// straight from the host tier and dropped ones are re-encoded
-// transiently, without claiming primary-pool residency, so a working set
-// larger than the pool still serves.
-func (c *Cache) acquireModuleLocked(schemaName string, e *schemaEntry, name string) (servePart, error) {
-	em := e.modules[name]
+// acquireLocked runs one module through the tier state machine for the
+// serve planning phase, declared and mined modules alike: it returns the
+// module's states as a servePart safe to read outside the lock. The
+// happy path promotes into the primary pool and pins the module, making
+// it immune to eviction until unpinModules runs. When the pool cannot
+// hold the serve's whole working set at once — the remaining eviction
+// victims are all pinned, typically by this very serve — it degrades to
+// a read-through: demoted states are snapshotted straight from the host
+// tier without claiming primary-pool residency, so a working set larger
+// than the pool still serves. A disk-resident module returns a pending
+// part for resolveDiskPart; a dropped one is unavailableLocked's.
+func (c *Cache) acquireLocked(key string, em *EncodedModule) (servePart, error) {
 	if em == nil {
-		return servePart{}, fmt.Errorf("%w: schema %q has no module %q", ErrBadPrompt, schemaName, name)
+		return servePart{}, fmt.Errorf("%w: no module %q", ErrBadPrompt, key)
 	}
-	key := schemaName + "/" + name
 	switch em.state {
 	case stateDropped:
-		return c.reencodeForServeLocked(schemaName, e, name, key)
+		return c.unavailableLocked(key, em)
 	case stateDemoted:
 		if err := c.promoteLocked(key, em); err != nil {
 			if !errors.Is(err, ErrCapacity) {
@@ -665,40 +695,59 @@ func (c *Cache) acquireModuleLocked(schemaName string, e *schemaEntry, name stri
 	case stateDisk:
 		// The blob read is disk IO and must not run under the cache-wide
 		// lock: return a pending part; the serve resolves it off-lock
-		// (resolveDiskParts) and re-locks briefly to promote and pin.
+		// (resolveDiskPart) and re-locks briefly to promote and pin.
 		return servePart{key: key, disk: em}, nil
 	}
 	c.policy.Touch(key, em.Bytes())
 	c.stats.ModulesReused++
-	em.pins++
-	return servePart{key: key, em: em}, nil
+	return em.pin(key), nil
 }
 
-// reencodeForServeLocked serves a module whose states are unavailable
-// (dropped, or a disk blob that failed to read) by re-encoding: pinned
-// and resident when the pool holds it, transient otherwise.
-func (c *Cache) reencodeForServeLocked(schemaName string, e *schemaEntry, name, key string) (servePart, error) {
-	c.stats.ModulesReloaded++
-	em2, err := c.encodeModuleLocked(schemaName, e, name)
-	if err == nil {
-		em2.pins++
-		return servePart{key: key, em: em2}, nil
+// errMinedMiss reports a mined module whose states cannot be had; the
+// mined splice turns it into a miss, never a failed serve.
+var errMinedMiss = errors.New("core: mined module states unavailable")
+
+// unavailableLocked serves a module whose states are gone (dropped, or a
+// disk blob that failed to read). A declared module re-encodes: pinned
+// and resident when the pool holds it, transient otherwise, and
+// transient too when it was removed while its blob was read (schema
+// replaced), since the serve still needs the states it planned with. A
+// mined module cannot — its states came from a live serve — so the serve
+// counts a miss, and a mined module dropped for good is removed.
+func (c *Cache) unavailableLocked(key string, em *EncodedModule) (servePart, error) {
+	schemaName, name, _ := splitKey(key)
+	e := c.schemas[schemaName]
+	registered := e != nil && e.modules[name] == em
+	if em.Mined != nil {
+		if em.state == stateDropped && registered {
+			c.dropMinedLocked(key, em)
+		}
+		return servePart{}, errMinedMiss
 	}
-	if !errors.Is(err, ErrCapacity) {
+	c.stats.ModulesReloaded++
+	var em2 *EncodedModule
+	var err error
+	if registered {
+		em2, err = c.encodeModuleLocked(schemaName, e, name)
+	}
+	if !registered || errors.Is(err, ErrCapacity) {
+		kv, terr := c.encodeTransientLocked(key, em.Layout)
+		if terr != nil {
+			return servePart{}, terr
+		}
+		return servePart{key: key, kv: kv}, nil
+	}
+	if err != nil {
 		return servePart{}, err
 	}
-	kv, terr := c.encodeTransientLocked(schemaName, e, name)
-	if terr != nil {
-		return servePart{}, terr
-	}
-	return servePart{key: key, kv: kv}, nil
+	return em2.pin(key), nil
 }
 
-// encodeTransientLocked re-encodes a dropped module without storing it:
-// the states go straight into the serve that needs them and no pool
-// residency is claimed.
-func (c *Cache) encodeTransientLocked(schema string, e *schemaEntry, name string) (*kvcache.Cache, error) {
-	kv, nToks, err := c.encodeStatesLocked(schema, e, name)
+// encodeTransientLocked re-encodes a module without storing it: the
+// states go straight into the serve (or snapshot) that needs them and no
+// pool residency is claimed.
+func (c *Cache) encodeTransientLocked(key string, ml *pml.ModuleLayout) (*kvcache.Cache, error) {
+	kv, nToks, err := c.encodeStatesLocked(key, ml)
 	if err != nil {
 		return nil, err
 	}

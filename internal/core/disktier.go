@@ -199,14 +199,8 @@ func (c *Cache) spillLocked(key string, em *EncodedModule) error {
 	if _, ok := c.disk.index[key]; ok {
 		return nil
 	}
-	codec := c.disk.codec
-	if em.Mined != nil {
-		// Mined modules are bit-exact by contract (splice vs cold serve
-		// must produce identical logits); never quantize their spills.
-		codec = CodecFP32
-	}
 	//pclint:ignore lockscope spill happens inside eviction, which must be atomic with residency bookkeeping; blobs are small and eviction rare
-	entry, err := c.disk.writeBlob(em.KV, codec)
+	entry, err := c.disk.writeBlob(em.KV, em.spillCodec(c.disk.codec))
 	if err != nil {
 		return err
 	}
@@ -244,32 +238,32 @@ func (c *Cache) removeDiskLocked(key string) {
 // Only proven corruption justifies deleting durable data.
 var errCorruptBlob = errors.New("corrupt blob")
 
-// diskLoadLocked reads a disk-resident module's states back and validates
-// them against the layout and model shape. Content errors wrap
-// errCorruptBlob; plain IO errors do not.
+// checkBlob is the one validation a decoded blob passes before it
+// stands in for states: the model's shape and the expected row count.
+// A mismatch is proven corruption (errCorruptBlob). It reads only
+// immutable fields, so it needs no lock.
+func (c *Cache) checkBlob(key string, kv *kvcache.Cache, rows int) error {
+	if kv.NLayers != c.m.Cfg.NLayers || kv.KVDim != c.m.Cfg.KVDim() || kv.Len() != rows {
+		return fmt.Errorf("core: disk blob %s shaped (%d,%d) with %d tokens, want (%d,%d) with %d: %w",
+			key, kv.NLayers, kv.KVDim, kv.Len(), c.m.Cfg.NLayers, c.m.Cfg.KVDim(), rows, errCorruptBlob)
+	}
+	return nil
+}
+
+// diskLoadLocked reads a disk-resident module's states back and checks
+// them. Content errors wrap errCorruptBlob; plain IO errors do not.
 func (c *Cache) diskLoadLocked(key string, em *EncodedModule) (*kvcache.Cache, error) {
 	entry, ok := c.disk.index[key]
 	if !ok {
 		return nil, fmt.Errorf("core: module %s is on disk but has no blob entry: %w", key, errCorruptBlob)
 	}
-	//pclint:ignore lockscope snapshot path (SaveAll of a disk-resident module): blob reads under the lock are the documented one-time cost; serves use the off-lock resolveDiskParts
+	//pclint:ignore lockscope snapshot path (SaveAll of a disk-resident module): blob reads under the lock are the documented one-time cost; serves use the off-lock resolveDiskPart
 	kv, err := c.disk.readBlob(entry)
 	if err != nil {
 		return nil, fmt.Errorf("core: disk tier %s: %w", key, err)
 	}
-	if kv.NLayers != c.m.Cfg.NLayers || kv.KVDim != c.m.Cfg.KVDim() {
-		return nil, fmt.Errorf("core: disk blob %s shaped (%d,%d), model needs (%d,%d): %w",
-			key, kv.NLayers, kv.KVDim, c.m.Cfg.NLayers, c.m.Cfg.KVDim(), errCorruptBlob)
-	}
-	if em.Layout != nil {
-		toks, _ := moduleTokens(em.Layout)
-		if kv.Len() != len(toks) {
-			return nil, fmt.Errorf("core: disk blob %s has %d tokens, layout expects %d: %w",
-				key, kv.Len(), len(toks), errCorruptBlob)
-		}
-	} else if em.Mined != nil && kv.Len() != len(em.Mined.Toks) {
-		return nil, fmt.Errorf("core: disk blob %s has %d tokens, mined prefix expects %d: %w",
-			key, kv.Len(), len(em.Mined.Toks), errCorruptBlob)
+	if err := c.checkBlob(key, kv, em.rows()); err != nil {
+		return nil, err
 	}
 	return kv, nil
 }
@@ -395,21 +389,9 @@ func (c *Cache) SaveAll(dir string) error {
 			if em == nil {
 				return fmt.Errorf("%w: schema %q missing module %q", ErrBadSnapshot, name, mod)
 			}
-			key := name + "/" + mod
-			if em.state == stateDisk && c.disk != nil && c.disk.dir == dir {
-				if entry, ok := c.disk.index[key]; ok {
-					ms.Modules = append(ms.Modules, manifestEntry(mod, entry))
-					continue
-				}
-			}
-			kv, err := c.snapshotStatesLocked(name, e, mod, em, key)
+			entry, err := c.snapshotStatesLocked(tier, codec, em)
 			if err != nil {
 				return err
-			}
-			//pclint:ignore lockscope SaveAll is a stop-the-world snapshot by design: the lock guarantees a consistent manifest while blobs stream out
-			entry, err := tier.writeBlob(kv, codec)
-			if err != nil {
-				return fmt.Errorf("core: snapshot %s: %w", key, err)
 			}
 			ms.Modules = append(ms.Modules, manifestEntry(mod, entry))
 		}
@@ -425,10 +407,9 @@ func (c *Cache) SaveAll(dir string) error {
 			}
 			ms.Scaffolds = append(ms.Scaffolds, manifestEntry(sc.Name, entry))
 		}
-		// Mined modules persist with their prefix (always fp32); one that
-		// cannot be snapshotted is skipped with a counted stat rather
-		// than failing the snapshot — it will simply re-mine after the
-		// restart.
+		// Mined modules persist with their prefix; one that cannot be
+		// snapshotted is skipped with a counted stat rather than failing
+		// the snapshot — it will simply re-mine after the restart.
 		var minedNames []string
 		for mod, em := range e.modules {
 			if em.Mined != nil {
@@ -438,25 +419,17 @@ func (c *Cache) SaveAll(dir string) error {
 		sort.Strings(minedNames)
 		for _, mod := range minedNames {
 			em := e.modules[mod]
-			key := name + "/" + mod
-			if em.state == stateDisk && c.disk != nil && c.disk.dir == dir {
-				if entry, ok := c.disk.index[key]; ok {
-					ms.Mined = append(ms.Mined, manifestMinedEntry(mod, entry, em.Mined))
-					continue
-				}
-			}
-			kv, err := c.snapshotMinedStatesLocked(key, em)
+			entry, err := c.snapshotStatesLocked(tier, codec, em)
 			if err != nil {
 				c.stats.MinedSnapshotSkipped++
 				continue
 			}
-			//pclint:ignore lockscope SaveAll is a stop-the-world snapshot by design: the lock guarantees a consistent manifest while blobs stream out
-			entry, err := tier.writeBlob(kv, CodecFP32)
-			if err != nil {
-				c.stats.MinedSnapshotSkipped++
-				continue
-			}
-			ms.Mined = append(ms.Mined, manifestMinedEntry(mod, entry, em.Mined))
+			ms.Mined = append(ms.Mined, manifestMined{
+				manifestModule: manifestEntry(mod, entry),
+				Class:          em.Mined.Class,
+				Toks:           em.Mined.Toks,
+				Pos:            em.Mined.Pos,
+			})
 		}
 		man.Schemas = append(man.Schemas, ms)
 	}
@@ -485,48 +458,39 @@ func manifestEntry(name string, entry diskEntry) manifestModule {
 	}
 }
 
-func manifestMinedEntry(name string, entry diskEntry, mp *MinedPrefix) manifestMined {
-	return manifestMined{
-		manifestModule: manifestEntry(name, entry),
-		Class:          mp.Class,
-		Toks:           mp.Toks,
-		Pos:            mp.Pos,
-	}
-}
-
-// snapshotMinedStatesLocked materializes a mined module's states for
-// persistence without changing its residency. Unlike declared modules,
-// a mined module cannot re-encode, so a dropped one is unsnapshotable.
-func (c *Cache) snapshotMinedStatesLocked(key string, em *EncodedModule) (*kvcache.Cache, error) {
+// snapshotStatesLocked writes one module's states into tier's blob
+// store, with the module's spill codec, without changing its residency:
+// resident and demoted modules snapshot in place, disk modules reuse
+// their blob when tier is the cache's own store and read it back
+// otherwise, and dropped modules re-encode transiently — except a mined
+// one, which cannot re-encode and so has no states to snapshot.
+func (c *Cache) snapshotStatesLocked(tier *diskTier, codec Codec, em *EncodedModule) (diskEntry, error) {
+	key := em.Schema + "/" + em.Name
+	var kv *kvcache.Cache
+	var err error
 	switch em.state {
 	case stateResident, stateDemoted:
-		return em.KV, nil
+		kv = em.KV
 	case stateDisk:
-		return c.diskLoadLocked(key, em)
-	default:
-		return nil, fmt.Errorf("%w: mined module %s has no states to snapshot", ErrBadSnapshot, key)
-	}
-}
-
-// snapshotStatesLocked materializes a module's states for persistence
-// without changing its residency: resident and demoted modules snapshot
-// in place, disk modules read their blob back, dropped modules re-encode
-// transiently.
-func (c *Cache) snapshotStatesLocked(schema string, e *schemaEntry, name string, em *EncodedModule, key string) (*kvcache.Cache, error) {
-	switch em.state {
-	case stateResident, stateDemoted:
-		return em.KV, nil
-	case stateDisk:
-		return c.diskLoadLocked(key, em)
-	default: // stateDropped
-		kv, nToks, err := c.encodeStatesLocked(schema, e, name)
-		if err != nil {
-			return nil, err
+		if entry, ok := c.disk.index[key]; ok && tier == c.disk {
+			return entry, nil
 		}
-		c.stats.ModulesEncoded++
-		c.stats.TokensEncoded += nToks
-		return kv, nil
+		kv, err = c.diskLoadLocked(key, em)
+	default: // stateDropped
+		if em.Mined != nil {
+			return diskEntry{}, fmt.Errorf("%w: mined module %s has no states to snapshot", ErrBadSnapshot, key)
+		}
+		kv, err = c.encodeTransientLocked(key, em.Layout)
 	}
+	if err != nil {
+		return diskEntry{}, err
+	}
+	//pclint:ignore lockscope SaveAll is a stop-the-world snapshot by design: the lock guarantees a consistent manifest while blobs stream out
+	entry, err := tier.writeBlob(kv, em.spillCodec(codec))
+	if err != nil {
+		return diskEntry{}, fmt.Errorf("core: snapshot %s: %w", key, err)
+	}
+	return entry, nil
 }
 
 func writeFileAtomic(path string, data []byte) error {
@@ -642,23 +606,12 @@ func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 		if mm.Name != name {
 			return fail(fmt.Errorf("%w: snapshot module %q, layout expects %q", ErrBadSnapshot, mm.Name, name))
 		}
-		ml := layout.Modules[name]
-		toks, _ := moduleTokens(ml)
-		if mm.Tokens != len(toks) {
-			return fail(fmt.Errorf("%w: snapshot %q has %d tokens, layout expects %d (schema text or tokenizer changed)",
-				ErrBadSnapshot, name, mm.Tokens, len(toks)))
-		}
-		mcodec, err := ParseCodec(mm.Codec)
+		em := &EncodedModule{Name: name, Schema: schema.Name, Layout: layout.Modules[name]}
+		de, err := mm.diskEntry(em.rows())
 		if err != nil {
 			return fail(err)
 		}
-		key := schema.Name + "/" + name
-		c.disk.index[key] = diskEntry{hash: mm.Hash, codec: mcodec, bytes: mm.Bytes, tokens: mm.Tokens}
-		if err := c.disk.pool.Alloc(key, mm.Bytes); err != nil {
-			c.stats.TierAccountErrors++
-		}
-		entry.modules[name] = &EncodedModule{Name: name, Schema: schema.Name, Layout: ml, state: stateDisk}
-		c.stats.ModulesRestored++
+		c.restoreModuleLocked(entry, em, de)
 	}
 	// Scaffolds restore eagerly: they are pool-pinned for exactness and
 	// never evicted, so lazy disk residency has nothing to offer them.
@@ -679,10 +632,10 @@ func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 		if err != nil {
 			return fail(fmt.Errorf("snapshot scaffold %q: %w", mm.Name, err))
 		}
-		if kv.NLayers != c.m.Cfg.NLayers || kv.KVDim != c.m.Cfg.KVDim() || kv.Len() != mm.Tokens {
-			return fail(fmt.Errorf("%w: snapshot scaffold %q has unexpected shape", ErrBadSnapshot, mm.Name))
-		}
 		key := schema.Name + "/scaffold/" + sc.Name
+		if err := c.checkBlob(key, kv, mm.Tokens); err != nil {
+			return fail(fmt.Errorf("%w: %v", ErrBadSnapshot, err))
+		}
 		if err := c.reserveLocked(key, kv.Bytes(4)); err != nil {
 			return fail(err)
 		}
@@ -699,125 +652,115 @@ func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 	return nil
 }
 
-// resolveDiskParts completes a serve plan whose parts include disk-tier
-// modules: each blob is read and decoded outside the cache lock (disk IO
-// must never serialize serving), then a brief re-lock installs the states
-// — promoting the module into the primary pool and pinning it like any
-// host-tier hit, or degrading to a read-through snapshot when the pool
-// cannot hold the working set. Freshly pinned modules are appended to
-// plan.pinned, so they release with the serve's other pins. An unreadable
-// blob degrades to a re-encode rather than failing the serve.
-func (c *Cache) resolveDiskParts(plan *servePlan, schemaName string) error {
-	for i := range plan.parts {
-		if plan.parts[i].disk == nil {
+// diskEntry checks a manifest entry against the row count of the module
+// it restores and returns its blob reference.
+func (mm manifestModule) diskEntry(rows int) (diskEntry, error) {
+	if mm.Tokens != rows {
+		return diskEntry{}, fmt.Errorf("%w: snapshot %q has %d tokens, module expects %d (schema text or tokenizer changed)", ErrBadSnapshot, mm.Name, mm.Tokens, rows)
+	}
+	codec, err := ParseCodec(mm.Codec)
+	if err != nil {
+		return diskEntry{}, fmt.Errorf("%w: snapshot %q: %v", ErrBadSnapshot, mm.Name, err)
+	}
+	return diskEntry{hash: mm.Hash, codec: codec, bytes: mm.Bytes, tokens: mm.Tokens}, nil
+}
+
+// restoreModuleLocked registers one checked manifest entry as a
+// disk-resident module of e, declared or mined alike: its blob is
+// indexed and the first serve that needs it reads it back.
+func (c *Cache) restoreModuleLocked(e *schemaEntry, em *EncodedModule, de diskEntry) {
+	key := em.Schema + "/" + em.Name
+	c.disk.index[key] = de
+	if err := c.disk.pool.Alloc(key, de.bytes); err != nil {
+		c.stats.TierAccountErrors++
+	}
+	em.state = stateDisk
+	e.modules[em.Name] = em
+	c.stats.ModulesRestored++
+}
+
+// resolveDiskParts completes a serve plan whose parts include pending
+// disk-tier modules, resolving each with resolveDiskPart. Freshly pinned
+// modules are appended to plan.pinned, so they release with the serve's
+// other pins.
+func (c *Cache) resolveDiskParts(plan *servePlan) error {
+	for i, p := range plan.parts {
+		if p.disk == nil {
 			continue
 		}
-		em := plan.parts[i].disk
-		key := plan.parts[i].key
-		c.mu.Lock()
-		entry, ok := c.disk.index[key]
-		c.mu.Unlock()
-		var kv *kvcache.Cache
-		var loadErr error
-		var retries int
-		if !ok {
-			loadErr = fmt.Errorf("no blob entry: %w", errCorruptBlob)
-		} else {
-			// Off-lock read (with transient-error retry + backoff — this
-			// is the only blob path that may sleep): the entry and blob
-			// file are immutable; a concurrent removal (schema drop)
-			// surfaces as a read error and degrades to re-encode below.
-			// Model shape is immutable too, so validation needs no lock
-			// either.
-			kv, retries, loadErr = c.disk.readBlobRetry(entry)
-			if loadErr == nil && (kv.NLayers != c.m.Cfg.NLayers || kv.KVDim != c.m.Cfg.KVDim()) {
-				loadErr = fmt.Errorf("core: disk blob %s shaped (%d,%d), model needs (%d,%d): %w",
-					key, kv.NLayers, kv.KVDim, c.m.Cfg.NLayers, c.m.Cfg.KVDim(), errCorruptBlob)
-			}
-			if loadErr == nil && em.Layout != nil {
-				if toks, _ := moduleTokens(em.Layout); kv.Len() != len(toks) {
-					loadErr = fmt.Errorf("core: disk blob %s has %d tokens, layout expects %d: %w",
-						key, kv.Len(), len(toks), errCorruptBlob)
-				}
-			}
-		}
-		c.mu.Lock()
-		c.stats.DiskRetries += retries
-		part, err := c.installDiskPartLocked(schemaName, key, em, kv, loadErr)
-		if err == nil && part.em != nil {
-			plan.pinned = append(plan.pinned, part.em)
-		}
-		c.mu.Unlock()
+		part, err := c.resolveDiskPart(p)
 		if err != nil {
 			return err
+		}
+		if part.em != nil {
+			plan.pinned = append(plan.pinned, part.em)
 		}
 		plan.parts[i] = part
 	}
 	return nil
 }
 
-// installDiskPartLocked turns an off-lock blob load into a serve part,
-// handling the races an unlocked read window allows: another serve may
-// have promoted the module first, or eviction may have cycled it. When
-// the load failed, the module degrades to dropped and re-encodes.
-func (c *Cache) installDiskPartLocked(schemaName, key string, em *EncodedModule, kv *kvcache.Cache, loadErr error) (servePart, error) {
-	if loadErr != nil {
-		switch em.state {
-		case stateDisk, stateDropped:
-			if em.state == stateDisk {
-				c.diskLoadFailedLocked(key, em, loadErr)
-			}
-			// No usable copy anywhere: re-encode for this serve. A
-			// transiently unreadable blob survives for the next access;
-			// a corrupt one was just deleted.
-			e, ok := c.schemas[schemaName]
-			if !ok {
-				return servePart{}, fmt.Errorf("%w: %q", ErrUnknownSchema, schemaName)
-			}
-			return c.reencodeForServeLocked(schemaName, e, em.Name, key)
-		}
-		// Resident or demoted: another serve rescued the states while we
-		// failed to read; the branches below never touch kv.
+// resolveDiskPart completes one pending disk part, declared or mined.
+// The blob is read outside the cache lock (disk IO must never serialize
+// serving), with transient-error retry and backoff — the only blob path
+// that may sleep — and checked; the entry, the blob file and the
+// expected shape are immutable, so neither step needs the lock, and a
+// concurrent removal (schema drop) surfaces as a read error. A brief
+// re-lock then installs the states through installLoadedLocked.
+func (c *Cache) resolveDiskPart(p servePart) (servePart, error) {
+	c.mu.Lock()
+	entry, ok := c.disk.index[p.key]
+	c.mu.Unlock()
+	var kv *kvcache.Cache
+	var retries int
+	var loadErr error
+	if !ok {
+		loadErr = fmt.Errorf("core: module %s has no blob entry: %w", p.key, errCorruptBlob)
+	} else if kv, retries, loadErr = c.disk.readBlobRetry(entry); loadErr == nil {
+		loadErr = c.checkBlob(p.key, kv, p.disk.rows())
 	}
-	switch em.state {
-	case stateResident:
-		// Another serve promoted it while we read; share its states.
-		c.policy.Touch(key, em.Bytes())
-		c.stats.ModulesReused++
-		em.pins++
-		return servePart{key: key, em: em}, nil
-	case stateDemoted:
-		if err := c.promoteLocked(key, em); err != nil {
-			if !errors.Is(err, ErrCapacity) {
-				return servePart{}, err
-			}
-			c.stats.ModulesReused++
-			return servePart{key: key, kv: em.KV}, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats.DiskRetries += retries
+	return c.installLoadedLocked(p.key, p.disk, kv, loadErr)
+}
+
+// installLoadedLocked turns an off-lock blob load into a serve part,
+// handling the races the unlocked read window allows. A module still on
+// disk installs the loaded states into the primary pool — or, when the
+// load failed, is unavailable (unavailableLocked). A module another
+// serve promoted or demoted meanwhile goes back through acquireLocked.
+// A mined module collected meanwhile is a miss: its removal is already
+// counted and confirmed to the observer. Otherwise the loaded copy
+// serves as a read-through, without residency, when the pool cannot
+// hold the working set or the module was dropped or removed (schema
+// replaced) meanwhile.
+func (c *Cache) installLoadedLocked(key string, em *EncodedModule, kv *kvcache.Cache, loadErr error) (servePart, error) {
+	removed := c.moduleForKeyLocked(key) != em
+	if removed && em.Mined != nil {
+		return servePart{}, errMinedMiss
+	}
+	readThrough := removed || em.state == stateDropped
+	if !readThrough && em.state == stateDisk {
+		if loadErr != nil {
+			// Proven corruption deletes the blob and drops the module; a
+			// transient failure keeps both for the next access.
+			c.diskLoadFailedLocked(key, em, loadErr)
+			return c.unavailableLocked(key, em)
 		}
-		c.policy.Touch(key, em.Bytes())
-		c.stats.ModulesReused++
-		em.pins++
-		return servePart{key: key, em: em}, nil
-	case stateDropped:
-		// The blob (and states) vanished under us but our copy is good:
-		// serve it transiently, like a host-tier read-through.
+		err := c.installDiskStatesLocked(key, em, kv)
+		if err != nil && !errors.Is(err, ErrCapacity) {
+			return servePart{}, err
+		}
+		readThrough = err != nil
+	}
+	if readThrough {
+		if loadErr != nil {
+			return c.unavailableLocked(key, em)
+		}
 		c.stats.DiskHits++
 		c.stats.ModulesReused++
 		return servePart{key: key, kv: kv}, nil
-	default: // stateDisk
-		if err := c.installDiskStatesLocked(key, em, kv); err != nil {
-			if !errors.Is(err, ErrCapacity) {
-				return servePart{}, err
-			}
-			// Pool cannot hold the working set: serve the loaded copy
-			// without residency.
-			c.stats.DiskHits++
-			c.stats.ModulesReused++
-			return servePart{key: key, kv: kv}, nil
-		}
-		c.policy.Touch(key, em.Bytes())
-		c.stats.ModulesReused++
-		em.pins++
-		return servePart{key: key, em: em}, nil
 	}
+	return c.acquireLocked(key, em)
 }

@@ -138,7 +138,7 @@ func (c *Cache) ServeParsed(ctx context.Context, prompt *pml.Prompt, opts ServeO
 	}
 	// Disk-tier modules were planned as pending parts; read their blobs
 	// back outside the lock and promote (pinning) or read through.
-	if err := c.resolveDiskParts(plan, prompt.SchemaName); err != nil {
+	if err := c.resolveDiskParts(plan); err != nil {
 		c.unpinModules(plan.pinned)
 		return nil, err
 	}
@@ -211,7 +211,7 @@ type servePart struct {
 	// re-encode — used when em is nil.
 	kv *kvcache.Cache
 	// disk marks a pending disk-tier load: the module's states live only
-	// in its blob, which resolveDiskParts reads outside the cache lock
+	// in its blob, which resolveDiskPart reads outside the cache lock
 	// before assembly. A resolved plan has no disk parts left.
 	disk *EncodedModule
 	// noExclude marks a part whose rows must not be filtered against the
@@ -343,7 +343,7 @@ func (c *Cache) planServeLocked(prompt *pml.Prompt, opts ServeOpts) (*servePlan,
 			}
 			continue
 		}
-		part, err := c.acquireModuleLocked(prompt.SchemaName, e, name)
+		part, err := c.acquireLocked(prompt.SchemaName+"/"+name, e.modules[name])
 		if err != nil {
 			for _, em := range plan.pinned {
 				em.pins--

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,10 +16,13 @@ import (
 // serve's uncached (token, position) stream feeds a radix-tree
 // observer; prefixes hot enough to clear the configured thresholds are
 // promoted into *anonymous modules* — EncodedModules named "~mined/N",
-// registered into the owning schema's entry so they flow through the
-// existing pin/refcount, eviction, host-demotion, disk-spill and
-// warm-restart machinery unchanged. A later serve whose stream starts
-// with a mined prefix splices the module's pinned states exactly like a
+// registered into the owning schema's entry. They run through the same
+// tier state machine as declared modules (acquireLocked, resolveDiskPart,
+// snapshotStatesLocked, restoreModuleLocked); the kinds differ only in
+// three EncodedModule properties — row count, spill codec, and what
+// unavailable states mean (a mined module cannot re-encode, so it is
+// removed and the serve misses). A later serve whose stream starts with
+// a mined prefix splices the module's pinned states exactly like a
 // schema hit and prefills only the remainder.
 //
 // Correctness: a serve's uncached-token states depend on everything the
@@ -162,10 +163,14 @@ func classPrefix(schemaName string) string { return schemaName + classFieldSep }
 // spliceMined finds the longest promoted mined prefix of the serve's
 // uncached stream and appends its module to the plan as a no-exclusion
 // part (mined rows include computed argument states at excluded
-// positions and must not be filtered). It returns the module name and
-// matched token count; the caller trims the stream by n and prefills
-// the rest. A mined splice never fails a serve: any trouble — module
-// vanished, blob unreadable, pool full — degrades to a miss (n = 0).
+// positions and must not be filtered). The module goes through the same
+// tier state machine as a declared import — acquireLocked, then
+// resolveDiskPart for a disk-resident one — so it pins, promotes, reads
+// through and retries blob reads exactly like one. It returns the module
+// name and matched token count; the caller trims the stream by n and
+// prefills the rest. A mined splice never fails a serve: any trouble —
+// module vanished, blob unreadable, states gone — degrades to a miss
+// (n = 0).
 func (c *Cache) spliceMined(plan *servePlan, schemaName, class string, toks, pos []int) (string, int) {
 	if len(toks) < 2 {
 		return "", 0 // the serve must keep at least one uncached token
@@ -185,122 +190,26 @@ func (c *Cache) spliceMined(plan *servePlan, schemaName, class string, toks, pos
 		c.miner.Demoted(name)
 		return "", 0
 	}
-	switch em.state {
-	case stateResident:
-		c.policy.Touch(key, em.Bytes())
-		em.pins++
-		c.recordMinedHitLocked(n)
-		plan.pinned = append(plan.pinned, em)
-		plan.parts = append(plan.parts, servePart{key: key, em: em, noExclude: true})
-		c.mu.Unlock()
-		return name, n
-	case stateDemoted:
-		if err := c.promoteLocked(key, em); err != nil {
-			if !errors.Is(err, ErrCapacity) {
-				c.mu.Unlock()
-				return "", 0
-			}
-			// Host-tier read-through without promotion.
-			c.recordMinedHitLocked(n)
-			plan.parts = append(plan.parts, servePart{key: key, kv: em.KV, noExclude: true})
-			c.mu.Unlock()
-			return name, n
-		}
-		c.policy.Touch(key, em.Bytes())
-		em.pins++
-		c.recordMinedHitLocked(n)
-		plan.pinned = append(plan.pinned, em)
-		plan.parts = append(plan.parts, servePart{key: key, em: em, noExclude: true})
-		c.mu.Unlock()
-		return name, n
-	case stateDisk:
-		entry, ok := c.disk.index[key]
-		c.mu.Unlock()
-		if !ok {
-			return "", 0
-		}
-		return c.spliceMinedFromDisk(plan, schemaName, key, name, n, em, entry)
-	default: // stateDropped: mined states cannot re-encode; GC and miss
-		c.dropMinedLocked(key, schemaName, em)
-		c.mu.Unlock()
+	part, err := c.acquireLocked(key, em)
+	c.mu.Unlock()
+	if err == nil && part.disk != nil {
+		part, err = c.resolveDiskPart(part)
+	}
+	if err != nil {
 		return "", 0
 	}
-}
-
-// spliceMinedFromDisk completes a mined splice whose states live in a
-// disk blob: the read happens off-lock (disk IO must never serialize
-// planning), then a brief re-lock installs the states, handling the
-// same races resolveDiskParts does — another serve may have promoted
-// the module first, or eviction may have cycled it.
-func (c *Cache) spliceMinedFromDisk(plan *servePlan, schemaName, key, name string, n int, em *EncodedModule, entry diskEntry) (string, int) {
-	kv, loadErr := c.disk.readBlob(entry)
-	if loadErr == nil && (kv.NLayers != c.m.Cfg.NLayers || kv.KVDim != c.m.Cfg.KVDim() || kv.Len() != n) {
-		loadErr = fmt.Errorf("core: mined blob %s has unexpected shape: %w", key, errCorruptBlob)
-	}
-
+	// The spliced rows also land in TokensReused via CachedTokens, like
+	// any cached prefix; MinedHitTokens isolates the mined share.
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.minedModuleLocked(schemaName, name) != em {
-		return "", 0 // GC'd or schema replaced while we read
+	c.stats.MinedHits++
+	c.stats.MinedHitTokens += n
+	c.mu.Unlock()
+	part.noExclude = true
+	if part.em != nil {
+		plan.pinned = append(plan.pinned, part.em)
 	}
-	if loadErr != nil {
-		if em.state == stateDisk {
-			c.diskLoadFailedLocked(key, em, loadErr)
-		}
-		if em.state == stateDropped {
-			c.dropMinedLocked(key, schemaName, em)
-		}
-		return "", 0
-	}
-	switch em.state {
-	case stateResident:
-		// Another serve promoted it while we read; share its states.
-		c.policy.Touch(key, em.Bytes())
-		em.pins++
-		c.recordMinedHitLocked(n)
-		plan.pinned = append(plan.pinned, em)
-		plan.parts = append(plan.parts, servePart{key: key, em: em, noExclude: true})
-		return name, n
-	case stateDemoted:
-		if err := c.promoteLocked(key, em); err != nil {
-			if !errors.Is(err, ErrCapacity) {
-				return "", 0
-			}
-			c.recordMinedHitLocked(n)
-			plan.parts = append(plan.parts, servePart{key: key, kv: em.KV, noExclude: true})
-			return name, n
-		}
-		c.policy.Touch(key, em.Bytes())
-		em.pins++
-		c.recordMinedHitLocked(n)
-		plan.pinned = append(plan.pinned, em)
-		plan.parts = append(plan.parts, servePart{key: key, em: em, noExclude: true})
-		return name, n
-	case stateDisk:
-		if err := c.installDiskStatesLocked(key, em, kv); err != nil {
-			if !errors.Is(err, ErrCapacity) {
-				return "", 0
-			}
-			// Pool cannot hold the working set: serve the loaded copy
-			// without residency. Mined states are fp32; no codec round
-			// trip needed for exactness.
-			c.stats.DiskHits++
-			c.recordMinedHitLocked(n)
-			plan.parts = append(plan.parts, servePart{key: key, kv: kv, noExclude: true})
-			return name, n
-		}
-		c.policy.Touch(key, em.Bytes())
-		em.pins++
-		c.recordMinedHitLocked(n)
-		plan.pinned = append(plan.pinned, em)
-		plan.parts = append(plan.parts, servePart{key: key, em: em, noExclude: true})
-		return name, n
-	default: // stateDropped: our blob copy is good, serve it transiently
-		c.stats.DiskHits++
-		c.recordMinedHitLocked(n)
-		plan.parts = append(plan.parts, servePart{key: key, kv: kv, noExclude: true})
-		return name, n
-	}
+	plan.parts = append(plan.parts, part)
+	return name, n
 }
 
 // minedModuleLocked resolves a mined module by schema and name, nil
@@ -315,15 +224,6 @@ func (c *Cache) minedModuleLocked(schemaName, name string) *EncodedModule {
 		return nil
 	}
 	return em
-}
-
-// recordMinedHitLocked folds one mined splice into the stats. The
-// spliced rows also land in TokensReused via CachedTokens, like any
-// cached prefix; MinedHitTokens isolates the mined share.
-func (c *Cache) recordMinedHitLocked(n int) {
-	c.stats.MinedHits++
-	c.stats.MinedHitTokens += n
-	c.stats.ModulesReused++
 }
 
 // observeServe feeds one successful cached serve to the observer and
@@ -408,14 +308,14 @@ func (c *Cache) demoteMined(schemaName, name string) {
 	if em.pins > 0 {
 		return
 	}
-	c.dropMinedLocked(schemaName+"/"+name, schemaName, em)
+	c.dropMinedLocked(schemaName+"/"+name, em)
 }
 
 // dropMinedLocked removes a mined module from every tier and confirms
 // the removal to the observer. Unlike declared modules, a mined module
 // cannot re-encode (its states came from a live serve), so removal is
 // its terminal state.
-func (c *Cache) dropMinedLocked(key, schemaName string, em *EncodedModule) {
+func (c *Cache) dropMinedLocked(key string, em *EncodedModule) {
 	if c.pool.Has(key) {
 		c.freeTracked(c.pool, key)
 	}
@@ -426,7 +326,7 @@ func (c *Cache) dropMinedLocked(key, schemaName string, em *EncodedModule) {
 		c.removeDiskLocked(key)
 	}
 	c.policy.Remove(key)
-	if e := c.schemas[schemaName]; e != nil {
+	if e := c.schemas[em.Schema]; e != nil {
 		delete(e.modules, em.Name)
 	}
 	em.KV = nil
@@ -439,43 +339,27 @@ func (c *Cache) dropMinedLocked(key, schemaName string, em *EncodedModule) {
 
 // adoptMinedLocked re-registers one persisted mined module from a
 // snapshot manifest: states stay on disk (like declared modules) and
-// the observer adopts the prefix so lookups match again. Returns false
-// (with the skip counted) when the entry cannot be adopted.
-func (c *Cache) adoptMinedLocked(e *schemaEntry, schemaName string, mm manifestMined) bool {
-	if c.miner == nil {
-		c.stats.MinedSnapshotSkipped++
-		return false
-	}
-	if !strings.HasPrefix(mm.Name, minedPrefixTag) ||
-		len(mm.Toks) != len(mm.Pos) || len(mm.Toks) != mm.Tokens || mm.Tokens == 0 {
-		c.stats.MinedSnapshotSkipped++
-		return false
-	}
-	if err := c.miner.Adopt(mm.Class, mm.Toks, mm.Pos, mm.Name); err != nil {
-		c.stats.MinedSnapshotSkipped++
-		return false
-	}
-	mcodec, err := ParseCodec(mm.Codec)
-	if err != nil {
-		c.stats.MinedSnapshotSkipped++
-		return false
-	}
-	key := schemaName + "/" + mm.Name
-	c.disk.index[key] = diskEntry{hash: mm.Hash, codec: mcodec, bytes: mm.Bytes, tokens: mm.Tokens}
-	if err := c.disk.pool.Alloc(key, mm.Bytes); err != nil {
-		c.stats.TierAccountErrors++
-	}
-	e.modules[mm.Name] = &EncodedModule{
+// the observer adopts the prefix so lookups match again. The entry is
+// checked in full — name, prefix, row count and codec — before the
+// observer adopts it, so an entry that cannot be restored is skipped
+// (counted) without leaving a prefix the cache has no module for.
+func (c *Cache) adoptMinedLocked(e *schemaEntry, schemaName string, mm manifestMined) {
+	em := &EncodedModule{
 		Name:   mm.Name,
 		Schema: schemaName,
 		Mined:  &MinedPrefix{Class: mm.Class, Toks: mm.Toks, Pos: mm.Pos},
-		state:  stateDisk,
 	}
+	de, err := mm.diskEntry(em.rows())
+	if c.miner == nil || err != nil || !strings.HasPrefix(mm.Name, minedPrefixTag) ||
+		len(mm.Toks) != len(mm.Pos) || len(mm.Toks) == 0 ||
+		c.miner.Adopt(mm.Class, mm.Toks, mm.Pos, mm.Name) != nil {
+		c.stats.MinedSnapshotSkipped++
+		return
+	}
+	c.restoreModuleLocked(e, em, de)
 	// Keep the name sequence past every restored id so new promotions
 	// cannot collide.
 	if id, err := strconv.Atoi(strings.TrimPrefix(mm.Name, minedPrefixTag)); err == nil && id >= c.minedSeq {
 		c.minedSeq = id + 1
 	}
-	c.stats.ModulesRestored++
-	return true
 }

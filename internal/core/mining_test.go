@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -378,5 +380,65 @@ func TestMinedConcurrentServes(t *testing.T) {
 	}
 	if st := c.MiningStats(); st.Promotions < 1 || st.Hits < 1 {
 		t.Fatalf("concurrent traffic not mined: %+v", st)
+	}
+}
+
+// TestMinedRestoreBadCodecLeavesNoGhost: a restored mined entry that
+// fails validation (here, an unknown codec) is skipped and counted
+// before the observer adopts its prefix — the observer must never report
+// a live mined module the cache has not registered.
+func TestMinedRestoreBadCodecLeavesNoGhost(t *testing.T) {
+	dir := t.TempDir()
+	m, err := model.New(model.LlamaStyle(coreVocab, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mining := WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4})
+	c := NewCache(m, mining)
+	mustRegister(t, c, travelSchema)
+	serveMined(t, c).Close()
+	serveMined(t, c).Close() // promotes
+	if err := c.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(manifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man diskManifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Schemas) != 1 || len(man.Schemas[0].Mined) != 1 {
+		t.Fatalf("snapshot should hold one mined module: %+v", man.Schemas)
+	}
+	man.Schemas[0].Mined[0].Codec = "bogus"
+	if data, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifestPath(dir), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	restored, err := OpenDir(m, dir, mining)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := restored.MiningStats()
+	if st.LiveModules != 0 || st.SnapshotSkipped != 1 {
+		t.Fatalf("bad-codec mined entry: live %d, skipped %d; want 0 and 1", st.LiveModules, st.SnapshotSkipped)
+	}
+	restored.mu.Lock()
+	registered := 0
+	for _, e := range restored.schemas {
+		for name := range e.modules {
+			if strings.HasPrefix(name, minedPrefixTag) {
+				registered++
+			}
+		}
+	}
+	restored.mu.Unlock()
+	if st.LiveModules != registered {
+		t.Fatalf("observer reports %d live mined modules, cache registers %d", st.LiveModules, registered)
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -813,5 +815,35 @@ func TestMissingDiskBlobFallsBack(t *testing.T) {
 	blobs, _ := filepath.Glob(filepath.Join(dir, "blobs", "*.pckv"))
 	if len(blobs) == 0 {
 		t.Fatal("re-spill after invalidation wrote no fresh blobs")
+	}
+}
+
+// TestSnapshotManifestGolden pins the snapshot format byte for byte: the
+// sha256 of manifest.json after SaveAll of the travel schema plus one
+// mined module, under fp32. Blob hashes are sha256 over deterministic
+// bytes, so the pin catches a change to the manifest's shape and a
+// change to any module's state bits alike. A deliberate format change
+// bumps manifestVersion and replaces the constant.
+func TestSnapshotManifestGolden(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(m, WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}))
+	mustRegister(t, c, travelSchema)
+	serveMined(t, c).Close()
+	serveMined(t, c).Close() // promotes
+	dir := t.TempDir()
+	if err := c.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(manifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "25ba60bd513b29222168cbdc7f431ec381032959594ccf2b92900f4319044f9a"
+	sum := sha256.Sum256(got)
+	if hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("manifest.json sha256 = %x, want %s; the manifest:\n%s", sum, want, got)
 	}
 }

@@ -1,0 +1,496 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/faultinject"
+	"repro/internal/kvcache"
+	"repro/internal/memory"
+	"repro/internal/model"
+	"repro/internal/tensor"
+)
+
+// The tier state machine (acquireLocked, resolveDiskPart,
+// installLoadedLocked, unavailableLocked) serves declared and mined
+// modules alike. These tests drive one module of each kind through every
+// state it can be served from, with and without room in the device pool,
+// and pin the reuse accounting, the pin ledger and the output bits.
+
+// tierPoolBytes is the device pool of the tier tests: far larger than
+// the travel schema, so only an explicit filler makes it full.
+const tierPoolBytes = 1 << 30
+
+// declaredTierPrompt imports tokyo, the declared module under test.
+const declaredTierPrompt = `<prompt schema="travel"><trip-plan duration="a week"/><tokyo/>Plan.</prompt>`
+
+// evictKeyLocked sends key's module down one tier through the real
+// eviction path: every other module is pinned for the call, so the
+// policy has exactly one victim.
+func evictKeyLocked(t *testing.T, c *Cache, key string) {
+	t.Helper()
+	others := otherModulesLocked(c, key)
+	for _, em := range others {
+		em.pins++
+	}
+	ok := c.evictOneLocked("")
+	for _, em := range others {
+		em.pins--
+	}
+	if !ok {
+		t.Fatalf("%s was not evicted", key)
+	}
+}
+
+// otherModulesLocked lists every registered module but key's.
+func otherModulesLocked(c *Cache, key string) []*EncodedModule {
+	var out []*EncodedModule
+	for schema, e := range c.schemas {
+		for name, em := range e.modules {
+			if schema+"/"+name != key {
+				out = append(out, em)
+			}
+		}
+	}
+	return out
+}
+
+// assertNoPins fails if any module still holds a serve pin.
+func assertNoPins(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for schema, e := range c.schemas {
+		for name, em := range e.modules {
+			if em.pins != 0 {
+				t.Errorf("%s/%s holds %d pins after Close", schema, name, em.pins)
+			}
+		}
+	}
+}
+
+// minedKeyLocked returns the key of the cache's one mined module.
+func minedKeyLocked(t *testing.T, c *Cache) string {
+	t.Helper()
+	var keys []string
+	for schema, e := range c.schemas {
+		for name, em := range e.modules {
+			if em.Mined != nil {
+				keys = append(keys, schema+"/"+name)
+			}
+		}
+	}
+	if len(keys) != 1 {
+		t.Fatalf("want one mined module, have %v", keys)
+	}
+	return keys[0]
+}
+
+// tierDelta is the part of Stats a tier case pins.
+type tierDelta struct{ reused, diskHits, promoted, minedHits int }
+
+func tierDeltaOf(before, after Stats) tierDelta {
+	return tierDelta{
+		reused:    after.ModulesReused - before.ModulesReused,
+		diskHits:  after.DiskHits - before.DiskHits,
+		promoted:  after.ModulesPromoted - before.ModulesPromoted,
+		minedHits: after.MinedHits - before.MinedHits,
+	}
+}
+
+// TestTierStateMachine serves a declared module (tokyo) and a mined
+// module from each tier state — resident, demoted to host, spilled to
+// disk, dropped — once with room in the device pool and once with the
+// pool full and every other module pinned, which forces the read-through
+// branches. Each serve must match a cold serve bit for bit, count the
+// state's reuse exactly, and leave no pin behind once closed. Three
+// declared modules are always resident (the schema preamble, trip-plan
+// and the city), so every serve reuses at least three.
+func TestTierStateMachine(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := NewCache(m)
+	mustRegister(t, probe, travelSchema)
+	cold := map[string][]float32{}
+	for _, p := range []string{declaredTierPrompt, minedPrompt} {
+		res, err := probe.Serve(context.Background(), p, ServeOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold[p] = res.Logits
+		res.Close()
+	}
+
+	cases := []struct {
+		mined bool
+		state moduleState
+		full  bool
+		want  tierDelta
+	}{
+		{false, stateResident, false, tierDelta{reused: 3}},
+		{false, stateResident, true, tierDelta{reused: 3}},
+		{false, stateDemoted, false, tierDelta{reused: 3, promoted: 1}},
+		{false, stateDemoted, true, tierDelta{reused: 3}},
+		{false, stateDisk, false, tierDelta{reused: 3, diskHits: 1}},
+		{false, stateDisk, true, tierDelta{reused: 3, diskHits: 1}},
+		// A dropped declared module re-encodes: a reload, not a reuse.
+		{false, stateDropped, false, tierDelta{reused: 2}},
+		{false, stateDropped, true, tierDelta{reused: 2}},
+		{true, stateResident, false, tierDelta{reused: 4, minedHits: 1}},
+		{true, stateResident, true, tierDelta{reused: 4, minedHits: 1}},
+		{true, stateDemoted, false, tierDelta{reused: 4, promoted: 1, minedHits: 1}},
+		{true, stateDemoted, true, tierDelta{reused: 4, minedHits: 1}},
+		{true, stateDisk, false, tierDelta{reused: 4, diskHits: 1, minedHits: 1}},
+		{true, stateDisk, true, tierDelta{reused: 4, diskHits: 1, minedHits: 1}},
+		// A dropped mined module cannot re-encode: it is removed, and
+		// the serve is a miss that prefills the whole stream.
+		{true, stateDropped, false, tierDelta{reused: 3}},
+		{true, stateDropped, true, tierDelta{reused: 3}},
+	}
+	stateNames := map[moduleState]string{stateResident: "resident", stateDemoted: "demoted", stateDisk: "disk", stateDropped: "dropped"}
+	for _, tc := range cases {
+		kind, room := "declared", "room"
+		if tc.mined {
+			kind = "mined"
+		}
+		if tc.full {
+			room = "full"
+		}
+		t.Run(fmt.Sprintf("%s/%s/%s", kind, stateNames[tc.state], room), func(t *testing.T) {
+			opts := []Option{
+				WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}),
+				WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: tierPoolBytes})),
+			}
+			switch tc.state {
+			case stateDemoted:
+				opts = append(opts, WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM})))
+			case stateDisk:
+				opts = append(opts, WithDiskTier(t.TempDir(), CodecFP32))
+			}
+			c := NewCache(m, opts...)
+			mustRegister(t, c, travelSchema)
+			prompt, key := declaredTierPrompt, "travel/tokyo"
+			if tc.mined {
+				prompt = minedPrompt
+				serveMined(t, c).Close()
+				serveMined(t, c).Close() // promotes
+				c.mu.Lock()
+				key = minedKeyLocked(t, c)
+				c.mu.Unlock()
+			}
+
+			c.mu.Lock()
+			em := c.moduleForKeyLocked(key)
+			if tc.state != stateResident {
+				evictKeyLocked(t, c, key)
+			}
+			if tc.state != stateDropped || !tc.mined {
+				if em.state != tc.state {
+					c.mu.Unlock()
+					t.Fatalf("setup left %s in state %d, want %d", key, em.state, tc.state)
+				}
+			} else if c.moduleForKeyLocked(key) != nil {
+				c.mu.Unlock()
+				t.Fatalf("dropped mined module %s is still registered", key)
+			}
+			var held []*EncodedModule
+			if tc.full {
+				held = otherModulesLocked(c, key)
+				for _, o := range held {
+					o.pins++
+				}
+				if err := c.pool.Alloc("filler", tierPoolBytes-c.pool.Used()); err != nil {
+					c.mu.Unlock()
+					t.Fatal(err)
+				}
+			}
+			before := c.stats
+			c.mu.Unlock()
+
+			res, err := c.Serve(context.Background(), prompt, ServeOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := tensor.MaxAbsDiff(cold[prompt], res.Logits); d != 0 {
+				t.Errorf("logits differ from a cold serve by %v", d)
+			}
+			hit := strings.Contains(strings.Join(res.Modules, ","), minedPrefixTag)
+			res.Close()
+			if want := tc.mined && tc.state != stateDropped; hit != want {
+				t.Errorf("mined module in result = %v, want %v", hit, want)
+			}
+			if got := tierDeltaOf(before, c.Stats()); got != tc.want {
+				t.Errorf("stats delta = %+v, want %+v", got, tc.want)
+			}
+			c.mu.Lock()
+			for _, o := range held {
+				o.pins--
+			}
+			// With room the module ends resident; a full pool serves it
+			// through without moving it.
+			wantState := stateResident
+			if tc.full {
+				wantState = tc.state
+			}
+			if em := c.moduleForKeyLocked(key); em != nil && em.state != wantState {
+				t.Errorf("%s ends in state %d, want %d", key, em.state, wantState)
+			}
+			c.mu.Unlock()
+			assertNoPins(t, c)
+		})
+	}
+}
+
+// TestSaveAllDiskResidentToOtherDir snapshots modules whose states live
+// only in the cache's own disk tier into a different directory: SaveAll
+// reads each blob back (a declared and a mined one) and writes it into
+// the new store. A declared module dropped by a failed spill re-encodes
+// into the snapshot. The restored cache serves all of them
+// bit-identically.
+func TestSaveAllDiskResidentToOtherDir(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mining := WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4})
+	inj := faultinject.New(7)
+	c := NewCache(m, mining, WithDiskTier(t.TempDir(), CodecFP32), WithFaultInjection(inj))
+	mustRegister(t, c, travelSchema)
+	coldMined := serveMined(t, c)
+	serveMined(t, c).Close() // promotes
+	coldDeclared, err := c.Serve(context.Background(), declaredTierPrompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldDeclared.Close()
+	coldMined.Close()
+	c.mu.Lock()
+	for _, key := range []string{"travel/tokyo", minedKeyLocked(t, c)} {
+		evictKeyLocked(t, c, key)
+		if em := c.moduleForKeyLocked(key); em.state != stateDisk {
+			c.mu.Unlock()
+			t.Fatalf("%s not spilled: state %d", key, em.state)
+		}
+	}
+	inj.Set(FaultPointDiskWrite, faultinject.Rule{Err: faultinject.ErrNoSpace, Times: 1})
+	evictKeyLocked(t, c, "travel/miami")
+	if em := c.moduleForKeyLocked("travel/miami"); em.state != stateDropped {
+		c.mu.Unlock()
+		t.Fatalf("travel/miami not dropped: state %d", em.state)
+	}
+	c.mu.Unlock()
+
+	dir := t.TempDir()
+	if err := c.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.MinedSnapshotSkipped != 0 || st.ModulesEncoded != 5 {
+		t.Fatalf("snapshot skipped a module, or encoded other than the dropped one: %+v", st)
+	}
+	restored, err := OpenDir(m, dir, mining)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		prompt string
+		want   []float32
+	}{{declaredTierPrompt, coldDeclared.Logits}, {minedPrompt, coldMined.Logits}} {
+		res, err := restored.Serve(context.Background(), tc.prompt, ServeOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := tensor.MaxAbsDiff(tc.want, res.Logits); d != 0 {
+			t.Errorf("restored serve differs by %v", d)
+		}
+		res.Close()
+	}
+	if st := restored.MiningStats(); st.Hits != 1 {
+		t.Fatalf("restored mined module not hit: %+v", st)
+	}
+}
+
+// readWindowLocked runs resolveDiskPart's two halves by hand around
+// during, which stands for whatever another goroutine does while key's
+// blob is read off-lock, and returns what the install half makes of the
+// loaded states. Called and returning with c.mu held.
+func readWindowLocked(t *testing.T, c *Cache, key string, during func()) (*kvcache.Cache, servePart, error) {
+	t.Helper()
+	em := c.moduleForKeyLocked(key)
+	if em == nil || em.state != stateDisk {
+		t.Fatalf("%s is not on disk", key)
+	}
+	entry := c.disk.index[key]
+	c.mu.Unlock()
+	kv, _, err := c.disk.readBlobRetry(entry)
+	if err != nil {
+		c.mu.Lock()
+		t.Fatal(err)
+	}
+	loadErr := c.checkBlob(key, kv, em.rows())
+	during()
+	c.mu.Lock()
+	part, err := c.installLoadedLocked(key, em, kv, loadErr)
+	return kv, part, err
+}
+
+// TestTierReadWindowMinedCollected: a mined module collected while its
+// blob is read off-lock is a miss, even though the read succeeded. Its
+// removal was already counted and confirmed to the observer, so the
+// loaded copy must not serve as a hit, count a reuse, or claim the pool.
+func TestTierReadWindowMinedCollected(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(m,
+		WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}),
+		WithDiskTier(t.TempDir(), CodecFP32))
+	mustRegister(t, c, travelSchema)
+	cold := serveMined(t, c)
+	cold.Close()
+	serveMined(t, c).Close() // promotes
+
+	c.mu.Lock()
+	key := minedKeyLocked(t, c)
+	evictKeyLocked(t, c, key)
+	before := c.stats
+	used := c.pool.Used()
+	_, name, _ := splitKey(key)
+	_, _, err = readWindowLocked(t, c, key, func() { c.demoteMined("travel", name) })
+	if !errors.Is(err, errMinedMiss) {
+		c.mu.Unlock()
+		t.Fatalf("collected mined module resolved with %v, want a miss", err)
+	}
+	got := c.stats
+	if c.pool.Has(key) || c.pool.Used() != used {
+		t.Errorf("collected mined module claimed the pool: used %d -> %d", used, c.pool.Used())
+	}
+	c.mu.Unlock()
+	if got.MinedDemotions != before.MinedDemotions+1 || got.DiskHits != before.DiskHits ||
+		got.ModulesReused != before.ModulesReused || got.DiskLoadErrors != before.DiskLoadErrors {
+		t.Errorf("stats before %+v, after %+v: want one demotion and nothing else", before, got)
+	}
+
+	// The next serve of the prompt misses and prefills it in full.
+	res := serveMined(t, c)
+	res.Close()
+	if st := c.Stats(); st.MinedHits != before.MinedHits {
+		t.Errorf("collected mined module hit again: %+v", st)
+	}
+	if d := tensor.MaxAbsDiff(cold.Logits, res.Logits); d != 0 {
+		t.Errorf("serve after the collection differs from the cold serve by %v", d)
+	}
+	assertNoPins(t, c)
+}
+
+// TestTierReadWindowSchemaReplaced: a declared module orphaned by a
+// schema replacement while its blob is read off-lock serves the loaded
+// states as a read-through. They are still the states the serve planned
+// with, but the module is no longer registered, so it must not claim
+// pool space under a key the replacement now owns.
+func TestTierReadWindowSchemaReplaced(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(m, WithDiskTier(t.TempDir(), CodecFP32))
+	mustRegister(t, c, travelSchema)
+	const key = "travel/tokyo"
+
+	c.mu.Lock()
+	evictKeyLocked(t, c, key)
+	old := c.moduleForKeyLocked(key)
+	var before Stats
+	var used int64
+	kv, part, err := readWindowLocked(t, c, key, func() {
+		mustRegister(t, c, travelSchema)
+		c.mu.Lock()
+		before, used = c.stats, c.pool.Used()
+		c.mu.Unlock()
+	})
+	if err != nil {
+		c.mu.Unlock()
+		t.Fatal(err)
+	}
+	got, gotUsed := c.stats, c.pool.Used()
+	fresh := c.moduleForKeyLocked(key)
+	c.mu.Unlock()
+	if part.em != nil || part.kv != kv {
+		t.Fatalf("orphaned module not served as a read-through of the loaded states: %+v", part)
+	}
+	if old.state != stateDisk || old.pins != 0 || gotUsed != used {
+		t.Errorf("orphan installed: state %d, pins %d, pool used %d -> %d", old.state, old.pins, used, gotUsed)
+	}
+	if got.DiskHits != before.DiskHits+1 || got.ModulesReused != before.ModulesReused+1 {
+		t.Errorf("stats before %+v, after %+v: want one disk hit and one reuse", before, got)
+	}
+	for l := range kv.K {
+		n := kv.Len() * kv.KVDim
+		if d := max(tensor.MaxAbsDiff(kv.K[l][:n], fresh.KV.K[l][:n]), tensor.MaxAbsDiff(kv.V[l][:n], fresh.KV.V[l][:n])); d != 0 {
+			t.Fatalf("layer %d: loaded states differ from a fresh encoding by %v", l, d)
+		}
+	}
+	assertNoPins(t, c)
+}
+
+// TestTierReadWindowSchemaReplacedBlobGone: a schema replaced while a
+// serve waits on one of its module blobs also deletes that blob, so the
+// read fails. The serve still completes, bit-identical to a cold serve,
+// by encoding the orphaned module for itself alone: it neither collides
+// with the replacement's registration of the same key nor counts a load
+// error for a blob that was removed on purpose.
+func TestTierReadWindowSchemaReplacedBlobGone(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := NewCache(m)
+	mustRegister(t, probe, travelSchema)
+	cold, err := probe.Serve(context.Background(), declaredTierPrompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.Close()
+
+	inj := faultinject.New(8)
+	c := NewCache(m, WithDiskTier(t.TempDir(), CodecFP32), WithFaultInjection(inj))
+	mustRegister(t, c, travelSchema)
+	c.mu.Lock()
+	evictKeyLocked(t, c, "travel/tokyo")
+	c.mu.Unlock()
+	inj.Set(FaultPointDiskRead, faultinject.Rule{Delay: 200 * time.Millisecond, Times: 1})
+	type served struct {
+		res *ServeResult
+		err error
+	}
+	done := make(chan served, 1)
+	go func() {
+		res, err := c.Serve(context.Background(), declaredTierPrompt, ServeOpts{})
+		done <- served{res, err}
+	}()
+	for inj.Fired(FaultPointDiskRead) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	mustRegister(t, c, travelSchema) // while the serve sleeps before its read
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("serve across the schema replacement failed: %v", got.err)
+	}
+	got.res.Close()
+	if d := tensor.MaxAbsDiff(cold.Logits, got.res.Logits); d != 0 {
+		t.Errorf("logits differ from a cold serve by %v", d)
+	}
+	if st := c.Stats(); st.DiskLoadErrors != 0 || st.ModulesReloaded != 1 {
+		t.Errorf("want one transient re-encode and no load error: %+v", st)
+	}
+	if c.PoolUsed() != probe.PoolUsed() {
+		t.Errorf("pool holds %d bytes, a fresh registration %d", c.PoolUsed(), probe.PoolUsed())
+	}
+	assertNoPins(t, c)
+}

@@ -97,7 +97,11 @@ func DefaultConfig() *Config {
 		Acquires: []AcquireSpec{
 			// "On error no pins are retained" (engine.go).
 			{Func: core + ".Cache.planServeLocked", OwnErrorExempt: true},
-			{Func: core + ".Cache.acquireModuleLocked", OwnErrorExempt: true},
+			// The tier state machine: every module pin, declared or mined,
+			// is taken by one of these.
+			{Func: core + ".Cache.acquireLocked", OwnErrorExempt: true},
+			{Func: core + ".Cache.resolveDiskPart", OwnErrorExempt: true},
+			{Func: core + ".EncodedModule.pin"},
 			// Pins recorded in plan.pinned; the caller unpins on error.
 			{Func: core + ".Cache.resolveDiskParts"},
 			// An admission slot is a pin on serving capacity: leaking one

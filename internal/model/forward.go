@@ -330,8 +330,8 @@ func (m *Model) applyRope(vec []float32, nHeads, pos int) {
 		for f := 0; f < half; f++ {
 			c, s := cosRow[f], sinRow[f]
 			a, b := vec[base+2*f], vec[base+2*f+1]
-			vec[base+2*f] = a*c - b*s
-			vec[base+2*f+1] = a*s + b*c
+			vec[base+2*f] = float32(a*c) - float32(b*s)
+			vec[base+2*f+1] = float32(a*s) + float32(b*c)
 		}
 	}
 }

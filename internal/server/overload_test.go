@@ -175,14 +175,16 @@ func TestOverloadStreamShedsBeforeSSE(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	// Saturate: one long completion holds the slot, one fills the queue
-	// (MaxTokens 200 keeps them decoding well past the probe below).
+	// (MaxTokens 2000 keeps them decoding well past the probe below; 200
+	// decode in about 13 ms, too short a window on a loaded 2-vCPU host
+	// for the second to queue behind the first).
 	prompt := `<prompt schema="docs"><contract/>Summarize the duties please.</prompt>`
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, _ := json.Marshal(CompleteRequest{Prompt: prompt, GenConfig: promptcache.GenConfig{MaxTokens: 200}})
+			body, _ := json.Marshal(CompleteRequest{Prompt: prompt, GenConfig: promptcache.GenConfig{MaxTokens: 2000}})
 			req := httptest.NewRequest(http.MethodPost, "/v1/complete", bytes.NewReader(body))
 			s.ServeHTTP(httptest.NewRecorder(), req)
 		}()

@@ -3,11 +3,14 @@
 #include "textflag.h"
 
 // Bit-exact vector lanes for the attention leaves: the score and combine
-// walks under scoreRow/scoreRow2 and combineRow/combineRow2, and the exp
-// lanes under expSum and SiLU.
-// As in matmul_amd64.s, every term is a separate VMULPS and VADDPS (no
-// fused multiply-add), and each lane repeats the Go body's operations on
-// one output element in the Go body's order.
+// walks under scoreRow, scoreRow2 and score4 and under combineRow,
+// combineRow2 and combine4, and the exp lanes under expSum and SiLU.
+// As in matmul_amd64.s, every float32 term is a separate VMULPS and
+// VADDPS (no fused multiply-add), and each lane repeats the Go body's
+// operations on one output element in the Go body's order. The exp
+// lanes' float64 steps are the exception: they use fused multiply-adds,
+// and exp32's midpoint guard keeps their float32 results exact (see
+// EXP_LANES).
 //
 // Operand order matters only when two NaNs meet: x86 then returns the
 // first source's payload. The Go bodies' compiled code is not uniform
@@ -192,6 +195,106 @@ done2:
 	MOVQ    lanes+136(FP), AX
 	VMOVUPS Y10, (AX)
 	VMOVUPS Y11, 32(AX)
+	VZEROUPPER
+	RET
+
+// The score of pair i: scaled (score first), stored at s[i]'s row (AX)
+// from byte CX, and folded into lanes[8i:8i+8] at (R10). Y6 holds inv.
+#define SCORE_STORE(acc, i) \
+	VMULPS  Y6, acc, acc;             \
+	MOVQ    (24*i)(AX), R11;          \
+	VMOVUPS acc, (R11)(CX*1);         \
+	VMAXPS  (32*i)(R10), acc, Y7;     \
+	VMOVUPS Y7, (32*i)(R10)
+
+// func scoreBlocks4AVX2(s, q *[4][]float32, off, n int, k []float32, width int, inv float32, lanes *[32]float32) (done int)
+//
+// scoreBlocks2AVX2's terms for pairs 0, 1 and 2, 3 at once: four query
+// heads against each transposed block, so one transpose feeds sixteen
+// SCORE_TERMs. It has no dot2x4 fix-up: a block whose lanes of keys 3
+// and 7 hold a NaN in any pair is left unstored, and the body returns,
+// so the caller can score it through scoreBlocks2AVX2.
+TEXT ·scoreBlocks4AVX2(SB), NOSPLIT, $0-88
+	MOVQ q+8(FP), AX
+	MOVQ 0(AX), SI   // q[0]
+	MOVQ 8(AX), DX   // head dim, a multiple of 8
+	SHLQ $2, DX
+	MOVQ 24(AX), DI  // q[1]
+	MOVQ 48(AX), R12 // q[2]
+	MOVQ 72(AX), R13 // q[3]
+	MOVQ off+16(FP), CX
+	SHLQ $2, CX      // the next block's byte offset in each score row
+	MOVQ n+24(FP), R14
+	SHLQ $2, R14
+	ADDQ CX, R14     // where the n keys end
+	MOVQ k_base+32(FP), BX
+	MOVQ width+56(FP), R8
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R9
+
+block4:
+	CMPQ   CX, R14
+	JGE    done4
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	MOVQ   BX, R10
+	LEAQ   (BX)(R8*4), R11
+	XORQ   AX, AX
+
+dims4:
+	TRANSPOSE_8x4(R10, R11, R8, R9)
+	SCORE_TERM(0(SI)(AX*1), Y2, Y0, Y6)
+	SCORE_TERM(0(DI)(AX*1), Y2, Y1, Y7)
+	SCORE_TERM(0(R12)(AX*1), Y2, Y10, Y8)
+	SCORE_TERM(0(R13)(AX*1), Y2, Y11, Y9)
+	SCORE_TERM(4(SI)(AX*1), Y3, Y0, Y6)
+	SCORE_TERM(4(DI)(AX*1), Y3, Y1, Y7)
+	SCORE_TERM(4(R12)(AX*1), Y3, Y10, Y8)
+	SCORE_TERM(4(R13)(AX*1), Y3, Y11, Y9)
+	SCORE_TERM(8(SI)(AX*1), Y4, Y0, Y6)
+	SCORE_TERM(8(DI)(AX*1), Y4, Y1, Y7)
+	SCORE_TERM(8(R12)(AX*1), Y4, Y10, Y8)
+	SCORE_TERM(8(R13)(AX*1), Y4, Y11, Y9)
+	SCORE_TERM(12(SI)(AX*1), Y5, Y0, Y6)
+	SCORE_TERM(12(DI)(AX*1), Y5, Y1, Y7)
+	SCORE_TERM(12(R12)(AX*1), Y5, Y10, Y8)
+	SCORE_TERM(12(R13)(AX*1), Y5, Y11, Y9)
+	ADDQ $16, AX
+	ADDQ $16, R10
+	ADDQ $16, R11
+	CMPQ AX, DX
+	JLT  dims4
+
+	VCMPPS    $3, Y0, Y0, Y6 // UNORD_Q: NaN lanes
+	VCMPPS    $3, Y1, Y1, Y7
+	VCMPPS    $3, Y10, Y10, Y8
+	VCMPPS    $3, Y11, Y11, Y9
+	VORPS     Y7, Y6, Y6
+	VORPS     Y9, Y8, Y8
+	VORPS     Y8, Y6, Y6
+	VMOVMSKPS Y6, AX
+	TESTL     $0x88, AX
+	JNZ       done4
+
+	VBROADCASTSS inv+64(FP), Y6
+	MOVQ         s+0(FP), AX
+	MOVQ         lanes+72(FP), R10
+	SCORE_STORE(Y0, 0)
+	SCORE_STORE(Y1, 1)
+	SCORE_STORE(Y10, 2)
+	SCORE_STORE(Y11, 3)
+	ADDQ         $32, CX
+	LEAQ         (BX)(R8*8), BX
+	JMP          block4
+
+done4:
+	MOVQ off+16(FP), AX
+	SHLQ $2, AX
+	SUBQ AX, CX
+	SHRQ $2, CX
+	MOVQ CX, done+80(FP)
 	VZEROUPPER
 	RET
 
@@ -424,88 +527,254 @@ end2:
 	VZEROUPPER
 	RET
 
-// The exp lanes' constants: exp32Fast's float64 terms, its float32
-// range ends and the masks of its midpoint guard, then SiLU's sign mask
-// and 1.
-DATA expConst<>+0(SB)/8, $0x40771547652b82fe  // expInvStep
-DATA expConst<>+8(SB)/8, $0x4338000000000000  // expShifter
-DATA expConst<>+16(SB)/8, $0x3f662e42fee00000 // expStepHi
-DATA expConst<>+24(SB)/8, $0x3d6a39ef35793c76 // expStepLo
-DATA expConst<>+32(SB)/8, $0x3fe0000000000000 // 0.5
-DATA expConst<>+40(SB)/8, $0x3fc5555555555555 // 1.0/6
-DATA expConst<>+48(SB)/8, $255                // table index mask
-DATA expConst<>+56(SB)/8, $0x1fffffff         // the 29 bits float32 rounding drops
-DATA expConst<>+64(SB)/8, $0x0fffe000         // expMid - expGuard
-DATA expConst<>+72(SB)/8, $0x4000             // 2·expGuard
-DATA expConst<>+80(SB)/4, $0xc2ae0000         // float32(expMin)
-DATA expConst<>+84(SB)/4, $0x42b00000         // float32(expMax)
-DATA expConst<>+88(SB)/4, $0x80000000         // float32 sign bit
-DATA expConst<>+92(SB)/4, $0x3f800000         // float32(1)
-GLOBL expConst<>(SB), RODATA|NOPTR, $96
+// One key's terms for four pairs in combine4AVX2, on the V chunk in v
+// (eight head-dim elements): the weight of pair i and key k sits at
+// 64+16i+4k(SP) and pair i's sum in the accumulator ai. Pairs 0 and 1
+// are combine2AVX2's o0 and o1, and so are pairs 2 and 3: the even
+// pairs w first, product first but for key 1 (add = sum first there);
+// the odd pairs v first, product first.
+#define COMBINE4_EVEN(w, v, acc) \
+	VBROADCASTSS w, Y10;   \
+	VMULPS       v, Y10, Y11; \
+	VADDPS       acc, Y11, acc
 
-// Loads what EXP_LANES reads: R8 = expConst, R9 = exp2Table, X13 and X12
-// = expMin and expMax, Y11 = expInvStep, Y10 = expShifter, Y9 = 0.
+#define COMBINE4_EVEN_SUM(w, v, acc) \
+	VBROADCASTSS w, Y10;   \
+	VMULPS       v, Y10, Y11; \
+	VADDPS       Y11, acc, acc
+
+#define COMBINE4_ODD(w, v, acc) \
+	VBROADCASTSS w, Y10;   \
+	VMULPS       Y10, v, Y11; \
+	VADDPS       acc, Y11, acc
+
+// Key k (0..3) of a group for head dim 8: its V row at (R10), Y0..Y3
+// the four sums.
+#define COMBINE4_KEY8(k, EVEN) \
+	VMOVUPS (R10), Y8;                  \
+	EVEN(64+4*k(SP), Y8, Y0);           \
+	COMBINE4_ODD(80+4*k(SP), Y8, Y1);   \
+	EVEN(96+4*k(SP), Y8, Y2);           \
+	COMBINE4_ODD(112+4*k(SP), Y8, Y3)
+
+// Key k of a group for head dim 16: Y0..Y3 the sums' low halves, Y4..Y7
+// their high halves.
+#define COMBINE4_KEY16(k, EVEN) \
+	VMOVUPS (R10), Y8;                  \
+	VMOVUPS 32(R10), Y9;                \
+	EVEN(64+4*k(SP), Y8, Y0);           \
+	EVEN(64+4*k(SP), Y9, Y4);           \
+	COMBINE4_ODD(80+4*k(SP), Y8, Y1);   \
+	COMBINE4_ODD(80+4*k(SP), Y9, Y5);   \
+	EVEN(96+4*k(SP), Y8, Y2);           \
+	EVEN(96+4*k(SP), Y9, Y6);           \
+	COMBINE4_ODD(112+4*k(SP), Y8, Y3);  \
+	COMBINE4_ODD(112+4*k(SP), Y9, Y7)
+
+// The weights of pair i for the group at byte CX of its score row:
+// w = t·inv (t first) into 64+16i(SP), and their w == 0 lanes ORed into
+// X14. AX holds t, the pair's broadcast inv sits at 16i(SP).
+#define COMBINE4_WEIGHTS(i) \
+	MOVQ      (24*i)(AX), R11;      \
+	VMOVUPS   (R11)(CX*1), X8;      \
+	VMULPS    (16*i)(SP), X8, X8;   \
+	VMOVUPS   X8, (64+16*i)(SP);    \
+	VCMPPS    $0, X13, X8, X9;      \
+	VORPS     X9, X14, X14
+
+// func combine4AVX2(o, t *[4][]float32, off, n int, v []float32, width int, inv *[4]float32) (done int)
+//
+// combine2AVX2's tile for pairs 0, 1 and 2, 3 at once, over the groups of
+// four keys starting at t[i][off], for head dims 8 and 16: the four sums
+// stay in registers across the keys, loaded from o at the start and
+// stored at the end, and each V row is loaded once for all four. A group
+// with a zero weight in any pair ends the walk before its terms; the
+// caller runs it through combine2AVX2, which takes axpy's path for it.
+TEXT ·combine4AVX2(SB), NOSPLIT, $128-80
+	MOVQ         inv+64(FP), AX
+	VBROADCASTSS 0(AX), X8
+	VMOVUPS      X8, 0(SP)
+	VBROADCASTSS 4(AX), X8
+	VMOVUPS      X8, 16(SP)
+	VBROADCASTSS 8(AX), X8
+	VMOVUPS      X8, 32(SP)
+	VBROADCASTSS 12(AX), X8
+	VMOVUPS      X8, 48(SP)
+	MOVQ         o+0(FP), DI
+	MOVQ         8(DI), DX // head dim: 8 or 16
+	MOVQ         0(DI), SI
+	VMOVUPS      (SI), Y0
+	MOVQ         24(DI), SI
+	VMOVUPS      (SI), Y1
+	MOVQ         48(DI), SI
+	VMOVUPS      (SI), Y2
+	MOVQ         72(DI), SI
+	VMOVUPS      (SI), Y3
+	CMPQ         DX, $16
+	JNE          start4
+	MOVQ         0(DI), SI
+	VMOVUPS      32(SI), Y4
+	MOVQ         24(DI), SI
+	VMOVUPS      32(SI), Y5
+	MOVQ         48(DI), SI
+	VMOVUPS      32(SI), Y6
+	MOVQ         72(DI), SI
+	VMOVUPS      32(SI), Y7
+
+start4:
+	MOVQ   off+16(FP), CX
+	SHLQ   $2, CX // the next group's byte offset in each score row
+	MOVQ   n+24(FP), R14
+	SHLQ   $2, R14
+	ADDQ   CX, R14
+	MOVQ   t+8(FP), AX
+	MOVQ   v_base+32(FP), BX
+	MOVQ   width+56(FP), R8
+	SHLQ   $2, R8
+	VXORPS X13, X13, X13
+
+group4:
+	CMPQ   CX, R14
+	JGE    end4
+	VXORPS X14, X14, X14
+	COMBINE4_WEIGHTS(0)
+	COMBINE4_WEIGHTS(1)
+	COMBINE4_WEIGHTS(2)
+	COMBINE4_WEIGHTS(3)
+	VMOVMSKPS X14, R11
+	TESTL     R11, R11
+	JNZ       end4
+	MOVQ      BX, R10
+	CMPQ      DX, $16
+	JEQ       tile16
+
+	COMBINE4_KEY8(0, COMBINE4_EVEN)
+	ADDQ R8, R10
+	COMBINE4_KEY8(1, COMBINE4_EVEN_SUM)
+	ADDQ R8, R10
+	COMBINE4_KEY8(2, COMBINE4_EVEN)
+	ADDQ R8, R10
+	COMBINE4_KEY8(3, COMBINE4_EVEN)
+	JMP  next4
+
+tile16:
+	COMBINE4_KEY16(0, COMBINE4_EVEN)
+	ADDQ R8, R10
+	COMBINE4_KEY16(1, COMBINE4_EVEN_SUM)
+	ADDQ R8, R10
+	COMBINE4_KEY16(2, COMBINE4_EVEN)
+	ADDQ R8, R10
+	COMBINE4_KEY16(3, COMBINE4_EVEN)
+
+next4:
+	ADDQ $16, CX
+	LEAQ (BX)(R8*4), BX
+	JMP  group4
+
+end4:
+	MOVQ    o+0(FP), DI
+	MOVQ    0(DI), SI
+	VMOVUPS Y0, (SI)
+	MOVQ    24(DI), SI
+	VMOVUPS Y1, (SI)
+	MOVQ    48(DI), SI
+	VMOVUPS Y2, (SI)
+	MOVQ    72(DI), SI
+	VMOVUPS Y3, (SI)
+	CMPQ    DX, $16
+	JNE     ret4
+	MOVQ    0(DI), SI
+	VMOVUPS Y4, 32(SI)
+	MOVQ    24(DI), SI
+	VMOVUPS Y5, 32(SI)
+	MOVQ    48(DI), SI
+	VMOVUPS Y6, 32(SI)
+	MOVQ    72(DI), SI
+	VMOVUPS Y7, 32(SI)
+
+ret4:
+	MOVQ off+16(FP), AX
+	SHLQ $2, AX
+	SUBQ AX, CX
+	SHRQ $2, CX
+	MOVQ CX, done+72(FP)
+	VZEROUPPER
+	RET
+
+// EXP_LANES' constants: offsets into expLaneConsts (attend_amd64.go),
+// where each is repeated across 32 bytes so an instruction can take it
+// as a ymm (or, from its first 16 bytes, an xmm) memory operand.
+#define EXP_INVSTEP 0
+#define EXP_SHIFTER 32
+#define EXP_STEPHI 64
+#define EXP_STEPLO 96
+#define EXP_HALF 128
+#define EXP_SIXTH 160
+#define EXP_INDEX 192
+#define EXP_DROPPED 224
+#define EXP_GUARDLO 256
+#define EXP_GUARDW 288
+#define EXP_MIN 320
+#define EXP_MAX 352
+#define EXP_SIGN 384
+#define EXP_ONE 416
+
+// Loads what EXP_LANES reads besides its memory operands: R8 =
+// expLaneConsts, R9 = exp2Table, X13 and X12 = expMin and expMax.
 #define EXP_SETUP \
-	LEAQ         expConst<>(SB), R8; \
-	LEAQ         ·exp2Table(SB), R9; \
-	VBROADCASTSS 80(R8), X13;        \
-	VBROADCASTSS 84(R8), X12;        \
-	VBROADCASTSD 0(R8), Y11;         \
-	VBROADCASTSD 8(R8), Y10;         \
-	VPXOR        Y9, Y9, Y9
+	LEAQ    ·expLaneConsts(SB), R8; \
+	LEAQ    ·exp2Table(SB), R9;     \
+	VMOVUPS EXP_MIN(R8), X13;       \
+	VMOVUPS EXP_MAX(R8), X12
 
-// X5 = exp32 of the four float32 in X0: four float64 lanes of exp32Fast,
-// one lane per element, in its order of operations. It jumps to fail,
-// with nothing stored, when an input lies outside (expMin, expMax) (NaN
-// and ±Inf included; the compares are GT_OQ and LT_OQ, false on NaN) or
-// when the midpoint guard flags a result: a lane's 29 dropped bits minus
-// (expMid - expGuard) lie in [0, 2·expGuard]. In exp32Fast's terms: xd
-// is Y0, t Y1, nf Y2, r Y3, s Y6 and b Y5. Clobbers Y0..Y6 and DX.
+// X5 = exp32 of the four float32 in X0: exp32Fast's steps in four
+// float64 lanes, one lane per element, with fused multiply-adds where a
+// product feeds a sum. It jumps to fail, with nothing stored, when an
+// input lies outside (expMin, expMax) (NaN and ±Inf included; the
+// compares are GT_OQ and LT_OQ, false on NaN) or when the midpoint guard
+// flags a result: a lane's 29 dropped bits minus (expMid - expGuard) lie
+// in [0, 2·expGuard]. It tests that as exp32Fast's unsigned compare
+// does, on (b - (expMid - expGuard)) masked to 29 bits: where the dropped
+// bits lie below expMid - expGuard, that wraps to at least 2^28 +
+// expGuard, above the window, so one signed compare suffices. Each fused step rounds once where exp32Fast rounds
+// twice, so a lane can differ from exp32Fast in its last float64 bits
+// and in which results the guard flags, but stays inside the guard's
+// error bound (see expGuard): every result it lets through is exp32's.
+// In exp32Fast's terms: xd is Y0 until the two VFNMADD231PD turn it into
+// r, t is Y1 (one VFMADD231PD: xd·expInvStep + expShifter), nf Y2, s Y6,
+// the cubic's bracket Y4 (0.5 + r·(1/6), then r·r·that + r, then s·that
+// + s, one VFMADD213PD each) and b Y5. Clobbers Y0..Y6 and DX.
 #define EXP_LANES(fail) \
-	VCMPPS       $0x1e, X13, X0, X1; \
-	VCMPPS       $0x11, X12, X0, X2; \
-	VANDPS       X2, X1, X1;         \
-	VMOVMSKPS    X1, DX;             \
-	CMPL         DX, $15;            \
-	JNE          fail;               \
-	VCVTPS2PD    X0, Y0;             \
-	VMULPD       Y11, Y0, Y1;        \
-	VADDPD       Y10, Y1, Y1;        \
-	VSUBPD       Y10, Y1, Y2;        \
-	VBROADCASTSD 16(R8), Y3;         \
-	VMULPD       Y3, Y2, Y3;         \
-	VSUBPD       Y3, Y0, Y3;         \
-	VBROADCASTSD 24(R8), Y4;         \
-	VMULPD       Y4, Y2, Y4;         \
-	VSUBPD       Y4, Y3, Y3;         \
-	VPBROADCASTQ 48(R8), Y4;         \
-	VPAND        Y4, Y1, Y4;         \
-	VPCMPEQQ     Y5, Y5, Y5;         \
-	VXORPD       Y6, Y6, Y6;         \
-	VGATHERQPD   Y5, (R9)(Y4*8), Y6; \
-	VBROADCASTSD 40(R8), Y4;         \
-	VMULPD       Y4, Y3, Y4;         \
-	VBROADCASTSD 32(R8), Y5;         \
-	VADDPD       Y4, Y5, Y4;         \
-	VMULPD       Y3, Y3, Y5;         \
-	VMULPD       Y4, Y5, Y5;         \
-	VADDPD       Y5, Y3, Y5;         \
-	VMULPD       Y5, Y6, Y5;         \
-	VADDPD       Y5, Y6, Y5;         \
-	VPSRLQ       $8, Y1, Y1;         \
-	VPSLLQ       $52, Y1, Y1;        \
-	VPADDQ       Y1, Y5, Y5;         \
-	VPBROADCASTQ 56(R8), Y1;         \
-	VPAND        Y1, Y5, Y1;         \
-	VPBROADCASTQ 64(R8), Y2;         \
-	VPSUBQ       Y2, Y1, Y1;         \
-	VPBROADCASTQ 72(R8), Y2;         \
-	VPCMPGTQ     Y2, Y1, Y2;         \
-	VPCMPGTQ     Y1, Y9, Y1;         \
-	VPOR         Y2, Y1, Y1;         \
-	VMOVMSKPD    Y1, DX;             \
-	CMPL         DX, $15;            \
-	JNE          fail;               \
+	VCMPPS       $0x1e, X13, X0, X1;          \
+	VCMPPS       $0x11, X12, X0, X2;          \
+	VANDPS       X2, X1, X1;                  \
+	VMOVMSKPS    X1, DX;                      \
+	CMPL         DX, $15;                     \
+	JNE          fail;                        \
+	VCVTPS2PD    X0, Y0;                      \
+	VMOVUPD      EXP_SHIFTER(R8), Y1;         \
+	VFMADD231PD  EXP_INVSTEP(R8), Y0, Y1;     \
+	VSUBPD       EXP_SHIFTER(R8), Y1, Y2;     \
+	VFNMADD231PD EXP_STEPHI(R8), Y2, Y0;      \
+	VFNMADD231PD EXP_STEPLO(R8), Y2, Y0;      \
+	VPAND        EXP_INDEX(R8), Y1, Y4;       \
+	VPCMPEQQ     Y5, Y5, Y5;                  \
+	VXORPD       Y6, Y6, Y6;                  \
+	VGATHERQPD   Y5, (R9)(Y4*8), Y6;          \
+	VMOVUPD      EXP_SIXTH(R8), Y4;           \
+	VFMADD213PD  EXP_HALF(R8), Y0, Y4;        \
+	VMULPD       Y0, Y0, Y3;                  \
+	VFMADD213PD  Y0, Y3, Y4;                  \
+	VFMADD213PD  Y6, Y6, Y4;                  \
+	VPSRLQ       $8, Y1, Y1;                  \
+	VPSLLQ       $52, Y1, Y1;                 \
+	VPADDQ       Y1, Y4, Y5;                  \
+	VPSUBQ       EXP_GUARDLO(R8), Y5, Y1;     \
+	VPAND        EXP_DROPPED(R8), Y1, Y1;     \
+	VPCMPGTQ     EXP_GUARDW(R8), Y1, Y1;      \
+	VMOVMSKPD    Y1, DX;                      \
+	CMPL         DX, $15;                     \
+	JNE          fail;                        \
 	VCVTPD2PSY   Y5, X5
 
 // func expSumAVX2(x []float32, m, sum float32) (n int, s float32)
@@ -518,28 +787,33 @@ GLOBL expConst<>(SB), RODATA|NOPTR, $96
 TEXT ·expSumAVX2(SB), NOSPLIT, $0-44
 	MOVQ         x_base+0(FP), SI
 	MOVQ         x_len+8(FP), CX
-	XORQ         AX, AX
+	LEAQ         (SI)(CX*4), R10 // x's end
+	MOVQ         SI, DI          // the next group
 	VBROADCASTSS m+24(FP), X15
 	VMOVSS       sum+28(FP), X14
 	EXP_SETUP
 
+	// DI walks the groups so the sum's loads take no index register: an
+	// indexed memory operand would split each VADDSS into two uops.
 group:
-	LEAQ    4(AX), DX
-	CMPQ    DX, CX
+	LEAQ    16(DI), DX
+	CMPQ    DX, R10
 	JGT     done
-	VMOVUPS (SI)(AX*4), X0
+	VMOVUPS (DI), X0
 	VSUBPS  X15, X0, X0 // x - m, x first
 	EXP_LANES(done)
-	VMOVUPS X5, (SI)(AX*4)
-	VADDSS  (SI)(AX*4), X14, X14
-	VADDSS  4(SI)(AX*4), X14, X14
-	VADDSS  8(SI)(AX*4), X14, X14
-	VADDSS  12(SI)(AX*4), X14, X14
-	ADDQ    $4, AX
+	VMOVUPS X5, (DI)
+	VADDSS  0(DI), X14, X14
+	VADDSS  4(DI), X14, X14
+	VADDSS  8(DI), X14, X14
+	VADDSS  12(DI), X14, X14
+	ADDQ    $16, DI
 	JMP     group
 
 done:
-	MOVQ   AX, n+32(FP)
+	SUBQ   SI, DI
+	SHRQ   $2, DI
+	MOVQ   DI, n+32(FP)
 	VMOVSS X14, s+40(FP)
 	VZEROUPPER
 	RET
@@ -557,17 +831,15 @@ TEXT ·siluAVX2(SB), NOSPLIT, $0-32
 	MOVQ x_len+8(FP), CX
 	XORQ AX, AX
 	EXP_SETUP
-	VBROADCASTSS 88(R8), X15 // sign bit
-	VBROADCASTSS 92(R8), X14 // 1
 
 silu:
 	LEAQ    4(AX), DX
 	CMPQ    DX, CX
 	JGT     silud
 	VMOVUPS (SI)(AX*4), X8 // v
-	VXORPS  X15, X8, X0    // -v
+	VXORPS  EXP_SIGN(R8), X8, X0 // -v
 	EXP_LANES(silud)
-	VADDPS  X14, X5, X5    // 1 + e
+	VADDPS  EXP_ONE(R8), X5, X5  // 1 + e
 	VDIVPS  X5, X8, X5     // v / (1 + e)
 	VMOVUPS X5, (SI)(AX*4)
 	ADDQ    $4, AX

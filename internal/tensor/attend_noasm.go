@@ -13,11 +13,19 @@ func scoreBlocks2AVX2(s0, s1, q0, q1, k []float32, width int, inv float32, lanes
 	panic("tensor: no vector attention body")
 }
 
+func scoreBlocks4AVX2(s, q *[4][]float32, off, n int, k []float32, width int, inv float32, lanes *[32]float32) (done int) {
+	panic("tensor: no vector attention body")
+}
+
 func combineAVX2(o, t, v []float32, width int, inv float32) {
 	panic("tensor: no vector attention body")
 }
 
 func combine2AVX2(o0, o1, t0, t1, v []float32, width int, inv0, inv1 float32) {
+	panic("tensor: no vector attention body")
+}
+
+func combine4AVX2(o, t *[4][]float32, off, n int, v []float32, width int, inv *[4]float32) (done int) {
 	panic("tensor: no vector attention body")
 }
 

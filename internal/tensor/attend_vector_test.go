@@ -41,21 +41,151 @@ func keyRow(a *AttendArgs, r int, v bool) []float32 {
 	panic("row out of range")
 }
 
+// attendSpecials is the number of injectAttendSpecial cases.
+const attendSpecials = 11
+
+// injectAttendSpecial plants non-finite, signed-zero or underflowing
+// values in a, case by case, where only a vector body that copies the Go
+// body's operand orders, skips and hand-backs exactly gets every bit
+// right. Cases 4–6 name fixed cache rows and need a shape of at least 38
+// rows; the rest fit any shape.
+func injectAttendSpecial(r *rng.RNG, a *AttendArgs, special int) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	hd, blocks := a.HeadDim, 0
+	for _, sp := range a.Spans {
+		switch special {
+		case 1:
+			injectSpecials(r, sp.K, 64)
+		case 2:
+			injectSpecials(r, sp.V, 16)
+		case 3:
+			injectSpecials(r, sp.K, 256)
+			injectSpecials(r, sp.V, 16)
+		case 7:
+			injectSpecials(r, sp.K, 32)
+		case 8:
+			// A key's score sums a NaN product, then adds a second NaN
+			// payload, in every KV head: in lanes 3 and 7 of every other
+			// whole 8-key block (in cache order), where dot2x4's compiled
+			// order differs from the vector terms', so a four-pair block
+			// is handed back, and in the other lanes of the blocks
+			// between, which the four-pair body keeps. (The order of a
+			// product's operands is not observable there: a NaN query
+			// element makes all eight lanes NaN, and the block goes back.)
+			for j := range len(sp.Pos) &^ 7 {
+				if handBack, lane37 := (blocks+j/8)%2 == 0, j%4 == 3; handBack == lane37 {
+					for g := 0; g < a.Width; g += hd {
+						sp.K[j*a.Width+g] = math.Float32frombits(0x7fc00011)
+						sp.K[j*a.Width+g+1] = math.Float32frombits(0xffc00022)
+					}
+				}
+			}
+			blocks += len(sp.Pos) / 8
+		case 9:
+			// Every score is ±0: one product of ±2^-149, scaled below
+			// half the smallest subnormal.
+			for j := range sp.Pos {
+				for g := 0; g < a.Width; g += hd {
+					sp.K[j*a.Width+g] = float32(math.Ldexp(float64(1-2*r.Intn(2)), -74))
+				}
+			}
+		}
+	}
+	switch special {
+	case 4:
+		// Row 2's score for every head of KV head 0 sums Inf·1 + (−Inf)·1,
+		// then a math.NaN() term.
+		for i := 0; i < a.Q.Rows; i++ {
+			for h := 0; h < a.NHeads; h++ {
+				a.Q.Row(i)[h*hd], a.Q.Row(i)[h*hd+1] = 1, 1
+			}
+		}
+		k := keyRow(a, 2, false)
+		k[0], k[1], k[2] = inf, -inf, nan
+	case 5:
+		// Element 3 of KV head 1 sums Inf, −Inf and then math.NaN() over
+		// rows 9, 10 and 13 and again over rows 20, 26 and 27, with
+		// finite weights.
+		for _, rows := range [][3]int{{9, 10, 13}, {20, 26, 27}} {
+			base := hd + 3
+			keyRow(a, rows[0], true)[base] = inf
+			keyRow(a, rows[1], true)[base] = -inf
+			keyRow(a, rows[2], true)[base] = nan
+		}
+	case 6:
+		// Rows 9 and 37 score NaN with two payloads, so every weight is
+		// NaN and the last key's is the second payload; that key's V
+		// holds a third.
+		for g := 0; g < a.Width; g += hd {
+			keyRow(a, 9, false)[g+1] = math.Float32frombits(0x7fc00001)
+			keyRow(a, 37, false)[g+2] = math.Float32frombits(0xffc0abcd)
+			keyRow(a, 37, true)[g+4] = math.Float32frombits(0x7fc01234)
+		}
+	case 7:
+		// NaN query elements meet NaN keys in one product.
+		injectSpecials(r, a.Q.Data, 32)
+	case 9:
+		for i := 0; i < a.Q.Rows; i++ {
+			q := a.Q.Row(i)
+			clear(q)
+			for h := 0; h < a.NHeads; h++ {
+				q[h*hd] = float32(math.Ldexp(1, -75))
+			}
+		}
+	case 10:
+		// Weights of exactly 0 in one half of a four-pair group only: the
+		// first head of each KV group on every fourth row scores at 64×.
+		for i := 0; i < a.Q.Rows; i += 4 {
+			for h := 0; h < a.NHeads; h += a.Group {
+				for d := range hd {
+					a.Q.Row(i)[h*hd+d] *= 64
+				}
+			}
+		}
+	}
+}
+
+// checkAttendVector runs each (query tile, KV head) unit of a with the
+// vector bodies off and then on, and fails unless the outputs and the
+// unit's score scratch (which ends holding its exp values) agree under
+// same.
+func checkAttendVector(t *testing.T, a *AttendArgs, same func(a, b []float32) (int, bool), what string) {
+	t.Helper()
+	for u := range attendUnitCount(a) {
+		run := func(vec bool) {
+			withAttendVector(vec, func() { attendUnits(a, a.Scores, u, u+1) })
+		}
+		run(false)
+		wantOut := append([]float32(nil), a.Out.Data...)
+		wantScores := append([]float32(nil), a.Scores...)
+		run(true)
+		if i, ok := same(wantOut, a.Out.Data); !ok {
+			t.Fatalf("%s unit %d: output %d is %#08x, Go body %#08x", what, u, i,
+				math.Float32bits(a.Out.Data[i]), math.Float32bits(wantOut[i]))
+		}
+		if i, ok := same(wantScores, a.Scores); !ok {
+			t.Fatalf("%s unit %d: score scratch %d is %#08x, Go body %#08x", what, u, i,
+				math.Float32bits(a.Scores[i]), math.Float32bits(wantScores[i]))
+		}
+	}
+}
+
 // TestAttendVectorMatchesGo compares the attention leaves' vector bodies
-// with their Go bodies directly, bit for bit: each (query tile, KV head)
-// unit runs with the probe bool off, then on, and both the outputs and
-// the unit's score scratch (which ends holding its exp values) must
-// agree. Head dims are multiples of 8, so the vector bodies run; Group
-// 1–4 puts odd pairs through the one-pair bodies; spans of 5, 13, 13
-// and 7, 14 or 25 rows leave every span a tail the Go loops finish,
-// and spans of 5, 12, 13 and 8, 15 or 26 rows end pair 0's keys on a
-// whole vector block; qScale 64 drives weights to 0, so combine's
-// zero-weight path runs. Non-finite K and V carry ±Inf and NaNs with
-// distinct payloads, and the built rows make payloads meet where only
-// an operand's order decides which one survives: an Inf − Inf NaN and a
-// math.NaN() in one score sum and in one combine sum, and two NaN
-// scores whose weights meet a NaN V element in the last key; and NaN
-// query elements meet NaN keys in one product.
+// with their Go bodies directly, bit for bit, through checkAttendVector.
+// Head dims are multiples of 8, so the vector bodies run; Group 1–4 and
+// tiles of 1, 5, 6, 8 and 3 rows give passes of 4k to 4k+3 pairs, so the
+// four-pair bodies run beside a two- or one-pair remainder, and scratch
+// capped at 5, 6 or 7 score rows splits a unit into such passes too.
+// Spans of 5, 13, 13 and 7, 14 or 25 rows leave every span a tail the Go
+// loops finish, and spans of 5, 12, 13 and 8, 15 or 26 rows end pair 0's
+// keys on a whole vector block; from case 8 on, spans of 3, 5, 6 and 6
+// rows are shorter than a block, and each span keeps the position gaps
+// buildAttend draws. qScale 64 drives weights to 0, so combine's
+// zero-weight path runs. The special cases (injectAttendSpecial) make
+// NaN payloads meet where only an operand's order decides which one
+// survives, in a score sum, a combine sum and a weighted V, put NaN in
+// the lanes of keys 3 and 7 that four-pair blocks hand back, make every
+// score ±0, and zero the weights of one half of a four-pair group.
 func TestAttendVectorMatchesGo(t *testing.T) {
 	if !attendVector {
 		t.Skip("no vector attention body on this build or CPU")
@@ -65,86 +195,28 @@ func TestAttendVectorMatchesGo(t *testing.T) {
 		same = bitsEqualAnyNaN
 	}
 	const T = attendTile
-	inf, nan := float32(math.Inf(1)), float32(math.NaN())
 	r := rng.NewString("attend/vector")
 	for _, hd := range []int{8, 16, 24, 32} {
 		for _, group := range []int{1, 2, 3, 4} {
-			for _, n := range []int{1, T, 2*T + 3} {
+			for _, n := range []int{1, 5, 6, T, 2*T + 3} {
 				for _, qScale := range []float32{0, 64} {
-					for special := range 8 {
+					for special := range attendSpecials {
 						splits := []int{5, 18, 31}
-						if special%2 == 0 {
+						switch {
+						case special >= 8:
+							splits = []int{3, 8, 14, 20, 31}
+						case special%2 == 0:
 							splits = []int{5, 17, 30}
 						}
 						sh := attendShape{n: n, past: 37, nHeads: 2 * group, group: group, headDim: hd,
 							qScale: qScale, splits: splits}
 						a := buildAttend(r, sh)
-						for _, sp := range a.Spans {
-							switch special {
-							case 1:
-								injectSpecials(r, sp.K, 64)
-							case 2:
-								injectSpecials(r, sp.V, 16)
-							case 3:
-								injectSpecials(r, sp.K, 256)
-								injectSpecials(r, sp.V, 16)
-							case 7:
-								injectSpecials(r, sp.K, 32)
-							}
+						injectAttendSpecial(r, a, special)
+						pass := []int{0, 5, 6, 7}[special%4]
+						if pass > 0 {
+							a.Scores = a.Scores[:min(len(a.Scores), pass*(a.Past+a.Q.Rows))]
 						}
-						switch special {
-						case 4:
-							// Row 2's score for every head of KV head 0 sums
-							// Inf·1 + (−Inf)·1, then a math.NaN() term.
-							for i := 0; i < a.Q.Rows; i++ {
-								for h := 0; h < a.NHeads; h++ {
-									a.Q.Row(i)[h*hd], a.Q.Row(i)[h*hd+1] = 1, 1
-								}
-							}
-							k := keyRow(a, 2, false)
-							k[0], k[1], k[2] = inf, -inf, nan
-						case 5:
-							// Element 3 of KV head 1 sums Inf, −Inf and then
-							// math.NaN() over rows 9, 10 and 13 and again over
-							// rows 20, 26 and 27, with finite weights.
-							for _, rows := range [][3]int{{9, 10, 13}, {20, 26, 27}} {
-								base := hd + 3
-								keyRow(a, rows[0], true)[base] = inf
-								keyRow(a, rows[1], true)[base] = -inf
-								keyRow(a, rows[2], true)[base] = nan
-							}
-						case 7:
-							// NaN query elements meet NaN keys in one product.
-							injectSpecials(r, a.Q.Data, 32)
-						case 6:
-							// Rows 9 and 37 score NaN with two payloads, so every
-							// weight is NaN and the last key's is the second
-							// payload; that key's V holds a third.
-							for g := 0; g < a.Width; g += hd {
-								keyRow(a, 9, false)[g+1] = math.Float32frombits(0x7fc00001)
-								keyRow(a, 37, false)[g+2] = math.Float32frombits(0xffc0abcd)
-								keyRow(a, 37, true)[g+4] = math.Float32frombits(0x7fc01234)
-							}
-						}
-						what := fmt.Sprintf("%+v special=%d", sh, special)
-						for u := range attendUnitCount(a) {
-							var wantOut, wantScores []float32
-							run := func(vec bool) {
-								withAttendVector(vec, func() { attendUnits(a, a.Scores, u, u+1) })
-							}
-							run(false)
-							wantOut = append(wantOut, a.Out.Data...)
-							wantScores = append(wantScores, a.Scores...)
-							run(true)
-							if i, ok := same(wantOut, a.Out.Data); !ok {
-								t.Fatalf("%s unit %d: output %d is %#08x, Go body %#08x", what, u, i,
-									math.Float32bits(a.Out.Data[i]), math.Float32bits(wantOut[i]))
-							}
-							if i, ok := same(wantScores, a.Scores); !ok {
-								t.Fatalf("%s unit %d: score scratch %d is %#08x, Go body %#08x", what, u, i,
-									math.Float32bits(a.Scores[i]), math.Float32bits(wantScores[i]))
-							}
-						}
+						checkAttendVector(t, a, same, fmt.Sprintf("%+v special=%d pass=%d", sh, special, pass))
 					}
 				}
 			}
@@ -252,6 +324,96 @@ func TestExpSumVectorMatchesGo(t *testing.T) {
 			}
 		}
 	}
+}
+
+// expLaneFlags reports whether exp32Fast or the vector exp lanes hand x,
+// a fast-range input, to the math.Exp fallback. The lanes' guard sees
+// another float64 result than exp32Fast's, so the two flag different
+// inputs; a group of four copies of x shows the lanes' verdict.
+func expLaneFlags(x float32) bool {
+	if _, ok := exp32Fast(x); !ok {
+		return true
+	}
+	n, _ := expSumAVX2([]float32{x, x, x, x}, 0, 0)
+	return n == 0
+}
+
+// checkExpLanes runs expSum (at m = 0) and SiLU (on the negated inputs,
+// so SiLU's exp32(-v) sees the same x) with the vector bodies against
+// their Go loops on xs, in rows of 4,096, and returns the fast-range
+// inputs either exp body hands to the math.Exp fallback.
+func checkExpLanes(t *testing.T, xs []float32) (flagged []uint32) {
+	t.Helper()
+	const row = 4096
+	neg := make([]float32, row)
+	for lo := 0; lo < len(xs); lo += row {
+		x := xs[lo:min(lo+row, len(xs))]
+		what := fmt.Sprintf("inputs %#08x…%#08x", math.Float32bits(x[0]), math.Float32bits(x[len(x)-1]))
+		checkExpSum(t, x, 0, what)
+		for i, v := range x {
+			neg[i] = -v
+		}
+		checkSiLU(t, neg[:len(x)], what)
+		for g := 0; g < len(x); g += 4 {
+			grp := x[g:min(g+4, len(x))]
+			if n, _ := expSumAVX2(grp, 0, 0); n == len(grp) {
+				continue
+			}
+			for _, v := range grp {
+				if v > expMin && v < expMax && expLaneFlags(v) {
+					flagged = append(flagged, math.Float32bits(v))
+				}
+			}
+		}
+	}
+	return flagged
+}
+
+// bitWindow returns the float32s with bit patterns in [lo, hi].
+func bitWindow(lo, hi uint32) []float32 {
+	xs := make([]float32, 0, hi-lo+1)
+	for b := uint64(lo); b <= uint64(hi); b++ {
+		xs = append(xs, math.Float32frombits(uint32(b)))
+	}
+	return xs
+}
+
+// TestExpLanesMatchGo sweeps the exp lanes under expSum and SiLU against
+// their Go loops, bit for bit: every 2^12-th float32 in (expMin, expMax)
+// with its ±3 neighbours, the ±2^16 patterns around both range ends, and
+// ±256 patterns around every input that either exp body hands to the
+// math.Exp fallback and around each of expHardInputs. The lanes evaluate with fused multiply-adds, so
+// their guard flags a different set of inputs than exp32Fast does: the
+// windows around both sets go through the vector bodies, not only
+// through exp32.
+func TestExpLanesMatchGo(t *testing.T) {
+	if !attendVector {
+		t.Skip("no vector attention body on this build or CPU")
+	}
+	var xs []float32
+	for b := uint64(0); b < 1<<32; b += 1 << 12 {
+		if x := math.Float32frombits(uint32(b)); x > expMin && x < expMax {
+			xs = append(xs, bitWindow(uint32(max(b, 3)-3), uint32(b+3))...)
+		}
+	}
+	const w = 1 << 16
+	for _, end := range []float32{expMin, expMax} {
+		c := math.Float32bits(end)
+		xs = append(xs, bitWindow(c-w, c+w)...)
+	}
+	for _, b := range expHardInputs {
+		xs = append(xs, bitWindow(b-256, b+256)...)
+	}
+	flagged := checkExpLanes(t, xs)
+	if len(flagged) == 0 {
+		t.Fatal("no swept input took the math.Exp fallback")
+	}
+	var near []float32
+	for _, b := range flagged {
+		near = append(near, bitWindow(b-256, b+256)...)
+	}
+	checkExpLanes(t, near)
+	t.Logf("%d swept inputs, %d handed to the fallback", len(xs), len(flagged))
 }
 
 // FuzzExpSum compares expSum's vector body with its Go loop on

@@ -13,9 +13,10 @@ import (
 // methods, and each hot method is one leaf body (matMulRange,
 // attendUnits) split across the workers; the model's output head is a
 // MatMul by the transposed embedding. The matmul and attention leaves
-// run AVX2 bodies where the start-up probe found them (see VectorISA);
-// those equal the Go bodies bit for bit, so the contract below holds on
-// either.
+// run AVX2 bodies where the start-up probe found AVX2 and FMA (see
+// VectorISA), prefill attention four query heads at a time and the exp
+// lanes with float64 fused multiply-adds; those equal the Go bodies bit
+// for bit, so the contract below holds on either.
 //
 // One worker is the reference: every kernel runs on the calling
 // goroutine in the canonical accumulation order. More workers only
@@ -109,7 +110,11 @@ const (
 	// OutputHead (vocab × dim × lanes).
 	outputHeadParallelThreshold = 32 * 1024
 	// attendParallelThreshold gates unit-sharding of an attention row
-	// block, counted as score+combine multiply-adds.
+	// block, counted as score+combine multiply-adds. Measured on a 2-vCPU
+	// Xeon: in isolation a 1-row decode step over 512 keys ran 40 %
+	// slower with its attention sharded than inline, yet raising the
+	// threshold to 1 M multiply-adds moved no doc_qa.cached metric beyond
+	// its bound (4 paired runs), so the constant stays.
 	attendParallelThreshold = 32 * 1024
 )
 
@@ -121,6 +126,13 @@ func (bk Backend) Shard(n int, fn func(lo, hi int)) { shard(n, bk.workers, fn) }
 // shard runs fn over [0, n) split into contiguous ranges across at most
 // workers goroutines (one range per worker, the last possibly short).
 // workers <= 1 or n <= 1 runs inline.
+//
+// Every range gets its own goroutine while the caller waits. Measured on
+// a 2-vCPU Xeon: a goroutine or pthread handed to an idle vCPU starts
+// only after about the creator's own share of work, for tasks up to
+// 2 ms, so a fan-out of short tasks gains little; yet running the first
+// range on the calling goroutine instead cost decode.long 5 % out_tok_s
+// (6 paired runs: 2 better, 4 worse).
 func shard(n, workers int, fn func(lo, hi int)) {
 	if workers > n {
 		workers = n
@@ -387,14 +399,20 @@ func attendUnit(a *AttendArgs, scores []float32, i0, i1, g int) {
 // score writes s[p][r] = (q[p]·K[r])·InvSqrt for every pair and causal
 // key, and max[p], their max. Each score is one ascending sum over the
 // head dimension, whichever kernel computes it. The keys every pair
-// covers, [0, rows[0]), go two pairs at a time through scoreRow2 (an odd
-// last pair through scoreRow); for a decode step that is every key. The
-// causal tail [rows[0], rows[n-1]) — under T keys — goes key by key over
-// the pairs that cover it.
+// covers, [0, rows[0]), go four pairs at a time through score4 on the
+// vector path, then two at a time through scoreRow2 (an odd last pair
+// through scoreRow); a decode step's one or two pairs take scoreRow2
+// over every key. The causal tail [rows[0], rows[n-1]) — under T keys —
+// goes key by key over the pairs that cover it.
 func (ps *attendPass) score(a *AttendArgs, base int) {
 	hd, width, inv := a.HeadDim, a.Width, a.InvSqrt
 	n, first, last := ps.n, ps.rows[0], ps.rows[ps.n-1]
 	p := 0
+	if attendVector && hd%8 == 0 {
+		for ; p+4 <= n; p += 4 {
+			ps.score4(a, base, p, first)
+		}
+	}
 	for ; p+2 <= n; p += 2 {
 		ps.max[p], ps.max[p+1] = scoreRow2(a, base, ps.q[p], ps.q[p+1], ps.s[p][:first], ps.s[p+1][:first])
 	}
@@ -492,36 +510,92 @@ func scoreRow2(a *AttendArgs, base int, q0, q1, s0, s1 []float32) (m0, m1 float3
 			break
 		}
 		lim := min(len(sp.Pos), len(s0)-off)
-		k, t0, t1 := sp.K, s0[off:off+lim], s1[off:off+lim]
+		t0, t1 := s0[off:off+lim], s1[off:off+lim]
 		j := 0
 		if vec && lim >= 8 {
 			j = lim &^ 7
-			scoreBlocks2AVX2(t0[:j], t1[:j], q0, q1, k[base:(j-1)*width+base+hd], width, inv, &lanes)
+			scoreBlocks2AVX2(t0[:j], t1[:j], q0, q1, sp.K[base:(j-1)*width+base+hd], width, inv, &lanes)
 		}
-		for ; j+4 <= lim; j += 4 {
-			a0, a1, a2, a3, b0, b1, b2, b3 := dot2x4(q0, q1, k[j*width+base:], width)
-			t0[j], t0[j+1], t0[j+2], t0[j+3] = a0*inv, a1*inv, a2*inv, a3*inv
-			t1[j], t1[j+1], t1[j+2], t1[j+3] = b0*inv, b1*inv, b2*inv, b3*inv
-			m0 = max4(m0, t0[j], t0[j+1], t0[j+2], t0[j+3])
-			m1 = max4(m1, t1[j], t1[j+1], t1[j+2], t1[j+3])
-		}
-		for ; j < lim; j++ {
-			r := j*width + base
-			d0, d1 := Dot2(k[r:r+hd], q0, q1)
-			t0[j], t1[j] = d0*inv, d1*inv
-			if t0[j] > m0 {
-				m0 = t0[j]
-			}
-			if t1[j] > m1 {
-				m1 = t1[j]
-			}
-		}
+		m0, m1 = scoreKeys2(a, base, sp.K, q0, q1, t0, t1, j, m0, m1)
 		off += lim
 	}
 	if vec {
 		m0, m1 = foldLanes(m0, lanes[:8]), foldLanes(m1, lanes[8:])
 	}
 	return m0, m1
+}
+
+// scoreKeys2 is scoreRow2's Go body over keys [j, len(t0)) of one span
+// (K rows k): it writes both pairs' scaled scores into t0 and t1 and
+// folds them into the running maxima m0 and m1.
+func scoreKeys2(a *AttendArgs, base int, k, q0, q1, t0, t1 []float32, j int, m0, m1 float32) (float32, float32) {
+	hd, width, inv, lim := a.HeadDim, a.Width, a.InvSqrt, len(t0)
+	t1 = t1[:lim]
+	for ; j+4 <= lim; j += 4 {
+		a0, a1, a2, a3, b0, b1, b2, b3 := dot2x4(q0, q1, k[j*width+base:], width)
+		t0[j], t0[j+1], t0[j+2], t0[j+3] = a0*inv, a1*inv, a2*inv, a3*inv
+		t1[j], t1[j+1], t1[j+2], t1[j+3] = b0*inv, b1*inv, b2*inv, b3*inv
+		m0 = max4(m0, t0[j], t0[j+1], t0[j+2], t0[j+3])
+		m1 = max4(m1, t1[j], t1[j+1], t1[j+2], t1[j+3])
+	}
+	for ; j < lim; j++ {
+		r := j*width + base
+		d0, d1 := Dot2(k[r:r+hd], q0, q1)
+		t0[j], t1[j] = d0*inv, d1*inv
+		if t0[j] > m0 {
+			m0 = t0[j]
+		}
+		if t1[j] > m1 {
+			m1 = t1[j]
+		}
+	}
+	return m0, m1
+}
+
+// score4 scores pairs p…p+3 of the pass over the keys every pair covers,
+// [0, first), on the vector path: each span's whole blocks of 8 keys go
+// through scoreBlocks4AVX2, one transpose per block for all four query
+// heads. A block it hands back (a NaN in the lanes of keys 3 and 7, where
+// dot2x4's compiled order differs) goes through scoreBlocks2AVX2 for
+// pairs p, p+1 and then p+2, p+3, and the fewer than 8 keys after the
+// last block through scoreKeys2, so every score is the one scoreRow2
+// computes.
+func (ps *attendPass) score4(a *AttendArgs, base, p, first int) {
+	hd, width, inv := a.HeadDim, a.Width, a.InvSqrt
+	var q, s [4][]float32 // s cut to [:first], the most the vector body writes
+	for i := range s {
+		q[i], s[i] = ps.q[p+i], ps.s[p+i][:first]
+	}
+	var lanes [32]float32
+	for i := range lanes {
+		lanes[i] = float32(math.Inf(-1))
+	}
+	m := [4]float32{lanes[0], lanes[0], lanes[0], lanes[0]}
+	off := 0
+	for _, sp := range a.Spans {
+		if off >= first {
+			break
+		}
+		lim := min(len(sp.Pos), first-off)
+		end := lim &^ 7
+		for j := 0; j < end; {
+			j += scoreBlocks4AVX2(&s, &q, off+j, end-j, sp.K[j*width+base:(end-1)*width+base+hd], width, inv, &lanes)
+			if j < end {
+				k := sp.K[j*width+base : (j+7)*width+base+hd]
+				t := off + j
+				scoreBlocks2AVX2(s[0][t:t+8], s[1][t:t+8], q[0], q[1], k, width, inv, (*[16]float32)(lanes[:16]))
+				scoreBlocks2AVX2(s[2][t:t+8], s[3][t:t+8], q[2], q[3], k, width, inv, (*[16]float32)(lanes[16:]))
+				j += 8
+			}
+		}
+		for i := 0; i < 4; i += 2 {
+			m[i], m[i+1] = scoreKeys2(a, base, sp.K, q[i], q[i+1], s[i][off:off+lim], s[i+1][off:off+lim], end, m[i], m[i+1])
+		}
+		off += lim
+	}
+	for i, v := range m {
+		ps.max[p+i] = foldLanes(v, lanes[8*i:8*i+8])
+	}
 }
 
 // foldLanes folds the vector score bodies' per-lane maxima into m with
@@ -613,13 +687,19 @@ func alibi(a *AttendArgs, s []float32, qPos int, slope float32) float32 {
 // combine writes o[p] = Σ_r (s[p][r]·inv[p])·V[r] for every pair: each
 // weight is formed as it is loaded, each output accumulates over keys in
 // ascending order and skips w == 0 (adding 0·v could turn -0 into +0 or
-// an Inf into NaN). Like score, it goes two pairs at a time over the
-// keys every pair covers, through combineRow2 (an odd last pair through
+// an Inf into NaN). Like score, it goes over the keys every pair covers
+// four pairs at a time through combine4 (vector path, head dims 8 and
+// 16), then two at a time through combineRow2 (an odd last pair through
 // combineRow), then key by key over the causal tail.
 func (ps *attendPass) combine(a *AttendArgs, base int) {
 	hd, width := a.HeadDim, a.Width
 	n, first, last := ps.n, ps.rows[0], ps.rows[ps.n-1]
 	p := 0
+	if attendVector && (hd == 8 || hd == 16) {
+		for ; p+4 <= n; p += 4 {
+			ps.combine4(a, base, p, first)
+		}
+	}
 	for ; p+2 <= n; p += 2 {
 		combineRow2(a, base, ps.o[p], ps.o[p+1], ps.s[p][:first], ps.s[p+1][:first], ps.inv[p], ps.inv[p+1])
 	}
@@ -710,31 +790,78 @@ func combineRow2(a *AttendArgs, base int, o0, o1, s0, s1 []float32, inv0, inv1 f
 			break
 		}
 		lim := min(len(sp.Pos), len(s0)-off)
-		v, t0, t1 := sp.V, s0[off:off+lim], s1[off:off+lim]
+		t0, t1 := s0[off:off+lim], s1[off:off+lim]
 		j := 0
 		if vec && lim >= 4 {
 			j = lim &^ 3
-			combine2AVX2(o0, o1, t0[:j], t1[:j], v[base:(j-1)*width+base+hd], width, inv0, inv1)
+			combine2AVX2(o0, o1, t0[:j], t1[:j], sp.V[base:(j-1)*width+base+hd], width, inv0, inv1)
 		}
-		for ; j+4 <= lim; j += 4 {
-			r := j*width + base
-			w0, w1, w2, w3 := t0[j]*inv0, t0[j+1]*inv0, t0[j+2]*inv0, t0[j+3]*inv0
-			u0, u1, u2, u3 := t1[j]*inv1, t1[j+1]*inv1, t1[j+2]*inv1, t1[j+3]*inv1
-			if w0 == 0 || w1 == 0 || w2 == 0 || w3 == 0 || u0 == 0 || u1 == 0 || u2 == 0 || u3 == 0 {
-				for i, w := range [4]float32{w0, w1, w2, w3} {
-					axpy(o0, w, v[r+i*width:r+i*width+hd])
-				}
-				for i, u := range [4]float32{u0, u1, u2, u3} {
-					axpy(o1, u, v[r+i*width:r+i*width+hd])
-				}
-				continue
+		combineKeys2(a, base, sp.V, o0, o1, t0, t1, j, inv0, inv1)
+		off += lim
+	}
+}
+
+// combineKeys2 is combineRow2's Go body over keys [j, len(t0)) of one
+// span (V rows v): it adds both pairs' weighted V rows into o0 and o1.
+func combineKeys2(a *AttendArgs, base int, v, o0, o1, t0, t1 []float32, j int, inv0, inv1 float32) {
+	hd, width, lim := a.HeadDim, a.Width, len(t0)
+	t1 = t1[:lim]
+	for ; j+4 <= lim; j += 4 {
+		r := j*width + base
+		w0, w1, w2, w3 := t0[j]*inv0, t0[j+1]*inv0, t0[j+2]*inv0, t0[j+3]*inv0
+		u0, u1, u2, u3 := t1[j]*inv1, t1[j+1]*inv1, t1[j+2]*inv1, t1[j+3]*inv1
+		if w0 == 0 || w1 == 0 || w2 == 0 || w3 == 0 || u0 == 0 || u1 == 0 || u2 == 0 || u3 == 0 {
+			for i, w := range [4]float32{w0, w1, w2, w3} {
+				axpy(o0, w, v[r+i*width:r+i*width+hd])
 			}
-			axpy2x4(o0, o1, v[r:], width, w0, w1, w2, w3, u0, u1, u2, u3)
+			for i, u := range [4]float32{u0, u1, u2, u3} {
+				axpy(o1, u, v[r+i*width:r+i*width+hd])
+			}
+			continue
 		}
-		for ; j < lim; j++ {
-			vr := v[j*width+base : j*width+base+hd]
-			axpy(o0, t0[j]*inv0, vr)
-			axpy(o1, t1[j]*inv1, vr)
+		axpy2x4(o0, o1, v[r:], width, w0, w1, w2, w3, u0, u1, u2, u3)
+	}
+	for ; j < lim; j++ {
+		vr := v[j*width+base : j*width+base+hd]
+		axpy(o0, t0[j]*inv0, vr)
+		axpy(o1, t1[j]*inv1, vr)
+	}
+}
+
+// combine4 writes the outputs of pairs p…p+3 of the pass over the keys
+// every pair covers, [0, first), on the vector path at head dims 8 and
+// 16: each span's whole groups of 4 keys go through combine4AVX2, which
+// keeps the four outputs in registers and loads each V row once for all
+// of them. A group it hands back (a zero weight in one of the four
+// pairs) goes through combine2AVX2 for pairs p, p+1 and then p+2, p+3,
+// and the fewer than 4 keys after the last group through combineKeys2,
+// so every output takes the adds combineRow2 makes, in its order.
+func (ps *attendPass) combine4(a *AttendArgs, base, p, first int) {
+	hd, width := a.HeadDim, a.Width
+	var o, t [4][]float32 // t cut to [:first], the most the vector body reads
+	for i := range o {
+		o[i], t[i] = ps.o[p+i], ps.s[p+i][:first]
+		clear(o[i])
+	}
+	inv := (*[4]float32)(ps.inv[p : p+4])
+	off := 0
+	for _, sp := range a.Spans {
+		if off >= first {
+			break
+		}
+		lim := min(len(sp.Pos), first-off)
+		end := lim &^ 3
+		for j := 0; j < end; {
+			j += combine4AVX2(&o, &t, off+j, end-j, sp.V[j*width+base:(end-1)*width+base+hd], width, inv)
+			if j < end {
+				v, r := sp.V[j*width+base:(j+3)*width+base+hd], off+j
+				combine2AVX2(o[0], o[1], t[0][r:r+4], t[1][r:r+4], v, width, inv[0], inv[1])
+				combine2AVX2(o[2], o[3], t[2][r:r+4], t[3][r:r+4], v, width, inv[2], inv[3])
+				j += 4
+			}
+		}
+		for i := 0; i < 4; i += 2 {
+			combineKeys2(a, base, sp.V, o[i], o[i+1], t[i][off:off+lim], t[i+1][off:off+lim], end, inv[i], inv[i+1])
 		}
 		off += lim
 	}

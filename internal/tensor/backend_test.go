@@ -477,7 +477,8 @@ func fold(x, lo, hi int) int {
 // attention oracle. The matmul's Go and vector
 // bodies are each run directly as well, so both meet the oracle
 // whichever one the probe selected, and then meet each other on
-// non-finite operands.
+// non-finite operands; the attention bodies meet each other on special
+// cases with passes of any number of pairs.
 // The corpus seeds cover the shard-boundary hazards (odd sizes, more
 // workers than elements) and tile edges. Attention parameters are folded
 // into range rather than skipped, so every input exercises the kernel.
@@ -488,6 +489,14 @@ func FuzzBackendKernels(f *testing.F) {
 	f.Add(uint64(4), 16, 512, 2, 3, 19, 50, 3, 4, 16, 52, 60, true)
 	// A decode step (n = 1) over 2 KV heads of Group 2, head dim 9.
 	f.Add(uint64(5), 9, 11, 1, 2, 0, 45, 1, 1, 8, 7, 22, false)
+	// Four-pair passes for the vector check, seed = 8·pass cap + case:
+	// 5 rows × Group 2 with NaN in the lanes of keys 3 and 7 and 1-pair
+	// passes; 7 rows × Group 1 (4 + 3 pairs) with ±0 scores and 2-pair
+	// passes; 16 rows × Group 4 with zero weights in one half of a group
+	// and 3-pair passes.
+	f.Add(uint64(13), 8, 8, 1, 2, 4, 40, 1, 1, 1, 9, 21, false)
+	f.Add(uint64(22), 8, 8, 1, 2, 6, 60, 0, 0, 0, 3, 30, false)
+	f.Add(uint64(31), 8, 8, 1, 2, 15, 100, 1, 3, 1, 50, 52, true)
 	f.Fuzz(func(t *testing.T, seed uint64, in, out, lanes, workers int,
 		n, past, kvHeads, group, headDim, split0, split1 int, alibi bool) {
 		if in < 1 || in > 512 || out < 1 || out > 512 || lanes < 1 || lanes > 8 || workers < 1 || workers > 16 {
@@ -579,5 +588,21 @@ func FuzzBackendKernels(f *testing.F) {
 		rows := sh.past + sh.n
 		sh.splits = []int{fold(split0, 0, rows), fold(split1, 0, rows)}
 		checkAttend(t, buildAttend(r, sh), []Backend{NewBackend(1), bk}, fmt.Sprintf("%+v", sh))
+
+		// The attention leaves' vector bodies against their Go bodies at
+		// head dim 8 or 16, on one of injectAttendSpecial's shape-free
+		// cases and with a pass capped at the seed's count of score rows
+		// (0: whole units). NaN payloads are left to
+		// TestAttendVectorMatchesGo, as for the matmul bodies.
+		if attendVector {
+			sh.headDim = 8 * fold(headDim, 1, 2)
+			a := buildAttend(r, sh)
+			special := []int{0, 1, 2, 3, 7, 8, 9, 10}[seed%8]
+			injectAttendSpecial(r, a, special)
+			if pass := int(seed / 8 % 8); pass > 0 {
+				a.Scores = a.Scores[:min(len(a.Scores), pass*rows)]
+			}
+			checkAttendVector(t, a, bitsEqualAnyNaN, fmt.Sprintf("%+v special=%d", sh, special))
+		}
 	})
 }

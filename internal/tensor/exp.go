@@ -37,7 +37,18 @@ const (
 	// table entry, the reduction and the evaluation add a few more, so
 	// 2^13 leaves a 16× margin. At most one input in 2^15 lands that
 	// close to a midpoint; over every float32 in range, one in ~130,000
-	// does.
+	// does. The bound holds for any evaluation of these steps with fewer
+	// roundings too, such as the vector exp lanes (EXP_LANES in
+	// attend_amd64.s), which fuse each product into the sum it feeds: the
+	// fused reduction picks n as the integer nearest the exact
+	// x·expInvStep, so |r| ≤ ln2/512 still holds, and each fused step
+	// rounds once where this one rounds twice. Their result can differ
+	// from this one in its last bits and land on the other side of the
+	// guard, but a result either passes rounds to the float32 the true
+	// exp(x) rounds to, so both return float32(math.Exp) bit for bit.
+	// TestExpLanesMatchGo checks it on every 2^12-th float32 in (expMin,
+	// expMax) (546 K of them) with its ±3 neighbours, and on windows at
+	// the range ends and around every input either evaluation flags.
 	expGuard = 1 << 13
 	// expMid is the float32 rounding midpoint within the 29 dropped bits.
 	expMid = 1 << 28

@@ -4,27 +4,29 @@ package tensor
 
 // The AVX2 body of matMulRange (matmul_amd64.s). A start-up probe picks
 // it, and the attention leaves' AVX2 bodies (attend_amd64.go), when the
-// CPU has AVX2 and the OS saves the ymm registers; the purego build tag
-// leaves this file out, so both run the Go bodies.
+// CPU has AVX2 and FMA (the exp lanes' float64 steps use it) and the OS
+// saves the ymm registers; the purego build tag leaves this file out, so
+// both run the Go bodies.
 
 func init() {
-	if hasAVX2() {
+	if hasAVX2FMA() {
 		vectorISA = "avx2"
 		matMulVector = matMulRangeAVX2
 		attendVector = true
 	}
 }
 
-// hasAVX2 reports whether the CPU implements AVX2 (CPUID leaf 7) and the
-// OS has enabled the xmm and ymm state (OSXSAVE, then XGETBV).
-func hasAVX2() bool {
+// hasAVX2FMA reports whether the CPU implements AVX2 (CPUID leaf 7) and
+// FMA (leaf 1), and the OS has enabled the xmm and ymm state (OSXSAVE,
+// then XGETBV).
+func hasAVX2FMA() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	if ecx1&fma == 0 || ecx1&osxsave == 0 || ecx1&avx == 0 {
 		return false
 	}
 	if xcr0, _ := xgetbv(); xcr0&6 != 6 {

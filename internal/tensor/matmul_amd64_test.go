@@ -10,8 +10,9 @@ import (
 )
 
 // TestAVX2ProbeMatchesProcCPUInfo checks the CPUID and XGETBV probe
-// against a second witness where one exists: Linux lists avx2 among a
-// CPU's flags only when the kernel has also enabled the ymm state.
+// against a second witness where one exists: Linux lists avx2 (and fma)
+// among a CPU's flags only when the kernel has also enabled the ymm
+// state.
 func TestAVX2ProbeMatchesProcCPUInfo(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -19,8 +20,9 @@ func TestAVX2ProbeMatchesProcCPUInfo(t *testing.T) {
 	}
 	for _, line := range strings.Split(string(info), "\n") {
 		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
-			if want := slices.Contains(strings.Fields(flags), "avx2"); hasAVX2() != want {
-				t.Fatalf("probe says AVX2 = %v, /proc/cpuinfo says %v", hasAVX2(), want)
+			fs := strings.Fields(flags)
+			if want := slices.Contains(fs, "avx2") && slices.Contains(fs, "fma"); hasAVX2FMA() != want {
+				t.Fatalf("probe says AVX2+FMA = %v, /proc/cpuinfo says %v", hasAVX2FMA(), want)
 			}
 			return
 		}

@@ -29,17 +29,23 @@
 // and so do the attention leaves under AttendRowBlock (attend_amd64.s):
 // the score with one key per lane over 8-key blocks transposed in
 // registers, the combine with one head-dim element per lane, and
-// expSum with four float64 exp lanes and a sequential sum. SiLU runs
-// the same exp lanes, then its add and divide in float32 lanes. In the
-// matmul each ymm lane is a different output column, so a lane's sum is
-// that column's scalar sum: it starts at +0 and takes, for p ascending, one
+// expSum with four float64 exp lanes and a sequential sum. A prefill
+// pass runs its query heads four at a time, one transposed block for
+// four scores and one V row load for four outputs; decode's one or two
+// heads and a pass's remainder run two at a time. SiLU runs the same
+// exp lanes, then its add and divide in float32 lanes. In the matmul
+// each ymm lane is a different output column, so a lane's sum is that
+// column's scalar sum: it starts at +0 and takes, for p ascending, one
 // VMULPS and one VADDPS per term, each rounding as the scalar MULSS and
-// ADDSS do. There is no fused multiply-add, which would skip the
-// product's rounding. The weight is the multiply's first source and the
-// running sum the add's, as in the Go body's compiled code, so even NaN
-// payloads agree; the attention lanes likewise copy, term by term, the
-// operand order of the Go line each replaces. One CPUID and XGETBV
-// probe at start-up picks the bodies, and VectorISA reports the choice.
+// ADDSS do. No float32 term uses a fused multiply-add, which would skip
+// the product's rounding. The weight is the multiply's first source and
+// the running sum the add's, as in the Go body's compiled code, so even
+// NaN payloads agree; the attention lanes likewise copy, term by term,
+// the operand order of the Go line each replaces. The exp lanes' float64
+// steps do fuse, which only moves their result within exp32's error
+// bound, and its midpoint guard returns exp32's float32 either way. One
+// CPUID and XGETBV probe at start-up picks the bodies when the CPU has
+// AVX2 and FMA, and VectorISA reports the choice.
 // The purego build tag leaves the assembly out; every other
 // architecture runs the Go bodies, whose products are converted to
 // float32 so no compiler may fuse them.
@@ -280,7 +286,7 @@ func RMSNorm(dst, x, weight []float32, eps float32) {
 	}
 	var ss float64
 	for _, v := range x {
-		ss += float64(v) * float64(v)
+		ss += float64(float64(v) * float64(v))
 	}
 	inv := float32(1 / math.Sqrt(ss/float64(len(x))+float64(eps)))
 	for i, v := range x {
@@ -302,12 +308,12 @@ func LayerNorm(dst, x, gamma, beta []float32, eps float32) {
 	var variance float64
 	for _, v := range x {
 		d := float64(v) - mean
-		variance += d * d
+		variance += float64(d * d)
 	}
 	variance /= float64(len(x))
 	inv := float32(1 / math.Sqrt(variance+float64(eps)))
 	for i, v := range x {
-		dst[i] = (v-float32(mean))*inv*gamma[i] + beta[i]
+		dst[i] = float32((v-float32(mean))*inv*gamma[i]) + beta[i]
 	}
 }
 
@@ -338,7 +344,7 @@ func GELU(x []float32) {
 	const c = 0.7978845608028654 // sqrt(2/pi)
 	for i, v := range x {
 		v64 := float64(v)
-		x[i] = float32(0.5 * v64 * (1 + math.Tanh(c*(v64+0.044715*v64*v64*v64))))
+		x[i] = float32(0.5 * v64 * (1 + math.Tanh(c*(v64+float64(0.044715*v64*v64*v64)))))
 	}
 }
 
@@ -386,9 +392,9 @@ func CosineSimilarity(a, b []float32) float64 {
 	}
 	var dot, na, nb float64
 	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
-		na += float64(a[i]) * float64(a[i])
-		nb += float64(b[i]) * float64(b[i])
+		dot += float64(float64(a[i]) * float64(b[i]))
+		na += float64(float64(a[i]) * float64(a[i]))
+		nb += float64(float64(b[i]) * float64(b[i]))
 	}
 	if na == 0 || nb == 0 {
 		return 0

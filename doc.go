@@ -45,9 +45,10 @@
 // one-position-per-lane entry point.
 // A request's token and logit streams are bit-identical to solo
 // decoding; the scheduler changes throughput, never output.
-// /v1/stats (and core.Cache.SchedStats) expose queue depth, active
-// lanes, the batch-size histogram and decode tokens/sec; the benchmark
-// of record's decode.long workload measures it through the server.
+// The scheduler block of /v1/stats (core.Cache.Snapshot, the one stats
+// document) exposes queue depth, active lanes, the batch-size histogram
+// and decode tokens/sec; the benchmark of record's decode.long workload
+// measures it through the server.
 //
 // # Speculative decoding
 //

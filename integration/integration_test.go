@@ -146,7 +146,7 @@ func TestServerWithQuantizedEvictingCache(t *testing.T) {
 	tight := promptcache.New(m,
 		promptcache.WithDiskTier(t.TempDir(), promptcache.CodecInt8),
 		core.WithEvictionPolicy(gdsf),
-		core.WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: probe.PoolUsed()/2 + 1})),
+		core.WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: probe.Snapshot().PoolBytes/2 + 1})),
 	)
 	srv := httptest.NewServer(server.New(tight))
 	defer srv.Close()

@@ -142,7 +142,7 @@ func EngineServing() (*Report, error) {
 	if _, err := unconstrained.RegisterSchema(schema); err != nil {
 		return nil, err
 	}
-	need := unconstrained.Engine().PoolUsed()
+	need := unconstrained.Snapshot().PoolBytes
 	tiered := promptcache.New(m,
 		core.WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need/3 + 1})),
 		core.WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM})),

@@ -292,25 +292,30 @@ type AdmissionClassStats struct {
 	// Completed counts released slots. At quiescence
 	// Admitted == Completed and every arrival is exactly one of
 	// Admitted, Shed or Canceled.
-	Admitted, Shed, Canceled, Completed int64
+	Admitted  int64 `json:"admitted"`
+	Shed      int64 `json:"shed"`
+	Canceled  int64 `json:"canceled"`
+	Completed int64 `json:"completed"`
 	// QueueDepth is the class's instantaneous waiter count.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 }
 
-// AdmissionStats is a snapshot of admission-control activity, the
-// observability surface behind /v1/stats's admission block.
+// AdmissionStats is the stats document's admission block: configured
+// bounds, live occupancy, per-class accounting, and the Retry-After a
+// shed request would be told right now.
 type AdmissionStats struct {
-	// Enabled reports whether the cache admission-controls at all.
-	Enabled bool
 	// MaxConcurrent / MaxQueue echo the configured bounds.
-	MaxConcurrent, MaxQueue int
+	MaxConcurrent int `json:"max_concurrent"`
+	MaxQueue      int `json:"max_queue"`
 	// Inflight is the number of slots currently held; QueueDepth is the
 	// total waiter count across classes.
-	Inflight, QueueDepth int
-	// RetryAfterEstimate is what a request shed right now would be told.
-	RetryAfterEstimate time.Duration
+	Inflight   int `json:"inflight"`
+	QueueDepth int `json:"queue_depth"`
+	// RetryAfterMs is what a request shed right now would be told.
+	RetryAfterMs float64 `json:"retry_after_ms"`
 	// Interactive and Batch are the per-class histograms.
-	Interactive, Batch AdmissionClassStats
+	Interactive AdmissionClassStats `json:"interactive"`
+	Batch       AdmissionClassStats `json:"batch"`
 }
 
 func (a *admission) stats() AdmissionStats {
@@ -326,14 +331,13 @@ func (a *admission) stats() AdmissionStats {
 		}
 	}
 	return AdmissionStats{
-		Enabled:            true,
-		MaxConcurrent:      a.cfg.MaxConcurrent,
-		MaxQueue:           a.cfg.MaxQueue,
-		Inflight:           a.inflight,
-		QueueDepth:         a.waiting,
-		RetryAfterEstimate: a.retryAfterLocked(),
-		Interactive:        cls(SLOInteractive),
-		Batch:              cls(SLOBatch),
+		MaxConcurrent: a.cfg.MaxConcurrent,
+		MaxQueue:      a.cfg.MaxQueue,
+		Inflight:      a.inflight,
+		QueueDepth:    a.waiting,
+		RetryAfterMs:  float64(a.retryAfterLocked()) / float64(time.Millisecond),
+		Interactive:   cls(SLOInteractive),
+		Batch:         cls(SLOBatch),
 	}
 }
 
@@ -345,18 +349,6 @@ func (a *admission) stats() AdmissionStats {
 // end to end via AdmissionContext.
 func WithAdmission(cfg AdmissionConfig) Option {
 	return func(c *Cache) { c.adm = newAdmission(cfg) }
-}
-
-// AdmissionEnabled reports whether admission control is configured.
-func (c *Cache) AdmissionEnabled() bool { return c.adm != nil }
-
-// AdmissionStats returns a snapshot of admission activity. Without
-// WithAdmission it returns the zero snapshot (Enabled false).
-func (c *Cache) AdmissionStats() AdmissionStats {
-	if c.adm == nil {
-		return AdmissionStats{}
-	}
-	return c.adm.stats()
 }
 
 // Admit acquires an admission slot for one request (no-op without

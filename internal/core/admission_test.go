@@ -76,11 +76,8 @@ func TestWrapDeadline(t *testing.T) {
 
 func TestAdmitWithoutAdmissionIsNoop(t *testing.T) {
 	c := llamaCache(t)
-	if c.AdmissionEnabled() {
-		t.Fatal("admission enabled without WithAdmission")
-	}
-	if st := c.AdmissionStats(); st.Enabled {
-		t.Fatalf("stats enabled without WithAdmission: %+v", st)
+	if st := c.Snapshot().Admission; st != nil {
+		t.Fatalf("admission block without WithAdmission: %+v", st)
 	}
 	for i := 0; i < 100; i++ {
 		if err := c.Admit(context.Background(), SLOInteractive); err != nil {

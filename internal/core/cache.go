@@ -127,31 +127,6 @@ type schemaEntry struct {
 	src string
 }
 
-// Stats counts cache activity.
-type Stats struct {
-	ModulesEncoded  int // prompt module encodings performed (incl. re-encodes)
-	ModulesReused   int // cache hits at serve time
-	ModulesEvicted  int // evictions from the primary pool
-	ModulesReloaded int // re-encodes forced by earlier eviction
-	ModulesRestored int // modules loaded from a schema snapshot
-	ModulesDemoted  int // evictions that kept states in the host pool
-	ModulesPromoted int // demoted modules pulled back on reuse
-	TokensEncoded   int // tokens run through prefill during encoding
-	TokensReused    int // cached tokens spliced into served prompts
-
-	ModulesSpilled    int // evictions that wrote states to the disk tier
-	DiskHits          int // module states read back from the disk tier
-	DiskLoadErrors    int // unreadable disk blobs (fell back to re-encode; a mined module misses)
-	DiskRetries       int // transient blob-read failures recovered by backoff retry
-	TierAccountErrors int // tier bookkeeping failures; nonzero means occupancy counters drifted
-
-	MinedPromotions      int // hot prefixes promoted to anonymous modules (WithModuleMining)
-	MinedDemotions       int // mined modules garbage-collected (cold, evicted, or schema dropped)
-	MinedHits            int // serves that spliced a mined module's states
-	MinedHitTokens       int // prefill tokens skipped by mined splices
-	MinedSnapshotSkipped int // mined modules not round-tripped through SaveAll/OpenDir
-}
-
 // Cache is the Prompt Cache: it owns a model, a tokenizer, a chat
 // template, registered schemas, and the memory pool module states live in.
 //
@@ -191,12 +166,10 @@ type Cache struct {
 	// into the cache, so it may be used both under and outside mu.
 	miner *mining.Miner
 
-	// draft, when non-nil, is the speculative-decoding draft source
-	// (WithSpeculation): retired generations train it, decode lanes
-	// propose from it. Like the miner it synchronizes itself and never
-	// calls back into the cache. NewCache hands it to the scheduler;
-	// without a scheduler it is inert.
-	draft *mining.Draft
+	// draftOpts, when non-nil, is WithSpeculation's draft-source config.
+	// The draft itself lives on the scheduler (see Cache.draft): NewCache
+	// builds it there when one exists, and without one it is never built.
+	draftOpts *DraftOpts
 
 	// adm, when non-nil, bounds concurrent serving (WithAdmission):
 	// requests acquire a slot before any engine work and excess load is
@@ -298,13 +271,13 @@ func NewCache(m *model.Model, opts ...Option) *Cache {
 		c.policy = evict.NewLRU()
 	}
 	// Option order must not matter: wire the injector into the disk tier
-	// and the draft source into the scheduler after all options ran,
-	// whichever order they came in.
+	// and build the draft source into the scheduler after all options
+	// ran, whichever order they came in.
 	if c.disk != nil {
 		c.disk.inject = c.inject
 	}
-	if c.sched != nil {
-		c.sched.draft = c.draft
+	if c.sched != nil && c.draftOpts != nil {
+		c.sched.draft = mining.NewDraft(*c.draftOpts)
 	}
 	return c
 }
@@ -314,59 +287,6 @@ func (c *Cache) Model() *model.Model { return c.m }
 
 // Tokenizer returns the cache's tokenizer.
 func (c *Cache) Tokenizer() *tokenizer.Tokenizer { return c.tok }
-
-// Stats returns a snapshot of cache activity counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// PoolUsed returns the bytes of module states currently resident.
-func (c *Cache) PoolUsed() int64 { return c.pool.Used() }
-
-// HostUsed returns the bytes of module states currently demoted to the
-// host tier (0 when no host pool is configured).
-func (c *Cache) HostUsed() int64 {
-	if c.hostPool == nil {
-		return 0
-	}
-	return c.hostPool.Used()
-}
-
-// DiskUsed returns the bytes of module blobs tracked by the disk tier
-// (0 when no disk tier is configured).
-func (c *Cache) DiskUsed() int64 {
-	if c.disk == nil {
-		return 0
-	}
-	return c.disk.pool.Used()
-}
-
-// DiskModules returns the number of modules with a durable blob in the
-// disk tier.
-func (c *Cache) DiskModules() int {
-	if c.disk == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.disk.index)
-}
-
-// SchedEnabled reports whether a decode scheduler is configured — the
-// cheap check for callers that branch on it per request (no lock, no
-// stats snapshot).
-func (c *Cache) SchedEnabled() bool { return c.sched != nil }
-
-// SchedStats returns a snapshot of decode-scheduler activity. With no
-// scheduler configured it returns the zero snapshot (Enabled false).
-func (c *Cache) SchedStats() SchedStats {
-	if c.sched == nil {
-		return SchedStats{}
-	}
-	return c.sched.Stats()
-}
 
 // SchemaNames returns the registered schema names, sorted. It is the
 // authoritative registry; transports list schemas by querying it rather
@@ -441,9 +361,9 @@ func (c *Cache) freeTracked(p *memory.Pool, key string) {
 
 // dropSchemaLocked releases all pool reservations of a schema.
 func (c *Cache) dropSchemaLocked(name string, e *schemaEntry) {
-	if c.draft != nil {
+	if d := c.draft(); d != nil {
 		// The draft source's learned phrasing dies with the schema too.
-		c.draft.DropClassPrefix(classPrefix(name))
+		d.DropClassPrefix(classPrefix(name))
 	}
 	if c.miner != nil {
 		// Forget the schema's observed traffic; mined modules counted

@@ -136,7 +136,7 @@ func TestEvictionSkipsPinnedModule(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, schemaA)
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 	solo, err := probe.Serve(context.Background(), `<prompt schema="a"><pin/>Question.</prompt>`, ServeOpts{})
 	if err != nil {
 		t.Fatal(err)

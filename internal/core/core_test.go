@@ -53,7 +53,7 @@ func TestRegisterSchemaEncodesAllModules(t *testing.T) {
 	if st.ModulesEncoded != 4 {
 		t.Fatalf("encoded = %d", st.ModulesEncoded)
 	}
-	if c.PoolUsed() == 0 {
+	if c.Snapshot().PoolBytes == 0 {
 		t.Fatal("pool should hold module states")
 	}
 }
@@ -447,7 +447,7 @@ func TestEvictionAndReload(t *testing.T) {
 	}
 	full := NewCache(m)
 	mustRegister(t, full, travelSchema)
-	need := full.PoolUsed()
+	need := full.Snapshot().PoolBytes
 
 	small := NewCache(m, WithPool(memory.NewPool(memory.Device{
 		Name: "tiny-hbm", Kind: memory.HBM, Capacity: need/2 + 1,
@@ -535,10 +535,10 @@ func TestConcatPermutationInvariance(t *testing.T) {
 func TestReRegisterReplacesSchema(t *testing.T) {
 	c := llamaCache(t)
 	mustRegister(t, c, travelSchema)
-	used1 := c.PoolUsed()
+	used1 := c.Snapshot().PoolBytes
 	mustRegister(t, c, travelSchema)
-	if c.PoolUsed() != used1 {
-		t.Fatalf("pool leaked on re-register: %d -> %d", used1, c.PoolUsed())
+	if c.Snapshot().PoolBytes != used1 {
+		t.Fatalf("pool leaked on re-register: %d -> %d", used1, c.Snapshot().PoolBytes)
 	}
 }
 

@@ -155,7 +155,7 @@ func (c *Cache) ServeParsed(ctx context.Context, prompt *pml.Prompt, opts ServeO
 	// mined hit appends its own pin.
 	fullToks, fullPos := newToks, newPos
 	var class, minedName string
-	if c.miner != nil || c.draft != nil {
+	if c.miner != nil || c.draft() != nil {
 		class = servingClass(prompt.SchemaName, plan)
 	}
 	if c.miner != nil {

@@ -28,7 +28,7 @@ func spillingPair(t *testing.T, seed uint64, inj *faultinject.Injector) (probe, 
 	}
 	probe = NewCache(m)
 	mustRegister(t, probe, travelSchema)
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 	faulty = NewCache(m,
 		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need/2 + 1})),
 		WithDiskTier(t.TempDir(), CodecFP32),
@@ -100,7 +100,7 @@ func TestFaultTransientReadRetried(t *testing.T) {
 func TestFaultTransientOutageDegrades(t *testing.T) {
 	inj := faultinject.New(2)
 	probe, faulty := spillingPair(t, 647, inj)
-	blobs := faulty.DiskModules()
+	blobs := faulty.Snapshot().Tiers.DiskModules
 	// Outlast the retry budget for exactly one module's read.
 	inj.Set(FaultPointDiskRead, faultinject.Rule{Err: faultinject.ErrTransient, Times: diskReadAttempts})
 	for _, p := range allModulePrompts {
@@ -115,8 +115,8 @@ func TestFaultTransientOutageDegrades(t *testing.T) {
 	}
 	// The unread blob was busy, not bad: it must survive (serving churn
 	// may spill additional modules, so the count can only grow).
-	if faulty.DiskModules() < blobs {
-		t.Fatalf("transient outage deleted blobs: %d -> %d", blobs, faulty.DiskModules())
+	if faulty.Snapshot().Tiers.DiskModules < blobs {
+		t.Fatalf("transient outage deleted blobs: %d -> %d", blobs, faulty.Snapshot().Tiers.DiskModules)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestFaultWriteFailureFallsToDrop(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, travelSchema)
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 
 	inj := faultinject.New(4)
 	inj.Set(FaultPointDiskWrite, faultinject.Rule{Err: faultinject.ErrNoSpace})

@@ -69,10 +69,9 @@ type MinedPrefix struct {
 	Pos   []int
 }
 
-// MiningStats is a snapshot of mining activity: the observer's tree
+// MiningStats is the stats document's mining block: the observer's tree
 // statistics plus the engine's mined-serving counters.
 type MiningStats struct {
-	Enabled bool `json:"enabled"`
 	// Observed counts streams fed to the observer.
 	Observed uint64 `json:"observed"`
 	// Classes and Nodes size the radix tree.
@@ -94,34 +93,6 @@ type MiningStats struct {
 	// SnapshotSkipped counts mined modules dropped at SaveAll/OpenDir
 	// boundaries (no states to persist, or restoring without mining).
 	SnapshotSkipped int `json:"snapshot_skipped"`
-}
-
-// MiningEnabled reports whether this cache mines modules from traffic.
-func (c *Cache) MiningEnabled() bool { return c.miner != nil }
-
-// MiningStats returns a snapshot of mining activity. Without
-// WithModuleMining it returns the zero snapshot (Enabled false).
-func (c *Cache) MiningStats() MiningStats {
-	if c.miner == nil {
-		return MiningStats{}
-	}
-	ts := c.miner.Stats()
-	c.mu.Lock()
-	s := c.stats
-	c.mu.Unlock()
-	return MiningStats{
-		Enabled:         true,
-		Observed:        ts.Observed,
-		Classes:         ts.Classes,
-		Nodes:           ts.Nodes,
-		Candidates:      ts.Candidates,
-		LiveModules:     ts.Promoted,
-		Promotions:      s.MinedPromotions,
-		Demotions:       s.MinedDemotions,
-		Hits:            s.MinedHits,
-		HitTokens:       s.MinedHitTokens,
-		SnapshotSkipped: s.MinedSnapshotSkipped,
-	}
 }
 
 // servingClass derives the stream-comparison class of a planned serve:

@@ -67,13 +67,13 @@ func TestMinedServeBitIdentical(t *testing.T) {
 			defer cold.Close()
 			warm := serveMined(t, c) // observation 2: nominates + promotes
 			warm.Close()
-			if got := c.MiningStats().Promotions; got < 1 {
+			if got := c.Snapshot().Mining.Promotions; got < 1 {
 				t.Fatalf("promotions = %d after two identical serves", got)
 			}
 
 			hit := serveMined(t, c) // must splice the mined prefix
 			defer hit.Close()
-			st := c.MiningStats()
+			st := c.Snapshot().Mining
 			if st.Hits < 1 || st.HitTokens < 1 {
 				t.Fatalf("mined stats after third serve: hits=%d hitTokens=%d", st.Hits, st.HitTokens)
 			}
@@ -104,19 +104,16 @@ func TestMinedServeBitIdentical(t *testing.T) {
 
 func TestMiningStatsSnapshot(t *testing.T) {
 	c := llamaCache(t)
-	if c.MiningEnabled() {
-		t.Fatal("mining enabled without the option")
-	}
-	if st := c.MiningStats(); st.Enabled {
-		t.Fatalf("zero snapshot reports enabled: %+v", st)
+	if st := c.Snapshot().Mining; st != nil {
+		t.Fatalf("mining block without the option: %+v", st)
 	}
 
 	mc := miningCache(t, model.LlamaStyle(coreVocab, 77))
 	for i := 0; i < 3; i++ {
 		serveMined(t, mc).Close()
 	}
-	st := mc.MiningStats()
-	if !st.Enabled || st.Observed != 3 || st.Promotions < 1 || st.LiveModules < 1 || st.Hits < 1 {
+	st := mc.Snapshot().Mining
+	if st == nil || st.Observed != 3 || st.Promotions < 1 || st.LiveModules < 1 || st.Hits < 1 {
 		t.Fatalf("mining stats = %+v", st)
 	}
 }
@@ -131,16 +128,16 @@ func TestMinedPrefixDiffersByArguments(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		serveMined(t, c).Close()
 	}
-	if st := c.MiningStats(); st.Hits < 1 {
+	if st := c.Snapshot().Mining; st.Hits < 1 {
 		t.Fatalf("no mined hit on repeated identical prompt: %+v", st)
 	}
-	before := c.MiningStats().Hits
+	before := c.Snapshot().Mining.Hits
 	res, err := c.Serve(context.Background(), other, ServeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Close()
-	if after := c.MiningStats().Hits; after != before {
+	if after := c.Snapshot().Mining.Hits; after != before {
 		t.Fatalf("different-argument prompt hit a mined prefix (%d -> %d)", before, after)
 	}
 }
@@ -163,7 +160,7 @@ func TestMinedBatchServe(t *testing.T) {
 		}
 		res.Close()
 	}
-	if st := c.MiningStats(); st.Promotions < 1 || st.Hits < 1 {
+	if st := c.Snapshot().Mining; st.Promotions < 1 || st.Hits < 1 {
 		t.Fatalf("batch traffic not mined: %+v", st)
 	}
 }
@@ -182,7 +179,7 @@ func TestMinedModuleEvictionWaterfall(t *testing.T) {
 	if _, err := probe.RegisterSchema(travelSchema); err != nil {
 		t.Fatal(err)
 	}
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 
 	c := NewCache(m,
 		WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}),
@@ -194,7 +191,7 @@ func TestMinedModuleEvictionWaterfall(t *testing.T) {
 	cold := serveMined(t, c)
 	defer cold.Close()
 	serveMined(t, c).Close() // promotes
-	if c.MiningStats().Promotions < 1 {
+	if c.Snapshot().Mining.Promotions < 1 {
 		t.Fatal("no promotion under memory pressure")
 	}
 	// Churn the cache so the mined module is evicted (spilling to disk).
@@ -203,7 +200,7 @@ func TestMinedModuleEvictionWaterfall(t *testing.T) {
 	}
 	hit := serveMined(t, c)
 	defer hit.Close()
-	st := c.MiningStats()
+	st := c.Snapshot().Mining
 	if st.Hits < 1 {
 		t.Fatalf("no mined hit after eviction churn: %+v", st)
 	}
@@ -220,11 +217,11 @@ func TestMinedDemotionGC(t *testing.T) {
 	mustRegister(t, c, travelSchema)
 	serveMined(t, c).Close()
 	serveMined(t, c).Close()
-	if c.MiningStats().Promotions < 1 {
+	if c.Snapshot().Mining.Promotions < 1 {
 		t.Fatal("no promotion")
 	}
 	// Unrelated traffic decays the promoted node cold.
-	for i := 0; i < 64 && c.MiningStats().Demotions == 0; i++ {
+	for i := 0; i < 64 && c.Snapshot().Mining.Demotions == 0; i++ {
 		src := fmt.Sprintf(`<prompt schema="travel"><tokyo/>Unrelated question number %d about temples and food markets.</prompt>`, i)
 		res, err := c.Serve(context.Background(), src, ServeOpts{})
 		if err != nil {
@@ -232,7 +229,7 @@ func TestMinedDemotionGC(t *testing.T) {
 		}
 		res.Close()
 	}
-	st := c.MiningStats()
+	st := c.Snapshot().Mining
 	if st.Demotions < 1 {
 		t.Fatalf("cold mined module never GC'd: %+v", st)
 	}
@@ -256,7 +253,7 @@ func TestMinedSaveAllRoundTrip(t *testing.T) {
 	}
 	cold := serveMined(t, c)
 	serveMined(t, c).Close()
-	if c.MiningStats().Promotions < 1 {
+	if c.Snapshot().Mining.Promotions < 1 {
 		t.Fatal("no promotion before snapshot")
 	}
 	if err := c.SaveAll(dir); err != nil {
@@ -271,7 +268,7 @@ func TestMinedSaveAllRoundTrip(t *testing.T) {
 	}
 	hit := serveMined(t, restored)
 	defer hit.Close()
-	st := restored.MiningStats()
+	st := restored.Snapshot().Mining
 	if st.Hits < 1 || st.LiveModules < 1 {
 		t.Fatalf("restored cache did not hit the persisted mined module: %+v", st)
 	}
@@ -299,19 +296,19 @@ func TestMinedReRegisterSchemaDropsModules(t *testing.T) {
 	c := miningCache(t, model.LlamaStyle(coreVocab, 77))
 	serveMined(t, c).Close()
 	serveMined(t, c).Close()
-	if c.MiningStats().LiveModules < 1 {
+	if c.Snapshot().Mining.LiveModules < 1 {
 		t.Fatal("no live mined module")
 	}
 	mustRegister(t, c, travelSchema)
-	st := c.MiningStats()
+	st := c.Snapshot().Mining
 	if st.LiveModules != 0 || st.Classes != 0 {
 		t.Fatalf("re-register left mined state behind: %+v", st)
 	}
 	// Traffic after the re-register mines from scratch, without error.
 	serveMined(t, c).Close()
 	serveMined(t, c).Close()
-	if c.MiningStats().Promotions < 2 {
-		t.Fatalf("re-mining after re-register failed: %+v", c.MiningStats())
+	if c.Snapshot().Mining.Promotions < 2 {
+		t.Fatalf("re-mining after re-register failed: %+v", c.Snapshot().Mining)
 	}
 }
 
@@ -328,7 +325,7 @@ func TestMinedConcurrentServes(t *testing.T) {
 	if _, err := probe.RegisterSchema(travelSchema); err != nil {
 		t.Fatal(err)
 	}
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 	c := NewCache(m,
 		WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}),
 		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need + need/3})),
@@ -378,7 +375,7 @@ func TestMinedConcurrentServes(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if st := c.MiningStats(); st.Promotions < 1 || st.Hits < 1 {
+	if st := c.Snapshot().Mining; st.Promotions < 1 || st.Hits < 1 {
 		t.Fatalf("concurrent traffic not mined: %+v", st)
 	}
 }
@@ -424,7 +421,7 @@ func TestMinedRestoreBadCodecLeavesNoGhost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := restored.MiningStats()
+	st := restored.Snapshot().Mining
 	if st.LiveModules != 0 || st.SnapshotSkipped != 1 {
 		t.Fatalf("bad-codec mined entry: live %d, skipped %d; want 0 and 1", st.LiveModules, st.SnapshotSkipped)
 	}

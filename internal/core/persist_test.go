@@ -181,7 +181,7 @@ func TestEvictionSpillsToDisk(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, travelSchema)
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 
 	dir := t.TempDir()
 	spilling := NewCache(m,
@@ -193,7 +193,7 @@ func TestEvictionSpillsToDisk(t *testing.T) {
 	if st.ModulesSpilled == 0 {
 		t.Fatalf("expected disk spills, got %+v", st)
 	}
-	if spilling.DiskUsed() == 0 || spilling.DiskModules() == 0 {
+	if spilling.Snapshot().Tiers.DiskBytes == 0 || spilling.Snapshot().Tiers.DiskModules == 0 {
 		t.Fatal("disk tier occupancy should be nonzero after spills")
 	}
 
@@ -245,7 +245,7 @@ func TestDiskSpillBelowHostTier(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, travelSchema)
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 
 	dir := t.TempDir()
 	tiered := NewCache(m,
@@ -283,7 +283,7 @@ func TestCorruptDiskBlobFallsBack(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, travelSchema)
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 
 	dir := t.TempDir()
 	spilling := NewCache(m,
@@ -558,7 +558,7 @@ func TestSaveAllReRegisterInvalidatesBlobs(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, travelSchema)
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 
 	dir := t.TempDir()
 	c := NewCache(m,
@@ -566,7 +566,7 @@ func TestSaveAllReRegisterInvalidatesBlobs(t *testing.T) {
 		WithDiskTier(dir, CodecFP32),
 	)
 	mustRegister(t, c, travelSchema)
-	if c.DiskModules() == 0 {
+	if c.Snapshot().Tiers.DiskModules == 0 {
 		t.Fatal("setup needs spilled modules")
 	}
 	altered := strings.Replace(travelSchema, "superb food", "superb food and trains", 1)
@@ -603,7 +603,7 @@ func TestDiskTierConcurrentServes(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, travelSchema)
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 
 	dir := t.TempDir()
 	c := NewCache(m,
@@ -745,7 +745,7 @@ func TestOpenDirHonorsExplicitCodec(t *testing.T) {
 	if flagged.disk.codec != CodecFP32 {
 		t.Fatalf("explicit codec lost: %v", flagged.disk.codec)
 	}
-	if flagged.DiskModules() == 0 {
+	if flagged.Snapshot().Tiers.DiskModules == 0 {
 		t.Fatal("explicit tier still restores the snapshot index")
 	}
 	defaulted, err := OpenDir(m, dir)
@@ -768,7 +768,7 @@ func TestMissingDiskBlobFallsBack(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, travelSchema)
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 
 	dir := t.TempDir()
 	c := NewCache(m,

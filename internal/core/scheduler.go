@@ -16,44 +16,39 @@ import (
 // when WithDecodeScheduler is given a non-positive bound.
 const DefaultMaxDecodeBatch = 8
 
-// SchedStats is a snapshot of decode-scheduler activity, the
-// observability surface behind /v1/stats: instantaneous queue/lane
-// gauges, lifetime lane and step counters, and the batch-size histogram
-// that shows whether traffic actually fuses.
+// SchedStats is the stats document's scheduler block: instantaneous
+// queue/lane gauges, lifetime lane and step counters, and the
+// batch-size histogram that shows whether traffic actually fuses.
 type SchedStats struct {
-	// Enabled reports whether the cache runs a decode scheduler at all.
-	Enabled bool
 	// MaxBatch is the fused-step width bound.
-	MaxBatch int
+	MaxBatch int `json:"max_batch"`
 	// QueueDepth is the number of requests waiting to join the batch.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 	// ActiveLanes is the number of sequences currently decoding fused.
-	ActiveLanes int
+	ActiveLanes int `json:"active_lanes"`
 	// LanesJoined / LanesRetired / LanesCancelled count lane lifecycle
 	// events; Cancelled is the subset of Retired evicted by their context.
-	LanesJoined, LanesRetired, LanesCancelled int64
+	LanesJoined    int64 `json:"lanes_joined"`
+	LanesRetired   int64 `json:"lanes_retired"`
+	LanesCancelled int64 `json:"lanes_cancelled"`
 	// Steps counts fused model steps executed; TokensDecoded counts
 	// tokens produced across all lanes (one per lane per step sampled).
-	Steps, TokensDecoded int64
+	Steps         int64 `json:"fused_steps"`
+	TokensDecoded int64 `json:"tokens_decoded"`
 	// BatchHist[i] counts fused steps that ran with i+1 lanes; its tail
 	// filling up is continuous batching working.
-	BatchHist []int64
+	BatchHist []int64 `json:"batch_hist"`
+	// TokensPerSec is the decode-phase throughput: tokens produced per
+	// second of fused-step wall time (DecodeNs). Zero before any step.
+	TokensPerSec float64 `json:"tokens_per_sec"`
 	// DecodeNs is total wall time spent inside fused model steps.
-	DecodeNs int64
+	DecodeNs int64 `json:"-"`
 	// SpecSteps counts fused steps that verified at least one draft
 	// token; DraftProposed and DraftAccepted count draft tokens verified
 	// and accepted across all lanes. Accepted drafts are tokens produced
-	// without their own fused step — the speculation win.
-	SpecSteps, DraftProposed, DraftAccepted int64
-}
-
-// TokensPerSec is the decode-phase throughput: tokens produced per second
-// of fused-step wall time. Zero before any step runs.
-func (s SchedStats) TokensPerSec() float64 {
-	if s.DecodeNs == 0 {
-		return 0
-	}
-	return float64(s.TokensDecoded) / (float64(s.DecodeNs) / 1e9)
+	// without their own fused step — the speculation win. The document
+	// carries them in the speculation block.
+	SpecSteps, DraftProposed, DraftAccepted int64 `json:"-"`
 }
 
 // schedLane is one request's sequence inside the scheduler: its KV state,
@@ -164,8 +159,7 @@ func (s *Scheduler) pendingLocked() int {
 func (s *Scheduler) Stats() SchedStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return SchedStats{
-		Enabled:        true,
+	st := SchedStats{
 		MaxBatch:       s.maxBatch,
 		QueueDepth:     s.pendingLocked(),
 		ActiveLanes:    s.active,
@@ -180,6 +174,10 @@ func (s *Scheduler) Stats() SchedStats {
 		DraftProposed:  s.draftProposed,
 		DraftAccepted:  s.draftAccepted,
 	}
+	if st.DecodeNs > 0 {
+		st.TokensPerSec = float64(st.TokensDecoded) / (float64(st.DecodeNs) / 1e9)
+	}
+	return st
 }
 
 // Generate submits one sequence to the scheduler and blocks until it

@@ -163,7 +163,7 @@ func TestSchedulerGoldenFused(t *testing.T) {
 			}
 
 			st := fused.SchedStats()
-			if !st.Enabled || st.MaxBatch != 4 {
+			if st.MaxBatch != 4 {
 				t.Fatalf("scheduler stats: %+v", st)
 			}
 			if st.LanesJoined < int64(len(reqs)) || st.LanesRetired != st.LanesJoined {

@@ -16,12 +16,25 @@ type DraftOpts = mining.DraftConfig
 // it takes effect only together with WithDecodeScheduler; per-request
 // policy (model.SpecOpts) can opt individual generations out.
 func WithSpeculation(opts DraftOpts) Option {
-	return func(c *Cache) { c.draft = mining.NewDraft(opts) }
+	return func(c *Cache) { c.draftOpts = &opts }
 }
 
-// SpecStats is a snapshot of speculative-decoding activity: the draft
+// draft is the speculative-decoding draft source, or nil: it lives on
+// the decode scheduler, where verify steps run, so a cache without one
+// never builds a draft whatever its options said. Every speculation
+// predicate reads it.
+func (c *Cache) draft() *mining.Draft {
+	if c.sched == nil {
+		return nil
+	}
+	return c.sched.draft
+}
+
+// SpecStats is the stats document's speculation block: the draft
 // source's table statistics plus the scheduler's verify counters.
 type SpecStats struct {
+	// Enabled is always true: the block is present only when speculation
+	// runs. It stays for the /v1/stats contract.
 	Enabled bool `json:"enabled"`
 	// Observed counts accepted token streams fed to the draft source.
 	Observed uint64 `json:"observed"`
@@ -38,33 +51,4 @@ type SpecStats struct {
 	// proposal) — how often the draft source guesses the sampler's next
 	// token.
 	AcceptRate float64 `json:"accept_rate"`
-}
-
-// SpecEnabled reports whether speculative decoding is active: a draft
-// source installed and a decode scheduler to run verify steps in.
-func (c *Cache) SpecEnabled() bool { return c.draft != nil && c.sched != nil }
-
-// SpecStats returns a snapshot of speculation activity. Without
-// WithSpeculation it returns the zero snapshot (Enabled false).
-func (c *Cache) SpecStats() SpecStats {
-	if c.draft == nil {
-		return SpecStats{}
-	}
-	ds := c.draft.Stats()
-	st := SpecStats{
-		Enabled:  true,
-		Observed: ds.Observed,
-		Classes:  ds.Classes,
-		Contexts: ds.Contexts,
-	}
-	if c.sched != nil {
-		ss := c.sched.Stats()
-		st.SpecSteps = ss.SpecSteps
-		st.DraftProposed = ss.DraftProposed
-		st.DraftAccepted = ss.DraftAccepted
-		if ss.DraftProposed > 0 {
-			st.AcceptRate = float64(ss.DraftAccepted) / float64(ss.DraftProposed)
-		}
-	}
-	return st
 }

@@ -109,8 +109,8 @@ func TestSpeculationGoldenSpecVsSolo(t *testing.T) {
 				}
 			}
 
-			st := spec.SpecStats()
-			if !st.Enabled || st.Observed == 0 {
+			st := spec.Snapshot().Speculation
+			if st == nil || !st.Enabled || st.Observed == 0 {
 				t.Fatalf("draft source never trained: %+v", st)
 			}
 			ss := spec.SchedStats()
@@ -169,12 +169,12 @@ func TestSpeculationOptOut(t *testing.T) {
 	// Train: two speculating runs (the first observes, the second accepts).
 	want := run(model.SpecAuto)
 	onWarm := run(model.SpecAuto)
-	if c.SpecStats().SpecSteps == 0 {
-		t.Fatalf("warm run never speculated: %+v", c.SpecStats())
+	if c.Snapshot().Speculation.SpecSteps == 0 {
+		t.Fatalf("warm run never speculated: %+v", c.Snapshot().Speculation)
 	}
-	before := c.SpecStats().SpecSteps
+	before := c.Snapshot().Speculation.SpecSteps
 	optedOut := run(model.SpecOff)
-	if after := c.SpecStats().SpecSteps; after != before {
+	if after := c.Snapshot().Speculation.SpecSteps; after != before {
 		t.Fatalf("SpecOff request still speculated: %d -> %d spec steps", before, after)
 	}
 	for _, got := range [][]int{onWarm, optedOut} {
@@ -299,7 +299,7 @@ func TestSpeculationChurnHammer(t *testing.T) {
 					errs <- err
 					return
 				}
-				c.SpecStats()
+				c.Snapshot()
 			}
 		}()
 		go func(w int) {
@@ -325,7 +325,7 @@ func TestSpeculationChurnHammer(t *testing.T) {
 	if st.LanesJoined != st.LanesRetired {
 		t.Fatalf("lane leak: joined %d retired %d", st.LanesJoined, st.LanesRetired)
 	}
-	if sp := c.SpecStats(); !sp.Enabled || sp.Observed == 0 {
+	if sp := c.Snapshot().Speculation; sp == nil || sp.Observed == 0 {
 		t.Fatalf("draft source never observed under churn: %+v", sp)
 	}
 }
@@ -348,11 +348,37 @@ func TestSpeculationSchemaDropForgets(t *testing.T) {
 		}
 		res.Close()
 	}
-	if st := c.SpecStats(); st.Classes == 0 || st.Contexts == 0 {
+	if st := c.Snapshot().Speculation; st.Classes == 0 || st.Contexts == 0 {
 		t.Fatalf("draft never trained: %+v", st)
 	}
 	mustRegister(t, c, travelSchema) // replacement drops the old entry
-	if st := c.SpecStats(); st.Classes != 0 || st.Contexts != 0 {
+	if st := c.Snapshot().Speculation; st.Classes != 0 || st.Contexts != 0 {
 		t.Fatalf("replaced schema's draft classes survive: %+v", st)
+	}
+}
+
+// TestSpeculationWithoutSchedulerIsOff: speculation runs inside the
+// decode scheduler, so WithSpeculation alone builds no draft — the stats
+// document has no speculation block, and a serve computes no serving
+// class for a draft that could never verify. Either option order.
+func TestSpeculationWithoutSchedulerIsOff(t *testing.T) {
+	for _, c := range []*Cache{
+		llamaCache(t, WithSpeculation(specDraftOpts())),
+		llamaCache(t, WithSpeculation(specDraftOpts()), WithDecodeScheduler(2)),
+		llamaCache(t, WithDecodeScheduler(2), WithSpeculation(specDraftOpts())),
+	} {
+		mustRegister(t, c, travelSchema)
+		res, err := c.Serve(context.Background(), `<prompt schema="travel"><miami/>Surf?</prompt>`, ServeOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Close()
+		on := c.SchedEnabled()
+		if sp := c.Snapshot().Speculation; (sp != nil) != on {
+			t.Fatalf("scheduler %v: speculation block %+v", on, sp)
+		}
+		if (res.class != "") != on {
+			t.Fatalf("scheduler %v: serving class %q", on, res.class)
+		}
 	}
 }

@@ -1,0 +1,143 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/memory"
+	"repro/internal/model"
+)
+
+// tierLedgerLocked sums the bytes the module inventory says each pool
+// holds: resident modules and scaffolds in the device pool, demoted
+// modules in the host pool.
+func tierLedgerLocked(c *Cache) (device, host int64) {
+	for _, e := range c.schemas {
+		for _, em := range e.modules {
+			switch em.state {
+			case stateResident:
+				device += em.Bytes()
+			case stateDemoted:
+				host += em.Bytes()
+			}
+		}
+		for _, sc := range e.scaffolds {
+			device += sc.KV.Bytes(4)
+		}
+	}
+	return device, host
+}
+
+// churnSchema's six modules have six words each, so every module's
+// states take the same bytes and tier gauges count modules.
+const churnSchema = `<schema name="churn">
+  <module name="m0">alpha beta gamma delta epsilon zeta</module>
+  <module name="m1">one two three four five six</module>
+  <module name="m2">red green blue cyan magenta yellow</module>
+  <module name="m3">north south east west up down</module>
+  <module name="m4">salt pepper thyme basil sage mint</module>
+  <module name="m5">oak pine elm ash birch maple</module>
+</schema>`
+
+// TestSnapshotConsistentUnderChurn: serves churn modules through a
+// device and a host tier of two modules each and a disk tier below them
+// while another goroutine snapshots. Every document must be one
+// moment's books: the device gauge is read once, and the host gauge
+// equals the modules demoted and not yet promoted back — a counter and a
+// pool that two separately locked reads can catch mid-move. At
+// quiescence the gauges equal the inventory's resident and demoted
+// bytes, with no accounting error and no pin left behind.
+func TestSnapshotConsistentUnderChurn(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 733))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := NewCache(m)
+	mustRegister(t, probe, churnSchema)
+	var size int64
+	for name, em := range probe.schemas["churn"].modules {
+		if size == 0 {
+			size = em.Bytes()
+		}
+		if em.Bytes() != size {
+			t.Fatalf("module %s takes %d bytes, others %d: the fixture needs equal modules", name, em.Bytes(), size)
+		}
+	}
+
+	c := NewCache(m,
+		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: 2 * size})),
+		WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM, Capacity: 2 * size})),
+		WithDiskTier(t.TempDir(), CodecFP32),
+	)
+	mustRegister(t, c, churnSchema)
+
+	ctx := context.Background()
+	done := make(chan struct{})
+	snaps := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { snaps <- n }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			s := c.Snapshot()
+			n++
+			if s.PoolBytes != s.Tiers.DeviceBytes {
+				t.Errorf("pool_bytes %d != tiers.device_bytes %d", s.PoolBytes, s.Tiers.DeviceBytes)
+				return
+			}
+			if demoted := int64(s.Tiers.ModulesDemoted - s.Tiers.ModulesPromoted); s.Tiers.HostBytes != demoted*size {
+				t.Errorf("host holds %d bytes, but %d demoted - %d promoted modules of %d bytes: not one cut",
+					s.Tiers.HostBytes, s.Tiers.ModulesDemoted, s.Tiers.ModulesPromoted, size)
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 24; i++ {
+				a, b := (w+i)%6, (w+2*i+1)%6
+				if a == b {
+					b = (b + 1) % 6
+				}
+				prompt := fmt.Sprintf(`<prompt schema="churn"><m%d/><m%d/>Next?</prompt>`, a, b)
+				res, err := c.Serve(ctx, prompt, ServeOpts{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res.Close()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	if n := <-snaps; n == 0 {
+		t.Fatal("no snapshot ran during the churn")
+	}
+
+	s := c.Snapshot()
+	if s.Tiers.ModulesSpilled == 0 || s.Tiers.ModulesPromoted == 0 || s.Tiers.DiskHits == 0 {
+		t.Fatalf("the squeeze never cycled modules through host and disk: %+v", s.Tiers)
+	}
+	if s.Tiers.TierAccountErrors != 0 {
+		t.Fatalf("tier_account_errors = %d", s.Tiers.TierAccountErrors)
+	}
+	c.mu.Lock()
+	device, host := tierLedgerLocked(c)
+	c.mu.Unlock()
+	if s.Tiers.DeviceBytes != device || s.Tiers.HostBytes != host {
+		t.Fatalf("gauges device %d host %d, inventory holds device %d host %d",
+			s.Tiers.DeviceBytes, s.Tiers.HostBytes, device, host)
+	}
+	assertNoPins(t, c)
+}

@@ -310,7 +310,7 @@ func TestSaveAllDiskResidentToOtherDir(t *testing.T) {
 		}
 		res.Close()
 	}
-	if st := restored.MiningStats(); st.Hits != 1 {
+	if st := restored.Snapshot().Mining; st.Hits != 1 {
 		t.Fatalf("restored mined module not hit: %+v", st)
 	}
 }
@@ -489,8 +489,8 @@ func TestTierReadWindowSchemaReplacedBlobGone(t *testing.T) {
 	if st := c.Stats(); st.DiskLoadErrors != 0 || st.ModulesReloaded != 1 {
 		t.Errorf("want one transient re-encode and no load error: %+v", st)
 	}
-	if c.PoolUsed() != probe.PoolUsed() {
-		t.Errorf("pool holds %d bytes, a fresh registration %d", c.PoolUsed(), probe.PoolUsed())
+	if c.Snapshot().PoolBytes != probe.Snapshot().PoolBytes {
+		t.Errorf("pool holds %d bytes, a fresh registration %d", c.Snapshot().PoolBytes, probe.Snapshot().PoolBytes)
 	}
 	assertNoPins(t, c)
 }

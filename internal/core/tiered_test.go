@@ -20,7 +20,7 @@ func TestTieredDemotionAvoidsReEncode(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, travelSchema)
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 
 	tiered := NewCache(m,
 		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need/2 + 1})),
@@ -75,7 +75,7 @@ func TestTieredHostPoolCapBounded(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, travelSchema)
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 
 	tiered := NewCache(m,
 		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need/3 + 1})),
@@ -109,7 +109,7 @@ func TestTieredReRegisterFreesHostPool(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, travelSchema)
-	need := probe.PoolUsed()
+	need := probe.Snapshot().PoolBytes
 
 	host := memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM})
 	tiered := NewCache(m,

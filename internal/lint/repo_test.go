@@ -56,7 +56,7 @@ func TestUnreachedReadsBenchmarkModule(t *testing.T) {
 	}
 	slices.Sort(got)
 	want := []string{
-		"kvcache.Cache.Positions", "kvcache.Seq.Positions", "kvcache.Seq.ViewLen",
+		"core.Cache.SchedStats", "kvcache.Cache.Positions", "kvcache.Seq.Positions", "kvcache.Seq.ViewLen",
 		"model.Config.BytesPerCachedToken", "tensor.Backend.MatVecT", "tensor.Backend.OutputHead",
 	}
 	if !slices.Equal(got, want) {

@@ -603,7 +603,7 @@ func TestStatsTierCounters(t *testing.T) {
 	if _, err := probe.RegisterSchema(testSchema); err != nil {
 		t.Fatal(err)
 	}
-	need := probe.Engine().PoolUsed()
+	need := probe.Engine().Snapshot().PoolBytes
 
 	dir := t.TempDir()
 	// One byte short of the full schema: the pool holds either module

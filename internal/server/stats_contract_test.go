@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"testing"
 
@@ -257,5 +258,44 @@ func TestStatsMiningBlock(t *testing.T) {
 	_, out = doJSON(t, plain, http.MethodGet, "/v1/stats", nil)
 	if _, has := out["mining"]; has {
 		t.Fatalf("mining block present without mining: %v", out)
+	}
+}
+
+// TestStatsBlockPresence pins the "present exactly when configured"
+// contract of the optional blocks: a non-nil block is the only enabled
+// flag the document carries. Speculation runs inside the decode
+// scheduler, so on its own it shows nothing.
+func TestStatsBlockPresence(t *testing.T) {
+	optional := []string{"scheduler", "mining", "admission", "speculation"}
+	cases := []struct {
+		name string
+		opts []promptcache.Option
+		want []string
+	}{
+		{"bare", nil, nil},
+		{"scheduler", []promptcache.Option{promptcache.WithDecodeScheduler(2)}, []string{"scheduler"}},
+		{"mining", []promptcache.Option{promptcache.WithModuleMining(promptcache.MiningOpts{})}, []string{"mining"}},
+		{"admission", []promptcache.Option{promptcache.WithAdmission(promptcache.AdmissionConfig{})}, []string{"admission"}},
+		{"speculation alone", []promptcache.Option{promptcache.WithSpeculation(promptcache.DraftOpts{})}, nil},
+		{"speculation", []promptcache.Option{promptcache.WithSpeculation(promptcache.DraftOpts{}), promptcache.WithDecodeScheduler(2)},
+			[]string{"scheduler", "speculation"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := model.New(model.LlamaStyle(tokenizer.WordBase+2048, 11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, out := doJSON(t, New(promptcache.New(m, tc.opts...)), http.MethodGet, "/v1/stats", nil)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("stats: %d", rec.Code)
+			}
+			for _, block := range optional {
+				_, has := out[block]
+				if want := slices.Contains(tc.want, block); has != want {
+					t.Errorf("%s block present = %v, want %v", block, has, want)
+				}
+			}
+		})
 	}
 }

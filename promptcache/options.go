@@ -15,8 +15,11 @@ type Option = core.Option
 
 // Codec selects the disk tier's storage precision: CodecFP32 is the
 // bit-exact passthrough for deployments that cannot tolerate
-// quantization error, CodecInt8 (~3.9× smaller) and CodecInt4 (~7×)
-// trade bounded reconstruction error for blob size.
+// quantization error, CodecInt8 and CodecInt4 trade bounded
+// reconstruction error for blob size. `pcbench quant` measures 3.49×
+// (int8) and 6.14× (int4) smaller blobs on the seeded model's doc
+// module; per-row scales and per-token positions weigh more on narrow
+// rows, so the ratios approach 4× and 8× only on wide K/V rows.
 type Codec = core.Codec
 
 // The available disk-tier codecs.

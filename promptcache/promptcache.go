@@ -35,8 +35,8 @@
 // whole batch. Requests join mid-flight, retire independently (stop
 // token, MaxTokens, context cancellation), and each produces exactly the
 // token stream it would have produced decoding alone — the scheduler
-// changes throughput, never output. SchedulerStats exposes queue depth,
-// active lanes and the batch-size histogram.
+// changes throughput, never output. Snapshot's Scheduler block exposes
+// queue depth, active lanes and the batch-size histogram.
 //
 // With WithSpeculation (which requires the decode scheduler) decode
 // speculates: accepted token streams train a per-serving-class n-gram
@@ -44,7 +44,8 @@
 // widened fused step, emitting several tokens per step when the draft is
 // right. Output stays bit-identical to solo decode — a wrong draft costs
 // verify width, never a token — and requests opt in or out per call via
-// GenConfig.Speculation. SpecStats exposes acceptance counters.
+// GenConfig.Speculation. Snapshot's Speculation block exposes acceptance
+// counters; without the scheduler it is absent and nothing speculates.
 //
 // # Generation options
 //
@@ -192,32 +193,24 @@ func (c *Client) Schemas() []string { return c.cache.SchemaNames() }
 // locking and copying of a full Snapshot.
 func (c *Client) SchedulerEnabled() bool { return c.cache.SchedEnabled() }
 
-// MiningEnabled reports whether this client mines modules from traffic
-// (WithModuleMining).
-func (c *Client) MiningEnabled() bool { return c.cache.MiningEnabled() }
+// StatsAPIVersion is the schema version of the Snapshot document; it
+// bumps only on a breaking change.
+const StatsAPIVersion = core.StatsAPIVersion
+
+// Snapshot is the one stats document /v1/stats serializes: counters,
+// tier occupancy, backend identity, and a mining, admission, scheduler
+// or speculation block exactly when that subsystem is configured. An
+// alias of the engine's type, which assembles it in one consistent cut.
+type Snapshot = core.Snapshot
+
+// Snapshot returns the stats document. OpenSessions is left 0 for the
+// transport to fill (a Client holds no sessions registry).
+func (c *Client) Snapshot() Snapshot { return c.cache.Snapshot() }
 
 // OverloadError is the typed payload of a shed request, carrying the
 // computed Retry-After estimate; recover it with errors.As or
 // RetryAfterHint.
 type OverloadError = core.OverloadError
-
-// AdmissionEnabled reports whether this client admission-controls its
-// requests (WithAdmission).
-func (c *Client) AdmissionEnabled() bool { return c.cache.AdmissionEnabled() }
-
-// SpecStats is a snapshot of speculative-decoding activity: the draft
-// source's table statistics plus the scheduler's verify/accept counters.
-// An alias of the engine's type, like Option and Sampler.
-type SpecStats = core.SpecStats
-
-// SpecStats returns a snapshot of speculative-decoding activity. Without
-// WithSpeculation it returns the zero snapshot (Enabled false).
-func (c *Client) SpecStats() SpecStats { return c.cache.SpecStats() }
-
-// SpeculationEnabled reports whether this client speculates its decodes:
-// a draft source (WithSpeculation) together with a decode scheduler
-// (WithDecodeScheduler) to run the verify steps in.
-func (c *Client) SpeculationEnabled() bool { return c.cache.SpecEnabled() }
 
 // RetryAfterHint recovers the Retry-After estimate from a shed
 // request's error chain: how long the caller should back off before

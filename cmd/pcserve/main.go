@@ -33,12 +33,12 @@
 //
 // With -speculate the decode phase speculates: generated token streams
 // train a per-serving-class n-gram draft source, and each decode lane
-// verifies the draft's proposals in one widened fused step, emitting
-// several tokens per step when the draft is right. Output is
-// bit-identical to non-speculative decode — requests can opt out per
-// call via {"speculation": {"enabled": false}} — and the "speculation"
-// block of GET /v1/stats reports acceptance. Requires the decode scheduler
-// (-decode-batch > 0).
+// verifies the draft's proposals in one widened step, emitting several
+// tokens per step when the draft is right. Output is bit-identical to
+// non-speculative decode — requests can opt out per call via
+// {"speculation": {"enabled": false}} — and the "speculation" block of
+// GET /v1/stats reports acceptance. It works with or without the decode
+// scheduler (-decode-batch 0 decodes each request on its own goroutine).
 //
 // With -admit N the server survives overload instead of collapsing
 // under it: N requests serve concurrently, -admit-queue more wait, and
@@ -93,8 +93,8 @@ func main() {
 	decodeBatch := flag.Int("decode-batch", promptcache.DefaultMaxDecodeBatch, "continuous-batching decode width: concurrent generations fuse into shared model steps (0 disables the scheduler)")
 	cacheDir := flag.String("cache-dir", "", "durable cache directory: evicted modules spill here instead of dropping, and registered schemas persist across restarts (SIGINT/SIGTERM snapshots, next boot warm-restores)")
 	cacheCodec := flag.String("cache-codec", "fp32", "disk-tier codec: fp32 (bit-exact), int8 or int4")
-	speculate := flag.Bool("speculate", false, "speculative decoding: train an n-gram draft source on served traffic and verify its proposals in widened fused steps; output is bit-identical, only tokens-per-step changes (requires the decode scheduler)")
-	specDraft := flag.Int("speculate-draft", 0, "speculation: max draft tokens verified per fused step (0 = default)")
+	speculate := flag.Bool("speculate", false, "speculative decoding: train an n-gram draft source on served traffic and verify its proposals in widened decode steps; output is bit-identical, only tokens-per-step changes")
+	specDraft := flag.Int("speculate-draft", 0, "speculation: max draft tokens verified per decode step; a request's max_draft can only narrow it (0 = default 4)")
 	specContext := flag.Int("speculate-context", 0, "speculation: n-gram context length of the draft source (0 = default)")
 	specHalfLife := flag.Float64("speculate-half-life", 0, "speculation: draft-transition decay half-life in observed streams (0 = default)")
 	mine := flag.Bool("mine", false, "automatic module mining: observe uncached token streams and promote hot shared prefixes to anonymous cached modules")
@@ -140,9 +140,6 @@ func main() {
 		opts = append(opts, promptcache.WithDecodeScheduler(*decodeBatch))
 	}
 	if *speculate {
-		if *decodeBatch <= 0 {
-			log.Fatalf("pcserve: -speculate requires the decode scheduler (-decode-batch > 0)")
-		}
 		opts = append(opts, promptcache.WithSpeculation(promptcache.DraftOpts{
 			MaxDraft: *specDraft,
 			Context:  *specContext,

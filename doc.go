@@ -30,21 +30,23 @@
 // releases the pins early (do this before snapshotting a result or
 // parking a session long-term under memory pressure).
 //
-// # Continuous-batching decode
+// # Decode: one lane state machine, two drivers
 //
-// With promptcache.WithDecodeScheduler, the decode phase is fused
-// across requests: every concurrent generation joins a token scheduler
-// as a lane after its prefill, and each scheduler iteration admits
-// waiting lanes, runs ONE batched model step (model.DecodeStepBatchMulti)
-// for all of them — a single layer walk per step for the whole batch,
-// instead of one per request — then samples every lane (per-request
-// samplers and stop conditions) and retires finished or cancelled ones.
-// There is one fused walk and one layer body: each lane's k positions
-// run as a k-row block through the body that prefill (k = n) and solo
-// decode (k = 1) also run, and model.DecodeStepBatch is the walk's
-// one-position-per-lane entry point.
-// A request's token and logit streams are bit-identical to solo
-// decoding; the scheduler changes throughput, never output.
+// Decode runs as it would under a plain KV cache (§3.4: prompt modules
+// are not employed beyond the initial token), through one per-lane state
+// machine in internal/core (core.Scheduler): sample with the request's
+// sampler, check its stop conditions, emit, then ONE model step
+// (model.DecodeStepBatchMulti) that settles the lane. Two drivers run
+// it. With promptcache.WithDecodeScheduler, a background run loop fuses
+// every concurrent generation: each joins as a lane after its prefill,
+// and each iteration admits waiting lanes, runs one batched step for all
+// of them — a single layer walk per step for the whole batch, instead of
+// one per request — and retires finished or cancelled ones. Without it,
+// each generation drives the same state machine on its own goroutine as
+// a batch of one. Each lane's k positions run as a k-row block through
+// the one layer body that prefill (k = n) also runs. A request's token
+// and logit streams are bit-identical on either driver; the scheduler
+// changes throughput, never output.
 // The scheduler block of /v1/stats (core.Cache.Snapshot, the one stats
 // document) exposes queue depth, active lanes, the batch-size histogram
 // and decode tokens/sec; the benchmark of record's decode.long workload
@@ -52,21 +54,22 @@
 //
 // # Speculative decoding
 //
-// With promptcache.WithSpeculation (requires the decode scheduler), the
-// fused decode step widens: a back-off n-gram draft source — the same
-// radix-structure family as module mining, trained on the token streams
-// decode actually produced per serving class, no second model — proposes
-// up to MaxDraft tokens per lane, and the same fused step, at several
-// positions per lane, scores every proposed position. Each lane
-// accepts exactly the longest proposal prefix matching what solo decode
-// would have sampled, falls back to the verified next token on
-// rejection, and truncates unverified KV rows — so output is
-// bit-identical to non-speculative decode by construction, and a cold or
-// wrong draft costs verify width, never a token. Requests opt in or out
-// per call via promptcache.GenConfig.Speculation; `pcserve -speculate`
-// wires it into the server (the /v1/stats "speculation" block tracks
-// acceptance), and the benchmark of record's decode.spec workload
-// measures tokens per second against decode.long's identical requests.
+// With promptcache.WithSpeculation, on either driver, the decode step
+// widens: a back-off n-gram draft source — the same radix-structure
+// family as module mining, trained on the token streams decode actually
+// produced per serving class, no second model — proposes up to MaxDraft
+// tokens per lane, and the same step, at several positions per lane,
+// scores every proposed position. Each lane accepts exactly the longest
+// proposal prefix matching what its sampler picks, falls back to the
+// verified next token on rejection, and truncates unverified KV rows —
+// so output is bit-identical to non-speculative decode by construction,
+// and a cold or wrong draft costs verify width, never a token. Requests
+// opt in or out per call via promptcache.GenConfig.Speculation (whose
+// MaxDraft can narrow the engine's width, never widen it); `pcserve
+// -speculate` wires it into the server (the /v1/stats "speculation"
+// block tracks acceptance), and the benchmark of record's decode.spec
+// workload measures tokens per second against decode.long's identical
+// requests.
 //
 // # Generation options
 //

@@ -155,9 +155,11 @@ type Cache struct {
 	// re-encoding. nil disables spilling.
 	disk *diskTier
 
-	// sched, when non-nil, fuses concurrent decode loops into shared
-	// model steps (continuous batching); Generate/GenerateStream route
-	// through it. It synchronizes itself and never takes mu.
+	// sched is the decode loop Generate/GenerateStream run: fused into
+	// shared model steps under WithDecodeScheduler (continuous
+	// batching), inline on the caller's goroutine otherwise. It holds
+	// the speculation draft source, if any. It synchronizes itself and
+	// never takes mu.
 	sched *Scheduler
 
 	// miner, when non-nil, observes serve-time token streams and
@@ -166,9 +168,8 @@ type Cache struct {
 	// into the cache, so it may be used both under and outside mu.
 	miner *mining.Miner
 
-	// draftOpts, when non-nil, is WithSpeculation's draft-source config.
-	// The draft itself lives on the scheduler (see Cache.draft): NewCache
-	// builds it there when one exists, and without one it is never built.
+	// draftOpts, when non-nil, is WithSpeculation's draft-source config;
+	// NewCache builds the draft onto sched.
 	draftOpts *DraftOpts
 
 	// adm, when non-nil, bounds concurrent serving (WithAdmission):
@@ -228,9 +229,11 @@ func WithDiskTier(dir string, codec Codec) Option {
 // active generations cost one layer walk per token instead of N.
 // maxBatch bounds the fused-step width (non-positive selects
 // DefaultMaxDecodeBatch); requests beyond it queue and join as lanes
-// retire. Per-request output is bit-identical to solo decoding.
+// retire. Without it each generation runs the same lane state machine
+// inline on its caller's goroutine; per-request output is bit-identical
+// either way.
 func WithDecodeScheduler(maxBatch int) Option {
-	return func(c *Cache) { c.sched = newScheduler(c.m, maxBatch) }
+	return func(c *Cache) { c.sched = newScheduler(c.m, true, maxBatch) }
 }
 
 // WithFaultInjection installs a fault injector consulted by the disk
@@ -270,13 +273,16 @@ func NewCache(m *model.Model, opts ...Option) *Cache {
 	if c.policy == nil {
 		c.policy = evict.NewLRU()
 	}
+	if c.sched == nil {
+		c.sched = newScheduler(m, false, 0)
+	}
 	// Option order must not matter: wire the injector into the disk tier
-	// and build the draft source into the scheduler after all options
+	// and build the draft source into the decode loop after all options
 	// ran, whichever order they came in.
 	if c.disk != nil {
 		c.disk.inject = c.inject
 	}
-	if c.sched != nil && c.draftOpts != nil {
+	if c.draftOpts != nil {
 		c.sched.draft = mining.NewDraft(*c.draftOpts)
 	}
 	return c
@@ -361,7 +367,7 @@ func (c *Cache) freeTracked(p *memory.Pool, key string) {
 
 // dropSchemaLocked releases all pool reservations of a schema.
 func (c *Cache) dropSchemaLocked(name string, e *schemaEntry) {
-	if d := c.draft(); d != nil {
+	if d := c.sched.draft; d != nil {
 		// The draft source's learned phrasing dies with the schema too.
 		d.DropClassPrefix(classPrefix(name))
 	}

@@ -50,8 +50,8 @@ type ServeResult struct {
 
 	// class is the serve's serving-class key (see servingClass), set when
 	// mining or speculation is active. Generate hands it to the decode
-	// scheduler so draft-source lookups stay scoped to streams whose
-	// attention context matches.
+	// loop so draft-source lookups stay scoped to streams whose attention
+	// context matches.
 	class string
 }
 
@@ -155,7 +155,7 @@ func (c *Cache) ServeParsed(ctx context.Context, prompt *pml.Prompt, opts ServeO
 	// mined hit appends its own pin.
 	fullToks, fullPos := newToks, newPos
 	var class, minedName string
-	if c.miner != nil || c.draft() != nil {
+	if c.miner != nil || c.sched.draft != nil {
 		class = servingClass(prompt.SchemaName, plan)
 	}
 	if c.miner != nil {
@@ -692,20 +692,9 @@ func (c *Cache) BaselineServeParsed(ctx context.Context, prompt *pml.Prompt) (*S
 }
 
 // Generate continues autoregressively from a Serve or BaselineServe
-// result. Cancelling ctx aborts between decode steps. Under a decode
-// scheduler (WithDecodeScheduler) the request decodes as one lane of the
-// shared fused batch, with identical output.
+// result; it is GenerateStream without a sink.
 func (c *Cache) Generate(ctx context.Context, res *ServeResult, opts model.GenerateOpts) ([]int, error) {
-	var (
-		ids []int
-		err error
-	)
-	if c.sched != nil {
-		ids, err = c.sched.Generate(ctx, res.class, res.KV, res.Logits, opts, nil)
-	} else {
-		ids, err = c.m.Generate(ctx, res.KV, res.Logits, opts)
-	}
-	return ids, wrapDeadline(err)
+	return c.GenerateStream(ctx, res, opts, nil)
 }
 
 // Continue appends a follow-up user turn to an already-served session and
@@ -754,22 +743,18 @@ func (c *Cache) Continue(ctx context.Context, res *ServeResult, userText string)
 	}, nil
 }
 
-// GenerateStream generates token by token, calling emit with each
-// token's decoded text as soon as it is sampled; returning false stops.
-// Under a decode scheduler the stream decodes as one lane of the shared
-// fused batch; emit runs on the scheduler goroutine, so a sink that
-// blocks stalls every lane — transports should drop the lane (return
-// false) rather than block when their client stops reading.
+// GenerateStream generates token by token, calling emit (when non-nil)
+// with each token's decoded text as soon as it is sampled; returning
+// false stops. Cancelling ctx aborts between decode steps. The request
+// decodes as one lane of the decode loop (see Scheduler): under
+// WithDecodeScheduler emit runs on the run loop's goroutine, so a sink
+// that blocks stalls every lane — transports should drop the lane
+// (return false) rather than block when their client stops reading.
 func (c *Cache) GenerateStream(ctx context.Context, res *ServeResult, opts model.GenerateOpts, emit func(text string) bool) ([]int, error) {
-	detok := func(tok int) bool { return emit(c.tok.Decode([]int{tok})) }
-	var (
-		ids []int
-		err error
-	)
-	if c.sched != nil {
-		ids, err = c.sched.Generate(ctx, res.class, res.KV, res.Logits, opts, detok)
-	} else {
-		ids, err = c.m.GenerateStream(ctx, res.KV, res.Logits, opts, detok)
+	var detok func(int) bool
+	if emit != nil {
+		detok = func(tok int) bool { return emit(c.tok.Decode([]int{tok})) }
 	}
+	ids, err := c.sched.Generate(ctx, res.class, res.KV, res.Logits, opts, detok)
 	return ids, wrapDeadline(err)
 }

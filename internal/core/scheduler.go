@@ -43,17 +43,17 @@ type SchedStats struct {
 	TokensPerSec float64 `json:"tokens_per_sec"`
 	// DecodeNs is total wall time spent inside fused model steps.
 	DecodeNs int64 `json:"-"`
-	// SpecSteps counts fused steps that verified at least one draft
-	// token; DraftProposed and DraftAccepted count draft tokens verified
-	// and accepted across all lanes. Accepted drafts are tokens produced
-	// without their own fused step — the speculation win. The document
-	// carries them in the speculation block.
+	// SpecSteps counts steps, on either driver, that verified at least
+	// one draft token; DraftProposed and DraftAccepted count draft tokens
+	// verified and accepted across all lanes. Accepted drafts are tokens
+	// produced without a step of their own — the speculation win. The
+	// document carries them in the speculation block.
 	SpecSteps, DraftProposed, DraftAccepted int64 `json:"-"`
 }
 
-// schedLane is one request's sequence inside the scheduler: its KV state,
-// sampler and stop conditions, the emit sink for streaming, and the
-// model-side DecodeLane holding its scratch.
+// schedLane is one request's sequence inside the lane state machine: its
+// KV state, sampler and stop conditions, the emit sink for streaming, and
+// the model-side DecodeLane holding its scratch.
 type schedLane struct {
 	ctx    context.Context
 	kv     kvcache.KV
@@ -64,10 +64,10 @@ type schedLane struct {
 
 	dl   *model.DecodeLane
 	pos  int
-	next int // token sampled this iteration, fed to the fused step
+	next int // token sampled this iteration, fed to the next step
 	out  []int
 	err  error
-	done chan struct{}
+	done chan struct{} // closed at retirement; nil on the inline driver
 
 	// speculation state: specOn resolves the request's policy against
 	// the engine's draft source; specClass keys draft lookups (the serve's
@@ -82,32 +82,40 @@ type schedLane struct {
 	ready     bool
 }
 
-// Scheduler fuses concurrent decode loops into shared model steps
-// (continuous batching). Requests join mid-flight after their prefill:
-// each run-loop iteration samples every active lane with its own sampler,
-// retires lanes whose stop condition fired (stop token, MaxTokens,
-// context cancellation, emit refusal), admits waiting lanes up to
-// MaxBatch, and then executes ONE fused model step for all survivors —
-// so N concurrent generations cost one layer walk per token, not N.
+// Scheduler is the engine's one decode loop: a per-lane state machine
+// (advance, draft proposal, one model step, settle, retire) with two
+// drivers. With WithDecodeScheduler a background run loop fuses
+// concurrent generations into shared model steps (continuous batching):
+// requests join mid-flight after their prefill, each iteration samples
+// every active lane with its own sampler, retires lanes whose stop
+// condition fired (stop token, MaxTokens, context cancellation, emit
+// refusal), admits waiting lanes up to MaxBatch, and then executes ONE
+// fused model step for all survivors — so N concurrent generations cost
+// one layer walk per token, not N. Without it, Generate drives the same
+// state machine inline on the caller's goroutine as a batch of one: no
+// goroutine, no handoff.
 //
-// Determinism: a lane's arithmetic runs on its own scratch in solo order
-// inside the fused step, and sampling uses the request's own sampler
-// state, so a request's token and logit streams are bit-identical whether
-// it decoded alone or fused with any mix of neighbors joining and
+// Determinism: a lane's arithmetic runs on its own scratch in one-lane
+// order inside the fused step, and sampling uses the request's own sampler
+// state, so a request's token and logit streams are bit-identical on
+// either driver, alone or fused with any mix of neighbors joining and
 // retiring around it.
 //
-// With a draft source (WithSpeculation) the fused step speculates: each
-// lane proposes up to draftBudget tokens from its class's n-gram table,
-// one widened verify step scores all proposed positions, and settle
-// accepts exactly the prefix solo decode would have sampled, truncating
-// the rest — several tokens per step when the draft is right, the same
-// bit-identical stream always. Retiring lanes feed their accepted tokens
-// back into the draft source, which is how it trains.
+// With a draft source (WithSpeculation) the step speculates on either
+// driver: each lane proposes up to draftBudget tokens from its class's
+// n-gram table, one widened verify step scores all proposed positions,
+// and settle accepts exactly the prefix plain decode would have sampled,
+// truncating the rest — several tokens per step when the draft is right,
+// the same bit-identical stream always. Retiring lanes feed their
+// accepted tokens back into the draft source, which is how it trains.
 //
 // The run loop starts on demand and exits when no lanes are active or
 // waiting, so an idle scheduler costs nothing and needs no Close.
 type Scheduler struct {
-	m        *model.Model
+	m *model.Model
+	// fused selects the driver: the background run loop
+	// (WithDecodeScheduler), or inline on each Generate caller.
+	fused    bool
 	maxBatch int
 	// draft, when non-nil, is the n-gram draft source speculative decode
 	// proposes from (WithSpeculation). It synchronizes itself; the run
@@ -129,21 +137,26 @@ type Scheduler struct {
 	hist                       []int64
 
 	specSteps, draftProposed, draftAccepted int64
-
-	// stepToks/stepPos are the run loop's per-step argument headers and
-	// stepDone the lanes a step retires, reused across steps so a fused
-	// step allocates nothing.
-	stepToks, stepPos [][]int
-	stepDone          []*schedLane
 }
 
-// newScheduler builds a scheduler over m with the given fused-step width
-// (non-positive means DefaultMaxDecodeBatch).
-func newScheduler(m *model.Model, maxBatch int) *Scheduler {
-	if maxBatch <= 0 {
+// stepArgs is one driver's per-step argument headers and the lanes a step
+// retires, reused across steps so a step allocates nothing.
+type stepArgs struct {
+	lanes      []*model.DecodeLane
+	kvs        []kvcache.KV
+	toks, poss [][]int
+	done       []*schedLane
+}
+
+// newScheduler builds the decode loop over m: fused with the given step
+// width (non-positive means DefaultMaxDecodeBatch), or inline.
+func newScheduler(m *model.Model, fused bool, maxBatch int) *Scheduler {
+	if !fused {
+		maxBatch = 1
+	} else if maxBatch <= 0 {
 		maxBatch = DefaultMaxDecodeBatch
 	}
-	return &Scheduler{m: m, maxBatch: maxBatch, hist: make([]int64, maxBatch)}
+	return &Scheduler{m: m, fused: fused, maxBatch: maxBatch, hist: make([]int64, maxBatch)}
 }
 
 // pendingLocked sums queued lanes across SLO classes. Callers hold s.mu.
@@ -180,22 +193,28 @@ func (s *Scheduler) Stats() SchedStats {
 	return st
 }
 
-// Generate submits one sequence to the scheduler and blocks until it
-// retires, returning the generated ids (semantics identical to
-// model.Generate / model.GenerateStream, including error returns). The
-// caller keeps ownership of kv after return; while the lane is live the
-// scheduler is the one goroutine appending to it. class is the serve's
-// serving-class key, which scopes draft-source lookups when speculation
-// is enabled; the empty string is a valid (shared) class.
+// Generate decodes one sequence from a prefilled cache and its final
+// prefill logits, returning the generated ids (stop token excluded). New
+// tokens take consecutive positions after the cache's maximum position
+// ID: decode runs as it would under a plain KV cache (§3.4, "prompt
+// modules are not employed beyond the initial token"). Cancelling ctx
+// aborts between steps with ctx.Err() and the tokens produced so far;
+// emit, when non-nil, receives each token as it is sampled and stops
+// decoding by returning false.
+//
+// The fused driver queues the lane for the run loop and blocks until it
+// retires; while the lane is live the run loop is the one goroutine
+// appending to kv. The inline driver runs the lane here. Either way the
+// caller keeps ownership of kv after return. class is the serve's
+// serving-class key, which scopes draft-source lookups; the empty string
+// is a valid (shared) class.
 func (s *Scheduler) Generate(ctx context.Context, class string, kv kvcache.KV, lastLogits []float32, opts model.GenerateOpts, emit func(tok int) bool) ([]int, error) {
 	opts.Defaults()
 	if kv.Len() == 0 {
-		//pclint:ignore errtaxonomy mirrors model.Generate's guard verbatim so fused and solo decode return identical errors
-		return nil, fmt.Errorf("model: Generate on empty cache")
+		return nil, fmt.Errorf("%w: Generate on an empty cache", ErrBadPrompt)
 	}
 	if len(lastLogits) != s.m.Cfg.VocabSize {
-		//pclint:ignore errtaxonomy mirrors model.Generate's guard verbatim so fused and solo decode return identical errors
-		return nil, fmt.Errorf("model: logits width %d != vocab %d", len(lastLogits), s.m.Cfg.VocabSize)
+		return nil, fmt.Errorf("%w: logits width %d != vocab %d", ErrBadPrompt, len(lastLogits), s.m.Cfg.VocabSize)
 	}
 	ln := &schedLane{
 		ctx:       ctx,
@@ -205,13 +224,19 @@ func (s *Scheduler) Generate(ctx context.Context, class string, kv kvcache.KV, l
 		emit:      emit,
 		class:     SLOFromContext(ctx),
 		pos:       kv.MaxPos(),
-		done:      make(chan struct{}),
 		specOn:    s.draft != nil && opts.Speculation.Policy != model.SpecOff,
 		specClass: class,
 	}
 	s.mu.Lock()
-	s.pending[ln.class] = append(s.pending[ln.class], ln)
 	s.joined++
+	if !s.fused {
+		s.active++
+		s.mu.Unlock()
+		s.inline(ln)
+		return ln.out, ln.err
+	}
+	ln.done = make(chan struct{})
+	s.pending[ln.class] = append(s.pending[ln.class], ln)
 	if !s.running {
 		s.running = true
 		go s.run()
@@ -225,14 +250,22 @@ func (s *Scheduler) Generate(ctx context.Context, class string, kv kvcache.KV, l
 	return ln.out, ln.err
 }
 
-// run is the scheduler's decode loop. It owns every admitted lane
-// outright — samplers, KV tails, scratch — and takes s.mu only for
-// admission and stats, never across model work or emit callbacks.
+// inline is the inline driver: it runs one lane through iterate, the body
+// the run loop runs, on the caller's goroutine until the lane retires.
+func (s *Scheduler) inline(ln *schedLane) {
+	ln.dl = s.m.NewDecodeLane()
+	var args stepArgs
+	for active := []*schedLane{ln}; len(active) > 0; {
+		active = s.iterate(&args, active)
+	}
+}
+
+// run is the fused driver's loop. It owns every admitted lane outright —
+// samplers, KV tails, scratch — and takes s.mu only for admission and
+// stats, never across model work or emit callbacks.
 func (s *Scheduler) run() {
-	var active []*schedLane
-	var lanes []*model.DecodeLane
-	var kvs []kvcache.KV
-	var expired []*schedLane
+	var active, expired []*schedLane
+	var args stepArgs
 	for {
 		// Admission: sweep cancelled waiters (a queued request whose
 		// client vanished must not wait for a batch slot to learn it),
@@ -260,81 +293,87 @@ func (s *Scheduler) run() {
 				s.pending[cl] = s.pending[cl][1:]
 				ln.dl = s.m.NewDecodeLane()
 				active = append(active, ln)
+				s.active++
 			}
 		}
 		if len(active) == 0 {
 			// len(pending) is 0 too (admission above drained it), so the
 			// loop parks by exiting; the next Generate restarts it.
 			s.running = false
-			s.active = 0
-			s.mu.Unlock()
-			for _, ln := range expired {
-				s.retire(ln, ln.ctx.Err())
-			}
-			return
 		}
-		s.active = len(active)
 		s.mu.Unlock()
 		for _, ln := range expired {
 			s.retire(ln, ln.ctx.Err())
 		}
-
-		// Sample-and-retire phase: per lane, the exact pre-step sequence
-		// of the solo loop (MaxTokens, ctx, sample, stop token, emit,
-		// MaxSeq), so retirement decisions match solo decoding bit for
-		// bit. Only a lane's first iteration runs it here: after that the
-		// lane is ready — settle already ran the sequence against the
-		// previous step's logits. With a draft source, each surviving
-		// lane then proposes draft tokens to verify alongside its sampled
-		// one.
-		keep := active[:0] // filtered in place
-		lanes, kvs = lanes[:0], kvs[:0]
-		for _, ln := range active {
-			if ln.ready {
-				ln.ready = false
-			} else if stop, err := s.advance(ln); stop {
-				s.retire(ln, err)
-				continue
-			}
-			ln.spec = append(ln.spec[:0], ln.next)
-			if ln.specOn {
-				if budget := s.draftBudget(ln); budget > 0 {
-					ln.spec = append(ln.spec, s.draft.Propose(ln.specClass, ln.out, budget)...)
-				}
-			}
-			keep = append(keep, ln)
-			lanes = append(lanes, ln.dl)
-			kvs = append(kvs, ln.kv)
+		if len(active) == 0 {
+			return
 		}
-		active = keep
-		if len(lanes) > 0 {
-			active = s.step(active, lanes, kvs)
-			// The loop never blocks between steps, so without a yield it
-			// keeps a core to itself until preemption. Each step's tokens
-			// go out on other goroutines (stream writes, new requests'
-			// prefills), which then queue for the remaining cores.
-			runtime.Gosched()
+		active = s.iterate(&args, active)
+		// The loop never blocks between steps, so without a yield it
+		// keeps a core to itself until preemption. Each step's tokens
+		// go out on other goroutines (stream writes, new requests'
+		// prefills), which then queue for the remaining cores.
+		runtime.Gosched()
+	}
+}
+
+// iterate is one pass of the lane state machine over active, the body
+// both drivers run. Sample-and-retire phase: per lane, the pre-step
+// sequence (MaxTokens, ctx, sample, stop token, emit, MaxSeq). Only a
+// lane's first iteration runs it here: after that the lane is ready —
+// settle already ran the sequence against the previous step's logits.
+// Each surviving lane then proposes its drafts, and all of them run ONE
+// model step, which settles them. It returns active filtered in place to
+// the lanes still decoding.
+func (s *Scheduler) iterate(args *stepArgs, active []*schedLane) []*schedLane {
+	keep := active[:0]
+	for _, ln := range active {
+		if ln.ready {
+			ln.ready = false
+		} else if stop, err := s.advance(ln); stop {
+			s.retire(ln, err)
+			continue
+		}
+		s.propose(ln)
+		keep = append(keep, ln)
+	}
+	if len(keep) == 0 {
+		return keep
+	}
+	return s.step(args, keep)
+}
+
+// propose sets a lane's step tokens: its sampled token, then whatever the
+// draft source proposes within draftBudget when the lane speculates.
+func (s *Scheduler) propose(ln *schedLane) {
+	ln.spec = append(ln.spec[:0], ln.next)
+	if ln.specOn {
+		if budget := s.draftBudget(ln); budget > 0 {
+			ln.spec = append(ln.spec, s.draft.Propose(ln.specClass, ln.out, budget)...)
 		}
 	}
 }
 
-// step runs one fused model step for every lane in active — each lane's
+// step runs one model step for every lane in active — each lane's
 // sampled token plus whatever draft tokens it proposed, so a batch with no
 // drafts anywhere is a plain k = 1 step — then settles every lane. It
 // returns active filtered in place to the lanes that survived.
-func (s *Scheduler) step(active []*schedLane, lanes []*model.DecodeLane, kvs []kvcache.KV) []*schedLane {
-	s.stepToks, s.stepPos = s.stepToks[:0], s.stepPos[:0]
+func (s *Scheduler) step(args *stepArgs, active []*schedLane) []*schedLane {
+	args.lanes, args.kvs = args.lanes[:0], args.kvs[:0]
+	args.toks, args.poss = args.toks[:0], args.poss[:0]
 	for _, ln := range active {
 		ln.specPos = ln.specPos[:0]
 		for j := range ln.spec {
 			ln.specPos = append(ln.specPos, ln.pos+j)
 		}
-		s.stepToks = append(s.stepToks, ln.spec)
-		s.stepPos = append(s.stepPos, ln.specPos)
+		args.lanes = append(args.lanes, ln.dl)
+		args.kvs = append(args.kvs, ln.kv)
+		args.toks = append(args.toks, ln.spec)
+		args.poss = append(args.poss, ln.specPos)
 	}
 
 	start := time.Now()
-	err := s.m.DecodeStepBatchMulti(lanes, s.stepToks, s.stepPos, kvs)
+	err := s.m.DecodeStepBatchMulti(args.lanes, args.toks, args.poss, args.kvs)
 	elapsed := time.Since(start)
 	if err != nil {
 		// Malformed batch call: a scheduler bug, not a lane's fault.
@@ -348,11 +387,11 @@ func (s *Scheduler) step(active []*schedLane, lanes []*model.DecodeLane, kvs []k
 	// Every stepped lane fed one sampled token; accepted drafts are the
 	// tokens produced without a step of their own.
 	var proposed, accepted int64
-	keep, done := active[:0], s.stepDone[:0]
+	keep, done := active[:0], args.done[:0]
 	for _, ln := range active {
 		if ln.err = ln.dl.Err(); ln.err != nil {
-			// The failed lane appended nothing; solo decode would fail the
-			// same step with the same error.
+			// The failed lane appended nothing; a step of its own would
+			// fail the same way with the same error.
 			done = append(done, ln)
 			continue
 		}
@@ -371,8 +410,8 @@ func (s *Scheduler) step(active []*schedLane, lanes []*model.DecodeLane, kvs []k
 	if proposed > 0 {
 		s.specSteps++
 	}
-	s.tokens += int64(len(lanes)) + accepted
-	s.hist[len(lanes)-1]++
+	s.tokens += int64(len(args.lanes)) + accepted
+	s.hist[len(args.lanes)-1]++
 	s.decodeNs += elapsed.Nanoseconds()
 	s.draftProposed += proposed
 	s.draftAccepted += accepted
@@ -384,20 +423,21 @@ func (s *Scheduler) step(active []*schedLane, lanes []*model.DecodeLane, kvs []k
 		s.retire(ln, ln.err)
 	}
 	clear(done)
-	s.stepDone = done[:0]
+	args.done = done[:0]
 	return keep
 }
 
-// settle replays the solo post-step sequence over a lane's step logits:
-// position j's logits feed the exact advance() the solo loop would run
-// next, and the draft token at j+1 is accepted only when the lane's own
-// sampler picked precisely it. On divergence — or any retirement — the
-// speculative tail rows are truncated away, so the lane's KV, sampler
-// state, token stream and emitted output are bit-identical to never
-// having speculated. A surviving lane leaves settle step-ready: its next
-// token is sampled and emitted, awaiting the next fused step. With no
-// drafts (k = 1) that is one advance and nothing to truncate. A lane that
-// stops instead carries its outcome in ln.err for the caller to retire.
+// settle replays the post-step sequence over a lane's step logits:
+// position j's logits feed the exact advance() a k = 1 step would be
+// followed by, and the draft token at j+1 is accepted only when the
+// lane's own sampler picked precisely it. On divergence — or any
+// retirement — the speculative tail rows are truncated away, so the
+// lane's KV, sampler state, token stream and emitted output are
+// bit-identical to never having speculated. A surviving lane leaves
+// settle step-ready: its next token is sampled and emitted, awaiting the
+// next step. With no drafts (k = 1) that is one advance and nothing to
+// truncate. A lane that stops instead carries its outcome in ln.err for
+// the caller to retire.
 func (s *Scheduler) settle(ln *schedLane) (accepted int, stop bool) {
 	n := len(ln.spec)
 	base := ln.kv.Len() - n
@@ -417,25 +457,21 @@ func (s *Scheduler) settle(ln *schedLane) (accepted int, stop bool) {
 	}
 }
 
-// draftBudget bounds a lane's draft width: the request's MaxDraft, the
-// remaining token budget (a draft past MaxTokens can never be accepted),
-// and the remaining position headroom.
+// draftBudget bounds a lane's draft width: the remaining position
+// headroom, the remaining token budget (a draft past MaxTokens can never
+// be accepted) and the request's MaxDraft when it sets one. Propose caps
+// the width at the engine's DraftOpts.MaxDraft, so a request without its
+// own bound drafts as wide as the engine allows.
 func (s *Scheduler) draftBudget(ln *schedLane) int {
-	b := ln.opts.Speculation.MaxDraft
-	if r := ln.opts.MaxTokens - len(ln.out); r < b {
-		b = r
+	b := min(s.m.Cfg.MaxSeq-1-ln.pos, ln.opts.MaxTokens-len(ln.out))
+	if d := ln.opts.Speculation.MaxDraft; d > 0 {
+		b = min(b, d)
 	}
-	if r := s.m.Cfg.MaxSeq - 1 - ln.pos; r < b {
-		b = r
-	}
-	if b < 0 {
-		b = 0
-	}
-	return b
+	return max(b, 0)
 }
 
-// advance runs one lane's pre-step phase — the head of the solo decode
-// loop — and reports whether the lane retires instead of stepping.
+// advance runs one lane's pre-step phase — sample, stop, emit — and
+// reports whether the lane retires instead of stepping.
 func (s *Scheduler) advance(ln *schedLane) (stop bool, err error) {
 	if len(ln.out) >= ln.opts.MaxTokens {
 		return true, nil
@@ -459,7 +495,7 @@ func (s *Scheduler) advance(ln *schedLane) (stop bool, err error) {
 	return false, nil
 }
 
-// retire removes a lane from the batch: release its scratch, record the
+// retire removes a lane from its driver: release its scratch, record the
 // outcome, give back its slot in the active gauge, and wake its Generate
 // caller. Lanes cancelled while still queued retire without ever having
 // acquired a DecodeLane, and so without a slot. After done closes the
@@ -488,5 +524,7 @@ func (s *Scheduler) retire(ln *schedLane, err error) {
 		s.cancelled++
 	}
 	s.mu.Unlock()
-	close(ln.done)
+	if ln.done != nil {
+		close(ln.done)
+	}
 }

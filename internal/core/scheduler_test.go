@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/evict"
+	"repro/internal/kvcache"
 	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/rng"
@@ -17,8 +19,8 @@ import (
 )
 
 // recordingSampler snapshots the logits of every Sample call before
-// delegating, so tests can compare fused and solo logit streams bit for
-// bit, not just the sampled tokens.
+// delegating, so tests can compare logit streams bit for bit, not just
+// the sampled tokens.
 type recordingSampler struct {
 	inner  model.Sampler
 	logits [][]float32
@@ -29,9 +31,9 @@ func (r *recordingSampler) Sample(l []float32) int {
 	return r.inner.Sample(l)
 }
 
-// goldenReq is one heterogeneous request of the golden fused-vs-solo
-// comparison: its own schema/prompt, its own sampler family, its own
-// reply length (so lanes retire at different steps).
+// goldenReq is one heterogeneous request of the golden comparisons: its
+// own schema/prompt, its own sampler family, its own reply length (so
+// lanes retire at different steps).
 type goldenReq struct {
 	prompt    string
 	maxTokens int
@@ -62,9 +64,50 @@ type goldenRun struct {
 	err    error
 }
 
+// decodeDrivers are the decode loop's two drivers as cache options:
+// inline on each Generate caller, and the fused run loop.
+var decodeDrivers = []struct {
+	name string
+	opts []Option
+}{
+	{"inline", nil},
+	{"fused", []Option{WithDecodeScheduler(4)}},
+}
+
+// decodeRef is the goldens' reference decode, independent of the lane
+// state machine under test: plain KV-cache decode over Model.Decode and
+// the request's sampler, each token at the next position after the
+// cache's maximum.
+func decodeRef(m *model.Model, kv kvcache.KV, logits []float32, opts model.GenerateOpts) ([]int, error) {
+	opts.Defaults()
+	var out []int
+	pos := kv.MaxPos()
+	for len(out) < opts.MaxTokens {
+		next := opts.Sampler.Sample(logits)
+		if next == opts.StopToken {
+			break
+		}
+		out = append(out, next)
+		if pos++; pos >= m.Cfg.MaxSeq {
+			break
+		}
+		var err error
+		if logits, err = m.Decode(next, pos, kv); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// goldenOpts are a golden request's decode options around its recording
+// sampler. StopToken -1 keeps untrained-model EOS argmax from shortening
+// replies, so retirement happens exactly at maxTokens.
+func goldenOpts(rq goldenReq, rec *recordingSampler) model.GenerateOpts {
+	return model.GenerateOpts{MaxTokens: rq.maxTokens, Sampler: rec, StopToken: -1}
+}
+
 // runGolden serves and decodes one request on c, recording every logits
-// vector its sampler saw. StopToken -1 keeps untrained-model EOS argmax
-// from shortening replies, so retirement happens exactly at maxTokens.
+// vector its sampler saw.
 func runGolden(ctx context.Context, c *Cache, rq goldenReq) goldenRun {
 	res, err := c.Serve(ctx, rq.prompt, ServeOpts{})
 	if err != nil {
@@ -72,27 +115,110 @@ func runGolden(ctx context.Context, c *Cache, rq goldenReq) goldenRun {
 	}
 	defer res.Close()
 	rec := &recordingSampler{inner: rq.sampler()}
-	ids, err := c.Generate(ctx, res, model.GenerateOpts{MaxTokens: rq.maxTokens, Sampler: rec, StopToken: -1})
+	ids, err := c.Generate(ctx, res, goldenOpts(rq, rec))
 	return goldenRun{toks: ids, logits: rec.logits, err: err}
 }
 
-// TestSchedulerGoldenFused is the bit-identity contract of continuous
-// batching: a fused batch of heterogeneous requests — different schemas,
-// samplers, reply lengths, joining and retiring mid-run, through a batch
-// bound smaller than the request count so admission also churns — must
-// produce, per request, exactly the token and logit streams of a solo
-// run. Covered on RoPE and on ALiBi (whose position gaps between modules
-// exercise the §4.2 "white space" path during decode attention).
+// goldenCache builds a cache for the golden comparisons: both schemas
+// registered, and the learned vocabulary warmed in a fixed order, so
+// concurrent serving later cannot perturb word-id assignment between the
+// reference and the checked cache.
+func goldenCache(t *testing.T, cfg model.Config, opts ...Option) *Cache {
+	t.Helper()
+	c := newTestCache(t, cfg, opts...)
+	mustRegister(t, c, travelSchema)
+	mustRegister(t, c, multiParamSchema)
+	for _, rq := range goldenRequests() {
+		res, err := c.Serve(context.Background(), rq.prompt, ServeOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Close()
+	}
+	return c
+}
+
+// goldenWant is the reference side of a golden: every golden request
+// served on a one-worker cache and decoded by decodeRef.
+func goldenWant(t *testing.T, cfg model.Config) []goldenRun {
+	t.Helper()
+	ctx := context.Background()
+	c := goldenCache(t, cfg, WithBackend(tensor.NewBackend(1)))
+	reqs := goldenRequests()
+	want := make([]goldenRun, len(reqs))
+	for i, rq := range reqs {
+		res, err := c.Serve(ctx, rq.prompt, ServeOpts{})
+		if err != nil {
+			t.Fatalf("reference %d: %v", i, err)
+		}
+		rec := &recordingSampler{inner: rq.sampler()}
+		ids, err := decodeRef(c.Model(), res.KV, res.Logits, goldenOpts(rq, rec))
+		res.Close()
+		if err != nil {
+			t.Fatalf("reference %d: %v", i, err)
+		}
+		want[i] = goldenRun{toks: ids, logits: rec.logits}
+	}
+	return want
+}
+
+// checkGolden decodes every golden request concurrently on c and fails
+// unless each one's token and logit streams equal want bit for bit.
+func checkGolden(t *testing.T, c *Cache, want []goldenRun, label string) {
+	t.Helper()
+	ctx := context.Background()
+	reqs := goldenRequests()
+	got := make([]goldenRun, len(reqs))
+	var wg sync.WaitGroup
+	for i, rq := range reqs {
+		wg.Add(1)
+		go func(i int, rq goldenReq) {
+			defer wg.Done()
+			got[i] = runGolden(ctx, c, rq)
+		}(i, rq)
+	}
+	wg.Wait()
+	for i := range reqs {
+		if got[i].err != nil {
+			t.Fatalf("%s req %d: %v", label, i, got[i].err)
+		}
+		if len(got[i].toks) != len(want[i].toks) {
+			t.Fatalf("%s req %d: %d tokens, reference %d", label, i, len(got[i].toks), len(want[i].toks))
+		}
+		for j := range got[i].toks {
+			if got[i].toks[j] != want[i].toks[j] {
+				t.Fatalf("%s req %d token %d: %d, reference %d", label, i, j, got[i].toks[j], want[i].toks[j])
+			}
+		}
+		if len(got[i].logits) != len(want[i].logits) {
+			t.Fatalf("%s req %d: sampled %d times, reference %d", label, i, len(got[i].logits), len(want[i].logits))
+		}
+		for j := range got[i].logits {
+			if d := tensor.MaxAbsDiff(got[i].logits[j], want[i].logits[j]); d != 0 {
+				t.Fatalf("%s req %d step %d: logits diverge from the reference by %v", label, i, j, d)
+			}
+		}
+	}
+}
+
+// TestSchedulerGoldenFused is the bit-identity contract of the decode
+// loop: heterogeneous requests — different schemas, samplers, reply
+// lengths — decoded concurrently on either driver must produce, per
+// request, exactly the token and logit streams of plain decode over
+// Model.Decode. On the fused driver they join and retire mid-run through
+// a batch bound smaller than the request count, so admission also
+// churns. Covered on RoPE and on ALiBi (whose position gaps between
+// modules exercise the §4.2 "white space" path during decode attention).
 func TestSchedulerGoldenFused(t *testing.T) {
 	// The worker dimension makes this also the cross-worker golden: the
-	// solo reference always runs one worker, while the fused cache runs
-	// the count under test — so a 4-worker pass proves scheduler fusion
-	// AND kernel parallelism together reproduce the sequential
-	// one-worker streams bit for bit.
+	// reference always runs one worker, while the checked cache runs the
+	// count under test — so a 4-worker pass proves the decode loop AND
+	// kernel parallelism together reproduce the sequential one-worker
+	// streams bit for bit.
 	archs := []struct {
-		name  string
-		cfg   model.Config
-		fused tensor.Backend
+		name    string
+		cfg     model.Config
+		checked tensor.Backend
 	}{
 		{"llama", model.LlamaStyle(coreVocab, 77), tensor.NewBackend(1)},
 		{"llama-parallel", model.LlamaStyle(coreVocab, 77), tensor.NewBackend(4)},
@@ -101,76 +227,29 @@ func TestSchedulerGoldenFused(t *testing.T) {
 	}
 	for _, arch := range archs {
 		t.Run(arch.name, func(t *testing.T) {
-			ctx := context.Background()
-			solo := newTestCache(t, arch.cfg)
-			solo.Model().SetBackend(tensor.NewBackend(1))
-			fused := newTestCache(t, arch.cfg, WithDecodeScheduler(4), WithBackend(arch.fused))
-			reqs := goldenRequests()
-			for _, c := range []*Cache{solo, fused} {
-				mustRegister(t, c, travelSchema)
-				mustRegister(t, c, multiParamSchema)
-				// Warm the learned vocabulary in a fixed order on both
-				// caches, so concurrent serving later cannot perturb word-id
-				// assignment between them.
-				for _, rq := range reqs {
-					res, err := c.Serve(ctx, rq.prompt, ServeOpts{})
-					if err != nil {
-						t.Fatal(err)
+			want := goldenWant(t, arch.cfg)
+			for _, drv := range decodeDrivers {
+				t.Run(drv.name, func(t *testing.T) {
+					c := goldenCache(t, arch.cfg, append([]Option{WithBackend(arch.checked)}, drv.opts...)...)
+					checkGolden(t, c, want, drv.name)
+					if c.Snapshot().Speculation != nil {
+						t.Fatal("speculation block without WithSpeculation")
 					}
-					res.Close()
-				}
-			}
-
-			want := make([]goldenRun, len(reqs))
-			for i, rq := range reqs {
-				want[i] = runGolden(ctx, solo, rq)
-				if want[i].err != nil {
-					t.Fatalf("solo %d: %v", i, want[i].err)
-				}
-			}
-
-			got := make([]goldenRun, len(reqs))
-			var wg sync.WaitGroup
-			for i, rq := range reqs {
-				wg.Add(1)
-				go func(i int, rq goldenReq) {
-					defer wg.Done()
-					got[i] = runGolden(ctx, fused, rq)
-				}(i, rq)
-			}
-			wg.Wait()
-
-			for i := range reqs {
-				if got[i].err != nil {
-					t.Fatalf("fused %d: %v", i, got[i].err)
-				}
-				if len(got[i].toks) != len(want[i].toks) {
-					t.Fatalf("req %d: fused %d tokens, solo %d", i, len(got[i].toks), len(want[i].toks))
-				}
-				for j := range got[i].toks {
-					if got[i].toks[j] != want[i].toks[j] {
-						t.Fatalf("req %d token %d: fused %d, solo %d", i, j, got[i].toks[j], want[i].toks[j])
+					if !c.SchedEnabled() {
+						return
 					}
-				}
-				if len(got[i].logits) != len(want[i].logits) {
-					t.Fatalf("req %d: fused sampled %d times, solo %d", i, len(got[i].logits), len(want[i].logits))
-				}
-				for j := range got[i].logits {
-					if d := tensor.MaxAbsDiff(got[i].logits[j], want[i].logits[j]); d != 0 {
-						t.Fatalf("req %d step %d: fused logits diverge from solo by %v", i, j, d)
+					st := c.SchedStats()
+					n := int64(len(want))
+					if st.MaxBatch != 4 {
+						t.Fatalf("scheduler stats: %+v", st)
 					}
-				}
-			}
-
-			st := fused.SchedStats()
-			if st.MaxBatch != 4 {
-				t.Fatalf("scheduler stats: %+v", st)
-			}
-			if st.LanesJoined < int64(len(reqs)) || st.LanesRetired != st.LanesJoined {
-				t.Fatalf("joined %d retired %d, want %d lifecycle-balanced", st.LanesJoined, st.LanesRetired, len(reqs))
-			}
-			if st.TokensDecoded == 0 || st.Steps == 0 {
-				t.Fatalf("no fused work recorded: %+v", st)
+					if st.LanesJoined < n || st.LanesRetired != st.LanesJoined {
+						t.Fatalf("joined %d retired %d, want %d lifecycle-balanced", st.LanesJoined, st.LanesRetired, n)
+					}
+					if st.TokensDecoded == 0 || st.Steps == 0 {
+						t.Fatalf("no fused work recorded: %+v", st)
+					}
+				})
 			}
 		})
 	}
@@ -241,14 +320,15 @@ func TestSchedulerFusesLanes(t *testing.T) {
 
 // TestSchedulerCancelEvictsLane: cancelling one request's context must
 // retire exactly that lane (with the context error) while a concurrent
-// lane keeps decoding to its full solo-identical reply.
+// lane keeps decoding to its full, undisturbed reply.
 func TestSchedulerCancelEvictsLane(t *testing.T) {
 	c := llamaCache(t, WithDecodeScheduler(4))
 	mustRegister(t, c, travelSchema)
 	ctx := context.Background()
 
 	// Expected survivor output, decoded through the same scheduler while
-	// idle (fused ≡ solo, so a quiet pass is a valid reference).
+	// idle (fused output equals plain decode, so a quiet pass is a valid
+	// reference).
 	wantB := runGolden(ctx, c, goldenReq{
 		`<prompt schema="travel"><tokyo/>Keep going.</prompt>`, 24,
 		func() model.Sampler { return model.GreedySampler{} },
@@ -436,4 +516,123 @@ func TestSchedulerCancelQueuedLane(t *testing.T) {
 	if err := <-aDone; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestGenerateRespectsMaxTokens: on either driver, a reply ends at
+// MaxTokens or at the stop token, whichever comes first, and its tokens
+// take consecutive positions after the served cache's maximum.
+func TestGenerateRespectsMaxTokens(t *testing.T) {
+	ctx := context.Background()
+	prompt := `<prompt schema="travel"><miami/>Plan a beach day.</prompt>`
+	for _, drv := range decodeDrivers {
+		t.Run(drv.name, func(t *testing.T) {
+			c := llamaCache(t, drv.opts...)
+			mustRegister(t, c, travelSchema)
+			generate := func(opts model.GenerateOpts) ([]int, []int) {
+				res, err := c.Serve(ctx, prompt, ServeOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer res.Close()
+				served, maxPos := res.KV.Len(), res.KV.MaxPos()
+				ids, err := c.Generate(ctx, res, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, p := range res.KV.Positions()[served:] {
+					if p != maxPos+1+j {
+						t.Fatalf("decoded token %d at position %d, want %d", j, p, maxPos+1+j)
+					}
+				}
+				return ids, res.KV.Positions()[served:]
+			}
+			ids, poss := generate(model.GenerateOpts{MaxTokens: 5, StopToken: -1})
+			if len(ids) != 5 || len(poss) != 5 {
+				t.Fatalf("MaxTokens 5: %d tokens, %d appended", len(ids), len(poss))
+			}
+			// Stopping at the third token's id ends the reply before it.
+			stopped, _ := generate(model.GenerateOpts{MaxTokens: 5, StopToken: ids[2]})
+			want := slices.Index(ids, ids[2])
+			if !slices.Equal(stopped, ids[:want]) {
+				t.Fatalf("stop token %d: reply %v, want %v", ids[2], stopped, ids[:want])
+			}
+		})
+	}
+}
+
+// TestGenerateStream: on either driver, a streamed reply emits exactly
+// the tokens the plain reply returns, in order, and an emit refusal ends
+// the reply at the refused token.
+func TestGenerateStream(t *testing.T) {
+	ctx := context.Background()
+	prompt := `<prompt schema="travel"><tokyo/>Keep going.</prompt>`
+	for _, drv := range decodeDrivers {
+		t.Run(drv.name, func(t *testing.T) {
+			c := llamaCache(t, drv.opts...)
+			mustRegister(t, c, travelSchema)
+			stream := func(opts model.GenerateOpts, emit func(string) bool) []int {
+				res, err := c.Serve(ctx, prompt, ServeOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer res.Close()
+				ids, err := c.GenerateStream(ctx, res, opts, emit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ids
+			}
+			opts := model.GenerateOpts{MaxTokens: 8, StopToken: -1}
+			plain := stream(opts, nil)
+			var texts []string
+			streamed := stream(opts, func(s string) bool { texts = append(texts, s); return true })
+			if !slices.Equal(streamed, plain) || len(texts) != len(plain) {
+				t.Fatalf("streamed %v (%d emits), plain %v", streamed, len(texts), plain)
+			}
+			for j, id := range plain {
+				if texts[j] != c.Tokenizer().Decode([]int{id}) {
+					t.Fatalf("emit %d = %q, want the text of token %d", j, texts[j], id)
+				}
+			}
+			n := 0
+			refused := stream(opts, func(string) bool { n++; return n < 2 })
+			if !slices.Equal(refused, plain[:2]) {
+				t.Fatalf("emit refused at the second token: reply %v, want %v", refused, plain[:2])
+			}
+		})
+	}
+}
+
+// TestGenerateEmptyCacheRejected: a result with nothing to continue from,
+// or logits of the wrong width, is a bad prompt on either driver, and no
+// lane is left behind.
+func TestGenerateEmptyCacheRejected(t *testing.T) {
+	for _, drv := range decodeDrivers {
+		t.Run(drv.name, func(t *testing.T) {
+			c := llamaCache(t, drv.opts...)
+			m := c.Model()
+			cases := map[string]*ServeResult{
+				"empty cache":  {KV: m.NewCache(0), Logits: make([]float32, m.Cfg.VocabSize)},
+				"logits width": {KV: prefilled(t, m), Logits: make([]float32, m.Cfg.VocabSize-1)},
+			}
+			for name, res := range cases {
+				if _, err := c.Generate(context.Background(), res, model.GenerateOpts{}); !errors.Is(err, ErrBadPrompt) {
+					t.Fatalf("%s: err = %v, want ErrBadPrompt", name, err)
+				}
+			}
+			if st := c.sched.Stats(); st.LanesJoined != 0 || st.ActiveLanes != 0 {
+				t.Fatalf("rejected requests joined the decode loop: %+v", st)
+			}
+		})
+	}
+}
+
+// prefilled is a one-token cache of m.
+func prefilled(t *testing.T, m *model.Model) kvcache.KV {
+	t.Helper()
+	kv := m.NewCache(1)
+	if _, err := m.Prefill([]int{1}, []int{0}, kv); err != nil {
+		t.Fatal(err)
+	}
+	return kv
 }

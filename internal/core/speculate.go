@@ -10,28 +10,17 @@ type DraftOpts = mining.DraftConfig
 
 // WithSpeculation enables draft-and-verify speculative decoding: retired
 // generations train a per-serving-class n-gram draft source, and decode
-// lanes verify its proposals in widened fused steps, accepting exactly
-// the prefix solo decode would have produced — output is bit-identical
-// with or without it. Speculation runs inside the decode scheduler, so
-// it takes effect only together with WithDecodeScheduler; per-request
-// policy (model.SpecOpts) can opt individual generations out.
+// lanes verify its proposals in widened steps, accepting exactly the
+// prefix plain decode would have produced — output is bit-identical with
+// or without it. It runs on either decode driver, fused
+// (WithDecodeScheduler) or inline; per-request policy (model.SpecOpts)
+// can opt individual generations out or narrow their draft width.
 func WithSpeculation(opts DraftOpts) Option {
 	return func(c *Cache) { c.draftOpts = &opts }
 }
 
-// draft is the speculative-decoding draft source, or nil: it lives on
-// the decode scheduler, where verify steps run, so a cache without one
-// never builds a draft whatever its options said. Every speculation
-// predicate reads it.
-func (c *Cache) draft() *mining.Draft {
-	if c.sched == nil {
-		return nil
-	}
-	return c.sched.draft
-}
-
 // SpecStats is the stats document's speculation block: the draft
-// source's table statistics plus the scheduler's verify counters.
+// source's table statistics plus the decode loop's verify counters.
 type SpecStats struct {
 	// Enabled is always true: the block is present only when speculation
 	// runs. It stays for the /v1/stats contract.
@@ -41,9 +30,9 @@ type SpecStats struct {
 	// Classes and Contexts size the n-gram table.
 	Classes  int `json:"classes"`
 	Contexts int `json:"contexts"`
-	// SpecSteps counts fused steps that verified at least one draft
-	// token; DraftProposed and DraftAccepted count draft tokens verified
-	// and accepted across all lanes.
+	// SpecSteps counts steps that verified at least one draft token;
+	// DraftProposed and DraftAccepted count draft tokens verified and
+	// accepted across all lanes.
 	SpecSteps     int64 `json:"spec_steps"`
 	DraftProposed int64 `json:"draft_proposed"`
 	DraftAccepted int64 `json:"draft_accepted"`

@@ -20,15 +20,15 @@ func specDraftOpts() DraftOpts { return DraftOpts{MinHits: 1} }
 
 // TestSpeculationGoldenSpecVsSolo is the bit-identity contract of
 // speculative decoding, in the style of TestSchedulerGoldenFused: a
-// speculating cache must produce, per request, exactly the token and
-// logit streams of a solo non-speculative run — on a cold draft (pass 1,
-// where "never worse" means "identical"), and on a warmed draft (pass 2,
-// where drafts are actually proposed and accepted). Heterogeneous
-// samplers (greedy, temperature, top-k), concurrent mid-run joins,
-// RoPE and ALiBi, both tensor backends. The never-proposes case sets a
-// draft threshold no transition can meet: the speculating scheduler must
-// then take the plain fused path on every step, at exactly one token per
-// lane-step.
+// speculating cache, on either decode driver, must produce per request
+// exactly the token and logit streams of plain decode over Model.Decode
+// — on a cold draft (pass 1, where "never worse" means "identical"), and
+// on a warmed draft (pass 2, where drafts are actually proposed and
+// accepted). Heterogeneous samplers (greedy, temperature, top-k),
+// concurrent requests, RoPE and ALiBi, one and four workers. The
+// never-proposes case sets a draft threshold no transition can meet: the
+// speculating loop must then take the plain path on every step, at
+// exactly one token per lane-step.
 func TestSpeculationGoldenSpecVsSolo(t *testing.T) {
 	archs := []struct {
 		name  string
@@ -44,87 +44,38 @@ func TestSpeculationGoldenSpecVsSolo(t *testing.T) {
 	}
 	for _, arch := range archs {
 		t.Run(arch.name, func(t *testing.T) {
-			ctx := context.Background()
-			solo := newTestCache(t, arch.cfg)
-			solo.Model().SetBackend(tensor.NewBackend(1))
-			spec := newTestCache(t, arch.cfg,
-				WithDecodeScheduler(4),
-				WithSpeculation(arch.draft),
-				WithBackend(arch.spec))
-			reqs := goldenRequests()
-			for _, c := range []*Cache{solo, spec} {
-				mustRegister(t, c, travelSchema)
-				mustRegister(t, c, multiParamSchema)
-				for _, rq := range reqs {
-					res, err := c.Serve(ctx, rq.prompt, ServeOpts{})
-					if err != nil {
-						t.Fatal(err)
+			want := goldenWant(t, arch.cfg)
+			for _, drv := range decodeDrivers {
+				t.Run(drv.name, func(t *testing.T) {
+					spec := goldenCache(t, arch.cfg,
+						append([]Option{WithSpeculation(arch.draft), WithBackend(arch.spec)}, drv.opts...)...)
+					// Pass 0 runs on a cold draft (and trains it as lanes
+					// retire), pass 1 on a warm one.
+					for pass := 0; pass < 2; pass++ {
+						checkGolden(t, spec, want, fmt.Sprintf("pass %d", pass))
 					}
-					res.Close()
-				}
-			}
 
-			want := make([]goldenRun, len(reqs))
-			for i, rq := range reqs {
-				want[i] = runGolden(ctx, solo, rq)
-				if want[i].err != nil {
-					t.Fatalf("solo %d: %v", i, want[i].err)
-				}
-			}
-
-			// Two concurrent passes over the same requests: pass 0 runs on a
-			// cold draft (and trains it as lanes retire), pass 1 on a warm
-			// one. Both must be stream-identical to solo.
-			for pass := 0; pass < 2; pass++ {
-				got := make([]goldenRun, len(reqs))
-				var wg sync.WaitGroup
-				for i, rq := range reqs {
-					wg.Add(1)
-					go func(i int, rq goldenReq) {
-						defer wg.Done()
-						got[i] = runGolden(ctx, spec, rq)
-					}(i, rq)
-				}
-				wg.Wait()
-				for i := range reqs {
-					if got[i].err != nil {
-						t.Fatalf("pass %d req %d: %v", pass, i, got[i].err)
+					st := spec.Snapshot().Speculation
+					if st == nil || !st.Enabled || st.Observed == 0 {
+						t.Fatalf("draft source never trained: %+v", st)
 					}
-					if len(got[i].toks) != len(want[i].toks) {
-						t.Fatalf("pass %d req %d: spec %d tokens, solo %d", pass, i, len(got[i].toks), len(want[i].toks))
-					}
-					for j := range got[i].toks {
-						if got[i].toks[j] != want[i].toks[j] {
-							t.Fatalf("pass %d req %d token %d: spec %d, solo %d", pass, i, j, got[i].toks[j], want[i].toks[j])
+					ss := spec.SchedStats()
+					if arch.draft.MinHits > 1 {
+						if st.DraftProposed != 0 || st.SpecSteps != 0 {
+							t.Fatalf("unqualified draft proposed %d tokens over %d steps, want none", st.DraftProposed, st.SpecSteps)
 						}
-					}
-					if len(got[i].logits) != len(want[i].logits) {
-						t.Fatalf("pass %d req %d: spec sampled %d times, solo %d", pass, i, len(got[i].logits), len(want[i].logits))
-					}
-					for j := range got[i].logits {
-						if d := tensor.MaxAbsDiff(got[i].logits[j], want[i].logits[j]); d != 0 {
-							t.Fatalf("pass %d req %d step %d: spec logits diverge from solo by %v", pass, i, j, d)
+						if got := acceptedPerStep(ss); spec.SchedEnabled() && got != 1 {
+							t.Fatalf("AcceptedPerStep = %v without proposals, want exactly 1", got)
 						}
+						return
 					}
-				}
-			}
-
-			st := spec.Snapshot().Speculation
-			if st == nil || !st.Enabled || st.Observed == 0 {
-				t.Fatalf("draft source never trained: %+v", st)
-			}
-			ss := spec.SchedStats()
-			if arch.draft.MinHits > 1 {
-				if got := acceptedPerStep(ss); st.DraftProposed != 0 || got != 1 {
-					t.Fatalf("unqualified draft proposed %d tokens, AcceptedPerStep = %v, want 0 and exactly 1", st.DraftProposed, got)
-				}
-				return
-			}
-			if st.SpecSteps == 0 || st.DraftProposed == 0 || st.DraftAccepted == 0 {
-				t.Fatalf("warmed pass never speculated: %+v", st)
-			}
-			if got := acceptedPerStep(ss); got <= 1 {
-				t.Fatalf("AcceptedPerStep = %v with %d tokens / %d steps", got, ss.TokensDecoded, ss.Steps)
+					if st.SpecSteps == 0 || st.DraftProposed == 0 || st.DraftAccepted == 0 {
+						t.Fatalf("warmed pass never speculated: %+v", st)
+					}
+					if got := acceptedPerStep(ss); spec.SchedEnabled() && got <= 1 {
+						t.Fatalf("AcceptedPerStep = %v with %d tokens / %d steps", got, ss.TokensDecoded, ss.Steps)
+					}
+				})
 			}
 		})
 	}
@@ -145,7 +96,7 @@ func acceptedPerStep(s SchedStats) float64 {
 
 // TestSpeculationOptOut: a request carrying SpecOff must decode through
 // the flat (non-speculative) path even on a warmed cache — SpecSteps
-// stays put — and still produce the solo-identical stream.
+// stays put — and still produce the identical stream.
 func TestSpeculationOptOut(t *testing.T) {
 	ctx := context.Background()
 	c := llamaCache(t, WithDecodeScheduler(4), WithSpeculation(specDraftOpts()))
@@ -191,7 +142,7 @@ func TestSpeculationOptOut(t *testing.T) {
 
 // TestSpeculationCancelMidRun: cancelling one lane mid-decode on a
 // warmed, speculating cache retires exactly that lane while a concurrent
-// lane keeps decoding to its full solo-identical reply — speculation's
+// lane keeps decoding to its full, undisturbed reply — speculation's
 // KV truncation must not disturb cancellation bookkeeping or siblings.
 func TestSpeculationCancelMidRun(t *testing.T) {
 	c := llamaCache(t, WithDecodeScheduler(4), WithSpeculation(specDraftOpts()))
@@ -357,11 +308,12 @@ func TestSpeculationSchemaDropForgets(t *testing.T) {
 	}
 }
 
-// TestSpeculationWithoutSchedulerIsOff: speculation runs inside the
-// decode scheduler, so WithSpeculation alone builds no draft — the stats
-// document has no speculation block, and a serve computes no serving
-// class for a draft that could never verify. Either option order.
-func TestSpeculationWithoutSchedulerIsOff(t *testing.T) {
+// TestSpeculationWithoutScheduler: speculation runs on either decode
+// driver, so WithSpeculation alone builds the draft — a serve computes
+// its serving class for draft lookups, and the stats document carries
+// the speculation block — whatever the option order, and the scheduler
+// block appears only with WithDecodeScheduler.
+func TestSpeculationWithoutScheduler(t *testing.T) {
 	for _, c := range []*Cache{
 		llamaCache(t, WithSpeculation(specDraftOpts())),
 		llamaCache(t, WithSpeculation(specDraftOpts()), WithDecodeScheduler(2)),
@@ -373,12 +325,43 @@ func TestSpeculationWithoutSchedulerIsOff(t *testing.T) {
 			t.Fatal(err)
 		}
 		res.Close()
-		on := c.SchedEnabled()
-		if sp := c.Snapshot().Speculation; (sp != nil) != on {
-			t.Fatalf("scheduler %v: speculation block %+v", on, sp)
+		if c.sched.draft == nil {
+			t.Fatal("WithSpeculation built no draft source")
 		}
-		if (res.class != "") != on {
-			t.Fatalf("scheduler %v: serving class %q", on, res.class)
+		snap := c.Snapshot()
+		if sp := snap.Speculation; sp == nil || !sp.Enabled {
+			t.Fatalf("speculation block %+v", sp)
+		}
+		if (snap.Scheduler != nil) != c.SchedEnabled() {
+			t.Fatalf("scheduler %v: scheduler block %+v", c.SchedEnabled(), snap.Scheduler)
+		}
+		if res.class == "" {
+			t.Fatal("speculating serve computed no serving class")
+		}
+	}
+}
+
+// TestDraftWidth: a request without its own MaxDraft drafts as wide as the
+// engine's DraftOpts.MaxDraft — here 6, above the draft package's default
+// of 4 — and a request's own MaxDraft still caps its step.
+func TestDraftWidth(t *testing.T) {
+	c := llamaCache(t, WithSpeculation(DraftOpts{MinHits: 1, MaxDraft: 6}))
+	// A warmed, deterministic draft: one observed stream whose every
+	// context has exactly one successor.
+	stream := []int{101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112}
+	c.sched.draft.Observe("", stream)
+	for _, tc := range []struct{ perRequest, want int }{{0, 6}, {2, 2}, {9, 6}} {
+		opts := model.GenerateOpts{MaxTokens: 64, Speculation: model.SpecOpts{MaxDraft: tc.perRequest}}
+		opts.Defaults()
+		ln := &schedLane{opts: opts, specOn: true, next: stream[0], out: stream[:1]}
+		c.sched.propose(ln)
+		if got := len(ln.spec) - 1; got != tc.want {
+			t.Fatalf("per-request MaxDraft %d: step proposes %d drafts %v, want %d", tc.perRequest, got, ln.spec[1:], tc.want)
+		}
+		for j, tok := range ln.spec {
+			if tok != stream[j] {
+				t.Fatalf("per-request MaxDraft %d: step tokens %v, want a prefix of %v", tc.perRequest, ln.spec, stream)
+			}
 		}
 	}
 }

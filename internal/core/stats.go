@@ -66,7 +66,7 @@ type Snapshot struct {
 	Backend BackendSnapshot `json:"backend"`
 
 	// Optional blocks: non-nil exactly when their subsystem is
-	// configured (speculation needs the decode scheduler too).
+	// configured.
 	Mining      *MiningStats    `json:"mining,omitempty"`
 	Admission   *AdmissionStats `json:"admission,omitempty"`
 	Scheduler   *SchedStats     `json:"scheduler,omitempty"`
@@ -170,25 +170,25 @@ func (c *Cache) Snapshot() Snapshot {
 		as := c.adm.stats()
 		snap.Admission = &as
 	}
-	if c.sched != nil {
-		ss := c.sched.Stats()
+	ss := c.sched.Stats()
+	if c.sched.fused {
 		snap.Scheduler = &ss
-		if d := c.draft(); d != nil {
-			ds := d.Stats()
-			sp := &SpecStats{
-				Enabled:       true,
-				Observed:      ds.Observed,
-				Classes:       ds.Classes,
-				Contexts:      ds.Contexts,
-				SpecSteps:     ss.SpecSteps,
-				DraftProposed: ss.DraftProposed,
-				DraftAccepted: ss.DraftAccepted,
-			}
-			if ss.DraftProposed > 0 {
-				sp.AcceptRate = float64(ss.DraftAccepted) / float64(ss.DraftProposed)
-			}
-			snap.Speculation = sp
+	}
+	if d := c.sched.draft; d != nil {
+		ds := d.Stats()
+		sp := &SpecStats{
+			Enabled:       true,
+			Observed:      ds.Observed,
+			Classes:       ds.Classes,
+			Contexts:      ds.Contexts,
+			SpecSteps:     ss.SpecSteps,
+			DraftProposed: ss.DraftProposed,
+			DraftAccepted: ss.DraftAccepted,
 		}
+		if ss.DraftProposed > 0 {
+			sp.AcceptRate = float64(ss.DraftAccepted) / float64(ss.DraftProposed)
+		}
+		snap.Speculation = sp
 	}
 	return snap
 }
@@ -196,14 +196,14 @@ func (c *Cache) Snapshot() Snapshot {
 // SchedEnabled reports whether a decode scheduler is configured — the
 // cheap check for callers that branch on it per request (no lock, no
 // stats snapshot).
-func (c *Cache) SchedEnabled() bool { return c.sched != nil }
+func (c *Cache) SchedEnabled() bool { return c.sched.fused }
 
 // SchedStats returns a snapshot of decode-scheduler activity — the
 // document's scheduler block alone, for callers that diff step counts
 // around one request (the benchmark's traced runs). With no scheduler
 // configured it returns the zero snapshot.
 func (c *Cache) SchedStats() SchedStats {
-	if c.sched == nil {
+	if !c.sched.fused {
 		return SchedStats{}
 	}
 	return c.sched.Stats()

@@ -80,9 +80,6 @@ func DefaultConfig() *Config {
 			// The fused step at any width: as heavy as DecodeStepBatch times
 			// the draft depth.
 			model + ".Model.DecodeStepBatchMulti",
-			model + ".Model.Generate",
-			model + ".Model.GenerateStream",
-			model + ".Model.generate",
 			core + ".diskTier.writeBlob",
 			core + ".diskTier.readBlob",
 			"repro/internal/quant.EncodeKV",
@@ -121,12 +118,14 @@ func DefaultConfig() *Config {
 			// Token emission: the PR 2 argument-ordering bug class.
 			core + ".Cache.gatherNewTokens",
 			core + ".Cache.BaselineServeParsed",
-			// Scheduler lane joins and retirement order.
+			// The decode loop's two drivers: lane joins, token emission
+			// and retirement order on the fused run loop and inline.
 			core + ".Scheduler.run",
+			core + ".Scheduler.inline",
 			core + ".Scheduler.advance",
-			// The fused step and settle: token emission across lanes
-			// (already reachable from run; listed so the root survives a
-			// future refactor that severs that path).
+			// The step and settle: token emission across lanes (already
+			// reachable from both drivers; listed so the root survives a
+			// future refactor that severs those paths).
 			core + ".Scheduler.step",
 			// Manifest writing: warm restarts replay this byte stream.
 			core + ".Cache.SaveAll",

@@ -57,7 +57,7 @@ func TestUnreachedReadsBenchmarkModule(t *testing.T) {
 	slices.Sort(got)
 	want := []string{
 		"core.Cache.SchedStats", "kvcache.Cache.Positions", "kvcache.Seq.Positions", "kvcache.Seq.ViewLen",
-		"model.Config.BytesPerCachedToken", "tensor.Backend.MatVecT", "tensor.Backend.OutputHead",
+		"model.Config.BytesPerCachedToken", "model.Model.DecodeStepBatch", "tensor.Backend.MatVecT", "tensor.Backend.OutputHead",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("flagged without the benchmark module: %v, want %v", got, want)

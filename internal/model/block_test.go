@@ -1,7 +1,6 @@
 package model
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -114,7 +113,7 @@ func TestChunkedGenerationEndToEnd(t *testing.T) {
 
 		seqCache := m.NewCache(64)
 		seqLogits := prefillIn(t, m, toks, seqPositions(40, 0), seqCache, 1)
-		seqGen, err := m.Generate(context.Background(), seqCache, seqLogits, GenerateOpts{MaxTokens: 8})
+		seqGen, err := decodeRef(m, seqCache, seqLogits, GenerateOpts{MaxTokens: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

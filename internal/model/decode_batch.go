@@ -8,13 +8,12 @@ import (
 
 // DecodeLane is one sequence's slot in a fused decode batch. It owns the
 // pooled block the lane's steps run in, so a lane that decodes a whole
-// reply through DecodeStepBatch allocates nothing per token — exactly the
-// property the solo decode loop has. Acquire with NewDecodeLane, release
-// with Close.
+// reply through DecodeStepBatch allocates nothing per token. Acquire with
+// NewDecodeLane, release with Close.
 //
 // A lane is not synchronized: it belongs to whichever goroutine is
-// driving the batch (the continuous-batching scheduler, or a solo
-// generation loop using itself as a batch of one).
+// driving the batch (the decode loop in internal/core: its fused run
+// loop, or a caller driving a batch of one).
 type DecodeLane struct {
 	m *Model
 	// b holds a step's k positions as its rows, and their logits until
@@ -41,14 +40,10 @@ func (l *DecodeLane) Close() {
 	}
 }
 
-// Logits returns the lane's next-token logits from the latest
-// DecodeStepBatch call. The slice aliases lane scratch: it is valid until
-// the lane's next step or Close, and must not be mutated.
-func (l *DecodeLane) Logits() []float32 { return l.LogitsAt(0) }
-
 // LogitsAt returns the next-token logits computed at position j of the
-// latest DecodeStepBatchMulti call (LogitsAt(0) == Logits()). Same
-// aliasing rules as Logits.
+// lane's latest step (j = 0 after a DecodeStepBatch). The slice aliases
+// lane scratch: it is valid until the lane's next step or Close, and must
+// not be mutated.
 func (l *DecodeLane) LogitsAt(j int) []float32 { return l.b.logits.Row(j) }
 
 // Err reports the lane's failure from the latest step call, or nil. A
@@ -67,7 +62,7 @@ func (l *DecodeLane) begin(toks, poss []int, kv kvcache.KV) {
 
 // DecodeStepBatch runs one fused autoregressive step for every lane:
 // lane i appends tokens[i] at positions[i] to kvs[i] and computes its
-// next-token logits (read them with lanes[i].Logits()). It is the k = 1
+// next-token logits (read them with lanes[i].LogitsAt(0)). It is the k = 1
 // case of DecodeStepBatchMulti, which documents the walk.
 func (m *Model) DecodeStepBatch(lanes []*DecodeLane, tokens, positions []int, kvs []kvcache.KV) error {
 	if len(lanes) != len(tokens) || len(lanes) != len(positions) || len(lanes) != len(kvs) {
@@ -91,15 +86,15 @@ func (m *Model) DecodeStepBatch(lanes []*DecodeLane, tokens, positions []int, kv
 // what lets a continuous-batching scheduler charge N concurrent
 // generations one shared model traversal per step instead of N.
 //
-// Bit-identity with sequential solo decode is structural: the walk is
+// Bit-identity with sequential Decode is structural: the walk is
 // layer-outer, lane-inner, and each lane's k positions run as one block
-// through layerBlock, the body solo Decode (k = 1) and Prefill (k = n)
-// run, with exactly the inputs a solo decode would give them. A weight
-// application reads each weight once for all k rows yet sums every
-// element as a single row would, and position j's attention at layer l
+// through layerBlock, the body Decode (k = 1) and Prefill (k = n) run,
+// with exactly the inputs a sequence of Decode calls would give them. A
+// weight application reads each weight once for all k rows yet sums
+// every element as a single row would, and position j's attention at layer l
 // sees rows 0..base+j, whose layer-l K/V values were appended earlier in
 // the same pass and equal the sequential values. So if the scored tokens
-// match what solo decode would have sampled, the logits at every
+// match what sequential decode would have sampled, the logits at every
 // position match bit-for-bit — the invariant the acceptance loop in
 // internal/core relies on, and what lets rejected drafts fall back to
 // the verified token without recomputing anything.

@@ -82,7 +82,7 @@ func TestDecodeStepBatchBitIdentical(t *testing.T) {
 					if err := ln.Err(); err != nil {
 						t.Fatalf("lane %d step %d: %v", i, s, err)
 					}
-					if d := tensor.MaxAbsDiff(ln.Logits(), soloLogits[i][s]); d != 0 {
+					if d := tensor.MaxAbsDiff(ln.LogitsAt(0), soloLogits[i][s]); d != 0 {
 						t.Fatalf("lane %d step %d: fused logits diverge from solo by %v", i, s, d)
 					}
 				}
@@ -143,7 +143,7 @@ func TestDecodeStepBatchLaneError(t *testing.T) {
 	if good.Len() != 5 {
 		t.Fatalf("healthy lane has %d rows, want 5", good.Len())
 	}
-	if d := tensor.MaxAbsDiff(lanes[0].Logits(), wantLogits); d != 0 {
+	if d := tensor.MaxAbsDiff(lanes[0].LogitsAt(0), wantLogits); d != 0 {
 		t.Fatalf("healthy lane diverged from solo by %v", d)
 	}
 
@@ -196,7 +196,7 @@ func TestDecodeStepBatchMultiMatchesSequential(t *testing.T) {
 					if err := multiLanes[i].Err(); err != nil {
 						t.Fatal(err)
 					}
-					if d := tensor.MaxAbsDiff(multiLanes[i].LogitsAt(j), seqLanes[i].Logits()); d != 0 {
+					if d := tensor.MaxAbsDiff(multiLanes[i].LogitsAt(j), seqLanes[i].LogitsAt(0)); d != 0 {
 						t.Fatalf("lane %d position %d: multi logits diverge from sequential by %v", i, j, d)
 					}
 				}

@@ -1,10 +1,6 @@
 package model
 
 import (
-	"context"
-	"fmt"
-
-	"repro/internal/kvcache"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/tokenizer"
@@ -150,7 +146,7 @@ func (r *RepetitionPenalty) remember(tok int) {
 	}
 }
 
-// SpecPolicy selects whether a decode loop may use draft-and-verify
+// SpecPolicy selects whether a generation may use draft-and-verify
 // speculative decoding. The default, SpecAuto, defers to the serving
 // engine: speculation runs iff a draft source is configured there.
 type SpecPolicy int
@@ -165,31 +161,31 @@ const (
 )
 
 // SpecOpts carries per-generation speculation controls. Speculation never
-// changes output — accepted drafts are exactly the tokens solo decode
+// changes output — accepted drafts are exactly the tokens plain decode
 // would have sampled — so these knobs trade verify-step width against
 // wasted work, not quality.
 type SpecOpts struct {
 	Policy SpecPolicy
-	// MaxDraft bounds draft tokens verified per fused step (default 4).
+	// MaxDraft bounds draft tokens verified per step; zero leaves the
+	// engine's draft-source width in force.
 	MaxDraft int
 }
 
-// GenerateOpts controls autoregressive generation.
+// GenerateOpts controls autoregressive generation. The decode loop that
+// honors it lives in internal/core; this package provides the step it
+// drives (DecodeLane, DecodeStepBatchMulti) and the samplers.
 type GenerateOpts struct {
 	MaxTokens int
 	Sampler   Sampler
 	// StopToken ends generation when sampled (defaults to tokenizer.EosID).
 	StopToken int
-	// Speculation configures draft-and-verify decode. The model's solo
-	// loop ignores it; the continuous-batching scheduler in internal/core
-	// honors it when a draft source is installed.
+	// Speculation configures draft-and-verify decode; it takes effect when
+	// the engine has a draft source installed.
 	Speculation SpecOpts
 }
 
-// Defaults fills unset fields with their documented defaults. Decode
-// loops outside this package (the continuous-batching scheduler in
-// internal/core) apply it so their per-request semantics match a solo
-// Generate exactly.
+// Defaults fills unset fields with their documented defaults; the decode
+// loop applies it to every request.
 func (o *GenerateOpts) Defaults() {
 	if o.MaxTokens <= 0 {
 		o.MaxTokens = 32
@@ -200,79 +196,4 @@ func (o *GenerateOpts) Defaults() {
 	if o.StopToken == 0 {
 		o.StopToken = tokenizer.EosID
 	}
-	if o.Speculation.MaxDraft <= 0 {
-		o.Speculation.MaxDraft = 4
-	}
-}
-
-// Generate continues autoregressively from a prefilled cache and the
-// final prefill logits, returning the generated token ids (stop token
-// excluded). New tokens take consecutive positions after the cache's
-// maximum position ID — the paper's observation that decode behaves
-// identically under KV Cache and Prompt Cache (§3.4: "prompt modules are
-// not employed beyond the initial token"). Cancelling ctx aborts between
-// decode steps, returning ctx.Err() alongside the tokens produced so far.
-func (m *Model) Generate(ctx context.Context, kv kvcache.KV, lastLogits []float32, opts GenerateOpts) ([]int, error) {
-	return m.generate(ctx, kv, lastLogits, opts, nil)
-}
-
-// GenerateStream is Generate with per-token delivery: emit is called with
-// each generated token id as soon as it is sampled; returning false stops
-// generation early. The generated ids are also returned. Cancelling ctx
-// aborts between decode steps with ctx.Err().
-func (m *Model) GenerateStream(ctx context.Context, kv kvcache.KV, lastLogits []float32, opts GenerateOpts, emit func(token int) bool) ([]int, error) {
-	if emit == nil {
-		return nil, fmt.Errorf("model: GenerateStream requires an emit callback")
-	}
-	return m.generate(ctx, kv, lastLogits, opts, emit)
-}
-
-// generate is the solo decode loop, written as a single-lane client of
-// the fused batch step: one DecodeLane, one-element batches. The
-// continuous-batching scheduler in internal/core runs the same state
-// machine over many lanes at once; keeping the solo path on the exact
-// same step function is what makes "fused ≡ solo" a structural property
-// rather than a test-enforced one.
-func (m *Model) generate(ctx context.Context, kv kvcache.KV, lastLogits []float32, opts GenerateOpts, emit func(token int) bool) ([]int, error) {
-	opts.Defaults()
-	if kv.Len() == 0 {
-		return nil, fmt.Errorf("model: Generate on empty cache")
-	}
-	if len(lastLogits) != m.Cfg.VocabSize {
-		return nil, fmt.Errorf("model: logits width %d != vocab %d", len(lastLogits), m.Cfg.VocabSize)
-	}
-	var out []int
-	lane := m.NewDecodeLane()
-	defer lane.Close()
-	lanes := []*DecodeLane{lane}
-	toks, poss := make([]int, 1), make([]int, 1)
-	kvs := []kvcache.KV{kv}
-	logits := lastLogits
-	pos := kv.MaxPos()
-	for len(out) < opts.MaxTokens {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		next := opts.Sampler.Sample(logits)
-		if next == opts.StopToken {
-			break
-		}
-		out = append(out, next)
-		if emit != nil && !emit(next) {
-			break
-		}
-		pos++
-		if pos >= m.Cfg.MaxSeq {
-			break
-		}
-		toks[0], poss[0] = next, pos
-		if err := m.DecodeStepBatch(lanes, toks, poss, kvs); err != nil {
-			return out, err
-		}
-		if err := lane.Err(); err != nil {
-			return out, err
-		}
-		logits = lane.Logits()
-	}
-	return out, nil
 }

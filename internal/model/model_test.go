@@ -1,7 +1,6 @@
 package model
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -40,15 +39,39 @@ func randTokens(r *rng.RNG, n int) []int {
 }
 
 // complete is the whole-prompt baseline: prefill tokens at positions
-// 0..n-1 into a fresh cache, then generate.
+// 0..n-1 into a fresh cache, then decode.
 func complete(m *Model, tokens []int, opts GenerateOpts) ([]int, *kvcache.Cache, error) {
 	cache := m.NewCache(len(tokens) + opts.MaxTokens)
 	logits, err := m.Prefill(tokens, seqPositions(len(tokens), 0), cache)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := m.Generate(context.Background(), cache, logits, opts)
+	out, err := decodeRef(m, cache, logits, opts)
 	return out, cache, err
+}
+
+// decodeRef is the tests' plain KV-cache decode: sample with opts'
+// sampler until the stop token or MaxTokens, stepping each token through
+// Decode at the next position after the cache's maximum.
+func decodeRef(m *Model, kv kvcache.KV, logits []float32, opts GenerateOpts) ([]int, error) {
+	opts.Defaults()
+	var out []int
+	pos := kv.MaxPos()
+	for len(out) < opts.MaxTokens {
+		next := opts.Sampler.Sample(logits)
+		if next == opts.StopToken {
+			break
+		}
+		out = append(out, next)
+		if pos++; pos >= m.Cfg.MaxSeq {
+			break
+		}
+		var err error
+		if logits, err = m.Decode(next, pos, kv); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -291,18 +314,9 @@ func TestGenerateDeterministicGreedy(t *testing.T) {
 	}
 }
 
-func TestGenerateRespectsMaxTokens(t *testing.T) {
-	m := MustNew(LlamaStyle(testVocab, 3))
-	r := rng.New(31)
-	out, _, err := complete(m, randTokens(r, 4), GenerateOpts{MaxTokens: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) > 5 {
-		t.Fatalf("generated %d > 5 tokens", len(out))
-	}
-}
-
+// TestGenerateAdvancesPositions: after a prefill at positions 10..13 the
+// cache's maximum position is 13, not its length, and a decode step at
+// MaxPos()+1 lands at 14 — the position generation continues from.
 func TestGenerateAdvancesPositions(t *testing.T) {
 	m := MustNew(LlamaStyle(testVocab, 3))
 	r := rng.New(37)
@@ -312,16 +326,20 @@ func TestGenerateAdvancesPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := m.Generate(context.Background(), cache, logits, GenerateOpts{MaxTokens: 3})
-	if err != nil {
+	if cache.MaxPos() != 13 {
+		t.Fatalf("MaxPos = %d after a prefill at 10..13, want 13", cache.MaxPos())
+	}
+	lane := m.NewDecodeLane()
+	defer lane.Close()
+	next := GreedySampler{}.Sample(logits)
+	if err := m.DecodeStepBatch([]*DecodeLane{lane}, []int{next}, []int{cache.MaxPos() + 1}, []kvcache.KV{cache}); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) == 0 {
-		t.Skip("stopped immediately")
+	if err := lane.Err(); err != nil {
+		t.Fatal(err)
 	}
-	// Generated tokens continue after the max position.
-	if cache.Pos[4] != 14 {
-		t.Fatalf("first generated position = %d, want 14", cache.Pos[4])
+	if cache.Len() != 5 || cache.Pos[4] != 14 || cache.MaxPos() != 14 {
+		t.Fatalf("decoded token at len %d pos %d (max %d), want len 5 at 14", cache.Len(), cache.Pos[4], cache.MaxPos())
 	}
 }
 
@@ -432,72 +450,6 @@ func TestGenerateWithRepetitionPenaltyVariesOutput(t *testing.T) {
 	}
 	if distinct(penalized) < distinct(plain) {
 		t.Fatalf("penalty reduced diversity: %d vs %d distinct", distinct(penalized), distinct(plain))
-	}
-}
-
-func TestGenerateStream(t *testing.T) {
-	m := MustNew(LlamaStyle(testVocab, 91))
-	r := rng.New(91)
-	toks := randTokens(r, 6)
-	cache := m.NewCache(32)
-	logits, err := m.Prefill(toks, seqPositions(6, 0), cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Streamed tokens match non-streamed generation exactly.
-	ref := kvcache.New(cache.NLayers, cache.KVDim, cache.Len())
-	ref.AppendCache(cache)
-	refLogits := append([]float32(nil), logits...)
-	var streamed []int
-	out, err := m.GenerateStream(context.Background(), cache, logits, GenerateOpts{MaxTokens: 6}, func(tok int) bool {
-		streamed = append(streamed, tok)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != len(out) {
-		t.Fatal("emit count != returned count")
-	}
-	plain, err := m.Generate(context.Background(), ref, refLogits, GenerateOpts{MaxTokens: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(out) {
-		t.Fatalf("stream %d tokens, plain %d", len(out), len(plain))
-	}
-	for i := range plain {
-		if plain[i] != out[i] {
-			t.Fatal("stream and plain diverge")
-		}
-	}
-	// Early stop via callback.
-	cache2 := m.NewCache(32)
-	logits2, err := m.Prefill(toks, seqPositions(6, 0), cache2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	out2, err := m.GenerateStream(context.Background(), cache2, logits2, GenerateOpts{MaxTokens: 10}, func(int) bool {
-		n++
-		return n < 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out2) != 2 {
-		t.Fatalf("early stop produced %d tokens", len(out2))
-	}
-	// Nil callback rejected.
-	if _, err := m.GenerateStream(context.Background(), cache2, logits2, GenerateOpts{}, nil); err == nil {
-		t.Fatal("nil emit should error")
-	}
-}
-
-func TestGenerateEmptyCacheRejected(t *testing.T) {
-	m := MustNew(LlamaStyle(testVocab, 3))
-	if _, err := m.Generate(context.Background(), m.NewCache(0), make([]float32, testVocab), GenerateOpts{}); err == nil {
-		t.Fatal("expected error")
 	}
 }
 

@@ -133,6 +133,6 @@ func (r *RNG) FillNormal(dst []float32, std float32) {
 //pclint:ignore unreached test input generator: the quant and tensor kernel tests draw their operands from it
 func (r *RNG) FillUniform(dst []float32, lo, hi float32) {
 	for i := range dst {
-		dst[i] = lo + r.Float32()*(hi-lo)
+		dst[i] = lo + float32(r.Float32()*(hi-lo))
 	}
 }

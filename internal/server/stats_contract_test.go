@@ -263,8 +263,8 @@ func TestStatsMiningBlock(t *testing.T) {
 
 // TestStatsBlockPresence pins the "present exactly when configured"
 // contract of the optional blocks: a non-nil block is the only enabled
-// flag the document carries. Speculation runs inside the decode
-// scheduler, so on its own it shows nothing.
+// flag the document carries. Speculation runs on either decode driver,
+// so on its own it shows its block and no scheduler block.
 func TestStatsBlockPresence(t *testing.T) {
 	optional := []string{"scheduler", "mining", "admission", "speculation"}
 	cases := []struct {
@@ -276,7 +276,7 @@ func TestStatsBlockPresence(t *testing.T) {
 		{"scheduler", []promptcache.Option{promptcache.WithDecodeScheduler(2)}, []string{"scheduler"}},
 		{"mining", []promptcache.Option{promptcache.WithModuleMining(promptcache.MiningOpts{})}, []string{"mining"}},
 		{"admission", []promptcache.Option{promptcache.WithAdmission(promptcache.AdmissionConfig{})}, []string{"admission"}},
-		{"speculation alone", []promptcache.Option{promptcache.WithSpeculation(promptcache.DraftOpts{})}, nil},
+		{"speculation alone", []promptcache.Option{promptcache.WithSpeculation(promptcache.DraftOpts{})}, []string{"speculation"}},
 		{"speculation", []promptcache.Option{promptcache.WithSpeculation(promptcache.DraftOpts{}), promptcache.WithDecodeScheduler(2)},
 			[]string{"scheduler", "speculation"}},
 	}

@@ -62,7 +62,7 @@ func matMulRef(dst, a, b *Matrix) {
 				continue
 			}
 			for j, bv := range b.Data[p*m : (p+1)*m] {
-				out[j] += av * bv
+				out[j] += float32(av * bv)
 			}
 		}
 	}
@@ -225,13 +225,13 @@ func attendPairsRef(a *AttendArgs) {
 				lim := min(len(sp.Pos), rows-off)
 				for j := 0; j < lim; j++ {
 					row := j * width
-					sc := Dot(qh, sp.K[row+base:row+base+hd]) * a.InvSqrt
+					sc := float32(Dot(qh, sp.K[row+base:row+base+hd]) * a.InvSqrt)
 					if a.AlibiSlopes != nil {
 						dist := qPos - sp.Pos[j]
 						if dist < 0 {
 							dist = 0
 						}
-						sc -= a.AlibiSlopes[h] * float32(dist)
+						sc -= float32(a.AlibiSlopes[h] * float32(dist))
 					}
 					s[off+j] = sc
 				}
@@ -254,7 +254,7 @@ func attendPairsRef(a *AttendArgs) {
 					row := j * width
 					vh := sp.V[row+base : row+base+hd]
 					for t := range oh {
-						oh[t] += w * vh[t]
+						oh[t] += float32(w * vh[t])
 					}
 				}
 				off += lim

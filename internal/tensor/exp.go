@@ -68,13 +68,16 @@ func exp32Fast(x float32) (y float32, ok bool) {
 	if !(x > expMin && x < expMax) {
 		return 0, false
 	}
+	// Every product is rounded on its own (the float64 conversions):
+	// arm64 would otherwise fuse it into the add that follows.
 	xd := float64(x)
-	t := xd*expInvStep + expShifter
+	t := float64(xd*expInvStep) + expShifter
 	n := int32(math.Float64bits(t))
 	nf := t - expShifter
-	r := (xd - nf*expStepHi) - nf*expStepLo
+	r := (xd - float64(nf*expStepHi)) - float64(nf*expStepLo)
 	s := exp2Table[n&255]
-	b := math.Float64bits(s+s*(r+r*r*(0.5+r*(1.0/6)))) + uint64(n>>8)<<52
+	p := r + float64(r*r*(0.5+float64(r*(1.0/6))))
+	b := math.Float64bits(s+float64(s*p)) + uint64(n>>8)<<52
 	if uint32(b)&(1<<29-1)-(expMid-expGuard) <= 2*expGuard {
 		return 0, false
 	}

@@ -288,7 +288,9 @@ func RMSNorm(dst, x, weight []float32, eps float32) {
 	for _, v := range x {
 		ss += float64(float64(v) * float64(v))
 	}
-	inv := float32(1 / math.Sqrt(ss/float64(len(x))+float64(eps)))
+	// The conversion keeps the mean a rounded quotient where inlining
+	// turns a power-of-two length into a multiply arm64 could fuse.
+	inv := float32(1 / math.Sqrt(float64(ss/float64(len(x)))+float64(eps)))
 	for i, v := range x {
 		dst[i] = v * inv * weight[i]
 	}

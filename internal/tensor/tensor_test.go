@@ -196,7 +196,7 @@ func TestRMSNormUnitOutputRMS(t *testing.T) {
 		RMSNorm(dst, x, w, 1e-6)
 		var ss float64
 		for _, v := range dst {
-			ss += float64(v) * float64(v)
+			ss += float64(float64(v) * float64(v))
 		}
 		out := math.Sqrt(ss / float64(n))
 		return math.Abs(out-1) < 1e-2
@@ -222,12 +222,12 @@ func TestLayerNormZeroMeanUnitVar(t *testing.T) {
 	for _, v := range dst {
 		mean += float64(v)
 	}
-	mean /= float64(n)
+	mean = float64(mean / float64(n))
 	for _, v := range dst {
 		d := float64(v) - mean
-		variance += d * d
+		variance += float64(d * d)
 	}
-	variance /= float64(n)
+	variance = float64(variance / float64(n))
 	if math.Abs(mean) > 1e-4 {
 		t.Fatalf("LayerNorm mean %v != 0", mean)
 	}

@@ -11,9 +11,11 @@ type SpecConfig struct {
 	// draft source). The pointer keeps "unset" distinct from "off" across
 	// JSON round trips.
 	Enabled *bool `json:"enabled,omitempty"`
-	// MaxDraft bounds draft tokens verified per fused step (default 4).
-	// Output never depends on it — larger drafts trade wasted verify
-	// width for more tokens per step when the draft source is right.
+	// MaxDraft bounds draft tokens verified per step; zero leaves the
+	// engine's DraftOpts.MaxDraft, which a request can narrow but never
+	// exceed. Output never depends on it — larger drafts trade wasted
+	// verify width for more tokens per step when the draft source is
+	// right.
 	MaxDraft int `json:"max_draft,omitempty"`
 }
 

@@ -166,8 +166,9 @@ func WithAdmission(cfg AdmissionConfig) Option { return core.WithAdmission(cfg) 
 // replies cost one layer walk per token instead of N. maxBatch bounds
 // how many sequences one fused step carries (non-positive selects
 // DefaultMaxDecodeBatch); excess requests queue and join as lanes
-// retire. Each request's token stream is bit-identical to what it would
-// produce decoding solo: same sampler state, same logits.
+// retire. Without it each generation runs the same lane state machine
+// on its caller's goroutine. Each request's token stream is
+// bit-identical either way: same sampler state, same logits.
 func WithDecodeScheduler(maxBatch int) Option { return core.WithDecodeScheduler(maxBatch) }
 
 // DraftOpts configures the speculative-decoding draft source
@@ -182,9 +183,8 @@ type DraftOpts = core.DraftOpts
 // the module cache: retired generations train a per-serving-class n-gram
 // draft source (the same radix-flavored machinery module mining uses),
 // and each decode lane verifies the draft's proposed tokens in one
-// widened fused step, accepting exactly the prefix solo decode would
-// have produced. Output is bit-identical with or without it — same
-// tokens, same logits — only tokens-per-step changes. Takes effect
-// together with WithDecodeScheduler; per-request policy rides
-// GenConfig.Speculation.
+// widened step, accepting exactly the prefix plain decode would have
+// produced. Output is bit-identical with or without it — same tokens,
+// same logits — only tokens-per-step changes. It runs with or without
+// WithDecodeScheduler; per-request policy rides GenConfig.Speculation.
 func WithSpeculation(opts DraftOpts) Option { return core.WithSpeculation(opts) }

@@ -29,23 +29,25 @@
 // out over a bounded worker pool: members importing a module view its
 // one resident copy, and their pins release when the batch returns.
 //
-// With WithDecodeScheduler the decode phase is continuous-batched:
-// concurrent generations join a shared token scheduler after their
-// prefills and advance together, one fused model step per token for the
-// whole batch. Requests join mid-flight, retire independently (stop
-// token, MaxTokens, context cancellation), and each produces exactly the
-// token stream it would have produced decoding alone — the scheduler
-// changes throughput, never output. Snapshot's Scheduler block exposes
-// queue depth, active lanes and the batch-size histogram.
+// Decode is one lane state machine with two drivers. With
+// WithDecodeScheduler the decode phase is continuous-batched: concurrent
+// generations join a shared token scheduler after their prefills and
+// advance together, one fused model step per token for the whole batch.
+// Requests join mid-flight, retire independently (stop token, MaxTokens,
+// context cancellation), and each produces exactly the token stream it
+// would have produced decoding alone — the scheduler changes throughput,
+// never output. Snapshot's Scheduler block exposes queue depth, active
+// lanes and the batch-size histogram. Without it each generation runs
+// the same state machine on its caller's goroutine.
 //
-// With WithSpeculation (which requires the decode scheduler) decode
-// speculates: accepted token streams train a per-serving-class n-gram
-// draft source, and each lane verifies the draft's proposals in one
-// widened fused step, emitting several tokens per step when the draft is
-// right. Output stays bit-identical to solo decode — a wrong draft costs
-// verify width, never a token — and requests opt in or out per call via
+// With WithSpeculation decode speculates, on either driver: accepted
+// token streams train a per-serving-class n-gram draft source, and each
+// lane verifies the draft's proposals in one widened step, emitting
+// several tokens per step when the draft is right. Output stays
+// bit-identical to plain decode — a wrong draft costs verify width,
+// never a token — and requests opt in or out per call via
 // GenConfig.Speculation. Snapshot's Speculation block exposes acceptance
-// counters; without the scheduler it is absent and nothing speculates.
+// counters.
 //
 // # Generation options
 //

@@ -12,10 +12,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/model"
 	"repro/internal/pml"
@@ -110,15 +112,23 @@ func run(args []string, stdout io.Writer) error {
 	if !*verify {
 		return nil
 	}
-	// Serve each declared module once so its blob is read back and
-	// decoded: a blob that fails would silently re-encode.
+	// Serve each declared module once, then each scaffold's members
+	// together, so every blob is read back and decoded: a blob that fails
+	// would silently re-encode.
 	for _, name := range layout.Order {
 		if layout.Modules[name].Anonymous {
 			continue
 		}
-		prompt := fmt.Sprintf(`<prompt schema=%q>%s.</prompt>`, schema.Name, importOf(layout, name))
-		if _, err := client.Infer(context.Background(), promptcache.Request{Prompt: prompt, PrefillOnly: true}); err != nil {
+		if err := serveImports(client, schema.Name, importOf(layout, name)); err != nil {
 			return fmt.Errorf("verify failed serving module %q: %w", name, err)
+		}
+	}
+	for _, sc := range schema.Scaffolds {
+		err := serveImports(client, schema.Name, importOf(layout, sc.Modules...))
+		// A scaffold over union siblings can never be imported whole, so
+		// no serve reads its blob.
+		if err != nil && !errors.Is(err, promptcache.ErrBadPrompt) {
+			return fmt.Errorf("verify failed serving scaffold %q: %w", sc.Name, err)
 		}
 	}
 	st := client.Engine().Stats()
@@ -129,13 +139,38 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// importOf returns a prompt import of the named module: a nested module
-// can only be imported inside its parents, so it is wrapped in each of
-// them, e.g. <travel-plan><overseas><tokyo/></overseas></travel-plan>.
-func importOf(layout *pml.Layout, name string) string {
-	s := "<" + name + "/>"
-	for p := layout.Modules[name].Parent; p != ""; p = layout.Modules[p].Parent {
-		s = "<" + p + ">" + s + "</" + p + ">"
+// serveImports prefills one prompt of the given imports.
+func serveImports(client *promptcache.Client, schema, imports string) error {
+	prompt := fmt.Sprintf(`<prompt schema=%q>%s.</prompt>`, schema, imports)
+	_, err := client.Infer(context.Background(), promptcache.Request{Prompt: prompt, PrefillOnly: true})
+	return err
+}
+
+// importOf returns prompt imports of the named modules: a nested module
+// can only be imported inside its parents, so each is wrapped in them,
+// e.g. <travel-plan><overseas><tokyo/></overseas></travel-plan>, and
+// modules under one parent share its import.
+func importOf(layout *pml.Layout, names ...string) string {
+	want := map[string]bool{}
+	for _, n := range names {
+		for ; n != ""; n = layout.Modules[n].Parent {
+			want[n] = true
+		}
 	}
-	return s
+	var render func(parent string) string
+	render = func(parent string) string {
+		var b strings.Builder
+		for _, n := range layout.Order {
+			if !want[n] || layout.Modules[n].Parent != parent {
+				continue
+			}
+			if inner := render(n); inner != "" {
+				b.WriteString("<" + n + ">" + inner + "</" + n + ">")
+			} else {
+				b.WriteString("<" + n + "/>")
+			}
+		}
+		return b.String()
+	}
+	return render("")
 }

@@ -107,8 +107,9 @@ func TestVerifyRejectsCorruptBlob(t *testing.T) {
 	if err != nil || len(blobs) == 0 {
 		t.Fatalf("no blobs: %v", err)
 	}
-	// The largest blob holds a declared module, not the one-token
-	// preamble or the scaffold.
+	// The largest blob is the scaffold's: its states cover both members.
+	// Scaffolds restore lazily like modules, so only -verify's serve of
+	// the members together reads it back.
 	sort.Slice(blobs, func(i, j int) bool { return size(t, blobs[i]) > size(t, blobs[j]) })
 	if err := os.WriteFile(blobs[0], []byte("corrupt"), 0o644); err != nil {
 		t.Fatal(err)

@@ -97,9 +97,11 @@
 // The same blob store backs warm restarts: Client.SaveAll(dir) persists
 // every registered schema (PML source, module and scaffold states, the
 // tokenizer's learned vocabulary) and promptcache.Open(m, dir) restores
-// it all with zero prompt encoding — modules come back disk-resident
-// and promote lazily, so a restarted server's first cached request is a
-// cache hit. `pcserve -cache-dir` wires the loop end to end (SIGTERM
+// it all with zero prompt encoding — modules and scaffolds alike come
+// back disk-resident and promote lazily, so a restarted server's first
+// cached request is a cache hit. Scaffolds are modules throughout: they
+// evict, demote, spill (always fp32, for exactness) and reload like any
+// other. `pcserve -cache-dir` wires the loop end to end (SIGTERM
 // snapshots, next boot warm-restores). Snapshots validate model shape,
 // module rosters and token counts before restoring, and corrupt blobs
 // degrade to a transparent re-encode, never a crash.

@@ -176,11 +176,8 @@ func TestServeBatchLedger(t *testing.T) {
 					t.Errorf("%s: module %s/%s has %d pins", when, sname, name, em.pins)
 				}
 				if em.state == stateResident {
-					resident += em.Bytes()
+					resident += em.size()
 				}
-			}
-			for _, es := range e.scaffolds {
-				resident += es.KV.Bytes(4)
 			}
 		}
 		if used := c.pool.Used(); used != resident {

@@ -23,25 +23,36 @@ import (
 	"repro/internal/tokenizer"
 )
 
-// EncodedModule is one prompt module's precomputed attention states.
+// EncodedModule is one cached attention state: a declared prompt module,
+// a scaffold (§3.3), or a mined prefix. Every kind runs through the one
+// tier state machine; they differ only in data on the module — the
+// stream its states encode (rows, encodeStatesLocked), its spill codec
+// (spillCodec), and whether unavailable states re-encode
+// (unavailableLocked: a declared module or scaffold re-encodes its
+// stream; a mined one cannot and is removed).
 type EncodedModule struct {
+	// Name is the module's name within its schema: a declared module's
+	// tag, scaffoldPrefix plus a scaffold's name, or minedPrefixTag plus
+	// a sequence number.
 	Name   string
 	Schema string
-	// KV holds the module's own tokens' attention states (text and
-	// parameter <unk> buffers; nested children are cached separately).
-	// Positions are absolute per the schema layout. States are fp32
-	// wherever they are resident (§4.1); nil once evicted past the host
-	// tier.
+	// KV holds the module's attention states (text and parameter <unk>
+	// buffers; nested children are cached separately). Positions are
+	// absolute per the schema layout. States are fp32 wherever they are
+	// resident (§4.1); nil once evicted past the host tier.
 	KV *kvcache.Cache
-	// Layout is the module's compiled layout entry; nil for mined
-	// (anonymous) modules, which have no PML source.
+	// Toks and Pos are the (token, position) stream the states encode: a
+	// declared module's own tokens (moduleTokens), a scaffold's members'
+	// streams in schema order, or a mined module's observed prefix.
+	Toks, Pos []int
+	// Layout is a declared module's compiled layout entry; nil for
+	// scaffolds and mined modules, whose states exist for output
+	// exactness and so spill fp32 whatever the disk codec.
 	Layout *pml.ModuleLayout
 	// Mined marks an anonymous module promoted by the traffic observer
-	// (WithModuleMining): it records the serving class and the
-	// (token, position) stream prefix the states reproduce. Mined states
-	// spill fp32 whatever the disk codec (they exist for exactness) and
-	// cannot re-encode — eviction past the last tier removes the module
-	// instead.
+	// (WithModuleMining). Its rows attended to its serving class's
+	// context when computed, so they cannot re-encode from the stream
+	// alone: eviction past the last tier removes the module instead.
 	Mined *MinedPrefix
 	state moduleState
 	// pins counts open serves whose KV views read this module's states
@@ -70,30 +81,25 @@ const (
 	stateDisk
 )
 
-// Bytes returns the states' fp32 storage footprint.
-func (m *EncodedModule) Bytes() int64 { return m.KV.Bytes(4) }
+// scaffoldPrefix starts a scaffold module's name, so its key is
+// "schema/scaffold/<name>". PML tag names cannot contain '/', so it
+// never collides with a declared module.
+const scaffoldPrefix = "scaffold/"
 
-// The three ways a mined module differs from a declared one are
-// properties of the module, not separate paths: its row count (rows),
-// its spill codec (spillCodec), and what happens when its states are
-// unavailable (unavailableLocked: a declared module re-encodes, a mined
-// one cannot and is removed).
+// size returns the states' fp32 storage footprint.
+func (m *EncodedModule) size() int64 { return m.KV.Bytes(4) }
 
-// rows is the number of cached tokens the module's states must hold:
-// the layout's own tokens, or the mined prefix's length.
-func (m *EncodedModule) rows() int {
-	if m.Mined != nil {
-		return len(m.Mined.Toks)
-	}
-	toks, _ := moduleTokens(m.Layout)
-	return len(toks)
-}
+func (m *EncodedModule) key() string { return m.Schema + "/" + m.Name }
 
-// spillCodec is the codec the module's blob is written with: the tier's,
-// except that mined states always spill fp32 — they are bit-exact by
-// contract (a mined splice must reproduce the cold serve's logits).
+// rows is the number of cached tokens the module's states must hold.
+func (m *EncodedModule) rows() int { return len(m.Toks) }
+
+// spillCodec is the codec the module's blob is written with: the tier's
+// for a declared module; fp32 for scaffold and mined states, which are
+// bit-exact by contract (a scaffold reproduces the full-attention
+// baseline, a mined splice the cold serve's logits).
 func (m *EncodedModule) spillCodec(tier Codec) Codec {
-	if m.Mined != nil {
+	if m.Layout == nil {
 		return CodecFP32
 	}
 	return tier
@@ -106,25 +112,48 @@ func (m *EncodedModule) pin(key string) servePart {
 	return servePart{key: key, em: m}
 }
 
-// EncodedScaffold is a set of modules co-encoded with a shared attention
-// span (§3.3). When all members are imported, it overrides their
-// individual states.
-type EncodedScaffold struct {
-	Name    string
-	Members []string
-	KV      *kvcache.Cache
-}
-
 // schemaEntry is one registered schema with its compiled layout and
 // encoded modules.
 type schemaEntry struct {
-	schema    *pml.Schema
-	layout    *pml.Layout
-	modules   map[string]*EncodedModule
-	scaffolds map[string]*EncodedScaffold
+	schema *pml.Schema
+	layout *pml.Layout
+	// modules holds every kind of module by name: declared, scaffold
+	// and mined.
+	modules map[string]*EncodedModule
+	// order names the declared modules in layout order, then the
+	// scaffolds in schema order: the order registration encodes them and
+	// a snapshot manifest lists them.
+	order []string
 	// src is the schema's PML source, kept so SaveAll can persist a
 	// restartable snapshot (OpenDir re-compiles the layout from it).
 	src string
+}
+
+// newSchemaEntry builds a compiled schema's entry and its unencoded
+// declared modules and scaffolds, in entry order.
+func newSchemaEntry(schema *pml.Schema, layout *pml.Layout, src string) (*schemaEntry, []*EncodedModule) {
+	e := &schemaEntry{schema: schema, layout: layout, modules: make(map[string]*EncodedModule), src: src}
+	var ems []*EncodedModule
+	for _, name := range layout.Order {
+		ml := layout.Modules[name]
+		toks, pos := moduleTokens(ml)
+		ems = append(ems, &EncodedModule{Name: name, Schema: schema.Name, Toks: toks, Pos: pos, Layout: ml})
+	}
+	for _, sc := range schema.Scaffolds {
+		em := &EncodedModule{Name: scaffoldPrefix + sc.Name, Schema: schema.Name}
+		for _, name := range layout.Order { // schema order
+			if slices.Contains(sc.Modules, name) {
+				toks, pos := moduleTokens(layout.Modules[name])
+				em.Toks = append(em.Toks, toks...)
+				em.Pos = append(em.Pos, pos...)
+			}
+		}
+		ems = append(ems, em)
+	}
+	for _, em := range ems {
+		e.order = append(e.order, em.Name)
+	}
+	return e, ems
 }
 
 // Cache is the Prompt Cache: it owns a model, a tokenizer, a chat
@@ -190,7 +219,8 @@ type Cache struct {
 	minedSeq int
 	// policy ranks module keys ("schema/module") for eviction when the
 	// pool fills (§6's cache-replacement direction; default LRU).
-	// Scaffold states are pinned: they exist for output exactness.
+	// Scaffolds are ranked like any module: a dropped one re-encodes its
+	// members' stream bit-identically.
 	policy evict.Policy
 	stats  Stats
 }
@@ -325,13 +355,7 @@ func (c *Cache) RegisterSchema(src string) (*pml.Layout, error) {
 		return nil, fmt.Errorf("%w: schema %q needs %d positions, model max is %d",
 			ErrPromptTooLong, schema.Name, layout.TotalLen, c.m.Cfg.MaxSeq)
 	}
-	entry := &schemaEntry{
-		schema:    schema,
-		layout:    layout,
-		modules:   make(map[string]*EncodedModule),
-		scaffolds: make(map[string]*EncodedScaffold),
-		src:       src,
-	}
+	entry, ems := newSchemaEntry(schema, layout, src)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -339,17 +363,16 @@ func (c *Cache) RegisterSchema(src string) (*pml.Layout, error) {
 		c.dropSchemaLocked(schema.Name, old)
 	}
 	c.schemas[schema.Name] = entry
-	for _, name := range layout.Order {
-		if _, err := c.encodeModuleLocked(schema.Name, entry, name); err != nil {
+	for _, em := range ems {
+		kv, err := c.encodeStatesLocked(em)
+		if err == nil {
+			err = c.installLocked(em, kv)
+		}
+		if err != nil {
 			c.dropSchemaLocked(schema.Name, entry)
 			return nil, err
 		}
-	}
-	for _, sc := range schema.Scaffolds {
-		if err := c.encodeScaffoldLocked(schema.Name, entry, sc); err != nil {
-			c.dropSchemaLocked(schema.Name, entry)
-			return nil, err
-		}
+		c.policy.Touch(em.key(), em.size())
 	}
 	return layout, nil
 }
@@ -391,12 +414,6 @@ func (c *Cache) dropSchemaLocked(name string, e *schemaEntry) {
 		}
 		c.policy.Remove(key)
 	}
-	for sc := range e.scaffolds {
-		key := name + "/scaffold/" + sc
-		if c.pool.Has(key) {
-			c.freeTracked(c.pool, key)
-		}
-	}
 	delete(c.schemas, name)
 }
 
@@ -413,74 +430,36 @@ func moduleTokens(ml *pml.ModuleLayout) (toks, pos []int) {
 	return toks, pos
 }
 
-// encodeStatesLocked runs a module's encoding prefill — the module's own
-// tokens into an empty cache, which confines attention to the module
-// span (the §3.3 masking effect) — and returns the states plus the token
-// count. Storage and stats are the caller's: the resident and transient
-// encode paths share this body so they cannot drift.
-func (c *Cache) encodeStatesLocked(key string, ml *pml.ModuleLayout) (*kvcache.Cache, int, error) {
-	toks, pos := moduleTokens(ml)
-	kv := c.m.NewCache(len(toks))
-	if len(toks) > 0 {
-		//pclint:ignore lockscope registration-time encode is the documented one-time cost under the lock (§3.3); serves never reach this
-		if _, err := c.m.Prefill(toks, pos, kv); err != nil {
-			return nil, 0, fmt.Errorf("core: encoding %s: %w", key, err)
+// encodeStatesLocked runs a module's encoding prefill — its stream into
+// an empty cache, which confines attention to the module span (the §3.3
+// masking effect; a scaffold's span is all its members) — and counts it.
+// Storage is the caller's: registration, a resident or transient
+// re-encode and a snapshot of dropped states share this one body.
+func (c *Cache) encodeStatesLocked(em *EncodedModule) (*kvcache.Cache, error) {
+	kv := c.m.NewCache(len(em.Toks))
+	if len(em.Toks) > 0 {
+		//pclint:ignore lockscope encoding is the documented one-time cost under the lock (§3.3): at registration, or once for a module whose states were dropped
+		if _, err := c.m.Prefill(em.Toks, em.Pos, kv); err != nil {
+			return nil, fmt.Errorf("core: encoding %s: %w", em.key(), err)
 		}
 	}
-	return kv, len(toks), nil
-}
-
-// encodeModuleLocked computes and stores one module's attention states.
-func (c *Cache) encodeModuleLocked(schema string, e *schemaEntry, name string) (*EncodedModule, error) {
-	ml, ok := e.layout.Modules[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: schema %q has no module %q", ErrBadPrompt, schema, name)
-	}
-	key := schema + "/" + name
-	kv, nToks, err := c.encodeStatesLocked(key, ml)
-	if err != nil {
-		return nil, err
-	}
-	em := &EncodedModule{Name: name, Schema: schema, KV: kv, Layout: ml}
-	if err := c.reserveLocked(key, em.Bytes()); err != nil {
-		return nil, err
-	}
-	e.modules[name] = em
-	c.policy.Touch(key, em.Bytes())
 	c.stats.ModulesEncoded++
-	c.stats.TokensEncoded += nToks
-	return em, nil
+	c.stats.TokensEncoded += len(em.Toks)
+	return kv, nil
 }
 
-// encodeScaffoldLocked co-encodes a scaffold's members with a shared
-// attention span: one prefill over the concatenation of all member
-// tokens, in schema order, at their absolute positions.
-func (c *Cache) encodeScaffoldLocked(schema string, e *schemaEntry, sc pml.Scaffold) error {
-	var toks, pos []int
-	for _, name := range e.layout.Order { // schema order
-		if !slices.Contains(sc.Modules, name) {
-			continue
-		}
-		t, p := moduleTokens(e.layout.Modules[name])
-		toks = append(toks, t...)
-		pos = append(pos, p...)
-	}
-	if len(toks) == 0 {
-		return fmt.Errorf("%w: scaffold %q has no tokens", ErrBadSchema, sc.Name)
-	}
-	kv := c.m.NewCache(len(toks))
-	//pclint:ignore lockscope scaffolds co-encode at registration, the documented one-time cost under the lock
-	if _, err := c.m.Prefill(toks, pos, kv); err != nil {
-		return fmt.Errorf("core: encoding scaffold %s/%s: %w", schema, sc.Name, err)
-	}
-	es := &EncodedScaffold{Name: sc.Name, Members: sc.Modules, KV: kv}
-	key := schema + "/scaffold/" + sc.Name
-	if err := c.reserveLocked(key, kv.Bytes(4)); err != nil {
+// installLocked makes kv a module's resident states: it reserves
+// primary-pool space (evicting others as needed) and registers the
+// module in its schema. Ranking the module with the eviction policy is
+// the caller's, so each use touches it once: a serve's through
+// acquireLocked, an encode or promotion's right after the install.
+func (c *Cache) installLocked(em *EncodedModule, kv *kvcache.Cache) error {
+	if err := c.reserveLocked(em.key(), kv.Bytes(4)); err != nil {
 		return err
 	}
-	e.scaffolds[sc.Name] = es
-	c.stats.ModulesEncoded++
-	c.stats.TokensEncoded += len(toks)
+	em.KV = kv
+	em.state = stateResident
+	c.schemas[em.Schema].modules[em.Name] = em
 	return nil
 }
 
@@ -542,7 +521,7 @@ func (c *Cache) evictOneLocked(loading string) bool {
 			// Prefer demotion to the host tier; below it, spill to the
 			// disk tier; drop only when both are absent or full.
 			switch {
-			case c.hostPool != nil && c.hostPool.Alloc(key, em.Bytes()) == nil:
+			case c.hostPool != nil && c.hostPool.Alloc(key, em.size()) == nil:
 				em.state = stateDemoted
 				c.stats.ModulesDemoted++
 			case c.disk != nil && c.spillLocked(key, em) == nil:
@@ -579,7 +558,7 @@ func splitKey(key string) (schema, mod string, ok bool) {
 // failed host-pool release is counted in TierAccountErrors rather than
 // discarded, so the host occupancy counter cannot drift silently.
 func (c *Cache) promoteLocked(key string, em *EncodedModule) error {
-	if err := c.reserveLocked(key, em.Bytes()); err != nil {
+	if err := c.reserveLocked(key, em.size()); err != nil {
 		return err
 	}
 	c.freeTracked(c.hostPool, key)
@@ -589,10 +568,10 @@ func (c *Cache) promoteLocked(key string, em *EncodedModule) error {
 }
 
 // acquireLocked runs one module through the tier state machine for the
-// serve planning phase, declared and mined modules alike: it returns the
-// module's states as a servePart safe to read outside the lock. The
-// happy path promotes into the primary pool and pins the module, making
-// it immune to eviction until unpinModules runs. When the pool cannot
+// serve planning phase, every kind alike: it returns the module's states
+// as a servePart safe to read outside the lock. The happy path promotes
+// into the primary pool and pins the module, making it immune to
+// eviction until unpinModules runs. When the pool cannot
 // hold the serve's whole working set at once — the remaining eviction
 // victims are all pinned, typically by this very serve — it degrades to
 // a read-through: demoted states are snapshotted straight from the host
@@ -624,7 +603,7 @@ func (c *Cache) acquireLocked(key string, em *EncodedModule) (servePart, error) 
 		// (resolveDiskPart) and re-locks briefly to promote and pin.
 		return servePart{key: key, disk: em}, nil
 	}
-	c.policy.Touch(key, em.Bytes())
+	c.policy.Touch(key, em.size())
 	c.stats.ModulesReused++
 	return em.pin(key), nil
 }
@@ -634,16 +613,15 @@ func (c *Cache) acquireLocked(key string, em *EncodedModule) (servePart, error) 
 var errMinedMiss = errors.New("core: mined module states unavailable")
 
 // unavailableLocked serves a module whose states are gone (dropped, or a
-// disk blob that failed to read). A declared module re-encodes: pinned
-// and resident when the pool holds it, transient otherwise, and
-// transient too when it was removed while its blob was read (schema
-// replaced), since the serve still needs the states it planned with. A
-// mined module cannot — its states came from a live serve — so the serve
-// counts a miss, and a mined module dropped for good is removed.
+// disk blob that failed to read). A declared module or scaffold
+// re-encodes its stream once: pinned and resident when the pool holds
+// it, transient otherwise, and transient too when it was removed while
+// its blob was read (schema replaced), since the serve still needs the
+// states it planned with. A mined module cannot — its states came from a
+// live serve — so the serve counts a miss, and a mined module dropped
+// for good is removed.
 func (c *Cache) unavailableLocked(key string, em *EncodedModule) (servePart, error) {
-	schemaName, name, _ := splitKey(key)
-	e := c.schemas[schemaName]
-	registered := e != nil && e.modules[name] == em
+	registered := c.moduleForKeyLocked(key) == em
 	if em.Mined != nil {
 		if em.state == stateDropped && registered {
 			c.dropMinedLocked(key, em)
@@ -651,35 +629,21 @@ func (c *Cache) unavailableLocked(key string, em *EncodedModule) (servePart, err
 		return servePart{}, errMinedMiss
 	}
 	c.stats.ModulesReloaded++
-	var em2 *EncodedModule
-	var err error
+	kv, err := c.encodeStatesLocked(em)
+	if err != nil {
+		return servePart{}, err
+	}
 	if registered {
-		em2, err = c.encodeModuleLocked(schemaName, e, name)
+		err = c.installLocked(em, kv)
 	}
 	if !registered || errors.Is(err, ErrCapacity) {
-		kv, terr := c.encodeTransientLocked(key, em.Layout)
-		if terr != nil {
-			return servePart{}, terr
-		}
 		return servePart{key: key, kv: kv}, nil
 	}
 	if err != nil {
 		return servePart{}, err
 	}
-	return em2.pin(key), nil
-}
-
-// encodeTransientLocked re-encodes a module without storing it: the
-// states go straight into the serve (or snapshot) that needs them and no
-// pool residency is claimed.
-func (c *Cache) encodeTransientLocked(key string, ml *pml.ModuleLayout) (*kvcache.Cache, error) {
-	kv, nToks, err := c.encodeStatesLocked(key, ml)
-	if err != nil {
-		return nil, err
-	}
-	c.stats.ModulesEncoded++
-	c.stats.TokensEncoded += nToks
-	return kv, nil
+	c.policy.Touch(key, em.size())
+	return em.pin(key), nil
 }
 
 // unpinModules releases serve pins taken during planning, making the

@@ -10,7 +10,9 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/faultinject"
@@ -27,12 +29,13 @@ import (
 // read back on the next serve instead of re-encoding. The blob is the
 // engine's one quantization point: states are encoded per the tier's
 // codec on the way out and decoded to fp32 on the way back in, so memory
-// only ever holds fp32 states, and under CodecFP32 (and for mined modules
-// under any codec) a module serves the same bits whichever tier it came
-// through. SaveAll/OpenDir extend the same blob store into a full
-// warm-restart snapshot: every registered schema's layout and module
-// states persist across process restarts, so a restarted server answers
-// its first cached request without paying the §3.3 encoding cost again.
+// only ever holds fp32 states, and under CodecFP32 (and for scaffolds and
+// mined modules under any codec) a module serves the same bits whichever
+// tier it came through. SaveAll/OpenDir extend the same blob store into
+// a full warm-restart snapshot: every registered schema's layout and
+// module states persist across process restarts, so a restarted server
+// answers its first cached request without paying the §3.3 encoding cost
+// again.
 
 // Codec selects the disk tier's storage precision; it is an alias of the
 // quant codec so promptcache can re-export it without leaking internals.
@@ -281,27 +284,13 @@ func (c *Cache) diskLoadFailedLocked(key string, em *EncodedModule, err error) {
 	}
 }
 
-// installDiskStatesLocked stores loaded (decoded, fp32) disk states as
-// the module's resident form, claiming primary-pool residency. The disk
-// blob stays: it remains the states' durable form, so a later eviction
-// re-spills for free.
-func (c *Cache) installDiskStatesLocked(key string, em *EncodedModule, kv *kvcache.Cache) error {
-	if err := c.reserveLocked(key, kv.Bytes(4)); err != nil {
-		return err
-	}
-	em.KV = kv
-	em.state = stateResident
-	c.stats.DiskHits++
-	return nil
-}
-
 // --- Warm-restart persistence (SaveAll / OpenDir) ---
 
 const manifestVersion = 1
 
 // diskManifest is the restart snapshot's root document: enough to
-// re-register every schema (PML source) and locate every module's and
-// scaffold's states in the blob store without re-encoding anything.
+// re-register every schema (PML source) and locate every module's states
+// — scaffolds included — in the blob store without re-encoding anything.
 type diskManifest struct {
 	Version int              `json:"version"`
 	Codec   string           `json:"codec"`
@@ -349,12 +338,13 @@ func HasSnapshot(dir string) bool {
 }
 
 // SaveAll persists every registered schema — layout source plus all
-// module and scaffold states — into dir as a warm-restart snapshot.
-// Module blobs are written with the disk tier's codec when one is
-// configured (CodecFP32 otherwise); scaffold states are always fp32, as
-// in memory (they exist for exactness). Modules already spilled into the
-// same dir reuse their blobs. The tokenizer's learned vocabulary is saved
-// alongside, so prompts tokenize identically after OpenDir.
+// module states, scaffolds and mined modules included — into dir as a
+// warm-restart snapshot. Declared module blobs are written with the disk
+// tier's codec when one is configured (CodecFP32 otherwise); scaffold and
+// mined states are always fp32, as in memory (they exist for
+// exactness). Modules already spilled into the same dir reuse their
+// blobs. The tokenizer's learned vocabulary is saved alongside, so
+// prompts tokenize identically after OpenDir.
 func (c *Cache) SaveAll(dir string) error {
 	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
 		return err
@@ -384,7 +374,9 @@ func (c *Cache) SaveAll(dir string) error {
 	for _, name := range names {
 		e := c.schemas[name]
 		ms := manifestSchema{Name: name, PML: e.src}
-		for _, mod := range e.layout.Order {
+		// Declared modules fill the manifest's module list and scaffolds
+		// its scaffold list, under their PML names.
+		for i, mod := range e.order {
 			em := e.modules[mod]
 			if em == nil {
 				return fmt.Errorf("%w: schema %q missing module %q", ErrBadSnapshot, name, mod)
@@ -393,19 +385,11 @@ func (c *Cache) SaveAll(dir string) error {
 			if err != nil {
 				return err
 			}
-			ms.Modules = append(ms.Modules, manifestEntry(mod, entry))
-		}
-		for _, sc := range e.schema.Scaffolds {
-			es := e.scaffolds[sc.Name]
-			if es == nil {
-				return fmt.Errorf("%w: schema %q missing scaffold %q", ErrBadSnapshot, name, sc.Name)
+			if i < len(e.layout.Order) {
+				ms.Modules = append(ms.Modules, manifestEntry(mod, entry))
+			} else {
+				ms.Scaffolds = append(ms.Scaffolds, manifestEntry(strings.TrimPrefix(mod, scaffoldPrefix), entry))
 			}
-			//pclint:ignore lockscope SaveAll is a stop-the-world snapshot by design: the lock guarantees a consistent manifest while blobs stream out
-			entry, err := tier.writeBlob(es.KV, CodecFP32)
-			if err != nil {
-				return fmt.Errorf("core: snapshot %s/scaffold/%s: %w", name, sc.Name, err)
-			}
-			ms.Scaffolds = append(ms.Scaffolds, manifestEntry(sc.Name, entry))
 		}
 		// Mined modules persist with their prefix; one that cannot be
 		// snapshotted is skipped with a counted stat rather than failing
@@ -427,8 +411,8 @@ func (c *Cache) SaveAll(dir string) error {
 			ms.Mined = append(ms.Mined, manifestMined{
 				manifestModule: manifestEntry(mod, entry),
 				Class:          em.Mined.Class,
-				Toks:           em.Mined.Toks,
-				Pos:            em.Mined.Pos,
+				Toks:           em.Toks,
+				Pos:            em.Pos,
 			})
 		}
 		man.Schemas = append(man.Schemas, ms)
@@ -465,7 +449,7 @@ func manifestEntry(name string, entry diskEntry) manifestModule {
 // otherwise, and dropped modules re-encode transiently — except a mined
 // one, which cannot re-encode and so has no states to snapshot.
 func (c *Cache) snapshotStatesLocked(tier *diskTier, codec Codec, em *EncodedModule) (diskEntry, error) {
-	key := em.Schema + "/" + em.Name
+	key := em.key()
 	var kv *kvcache.Cache
 	var err error
 	switch em.state {
@@ -480,7 +464,7 @@ func (c *Cache) snapshotStatesLocked(tier *diskTier, codec Codec, em *EncodedMod
 		if em.Mined != nil {
 			return diskEntry{}, fmt.Errorf("%w: mined module %s has no states to snapshot", ErrBadSnapshot, key)
 		}
-		kv, err = c.encodeTransientLocked(key, em.Layout)
+		kv, err = c.encodeStatesLocked(em)
 	}
 	if err != nil {
 		return diskEntry{}, err
@@ -516,15 +500,14 @@ func writeFileAtomic(path string, data []byte) error {
 
 // OpenDir constructs a Cache from a SaveAll snapshot: every schema in the
 // manifest is re-registered from its persisted source with all module
-// states left on disk (stateDisk) — nothing is prefilled, so opening is
-// cheap, and the first serve of each module reads its blob back and
-// promotes it, a cache hit rather than a re-encode. Scaffold states are
-// restored eagerly into the pool (scaffolds are never evicted). The
-// returned cache keeps dir as its disk tier so later evictions spill
-// into the same store: a WithDiskTier option naming the same dir keeps
-// its codec (an explicit flag beats the snapshot's recorded one — each
-// blob carries its own codec, so reading is unaffected); otherwise the
-// tier adopts the manifest's codec.
+// states, scaffolds included, left on disk (stateDisk) — nothing is
+// prefilled or read, so opening is cheap and needs no pool space, and
+// the first serve of each module reads its blob back and promotes it, a
+// cache hit rather than a re-encode. The returned cache keeps dir as its
+// disk tier so later evictions spill into the same store: a WithDiskTier
+// option naming the same dir keeps its codec (an explicit flag beats the
+// snapshot's recorded one — each blob carries its own codec, so reading
+// is unaffected); otherwise the tier adopts the manifest's codec.
 func OpenDir(m *model.Model, dir string, opts ...Option) (*Cache, error) {
 	data, err := os.ReadFile(manifestPath(dir))
 	if err != nil {
@@ -583,64 +566,28 @@ func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 	if err != nil {
 		return err
 	}
-	if len(ms.Modules) != len(layout.Order) {
-		return fmt.Errorf("%w: snapshot has %d modules, schema has %d", ErrBadSnapshot, len(ms.Modules), len(layout.Order))
+	if len(ms.Modules) != len(layout.Order) || len(ms.Scaffolds) != len(schema.Scaffolds) {
+		return fmt.Errorf("%w: snapshot has %d modules and %d scaffolds, schema has %d and %d",
+			ErrBadSnapshot, len(ms.Modules), len(ms.Scaffolds), len(layout.Order), len(schema.Scaffolds))
 	}
-	entry := &schemaEntry{
-		schema:    schema,
-		layout:    layout,
-		modules:   make(map[string]*EncodedModule),
-		scaffolds: make(map[string]*EncodedScaffold),
-		src:       ms.PML,
-	}
-	fail := func(err error) error {
-		c.dropSchemaLocked(schema.Name, entry)
-		return err
-	}
+	entry, ems := newSchemaEntry(schema, layout, ms.PML)
 	if old, ok := c.schemas[schema.Name]; ok {
 		c.dropSchemaLocked(schema.Name, old)
 	}
 	c.schemas[schema.Name] = entry
-	for i, mm := range ms.Modules {
-		name := layout.Order[i]
-		if mm.Name != name {
-			return fail(fmt.Errorf("%w: snapshot module %q, layout expects %q", ErrBadSnapshot, mm.Name, name))
-		}
-		em := &EncodedModule{Name: name, Schema: schema.Name, Layout: layout.Modules[name]}
+	// The manifest lists declared modules, then scaffolds, in entry order.
+	listed := append(slices.Clip(ms.Modules), ms.Scaffolds...)
+	for i, em := range ems {
+		mm := listed[i]
 		de, err := mm.diskEntry(em.rows())
+		if want := strings.TrimPrefix(em.Name, scaffoldPrefix); mm.Name != want {
+			err = fmt.Errorf("%w: snapshot module %q, schema expects %q", ErrBadSnapshot, mm.Name, want)
+		}
 		if err != nil {
-			return fail(err)
+			c.dropSchemaLocked(schema.Name, entry)
+			return err
 		}
 		c.restoreModuleLocked(entry, em, de)
-	}
-	// Scaffolds restore eagerly: they are pool-pinned for exactness and
-	// never evicted, so lazy disk residency has nothing to offer them.
-	byName := map[string]pml.Scaffold{}
-	for _, sc := range schema.Scaffolds {
-		byName[sc.Name] = sc
-	}
-	if len(ms.Scaffolds) != len(schema.Scaffolds) {
-		return fail(fmt.Errorf("%w: snapshot has %d scaffolds, schema has %d", ErrBadSnapshot, len(ms.Scaffolds), len(schema.Scaffolds)))
-	}
-	for _, mm := range ms.Scaffolds {
-		sc, ok := byName[mm.Name]
-		if !ok {
-			return fail(fmt.Errorf("%w: snapshot scaffold %q not in schema", ErrBadSnapshot, mm.Name))
-		}
-		//pclint:ignore lockscope warm restart loads scaffolds eagerly before serving starts; nothing contends for the lock yet
-		kv, err := c.disk.readBlob(diskEntry{hash: mm.Hash, codec: CodecFP32, bytes: mm.Bytes, tokens: mm.Tokens})
-		if err != nil {
-			return fail(fmt.Errorf("snapshot scaffold %q: %w", mm.Name, err))
-		}
-		key := schema.Name + "/scaffold/" + sc.Name
-		if err := c.checkBlob(key, kv, mm.Tokens); err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrBadSnapshot, err))
-		}
-		if err := c.reserveLocked(key, kv.Bytes(4)); err != nil {
-			return fail(err)
-		}
-		entry.scaffolds[sc.Name] = &EncodedScaffold{Name: sc.Name, Members: sc.Modules, KV: kv}
-		c.stats.ModulesRestored++
 	}
 	// Mined modules restore lazily like declared ones (stateDisk), and
 	// the observer adopts their prefixes so lookups match immediately.
@@ -666,10 +613,10 @@ func (mm manifestModule) diskEntry(rows int) (diskEntry, error) {
 }
 
 // restoreModuleLocked registers one checked manifest entry as a
-// disk-resident module of e, declared or mined alike: its blob is
-// indexed and the first serve that needs it reads it back.
+// disk-resident module of e, every kind alike: its blob is indexed and
+// the first serve that needs it reads it back.
 func (c *Cache) restoreModuleLocked(e *schemaEntry, em *EncodedModule, de diskEntry) {
-	key := em.Schema + "/" + em.Name
+	key := em.key()
 	c.disk.index[key] = de
 	if err := c.disk.pool.Alloc(key, de.bytes); err != nil {
 		c.stats.TierAccountErrors++
@@ -700,7 +647,7 @@ func (c *Cache) resolveDiskParts(plan *servePlan) error {
 	return nil
 }
 
-// resolveDiskPart completes one pending disk part, declared or mined.
+// resolveDiskPart completes one pending disk part, of any module kind.
 // The blob is read outside the cache lock (disk IO must never serialize
 // serving), with transient-error retry and backoff — the only blob path
 // that may sleep — and checked; the entry, the blob file and the
@@ -748,11 +695,16 @@ func (c *Cache) installLoadedLocked(key string, em *EncodedModule, kv *kvcache.C
 			c.diskLoadFailedLocked(key, em, loadErr)
 			return c.unavailableLocked(key, em)
 		}
-		err := c.installDiskStatesLocked(key, em, kv)
+		// The blob stays: it remains the states' durable form, so a
+		// later eviction re-spills for free.
+		err := c.installLocked(em, kv)
 		if err != nil && !errors.Is(err, ErrCapacity) {
 			return servePart{}, err
 		}
 		readThrough = err != nil
+		if !readThrough {
+			c.stats.DiskHits++
+		}
 	}
 	if readThrough {
 		if loadErr != nil {

@@ -206,9 +206,8 @@ type servePart struct {
 	// em is a pinned resident module; its States() may be read outside
 	// the cache lock until the pin is released.
 	em *EncodedModule
-	// kv is an immutable snapshot — scaffold states, or module states
-	// read through from the host tier, the disk tier or a transient
-	// re-encode — used when em is nil.
+	// kv is an immutable snapshot — states read through from the host
+	// tier, the disk tier or a transient re-encode — used when em is nil.
 	kv *kvcache.Cache
 	// disk marks a pending disk-tier load: the module's states live only
 	// in its blob, which resolveDiskPart reads outside the cache lock
@@ -298,50 +297,31 @@ func (c *Cache) planServeLocked(prompt *pml.Prompt, opts ServeOpts) (*servePlan,
 
 	// Scaffold override (§3.3): if every member of a scaffold is
 	// imported, its co-encoded states replace the members' individual
-	// states.
-	covered := map[string]bool{}
-	var scaffolds []*EncodedScaffold
+	// states, spliced in at the first covered member.
+	cover := map[string]string{} // member -> covering scaffold's module name
 	if !opts.DisableScaffolds {
 		for _, sc := range e.schema.Scaffolds {
-			es := e.scaffolds[sc.Name]
-			if es == nil || !allIncluded(sc.Modules, included) {
+			overlaps := slices.ContainsFunc(sc.Modules, func(m string) bool { return cover[m] != "" })
+			if overlaps || !allIncluded(sc.Modules, included) {
 				continue
 			}
-			overlap := false
 			for _, m := range sc.Modules {
-				if covered[m] {
-					overlap = true
-					break
-				}
-			}
-			if overlap {
-				continue
-			}
-			scaffolds = append(scaffolds, es)
-			for _, m := range sc.Modules {
-				covered[m] = true
+				cover[m] = scaffoldPrefix + sc.Name
 			}
 			plan.scaffolds = append(plan.scaffolds, sc.Name)
 		}
 	}
 
-	// Pin the parts: modules in schema position order; scaffold states
-	// splice in at their first covered member. Scaffold states are
-	// immutable once encoded (never evicted), so a snapshot reference
-	// is as good as a pin.
-	emittedScaffold := map[string]bool{}
+	// Acquire the parts in schema position order, scaffolds like any
+	// module.
+	spliced := map[string]bool{}
 	for _, name := range included {
-		if covered[name] {
-			for _, es := range scaffolds {
-				if slices.Contains(es.Members, name) && !emittedScaffold[es.Name] {
-					plan.parts = append(plan.parts, servePart{
-						key: prompt.SchemaName + "/scaffold/" + es.Name,
-						kv:  es.KV,
-					})
-					emittedScaffold[es.Name] = true
-				}
+		if sc := cover[name]; sc != "" {
+			if spliced[sc] {
+				continue
 			}
-			continue
+			spliced[sc] = true
+			name = sc
 		}
 		part, err := c.acquireLocked(prompt.SchemaName+"/"+name, e.modules[name])
 		if err != nil {

@@ -17,13 +17,13 @@ import (
 // observer; prefixes hot enough to clear the configured thresholds are
 // promoted into *anonymous modules* — EncodedModules named "~mined/N",
 // registered into the owning schema's entry. They run through the same
-// tier state machine as declared modules (acquireLocked, resolveDiskPart,
-// snapshotStatesLocked, restoreModuleLocked); the kinds differ only in
-// three EncodedModule properties — row count, spill codec, and what
-// unavailable states mean (a mined module cannot re-encode, so it is
-// removed and the serve misses). A later serve whose stream starts with
-// a mined prefix splices the module's pinned states exactly like a
-// schema hit and prefills only the remainder.
+// tier state machine as declared modules and scaffolds (acquireLocked,
+// resolveDiskPart, snapshotStatesLocked, restoreModuleLocked); the kinds
+// differ only in data on the EncodedModule — the stream, the spill
+// codec, and what unavailable states mean (a mined module cannot
+// re-encode, so it is removed and the serve misses). A later serve
+// whose stream starts with a mined prefix splices the module's pinned
+// states exactly like a schema hit and prefills only the remainder.
 //
 // Correctness: a serve's uncached-token states depend on everything the
 // tail attends to, so streams are only compared within a *class* —
@@ -60,13 +60,11 @@ func WithModuleMining(opts MiningOpts) Option {
 	return func(c *Cache) { c.miner = mining.New(opts) }
 }
 
-// MinedPrefix records what an anonymous mined module caches: the class
-// it is valid in and the (token, position) stream prefix its states
-// reproduce. It is the mined counterpart of Layout.
+// MinedPrefix records where an anonymous mined module's states are
+// valid: the serving class its prefix was observed in. The prefix itself
+// is the module's stream (EncodedModule.Toks, Pos).
 type MinedPrefix struct {
 	Class string
-	Toks  []int
-	Pos   []int
 }
 
 // MiningStats is the stats document's mining block: the observer's tree
@@ -154,7 +152,7 @@ func (c *Cache) spliceMined(plan *servePlan, schemaName, class string, toks, pos
 
 	c.mu.Lock()
 	em := c.minedModuleLocked(schemaName, name)
-	if em == nil || len(em.Mined.Toks) != n {
+	if em == nil || em.rows() != n {
 		c.mu.Unlock()
 		// The cache no longer holds what the observer promised (schema
 		// replaced, module GC'd mid-lookup): stop matching it.
@@ -243,25 +241,23 @@ func (c *Cache) promoteMined(schemaName string, cand *mining.Candidate, toks []i
 		cand.PromoteFailed()
 		return
 	}
-	name := minedPrefixTag + strconv.Itoa(c.minedSeq)
-	key := schemaName + "/" + name
 	em := &EncodedModule{
-		Name:   name,
+		Name:   minedPrefixTag + strconv.Itoa(c.minedSeq),
 		Schema: schemaName,
-		KV:     states, // fp32 always: mined states exist for exactness
-		Mined:  &MinedPrefix{Class: cand.Class, Toks: cand.Toks, Pos: cand.Pos},
+		Toks:   cand.Toks,
+		Pos:    cand.Pos,
+		Mined:  &MinedPrefix{Class: cand.Class},
 	}
-	if err := c.reserveLocked(key, em.Bytes()); err != nil {
+	if err := c.installLocked(em, states); err != nil {
 		c.mu.Unlock()
 		cand.PromoteFailed()
 		return
 	}
 	c.minedSeq++
-	e.modules[name] = em
-	c.policy.Touch(key, em.Bytes())
+	c.policy.Touch(em.key(), em.size())
 	c.stats.MinedPromotions++
 	c.mu.Unlock()
-	cand.Promoted(name)
+	cand.Promoted(em.Name)
 }
 
 // demoteMined garbage-collects one cold mined module. A pinned module
@@ -318,7 +314,9 @@ func (c *Cache) adoptMinedLocked(e *schemaEntry, schemaName string, mm manifestM
 	em := &EncodedModule{
 		Name:   mm.Name,
 		Schema: schemaName,
-		Mined:  &MinedPrefix{Class: mm.Class, Toks: mm.Toks, Pos: mm.Pos},
+		Toks:   mm.Toks,
+		Pos:    mm.Pos,
+		Mined:  &MinedPrefix{Class: mm.Class},
 	}
 	de, err := mm.diskEntry(em.rows())
 	if c.miner == nil || err != nil || !strings.HasPrefix(mm.Name, minedPrefixTag) ||

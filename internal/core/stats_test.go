@@ -11,20 +11,17 @@ import (
 )
 
 // tierLedgerLocked sums the bytes the module inventory says each pool
-// holds: resident modules and scaffolds in the device pool, demoted
-// modules in the host pool.
+// holds: resident modules in the device pool, demoted modules in the
+// host pool. Scaffolds are modules, so they need no term of their own.
 func tierLedgerLocked(c *Cache) (device, host int64) {
 	for _, e := range c.schemas {
 		for _, em := range e.modules {
 			switch em.state {
 			case stateResident:
-				device += em.Bytes()
+				device += em.size()
 			case stateDemoted:
-				host += em.Bytes()
+				host += em.size()
 			}
-		}
-		for _, sc := range e.scaffolds {
-			device += sc.KV.Bytes(4)
 		}
 	}
 	return device, host
@@ -59,10 +56,10 @@ func TestSnapshotConsistentUnderChurn(t *testing.T) {
 	var size int64
 	for name, em := range probe.schemas["churn"].modules {
 		if size == 0 {
-			size = em.Bytes()
+			size = em.size()
 		}
-		if em.Bytes() != size {
-			t.Fatalf("module %s takes %d bytes, others %d: the fixture needs equal modules", name, em.Bytes(), size)
+		if em.size() != size {
+			t.Fatalf("module %s takes %d bytes, others %d: the fixture needs equal modules", name, em.size(), size)
 		}
 	}
 

@@ -494,3 +494,171 @@ func TestTierReadWindowSchemaReplacedBlobGone(t *testing.T) {
 	}
 	assertNoPins(t, c)
 }
+
+// scaffoldChurnSchema: three scaffolds over disjoint pairs of modules and
+// nothing else, so every prompt of TestScaffoldTierChurn — one pair, or
+// one module alone — matches the full-attention baseline bit for bit.
+const scaffoldChurnSchema = `<schema name="sc">
+  <module name="m0">alpha beta gamma delta</module>
+  <module name="m1">one two three four</module>
+  <module name="m2">red green blue cyan</module>
+  <module name="m3">north south east west</module>
+  <module name="m4">salt pepper thyme basil</module>
+  <module name="m5">oak pine elm ash</module>
+  <scaffold name="s01" modules="m0 m1"/>
+  <scaffold name="s23" modules="m2 m3"/>
+  <scaffold name="s45" modules="m4 m5"/>
+</schema>`
+
+// TestScaffoldTierChurn serves scaffold pairs through a device pool of
+// two scaffolds and a host pool of one, over a disk tier (fp32 or int8)
+// or none. Scaffolds rank, demote, spill and reload (or, with no disk
+// tier, drop and re-encode) like any module: each one must go through all
+// three, every serve must match the baseline bit for bit whatever the
+// disk codec (scaffolds spill fp32), and at quiescence the pools hold
+// exactly the resident and demoted modules' bytes, with no accounting
+// error and no pin left behind.
+func TestScaffoldTierChurn(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 91))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := NewCache(m)
+	mustRegister(t, probe, scaffoldChurnSchema)
+	scaffoldBytes := probe.schemas["sc"].modules[scaffoldPrefix+"s01"].size()
+	names := []string{"s01", "s23", "s45"}
+	pair := func(i int) string {
+		return fmt.Sprintf(`<prompt schema="sc"><m%d/><m%d/>Relate them.</prompt>`, 2*i, 2*i+1)
+	}
+	baseline := make([][]float32, len(names))
+	for i := range names {
+		res, err := probe.BaselineServe(context.Background(), pair(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline[i] = res.Logits
+	}
+	// Registration leaves s23 and s45 resident (s23 least recent) and
+	// s01 past the host. Under LRU each pass of this order demotes one
+	// scaffold, evicts the one demoted before past a full host, and
+	// serves that one back.
+	schedule := []int{0, 2, 1, 0, 2, 1, 0, 2, 1, 0}
+
+	for _, tc := range []struct {
+		name  string
+		disk  bool
+		codec Codec
+	}{{"fp32", true, CodecFP32}, {"int8", true, CodecInt8}, {"host-only", false, CodecFP32}} {
+		t.Run(tc.name, func(t *testing.T) {
+			host := memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM, Capacity: scaffoldBytes})
+			opts := []Option{
+				WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: 2 * scaffoldBytes})),
+				WithHostPool(host),
+			}
+			if tc.disk {
+				opts = append(opts, WithDiskTier(t.TempDir(), tc.codec))
+			}
+			c := NewCache(m, opts...)
+			// Hold the host full while the schema registers, so the
+			// modules evicted by registration go past it and the host
+			// starts empty for the scaffolds.
+			if err := host.Alloc("filler", scaffoldBytes); err != nil {
+				t.Fatal(err)
+			}
+			mustRegister(t, c, scaffoldChurnSchema)
+			if err := host.Free("filler"); err != nil {
+				t.Fatal(err)
+			}
+			states := func() []moduleState {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				var out []moduleState
+				for _, name := range names {
+					out = append(out, c.schemas["sc"].modules[scaffoldPrefix+name].state)
+				}
+				return out
+			}
+			var demoted, evicted, back [3]bool
+			for step, i := range schedule {
+				before := states()
+				res, err := c.Serve(context.Background(), pair(i), ServeOpts{})
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				res.Close()
+				if len(res.Scaffolds) != 1 || !sameBits(baseline[i], res.Logits) {
+					t.Errorf("step %d: scaffolds %v, logits differ from the baseline by %v",
+						step, res.Scaffolds, tensor.MaxAbsDiff(baseline[i], res.Logits))
+				}
+				if evicted[i] && (before[i] == stateDisk || before[i] == stateDropped) {
+					back[i] = true
+				}
+				for j, st := range states() {
+					switch {
+					case st == stateDemoted:
+						demoted[j] = true
+					case demoted[j] && (st == stateDisk || st == stateDropped):
+						evicted[j] = true
+					}
+				}
+			}
+			for i, name := range names {
+				if !back[i] {
+					t.Errorf("%s: demoted %v, then evicted past the host %v, then served back %v", name, demoted[i], evicted[i], back[i])
+				}
+			}
+			s := c.Snapshot()
+			if s.Tiers.TierAccountErrors != 0 {
+				t.Fatalf("tier_account_errors = %d", s.Tiers.TierAccountErrors)
+			}
+			c.mu.Lock()
+			device, hostBytes := tierLedgerLocked(c)
+			c.mu.Unlock()
+			if s.Tiers.DeviceBytes != device || s.Tiers.HostBytes != hostBytes {
+				t.Fatalf("gauges device %d host %d, inventory holds device %d host %d",
+					s.Tiers.DeviceBytes, s.Tiers.HostBytes, device, hostBytes)
+			}
+			assertNoPins(t, c)
+		})
+	}
+}
+
+// TestOpenDirPoolSmallerThanScaffold: a snapshot opens into a device
+// pool too small for its scaffold — restoring reads no blob and reserves
+// nothing — and the scaffold still serves, read through from its blob,
+// bit-identical to the cache that saved it.
+func TestOpenDirPoolSmallerThanScaffold(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 613))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := NewCache(m)
+	mustRegister(t, orig, scaffoldSchema)
+	want, err := orig.Serve(context.Background(), scaffoldPrompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Close()
+	dir := t.TempDir()
+	if err := orig.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	scaffoldBytes := orig.schemas["s"].modules[scaffoldPrefix+"ab"].size()
+
+	c, err := OpenDir(m, dir, WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: scaffoldBytes - 1})))
+	if err != nil {
+		t.Fatalf("OpenDir with a pool smaller than the scaffold: %v", err)
+	}
+	got, err := c.Serve(context.Background(), scaffoldPrompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Close()
+	if len(got.Scaffolds) != 1 || !sameBits(want.Logits, got.Logits) {
+		t.Fatalf("scaffolds %v, logits differ by %v", got.Scaffolds, tensor.MaxAbsDiff(want.Logits, got.Logits))
+	}
+	if st := c.Stats(); st.ModulesEncoded != 0 || st.DiskHits != 1 {
+		t.Fatalf("want the scaffold read through from disk, nothing encoded: %+v", st)
+	}
+	assertNoPins(t, c)
+}

@@ -62,12 +62,13 @@ func (c *Client) InferBatch(ctx context.Context, req BatchRequest) (*BatchRespon
 	}()
 	out := &BatchResponse{Stats: stats, Results: make([]*Response, len(results))}
 	one := Request{PrefillOnly: req.PrefillOnly, Gen: req.Gen}
-	// Under a decode scheduler, generate every member concurrently so the
-	// whole batch decodes as simultaneous lanes of the fused steps — but
-	// only with the stateless default sampler: the request's one Sampler
-	// is shared across members, and concurrent lanes would consume its
+	// Generate every member concurrently: under a decode scheduler the
+	// whole batch decodes as simultaneous lanes of the fused steps, and
+	// inline each member's lane runs on its own goroutine. Only with the
+	// stateless default sampler, though: the request's one Sampler is
+	// shared across members, and concurrent lanes would consume its
 	// state in nondeterministic member order.
-	if c.cache.SchedEnabled() && !req.PrefillOnly && req.Gen.Sampler == nil && len(results) > 1 {
+	if !req.PrefillOnly && req.Gen.Sampler == nil && len(results) > 1 {
 		errs := make([]error, len(results))
 		var wg sync.WaitGroup
 		for i, res := range results {

@@ -139,9 +139,11 @@ func Open(m *model.Model, dir string, opts ...Option) (*Client, error) {
 // HasSnapshot reports whether dir holds a SaveAll snapshot.
 func HasSnapshot(dir string) bool { return core.HasSnapshot(dir) }
 
-// SaveAll persists every registered schema — layout plus all module and
-// scaffold states, quantized per the disk tier's codec when one is
-// configured — into dir as a warm-restart snapshot for Open.
+// SaveAll persists every registered schema — layout plus all module,
+// scaffold and mined states — into dir as a warm-restart snapshot for
+// Open. Declared modules are quantized per the disk tier's codec when one
+// is configured; scaffold and mined states are always fp32, for
+// exactness. Open restores every one of them lazily, from disk.
 func (c *Client) SaveAll(dir string) error { return c.cache.SaveAll(dir) }
 
 // Engine exposes the underlying core.Cache for advanced uses the public

@@ -145,11 +145,12 @@
 // modules it reads, making them immune to eviction while their states
 // are viewed. There is one serve path: a batch request is its prompts
 // served individually over a bounded worker pool, so members sharing a
-// module view the same resident states and hold ordinary pins. Schema
-// registration encodes under the lock — the deliberate one-time cost —
-// so serves that start mid-registration wait for it, while serves
-// already prefilling are unaffected. See the "Concurrency" section of
-// README.md for the full contract.
+// module view the same resident states and hold ordinary pins. Encoding
+// runs outside the lock too: schema registration encodes its modules
+// concurrently and installs them under one short hold, and a serve that
+// needs a dropped module re-encodes it off the lock, so serves keep
+// planning during either. See the "Concurrency" section of README.md
+// for the full contract.
 //
 // The library implements the paper's full stack: a transformer inference
 // engine with explicit position IDs (internal/model, internal/tensor,

@@ -77,8 +77,9 @@ func (c *Cache) ServeBatch(ctx context.Context, prompts []string, opts ServeOpts
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				// A cancelled batch must not keep planning (which can
-				// re-encode under the cache lock); bail before serving.
+				// A cancelled batch must not keep serving (planning can
+				// still read a blob or re-encode a dropped module); bail
+				// before serving.
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
 					continue

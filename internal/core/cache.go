@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/evict"
 	"repro/internal/faultinject"
@@ -26,7 +27,7 @@ import (
 // EncodedModule is one cached attention state: a declared prompt module,
 // a scaffold (§3.3), or a mined prefix. Every kind runs through the one
 // tier state machine; they differ only in data on the module — the
-// stream its states encode (rows, encodeStatesLocked), its spill codec
+// stream its states encode (rows, encodeStates), its spill codec
 // (spillCodec), and whether unavailable states re-encode
 // (unavailableLocked: a declared module or scaffold re-encodes its
 // stream; a mined one cannot and is removed).
@@ -165,11 +166,11 @@ func newSchemaEntry(schema *pml.Schema, layout *pml.Layout, src string) (*schema
 // prompt and pin the modules it needs, then stitches zero-copy views
 // over their states and runs the prefill outside the lock; pinned
 // modules are immune to eviction until the serve's result closes (views
-// read module memory in place). Encoding always happens under the
-// lock — it is the deliberate one-time cost (§3.3) — whether triggered
-// by RegisterSchema or by a serve restoring a dropped module,
-// so a planning phase can stall behind an in-progress encode; serves
-// past planning (prefilling) never stall and never stall each other.
+// read module memory in place). Encoding runs outside the lock too:
+// RegisterSchema encodes a schema's modules concurrently and installs
+// them under one short hold, and a serve that needs a dropped module
+// re-encodes it off the lock like a disk blob read (resolvePart). Only
+// SaveAll's stop-the-world snapshot encodes under mu.
 type Cache struct {
 	m    *model.Model
 	tok  *tokenizer.Tokenizer
@@ -222,7 +223,12 @@ type Cache struct {
 	// Scaffolds are ranked like any module: a dropped one re-encodes its
 	// members' stream bit-identically.
 	policy evict.Policy
-	stats  Stats
+	// demoted ranks the host tier's occupants by demotion time. A
+	// demoted module is never touched until it is promoted, so the
+	// oldest demoted is the coldest: hostAllocLocked sends it one tier
+	// down to make room for a hotter victim.
+	demoted *evict.LRU
+	stats   Stats
 }
 
 // Option configures a Cache.
@@ -293,6 +299,7 @@ func NewCache(m *model.Model, opts ...Option) *Cache {
 		tok:     tokenizer.New(m.Cfg.VocabSize),
 		tmpl:    pml.TemplateFor(m.Cfg.Name),
 		schemas: make(map[string]*schemaEntry),
+		demoted: evict.NewLRU(),
 	}
 	for _, o := range opts {
 		o(c)
@@ -340,8 +347,12 @@ func (c *Cache) SchemaNames() []string {
 
 // RegisterSchema parses a PML schema, compiles its position layout, and
 // eagerly encodes every prompt module and scaffold (§3.3: "Prompt Cache
-// populates its cache when a schema is loaded"). Re-registering a schema
-// name replaces the old entry.
+// populates its cache when a schema is loaded"). The encodes run outside
+// the cache lock, concurrently (encodeAll); one short hold then installs
+// them all, so serves keep planning meanwhile. Re-registering a schema
+// name replaces the old entry; a replacement that fails — a bad schema,
+// a failed encode, or a state eviction cannot make room for (roomLocked)
+// — leaves the old entry serving.
 func (c *Cache) RegisterSchema(src string) (*pml.Layout, error) {
 	schema, err := pml.ParseSchema(src)
 	if err != nil {
@@ -356,25 +367,99 @@ func (c *Cache) RegisterSchema(src string) (*pml.Layout, error) {
 			ErrPromptTooLong, schema.Name, layout.TotalLen, c.m.Cfg.MaxSeq)
 	}
 	entry, ems := newSchemaEntry(schema, layout, src)
+	kvs, err := c.encodeAll(ems)
+	if err != nil {
+		return nil, err
+	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.schemas[schema.Name]; ok {
+	for _, em := range ems {
+		c.countEncodeLocked(em)
+	}
+	// States the pool could not hold with every evictable byte freed would
+	// fail the install below after the old entry is gone: refuse them
+	// first.
+	old, replacing := c.schemas[schema.Name]
+	if c.pool.Capacity() > 0 {
+		room := c.roomLocked(old)
+		for i, em := range ems {
+			if size := kvs[i].Bytes(4); size > room {
+				return nil, fmt.Errorf("%w: module %s (%d bytes) cannot fit even after eviction: %d bytes can be freed", ErrCapacity, em.key(), size, room)
+			}
+		}
+	}
+	if replacing {
 		c.dropSchemaLocked(schema.Name, old)
 	}
 	c.schemas[schema.Name] = entry
-	for _, em := range ems {
-		kv, err := c.encodeStatesLocked(em)
-		if err == nil {
-			err = c.installLocked(em, kv)
-		}
-		if err != nil {
+	for i, em := range ems {
+		if err := c.installLocked(em, kvs[i]); err != nil {
 			c.dropSchemaLocked(schema.Name, entry)
 			return nil, err
 		}
 		c.policy.Touch(em.key(), em.size())
 	}
 	return layout, nil
+}
+
+// roomLocked returns the most bytes one state can claim in the primary
+// pool once the entry old (nil for none) is dropped and eviction has
+// freed all it can: the capacity less what neither frees — other
+// modules held by open serves, and reservations that are no module's.
+// The modules a registration installs stay unpinned, so each evicts the
+// ones before it if it must; each state fits alone or the install fails.
+func (c *Cache) roomLocked(old *schemaEntry) int64 {
+	held := c.pool.Used()
+	for _, e := range c.schemas {
+		for _, em := range e.modules {
+			if (e == old || em.pins == 0) && c.pool.Has(em.key()) {
+				held -= em.size()
+			}
+		}
+	}
+	return c.pool.Capacity() - held
+}
+
+// encodeAll encodes every module's states outside the cache lock, at most
+// one module per backend worker at a time; a one-module schema (or a
+// one-worker backend) encodes inline. The states are the same bits in any
+// schedule: each module runs its own prefill over its own stream. Held
+// until installed, they are bounded by the schema's MaxSeq rows plus its
+// scaffolds' copies.
+func (c *Cache) encodeAll(ems []*EncodedModule) ([]*kvcache.Cache, error) {
+	kvs := make([]*kvcache.Cache, len(ems))
+	errs := make([]error, len(ems))
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(ems) {
+				return
+			}
+			kvs[i], errs[i] = c.encodeStates(ems[i])
+		}
+	}
+	workers := min(c.m.Backend().Workers(), len(ems))
+	if workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return kvs, nil
 }
 
 // freeTracked releases a pool reservation, counting (rather than
@@ -406,9 +491,7 @@ func (c *Cache) dropSchemaLocked(name string, e *schemaEntry) {
 		if c.pool.Has(key) {
 			c.freeTracked(c.pool, key)
 		}
-		if c.hostPool != nil && c.hostPool.Has(key) {
-			c.freeTracked(c.hostPool, key)
-		}
+		c.freeHostLocked(key)
 		if c.disk != nil {
 			c.removeDiskLocked(key)
 		}
@@ -430,22 +513,27 @@ func moduleTokens(ml *pml.ModuleLayout) (toks, pos []int) {
 	return toks, pos
 }
 
-// encodeStatesLocked runs a module's encoding prefill — its stream into
-// an empty cache, which confines attention to the module span (the §3.3
-// masking effect; a scaffold's span is all its members) — and counts it.
-// Storage is the caller's: registration, a resident or transient
-// re-encode and a snapshot of dropped states share this one body.
-func (c *Cache) encodeStatesLocked(em *EncodedModule) (*kvcache.Cache, error) {
+// encodeStates runs a module's encoding prefill — its stream into an
+// empty cache, which confines attention to the module span (the §3.3
+// masking effect; a scaffold's span is all its members). It reads only
+// the module's immutable stream, so it needs no lock, and callers run it
+// outside Cache.mu; storage and counting (countEncodeLocked) are the
+// caller's: registration, a serve's re-encode of a dropped module and a
+// snapshot of dropped states share this one body.
+func (c *Cache) encodeStates(em *EncodedModule) (*kvcache.Cache, error) {
 	kv := c.m.NewCache(len(em.Toks))
 	if len(em.Toks) > 0 {
-		//pclint:ignore lockscope encoding is the documented one-time cost under the lock (§3.3): at registration, or once for a module whose states were dropped
 		if _, err := c.m.Prefill(em.Toks, em.Pos, kv); err != nil {
 			return nil, fmt.Errorf("core: encoding %s: %w", em.key(), err)
 		}
 	}
+	return kv, nil
+}
+
+// countEncodeLocked counts one encode of a module's stream.
+func (c *Cache) countEncodeLocked(em *EncodedModule) {
 	c.stats.ModulesEncoded++
 	c.stats.TokensEncoded += len(em.Toks)
-	return kv, nil
 }
 
 // installLocked makes kv a module's resident states: it reserves
@@ -495,10 +583,11 @@ func (c *Cache) moduleForKeyLocked(key string) *EncodedModule {
 	return e.modules[mod]
 }
 
-// evictOneLocked drops the policy's next victim (never the module being
-// loaded, which is not yet tracked, and never a pinned module — its
-// states are being read by an in-flight prefill outside the lock).
-// Returns false if nothing can be evicted.
+// evictOneLocked sends the policy's next victim one tier down (never the
+// module being loaded, which is not yet tracked, and never a pinned
+// module — its states are being read by an in-flight prefill outside the
+// lock): into the host tier when it can hold it (hostAllocLocked), else
+// below it (sinkLocked). Returns false if nothing can be evicted.
 func (c *Cache) evictOneLocked(loading string) bool {
 	excluded := func(key string) bool {
 		if key == loading {
@@ -516,31 +605,70 @@ func (c *Cache) evictOneLocked(loading string) bool {
 		if !c.pool.Has(key) {
 			continue // stale policy entry; clean up and retry
 		}
-		em := c.moduleForKeyLocked(key)
-		if em != nil {
-			// Prefer demotion to the host tier; below it, spill to the
-			// disk tier; drop only when both are absent or full.
-			switch {
-			case c.hostPool != nil && c.hostPool.Alloc(key, em.size()) == nil:
-				em.state = stateDemoted
-				c.stats.ModulesDemoted++
-			case c.disk != nil && c.spillLocked(key, em) == nil:
-				em.KV = nil
-				em.state = stateDisk
-				c.stats.ModulesSpilled++
-			default:
-				em.KV = nil
-				em.state = stateDropped
-			}
-		}
 		c.freeTracked(c.pool, key)
 		c.stats.ModulesEvicted++
-		if em != nil && em.Mined != nil && em.state == stateDropped {
-			// A mined module cannot re-encode, so a drop past the last
-			// tier is terminal: remove it and tell the observer.
-			c.dropMinedLocked(key, em)
+		if em := c.moduleForKeyLocked(key); em != nil {
+			if c.hostPool != nil && c.hostAllocLocked(key, em.size()) {
+				em.state = stateDemoted
+				c.stats.ModulesDemoted++
+			} else {
+				c.sinkLocked(key, em)
+			}
 		}
 		return true
+	}
+}
+
+// hostAllocLocked reserves host-tier space for a module's states. When
+// the host is full it makes room by sending its oldest-demoted occupants
+// — the coldest states it holds — one tier down (sinkLocked). It returns
+// false when the states cannot fit the host.
+func (c *Cache) hostAllocLocked(key string, size int64) bool {
+	if capacity := c.hostPool.Capacity(); capacity > 0 && size > capacity {
+		return false
+	}
+	for {
+		err := c.hostPool.Alloc(key, size)
+		if err == nil {
+			c.demoted.Touch(key, size)
+			return true
+		}
+		if !errors.Is(err, memory.ErrOutOfMemory) {
+			return false
+		}
+		old, ok := c.demoted.Victim()
+		if !ok {
+			return false
+		}
+		c.freeHostLocked(old)
+		if oem := c.moduleForKeyLocked(old); oem != nil && oem.state == stateDemoted {
+			c.sinkLocked(old, oem)
+		}
+	}
+}
+
+// sinkLocked sends a module evicted from the device or host tier below
+// the host: it spills to the disk tier, or drops when there is none or
+// the spill fails. A mined module cannot re-encode, so its drop is
+// terminal: it is removed and the observer told.
+func (c *Cache) sinkLocked(key string, em *EncodedModule) {
+	if c.disk != nil && c.spillLocked(key, em) == nil {
+		em.state = stateDisk
+		c.stats.ModulesSpilled++
+	} else {
+		em.state = stateDropped
+	}
+	em.KV = nil
+	if em.Mined != nil && em.state == stateDropped {
+		c.dropMinedLocked(key, em)
+	}
+}
+
+// freeHostLocked releases key's host-tier reservation, if it holds one.
+func (c *Cache) freeHostLocked(key string) {
+	c.demoted.Remove(key)
+	if c.hostPool != nil && c.hostPool.Has(key) {
+		c.freeTracked(c.hostPool, key)
 	}
 }
 
@@ -554,14 +682,22 @@ func splitKey(key string) (schema, mod string, ok bool) {
 }
 
 // promoteLocked moves a demoted module back into the primary pool
-// (evicting others if needed) and releases its host reservation. A
-// failed host-pool release is counted in TierAccountErrors rather than
+// (evicting others if needed). It releases its host reservation first,
+// so the device's victims can demote into the room it leaves — a swap,
+// even through a host one module wide. When the device cannot take it,
+// the module goes back into the host, or below it if a victim took its
+// room; its states stay valid for a read-through either way. A failed
+// host-pool release is counted in TierAccountErrors rather than
 // discarded, so the host occupancy counter cannot drift silently.
 func (c *Cache) promoteLocked(key string, em *EncodedModule) error {
+	c.demoted.Remove(key)
+	c.freeTracked(c.hostPool, key)
 	if err := c.reserveLocked(key, em.size()); err != nil {
+		if !c.hostAllocLocked(key, em.size()) {
+			c.sinkLocked(key, em)
+		}
 		return err
 	}
-	c.freeTracked(c.hostPool, key)
 	em.state = stateResident
 	c.stats.ModulesPromoted++
 	return nil
@@ -577,7 +713,7 @@ func (c *Cache) promoteLocked(key string, em *EncodedModule) error {
 // a read-through: demoted states are snapshotted straight from the host
 // tier without claiming primary-pool residency, so a working set larger
 // than the pool still serves. A disk-resident module returns a pending
-// part for resolveDiskPart; a dropped one is unavailableLocked's.
+// part for resolvePart; a dropped one is unavailableLocked's.
 func (c *Cache) acquireLocked(key string, em *EncodedModule) (servePart, error) {
 	if em == nil {
 		return servePart{}, fmt.Errorf("%w: no module %q", ErrBadPrompt, key)
@@ -586,6 +722,7 @@ func (c *Cache) acquireLocked(key string, em *EncodedModule) (servePart, error) 
 	case stateDropped:
 		return c.unavailableLocked(key, em)
 	case stateDemoted:
+		kv := em.KV
 		if err := c.promoteLocked(key, em); err != nil {
 			if !errors.Is(err, ErrCapacity) {
 				return servePart{}, err
@@ -595,13 +732,13 @@ func (c *Cache) acquireLocked(key string, em *EncodedModule) (servePart, error) 
 			// eviction only clears the module's fields, never the
 			// underlying states.
 			c.stats.ModulesReused++
-			return servePart{key: key, kv: em.KV}, nil
+			return servePart{key: key, kv: kv}, nil
 		}
 	case stateDisk:
 		// The blob read is disk IO and must not run under the cache-wide
 		// lock: return a pending part; the serve resolves it off-lock
-		// (resolveDiskPart) and re-locks briefly to promote and pin.
-		return servePart{key: key, disk: em}, nil
+		// (resolvePart) and re-locks briefly to promote and pin.
+		return servePart{key: key, pending: em}, nil
 	}
 	c.policy.Touch(key, em.size())
 	c.stats.ModulesReused++
@@ -614,36 +751,18 @@ var errMinedMiss = errors.New("core: mined module states unavailable")
 
 // unavailableLocked serves a module whose states are gone (dropped, or a
 // disk blob that failed to read). A declared module or scaffold
-// re-encodes its stream once: pinned and resident when the pool holds
-// it, transient otherwise, and transient too when it was removed while
-// its blob was read (schema replaced), since the serve still needs the
-// states it planned with. A mined module cannot — its states came from a
-// live serve — so the serve counts a miss, and a mined module dropped
-// for good is removed.
+// re-encodes its stream: it returns a pending part, which resolvePart
+// encodes outside the lock and installs. A mined module cannot — its
+// states came from a live serve — so the serve counts a miss, and a
+// mined module dropped for good is removed.
 func (c *Cache) unavailableLocked(key string, em *EncodedModule) (servePart, error) {
-	registered := c.moduleForKeyLocked(key) == em
 	if em.Mined != nil {
-		if em.state == stateDropped && registered {
+		if em.state == stateDropped && c.moduleForKeyLocked(key) == em {
 			c.dropMinedLocked(key, em)
 		}
 		return servePart{}, errMinedMiss
 	}
-	c.stats.ModulesReloaded++
-	kv, err := c.encodeStatesLocked(em)
-	if err != nil {
-		return servePart{}, err
-	}
-	if registered {
-		err = c.installLocked(em, kv)
-	}
-	if !registered || errors.Is(err, ErrCapacity) {
-		return servePart{key: key, kv: kv}, nil
-	}
-	if err != nil {
-		return servePart{}, err
-	}
-	c.policy.Touch(key, em.size())
-	return em.pin(key), nil
+	return servePart{key: key, pending: em}, nil
 }
 
 // unpinModules releases serve pins taken during planning, making the

@@ -260,7 +260,7 @@ func (c *Cache) diskLoadLocked(key string, em *EncodedModule) (*kvcache.Cache, e
 	if !ok {
 		return nil, fmt.Errorf("core: module %s is on disk but has no blob entry: %w", key, errCorruptBlob)
 	}
-	//pclint:ignore lockscope snapshot path (SaveAll of a disk-resident module): blob reads under the lock are the documented one-time cost; serves use the off-lock resolveDiskPart
+	//pclint:ignore lockscope snapshot path (SaveAll of a disk-resident module): blob reads under the lock are the documented one-time cost; serves use the off-lock resolvePart
 	kv, err := c.disk.readBlob(entry)
 	if err != nil {
 		return nil, fmt.Errorf("core: disk tier %s: %w", key, err)
@@ -464,7 +464,10 @@ func (c *Cache) snapshotStatesLocked(tier *diskTier, codec Codec, em *EncodedMod
 		if em.Mined != nil {
 			return diskEntry{}, fmt.Errorf("%w: mined module %s has no states to snapshot", ErrBadSnapshot, key)
 		}
-		kv, err = c.encodeStatesLocked(em)
+		//pclint:ignore lockscope SaveAll is a stop-the-world snapshot by design: a dropped module's states are re-encoded under the lock so the manifest is one consistent cut; it is the only encode under Cache.mu
+		if kv, err = c.encodeStates(em); err == nil {
+			c.countEncodeLocked(em)
+		}
 	}
 	if err != nil {
 		return diskEntry{}, err
@@ -626,16 +629,15 @@ func (c *Cache) restoreModuleLocked(e *schemaEntry, em *EncodedModule, de diskEn
 	c.stats.ModulesRestored++
 }
 
-// resolveDiskParts completes a serve plan whose parts include pending
-// disk-tier modules, resolving each with resolveDiskPart. Freshly pinned
-// modules are appended to plan.pinned, so they release with the serve's
-// other pins.
-func (c *Cache) resolveDiskParts(plan *servePlan) error {
+// resolveParts completes a serve plan whose parts include pending
+// modules, resolving each with resolvePart. Freshly pinned modules are
+// appended to plan.pinned, so they release with the serve's other pins.
+func (c *Cache) resolveParts(plan *servePlan) error {
 	for i, p := range plan.parts {
-		if p.disk == nil {
+		if p.pending == nil {
 			continue
 		}
-		part, err := c.resolveDiskPart(p)
+		part, err := c.resolvePart(p)
 		if err != nil {
 			return err
 		}
@@ -647,72 +649,103 @@ func (c *Cache) resolveDiskParts(plan *servePlan) error {
 	return nil
 }
 
-// resolveDiskPart completes one pending disk part, of any module kind.
-// The blob is read outside the cache lock (disk IO must never serialize
-// serving), with transient-error retry and backoff — the only blob path
-// that may sleep — and checked; the entry, the blob file and the
-// expected shape are immutable, so neither step needs the lock, and a
-// concurrent removal (schema drop) surfaces as a read error. A brief
-// re-lock then installs the states through installLoadedLocked.
-func (c *Cache) resolveDiskPart(p servePart) (servePart, error) {
+// resolvePart completes one pending part, of any module kind: the one
+// place a serve produces states it does not hold, by a blob read or by a
+// re-encode, and both run outside the cache lock (disk IO and prefill
+// must never serialize serving). A registered module with a blob has it
+// read, with transient-error retry and backoff — the only blob path that
+// may sleep — and checked; the entry, the blob file and the expected
+// shape are immutable, so neither step needs the lock, and a concurrent
+// removal (schema drop) surfaces as a read error. A brief re-lock
+// installs the states (installLoadedLocked). When there was no blob, or
+// it failed, the module is unavailable: a mined one is a miss, and a
+// declared module or scaffold re-encodes its stream, which a last
+// re-lock installs the same way (installStatesLocked).
+func (c *Cache) resolvePart(p servePart) (servePart, error) {
+	key, em := p.key, p.pending
 	c.mu.Lock()
-	entry, ok := c.disk.index[p.key]
+	var entry diskEntry
+	indexed := false
+	if c.disk != nil && c.moduleForKeyLocked(key) == em {
+		entry, indexed = c.disk.index[key]
+	}
 	c.mu.Unlock()
 	var kv *kvcache.Cache
 	var retries int
 	var loadErr error
-	if !ok {
-		loadErr = fmt.Errorf("core: module %s has no blob entry: %w", p.key, errCorruptBlob)
+	if !indexed {
+		loadErr = fmt.Errorf("core: module %s has no blob entry: %w", key, errCorruptBlob)
 	} else if kv, retries, loadErr = c.disk.readBlobRetry(entry); loadErr == nil {
-		loadErr = c.checkBlob(p.key, kv, p.disk.rows())
+		loadErr = c.checkBlob(key, kv, em.rows())
+	}
+	c.mu.Lock()
+	c.stats.DiskRetries += retries
+	part, err := c.installLoadedLocked(key, em, kv, loadErr)
+	c.mu.Unlock()
+	if err != nil || part.pending == nil {
+		return part, err
+	}
+	kv, err = c.encodeStates(em)
+	if err != nil {
+		return servePart{}, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stats.DiskRetries += retries
-	return c.installLoadedLocked(p.key, p.disk, kv, loadErr)
+	c.countEncodeLocked(em)
+	c.stats.ModulesReloaded++
+	return c.installStatesLocked(key, em, kv, nil)
 }
 
-// installLoadedLocked turns an off-lock blob load into a serve part,
-// handling the races the unlocked read window allows. A module still on
-// disk installs the loaded states into the primary pool — or, when the
-// load failed, is unavailable (unavailableLocked). A module another
-// serve promoted or demoted meanwhile goes back through acquireLocked.
-// A mined module collected meanwhile is a miss: its removal is already
-// counted and confirmed to the observer. Otherwise the loaded copy
-// serves as a read-through, without residency, when the pool cannot
-// hold the working set or the module was dropped or removed (schema
-// replaced) meanwhile.
+// installLoadedLocked installs a blob read's states (installStatesLocked)
+// and counts a disk hit and a reuse when they serve.
 func (c *Cache) installLoadedLocked(key string, em *EncodedModule, kv *kvcache.Cache, loadErr error) (servePart, error) {
-	removed := c.moduleForKeyLocked(key) != em
-	if removed && em.Mined != nil {
-		return servePart{}, errMinedMiss
-	}
-	readThrough := removed || em.state == stateDropped
-	if !readThrough && em.state == stateDisk {
-		if loadErr != nil {
-			// Proven corruption deletes the blob and drops the module; a
-			// transient failure keeps both for the next access.
-			c.diskLoadFailedLocked(key, em, loadErr)
-			return c.unavailableLocked(key, em)
-		}
-		// The blob stays: it remains the states' durable form, so a
-		// later eviction re-spills for free.
-		err := c.installLocked(em, kv)
-		if err != nil && !errors.Is(err, ErrCapacity) {
-			return servePart{}, err
-		}
-		readThrough = err != nil
-		if !readThrough {
-			c.stats.DiskHits++
-		}
-	}
-	if readThrough {
-		if loadErr != nil {
-			return c.unavailableLocked(key, em)
-		}
+	part, err := c.installStatesLocked(key, em, kv, loadErr)
+	if err == nil && loadErr == nil && part.states() == kv {
 		c.stats.DiskHits++
 		c.stats.ModulesReused++
+	}
+	return part, err
+}
+
+// installStatesLocked turns states a serve produced outside the lock — a
+// blob read, or a re-encode — into a serve part, handling the races the
+// unlocked window allows. A mined module collected meanwhile is a miss:
+// its removal is already counted and confirmed to the observer. A module
+// another serve restored meanwhile goes back through acquireLocked. A
+// failed read leaves the module unavailable (unavailableLocked: a
+// pending part for a re-encode, or a mined miss); proven corruption
+// deletes the blob and drops the module, a transient failure keeps both
+// for the next access. Otherwise the states install pinned and resident
+// — a blob stays as the states' durable form, so a later eviction
+// re-spills for free — or serve as a read-through, without residency,
+// when the pool cannot hold the working set or the module was removed
+// (schema replaced) meanwhile, since the serve still needs the states it
+// planned with.
+func (c *Cache) installStatesLocked(key string, em *EncodedModule, kv *kvcache.Cache, loadErr error) (servePart, error) {
+	registered := c.moduleForKeyLocked(key) == em
+	restored := registered && (em.state == stateResident || em.state == stateDemoted)
+	if !registered && em.Mined != nil {
+		return servePart{}, errMinedMiss
+	}
+	if loadErr != nil && !restored {
+		if registered && em.state == stateDisk {
+			c.diskLoadFailedLocked(key, em, loadErr)
+		}
+		return c.unavailableLocked(key, em)
+	}
+	if restored {
+		return c.acquireLocked(key, em)
+	}
+	var err error
+	if registered {
+		err = c.installLocked(em, kv)
+	}
+	if !registered || errors.Is(err, ErrCapacity) {
 		return servePart{key: key, kv: kv}, nil
 	}
-	return c.acquireLocked(key, em)
+	if err != nil {
+		return servePart{}, err
+	}
+	c.policy.Touch(key, em.size())
+	return em.pin(key), nil
 }

@@ -136,9 +136,10 @@ func (c *Cache) ServeParsed(ctx context.Context, prompt *pml.Prompt, opts ServeO
 	if err != nil {
 		return nil, err
 	}
-	// Disk-tier modules were planned as pending parts; read their blobs
-	// back outside the lock and promote (pinning) or read through.
-	if err := c.resolveDiskParts(plan); err != nil {
+	// Disk-tier and dropped modules were planned as pending parts: read
+	// their blobs back or re-encode them outside the lock, then promote
+	// (pinning) or read through.
+	if err := c.resolveParts(plan); err != nil {
 		c.unpinModules(plan.pinned)
 		return nil, err
 	}
@@ -209,10 +210,11 @@ type servePart struct {
 	// kv is an immutable snapshot — states read through from the host
 	// tier, the disk tier or a transient re-encode — used when em is nil.
 	kv *kvcache.Cache
-	// disk marks a pending disk-tier load: the module's states live only
-	// in its blob, which resolveDiskPart reads outside the cache lock
-	// before assembly. A resolved plan has no disk parts left.
-	disk *EncodedModule
+	// pending marks a module whose states must be produced before
+	// assembly — read from its disk blob, or re-encoded when they are
+	// gone — which resolvePart does outside the cache lock. A resolved
+	// plan has no pending parts left.
+	pending *EncodedModule
 	// noExclude marks a part whose rows must not be filtered against the
 	// plan's excluded positions: a mined prefix already contains the
 	// serve-computed states at those positions.

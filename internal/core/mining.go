@@ -18,7 +18,7 @@ import (
 // promoted into *anonymous modules* — EncodedModules named "~mined/N",
 // registered into the owning schema's entry. They run through the same
 // tier state machine as declared modules and scaffolds (acquireLocked,
-// resolveDiskPart, snapshotStatesLocked, restoreModuleLocked); the kinds
+// resolvePart, snapshotStatesLocked, restoreModuleLocked); the kinds
 // differ only in data on the EncodedModule — the stream, the spill
 // codec, and what unavailable states mean (a mined module cannot
 // re-encode, so it is removed and the serve misses). A later serve
@@ -134,7 +134,7 @@ func classPrefix(schemaName string) string { return schemaName + classFieldSep }
 // part (mined rows include computed argument states at excluded
 // positions and must not be filtered). The module goes through the same
 // tier state machine as a declared import — acquireLocked, then
-// resolveDiskPart for a disk-resident one — so it pins, promotes, reads
+// resolvePart for a disk-resident one — so it pins, promotes, reads
 // through and retries blob reads exactly like one. It returns the module
 // name and matched token count; the caller trims the stream by n and
 // prefills the rest. A mined splice never fails a serve: any trouble —
@@ -161,8 +161,8 @@ func (c *Cache) spliceMined(plan *servePlan, schemaName, class string, toks, pos
 	}
 	part, err := c.acquireLocked(key, em)
 	c.mu.Unlock()
-	if err == nil && part.disk != nil {
-		part, err = c.resolveDiskPart(part)
+	if err == nil && part.pending != nil {
+		part, err = c.resolvePart(part)
 	}
 	if err != nil {
 		return "", 0
@@ -286,9 +286,7 @@ func (c *Cache) dropMinedLocked(key string, em *EncodedModule) {
 	if c.pool.Has(key) {
 		c.freeTracked(c.pool, key)
 	}
-	if c.hostPool != nil && c.hostPool.Has(key) {
-		c.freeTracked(c.hostPool, key)
-	}
+	c.freeHostLocked(key)
 	if c.disk != nil {
 		c.removeDiskLocked(key)
 	}

@@ -42,8 +42,11 @@ const churnSchema = `<schema name="churn">
 // device and a host tier of two modules each and a disk tier below them
 // while another goroutine snapshots. Every document must be one
 // moment's books: the device gauge is read once, and the host gauge
-// equals the modules demoted and not yet promoted back — a counter and a
-// pool that two separately locked reads can catch mid-move. At
+// equals the modules it holds by the counters — counters and a pool that
+// two separately locked reads can catch mid-move. Every device eviction
+// here either demotes or spills, and the host sends its oldest occupant
+// to disk to make room, so the host holds evicted − promoted − spilled
+// modules. At
 // quiescence the gauges equal the inventory's resident and demoted
 // bytes, with no accounting error and no pin left behind.
 func TestSnapshotConsistentUnderChurn(t *testing.T) {
@@ -88,9 +91,9 @@ func TestSnapshotConsistentUnderChurn(t *testing.T) {
 				t.Errorf("pool_bytes %d != tiers.device_bytes %d", s.PoolBytes, s.Tiers.DeviceBytes)
 				return
 			}
-			if demoted := int64(s.Tiers.ModulesDemoted - s.Tiers.ModulesPromoted); s.Tiers.HostBytes != demoted*size {
-				t.Errorf("host holds %d bytes, but %d demoted - %d promoted modules of %d bytes: not one cut",
-					s.Tiers.HostBytes, s.Tiers.ModulesDemoted, s.Tiers.ModulesPromoted, size)
+			if held := int64(s.ModulesEvicted - s.Tiers.ModulesPromoted - s.Tiers.ModulesSpilled); s.Tiers.HostBytes != held*size {
+				t.Errorf("host holds %d bytes, but %d evicted - %d promoted - %d spilled modules of %d bytes: not one cut",
+					s.Tiers.HostBytes, s.ModulesEvicted, s.Tiers.ModulesPromoted, s.Tiers.ModulesSpilled, size)
 				return
 			}
 		}

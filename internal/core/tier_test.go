@@ -15,8 +15,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// The tier state machine (acquireLocked, resolveDiskPart,
-// installLoadedLocked, unavailableLocked) serves declared and mined
+// The tier state machine (acquireLocked, resolvePart,
+// installStatesLocked, unavailableLocked) serves declared and mined
 // modules alike. These tests drive one module of each kind through every
 // state it can be served from, with and without room in the device pool,
 // and pin the reuse accounting, the pin ledger and the output bits.
@@ -315,7 +315,7 @@ func TestSaveAllDiskResidentToOtherDir(t *testing.T) {
 	}
 }
 
-// readWindowLocked runs resolveDiskPart's two halves by hand around
+// readWindowLocked runs resolvePart's blob read by hand around
 // during, which stands for whatever another goroutine does while key's
 // blob is read off-lock, and returns what the install half makes of the
 // loaded states. Called and returning with c.mu held.
@@ -385,6 +385,46 @@ func TestTierReadWindowMinedCollected(t *testing.T) {
 	}
 	if d := tensor.MaxAbsDiff(cold.Logits, res.Logits); d != 0 {
 		t.Errorf("serve after the collection differs from the cold serve by %v", d)
+	}
+	assertNoPins(t, c)
+}
+
+// TestTierPendingMinedCollected: a mined module on disk planned as a
+// pending part, then collected before the part resolves, is a miss. It
+// must not re-encode: its stream alone never attended to the schema's
+// modules, so an encode would splice states that differ from the mined
+// ones, and would cost a prefill and count as an encode and a reload.
+func TestTierPendingMinedCollected(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(m,
+		WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}),
+		WithDiskTier(t.TempDir(), CodecFP32))
+	mustRegister(t, c, travelSchema)
+	serveMined(t, c).Close()
+	serveMined(t, c).Close() // promotes
+
+	c.mu.Lock()
+	key := minedKeyLocked(t, c)
+	evictKeyLocked(t, c, key)
+	em := c.moduleForKeyLocked(key)
+	part, err := c.acquireLocked(key, em)
+	if err != nil || part.pending != em {
+		c.mu.Unlock()
+		t.Fatalf("disk-resident mined module planned as %+v, %v; want a pending part", part, err)
+	}
+	c.dropMinedLocked(key, em)
+	before := c.stats
+	c.mu.Unlock()
+
+	if _, err := c.resolvePart(part); !errors.Is(err, errMinedMiss) {
+		t.Fatalf("collected mined module resolved with %v, want a miss", err)
+	}
+	if got := c.Stats(); got.ModulesEncoded != before.ModulesEncoded || got.TokensEncoded != before.TokensEncoded ||
+		got.ModulesReloaded != before.ModulesReloaded || got.DiskHits != before.DiskHits || got.ModulesReused != before.ModulesReused {
+		t.Errorf("stats before %+v, after %+v: want nothing counted", before, got)
 	}
 	assertNoPins(t, c)
 }
@@ -510,9 +550,9 @@ const scaffoldChurnSchema = `<schema name="sc">
   <scaffold name="s45" modules="m4 m5"/>
 </schema>`
 
-// TestScaffoldTierChurn serves scaffold pairs through a device pool of
-// two scaffolds and a host pool of one, over a disk tier (fp32 or int8)
-// or none. Scaffolds rank, demote, spill and reload (or, with no disk
+// TestScaffoldTierChurn serves scaffold pairs through a device pool and
+// a host pool one scaffold wide each, over a disk tier (fp32 or int8) or
+// none. Scaffolds rank, demote, spill and reload (or, with no disk
 // tier, drop and re-encode) like any module: each one must go through all
 // three, every serve must match the baseline bit for bit whatever the
 // disk codec (scaffolds spill fp32), and at quiescence the pools hold
@@ -538,10 +578,10 @@ func TestScaffoldTierChurn(t *testing.T) {
 		}
 		baseline[i] = res.Logits
 	}
-	// Registration leaves s23 and s45 resident (s23 least recent) and
-	// s01 past the host. Under LRU each pass of this order demotes one
-	// scaffold, evicts the one demoted before past a full host, and
-	// serves that one back.
+	// Registration leaves s45 resident and s01 and s23 past the host.
+	// Under LRU this order cycles every scaffold from the device into the
+	// host, past the host to make room for a hotter one, and back from
+	// below it.
 	schedule := []int{0, 2, 1, 0, 2, 1, 0, 2, 1, 0}
 
 	for _, tc := range []struct {
@@ -552,7 +592,7 @@ func TestScaffoldTierChurn(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			host := memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM, Capacity: scaffoldBytes})
 			opts := []Option{
-				WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: 2 * scaffoldBytes})),
+				WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: scaffoldBytes})),
 				WithHostPool(host),
 			}
 			if tc.disk {
@@ -620,6 +660,127 @@ func TestScaffoldTierChurn(t *testing.T) {
 			}
 			assertNoPins(t, c)
 		})
+	}
+}
+
+// TestHostTierTakesEveryDeviceVictim serves scaffold pairs through a device
+// and a host tier one scaffold wide each, over an fp32 disk tier, with no
+// filler holding the host during registration. Registration demotes its
+// first evictions (the member modules) into the host; a full host must
+// then send its oldest-demoted occupant to disk rather than turn away a
+// hotter victim, so every scaffold evicted from the device goes to the
+// host. Every serve matches the baseline bit for bit, and at quiescence
+// the ledger is exact, with no accounting error and no pin.
+func TestHostTierTakesEveryDeviceVictim(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 91))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := NewCache(m)
+	mustRegister(t, probe, scaffoldChurnSchema)
+	scaffoldBytes := probe.schemas["sc"].modules[scaffoldPrefix+"s01"].size()
+	pair := func(i int) string {
+		return fmt.Sprintf(`<prompt schema="sc"><m%d/><m%d/>Relate them.</prompt>`, 2*i, 2*i+1)
+	}
+	names := []string{"s01", "s23", "s45"}
+	baseline := make([][]float32, len(names))
+	for i := range names {
+		res, err := probe.BaselineServe(context.Background(), pair(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline[i] = res.Logits
+	}
+
+	c := NewCache(m,
+		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: scaffoldBytes})),
+		WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM, Capacity: scaffoldBytes})),
+		WithDiskTier(t.TempDir(), CodecFP32))
+	mustRegister(t, c, scaffoldChurnSchema)
+	states := func() []moduleState {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		var out []moduleState
+		for _, name := range names {
+			out = append(out, c.schemas["sc"].modules[scaffoldPrefix+name].state)
+		}
+		return out
+	}
+	demotions := 0
+	for step, i := range []int{0, 1, 2, 0, 2, 1, 1, 0} {
+		before := states()
+		res, err := c.Serve(context.Background(), pair(i), ServeOpts{})
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		res.Close()
+		if len(res.Scaffolds) != 1 || !sameBits(baseline[i], res.Logits) {
+			t.Errorf("step %d: scaffolds %v, logits differ from the baseline by %v",
+				step, res.Scaffolds, tensor.MaxAbsDiff(baseline[i], res.Logits))
+		}
+		for j, st := range states() {
+			if before[j] != stateResident || st == stateResident {
+				continue
+			}
+			if st != stateDemoted {
+				t.Errorf("step %d: %s left the device for state %d, not the host", step, names[j], st)
+			}
+			demotions++
+		}
+	}
+	if demotions == 0 {
+		t.Fatal("no scaffold left the device")
+	}
+	s := c.Snapshot()
+	if s.Tiers.TierAccountErrors != 0 {
+		t.Fatalf("tier_account_errors = %d", s.Tiers.TierAccountErrors)
+	}
+	c.mu.Lock()
+	device, hostBytes := tierLedgerLocked(c)
+	c.mu.Unlock()
+	if s.Tiers.DeviceBytes != device || s.Tiers.HostBytes != hostBytes {
+		t.Fatalf("gauges device %d host %d, inventory holds device %d host %d",
+			s.Tiers.DeviceBytes, s.Tiers.HostBytes, device, hostBytes)
+	}
+	assertNoPins(t, c)
+}
+
+// TestHostTierSpillsOldestDemoted: a host tier two modules wide, full,
+// makes room for a third demotion by spilling the module demoted first,
+// and keeps the later one; the promoted module vacates its room.
+func TestHostTierSpillsOldestDemoted(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 733))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := NewCache(m)
+	mustRegister(t, probe, churnSchema)
+	size := probe.schemas["churn"].modules["m0"].size()
+	c := NewCache(m,
+		WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM, Capacity: 2 * size})),
+		WithDiskTier(t.TempDir(), CodecFP32))
+	mustRegister(t, c, churnSchema)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	state := func(mod string) moduleState { return c.moduleForKeyLocked("churn/" + mod).state }
+	for _, mod := range []string{"m0", "m1", "m2"} {
+		evictKeyLocked(t, c, "churn/"+mod)
+	}
+	if state("m0") != stateDisk || state("m1") != stateDemoted || state("m2") != stateDemoted {
+		t.Fatalf("after demoting m0, m1, m2 into a two-wide host: states %d %d %d, want disk, demoted, demoted",
+			state("m0"), state("m1"), state("m2"))
+	}
+	if _, err := c.acquireLocked("churn/m1", c.moduleForKeyLocked("churn/m1")); err != nil {
+		t.Fatal(err)
+	}
+	c.moduleForKeyLocked("churn/m1").pins--
+	evictKeyLocked(t, c, "churn/m3")
+	if state("m1") != stateResident || state("m2") != stateDemoted || state("m3") != stateDemoted {
+		t.Fatalf("after promoting m1 and demoting m3: states %d %d %d, want resident, demoted, demoted",
+			state("m1"), state("m2"), state("m3"))
+	}
+	if st := c.stats; st.TierAccountErrors != 0 || c.hostPool.Used() != 2*size {
+		t.Fatalf("host holds %d bytes, want %d; tier_account_errors %d", c.hostPool.Used(), 2*size, st.TierAccountErrors)
 	}
 }
 

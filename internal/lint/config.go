@@ -80,6 +80,9 @@ func DefaultConfig() *Config {
 			// The fused step at any width: as heavy as DecodeStepBatch times
 			// the draft depth.
 			model + ".Model.DecodeStepBatchMulti",
+			// A module's encoding prefill: heavy itself, so a call under
+			// the lock is reported where it is made.
+			core + ".Cache.encodeStates",
 			core + ".diskTier.writeBlob",
 			core + ".diskTier.readBlob",
 			"repro/internal/quant.EncodeKV",
@@ -97,10 +100,10 @@ func DefaultConfig() *Config {
 			// The tier state machine: every module pin, declared or mined,
 			// is taken by one of these.
 			{Func: core + ".Cache.acquireLocked", OwnErrorExempt: true},
-			{Func: core + ".Cache.resolveDiskPart", OwnErrorExempt: true},
+			{Func: core + ".Cache.resolvePart", OwnErrorExempt: true},
 			{Func: core + ".EncodedModule.pin"},
 			// Pins recorded in plan.pinned; the caller unpins on error.
-			{Func: core + ".Cache.resolveDiskParts"},
+			{Func: core + ".Cache.resolveParts"},
 			// An admission slot is a pin on serving capacity: leaking one
 			// on an error path shrinks MaxConcurrent forever. Admit's own
 			// shed/deadline error holds no slot.

@@ -104,6 +104,9 @@ func (p *Pool) Has(key string) bool {
 	return ok
 }
 
+// Capacity returns the device's capacity in bytes; 0 means uncapped.
+func (p *Pool) Capacity() int64 { return p.dev.Capacity }
+
 // Used returns the bytes currently reserved.
 func (p *Pool) Used() int64 {
 	p.mu.Lock()

@@ -83,12 +83,11 @@
 // splices its states bit-exactly, like a schema hit. Snapshot's Mining
 // block exposes the observer tree and hit counters.
 //
-// Schema registration encodes module states under the engine lock
-// (encoding is the deliberate one-time cost): requests already past
-// planning are unaffected, but a request that starts while a
-// registration runs waits for it to finish — keep registrations off
-// latency-critical paths. Sessions serialize their own turns; use one
-// Session per conversation.
+// Schema registration encodes module states outside the engine lock,
+// concurrently, and installs them under one short hold: requests keep
+// planning and serving while a registration runs, and a registration
+// that fails leaves the schema it would replace serving. Sessions
+// serialize their own turns; use one Session per conversation.
 //
 // The option constructors (WithDeviceCapacity, WithHostTier, ...), the
 // Sampler aliases, and SchemaInfo keep the public surface free of

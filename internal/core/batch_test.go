@@ -170,17 +170,15 @@ func TestServeBatchLedger(t *testing.T) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		var resident int64
-		for sname, e := range c.schemas {
-			for name, em := range e.modules {
-				if em.pins != 0 {
-					t.Errorf("%s: module %s/%s has %d pins", when, sname, name, em.pins)
-				}
-				if em.state == stateResident {
-					resident += em.size()
-				}
+		for key, em := range c.store.modules {
+			if em.pins != 0 {
+				t.Errorf("%s: module %s has %d pins", when, key, em.pins)
+			}
+			if em.state == stateResident {
+				resident += em.size()
 			}
 		}
-		if used := c.pool.Used(); used != resident {
+		if used := c.store.device.Used(); used != resident {
 			t.Errorf("%s: pool holds %d bytes, resident modules sum to %d", when, used, resident)
 		}
 	}
@@ -191,7 +189,7 @@ func TestServeBatchLedger(t *testing.T) {
 	}
 	pinned := 0
 	c.mu.Lock()
-	for _, em := range c.schemas["travel"].modules {
+	for _, em := range c.store.modules {
 		pinned += em.pins
 	}
 	c.mu.Unlock()

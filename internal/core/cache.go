@@ -6,7 +6,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -26,11 +25,11 @@ import (
 
 // EncodedModule is one cached attention state: a declared prompt module,
 // a scaffold (§3.3), or a mined prefix. Every kind runs through the one
-// tier state machine; they differ only in data on the module — the
-// stream its states encode (rows, encodeStates), its spill codec
-// (spillCodec), and whether unavailable states re-encode
-// (unavailableLocked: a declared module or scaffold re-encodes its
-// stream; a mined one cannot and is removed).
+// tier state machine (tierStore); they differ only in data on the module
+// — the stream its states encode (rows, encodeStates), its spill codec
+// (spillCodec), and whether unavailable states re-encode (a declared
+// module or scaffold re-encodes its stream; a mined one cannot and is
+// removed).
 type EncodedModule struct {
 	// Name is the module's name within its schema: a declared module's
 	// tag, scaffoldPrefix plus a scaffold's name, or minedPrefixTag plus
@@ -55,13 +54,13 @@ type EncodedModule struct {
 	// context when computed, so they cannot re-encode from the stream
 	// alone: eviction past the last tier removes the module instead.
 	Mined *MinedPrefix
+	// state and pins are the tier store's, guarded by Cache.mu. pins
+	// counts open serves whose KV views read this module's states
+	// outside the cache lock; eviction never selects a pinned module, so
+	// the viewed buffers stay intact from planning until every
+	// ServeResult holding a view is closed (or materialized).
 	state moduleState
-	// pins counts open serves whose KV views read this module's states
-	// outside the cache lock. Guarded by Cache.mu; evictOneLocked never
-	// selects a pinned module as a victim, so the viewed buffers stay
-	// intact from planning until every ServeResult holding a view is
-	// closed (or materialized).
-	pins int
+	pins  int
 }
 
 // moduleState tracks where a module's states live.
@@ -106,21 +105,11 @@ func (m *EncodedModule) spillCodec(tier Codec) Codec {
 	return tier
 }
 
-// pin is the one place a module gains a serve pin; the returned part
-// reads the module's states in place until the pin is released.
-func (m *EncodedModule) pin(key string) servePart {
-	m.pins++
-	return servePart{key: key, em: m}
-}
-
-// schemaEntry is one registered schema with its compiled layout and
-// encoded modules.
+// schemaEntry is one registered schema with its compiled layout. Its
+// modules, of every kind, live in the tier store under "schema/name".
 type schemaEntry struct {
 	schema *pml.Schema
 	layout *pml.Layout
-	// modules holds every kind of module by name: declared, scaffold
-	// and mined.
-	modules map[string]*EncodedModule
 	// order names the declared modules in layout order, then the
 	// scaffolds in schema order: the order registration encodes them and
 	// a snapshot manifest lists them.
@@ -133,7 +122,7 @@ type schemaEntry struct {
 // newSchemaEntry builds a compiled schema's entry and its unencoded
 // declared modules and scaffolds, in entry order.
 func newSchemaEntry(schema *pml.Schema, layout *pml.Layout, src string) (*schemaEntry, []*EncodedModule) {
-	e := &schemaEntry{schema: schema, layout: layout, modules: make(map[string]*EncodedModule), src: src}
+	e := &schemaEntry{schema: schema, layout: layout, src: src}
 	var ems []*EncodedModule
 	for _, name := range layout.Order {
 		ml := layout.Modules[name]
@@ -158,32 +147,24 @@ func newSchemaEntry(schema *pml.Schema, layout *pml.Layout, src string) (*schema
 }
 
 // Cache is the Prompt Cache: it owns a model, a tokenizer, a chat
-// template, registered schemas, and the memory pool module states live in.
+// template, the schema registry, and the tier store module states live
+// in (tierStore: residency, pools, eviction and the disk index).
 //
 // It is safe for concurrent use, and serving is genuinely parallel: mu
-// guards only metadata (schema registry, module residency, eviction
-// policy, stats). A serve holds it just long enough to validate the
-// prompt and pin the modules it needs, then stitches zero-copy views
-// over their states and runs the prefill outside the lock; pinned
-// modules are immune to eviction until the serve's result closes (views
-// read module memory in place). Encoding runs outside the lock too:
+// guards only metadata (schema registry, the tier store, stats). A serve
+// holds it just long enough to validate the prompt and pin the modules
+// it needs, then stitches zero-copy views over their states and runs the
+// prefill outside the lock; pinned modules are immune to eviction until
+// the serve's result closes (views read module memory in place). The
+// Cache produces every state the store lacks outside the lock:
 // RegisterSchema encodes a schema's modules concurrently and installs
-// them under one short hold, and a serve that needs a dropped module
-// re-encodes it off the lock like a disk blob read (resolvePart). Only
-// SaveAll's stop-the-world snapshot encodes under mu.
+// them under one short hold, and a serve that needs a disk-resident or
+// dropped module reads its blob or re-encodes it off the lock
+// (resolvePart). Only SaveAll's stop-the-world snapshot encodes under mu.
 type Cache struct {
 	m    *model.Model
 	tok  *tokenizer.Tokenizer
 	tmpl *pml.Template
-	pool *memory.Pool
-	// hostPool, when set, receives evicted module states instead of
-	// dropping them (two-tier §4.1); nil disables demotion.
-	hostPool *memory.Pool
-	// disk, when set, is the durable third tier below the host pool:
-	// modules that would otherwise drop spill to content-addressed files
-	// (quantized per the tier's codec) and read back on reuse instead of
-	// re-encoding. nil disables spilling.
-	disk *diskTier
 
 	// sched is the decode loop Generate/GenerateStream run: fused into
 	// shared model steps under WithDecodeScheduler (continuous
@@ -215,20 +196,12 @@ type Cache struct {
 
 	mu      sync.Mutex
 	schemas map[string]*schemaEntry
+	// store owns module residency; its methods run under mu.
+	store tierStore
 	// minedSeq names promoted modules ~mined/0, ~mined/1, ... within
 	// this cache's lifetime (warm restarts advance it past restored ids).
 	minedSeq int
-	// policy ranks module keys ("schema/module") for eviction when the
-	// pool fills (§6's cache-replacement direction; default LRU).
-	// Scaffolds are ranked like any module: a dropped one re-encodes its
-	// members' stream bit-identically.
-	policy evict.Policy
-	// demoted ranks the host tier's occupants by demotion time. A
-	// demoted module is never touched until it is promoted, so the
-	// oldest demoted is the coldest: hostAllocLocked sends it one tier
-	// down to make room for a hotter victim.
-	demoted *evict.LRU
-	stats   Stats
+	stats    Stats
 }
 
 // Option configures a Cache.
@@ -236,17 +209,17 @@ type Option func(*Cache)
 
 // WithPool stores module states in the given memory pool, enabling
 // capacity limits and LRU eviction (§4.1's GPU-memory configuration).
-func WithPool(p *memory.Pool) Option { return func(c *Cache) { c.pool = p } }
+func WithPool(p *memory.Pool) Option { return func(c *Cache) { c.store.device = p } }
 
 // WithHostPool enables two-tier storage (§4.1): modules evicted from the
 // primary pool demote into this host pool with their states intact, and
 // promote back on reuse without re-encoding. Pass an uncapped pool to
 // model terabyte-scale host DRAM.
-func WithHostPool(p *memory.Pool) Option { return func(c *Cache) { c.hostPool = p } }
+func WithHostPool(p *memory.Pool) Option { return func(c *Cache) { c.store.host = p } }
 
 // WithEvictionPolicy selects the cache-replacement policy for module
 // states under a capacity-limited pool (default: evict.NewLRU()).
-func WithEvictionPolicy(p evict.Policy) Option { return func(c *Cache) { c.policy = p } }
+func WithEvictionPolicy(p evict.Policy) Option { return func(c *Cache) { c.store.policy = p } }
 
 // WithDiskTier adds a durable disk tier below the host pool (or directly
 // below the device pool when no host tier is configured): a module whose
@@ -256,7 +229,7 @@ func WithEvictionPolicy(p evict.Policy) Option { return func(c *Cache) { c.polic
 // and promotes it like any host-tier hit — no re-encode. The same dir is
 // what SaveAll/OpenDir persist warm-restart snapshots into.
 func WithDiskTier(dir string, codec Codec) Option {
-	return func(c *Cache) { c.disk = newDiskTier(dir, codec) }
+	return func(c *Cache) { c.store.disk = newDiskTier(dir, codec) }
 }
 
 // WithDecodeScheduler enables continuous-batching decode: concurrent
@@ -299,25 +272,27 @@ func NewCache(m *model.Model, opts ...Option) *Cache {
 		tok:     tokenizer.New(m.Cfg.VocabSize),
 		tmpl:    pml.TemplateFor(m.Cfg.Name),
 		schemas: make(map[string]*schemaEntry),
-		demoted: evict.NewLRU(),
+		store:   tierStore{demoted: evict.NewLRU(), modules: make(map[string]*EncodedModule)},
 	}
 	for _, o := range opts {
 		o(c)
 	}
-	if c.pool == nil {
-		c.pool = memory.NewPool(memory.Device{Name: "unbounded", Kind: memory.DRAM})
+	if c.store.device == nil {
+		c.store.device = memory.NewPool(memory.Device{Name: "unbounded", Kind: memory.DRAM})
 	}
-	if c.policy == nil {
-		c.policy = evict.NewLRU()
+	if c.store.policy == nil {
+		c.store.policy = evict.NewLRU()
 	}
+	c.store.stats = &c.stats
+	c.store.miner = c.miner
 	if c.sched == nil {
 		c.sched = newScheduler(m, false, 0)
 	}
 	// Option order must not matter: wire the injector into the disk tier
 	// and build the draft source into the decode loop after all options
 	// ran, whichever order they came in.
-	if c.disk != nil {
-		c.disk.inject = c.inject
+	if c.store.disk != nil {
+		c.store.disk.inject = c.inject
 	}
 	if c.draftOpts != nil {
 		c.sched.draft = mining.NewDraft(*c.draftOpts)
@@ -349,10 +324,10 @@ func (c *Cache) SchemaNames() []string {
 // eagerly encodes every prompt module and scaffold (§3.3: "Prompt Cache
 // populates its cache when a schema is loaded"). The encodes run outside
 // the cache lock, concurrently (encodeAll); one short hold then installs
-// them all, so serves keep planning meanwhile. Re-registering a schema
-// name replaces the old entry; a replacement that fails — a bad schema,
-// a failed encode, or a state eviction cannot make room for (roomLocked)
-// — leaves the old entry serving.
+// them all (installSchemaLocked), so serves keep planning meanwhile.
+// Re-registering a schema name replaces the old entry; a replacement that
+// fails — a bad schema, a failed encode, or a state eviction cannot make
+// room for — leaves the old entry serving.
 func (c *Cache) RegisterSchema(src string) (*pml.Layout, error) {
 	schema, err := pml.ParseSchema(src)
 	if err != nil {
@@ -371,54 +346,39 @@ func (c *Cache) RegisterSchema(src string) (*pml.Layout, error) {
 	if err != nil {
 		return nil, err
 	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, em := range ems {
-		c.countEncodeLocked(em)
-	}
-	// States the pool could not hold with every evictable byte freed would
-	// fail the install below after the old entry is gone: refuse them
-	// first.
-	old, replacing := c.schemas[schema.Name]
-	if c.pool.Capacity() > 0 {
-		room := c.roomLocked(old)
-		for i, em := range ems {
-			if size := kvs[i].Bytes(4); size > room {
-				return nil, fmt.Errorf("%w: module %s (%d bytes) cannot fit even after eviction: %d bytes can be freed", ErrCapacity, em.key(), size, room)
-			}
-		}
-	}
-	if replacing {
-		c.dropSchemaLocked(schema.Name, old)
-	}
-	c.schemas[schema.Name] = entry
-	for i, em := range ems {
-		if err := c.installLocked(em, kvs[i]); err != nil {
-			c.dropSchemaLocked(schema.Name, entry)
-			return nil, err
-		}
-		c.policy.Touch(em.key(), em.size())
+	if err := c.installSchemaLocked(entry, ems, kvs); err != nil {
+		return nil, err
 	}
 	return layout, nil
 }
 
-// roomLocked returns the most bytes one state can claim in the primary
-// pool once the entry old (nil for none) is dropped and eviction has
-// freed all it can: the capacity less what neither frees — other
-// modules held by open serves, and reservations that are no module's.
-// The modules a registration installs stay unpinned, so each evicts the
-// ones before it if it must; each state fits alone or the install fails.
-func (c *Cache) roomLocked(old *schemaEntry) int64 {
-	held := c.pool.Used()
-	for _, e := range c.schemas {
-		for _, em := range e.modules {
-			if (e == old || em.pins == 0) && c.pool.Has(em.key()) {
-				held -= em.size()
-			}
+// installSchemaLocked installs a schema's encoded modules in place of its
+// old entry, if any. States the device pool could not hold with the old
+// entry gone and every evictable byte freed would fail after the old
+// entry is dropped, so they are refused first (tierStore.fits), leaving
+// the old entry serving. The modules install unpinned, so each evicts
+// the ones before it if it must.
+func (c *Cache) installSchemaLocked(entry *schemaEntry, ems []*EncodedModule, kvs []*kvcache.Cache) error {
+	name := entry.schema.Name
+	for _, em := range ems {
+		c.store.countEncode(em)
+	}
+	if err := c.store.fits(name, kvs...); err != nil {
+		return fmt.Errorf("schema %s: %w", name, err)
+	}
+	if _, ok := c.schemas[name]; ok {
+		c.dropSchemaLocked(name)
+	}
+	c.schemas[name] = entry
+	for i, em := range ems {
+		if err := c.store.place(em, kvs[i]); err != nil {
+			c.dropSchemaLocked(name)
+			return err
 		}
 	}
-	return c.pool.Capacity() - held
+	return nil
 }
 
 // encodeAll encodes every module's states outside the cache lock, at most
@@ -462,41 +422,21 @@ func (c *Cache) encodeAll(ems []*EncodedModule) ([]*kvcache.Cache, error) {
 	return kvs, nil
 }
 
-// freeTracked releases a pool reservation, counting (rather than
-// silently discarding) bookkeeping failures: a failed Free means the
-// tier's occupancy counter no longer reflects reality, and
-// TierAccountErrors is how that drift surfaces in /v1/stats instead of
-// going unnoticed.
-func (c *Cache) freeTracked(p *memory.Pool, key string) {
-	if err := p.Free(key); err != nil {
-		c.stats.TierAccountErrors++
-	}
-}
-
-// dropSchemaLocked releases all pool reservations of a schema.
-func (c *Cache) dropSchemaLocked(name string, e *schemaEntry) {
+// dropSchemaLocked forgets a schema: its modules leave every tier, and
+// the observer and draft source forget its traffic.
+func (c *Cache) dropSchemaLocked(name string) {
 	if d := c.sched.draft; d != nil {
 		// The draft source's learned phrasing dies with the schema too.
 		d.DropClassPrefix(classPrefix(name))
 	}
 	if c.miner != nil {
-		// Forget the schema's observed traffic; mined modules counted
-		// here are also in e.modules and release their tiers below.
+		// Forget the schema's observed traffic; the mined modules counted
+		// here leave the store with the schema's other modules.
 		for range c.miner.DropClassPrefix(classPrefix(name)) {
 			c.stats.MinedDemotions++
 		}
 	}
-	for mod := range e.modules {
-		key := name + "/" + mod
-		if c.pool.Has(key) {
-			c.freeTracked(c.pool, key)
-		}
-		c.freeHostLocked(key)
-		if c.disk != nil {
-			c.removeDiskLocked(key)
-		}
-		c.policy.Remove(key)
-	}
+	c.store.dropSchema(name)
 	delete(c.schemas, name)
 }
 
@@ -517,7 +457,7 @@ func moduleTokens(ml *pml.ModuleLayout) (toks, pos []int) {
 // empty cache, which confines attention to the module span (the §3.3
 // masking effect; a scaffold's span is all its members). It reads only
 // the module's immutable stream, so it needs no lock, and callers run it
-// outside Cache.mu; storage and counting (countEncodeLocked) are the
+// outside Cache.mu; storage and counting (tierStore.countEncode) are the
 // caller's: registration, a serve's re-encode of a dropped module and a
 // snapshot of dropped states share this one body.
 func (c *Cache) encodeStates(em *EncodedModule) (*kvcache.Cache, error) {
@@ -530,241 +470,6 @@ func (c *Cache) encodeStates(em *EncodedModule) (*kvcache.Cache, error) {
 	return kv, nil
 }
 
-// countEncodeLocked counts one encode of a module's stream.
-func (c *Cache) countEncodeLocked(em *EncodedModule) {
-	c.stats.ModulesEncoded++
-	c.stats.TokensEncoded += len(em.Toks)
-}
-
-// installLocked makes kv a module's resident states: it reserves
-// primary-pool space (evicting others as needed) and registers the
-// module in its schema. Ranking the module with the eviction policy is
-// the caller's, so each use touches it once: a serve's through
-// acquireLocked, an encode or promotion's right after the install.
-func (c *Cache) installLocked(em *EncodedModule, kv *kvcache.Cache) error {
-	if err := c.reserveLocked(em.key(), kv.Bytes(4)); err != nil {
-		return err
-	}
-	em.KV = kv
-	em.state = stateResident
-	c.schemas[em.Schema].modules[em.Name] = em
-	return nil
-}
-
-// reserveLocked reserves pool space, evicting least-recently-used modules
-// until the reservation fits (§4.1: "a caching mechanism that leverages
-// both CPU and GPU memory... cache replacement").
-func (c *Cache) reserveLocked(key string, size int64) error {
-	for {
-		err := c.pool.Alloc(key, size)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, memory.ErrOutOfMemory) {
-			return err
-		}
-		if !c.evictOneLocked(key) {
-			return fmt.Errorf("%w: module %s (%d bytes) cannot fit even after eviction: %v", ErrCapacity, key, size, err)
-		}
-	}
-}
-
-// moduleForKeyLocked resolves a policy key back to its encoded module,
-// or nil when the key does not name a live module.
-func (c *Cache) moduleForKeyLocked(key string) *EncodedModule {
-	schema, mod, ok := splitKey(key)
-	if !ok {
-		return nil
-	}
-	e := c.schemas[schema]
-	if e == nil {
-		return nil
-	}
-	return e.modules[mod]
-}
-
-// evictOneLocked sends the policy's next victim one tier down (never the
-// module being loaded, which is not yet tracked, and never a pinned
-// module — its states are being read by an in-flight prefill outside the
-// lock): into the host tier when it can hold it (hostAllocLocked), else
-// below it (sinkLocked). Returns false if nothing can be evicted.
-func (c *Cache) evictOneLocked(loading string) bool {
-	excluded := func(key string) bool {
-		if key == loading {
-			return true
-		}
-		em := c.moduleForKeyLocked(key)
-		return em != nil && em.pins > 0
-	}
-	for {
-		key, ok := c.policy.VictimExcluding(excluded)
-		if !ok {
-			return false
-		}
-		c.policy.Remove(key)
-		if !c.pool.Has(key) {
-			continue // stale policy entry; clean up and retry
-		}
-		c.freeTracked(c.pool, key)
-		c.stats.ModulesEvicted++
-		if em := c.moduleForKeyLocked(key); em != nil {
-			if c.hostPool != nil && c.hostAllocLocked(key, em.size()) {
-				em.state = stateDemoted
-				c.stats.ModulesDemoted++
-			} else {
-				c.sinkLocked(key, em)
-			}
-		}
-		return true
-	}
-}
-
-// hostAllocLocked reserves host-tier space for a module's states. When
-// the host is full it makes room by sending its oldest-demoted occupants
-// — the coldest states it holds — one tier down (sinkLocked). It returns
-// false when the states cannot fit the host.
-func (c *Cache) hostAllocLocked(key string, size int64) bool {
-	if capacity := c.hostPool.Capacity(); capacity > 0 && size > capacity {
-		return false
-	}
-	for {
-		err := c.hostPool.Alloc(key, size)
-		if err == nil {
-			c.demoted.Touch(key, size)
-			return true
-		}
-		if !errors.Is(err, memory.ErrOutOfMemory) {
-			return false
-		}
-		old, ok := c.demoted.Victim()
-		if !ok {
-			return false
-		}
-		c.freeHostLocked(old)
-		if oem := c.moduleForKeyLocked(old); oem != nil && oem.state == stateDemoted {
-			c.sinkLocked(old, oem)
-		}
-	}
-}
-
-// sinkLocked sends a module evicted from the device or host tier below
-// the host: it spills to the disk tier, or drops when there is none or
-// the spill fails. A mined module cannot re-encode, so its drop is
-// terminal: it is removed and the observer told.
-func (c *Cache) sinkLocked(key string, em *EncodedModule) {
-	if c.disk != nil && c.spillLocked(key, em) == nil {
-		em.state = stateDisk
-		c.stats.ModulesSpilled++
-	} else {
-		em.state = stateDropped
-	}
-	em.KV = nil
-	if em.Mined != nil && em.state == stateDropped {
-		c.dropMinedLocked(key, em)
-	}
-}
-
-// freeHostLocked releases key's host-tier reservation, if it holds one.
-func (c *Cache) freeHostLocked(key string) {
-	c.demoted.Remove(key)
-	if c.hostPool != nil && c.hostPool.Has(key) {
-		c.freeTracked(c.hostPool, key)
-	}
-}
-
-func splitKey(key string) (schema, mod string, ok bool) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '/' {
-			return key[:i], key[i+1:], true
-		}
-	}
-	return "", "", false
-}
-
-// promoteLocked moves a demoted module back into the primary pool
-// (evicting others if needed). It releases its host reservation first,
-// so the device's victims can demote into the room it leaves — a swap,
-// even through a host one module wide. When the device cannot take it,
-// the module goes back into the host, or below it if a victim took its
-// room; its states stay valid for a read-through either way. A failed
-// host-pool release is counted in TierAccountErrors rather than
-// discarded, so the host occupancy counter cannot drift silently.
-func (c *Cache) promoteLocked(key string, em *EncodedModule) error {
-	c.demoted.Remove(key)
-	c.freeTracked(c.hostPool, key)
-	if err := c.reserveLocked(key, em.size()); err != nil {
-		if !c.hostAllocLocked(key, em.size()) {
-			c.sinkLocked(key, em)
-		}
-		return err
-	}
-	em.state = stateResident
-	c.stats.ModulesPromoted++
-	return nil
-}
-
-// acquireLocked runs one module through the tier state machine for the
-// serve planning phase, every kind alike: it returns the module's states
-// as a servePart safe to read outside the lock. The happy path promotes
-// into the primary pool and pins the module, making it immune to
-// eviction until unpinModules runs. When the pool cannot
-// hold the serve's whole working set at once — the remaining eviction
-// victims are all pinned, typically by this very serve — it degrades to
-// a read-through: demoted states are snapshotted straight from the host
-// tier without claiming primary-pool residency, so a working set larger
-// than the pool still serves. A disk-resident module returns a pending
-// part for resolvePart; a dropped one is unavailableLocked's.
-func (c *Cache) acquireLocked(key string, em *EncodedModule) (servePart, error) {
-	if em == nil {
-		return servePart{}, fmt.Errorf("%w: no module %q", ErrBadPrompt, key)
-	}
-	switch em.state {
-	case stateDropped:
-		return c.unavailableLocked(key, em)
-	case stateDemoted:
-		kv := em.KV
-		if err := c.promoteLocked(key, em); err != nil {
-			if !errors.Is(err, ErrCapacity) {
-				return servePart{}, err
-			}
-			// Host-tier read-through without promotion. The snapshot
-			// reference stays valid even if the module is later dropped:
-			// eviction only clears the module's fields, never the
-			// underlying states.
-			c.stats.ModulesReused++
-			return servePart{key: key, kv: kv}, nil
-		}
-	case stateDisk:
-		// The blob read is disk IO and must not run under the cache-wide
-		// lock: return a pending part; the serve resolves it off-lock
-		// (resolvePart) and re-locks briefly to promote and pin.
-		return servePart{key: key, pending: em}, nil
-	}
-	c.policy.Touch(key, em.size())
-	c.stats.ModulesReused++
-	return em.pin(key), nil
-}
-
-// errMinedMiss reports a mined module whose states cannot be had; the
-// mined splice turns it into a miss, never a failed serve.
-var errMinedMiss = errors.New("core: mined module states unavailable")
-
-// unavailableLocked serves a module whose states are gone (dropped, or a
-// disk blob that failed to read). A declared module or scaffold
-// re-encodes its stream: it returns a pending part, which resolvePart
-// encodes outside the lock and installs. A mined module cannot — its
-// states came from a live serve — so the serve counts a miss, and a
-// mined module dropped for good is removed.
-func (c *Cache) unavailableLocked(key string, em *EncodedModule) (servePart, error) {
-	if em.Mined != nil {
-		if em.state == stateDropped && c.moduleForKeyLocked(key) == em {
-			c.dropMinedLocked(key, em)
-		}
-		return servePart{}, errMinedMiss
-	}
-	return servePart{key: key, pending: em}, nil
-}
-
 // unpinModules releases serve pins taken during planning, making the
 // modules evictable again.
 func (c *Cache) unpinModules(ems []*EncodedModule) {
@@ -773,9 +478,7 @@ func (c *Cache) unpinModules(ems []*EncodedModule) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, em := range ems {
-		em.pins--
-	}
+	c.store.release(ems)
 }
 
 // Layout returns the compiled layout of a registered schema.

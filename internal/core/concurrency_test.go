@@ -189,9 +189,8 @@ func TestEvictionSkipsPinnedModule(t *testing.T) {
 		t.Fatalf("registration alongside a pinned serve: %v", err)
 	}
 	c.mu.Lock()
-	e := c.schemas["a"]
-	pinState, spareState := e.modules["pin"].state, e.modules["spare"].state
-	pinHeld := c.pool.Has("a/pin")
+	pinState, spareState := c.store.modules["a/pin"].state, c.store.modules["a/spare"].state
+	pinHeld := c.store.device.Has("a/pin")
 	c.mu.Unlock()
 	if pinState != stateResident || !pinHeld {
 		t.Fatalf("pinned module was evicted mid-serve (state %d, resident %v)", pinState, pinHeld)

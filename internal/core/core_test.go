@@ -515,10 +515,10 @@ func TestConcatPermutationInvariance(t *testing.T) {
 	reverse := c.Model().NewCache(256)
 	names := []string{"_anon0", "trip-plan", "miami"}
 	for _, n := range names {
-		appendFiltered(forward, e.modules[n].KV, nil)
+		appendFiltered(forward, c.store.modules["travel/"+n].KV, nil)
 	}
 	for i := len(names) - 1; i >= 0; i-- {
-		appendFiltered(reverse, e.modules[names[i]].KV, nil)
+		appendFiltered(reverse, c.store.modules["travel/"+names[i]].KV, nil)
 	}
 	suffix := c.Tokenizer().Encode("tell me about the beaches")
 	pos := make([]int, len(suffix))

@@ -61,8 +61,8 @@ type diskEntry struct {
 }
 
 // diskTier is the spill store: a blob directory plus the key→blob index.
-// The index and pool are guarded by Cache.mu; blob files are immutable
-// once written (temp+rename), so reads need no lock.
+// The index and pool are the tier store's, guarded by Cache.mu; blob
+// files are immutable once written (temp+rename), so reads need no lock.
 type diskTier struct {
 	dir   string
 	codec Codec
@@ -194,47 +194,6 @@ func (d *diskTier) readBlobRetry(entry diskEntry) (kv *kvcache.Cache, retries in
 	return nil, retries, err
 }
 
-// spillLocked writes a module's states to the disk tier under key. When
-// the key already has a blob (an earlier spill, or an OpenDir restore) it
-// is reused: module states are immutable for the life of a registration,
-// so the existing blob is still the states' durable form.
-func (c *Cache) spillLocked(key string, em *EncodedModule) error {
-	if _, ok := c.disk.index[key]; ok {
-		return nil
-	}
-	//pclint:ignore lockscope spill happens inside eviction, which must be atomic with residency bookkeeping; blobs are small and eviction rare
-	entry, err := c.disk.writeBlob(em.KV, em.spillCodec(c.disk.codec))
-	if err != nil {
-		return err
-	}
-	if err := c.disk.pool.Alloc(key, entry.bytes); err != nil {
-		c.stats.TierAccountErrors++
-	}
-	c.disk.index[key] = entry
-	return nil
-}
-
-// removeDiskLocked forgets a key's disk entry, deleting the blob when no
-// other key shares its content.
-func (c *Cache) removeDiskLocked(key string) {
-	entry, ok := c.disk.index[key]
-	if !ok {
-		return
-	}
-	delete(c.disk.index, key)
-	c.freeTracked(c.disk.pool, key)
-	if c.disk.keepBlobs {
-		return
-	}
-	//pclint:ignore maporder existence scan: returning on any match is the same decision in every iteration order
-	for _, e := range c.disk.index {
-		if e.hash == entry.hash {
-			return
-		}
-	}
-	_ = os.Remove(c.disk.blobPath(entry.hash))
-}
-
 // errCorruptBlob marks a blob whose *content* is proven bad — a failed
 // decode or a validation mismatch — as opposed to a transient IO error
 // (open failure, EIO) where the durable file may be perfectly fine.
@@ -251,37 +210,6 @@ func (c *Cache) checkBlob(key string, kv *kvcache.Cache, rows int) error {
 			key, kv.NLayers, kv.KVDim, kv.Len(), c.m.Cfg.NLayers, c.m.Cfg.KVDim(), rows, errCorruptBlob)
 	}
 	return nil
-}
-
-// diskLoadLocked reads a disk-resident module's states back and checks
-// them. Content errors wrap errCorruptBlob; plain IO errors do not.
-func (c *Cache) diskLoadLocked(key string, em *EncodedModule) (*kvcache.Cache, error) {
-	entry, ok := c.disk.index[key]
-	if !ok {
-		return nil, fmt.Errorf("core: module %s is on disk but has no blob entry: %w", key, errCorruptBlob)
-	}
-	//pclint:ignore lockscope snapshot path (SaveAll of a disk-resident module): blob reads under the lock are the documented one-time cost; serves use the off-lock resolvePart
-	kv, err := c.disk.readBlob(entry)
-	if err != nil {
-		return nil, fmt.Errorf("core: disk tier %s: %w", key, err)
-	}
-	if err := c.checkBlob(key, kv, em.rows()); err != nil {
-		return nil, err
-	}
-	return kv, nil
-}
-
-// diskLoadFailedLocked records a blob read-back failure. Proven
-// corruption deletes the blob and drops the module so nothing retries a
-// bad file forever; a transient IO error keeps both — the durable copy
-// may be intact and the next access retries it. Either way the caller
-// re-encodes to satisfy the current request.
-func (c *Cache) diskLoadFailedLocked(key string, em *EncodedModule, err error) {
-	c.stats.DiskLoadErrors++
-	if errors.Is(err, errCorruptBlob) {
-		c.removeDiskLocked(key)
-		em.state = stateDropped
-	}
 }
 
 // --- Warm-restart persistence (SaveAll / OpenDir) ---
@@ -350,10 +278,10 @@ func (c *Cache) SaveAll(dir string) error {
 		return err
 	}
 	codec := CodecFP32
-	if c.disk != nil {
-		codec = c.disk.codec
+	if c.store.disk != nil {
+		codec = c.store.disk.codec
 	}
-	tier := c.disk
+	tier := c.store.disk
 	if tier == nil || tier.dir != dir {
 		tier = newDiskTier(dir, codec) // blob writer only; index unused
 	}
@@ -377,7 +305,7 @@ func (c *Cache) SaveAll(dir string) error {
 		// Declared modules fill the manifest's module list and scaffolds
 		// its scaffold list, under their PML names.
 		for i, mod := range e.order {
-			em := e.modules[mod]
+			em := c.store.modules[name+"/"+mod]
 			if em == nil {
 				return fmt.Errorf("%w: schema %q missing module %q", ErrBadSnapshot, name, mod)
 			}
@@ -394,22 +322,22 @@ func (c *Cache) SaveAll(dir string) error {
 		// Mined modules persist with their prefix; one that cannot be
 		// snapshotted is skipped with a counted stat rather than failing
 		// the snapshot — it will simply re-mine after the restart.
-		var minedNames []string
-		for mod, em := range e.modules {
-			if em.Mined != nil {
-				minedNames = append(minedNames, mod)
+		var mined []string
+		for key, em := range c.store.modules {
+			if em.Schema == name && em.Mined != nil {
+				mined = append(mined, key)
 			}
 		}
-		sort.Strings(minedNames)
-		for _, mod := range minedNames {
-			em := e.modules[mod]
+		sort.Strings(mined)
+		for _, key := range mined {
+			em := c.store.modules[key]
 			entry, err := c.snapshotStatesLocked(tier, codec, em)
 			if err != nil {
 				c.stats.MinedSnapshotSkipped++
 				continue
 			}
 			ms.Mined = append(ms.Mined, manifestMined{
-				manifestModule: manifestEntry(mod, entry),
+				manifestModule: manifestEntry(em.Name, entry),
 				Class:          em.Mined.Class,
 				Toks:           em.Toks,
 				Pos:            em.Pos,
@@ -456,21 +384,25 @@ func (c *Cache) snapshotStatesLocked(tier *diskTier, codec Codec, em *EncodedMod
 	case stateResident, stateDemoted:
 		kv = em.KV
 	case stateDisk:
-		if entry, ok := c.disk.index[key]; ok && tier == c.disk {
+		entry := c.store.disk.index[key]
+		if tier == c.store.disk {
 			return entry, nil
 		}
-		kv, err = c.diskLoadLocked(key, em)
+		//pclint:ignore lockscope snapshot path (SaveAll of a disk-resident module): blob reads under the lock are the documented one-time cost; serves use the off-lock resolvePart
+		if kv, err = c.store.disk.readBlob(entry); err == nil {
+			err = c.checkBlob(key, kv, em.rows())
+		}
 	default: // stateDropped
 		if em.Mined != nil {
 			return diskEntry{}, fmt.Errorf("%w: mined module %s has no states to snapshot", ErrBadSnapshot, key)
 		}
 		//pclint:ignore lockscope SaveAll is a stop-the-world snapshot by design: a dropped module's states are re-encoded under the lock so the manifest is one consistent cut; it is the only encode under Cache.mu
 		if kv, err = c.encodeStates(em); err == nil {
-			c.countEncodeLocked(em)
+			c.store.countEncode(em)
 		}
 	}
 	if err != nil {
-		return diskEntry{}, err
+		return diskEntry{}, fmt.Errorf("core: snapshot %s: %w", key, err)
 	}
 	//pclint:ignore lockscope SaveAll is a stop-the-world snapshot by design: the lock guarantees a consistent manifest while blobs stream out
 	entry, err := tier.writeBlob(kv, em.spillCodec(codec))
@@ -528,9 +460,9 @@ func OpenDir(m *model.Model, dir string, opts ...Option) (*Cache, error) {
 		return nil, err
 	}
 	c := NewCache(m, opts...)
-	if c.disk == nil || c.disk.dir != dir {
-		c.disk = newDiskTier(dir, codec)
-		c.disk.inject = c.inject
+	if c.store.disk == nil || c.store.disk.dir != dir {
+		c.store.disk = newDiskTier(dir, codec)
+		c.store.disk.inject = c.inject
 	}
 	if man.NLayers != m.Cfg.NLayers || man.KVDim != m.Cfg.KVDim() {
 		return nil, fmt.Errorf("%w: snapshot shaped (%d,%d), model needs (%d,%d)",
@@ -548,13 +480,13 @@ func OpenDir(m *model.Model, dir string, opts ...Option) (*Cache, error) {
 	defer c.mu.Unlock()
 	// A failed restore must clean up its index without deleting blob
 	// files: they are the snapshot, not this cache's property yet.
-	c.disk.keepBlobs = true
+	c.store.disk.keepBlobs = true
 	for _, ms := range man.Schemas {
 		if err := c.restoreSchemaLocked(ms); err != nil {
 			return nil, fmt.Errorf("core: restoring schema %q: %w", ms.Name, err)
 		}
 	}
-	c.disk.keepBlobs = false
+	c.store.disk.keepBlobs = false
 	return c, nil
 }
 
@@ -574,8 +506,8 @@ func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 			ErrBadSnapshot, len(ms.Modules), len(ms.Scaffolds), len(layout.Order), len(schema.Scaffolds))
 	}
 	entry, ems := newSchemaEntry(schema, layout, ms.PML)
-	if old, ok := c.schemas[schema.Name]; ok {
-		c.dropSchemaLocked(schema.Name, old)
+	if _, ok := c.schemas[schema.Name]; ok {
+		c.dropSchemaLocked(schema.Name)
 	}
 	c.schemas[schema.Name] = entry
 	// The manifest lists declared modules, then scaffolds, in entry order.
@@ -587,17 +519,17 @@ func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 			err = fmt.Errorf("%w: snapshot module %q, schema expects %q", ErrBadSnapshot, mm.Name, want)
 		}
 		if err != nil {
-			c.dropSchemaLocked(schema.Name, entry)
+			c.dropSchemaLocked(schema.Name)
 			return err
 		}
-		c.restoreModuleLocked(entry, em, de)
+		c.store.restore(em, de)
 	}
 	// Mined modules restore lazily like declared ones (stateDisk), and
 	// the observer adopts their prefixes so lookups match immediately.
 	// A cache opened without mining skips them with a counted stat —
 	// the blobs stay on disk for a later mining-enabled open.
 	for _, mm := range ms.Mined {
-		c.adoptMinedLocked(entry, schema.Name, mm)
+		c.adoptMinedLocked(schema.Name, mm)
 	}
 	return nil
 }
@@ -613,20 +545,6 @@ func (mm manifestModule) diskEntry(rows int) (diskEntry, error) {
 		return diskEntry{}, fmt.Errorf("%w: snapshot %q: %v", ErrBadSnapshot, mm.Name, err)
 	}
 	return diskEntry{hash: mm.Hash, codec: codec, bytes: mm.Bytes, tokens: mm.Tokens}, nil
-}
-
-// restoreModuleLocked registers one checked manifest entry as a
-// disk-resident module of e, every kind alike: its blob is indexed and
-// the first serve that needs it reads it back.
-func (c *Cache) restoreModuleLocked(e *schemaEntry, em *EncodedModule, de diskEntry) {
-	key := em.key()
-	c.disk.index[key] = de
-	if err := c.disk.pool.Alloc(key, de.bytes); err != nil {
-		c.stats.TierAccountErrors++
-	}
-	em.state = stateDisk
-	e.modules[em.Name] = em
-	c.stats.ModulesRestored++
 }
 
 // resolveParts completes a serve plan whose parts include pending
@@ -653,99 +571,43 @@ func (c *Cache) resolveParts(plan *servePlan) error {
 // place a serve produces states it does not hold, by a blob read or by a
 // re-encode, and both run outside the cache lock (disk IO and prefill
 // must never serialize serving). A registered module with a blob has it
-// read, with transient-error retry and backoff — the only blob path that
-// may sleep — and checked; the entry, the blob file and the expected
-// shape are immutable, so neither step needs the lock, and a concurrent
-// removal (schema drop) surfaces as a read error. A brief re-lock
-// installs the states (installLoadedLocked). When there was no blob, or
-// it failed, the module is unavailable: a mined one is a miss, and a
-// declared module or scaffold re-encodes its stream, which a last
-// re-lock installs the same way (installStatesLocked).
+// read (readPart); a brief re-lock installs the states
+// (tierStore.install). When there was no blob, or it failed, the
+// module is unavailable: a mined one is a miss, and a declared module or
+// scaffold re-encodes its stream, which a last re-lock installs the same
+// way.
 func (c *Cache) resolvePart(p servePart) (servePart, error) {
-	key, em := p.key, p.pending
+	r := c.readPart(p)
 	c.mu.Lock()
-	var entry diskEntry
-	indexed := false
-	if c.disk != nil && c.moduleForKeyLocked(key) == em {
-		entry, indexed = c.disk.index[key]
-	}
-	c.mu.Unlock()
-	var kv *kvcache.Cache
-	var retries int
-	var loadErr error
-	if !indexed {
-		loadErr = fmt.Errorf("core: module %s has no blob entry: %w", key, errCorruptBlob)
-	} else if kv, retries, loadErr = c.disk.readBlobRetry(entry); loadErr == nil {
-		loadErr = c.checkBlob(key, kv, em.rows())
-	}
-	c.mu.Lock()
-	c.stats.DiskRetries += retries
-	part, err := c.installLoadedLocked(key, em, kv, loadErr)
+	part, err := c.store.install(p, r)
 	c.mu.Unlock()
 	if err != nil || part.pending == nil {
 		return part, err
 	}
-	kv, err = c.encodeStates(em)
+	kv, err := c.encodeStates(p.pending)
 	if err != nil {
 		return servePart{}, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.countEncodeLocked(em)
-	c.stats.ModulesReloaded++
-	return c.installStatesLocked(key, em, kv, nil)
+	return c.store.install(p, produced{kv: kv, encoded: true})
 }
 
-// installLoadedLocked installs a blob read's states (installStatesLocked)
-// and counts a disk hit and a reuse when they serve.
-func (c *Cache) installLoadedLocked(key string, em *EncodedModule, kv *kvcache.Cache, loadErr error) (servePart, error) {
-	part, err := c.installStatesLocked(key, em, kv, loadErr)
-	if err == nil && loadErr == nil && part.states() == kv {
-		c.stats.DiskHits++
-		c.stats.ModulesReused++
+// readPart reads a pending part's blob, with transient-error retry and
+// backoff — the only blob path that may sleep — and checks it. The
+// entry, the blob file and the expected shape are immutable, so only the
+// entry's lookup takes the lock, and a concurrent removal (schema drop)
+// surfaces as a read error.
+func (c *Cache) readPart(p servePart) produced {
+	c.mu.Lock()
+	entry, ok := c.store.blob(p)
+	c.mu.Unlock()
+	if !ok {
+		return produced{err: fmt.Errorf("core: module %s has no blob entry: %w", p.key, errCorruptBlob)}
 	}
-	return part, err
-}
-
-// installStatesLocked turns states a serve produced outside the lock — a
-// blob read, or a re-encode — into a serve part, handling the races the
-// unlocked window allows. A mined module collected meanwhile is a miss:
-// its removal is already counted and confirmed to the observer. A module
-// another serve restored meanwhile goes back through acquireLocked. A
-// failed read leaves the module unavailable (unavailableLocked: a
-// pending part for a re-encode, or a mined miss); proven corruption
-// deletes the blob and drops the module, a transient failure keeps both
-// for the next access. Otherwise the states install pinned and resident
-// — a blob stays as the states' durable form, so a later eviction
-// re-spills for free — or serve as a read-through, without residency,
-// when the pool cannot hold the working set or the module was removed
-// (schema replaced) meanwhile, since the serve still needs the states it
-// planned with.
-func (c *Cache) installStatesLocked(key string, em *EncodedModule, kv *kvcache.Cache, loadErr error) (servePart, error) {
-	registered := c.moduleForKeyLocked(key) == em
-	restored := registered && (em.state == stateResident || em.state == stateDemoted)
-	if !registered && em.Mined != nil {
-		return servePart{}, errMinedMiss
+	kv, retries, err := c.store.disk.readBlobRetry(entry)
+	if err == nil {
+		err = c.checkBlob(p.key, kv, p.pending.rows())
 	}
-	if loadErr != nil && !restored {
-		if registered && em.state == stateDisk {
-			c.diskLoadFailedLocked(key, em, loadErr)
-		}
-		return c.unavailableLocked(key, em)
-	}
-	if restored {
-		return c.acquireLocked(key, em)
-	}
-	var err error
-	if registered {
-		err = c.installLocked(em, kv)
-	}
-	if !registered || errors.Is(err, ErrCapacity) {
-		return servePart{key: key, kv: kv}, nil
-	}
-	if err != nil {
-		return servePart{}, err
-	}
-	c.policy.Touch(key, em.size())
-	return em.pin(key), nil
+	return produced{kv: kv, retries: retries, err: err}
 }

@@ -124,8 +124,8 @@ func TestEncodeOffLockReencode(t *testing.T) {
 	}
 	want.Close()
 	c.mu.Lock()
-	evictKeyLocked(t, c, "travel/tokyo") // no host or disk tier: dropped
-	if st := c.moduleForKeyLocked("travel/tokyo").state; st != stateDropped {
+	evictKeyLocked(t, &c.store, "travel/tokyo") // no host or disk tier: dropped
+	if st := c.store.modules["travel/tokyo"].state; st != stateDropped {
 		c.mu.Unlock()
 		t.Fatalf("travel/tokyo in state %d, want dropped", st)
 	}
@@ -166,10 +166,10 @@ func TestEncodeOffLockReencode(t *testing.T) {
 		t.Errorf("want one re-encode: before %+v, after %+v", before, st)
 	}
 	c.mu.Lock()
-	em := c.moduleForKeyLocked("travel/tokyo")
-	resident := em.state == stateResident && c.pool.Has("travel/tokyo")
+	em := c.store.modules["travel/tokyo"]
+	resident := em.state == stateResident && c.store.device.Has("travel/tokyo")
 	device, _ := tierLedgerLocked(c)
-	used := c.pool.Used()
+	used := c.store.device.Used()
 	c.mu.Unlock()
 	if !resident {
 		t.Errorf("re-encoded module not resident: state %d", em.state)
@@ -198,20 +198,18 @@ func TestEncodeConcurrentMatchesSequential(t *testing.T) {
 		t.Fatalf("sequential encoded %d modules / %d tokens into %d bytes, concurrent %d / %d / %d",
 			a.ModulesEncoded, a.TokensEncoded, a.PoolBytes, b.ModulesEncoded, b.TokensEncoded, b.PoolBytes)
 	}
-	for name, e := range seq.schemas {
-		for mod, em := range e.modules {
-			other := conc.schemas[name].modules[mod]
-			for l := range em.KV.K {
-				if !sameBits(em.KV.K[l], other.KV.K[l]) || !sameBits(em.KV.V[l], other.KV.V[l]) {
-					t.Fatalf("%s/%s layer %d: states differ between the sequential and concurrent encode", name, mod, l)
-				}
+	for key, em := range seq.store.modules {
+		other := conc.store.modules[key]
+		for l := range em.KV.K {
+			if !sameBits(em.KV.K[l], other.KV.K[l]) || !sameBits(em.KV.V[l], other.KV.V[l]) {
+				t.Fatalf("%s layer %d: states differ between the sequential and concurrent encode", key, l)
 			}
 		}
 	}
 	for _, c := range caches {
 		c.mu.Lock()
 		device, _ := tierLedgerLocked(c)
-		used := c.pool.Used()
+		used := c.store.device.Used()
 		c.mu.Unlock()
 		if device != used {
 			t.Errorf("pool holds %d bytes, resident modules %d", used, device)

@@ -325,11 +325,9 @@ func (c *Cache) planServeLocked(prompt *pml.Prompt, opts ServeOpts) (*servePlan,
 			spliced[sc] = true
 			name = sc
 		}
-		part, err := c.acquireLocked(prompt.SchemaName+"/"+name, e.modules[name])
+		part, err := c.store.acquire(prompt.SchemaName + "/" + name)
 		if err != nil {
-			for _, em := range plan.pinned {
-				em.pins--
-			}
+			c.store.release(plan.pinned)
 			return nil, err
 		}
 		if part.em != nil {

@@ -16,9 +16,9 @@ import (
 // serve's uncached (token, position) stream feeds a radix-tree
 // observer; prefixes hot enough to clear the configured thresholds are
 // promoted into *anonymous modules* — EncodedModules named "~mined/N",
-// registered into the owning schema's entry. They run through the same
-// tier state machine as declared modules and scaffolds (acquireLocked,
-// resolvePart, snapshotStatesLocked, restoreModuleLocked); the kinds
+// registered in the tier store under the owning schema. They run through
+// the same tier state machine as declared modules and scaffolds
+// (tierStore, resolvePart, snapshotStatesLocked); the kinds
 // differ only in data on the EncodedModule — the stream, the spill
 // codec, and what unavailable states mean (a mined module cannot
 // re-encode, so it is removed and the serve misses). A later serve
@@ -133,7 +133,7 @@ func classPrefix(schemaName string) string { return schemaName + classFieldSep }
 // uncached stream and appends its module to the plan as a no-exclusion
 // part (mined rows include computed argument states at excluded
 // positions and must not be filtered). The module goes through the same
-// tier state machine as a declared import — acquireLocked, then
+// tier state machine as a declared import — tierStore.acquire, then
 // resolvePart for a disk-resident one — so it pins, promotes, reads
 // through and retries blob reads exactly like one. It returns the module
 // name and matched token count; the caller trims the stream by n and
@@ -151,15 +151,15 @@ func (c *Cache) spliceMined(plan *servePlan, schemaName, class string, toks, pos
 	key := schemaName + "/" + name
 
 	c.mu.Lock()
-	em := c.minedModuleLocked(schemaName, name)
-	if em == nil || em.rows() != n {
+	em := c.store.modules[key]
+	if em == nil || em.Mined == nil || em.rows() != n {
 		c.mu.Unlock()
 		// The cache no longer holds what the observer promised (schema
 		// replaced, module GC'd mid-lookup): stop matching it.
 		c.miner.Demoted(name)
 		return "", 0
 	}
-	part, err := c.acquireLocked(key, em)
+	part, err := c.store.acquire(key)
 	c.mu.Unlock()
 	if err == nil && part.pending != nil {
 		part, err = c.resolvePart(part)
@@ -179,20 +179,6 @@ func (c *Cache) spliceMined(plan *servePlan, schemaName, class string, toks, pos
 	}
 	plan.parts = append(plan.parts, part)
 	return name, n
-}
-
-// minedModuleLocked resolves a mined module by schema and name, nil
-// when it (or its schema) is gone.
-func (c *Cache) minedModuleLocked(schemaName, name string) *EncodedModule {
-	e := c.schemas[schemaName]
-	if e == nil {
-		return nil
-	}
-	em := e.modules[name]
-	if em == nil || em.Mined == nil {
-		return nil
-	}
-	return em
 }
 
 // observeServe feeds one successful cached serve to the observer and
@@ -248,13 +234,13 @@ func (c *Cache) promoteMined(schemaName string, cand *mining.Candidate, toks []i
 		Pos:    cand.Pos,
 		Mined:  &MinedPrefix{Class: cand.Class},
 	}
-	if err := c.installLocked(em, states); err != nil {
+	// A pool that cannot make room evicts nothing: the promotion fails.
+	if err := c.store.place(em, states); err != nil {
 		c.mu.Unlock()
 		cand.PromoteFailed()
 		return
 	}
 	c.minedSeq++
-	c.policy.Touch(em.key(), em.size())
 	c.stats.MinedPromotions++
 	c.mu.Unlock()
 	cand.Promoted(em.Name)
@@ -266,8 +252,8 @@ func (c *Cache) promoteMined(schemaName string, cand *mining.Candidate, toks []i
 func (c *Cache) demoteMined(schemaName, name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	em := c.minedModuleLocked(schemaName, name)
-	if em == nil {
+	em := c.store.modules[schemaName+"/"+name]
+	if em == nil || em.Mined == nil {
 		// Already gone from the cache; make sure the observer agrees.
 		c.miner.Demoted(name)
 		return
@@ -275,31 +261,7 @@ func (c *Cache) demoteMined(schemaName, name string) {
 	if em.pins > 0 {
 		return
 	}
-	c.dropMinedLocked(schemaName+"/"+name, em)
-}
-
-// dropMinedLocked removes a mined module from every tier and confirms
-// the removal to the observer. Unlike declared modules, a mined module
-// cannot re-encode (its states came from a live serve), so removal is
-// its terminal state.
-func (c *Cache) dropMinedLocked(key string, em *EncodedModule) {
-	if c.pool.Has(key) {
-		c.freeTracked(c.pool, key)
-	}
-	c.freeHostLocked(key)
-	if c.disk != nil {
-		c.removeDiskLocked(key)
-	}
-	c.policy.Remove(key)
-	if e := c.schemas[em.Schema]; e != nil {
-		delete(e.modules, em.Name)
-	}
-	em.KV = nil
-	em.state = stateDropped
-	if c.miner != nil {
-		c.miner.Demoted(em.Name)
-	}
-	c.stats.MinedDemotions++
+	c.store.removeMined(em)
 }
 
 // adoptMinedLocked re-registers one persisted mined module from a
@@ -308,7 +270,7 @@ func (c *Cache) dropMinedLocked(key string, em *EncodedModule) {
 // checked in full — name, prefix, row count and codec — before the
 // observer adopts it, so an entry that cannot be restored is skipped
 // (counted) without leaving a prefix the cache has no module for.
-func (c *Cache) adoptMinedLocked(e *schemaEntry, schemaName string, mm manifestMined) {
+func (c *Cache) adoptMinedLocked(schemaName string, mm manifestMined) {
 	em := &EncodedModule{
 		Name:   mm.Name,
 		Schema: schemaName,
@@ -323,7 +285,7 @@ func (c *Cache) adoptMinedLocked(e *schemaEntry, schemaName string, mm manifestM
 		c.stats.MinedSnapshotSkipped++
 		return
 	}
-	c.restoreModuleLocked(e, em, de)
+	c.store.restore(em, de)
 	// Keep the name sequence past every restored id so new promotions
 	// cannot collide.
 	if id, err := strconv.Atoi(strings.TrimPrefix(mm.Name, minedPrefixTag)); err == nil && id >= c.minedSeq {

@@ -427,11 +427,9 @@ func TestMinedRestoreBadCodecLeavesNoGhost(t *testing.T) {
 	}
 	restored.mu.Lock()
 	registered := 0
-	for _, e := range restored.schemas {
-		for name := range e.modules {
-			if strings.HasPrefix(name, minedPrefixTag) {
-				registered++
-			}
+	for _, em := range restored.store.modules {
+		if em.Mined != nil {
+			registered++
 		}
 	}
 	restored.mu.Unlock()

@@ -726,8 +726,8 @@ func TestOpenDirHonorsExplicitCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flagged.disk.codec != CodecFP32 {
-		t.Fatalf("explicit codec lost: %v", flagged.disk.codec)
+	if flagged.store.disk.codec != CodecFP32 {
+		t.Fatalf("explicit codec lost: %v", flagged.store.disk.codec)
 	}
 	if flagged.Snapshot().Tiers.DiskModules == 0 {
 		t.Fatal("explicit tier still restores the snapshot index")
@@ -736,8 +736,8 @@ func TestOpenDirHonorsExplicitCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if defaulted.disk.codec != CodecInt8 {
-		t.Fatalf("manifest codec not adopted: %v", defaulted.disk.codec)
+	if defaulted.store.disk.codec != CodecInt8 {
+		t.Fatalf("manifest codec not adopted: %v", defaulted.store.disk.codec)
 	}
 }
 

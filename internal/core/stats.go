@@ -112,7 +112,7 @@ func (c *Cache) Snapshot() Snapshot {
 	c.mu.Lock()
 	st := c.stats
 	tiers := TierSnapshot{
-		DeviceBytes:       c.pool.Used(),
+		DeviceBytes:       c.store.device.Used(),
 		ModulesDemoted:    st.ModulesDemoted,
 		ModulesPromoted:   st.ModulesPromoted,
 		ModulesSpilled:    st.ModulesSpilled,
@@ -121,12 +121,12 @@ func (c *Cache) Snapshot() Snapshot {
 		DiskRetries:       st.DiskRetries,
 		TierAccountErrors: st.TierAccountErrors,
 	}
-	if c.hostPool != nil {
-		tiers.HostBytes = c.hostPool.Used()
+	if h := c.store.host; h != nil {
+		tiers.HostBytes = h.Used()
 	}
-	if c.disk != nil {
-		tiers.DiskBytes = c.disk.pool.Used()
-		tiers.DiskModules = len(c.disk.index)
+	if d := c.store.disk; d != nil {
+		tiers.DiskBytes = d.pool.Used()
+		tiers.DiskModules = len(d.index)
 	}
 	c.mu.Unlock()
 

@@ -14,14 +14,12 @@ import (
 // holds: resident modules in the device pool, demoted modules in the
 // host pool. Scaffolds are modules, so they need no term of their own.
 func tierLedgerLocked(c *Cache) (device, host int64) {
-	for _, e := range c.schemas {
-		for _, em := range e.modules {
-			switch em.state {
-			case stateResident:
-				device += em.size()
-			case stateDemoted:
-				host += em.size()
-			}
+	for _, em := range c.store.modules {
+		switch em.state {
+		case stateResident:
+			device += em.size()
+		case stateDemoted:
+			host += em.size()
 		}
 	}
 	return device, host
@@ -57,7 +55,7 @@ func TestSnapshotConsistentUnderChurn(t *testing.T) {
 	probe := NewCache(m)
 	mustRegister(t, probe, churnSchema)
 	var size int64
-	for name, em := range probe.schemas["churn"].modules {
+	for name, em := range probe.store.modules {
 		if size == 0 {
 			size = em.size()
 		}

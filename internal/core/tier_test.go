@@ -15,11 +15,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// The tier state machine (acquireLocked, resolvePart,
-// installStatesLocked, unavailableLocked) serves declared and mined
-// modules alike. These tests drive one module of each kind through every
+// The tier state machine (tierStore, with the Cache's off-lock
+// resolvePart) serves declared and mined modules alike. These tests run
+// it on a real model: they drive one module of each kind through every
 // state it can be served from, with and without room in the device pool,
-// and pin the reuse accounting, the pin ledger and the output bits.
+// and pin the reuse accounting, the pin ledger and the output bits — the
+// bits a fake encode cannot check. tierstore_test.go checks the store
+// itself exhaustively at small scope with fake producers.
 
 // tierPoolBytes is the device pool of the tier tests: far larger than
 // the travel schema, so only an explicit filler makes it full.
@@ -28,32 +30,28 @@ const tierPoolBytes = 1 << 30
 // declaredTierPrompt imports tokyo, the declared module under test.
 const declaredTierPrompt = `<prompt schema="travel"><trip-plan duration="a week"/><tokyo/>Plan.</prompt>`
 
-// evictKeyLocked sends key's module down one tier through the real
+// evictKeyLocked sends key's module down one tier through the store's
 // eviction path: every other module is pinned for the call, so the
 // policy has exactly one victim.
-func evictKeyLocked(t *testing.T, c *Cache, key string) {
+func evictKeyLocked(t *testing.T, s *tierStore, key string) {
 	t.Helper()
-	others := otherModulesLocked(c, key)
+	others := otherModulesLocked(s, key)
 	for _, em := range others {
 		em.pins++
 	}
-	ok := c.evictOneLocked("")
-	for _, em := range others {
-		em.pins--
-	}
+	ok := s.evictOne()
+	s.release(others)
 	if !ok {
 		t.Fatalf("%s was not evicted", key)
 	}
 }
 
-// otherModulesLocked lists every registered module but key's.
-func otherModulesLocked(c *Cache, key string) []*EncodedModule {
+// otherModulesLocked lists every module in the store but key's.
+func otherModulesLocked(s *tierStore, key string) []*EncodedModule {
 	var out []*EncodedModule
-	for schema, e := range c.schemas {
-		for name, em := range e.modules {
-			if schema+"/"+name != key {
-				out = append(out, em)
-			}
+	for k, em := range s.modules {
+		if k != key {
+			out = append(out, em)
 		}
 	}
 	return out
@@ -64,24 +62,20 @@ func assertNoPins(t *testing.T, c *Cache) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for schema, e := range c.schemas {
-		for name, em := range e.modules {
-			if em.pins != 0 {
-				t.Errorf("%s/%s holds %d pins after Close", schema, name, em.pins)
-			}
+	for key, em := range c.store.modules {
+		if em.pins != 0 {
+			t.Errorf("%s holds %d pins after Close", key, em.pins)
 		}
 	}
 }
 
-// minedKeyLocked returns the key of the cache's one mined module.
-func minedKeyLocked(t *testing.T, c *Cache) string {
+// minedKeyLocked returns the key of the store's one mined module.
+func minedKeyLocked(t *testing.T, s *tierStore) string {
 	t.Helper()
 	var keys []string
-	for schema, e := range c.schemas {
-		for name, em := range e.modules {
-			if em.Mined != nil {
-				keys = append(keys, schema+"/"+name)
-			}
+	for key, em := range s.modules {
+		if em.Mined != nil {
+			keys = append(keys, key)
 		}
 	}
 	if len(keys) != 1 {
@@ -181,31 +175,31 @@ func TestTierStateMachine(t *testing.T) {
 				serveMined(t, c).Close()
 				serveMined(t, c).Close() // promotes
 				c.mu.Lock()
-				key = minedKeyLocked(t, c)
+				key = minedKeyLocked(t, &c.store)
 				c.mu.Unlock()
 			}
 
 			c.mu.Lock()
-			em := c.moduleForKeyLocked(key)
+			em := c.store.modules[key]
 			if tc.state != stateResident {
-				evictKeyLocked(t, c, key)
+				evictKeyLocked(t, &c.store, key)
 			}
 			if tc.state != stateDropped || !tc.mined {
 				if em.state != tc.state {
 					c.mu.Unlock()
 					t.Fatalf("setup left %s in state %d, want %d", key, em.state, tc.state)
 				}
-			} else if c.moduleForKeyLocked(key) != nil {
+			} else if c.store.modules[key] != nil {
 				c.mu.Unlock()
 				t.Fatalf("dropped mined module %s is still registered", key)
 			}
 			var held []*EncodedModule
 			if tc.full {
-				held = otherModulesLocked(c, key)
+				held = otherModulesLocked(&c.store, key)
 				for _, o := range held {
 					o.pins++
 				}
-				if err := c.pool.Alloc("filler", tierPoolBytes-c.pool.Used()); err != nil {
+				if err := c.store.device.Alloc("filler", tierPoolBytes-c.store.device.Used()); err != nil {
 					c.mu.Unlock()
 					t.Fatal(err)
 				}
@@ -238,7 +232,7 @@ func TestTierStateMachine(t *testing.T) {
 			if tc.full {
 				wantState = tc.state
 			}
-			if em := c.moduleForKeyLocked(key); em != nil && em.state != wantState {
+			if em := c.store.modules[key]; em != nil && em.state != wantState {
 				t.Errorf("%s ends in state %d, want %d", key, em.state, wantState)
 			}
 			c.mu.Unlock()
@@ -271,16 +265,16 @@ func TestSaveAllDiskResidentToOtherDir(t *testing.T) {
 	coldDeclared.Close()
 	coldMined.Close()
 	c.mu.Lock()
-	for _, key := range []string{"travel/tokyo", minedKeyLocked(t, c)} {
-		evictKeyLocked(t, c, key)
-		if em := c.moduleForKeyLocked(key); em.state != stateDisk {
+	for _, key := range []string{"travel/tokyo", minedKeyLocked(t, &c.store)} {
+		evictKeyLocked(t, &c.store, key)
+		if em := c.store.modules[key]; em.state != stateDisk {
 			c.mu.Unlock()
 			t.Fatalf("%s not spilled: state %d", key, em.state)
 		}
 	}
 	inj.Set(FaultPointDiskWrite, faultinject.Rule{Err: faultinject.ErrNoSpace, Times: 1})
-	evictKeyLocked(t, c, "travel/miami")
-	if em := c.moduleForKeyLocked("travel/miami"); em.state != stateDropped {
+	evictKeyLocked(t, &c.store, "travel/miami")
+	if em := c.store.modules["travel/miami"]; em.state != stateDropped {
 		c.mu.Unlock()
 		t.Fatalf("travel/miami not dropped: state %d", em.state)
 	}
@@ -321,13 +315,13 @@ func TestSaveAllDiskResidentToOtherDir(t *testing.T) {
 // loaded states. Called and returning with c.mu held.
 func readWindowLocked(t *testing.T, c *Cache, key string, during func()) (*kvcache.Cache, servePart, error) {
 	t.Helper()
-	em := c.moduleForKeyLocked(key)
+	em := c.store.modules[key]
 	if em == nil || em.state != stateDisk {
 		t.Fatalf("%s is not on disk", key)
 	}
-	entry := c.disk.index[key]
+	entry := c.store.disk.index[key]
 	c.mu.Unlock()
-	kv, _, err := c.disk.readBlobRetry(entry)
+	kv, _, err := c.store.disk.readBlobRetry(entry)
 	if err != nil {
 		c.mu.Lock()
 		t.Fatal(err)
@@ -335,7 +329,7 @@ func readWindowLocked(t *testing.T, c *Cache, key string, during func()) (*kvcac
 	loadErr := c.checkBlob(key, kv, em.rows())
 	during()
 	c.mu.Lock()
-	part, err := c.installLoadedLocked(key, em, kv, loadErr)
+	part, err := c.store.install(servePart{key: key, pending: em}, produced{kv: kv, err: loadErr})
 	return kv, part, err
 }
 
@@ -357,19 +351,19 @@ func TestTierReadWindowMinedCollected(t *testing.T) {
 	serveMined(t, c).Close() // promotes
 
 	c.mu.Lock()
-	key := minedKeyLocked(t, c)
-	evictKeyLocked(t, c, key)
+	key := minedKeyLocked(t, &c.store)
+	evictKeyLocked(t, &c.store, key)
 	before := c.stats
-	used := c.pool.Used()
-	_, name, _ := splitKey(key)
+	used := c.store.device.Used()
+	name := strings.TrimPrefix(key, "travel/")
 	_, _, err = readWindowLocked(t, c, key, func() { c.demoteMined("travel", name) })
 	if !errors.Is(err, errMinedMiss) {
 		c.mu.Unlock()
 		t.Fatalf("collected mined module resolved with %v, want a miss", err)
 	}
 	got := c.stats
-	if c.pool.Has(key) || c.pool.Used() != used {
-		t.Errorf("collected mined module claimed the pool: used %d -> %d", used, c.pool.Used())
+	if c.store.device.Has(key) || c.store.device.Used() != used {
+		t.Errorf("collected mined module claimed the pool: used %d -> %d", used, c.store.device.Used())
 	}
 	c.mu.Unlock()
 	if got.MinedDemotions != before.MinedDemotions+1 || got.DiskHits != before.DiskHits ||
@@ -407,15 +401,15 @@ func TestTierPendingMinedCollected(t *testing.T) {
 	serveMined(t, c).Close() // promotes
 
 	c.mu.Lock()
-	key := minedKeyLocked(t, c)
-	evictKeyLocked(t, c, key)
-	em := c.moduleForKeyLocked(key)
-	part, err := c.acquireLocked(key, em)
+	key := minedKeyLocked(t, &c.store)
+	evictKeyLocked(t, &c.store, key)
+	em := c.store.modules[key]
+	part, err := c.store.acquire(key)
 	if err != nil || part.pending != em {
 		c.mu.Unlock()
 		t.Fatalf("disk-resident mined module planned as %+v, %v; want a pending part", part, err)
 	}
-	c.dropMinedLocked(key, em)
+	c.store.removeMined(em)
 	before := c.stats
 	c.mu.Unlock()
 
@@ -444,22 +438,22 @@ func TestTierReadWindowSchemaReplaced(t *testing.T) {
 	const key = "travel/tokyo"
 
 	c.mu.Lock()
-	evictKeyLocked(t, c, key)
-	old := c.moduleForKeyLocked(key)
+	evictKeyLocked(t, &c.store, key)
+	old := c.store.modules[key]
 	var before Stats
 	var used int64
 	kv, part, err := readWindowLocked(t, c, key, func() {
 		mustRegister(t, c, travelSchema)
 		c.mu.Lock()
-		before, used = c.stats, c.pool.Used()
+		before, used = c.stats, c.store.device.Used()
 		c.mu.Unlock()
 	})
 	if err != nil {
 		c.mu.Unlock()
 		t.Fatal(err)
 	}
-	got, gotUsed := c.stats, c.pool.Used()
-	fresh := c.moduleForKeyLocked(key)
+	got, gotUsed := c.stats, c.store.device.Used()
+	fresh := c.store.modules[key]
 	c.mu.Unlock()
 	if part.em != nil || part.kv != kv {
 		t.Fatalf("orphaned module not served as a read-through of the loaded states: %+v", part)
@@ -502,7 +496,7 @@ func TestTierReadWindowSchemaReplacedBlobGone(t *testing.T) {
 	c := NewCache(m, WithDiskTier(t.TempDir(), CodecFP32), WithFaultInjection(inj))
 	mustRegister(t, c, travelSchema)
 	c.mu.Lock()
-	evictKeyLocked(t, c, "travel/tokyo")
+	evictKeyLocked(t, &c.store, "travel/tokyo")
 	c.mu.Unlock()
 	inj.Set(FaultPointDiskRead, faultinject.Rule{Delay: 200 * time.Millisecond, Times: 1})
 	type served struct {
@@ -565,7 +559,7 @@ func TestScaffoldTierChurn(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, scaffoldChurnSchema)
-	scaffoldBytes := probe.schemas["sc"].modules[scaffoldPrefix+"s01"].size()
+	scaffoldBytes := probe.store.modules["sc/"+scaffoldPrefix+"s01"].size()
 	names := []string{"s01", "s23", "s45"}
 	pair := func(i int) string {
 		return fmt.Sprintf(`<prompt schema="sc"><m%d/><m%d/>Relate them.</prompt>`, 2*i, 2*i+1)
@@ -614,7 +608,7 @@ func TestScaffoldTierChurn(t *testing.T) {
 				defer c.mu.Unlock()
 				var out []moduleState
 				for _, name := range names {
-					out = append(out, c.schemas["sc"].modules[scaffoldPrefix+name].state)
+					out = append(out, c.store.modules["sc/"+scaffoldPrefix+name].state)
 				}
 				return out
 			}
@@ -678,7 +672,7 @@ func TestHostTierTakesEveryDeviceVictim(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, scaffoldChurnSchema)
-	scaffoldBytes := probe.schemas["sc"].modules[scaffoldPrefix+"s01"].size()
+	scaffoldBytes := probe.store.modules["sc/"+scaffoldPrefix+"s01"].size()
 	pair := func(i int) string {
 		return fmt.Sprintf(`<prompt schema="sc"><m%d/><m%d/>Relate them.</prompt>`, 2*i, 2*i+1)
 	}
@@ -702,7 +696,7 @@ func TestHostTierTakesEveryDeviceVictim(t *testing.T) {
 		defer c.mu.Unlock()
 		var out []moduleState
 		for _, name := range names {
-			out = append(out, c.schemas["sc"].modules[scaffoldPrefix+name].state)
+			out = append(out, c.store.modules["sc/"+scaffoldPrefix+name].state)
 		}
 		return out
 	}
@@ -755,32 +749,33 @@ func TestHostTierSpillsOldestDemoted(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, churnSchema)
-	size := probe.schemas["churn"].modules["m0"].size()
+	size := probe.store.modules["churn/m0"].size()
 	c := NewCache(m,
 		WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM, Capacity: 2 * size})),
 		WithDiskTier(t.TempDir(), CodecFP32))
 	mustRegister(t, c, churnSchema)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	state := func(mod string) moduleState { return c.moduleForKeyLocked("churn/" + mod).state }
+	state := func(mod string) moduleState { return c.store.modules["churn/"+mod].state }
 	for _, mod := range []string{"m0", "m1", "m2"} {
-		evictKeyLocked(t, c, "churn/"+mod)
+		evictKeyLocked(t, &c.store, "churn/"+mod)
 	}
 	if state("m0") != stateDisk || state("m1") != stateDemoted || state("m2") != stateDemoted {
 		t.Fatalf("after demoting m0, m1, m2 into a two-wide host: states %d %d %d, want disk, demoted, demoted",
 			state("m0"), state("m1"), state("m2"))
 	}
-	if _, err := c.acquireLocked("churn/m1", c.moduleForKeyLocked("churn/m1")); err != nil {
+	part, err := c.store.acquire("churn/m1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	c.moduleForKeyLocked("churn/m1").pins--
-	evictKeyLocked(t, c, "churn/m3")
+	c.store.release([]*EncodedModule{part.em})
+	evictKeyLocked(t, &c.store, "churn/m3")
 	if state("m1") != stateResident || state("m2") != stateDemoted || state("m3") != stateDemoted {
 		t.Fatalf("after promoting m1 and demoting m3: states %d %d %d, want resident, demoted, demoted",
 			state("m1"), state("m2"), state("m3"))
 	}
-	if st := c.stats; st.TierAccountErrors != 0 || c.hostPool.Used() != 2*size {
-		t.Fatalf("host holds %d bytes, want %d; tier_account_errors %d", c.hostPool.Used(), 2*size, st.TierAccountErrors)
+	if st := c.stats; st.TierAccountErrors != 0 || c.store.host.Used() != 2*size {
+		t.Fatalf("host holds %d bytes, want %d; tier_account_errors %d", c.store.host.Used(), 2*size, st.TierAccountErrors)
 	}
 }
 
@@ -804,7 +799,7 @@ func TestOpenDirPoolSmallerThanScaffold(t *testing.T) {
 	if err := orig.SaveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	scaffoldBytes := orig.schemas["s"].modules[scaffoldPrefix+"ab"].size()
+	scaffoldBytes := orig.store.modules["s/"+scaffoldPrefix+"ab"].size()
 
 	c, err := OpenDir(m, dir, WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: scaffoldBytes - 1})))
 	if err != nil {
@@ -820,6 +815,66 @@ func TestOpenDirPoolSmallerThanScaffold(t *testing.T) {
 	}
 	if st := c.Stats(); st.ModulesEncoded != 0 || st.DiskHits != 1 {
 		t.Fatalf("want the scaffold read through from disk, nothing encoded: %+v", st)
+	}
+	assertNoPins(t, c)
+}
+
+// TestPromotionThatCannotFitEvictsNothing: a demoted module whose
+// promotion cannot fit the device pool — every module but one small
+// bystander pinned, the rest of the pool filled — is read through from
+// the host, and the bystander stays resident: a make-room that cannot
+// succeed evicts nothing.
+func TestPromotionThatCannotFitEvictsNothing(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(m,
+		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: tierPoolBytes})),
+		WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM})))
+	mustRegister(t, c, travelSchema)
+	mustRegister(t, c, `<schema name="tiny"><module name="x">one two</module></schema>`)
+
+	c.mu.Lock()
+	tokyo, tiny := c.store.modules["travel/tokyo"], c.store.modules["tiny/x"]
+	if tokyo.size() != 12288 || tiny.size() != 2048 {
+		c.mu.Unlock()
+		t.Fatalf("tokyo takes %d bytes and tiny/x %d; the trace needs 12288 and 2048", tokyo.size(), tiny.size())
+	}
+	evictKeyLocked(t, &c.store, "travel/tokyo")
+	var held []*EncodedModule
+	for _, em := range otherModulesLocked(&c.store, "tiny/x") {
+		if em != tokyo {
+			em.pins++
+			held = append(held, em)
+		}
+	}
+	if err := c.store.device.Alloc("filler", tierPoolBytes-c.store.device.Used()); err != nil {
+		c.mu.Unlock()
+		t.Fatal(err)
+	}
+	before := c.stats
+	c.mu.Unlock()
+
+	res, err := c.Serve(context.Background(), declaredTierPrompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Close()
+	c.mu.Lock()
+	c.store.release(held)
+	after := c.stats
+	tokyoState, tinyState := tokyo.state, tiny.state
+	c.mu.Unlock()
+	if after.ModulesEvicted != before.ModulesEvicted || after.ModulesDemoted != before.ModulesDemoted {
+		t.Errorf("evicted %d and demoted %d modules for a promotion that cannot fit",
+			after.ModulesEvicted-before.ModulesEvicted, after.ModulesDemoted-before.ModulesDemoted)
+	}
+	if tokyoState != stateDemoted || tinyState != stateResident {
+		t.Errorf("tokyo in state %d (want demoted, read through), tiny/x in state %d (want resident)", tokyoState, tinyState)
+	}
+	if got := tierDeltaOf(before, after); got != (tierDelta{reused: 3}) {
+		t.Errorf("stats delta = %+v, want three reuses", got)
 	}
 	assertNoPins(t, c)
 }

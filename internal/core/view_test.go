@@ -39,8 +39,8 @@ func TestServeZeroCopyAliasing(t *testing.T) {
 	}
 
 	c.mu.Lock()
-	anon := c.schemas["travel"].modules["_anon0"].KV
-	miami := c.schemas["travel"].modules["miami"].KV
+	anon := c.store.modules["travel/_anon0"].KV
+	miami := c.store.modules["travel/miami"].KV
 	c.mu.Unlock()
 
 	for l := 0; l < anon.NLayers; l++ {
@@ -76,7 +76,7 @@ func TestSuppliedParamsSplitSegments(t *testing.T) {
 		t.Fatalf("segments = %d, want 4", len(seq.AppendSegments(nil, 0, seq.ViewLen())))
 	}
 	c.mu.Lock()
-	trip := c.schemas["travel"].modules["trip-plan"]
+	trip := c.store.modules["travel/trip-plan"]
 	c.mu.Unlock()
 	segs := seq.AppendSegments(nil, 0, seq.ViewLen())
 	// Segment 1 is trip-plan's head: starts at the module's first row.
@@ -193,11 +193,11 @@ func TestSeqPermutationInvariance(t *testing.T) {
 	names := []string{"_anon0", "trip-plan", "miami"}
 	forward := c.m.NewSeq(32)
 	for _, n := range names {
-		addViews(forward, e.modules[n].KV, nil)
+		addViews(forward, c.store.modules["travel/"+n].KV, nil)
 	}
 	reverse := c.m.NewSeq(32)
 	for i := len(names) - 1; i >= 0; i-- {
-		addViews(reverse, e.modules[names[i]].KV, nil)
+		addViews(reverse, c.store.modules["travel/"+names[i]].KV, nil)
 	}
 	suffix := c.Tokenizer().Encode("tell me about the beaches")
 	pos := make([]int, len(suffix))
@@ -230,7 +230,7 @@ func TestCloseReleasesPins(t *testing.T) {
 	pinsOf := func(name string) int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return c.schemas["travel"].modules[name].pins
+		return c.store.modules["travel/"+name].pins
 	}
 	if pinsOf("miami") != 1 {
 		t.Fatalf("miami pins = %d while result open, want 1", pinsOf("miami"))
@@ -258,12 +258,12 @@ func TestMaterializeDetachesFromModules(t *testing.T) {
 		t.Fatalf("materialized KV is %T, want *kvcache.Cache", res.KV)
 	}
 	c.mu.Lock()
-	if p := c.schemas["travel"].modules["miami"].pins; p != 0 {
+	if p := c.store.modules["travel/miami"].pins; p != 0 {
 		c.mu.Unlock()
 		t.Fatalf("pins = %d after Materialize, want 0", p)
 	}
 	// Simulate eviction wiping the module's states out from under us.
-	c.schemas["travel"].modules["miami"].KV = nil
+	c.store.modules["travel/miami"].KV = nil
 	c.mu.Unlock()
 
 	// The materialized result must keep decoding correctly.

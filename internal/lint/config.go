@@ -13,6 +13,9 @@ type Config struct {
 	// package owning a guarded mutex) is assumed to run entirely with
 	// that mutex held — the repo's *Locked naming convention.
 	LockedSuffix string
+	// LockedTypes ("pkg/path.Type") are types whose every method runs
+	// with a guarded mutex held, whatever its name.
+	LockedTypes []string
 	// HeavyFuncs must never be reached while a guarded mutex is held:
 	// prefill/decode/generate, blob I/O, the quant codec.
 	HeavyFuncs []string
@@ -72,6 +75,8 @@ func DefaultConfig() *Config {
 			"repro/internal/mining.Draft.mu",
 		},
 		LockedSuffix: "Locked",
+		// The tier store's transitions all run under Cache.mu.
+		LockedTypes: []string{core + ".tierStore"},
 		HeavyFuncs: []string{
 			model + ".Model.Prefill",
 			model + ".Model.PrefillCtx",
@@ -99,9 +104,9 @@ func DefaultConfig() *Config {
 			{Func: core + ".Cache.planServeLocked", OwnErrorExempt: true},
 			// The tier state machine: every module pin, declared or mined,
 			// is taken by one of these.
-			{Func: core + ".Cache.acquireLocked", OwnErrorExempt: true},
+			{Func: core + ".tierStore.acquire", OwnErrorExempt: true},
 			{Func: core + ".Cache.resolvePart", OwnErrorExempt: true},
-			{Func: core + ".EncodedModule.pin"},
+			{Func: core + ".tierStore.pin"},
 			// Pins recorded in plan.pinned; the caller unpins on error.
 			{Func: core + ".Cache.resolveParts"},
 			// An admission slot is a pin on serving capacity: leaking one
@@ -110,6 +115,7 @@ func DefaultConfig() *Config {
 			{Func: core + ".Cache.Admit", OwnErrorExempt: true},
 		},
 		Releases: []string{
+			core + ".tierStore.release",
 			core + ".Cache.unpinModules",
 			core + ".pinSet.release",
 			core + ".ServeResult.Close",

@@ -145,6 +145,7 @@ func TestLockscopeFixture(t *testing.T) {
 	checkFixture(t, "lockscope", &Config{
 		GuardedMutexes: []string{"fix/lockscope.Cache.mu"},
 		LockedSuffix:   "Locked",
+		LockedTypes:    []string{"fix/lockscope.store"},
 		HeavyFuncs: []string{
 			"fix/lockscope.Model.Prefill",
 			"fix/lockscope.Model.Decode",

@@ -16,8 +16,8 @@ import (
 //
 // Lock regions are lexical: mu.Lock() opens a region that the next
 // plain mu.Unlock() closes (defer mu.Unlock() holds to function end),
-// and a function named *Locked in a package owning a guarded mutex is
-// treated as entirely locked. The locked-context set then propagates
+// and a function named *Locked in a package owning a guarded mutex, or a
+// method of a configured locked type, is treated as entirely locked. The locked-context set then propagates
 // down the static call graph, stopping at heavy functions so each
 // violation is reported exactly once — at the deepest call site that
 // names a heavy function, where a single //pclint:ignore covers every
@@ -26,6 +26,7 @@ func lockscope(prog *Program, cfg *Config) []Diagnostic {
 	g := prog.callgraph()
 	heavy := stringSet(cfg.HeavyFuncs)
 	guarded := stringSet(cfg.GuardedMutexes)
+	lockedTypes := stringSet(cfg.LockedTypes)
 
 	// Packages that own a guarded mutex: the *Locked naming convention
 	// only applies there.
@@ -38,8 +39,9 @@ func lockscope(prog *Program, cfg *Config) []Diagnostic {
 		}
 	}
 
-	// Seed the locked-context worklist: whole *Locked functions, plus
-	// callees invoked from within an explicit Lock..Unlock region.
+	// Seed the locked-context worklist: whole *Locked functions and
+	// locked types' methods, plus callees invoked from within an explicit
+	// Lock..Unlock region.
 	fullyLocked := map[string]bool{}
 	var work []string
 	mark := func(key string) {
@@ -52,7 +54,7 @@ func lockscope(prog *Program, cfg *Config) []Diagnostic {
 	}
 	lockedCalls := map[string][]*callSite{} // caller -> calls made under an explicit region
 	for key, di := range g.decls {
-		if strings.HasSuffix(di.decl.Name.Name, cfg.LockedSuffix) && lockedPkgs[di.pkg.Path] {
+		if strings.HasSuffix(di.decl.Name.Name, cfg.LockedSuffix) && lockedPkgs[di.pkg.Path] || lockedTypes[recvOf(key)] {
 			mark(key)
 			continue
 		}
@@ -73,7 +75,7 @@ func lockscope(prog *Program, cfg *Config) []Diagnostic {
 			Pos:      prog.Fset.Position(cs.call.Pos()),
 			Analyzer: "lockscope",
 			Message: fmt.Sprintf("%s may run while %s is held (%s): move it outside the critical section (plan/execute split) or justify with //pclint:ignore",
-				cs.key, via, describeLockPath(cs.caller.decl.Name.Name, cfg.LockedSuffix)),
+				cs.key, via, describeLockPath(cs.caller, cfg.LockedSuffix, lockedTypes)),
 		})
 	}
 
@@ -109,12 +111,20 @@ func lockscope(prog *Program, cfg *Config) []Diagnostic {
 	return diags
 }
 
-func describeLockPath(caller, lockedSuffix string) string {
-	if strings.HasSuffix(caller, lockedSuffix) {
-		return "reached from " + caller + ", named *" + lockedSuffix
+func describeLockPath(caller *declInfo, lockedSuffix string, lockedTypes map[string]bool) string {
+	name := caller.decl.Name.Name
+	switch {
+	case lockedTypes[recvOf(caller.key)]:
+		return "reached from " + name + ", a method of locked type " + recvOf(caller.key)
+	case strings.HasSuffix(name, lockedSuffix):
+		return "reached from " + name + ", named *" + lockedSuffix
 	}
-	return "reached from a locked region in " + caller
+	return "reached from a locked region in " + name
 }
+
+// recvOf strips a funcKey's last element: a method's receiver type, or a
+// function's package path.
+func recvOf(key string) string { return key[:strings.LastIndex(key, ".")] }
 
 // lockRegion is a lexical [from,to) span of positions where a guarded
 // mutex is held.

@@ -1,6 +1,6 @@
 // Package lockfix seeds lockscope violations: heavy calls reached from
-// explicit Lock/Unlock regions, from *Locked-named functions, and
-// transitively through helpers — plus the patterns that must NOT flag
+// explicit Lock/Unlock regions, from *Locked-named functions, from a
+// locked type's methods, and transitively through helpers — plus the patterns that must NOT flag
 // (off-lock calls, goroutine launches, suppressed sites).
 package lockfix
 
@@ -56,4 +56,12 @@ func (c *Cache) badKernel() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	MatMulKernel() // want lockscope
+}
+
+// store is a locked type: its methods run under Cache.mu whatever their
+// names.
+type store struct{}
+
+func (s *store) load(m *Model) {
+	m.Prefill() // want lockscope
 }

@@ -81,18 +81,22 @@
 //
 // # Storage tiers & persistence
 //
-// Module states live in a three-level hierarchy — device pool
-// (WithDeviceCapacity), host pool (WithHostTier), and a durable disk
+// Module states live in a three-level hierarchy — device tier
+// (WithDeviceCapacity), host tier (WithHostTier), and a durable disk
 // tier (WithDiskTier) — each larger, slower and cheaper than the one
 // above, and every level cheaper than re-encoding. States in memory are
-// always fp32 (§4.1), so every splice is zero-copy. Eviction demotes
+// always fp32 (§4.1), so every splice is zero-copy. Eviction takes the
+// device's least recently used unpinned module and demotes it
 // device→host; when the host tier is absent or full the module spills
 // to a content-addressed file instead of dropping, and that blob is the
 // one place states are quantized, per the tier's codec (CodecFP32
 // bit-exact, CodecInt8 ~3.5× smaller, CodecInt4 ~6×). The next serve
-// reads the blob back outside the engine lock, decodes it to fp32 and
-// promotes it like any host-tier hit: no capacity error, no re-encode.
-// /v1/stats exposes per-tier occupancy and movement counters.
+// reads the blob back outside the engine lock, checks it against the
+// sha256 that names it, decodes it to fp32 and promotes it like any
+// host-tier hit: no capacity error, no re-encode. Each memory tier's
+// bytes are one ledger in the engine's tier store, whose members are
+// the modules the tier holds; /v1/stats exposes per-tier occupancy and
+// movement counters.
 //
 // The same blob store backs warm restarts: Client.SaveAll(dir) persists
 // every registered schema (PML source, module and scaffold states, the

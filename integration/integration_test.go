@@ -11,9 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/evict"
 	"repro/internal/longbench"
-	"repro/internal/memory"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/pml"
@@ -128,9 +126,9 @@ func TestLongBenchPipeline(t *testing.T) {
 }
 
 // TestServerWithQuantizedEvictingCache drives the HTTP API over a cache
-// configured with a tight HBM pool, a GDSF policy and an int8 disk tier —
-// the full §6 feature set composed: evicted modules spill quantized and
-// later serves read them back.
+// configured with a tight device tier and an int8 disk tier — the full
+// §6 feature set composed: evicted modules spill quantized and later
+// serves read them back.
 func TestServerWithQuantizedEvictingCache(t *testing.T) {
 	m := newModel(t, 4)
 	// Probe footprint with an unconstrained cache first.
@@ -139,14 +137,9 @@ func TestServerWithQuantizedEvictingCache(t *testing.T) {
 	if _, err := probe.RegisterSchema(w.Schema); err != nil {
 		t.Fatal(err)
 	}
-	gdsf, err := evict.New("gdsf")
-	if err != nil {
-		t.Fatal(err)
-	}
 	tight := promptcache.New(m,
 		promptcache.WithDiskTier(t.TempDir(), promptcache.CodecInt8),
-		core.WithEvictionPolicy(gdsf),
-		core.WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: probe.Snapshot().PoolBytes/2 + 1})),
+		promptcache.WithDeviceCapacity(probe.Snapshot().PoolBytes/2+1),
 	)
 	srv := httptest.NewServer(server.New(tight))
 	defer srv.Close()

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/serving"
@@ -144,8 +142,8 @@ func EngineServing() (*Report, error) {
 	}
 	need := unconstrained.Snapshot().PoolBytes
 	tiered := promptcache.New(m,
-		core.WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need/3 + 1})),
-		core.WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM})),
+		promptcache.WithDeviceCapacity(need/3+1),
+		promptcache.WithHostTier(0),
 	)
 	if _, err := tiered.RegisterSchema(schema); err != nil {
 		return nil, err

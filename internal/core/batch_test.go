@@ -178,7 +178,7 @@ func TestServeBatchLedger(t *testing.T) {
 				resident += em.size()
 			}
 		}
-		if used := c.store.device.Used(); used != resident {
+		if used := c.store.device.used; used != resident {
 			t.Errorf("%s: pool holds %d bytes, resident modules sum to %d", when, used, resident)
 		}
 	}

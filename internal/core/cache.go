@@ -12,10 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/evict"
 	"repro/internal/faultinject"
 	"repro/internal/kvcache"
-	"repro/internal/memory"
 	"repro/internal/mining"
 	"repro/internal/model"
 	"repro/internal/pml"
@@ -207,19 +205,20 @@ type Cache struct {
 // Option configures a Cache.
 type Option func(*Cache)
 
-// WithPool stores module states in the given memory pool, enabling
-// capacity limits and LRU eviction (§4.1's GPU-memory configuration).
-func WithPool(p *memory.Pool) Option { return func(c *Cache) { c.store.device = p } }
+// WithDeviceCapacity caps the device (GPU-modelled) tier at capacity
+// bytes, 0 for uncapped: states that outgrow it evict the least recently
+// used unpinned module (§4.1's GPU-memory configuration).
+func WithDeviceCapacity(capacity int64) Option {
+	return func(c *Cache) { c.store.device = newLedger(capacity) }
+}
 
-// WithHostPool enables two-tier storage (§4.1): modules evicted from the
-// primary pool demote into this host pool with their states intact, and
-// promote back on reuse without re-encoding. Pass an uncapped pool to
-// model terabyte-scale host DRAM.
-func WithHostPool(p *memory.Pool) Option { return func(c *Cache) { c.store.host = p } }
-
-// WithEvictionPolicy selects the cache-replacement policy for module
-// states under a capacity-limited pool (default: evict.NewLRU()).
-func WithEvictionPolicy(p evict.Policy) Option { return func(c *Cache) { c.store.policy = p } }
+// WithHostTier enables two-tier storage (§4.1): modules evicted from the
+// device demote into a host tier of capacity bytes, 0 for uncapped (a
+// model of terabyte-scale host DRAM), with their states intact, and
+// promote back on reuse without re-encoding.
+func WithHostTier(capacity int64) Option {
+	return func(c *Cache) { c.store.host = newLedger(capacity) }
+}
 
 // WithDiskTier adds a durable disk tier below the host pool (or directly
 // below the device pool when no host tier is configured): a module whose
@@ -272,16 +271,10 @@ func NewCache(m *model.Model, opts ...Option) *Cache {
 		tok:     tokenizer.New(m.Cfg.VocabSize),
 		tmpl:    pml.TemplateFor(m.Cfg.Name),
 		schemas: make(map[string]*schemaEntry),
-		store:   tierStore{demoted: evict.NewLRU(), modules: make(map[string]*EncodedModule)},
+		store:   tierStore{device: newLedger(0), modules: make(map[string]*EncodedModule)},
 	}
 	for _, o := range opts {
 		o(c)
-	}
-	if c.store.device == nil {
-		c.store.device = memory.NewPool(memory.Device{Name: "unbounded", Kind: memory.DRAM})
-	}
-	if c.store.policy == nil {
-		c.store.policy = evict.NewLRU()
 	}
 	c.store.stats = &c.stats
 	c.store.miner = c.miner
@@ -369,12 +362,12 @@ func (c *Cache) installSchemaLocked(entry *schemaEntry, ems []*EncodedModule, kv
 		return fmt.Errorf("schema %s: %w", name, err)
 	}
 	if _, ok := c.schemas[name]; ok {
-		c.dropSchemaLocked(name)
+		c.dropSchemaLocked(name, ems)
 	}
 	c.schemas[name] = entry
 	for i, em := range ems {
 		if err := c.store.place(em, kvs[i]); err != nil {
-			c.dropSchemaLocked(name)
+			c.dropSchemaLocked(name, nil)
 			return err
 		}
 	}
@@ -422,9 +415,10 @@ func (c *Cache) encodeAll(ems []*EncodedModule) ([]*kvcache.Cache, error) {
 	return kvs, nil
 }
 
-// dropSchemaLocked forgets a schema: its modules leave every tier, and
-// the observer and draft source forget its traffic.
-func (c *Cache) dropSchemaLocked(name string) {
+// dropSchemaLocked forgets a schema: its modules leave every tier (one
+// that next repeats hands its blob to its successor, tierStore.dropSchema),
+// and the observer and draft source forget its traffic.
+func (c *Cache) dropSchemaLocked(name string, next []*EncodedModule) {
 	if d := c.sched.draft; d != nil {
 		// The draft source's learned phrasing dies with the schema too.
 		d.DropClassPrefix(classPrefix(name))
@@ -436,7 +430,7 @@ func (c *Cache) dropSchemaLocked(name string) {
 			c.stats.MinedDemotions++
 		}
 	}
-	c.store.dropSchema(name)
+	c.store.dropSchema(name, next)
 	delete(c.schemas, name)
 }
 

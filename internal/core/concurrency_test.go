@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/evict"
-	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -142,17 +140,8 @@ func TestEvictionSkipsPinnedModule(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// FIFO makes "a/pin" (first inserted) the victim of choice, so only
-	// pin-awareness can save it. The pool holds exactly schema a; adding
-	// b forces one eviction.
-	fifo, err := evict.New("fifo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache(m,
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need})),
-		WithEvictionPolicy(fifo),
-	)
+	// The pool holds exactly schema a; adding b forces one eviction.
+	c := NewCache(m, WithDeviceCapacity(need))
 	mustRegister(t, c, schemaA)
 
 	// Gate only the serve's prefill: it is the first prefill after the
@@ -182,6 +171,19 @@ func TestEvictionSkipsPinnedModule(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("serve never reached the model")
 	}
+	// Serve "spare" too, so under LRU "a/pin" is the victim of choice and
+	// only pin-awareness can save it.
+	spare, err := c.Serve(context.Background(), `<prompt schema="a"><spare/>Question.</prompt>`, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare.Close()
+	c.mu.Lock()
+	first, _ := c.store.device.oldest(nil)
+	c.mu.Unlock()
+	if first != "a/pin" {
+		t.Fatalf("the ranking's first choice is %q, want the pinned a/pin", first)
+	}
 
 	// The serve is mid-prefill with "a/pin" pinned. Register b: the pool
 	// is full, so one of a's modules must go — and it must be "spare".
@@ -190,7 +192,7 @@ func TestEvictionSkipsPinnedModule(t *testing.T) {
 	}
 	c.mu.Lock()
 	pinState, spareState := c.store.modules["a/pin"].state, c.store.modules["a/spare"].state
-	pinHeld := c.store.device.Has("a/pin")
+	pinHeld := c.store.device.members["a/pin"] != nil
 	c.mu.Unlock()
 	if pinState != stateResident || !pinHeld {
 		t.Fatalf("pinned module was evicted mid-serve (state %d, resident %v)", pinState, pinHeld)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/pml"
 	"repro/internal/tensor"
@@ -456,9 +455,7 @@ func TestEvictionAndReload(t *testing.T) {
 	mustRegister(t, full, travelSchema)
 	need := full.Snapshot().PoolBytes
 
-	small := NewCache(m, WithPool(memory.NewPool(memory.Device{
-		Name: "tiny-hbm", Kind: memory.HBM, Capacity: need/2 + 1,
-	})))
+	small := NewCache(m, WithDeviceCapacity(need/2+1))
 	mustRegister(t, small, travelSchema)
 	if small.Stats().ModulesEvicted == 0 {
 		t.Fatal("expected evictions under tight capacity")

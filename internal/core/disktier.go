@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -17,7 +18,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/kvcache"
-	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/pml"
 	"repro/internal/quant"
@@ -61,15 +61,15 @@ type diskEntry struct {
 }
 
 // diskTier is the spill store: a blob directory plus the key→blob index.
-// The index and pool are the tier store's, guarded by Cache.mu; blob
-// files are immutable once written (temp+rename), so reads need no lock.
+// The index and its byte total are the tier store's, guarded by
+// Cache.mu; blob files are immutable once written (temp+rename), so
+// reads need no lock.
 type diskTier struct {
 	dir   string
 	codec Codec
-	// pool tracks blob occupancy, giving the disk tier the same
-	// accounting surface (Used/Peak) as the device and host tiers.
-	pool  *memory.Pool
 	index map[string]diskEntry
+	// bytes is the index's blob bytes, the disk tier's gauge.
+	bytes int64
 	// keepBlobs suppresses blob-file deletion while an OpenDir restore
 	// is cleaning up after a failure: the files are the persisted
 	// snapshot, and a cache that failed to adopt them must not destroy
@@ -97,7 +97,6 @@ func newDiskTier(dir string, codec Codec) *diskTier {
 	return &diskTier{
 		dir:   dir,
 		codec: codec,
-		pool:  memory.NewPool(memory.Device{Name: "disk", Kind: memory.Disk}),
 		index: make(map[string]diskEntry),
 	}
 }
@@ -138,9 +137,12 @@ func (d *diskTier) writeBlob(kv *kvcache.Cache, codec Codec) (diskEntry, error) 
 	return entry, nil
 }
 
-// readBlob reads and decodes an entry's blob. Requires no lock. Decode
-// failures (the file exists but its content is bad) wrap errCorruptBlob;
-// open errors pass through as plain IO errors.
+// readBlob reads and decodes an entry's blob, hashing it on the way: the
+// blob's sha256 is its name, so content that decodes but hashes to
+// another name is as corrupt as content that does not decode. Requires
+// no lock. Decode failures and hash mismatches (the file exists but its
+// content is bad) wrap errCorruptBlob; open errors pass through as plain
+// IO errors.
 func (d *diskTier) readBlob(entry diskEntry) (*kvcache.Cache, error) {
 	if err := d.inject.Fire(FaultPointDiskRead); err != nil {
 		if errors.Is(err, faultinject.ErrCorrupt) {
@@ -161,9 +163,17 @@ func (d *diskTier) readBlob(entry diskEntry) (*kvcache.Cache, error) {
 		return nil, err
 	}
 	defer f.Close()
-	kv, _, err := quant.DecodeKV(f)
+	h := sha256.New()
+	r := io.TeeReader(f, h)
+	kv, _, err := quant.DecodeKV(r)
+	if err == nil {
+		_, err = io.Copy(io.Discard, r) // the hash covers the whole file
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%v: %w", err, errCorruptBlob)
+	}
+	if sum := hex.EncodeToString(h.Sum(nil)); sum != entry.hash {
+		return nil, fmt.Errorf("core: blob %s hashes to %s: %w", entry.hash, sum, errCorruptBlob)
 	}
 	return kv, nil
 }
@@ -507,7 +517,7 @@ func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 	}
 	entry, ems := newSchemaEntry(schema, layout, ms.PML)
 	if _, ok := c.schemas[schema.Name]; ok {
-		c.dropSchemaLocked(schema.Name)
+		c.dropSchemaLocked(schema.Name, nil)
 	}
 	c.schemas[schema.Name] = entry
 	// The manifest lists declared modules, then scaffolds, in entry order.
@@ -519,7 +529,7 @@ func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 			err = fmt.Errorf("%w: snapshot module %q, schema expects %q", ErrBadSnapshot, mm.Name, want)
 		}
 		if err != nil {
-			c.dropSchemaLocked(schema.Name)
+			c.dropSchemaLocked(schema.Name, nil)
 			return err
 		}
 		c.store.restore(em, de)

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -167,9 +166,9 @@ func TestEncodeOffLockReencode(t *testing.T) {
 	}
 	c.mu.Lock()
 	em := c.store.modules["travel/tokyo"]
-	resident := em.state == stateResident && c.store.device.Has("travel/tokyo")
+	resident := em.state == stateResident && c.store.device.members["travel/tokyo"] != nil
 	device, _ := tierLedgerLocked(c)
-	used := c.store.device.Used()
+	used := c.store.device.used
 	c.mu.Unlock()
 	if !resident {
 		t.Errorf("re-encoded module not resident: state %d", em.state)
@@ -209,7 +208,7 @@ func TestEncodeConcurrentMatchesSequential(t *testing.T) {
 	for _, c := range caches {
 		c.mu.Lock()
 		device, _ := tierLedgerLocked(c)
-		used := c.store.device.Used()
+		used := c.store.device.used
 		c.mu.Unlock()
 		if device != used {
 			t.Errorf("pool holds %d bytes, resident modules %d", used, device)
@@ -239,7 +238,7 @@ func TestRegisterFailedReplacementKeepsSchema(t *testing.T) {
 		{"larger than the unpinned room", 24, 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCache(m, WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: 40 * rowBytes})))
+			c := NewCache(m, WithDeviceCapacity(40*rowBytes))
 			if tc.held > 0 {
 				mustRegister(t, c, `<schema name="other"><module name="big">`+words(tc.held)+`</module></schema>`)
 				hold, err := c.Serve(context.Background(), `<prompt schema="other"><big/>Go.</prompt>`, ServeOpts{})

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -30,7 +29,7 @@ func spillingPair(t *testing.T, seed uint64, inj *faultinject.Injector) (probe, 
 	mustRegister(t, probe, travelSchema)
 	need := probe.Snapshot().PoolBytes
 	faulty = NewCache(m,
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need/2 + 1})),
+		WithDeviceCapacity(need/2+1),
 		WithDiskTier(t.TempDir(), CodecFP32),
 		WithFaultInjection(inj),
 	)
@@ -162,7 +161,7 @@ func TestFaultWriteFailureFallsToDrop(t *testing.T) {
 	inj := faultinject.New(4)
 	inj.Set(FaultPointDiskWrite, faultinject.Rule{Err: faultinject.ErrNoSpace})
 	faulty := NewCache(m,
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need/2 + 1})),
+		WithDeviceCapacity(need/2+1),
 		WithDiskTier(t.TempDir(), CodecFP32),
 		WithFaultInjection(inj),
 	)
@@ -180,9 +179,7 @@ func TestFaultWriteFailureFallsToDrop(t *testing.T) {
 	for _, p := range allModulePrompts {
 		serveBoth(t, probe, faulty, p)
 	}
-	if st := faulty.Stats(); st.TierAccountErrors != 0 {
-		t.Fatalf("tier accounting drifted under write faults: %+v", st)
-	}
+	assertTierGauges(t, faulty)
 }
 
 // TestFaultSlowReadDelaysNotFails: a delay-only rule models slow IO —

@@ -267,9 +267,10 @@ func (c *Cache) demoteMined(schemaName, name string) {
 // adoptMinedLocked re-registers one persisted mined module from a
 // snapshot manifest: states stay on disk (like declared modules) and
 // the observer adopts the prefix so lookups match again. The entry is
-// checked in full — name, prefix, row count and codec — before the
-// observer adopts it, so an entry that cannot be restored is skipped
-// (counted) without leaving a prefix the cache has no module for.
+// checked in full — name, prefix, row count, codec and a key no module
+// holds yet — before the observer adopts it, so an entry that cannot be
+// restored is skipped (counted) without leaving a prefix the cache has no
+// module for.
 func (c *Cache) adoptMinedLocked(schemaName string, mm manifestMined) {
 	em := &EncodedModule{
 		Name:   mm.Name,
@@ -280,6 +281,7 @@ func (c *Cache) adoptMinedLocked(schemaName string, mm manifestMined) {
 	}
 	de, err := mm.diskEntry(em.rows())
 	if c.miner == nil || err != nil || !strings.HasPrefix(mm.Name, minedPrefixTag) ||
+		c.store.modules[em.key()] != nil ||
 		len(mm.Toks) != len(mm.Pos) || len(mm.Toks) == 0 ||
 		c.miner.Adopt(mm.Class, mm.Toks, mm.Pos, mm.Name) != nil {
 		c.stats.MinedSnapshotSkipped++

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -183,7 +182,7 @@ func TestMinedModuleEvictionWaterfall(t *testing.T) {
 
 	c := NewCache(m,
 		WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}),
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need + need/4})),
+		WithDeviceCapacity(need+need/4),
 		WithDiskTier(t.TempDir(), CodecFP32),
 	)
 	mustRegister(t, c, travelSchema)
@@ -288,6 +287,33 @@ func TestMinedSaveAllRoundTrip(t *testing.T) {
 	if d := tensor.MaxAbsDiff(coldLogits, res.Logits); d != 0 {
 		t.Fatalf("mining-disabled restore serves differently by %v", d)
 	}
+
+	// A manifest listing a mined entry twice restores it once and skips
+	// the repeat (counted), so the disk tier holds its blob once.
+	data, err := os.ReadFile(manifestPath(dir))
+	var man diskManifest
+	if err == nil {
+		err = json.Unmarshal(data, &man)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := &man.Schemas[0]
+	ms.Mined = append(ms.Mined, ms.Mined...)
+	if data, err = json.Marshal(man); err == nil {
+		err = os.WriteFile(manifestPath(dir), data, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := OpenDir(m, dir, WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped, live := twice.Stats().MinedSnapshotSkipped, twice.Snapshot().Mining.LiveModules; skipped != len(ms.Mined)/2 || live != len(ms.Mined)/2 {
+		t.Fatalf("a mined entry listed twice: %d live, %d skipped, want %d each", live, skipped, len(ms.Mined)/2)
+	}
+	assertTierGauges(t, twice)
 }
 
 // TestMinedReRegisterSchemaDropsModules: replacing a schema forgets its
@@ -328,8 +354,8 @@ func TestMinedConcurrentServes(t *testing.T) {
 	need := probe.Snapshot().PoolBytes
 	c := NewCache(m,
 		WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}),
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need + need/3})),
-		WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM, Capacity: need})),
+		WithDeviceCapacity(need+need/3),
+		WithHostTier(need),
 		WithDiskTier(t.TempDir(), CodecFP32),
 	)
 	mustRegister(t, c, travelSchema)

@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/evict"
 	"repro/internal/kvcache"
-	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -392,9 +390,8 @@ func TestSchedulerCancelEvictsLane(t *testing.T) {
 func TestSchedulerChurnHammer(t *testing.T) {
 	c := llamaCache(t,
 		WithDecodeScheduler(4),
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: 96 << 10})),
-		WithHostPool(memory.NewPool(memory.Device{Name: "host", Kind: memory.DRAM})),
-		WithEvictionPolicy(evict.NewLRU()),
+		WithDeviceCapacity(96<<10),
+		WithHostTier(0),
 	)
 	mustRegister(t, c, travelSchema)
 	ctx := context.Background()

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/evict"
-	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -212,9 +210,8 @@ func TestSpeculationChurnHammer(t *testing.T) {
 	c := llamaCache(t,
 		WithDecodeScheduler(4),
 		WithSpeculation(specDraftOpts()),
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: 96 << 10})),
-		WithHostPool(memory.NewPool(memory.Device{Name: "host", Kind: memory.DRAM})),
-		WithEvictionPolicy(evict.NewLRU()),
+		WithDeviceCapacity(96<<10),
+		WithHostTier(0),
 	)
 	mustRegister(t, c, travelSchema)
 	ctx := context.Background()

@@ -14,11 +14,10 @@ type Stats struct {
 	TokensEncoded   int // tokens run through prefill during encoding
 	TokensReused    int // cached tokens spliced into served prompts
 
-	ModulesSpilled    int // evictions that wrote states to the disk tier
-	DiskHits          int // module states read back from the disk tier
-	DiskLoadErrors    int // unreadable disk blobs (fell back to re-encode; a mined module misses)
-	DiskRetries       int // transient blob-read failures recovered by backoff retry
-	TierAccountErrors int // tier bookkeeping failures; nonzero means occupancy counters drifted
+	ModulesSpilled int // evictions that wrote states to the disk tier
+	DiskHits       int // module states read back from the disk tier
+	DiskLoadErrors int // unreadable disk blobs (fell back to re-encode; a mined module misses)
+	DiskRetries    int // transient blob-read failures recovered by backoff retry
 
 	MinedPromotions      int // hot prefixes promoted to anonymous modules (WithModuleMining)
 	MinedDemotions       int // mined modules garbage-collected (cold, evicted, or schema dropped)
@@ -75,8 +74,9 @@ type Snapshot struct {
 
 // TierSnapshot is storage-tier accounting: occupancy per tier plus the
 // traffic between tiers (demotion/promotion for host, spill/hit for
-// disk). TierAccountErrors nonzero means a pool release failed and an
-// occupancy number can no longer be trusted.
+// disk). TierAccountErrors reads 0 by construction: each tier's bytes
+// are one ledger in the tier store, whose members are the modules the
+// tier holds, so there is no second copy of an occupancy to drift.
 type TierSnapshot struct {
 	DeviceBytes       int64 `json:"device_bytes"`
 	HostBytes         int64 `json:"host_bytes"`
@@ -112,20 +112,19 @@ func (c *Cache) Snapshot() Snapshot {
 	c.mu.Lock()
 	st := c.stats
 	tiers := TierSnapshot{
-		DeviceBytes:       c.store.device.Used(),
-		ModulesDemoted:    st.ModulesDemoted,
-		ModulesPromoted:   st.ModulesPromoted,
-		ModulesSpilled:    st.ModulesSpilled,
-		DiskHits:          st.DiskHits,
-		DiskLoadErrors:    st.DiskLoadErrors,
-		DiskRetries:       st.DiskRetries,
-		TierAccountErrors: st.TierAccountErrors,
+		DeviceBytes:     c.store.device.used,
+		ModulesDemoted:  st.ModulesDemoted,
+		ModulesPromoted: st.ModulesPromoted,
+		ModulesSpilled:  st.ModulesSpilled,
+		DiskHits:        st.DiskHits,
+		DiskLoadErrors:  st.DiskLoadErrors,
+		DiskRetries:     st.DiskRetries,
 	}
 	if h := c.store.host; h != nil {
-		tiers.HostBytes = h.Used()
+		tiers.HostBytes = h.used
 	}
 	if d := c.store.disk; d != nil {
-		tiers.DiskBytes = d.pool.Used()
+		tiers.DiskBytes = d.bytes
 		tiers.DiskModules = len(d.index)
 	}
 	c.mu.Unlock()

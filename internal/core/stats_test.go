@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/memory"
 	"repro/internal/model"
 )
 
@@ -23,6 +22,26 @@ func tierLedgerLocked(c *Cache) (device, host int64) {
 		}
 	}
 	return device, host
+}
+
+// assertTierGauges fails unless each tier's gauge in the stats document
+// is the bytes of the modules that tier holds.
+func assertTierGauges(t *testing.T, c *Cache) {
+	t.Helper()
+	s := c.Snapshot()
+	c.mu.Lock()
+	device, host := tierLedgerLocked(c)
+	var disk int64
+	if c.store.disk != nil {
+		for _, e := range c.store.disk.index {
+			disk += e.bytes
+		}
+	}
+	c.mu.Unlock()
+	if s.Tiers.DeviceBytes != device || s.Tiers.HostBytes != host || s.Tiers.DiskBytes != disk {
+		t.Fatalf("gauges device %d host %d disk %d, modules hold device %d host %d disk %d",
+			s.Tiers.DeviceBytes, s.Tiers.HostBytes, s.Tiers.DiskBytes, device, host, disk)
+	}
 }
 
 // churnSchema's six modules have six words each, so every module's
@@ -65,8 +84,8 @@ func TestSnapshotConsistentUnderChurn(t *testing.T) {
 	}
 
 	c := NewCache(m,
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: 2 * size})),
-		WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM, Capacity: 2 * size})),
+		WithDeviceCapacity(2*size),
+		WithHostTier(2*size),
 		WithDiskTier(t.TempDir(), CodecFP32),
 	)
 	mustRegister(t, c, churnSchema)

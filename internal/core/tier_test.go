@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/kvcache"
-	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -24,7 +23,8 @@ import (
 // itself exhaustively at small scope with fake producers.
 
 // tierPoolBytes is the device pool of the tier tests: far larger than
-// the travel schema, so only an explicit filler makes it full.
+// the travel schema, so it is full only when a test shrinks it to what
+// it holds.
 const tierPoolBytes = 1 << 30
 
 // declaredTierPrompt imports tokyo, the declared module under test.
@@ -159,11 +159,11 @@ func TestTierStateMachine(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/%s/%s", kind, stateNames[tc.state], room), func(t *testing.T) {
 			opts := []Option{
 				WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}),
-				WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: tierPoolBytes})),
+				WithDeviceCapacity(tierPoolBytes),
 			}
 			switch tc.state {
 			case stateDemoted:
-				opts = append(opts, WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM})))
+				opts = append(opts, WithHostTier(0))
 			case stateDisk:
 				opts = append(opts, WithDiskTier(t.TempDir(), CodecFP32))
 			}
@@ -199,10 +199,7 @@ func TestTierStateMachine(t *testing.T) {
 				for _, o := range held {
 					o.pins++
 				}
-				if err := c.store.device.Alloc("filler", tierPoolBytes-c.store.device.Used()); err != nil {
-					c.mu.Unlock()
-					t.Fatal(err)
-				}
+				c.store.device.capacity = c.store.device.used // full
 			}
 			before := c.stats
 			c.mu.Unlock()
@@ -354,7 +351,7 @@ func TestTierReadWindowMinedCollected(t *testing.T) {
 	key := minedKeyLocked(t, &c.store)
 	evictKeyLocked(t, &c.store, key)
 	before := c.stats
-	used := c.store.device.Used()
+	used := c.store.device.used
 	name := strings.TrimPrefix(key, "travel/")
 	_, _, err = readWindowLocked(t, c, key, func() { c.demoteMined("travel", name) })
 	if !errors.Is(err, errMinedMiss) {
@@ -362,8 +359,8 @@ func TestTierReadWindowMinedCollected(t *testing.T) {
 		t.Fatalf("collected mined module resolved with %v, want a miss", err)
 	}
 	got := c.stats
-	if c.store.device.Has(key) || c.store.device.Used() != used {
-		t.Errorf("collected mined module claimed the pool: used %d -> %d", used, c.store.device.Used())
+	if c.store.device.members[key] != nil || c.store.device.used != used {
+		t.Errorf("collected mined module claimed the pool: used %d -> %d", used, c.store.device.used)
 	}
 	c.mu.Unlock()
 	if got.MinedDemotions != before.MinedDemotions+1 || got.DiskHits != before.DiskHits ||
@@ -445,14 +442,14 @@ func TestTierReadWindowSchemaReplaced(t *testing.T) {
 	kv, part, err := readWindowLocked(t, c, key, func() {
 		mustRegister(t, c, travelSchema)
 		c.mu.Lock()
-		before, used = c.stats, c.store.device.Used()
+		before, used = c.stats, c.store.device.used
 		c.mu.Unlock()
 	})
 	if err != nil {
 		c.mu.Unlock()
 		t.Fatal(err)
 	}
-	got, gotUsed := c.stats, c.store.device.Used()
+	got, gotUsed := c.stats, c.store.device.used
 	fresh := c.store.modules[key]
 	c.mu.Unlock()
 	if part.em != nil || part.kv != kv {
@@ -473,12 +470,13 @@ func TestTierReadWindowSchemaReplaced(t *testing.T) {
 	assertNoPins(t, c)
 }
 
-// TestTierReadWindowSchemaReplacedBlobGone: a schema replaced while a
-// serve waits on one of its module blobs also deletes that blob, so the
-// read fails. The serve still completes, bit-identical to a cold serve,
-// by encoding the orphaned module for itself alone: it neither collides
-// with the replacement's registration of the same key nor counts a load
-// error for a blob that was removed on purpose.
+// TestTierReadWindowSchemaReplacedBlobGone: a schema replaced, with a
+// new stream for one of its modules, while a serve waits on that module's
+// blob also deletes the blob, so the read fails. The serve still
+// completes, bit-identical to a cold serve, by encoding the orphaned
+// module for itself alone: it neither collides with the replacement's
+// registration of the same key nor counts a load error for a blob that
+// was removed on purpose.
 func TestTierReadWindowSchemaReplacedBlobGone(t *testing.T) {
 	m, err := model.New(model.LlamaStyle(coreVocab, 77))
 	if err != nil {
@@ -491,6 +489,11 @@ func TestTierReadWindowSchemaReplacedBlobGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold.Close()
+	// tokyo's new text changes its stream, so its blob cannot pass to
+	// the replacement (tierStore.dropSchema).
+	replacement := strings.Replace(travelSchema, "superb food", "superb fresh food", 1)
+	fresh := NewCache(m)
+	mustRegister(t, fresh, replacement)
 
 	inj := faultinject.New(8)
 	c := NewCache(m, WithDiskTier(t.TempDir(), CodecFP32), WithFaultInjection(inj))
@@ -511,7 +514,7 @@ func TestTierReadWindowSchemaReplacedBlobGone(t *testing.T) {
 	for inj.Fired(FaultPointDiskRead) == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	mustRegister(t, c, travelSchema) // while the serve sleeps before its read
+	mustRegister(t, c, replacement) // while the serve sleeps before its read
 	got := <-done
 	if got.err != nil {
 		t.Fatalf("serve across the schema replacement failed: %v", got.err)
@@ -523,8 +526,8 @@ func TestTierReadWindowSchemaReplacedBlobGone(t *testing.T) {
 	if st := c.Stats(); st.DiskLoadErrors != 0 || st.ModulesReloaded != 1 {
 		t.Errorf("want one transient re-encode and no load error: %+v", st)
 	}
-	if c.Snapshot().PoolBytes != probe.Snapshot().PoolBytes {
-		t.Errorf("pool holds %d bytes, a fresh registration %d", c.Snapshot().PoolBytes, probe.Snapshot().PoolBytes)
+	if c.Snapshot().PoolBytes != fresh.Snapshot().PoolBytes {
+		t.Errorf("pool holds %d bytes, a fresh registration %d", c.Snapshot().PoolBytes, fresh.Snapshot().PoolBytes)
 	}
 	assertNoPins(t, c)
 }
@@ -584,25 +587,16 @@ func TestScaffoldTierChurn(t *testing.T) {
 		codec Codec
 	}{{"fp32", true, CodecFP32}, {"int8", true, CodecInt8}, {"host-only", false, CodecFP32}} {
 		t.Run(tc.name, func(t *testing.T) {
-			host := memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM, Capacity: scaffoldBytes})
-			opts := []Option{
-				WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: scaffoldBytes})),
-				WithHostPool(host),
-			}
+			opts := []Option{WithDeviceCapacity(scaffoldBytes)}
 			if tc.disk {
 				opts = append(opts, WithDiskTier(t.TempDir(), tc.codec))
 			}
 			c := NewCache(m, opts...)
-			// Hold the host full while the schema registers, so the
+			// The host tier joins after the schema registers, so the
 			// modules evicted by registration go past it and the host
 			// starts empty for the scaffolds.
-			if err := host.Alloc("filler", scaffoldBytes); err != nil {
-				t.Fatal(err)
-			}
 			mustRegister(t, c, scaffoldChurnSchema)
-			if err := host.Free("filler"); err != nil {
-				t.Fatal(err)
-			}
+			c.store.host = newLedger(scaffoldBytes)
 			states := func() []moduleState {
 				c.mu.Lock()
 				defer c.mu.Unlock()
@@ -658,13 +652,13 @@ func TestScaffoldTierChurn(t *testing.T) {
 }
 
 // TestHostTierTakesEveryDeviceVictim serves scaffold pairs through a device
-// and a host tier one scaffold wide each, over an fp32 disk tier, with no
-// filler holding the host during registration. Registration demotes its
+// and a host tier one scaffold wide each, over an fp32 disk tier, with the
+// host present during registration. Registration demotes its
 // first evictions (the member modules) into the host; a full host must
 // then send its oldest-demoted occupant to disk rather than turn away a
 // hotter victim, so every scaffold evicted from the device goes to the
 // host. Every serve matches the baseline bit for bit, and at quiescence
-// the ledger is exact, with no accounting error and no pin.
+// the ledger is exact, with no pin.
 func TestHostTierTakesEveryDeviceVictim(t *testing.T) {
 	m, err := model.New(model.LlamaStyle(coreVocab, 91))
 	if err != nil {
@@ -687,8 +681,8 @@ func TestHostTierTakesEveryDeviceVictim(t *testing.T) {
 	}
 
 	c := NewCache(m,
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: scaffoldBytes})),
-		WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM, Capacity: scaffoldBytes})),
+		WithDeviceCapacity(scaffoldBytes),
+		WithHostTier(scaffoldBytes),
 		WithDiskTier(t.TempDir(), CodecFP32))
 	mustRegister(t, c, scaffoldChurnSchema)
 	states := func() []moduleState {
@@ -751,7 +745,7 @@ func TestHostTierSpillsOldestDemoted(t *testing.T) {
 	mustRegister(t, probe, churnSchema)
 	size := probe.store.modules["churn/m0"].size()
 	c := NewCache(m,
-		WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM, Capacity: 2 * size})),
+		WithHostTier(2*size),
 		WithDiskTier(t.TempDir(), CodecFP32))
 	mustRegister(t, c, churnSchema)
 	c.mu.Lock()
@@ -774,8 +768,37 @@ func TestHostTierSpillsOldestDemoted(t *testing.T) {
 		t.Fatalf("after promoting m1 and demoting m3: states %d %d %d, want resident, demoted, demoted",
 			state("m1"), state("m2"), state("m3"))
 	}
-	if st := c.stats; st.TierAccountErrors != 0 || c.store.host.Used() != 2*size {
-		t.Fatalf("host holds %d bytes, want %d; tier_account_errors %d", c.store.host.Used(), 2*size, st.TierAccountErrors)
+	if c.store.host.used != 2*size {
+		t.Fatalf("host holds %d bytes, want %d", c.store.host.used, 2*size)
+	}
+}
+
+// TestDeviceEvictsLeastRecentlyUsed: under a squeeze, a module a serve
+// used outlives one placed after it that nothing served — the device
+// evicts the least recently used module, not the first placed.
+func TestDeviceEvictsLeastRecentlyUsed(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 735))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := NewCache(m)
+	mustRegister(t, probe, churnSchema)
+	size := probe.store.modules["churn/m0"].size()
+	c := NewCache(m, WithDeviceCapacity(6*size))
+	mustRegister(t, c, churnSchema) // m0 placed first, m5 last
+	res, err := c.Serve(context.Background(), `<prompt schema="churn"><m0/>Go.</prompt>`, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Close()
+	// One more module of m0's stream, so of its size: one must go.
+	mustRegister(t, c, `<schema name="more"><module name="x">alpha beta gamma delta epsilon zeta</module></schema>`)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, em := range c.store.modules {
+		if resident := em.state == stateResident; resident != (key != "churn/m1") {
+			t.Errorf("%s resident %v; want only churn/m1, the least recently used, evicted", key, resident)
+		}
 	}
 }
 
@@ -801,7 +824,7 @@ func TestOpenDirPoolSmallerThanScaffold(t *testing.T) {
 	}
 	scaffoldBytes := orig.store.modules["s/"+scaffoldPrefix+"ab"].size()
 
-	c, err := OpenDir(m, dir, WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: scaffoldBytes - 1})))
+	c, err := OpenDir(m, dir, WithDeviceCapacity(scaffoldBytes-1))
 	if err != nil {
 		t.Fatalf("OpenDir with a pool smaller than the scaffold: %v", err)
 	}
@@ -830,8 +853,8 @@ func TestPromotionThatCannotFitEvictsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCache(m,
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: tierPoolBytes})),
-		WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM})))
+		WithDeviceCapacity(tierPoolBytes),
+		WithHostTier(0))
 	mustRegister(t, c, travelSchema)
 	mustRegister(t, c, `<schema name="tiny"><module name="x">one two</module></schema>`)
 
@@ -849,10 +872,7 @@ func TestPromotionThatCannotFitEvictsNothing(t *testing.T) {
 			held = append(held, em)
 		}
 	}
-	if err := c.store.device.Alloc("filler", tierPoolBytes-c.store.device.Used()); err != nil {
-		c.mu.Unlock()
-		t.Fatal(err)
-	}
+	c.store.device.capacity = c.store.device.used // full
 	before := c.stats
 	c.mu.Unlock()
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -23,8 +22,8 @@ func TestTieredDemotionAvoidsReEncode(t *testing.T) {
 	need := probe.Snapshot().PoolBytes
 
 	tiered := NewCache(m,
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need/2 + 1})),
-		WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM})),
+		WithDeviceCapacity(need/2+1),
+		WithHostTier(0),
 	)
 	mustRegister(t, tiered, travelSchema)
 	st := tiered.Stats()
@@ -78,8 +77,8 @@ func TestTieredHostPoolCapBounded(t *testing.T) {
 	need := probe.Snapshot().PoolBytes
 
 	tiered := NewCache(m,
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need/3 + 1})),
-		WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM, Capacity: need / 4})),
+		WithDeviceCapacity(need/3+1),
+		WithHostTier(need/4),
 	)
 	mustRegister(t, tiered, travelSchema)
 	st := tiered.Stats()
@@ -111,18 +110,17 @@ func TestTieredReRegisterFreesHostPool(t *testing.T) {
 	mustRegister(t, probe, travelSchema)
 	need := probe.Snapshot().PoolBytes
 
-	host := memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM})
 	tiered := NewCache(m,
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: need/2 + 1})),
-		WithHostPool(host),
+		WithDeviceCapacity(need/2+1),
+		WithHostTier(0),
 	)
 	mustRegister(t, tiered, travelSchema)
-	used := host.Used()
+	used := tiered.Snapshot().Tiers.HostBytes
 	if used == 0 {
 		t.Fatal("host pool should hold demoted modules")
 	}
 	mustRegister(t, tiered, travelSchema)
-	if host.Used() > used {
-		t.Fatalf("host pool grew on re-register: %d -> %d", used, host.Used())
+	if now := tiered.Snapshot().Tiers.HostBytes; now > used {
+		t.Fatalf("host pool grew on re-register: %d -> %d", used, now)
 	}
 }

@@ -1,41 +1,44 @@
 package core
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 
-	"repro/internal/evict"
 	"repro/internal/kvcache"
-	"repro/internal/memory"
 	"repro/internal/mining"
 )
 
 // tierStore owns module residency, the tier state machine every cached
 // attention state runs (§4.1's cache replacement, plus a durable disk
 // tier): every registered module of every kind by key, with its
-// moduleState and serve pins; the device, host and disk pools; the
-// eviction policy and the host's demoted ranking; and the disk index.
-// Its methods are the transitions — acquire, install, release, make
-// room, remove, restore — and all run under Cache.mu. It holds no model
-// and reads no blob: the Cache produces the states it lacks off the lock
-// (encodes, blob reads) and hands them in, so a test drives it with its
-// own producers (tierstore_test.go). Its one file IO is the spill write.
+// moduleState and serve pins; the device and host ledgers; and the disk
+// index. Its methods are the transitions — acquire, install, release,
+// make room, remove, restore — and all run under Cache.mu. It holds no
+// model and reads no blob: the Cache produces the states it lacks off
+// the lock (encodes, blob reads) and hands them in, so a test drives it
+// with its own producers (tierstore_test.go). Its one file IO is the
+// spill write.
+//
+// Each tier's bytes are recorded once. A module is resident exactly when
+// it is a member of the device ledger and demoted exactly when it is one
+// of the host's, and the disk tier's bytes are its index's, so the tier
+// gauges equal the modules they hold by construction.
 type tierStore struct {
-	device *memory.Pool
+	// device ranks the resident modules for eviction, least recently
+	// placed or served first (LRU, §4.1's cache replacement).
+	device *ledger
 	// host, when set, receives evicted states instead of dropping them
 	// (two-tier §4.1); disk, when set, is the durable tier below it, so
 	// states that would drop spill to blobs instead. nil disables either.
-	host *memory.Pool
+	// The host ranks its occupants by demotion time: a demoted module is
+	// never touched until it is promoted, so the oldest is the coldest,
+	// and hostAlloc sends it one tier down to make room for a hotter
+	// victim.
+	host *ledger
 	disk *diskTier
-	// policy ranks resident modules' keys for eviction when the device
-	// pool fills (§6's cache-replacement direction; default LRU).
-	policy evict.Policy
-	// demoted ranks the host's occupants by demotion time. A demoted
-	// module is never touched until it is promoted, so the oldest demoted
-	// is the coldest: hostAlloc sends it one tier down to make room for a
-	// hotter victim.
-	demoted *evict.LRU
 	// modules indexes every registered module by key ("schema/name").
 	modules map[string]*EncodedModule
 	// stats is the owning cache's counters.
@@ -44,12 +47,54 @@ type tierStore struct {
 	miner *mining.Miner
 }
 
-// free releases a pool reservation, counting a failure — a gauge that no
-// longer reflects reality — in TierAccountErrors rather than dropping it.
-func (s *tierStore) free(p *memory.Pool, key string) {
-	if err := p.Free(key); err != nil {
-		s.stats.TierAccountErrors++
+// ledger is one memory tier's account: its capacity in bytes (0 for
+// uncapped), the bytes its members hold, and the members — module keys
+// with their sizes — least recently added or touched first.
+type ledger struct {
+	capacity, used int64
+	order          list.List // of ledgerEntry
+	members        map[string]*list.Element
+}
+
+type ledgerEntry struct {
+	key  string
+	size int64
+}
+
+func newLedger(capacity int64) *ledger {
+	return &ledger{capacity: capacity, members: make(map[string]*list.Element)}
+}
+
+// fits reports whether size more bytes fit beside the members.
+func (l *ledger) fits(size int64) bool { return l.capacity == 0 || l.used+size <= l.capacity }
+
+// add makes key, which is no member, the most recent member, holding
+// size bytes.
+func (l *ledger) add(key string, size int64) {
+	l.members[key] = l.order.PushBack(ledgerEntry{key, size})
+	l.used += size
+}
+
+// touch makes a member the most recent.
+func (l *ledger) touch(key string) { l.order.MoveToBack(l.members[key]) }
+
+// remove forgets key's membership, if it has one.
+func (l *ledger) remove(key string) {
+	if el, ok := l.members[key]; ok {
+		l.used -= l.order.Remove(el).(ledgerEntry).size
+		delete(l.members, key)
 	}
+}
+
+// oldest returns the least recent member that skip (nil for none) does
+// not take; ok is false when there is none.
+func (l *ledger) oldest(skip func(key string) bool) (key string, ok bool) {
+	for el := l.order.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(ledgerEntry); skip == nil || !skip(e.key) {
+			return e.key, true
+		}
+	}
+	return "", false
 }
 
 // countEncode counts one encode of a module's stream.
@@ -59,18 +104,18 @@ func (s *tierStore) countEncode(em *EncodedModule) {
 }
 
 // fits is the one room check: it refuses, with ErrCapacity, states one
-// of which could not fit the device pool once the modules of schema
-// leaving ("" for none) are gone and eviction has freed all it can. The
-// room is the capacity less what neither frees — modules held by open
-// serves, and reservations that are no module's.
+// of which could not fit the device once the modules of schema leaving
+// ("" for none) are gone and eviction has freed all it can. The room is
+// the capacity less the modules open serves hold.
 func (s *tierStore) fits(leaving string, kvs ...*kvcache.Cache) error {
-	if s.device.Capacity() == 0 {
+	if s.device.capacity == 0 {
 		return nil
 	}
-	room := s.device.Capacity() - s.device.Used()
-	for key, em := range s.modules {
-		if (em.pins == 0 || em.Schema == leaving) && s.device.Has(key) {
-			room += em.size()
+	room := s.device.capacity - s.device.used
+	for el := s.device.order.Front(); el != nil; el = el.Next() {
+		e := el.Value.(ledgerEntry)
+		if em := s.modules[e.key]; em.pins == 0 || em.Schema == leaving {
+			room += e.size
 		}
 	}
 	for _, kv := range kvs {
@@ -81,8 +126,8 @@ func (s *tierStore) fits(leaving string, kvs ...*kvcache.Cache) error {
 	return nil
 }
 
-// makeRoom reserves kv's bytes in the device pool under key, evicting
-// unpinned modules until the reservation fits (§4.1: "a caching mechanism that
+// makeRoom enters kv's bytes in the device ledger under key, evicting
+// unpinned modules until they fit (§4.1: "a caching mechanism that
 // leverages both CPU and GPU memory... cache replacement"). When
 // eviction could not free enough (fits), it fails with ErrCapacity and
 // evicts nothing.
@@ -90,21 +135,20 @@ func (s *tierStore) makeRoom(key string, kv *kvcache.Cache) error {
 	if err := s.fits("", kv); err != nil {
 		return fmt.Errorf("module %s: %w", key, err)
 	}
-	for {
-		err := s.device.Alloc(key, kv.Bytes(4))
-		if !errors.Is(err, memory.ErrOutOfMemory) {
-			return err
-		}
+	size := kv.Bytes(4)
+	for !s.device.fits(size) {
 		if !s.evictOne() {
-			return fmt.Errorf("%w: module %s: %v", ErrCapacity, key, err)
+			return fmt.Errorf("%w: module %s: %d bytes do not fit", ErrCapacity, key, size)
 		}
 	}
+	s.device.add(key, size)
+	return nil
 }
 
 // place makes kv a module's resident states and registers the module,
-// making room for them (makeRoom) and ranking them with the policy. A
-// registration's encodes, a mined promotion and a serve's install of
-// produced states all enter residency here.
+// making room for them (makeRoom). A registration's encodes, a mined
+// promotion and a serve's install of produced states all enter residency
+// here.
 func (s *tierStore) place(em *EncodedModule, kv *kvcache.Cache) error {
 	key := em.key()
 	if err := s.makeRoom(key, kv); err != nil {
@@ -112,75 +156,51 @@ func (s *tierStore) place(em *EncodedModule, kv *kvcache.Cache) error {
 	}
 	em.KV, em.state = kv, stateResident
 	s.modules[key] = em
-	s.policy.Touch(key, em.size())
 	return nil
 }
 
-// evictOne sends the policy's next victim one tier down — never a pinned
-// module, whose states an in-flight prefill reads outside the lock: into
-// the host tier when it can hold it (hostAlloc), else below it (sink).
-// It returns false if nothing can be evicted.
+// evictOne sends the device's least recent module one tier down — never
+// a pinned module, whose states an in-flight prefill reads outside the
+// lock: into the host tier when it can hold it (hostAlloc), else below
+// it (sink). It returns false if nothing can be evicted.
 func (s *tierStore) evictOne() bool {
-	pinned := func(key string) bool {
-		em := s.modules[key]
-		return em != nil && em.pins > 0
-	}
-	for {
-		key, ok := s.policy.VictimExcluding(pinned)
-		if !ok {
-			return false
-		}
-		s.policy.Remove(key)
-		if !s.device.Has(key) {
-			continue // stale policy entry; clean up and retry
-		}
-		s.free(s.device, key)
-		s.stats.ModulesEvicted++
-		if em := s.modules[key]; em != nil {
-			if s.hostAlloc(key, em.size()) {
-				em.state = stateDemoted
-				s.stats.ModulesDemoted++
-			} else {
-				s.sink(key, em)
-			}
-		}
-		return true
-	}
-}
-
-// hostAlloc reserves host-tier space for a module's states. When the
-// host is full it makes room by sending its oldest-demoted occupants —
-// the coldest states it holds — one tier down (sink). It returns false
-// when there is no host tier or the states cannot fit it.
-func (s *tierStore) hostAlloc(key string, size int64) bool {
-	if s.host == nil || s.host.Capacity() > 0 && size > s.host.Capacity() {
+	key, ok := s.device.oldest(func(key string) bool { return s.modules[key].pins > 0 })
+	if !ok {
 		return false
 	}
-	for {
-		err := s.host.Alloc(key, size)
-		if err == nil {
-			s.demoted.Touch(key, size)
-			return true
-		}
-		if !errors.Is(err, memory.ErrOutOfMemory) {
-			return false
-		}
-		old, ok := s.demoted.Victim()
-		if !ok {
-			return false
-		}
-		s.freeHost(old)
-		if oem := s.modules[old]; oem != nil && oem.state == stateDemoted {
-			s.sink(old, oem)
-		}
+	em := s.modules[key]
+	s.device.remove(key)
+	s.stats.ModulesEvicted++
+	if s.hostAlloc(key, em.size()) {
+		em.state = stateDemoted
+		s.stats.ModulesDemoted++
+	} else {
+		s.sink(key, em)
 	}
+	return true
 }
 
-// freeHost releases key's host-tier reservation, if it holds one.
+// hostAlloc enters a module's states in the host ledger. When the host
+// is full it makes room by sending its oldest-demoted occupants — the
+// coldest states it holds — one tier down (sink). It returns false when
+// there is no host tier or the states cannot fit it.
+func (s *tierStore) hostAlloc(key string, size int64) bool {
+	if s.host == nil || s.host.capacity > 0 && size > s.host.capacity {
+		return false
+	}
+	for !s.host.fits(size) {
+		old, _ := s.host.oldest(nil)
+		s.host.remove(old)
+		s.sink(old, s.modules[old])
+	}
+	s.host.add(key, size)
+	return true
+}
+
+// freeHost releases key's host-tier bytes, if it holds any.
 func (s *tierStore) freeHost(key string) {
-	s.demoted.Remove(key)
-	if s.host != nil && s.host.Has(key) {
-		s.free(s.host, key)
+	if s.host != nil {
+		s.host.remove(key)
 	}
 }
 
@@ -202,9 +222,10 @@ func (s *tierStore) sink(key string, em *EncodedModule) {
 }
 
 // spill writes a module's states to the disk tier under key. When the
-// key already has a blob (an earlier spill, or an OpenDir restore) it is
-// reused: module states are immutable for the life of a registration, so
-// the existing blob is still the states' durable form.
+// key already has a blob (an earlier spill, an OpenDir restore, or a
+// same-stream predecessor's) it is reused: module states are immutable
+// for the life of a registration, so the existing blob is still the
+// states' durable form.
 func (s *tierStore) spill(key string, em *EncodedModule) error {
 	if _, ok := s.disk.index[key]; ok {
 		return nil
@@ -218,12 +239,10 @@ func (s *tierStore) spill(key string, em *EncodedModule) error {
 	return nil
 }
 
-// index records key's blob in the disk index and the disk pool.
+// index records key's blob in the disk index and its byte total.
 func (s *tierStore) index(key string, entry diskEntry) {
-	if err := s.disk.pool.Alloc(key, entry.bytes); err != nil {
-		s.stats.TierAccountErrors++
-	}
 	s.disk.index[key] = entry
+	s.disk.bytes += entry.bytes
 }
 
 // unindex forgets a key's disk entry, deleting the blob when no other key
@@ -234,7 +253,7 @@ func (s *tierStore) unindex(key string) {
 		return
 	}
 	delete(s.disk.index, key)
-	s.free(s.disk.pool, key)
+	s.disk.bytes -= entry.bytes
 	if s.disk.keepBlobs {
 		return
 	}
@@ -251,26 +270,53 @@ func (s *tierStore) unindex(key string) {
 // the module holds and forgets its key. An open serve that pins it keeps
 // reading its states.
 func (s *tierStore) remove(em *EncodedModule) {
-	key := em.key()
-	if s.modules[key] != em {
+	if s.modules[em.key()] != em {
 		return
 	}
-	if s.device.Has(key) {
-		s.free(s.device, key)
-	}
-	s.freeHost(key)
 	if s.disk != nil {
-		s.unindex(key)
+		s.unindex(em.key())
 	}
-	s.policy.Remove(key)
+	s.forget(em)
+}
+
+// forget takes a registered module out of the memory tiers and the key
+// index, leaving its disk entry to the caller.
+func (s *tierStore) forget(em *EncodedModule) {
+	key := em.key()
+	s.device.remove(key)
+	s.freeHost(key)
 	delete(s.modules, key)
 }
 
-// dropSchema removes every module of a schema, of any kind.
-func (s *tierStore) dropSchema(name string) {
-	for _, em := range s.modules {
-		if em.Schema == name {
+// dropSchema removes every module of a schema, of any kind, ahead of
+// next, the modules replacing them (nil for none). A module whose
+// successor in next has its key and stream — so the same states — hands
+// its disk entry over instead of deleting its blob: the successor
+// registers disk-resident on it, placing it keeps the entry, and its
+// first eviction spills for free.
+func (s *tierStore) dropSchema(name string, next []*EncodedModule) {
+	heirs := map[string]*EncodedModule{}
+	for _, em := range next {
+		old := s.modules[em.key()]
+		if old != nil && s.disk != nil && slices.Equal(old.Toks, em.Toks) && slices.Equal(old.Pos, em.Pos) {
+			if _, ok := s.disk.index[em.key()]; ok {
+				heirs[em.key()] = em
+			}
+		}
+	}
+	for key, em := range s.modules {
+		switch {
+		case em.Schema != name:
+		case heirs[key] != nil:
+			s.forget(em)
+		default:
 			s.remove(em)
+		}
+	}
+	for _, em := range next {
+		if heirs[em.key()] == em {
+			em.state = stateDisk
+			s.modules[em.key()] = em
 		}
 	}
 }
@@ -315,8 +361,8 @@ func (s *tierStore) release(ems []*EncodedModule) {
 	}
 }
 
-// promote moves a demoted module back into the device pool (evicting
-// others if needed). It releases its host reservation first, so the
+// promote moves a demoted module back into the device tier (evicting
+// others if needed). It releases its host bytes first, so the
 // device's victims can demote into the room it leaves — a swap, even
 // through a host one module wide. When the device cannot take it,
 // makeRoom evicted nothing and the module goes back into the room it
@@ -337,12 +383,12 @@ func (s *tierStore) promote(key string, em *EncodedModule) error {
 // acquire runs one module through the tier state machine for the serve
 // planning phase, every kind alike: it returns the module's states as a
 // servePart safe to read outside the lock. The happy path promotes into
-// the device pool and pins the module, making it immune to eviction
-// until release. When the pool cannot hold the serve's whole working
+// the device tier and pins the module, making it immune to eviction
+// until release. When the device cannot hold the serve's whole working
 // set at once — the remaining eviction victims are all pinned, typically
 // by this very serve — it degrades to a read-through: demoted states are
 // snapshotted straight from the host tier without claiming device
-// residency, so a working set larger than the pool still serves. A
+// residency, so a working set larger than the device still serves. A
 // disk-resident module returns a pending part for the serve to resolve
 // off the lock; a dropped one is unavailable's.
 func (s *tierStore) acquire(key string) (servePart, error) {
@@ -372,7 +418,7 @@ func (s *tierStore) acquire(key string) (servePart, error) {
 		// re-locks briefly to install it.
 		return servePart{key: key, pending: em}, nil
 	}
-	s.policy.Touch(key, em.size())
+	s.device.touch(key)
 	s.stats.ModulesReused++
 	return s.pin(key, em), nil
 }
@@ -428,7 +474,7 @@ type produced struct {
 // module unavailable (a pending part for a re-encode, or a mined miss).
 // Otherwise the states install pinned and resident — a blob stays as the
 // states' durable form, so a later eviction re-spills for free — or
-// serve as a read-through, without residency, when the pool cannot hold
+// serve as a read-through, without residency, when the device cannot hold
 // the working set or the module was removed (schema replaced) meanwhile,
 // since the serve still needs the states it planned with.
 func (s *tierStore) install(p servePart, r produced) (servePart, error) {

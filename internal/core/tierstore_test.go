@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/kvcache"
-	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/pml"
 	"repro/internal/tokenizer"
@@ -172,12 +171,12 @@ var errTSEncode = errors.New("checker: injected encode failure")
 func (w *tsWorld) opts() []Option {
 	unit := int64(2 * tsRowBytes)
 	opts := []Option{
-		WithPool(memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: int64(w.cfg.device) * unit})),
+		WithDeviceCapacity(int64(w.cfg.device) * unit),
 		WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 2}),
 		WithFaultInjection(w.inj),
 	}
 	if w.cfg.host > 0 {
-		opts = append(opts, WithHostPool(memory.NewPool(memory.Device{Name: "dram", Kind: memory.DRAM, Capacity: int64(w.cfg.host) * unit})))
+		opts = append(opts, WithHostTier(int64(w.cfg.host)*unit))
 	}
 	if w.cfg.disk {
 		opts = append(opts, WithDiskTier(filepath.Join(w.dir, "disk"), CodecFP32))
@@ -512,12 +511,12 @@ func (w *tsWorld) check(evicted, demoted int, entered bool) {
 		}
 	}
 	var device, host, disk int64
-	mined := 0
+	mined, nResident, nDemoted := 0, 0, 0
 	for key, em := range s.modules {
 		if em.key() != key {
 			w.fail("%s indexed under %s", em.key(), key)
 		}
-		onDevice, onHost := s.device.Has(key), s.host != nil && s.host.Has(key)
+		onDevice, onHost := s.device.members[key] != nil, s.host != nil && s.host.members[key] != nil
 		entry, indexed := diskEntry{}, false
 		if s.disk != nil {
 			entry, indexed = s.disk.index[key]
@@ -527,9 +526,11 @@ func (w *tsWorld) check(evicted, demoted int, entered bool) {
 		case stateResident:
 			ok = onDevice && !onHost && em.KV != nil
 			device += em.size()
+			nResident++
 		case stateDemoted:
 			ok = onHost && !onDevice && em.KV != nil
 			host += em.size()
+			nDemoted++
 		case stateDisk:
 			ok = indexed && !onDevice && !onHost && em.KV == nil && entry.tokens == em.rows()
 		case stateDropped:
@@ -551,11 +552,13 @@ func (w *tsWorld) check(evicted, demoted int, entered bool) {
 			w.fail("removed %s holds %d pins, open serves %d", em.key(), em.pins, n)
 		}
 	}
-	if s.device.Used() != device {
-		w.fail("device holds %d bytes for %d resident", s.device.Used(), device)
+	if s.device.used != device || len(s.device.members) != nResident || !s.device.fits(0) {
+		w.fail("device ledger holds %d members, %d of %d bytes, for %d resident of %d bytes",
+			len(s.device.members), s.device.used, s.device.capacity, nResident, device)
 	}
-	if s.host != nil && s.host.Used() != host {
-		w.fail("host holds %d bytes for %d demoted", s.host.Used(), host)
+	if s.host != nil && (s.host.used != host || len(s.host.members) != nDemoted || !s.host.fits(0)) {
+		w.fail("host ledger holds %d members, %d of %d bytes, for %d demoted of %d bytes",
+			len(s.host.members), s.host.used, s.host.capacity, nDemoted, host)
 	}
 	if s.disk != nil {
 		for key, entry := range s.disk.index {
@@ -564,12 +567,9 @@ func (w *tsWorld) check(evicted, demoted int, entered bool) {
 			}
 			disk += entry.bytes
 		}
-		if s.disk.pool.Used() != disk {
-			w.fail("disk pool holds %d bytes, index %d", s.disk.pool.Used(), disk)
+		if s.disk.bytes != disk {
+			w.fail("disk tier holds %d bytes, index %d", s.disk.bytes, disk)
 		}
-	}
-	if c.stats.TierAccountErrors != 0 {
-		w.fail("tier_account_errors = %d", c.stats.TierAccountErrors)
 	}
 	if promoted := c.miner.Stats().Promoted; promoted != mined {
 		w.fail("observer promotes %d mined modules, store holds %d", promoted, mined)
@@ -580,8 +580,60 @@ func (w *tsWorld) check(evicted, demoted int, entered bool) {
 	if evicted > 0 && !entered {
 		w.fail("%d evictions placed nothing", evicted)
 	}
-	if s.host != nil && s.host.Capacity() >= 2*2*tsRowBytes && demoted != evicted {
+	if s.host != nil && s.host.capacity >= 2*2*tsRowBytes && demoted != evicted {
 		w.fail("%d evictions, %d demotions into a host wide enough for every module", evicted, demoted)
+	}
+}
+
+// TestLedgerAddRemove: a ledger's bytes are its members' sizes.
+func TestLedgerAddRemove(t *testing.T) {
+	l := newLedger(100)
+	l.add("a", 60)
+	l.add("b", 30)
+	l.remove("b")
+	l.remove("b") // not a member: no change
+	if l.used != 60 || l.members["b"] != nil || l.members["a"] == nil || len(l.members) != 1 {
+		t.Fatalf("after removing b: used %d, members %d", l.used, len(l.members))
+	}
+}
+
+// TestLedgerFits: a ledger fits what its capacity leaves room for.
+func TestLedgerFits(t *testing.T) {
+	l := newLedger(100)
+	l.add("a", 60)
+	if !l.fits(40) || l.fits(41) {
+		t.Fatalf("60 of 100 bytes used: fits(40) %v, fits(41) %v", l.fits(40), l.fits(41))
+	}
+}
+
+// TestLedgerUncapped: a ledger of capacity 0 fits anything.
+func TestLedgerUncapped(t *testing.T) {
+	l := newLedger(0)
+	l.add("big", 1<<50)
+	if !l.fits(1 << 61) {
+		t.Fatal("an uncapped ledger refused bytes")
+	}
+}
+
+// TestLedgerOldestSkips: a ledger ranks its members least recently added
+// or touched first, skipping what the caller refuses without reordering.
+func TestLedgerOldestSkips(t *testing.T) {
+	l := newLedger(0)
+	l.add("a", 1)
+	l.add("b", 2)
+	l.add("c", 3)
+	l.touch("a")
+	if key, _ := l.oldest(nil); key != "b" {
+		t.Fatalf("oldest after touching a = %q, want b", key)
+	}
+	if key, _ := l.oldest(func(k string) bool { return k == "b" }); key != "c" {
+		t.Fatalf("oldest but b = %q, want c", key)
+	}
+	if _, ok := l.oldest(func(string) bool { return true }); ok {
+		t.Fatal("every member skipped, yet a victim came back")
+	}
+	if key, _ := l.oldest(nil); key != "b" {
+		t.Fatalf("oldest after the skips = %q, want b", key)
 	}
 }
 

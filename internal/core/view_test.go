@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/kvcache"
-	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/pml"
 	"repro/internal/tensor"
@@ -293,8 +292,7 @@ func TestConcurrentSeqReadersUnderEviction(t *testing.T) {
 	// Room for roughly three 40-token modules: the pinned reader schema
 	// plus two churn schemas, so churn registrations always evict.
 	modBytes := 40 * m.Cfg.BytesPerCachedToken(4)
-	pool := memory.NewPool(memory.Device{Name: "hbm", Kind: memory.HBM, Capacity: 3*modBytes + modBytes/2})
-	c := NewCache(m, WithPool(pool))
+	c := NewCache(m, WithDeviceCapacity(3*modBytes+modBytes/2))
 
 	mustRegister(t, c, mkSchema("ra", "harbor"))
 	churnSchemas := []string{mkSchema("rb", "castle"), mkSchema("rc", "garden"), mkSchema("rd", "bridge")}

@@ -2,9 +2,9 @@
 // storage, the §6 future-work direction ("GPU cache replacement
 // strategies optimized to achieve the latency lower bound made possible
 // by Prompt Cache"). Policies rank resident modules for eviction when a
-// capacity-limited tier (GPU HBM) fills; internal/core plugs them in via
-// WithEvictionPolicy, and internal/serving compares them under
-// trace-driven workloads.
+// capacity-limited tier (GPU HBM) fills. internal/serving compares them
+// under trace-driven workloads (and pctrace through it); the engine
+// itself evicts by LRU alone, in internal/core's device ledger.
 package evict
 
 import (
@@ -13,7 +13,7 @@ import (
 )
 
 // Policy ranks cached entries for eviction. Implementations are not
-// thread-safe; callers serialize access (core holds its own lock).
+// thread-safe; callers serialize access.
 type Policy interface {
 	// Touch records an access to key (inserting it if new) with its
 	// storage size. Re-touching an existing key updates the stored size
@@ -23,13 +23,6 @@ type Policy interface {
 	// Victim proposes the entry to evict next, without removing it.
 	// ok is false when the policy tracks nothing.
 	Victim() (key string, ok bool)
-	// VictimExcluding proposes the best victim for which excluded
-	// returns false, without removing it and without disturbing the
-	// ranking of skipped entries. Serving pins in-use modules and
-	// passes the pin check here so eviction never frees states a
-	// concurrent prefill is reading. A nil excluded behaves like
-	// Victim; ok is false when every tracked entry is excluded.
-	VictimExcluding(excluded func(key string) bool) (key string, ok bool)
 	// Remove forgets an entry (after eviction or explicit free).
 	Remove(key string)
 }
@@ -63,26 +56,17 @@ func (p *LRU) Touch(key string, size int64) {
 	p.idx[key] = p.ll.PushFront(&lruEntry{key: key, size: size})
 }
 
-// victimFromList walks a back-to-front ranked list (back = next victim)
-// and returns the first key not excluded — the shared exclusion walk of
-// the list-backed policies (LRU, FIFO).
-func victimFromList(ll *list.List, excluded func(string) bool) (string, bool) {
-	for el := ll.Back(); el != nil; el = el.Prev() {
-		key := el.Value.(*lruEntry).key
-		if excluded == nil || !excluded(key) {
-			return key, true
-		}
+// victimFromList returns the back of a back-to-front ranked list (back
+// = next victim) — the victim of the list-backed policies (LRU, FIFO).
+func victimFromList(ll *list.List) (string, bool) {
+	if el := ll.Back(); el != nil {
+		return el.Value.(*lruEntry).key, true
 	}
 	return "", false
 }
 
-// Victim implements Policy.
-func (p *LRU) Victim() (string, bool) { return p.VictimExcluding(nil) }
-
-// VictimExcluding implements Policy: least recent entry not excluded.
-func (p *LRU) VictimExcluding(excluded func(string) bool) (string, bool) {
-	return victimFromList(p.ll, excluded)
-}
+// Victim implements Policy: the least recent entry.
+func (p *LRU) Victim() (string, bool) { return victimFromList(p.ll) }
 
 // Remove implements Policy.
 func (p *LRU) Remove(key string) {
@@ -116,13 +100,8 @@ func (p *FIFO) Touch(key string, size int64) {
 	p.idx[key] = p.ll.PushFront(&lruEntry{key: key, size: size})
 }
 
-// Victim implements Policy.
-func (p *FIFO) Victim() (string, bool) { return p.VictimExcluding(nil) }
-
-// VictimExcluding implements Policy: oldest insertion not excluded.
-func (p *FIFO) VictimExcluding(excluded func(string) bool) (string, bool) {
-	return victimFromList(p.ll, excluded)
-}
+// Victim implements Policy: the oldest insertion.
+func (p *FIFO) Victim() (string, bool) { return victimFromList(p.ll) }
 
 // Remove implements Policy.
 func (p *FIFO) Remove(key string) {
@@ -162,16 +141,10 @@ func (p *LFU) Touch(key string, size int64) {
 	p.entries[key] = &lfuEntry{key: key, size: size, count: 1, seq: p.clock}
 }
 
-// Victim implements Policy.
-func (p *LFU) Victim() (string, bool) { return p.VictimExcluding(nil) }
-
-// VictimExcluding implements Policy: least frequent entry not excluded.
-func (p *LFU) VictimExcluding(excluded func(string) bool) (string, bool) {
+// Victim implements Policy: the least frequent entry.
+func (p *LFU) Victim() (string, bool) {
 	var best *lfuEntry
 	for _, e := range p.entries {
-		if excluded != nil && excluded(e.key) {
-			continue
-		}
 		if best == nil || e.count < best.count || (e.count == best.count && e.seq < best.seq) {
 			best = e
 		}
@@ -225,16 +198,10 @@ func (p *GDSF) Touch(key string, size int64) {
 	e.priority = p.l + float64(e.count)/float64(e.size)
 }
 
-// Victim implements Policy.
-func (p *GDSF) Victim() (string, bool) { return p.VictimExcluding(nil) }
-
-// VictimExcluding implements Policy: lowest priority entry not excluded.
-func (p *GDSF) VictimExcluding(excluded func(string) bool) (string, bool) {
+// Victim implements Policy: the lowest-priority entry.
+func (p *GDSF) Victim() (string, bool) {
 	var best *gdsfEntry
 	for _, e := range p.entries {
-		if excluded != nil && excluded(e.key) {
-			continue
-		}
 		if best == nil || e.priority < best.priority ||
 			(e.priority == best.priority && e.seq < best.seq) {
 			best = e

@@ -218,49 +218,3 @@ func TestFIFOReTouchUpdatesSize(t *testing.T) {
 		t.Fatalf("stored size = %d, want 99 after re-touch", got)
 	}
 }
-
-// TestVictimExcluding: every policy must skip excluded (pinned) entries
-// without disturbing its ranking, and report no victim when everything
-// is excluded.
-func TestVictimExcluding(t *testing.T) {
-	for _, name := range Names() {
-		p, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Touch("a", 1)
-		p.Touch("b", 2)
-		p.Touch("c", 3)
-
-		pinned := map[string]bool{}
-		excluded := func(k string) bool { return pinned[k] }
-		first, ok := p.Victim()
-		if !ok {
-			t.Fatalf("%s: no victim", name)
-		}
-		var order []string
-		for len(pinned) < 3 {
-			v, ok := p.VictimExcluding(excluded)
-			if !ok {
-				t.Fatalf("%s: no victim with %d/3 pinned", name, len(pinned))
-			}
-			if pinned[v] {
-				t.Fatalf("%s: proposed pinned victim %q", name, v)
-			}
-			order = append(order, v)
-			pinned[v] = true
-		}
-		if order[0] != first {
-			t.Fatalf("%s: VictimExcluding(nil-equivalent) = %q, Victim = %q", name, order[0], first)
-		}
-		if _, ok := p.VictimExcluding(excluded); ok {
-			t.Fatalf("%s: victim proposed with everything pinned", name)
-		}
-		// Skipping must not reorder: with pins lifted, the original
-		// victim stands.
-		clear(pinned)
-		if v, _ := p.Victim(); v != first {
-			t.Fatalf("%s: ranking disturbed by exclusion scans (%q -> %q)", name, first, v)
-		}
-	}
-}

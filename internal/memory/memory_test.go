@@ -1,108 +1,10 @@
 package memory
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"time"
 )
-
-func TestPoolAllocFree(t *testing.T) {
-	p := NewPool(Device{Name: "gpu", Kind: HBM, Capacity: 100})
-	if err := p.Alloc("a", 60); err != nil {
-		t.Fatal(err)
-	}
-	if p.Used() != 60 {
-		t.Fatalf("used=%d", p.Used())
-	}
-	if !p.Has("a") || p.Has("b") {
-		t.Fatal("Has broken")
-	}
-	if err := p.Free("a"); err != nil {
-		t.Fatal(err)
-	}
-	if p.Used() != 0 {
-		t.Fatalf("used=%d after free", p.Used())
-	}
-}
-
-func TestPoolOOM(t *testing.T) {
-	p := NewPool(Device{Name: "gpu", Kind: HBM, Capacity: 100})
-	if err := p.Alloc("a", 80); err != nil {
-		t.Fatal(err)
-	}
-	err := p.Alloc("b", 30)
-	if !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("want ErrOutOfMemory, got %v", err)
-	}
-	// Failed alloc must not consume capacity.
-	if p.Used() != 80 {
-		t.Fatalf("used=%d", p.Used())
-	}
-}
-
-func TestPoolUnlimitedCapacity(t *testing.T) {
-	p := NewPool(Device{Name: "host", Kind: DRAM, Capacity: 0})
-	if err := p.Alloc("big", 1<<50); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Alloc("bigger", 1<<61); err != nil {
-		t.Fatalf("an unlimited pool refused an allocation: %v", err)
-	}
-}
-
-func TestPoolDuplicateKey(t *testing.T) {
-	p := NewPool(Device{Capacity: 100})
-	if err := p.Alloc("a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Alloc("a", 1); err == nil {
-		t.Fatal("duplicate key should fail")
-	}
-}
-
-func TestPoolFreeUnknown(t *testing.T) {
-	p := NewPool(Device{Capacity: 100})
-	if err := p.Free("ghost"); err == nil {
-		t.Fatal("free of unknown key should fail")
-	}
-}
-
-func TestPoolNegativeAlloc(t *testing.T) {
-	p := NewPool(Device{Capacity: 100})
-	if err := p.Alloc("a", -5); err == nil {
-		t.Fatal("negative alloc should fail")
-	}
-}
-
-func TestPoolConcurrent(t *testing.T) {
-	p := NewPool(Device{Capacity: 1 << 40})
-	done := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		go func(w int) {
-			for i := 0; i < 200; i++ {
-				key := string(rune('a'+w)) + string(rune(i))
-				if err := p.Alloc(key, 10); err != nil {
-					done <- err
-					return
-				}
-				if err := p.Free(key); err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
-		}(w)
-	}
-	for w := 0; w < 8; w++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.Used() != 0 {
-		t.Fatalf("used=%d after balanced ops", p.Used())
-	}
-}
 
 // TestPaperCopyAnchors pins the transfer model to §5.4's measured values:
 // one layer-slice of 5K tokens of Llama2-7B attention states (78.1 MiB)
@@ -156,31 +58,10 @@ func TestScaledLink(t *testing.T) {
 	}
 }
 
-func TestKindString(t *testing.T) {
-	if HBM.String() != "HBM" || DRAM.String() != "DRAM" {
-		t.Fatal("Kind strings")
-	}
-}
-
 func TestLatencyDominatesSmallCopies(t *testing.T) {
 	l := DeviceToDevice()
 	small := l.TransferTime(64)
 	if small < l.Latency || small > l.Latency+time.Millisecond {
 		t.Fatalf("small copy = %v", small)
-	}
-}
-
-// TestDiskKind: the disk tier's device kind prints and pools like any
-// other.
-func TestDiskKind(t *testing.T) {
-	if Disk.String() != "Disk" {
-		t.Fatalf("Disk kind prints %q", Disk.String())
-	}
-	p := NewPool(Device{Name: "nvme", Kind: Disk})
-	if err := p.Alloc("m", 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	if p.Used() != 1<<20 {
-		t.Fatalf("used = %d", p.Used())
 	}
 }

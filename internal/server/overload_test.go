@@ -67,6 +67,17 @@ func checkGoroutines(t *testing.T, baseline int) {
 func TestOverloadStormShedsWith429(t *testing.T) {
 	const slots, queue = 2, 2
 	s := newAdmitServer(t, slots, queue, 0)
+	// The holders in the slots park in their prefill until the storm is
+	// over, so the server stays saturated through it however fast they
+	// would otherwise decode.
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	s.client.Engine().Model().PrefillProbe = func(delta int) {
+		if delta > 0 {
+			<-gate
+		}
+	}
 	baseline := runtime.NumGoroutine()
 	prompt := `<prompt schema="docs"><contract/>Summarize the duties please.</prompt>`
 
@@ -86,9 +97,6 @@ func TestOverloadStormShedsWith429(t *testing.T) {
 		holders.Add(1)
 		go func(i int) {
 			defer holders.Done()
-			// Long enough that the in-process shed storm (microseconds per
-			// rejection) lands while these still decode; short enough to
-			// keep the race-detector run fast.
 			holderCodes[i], _ = post(400)
 		}(i)
 	}
@@ -105,8 +113,7 @@ func TestOverloadStormShedsWith429(t *testing.T) {
 	}
 
 	// The storm: 8× capacity while the system is full. Sheds are
-	// immediate (no queue slot to wait in), so they all land while the
-	// holders are still decoding.
+	// immediate (no queue slot to wait in).
 	const storm = (slots + queue) * 8
 	type result struct {
 		code       int
@@ -123,6 +130,7 @@ func TestOverloadStormShedsWith429(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	release()
 	for i, r := range results {
 		if r.code != http.StatusTooManyRequests {
 			t.Fatalf("storm request %d: status %d, want 429 from a saturated server", i, r.code)

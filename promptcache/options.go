@@ -2,8 +2,6 @@ package promptcache
 
 import (
 	"repro/internal/core"
-	"repro/internal/evict"
-	"repro/internal/memory"
 	"repro/internal/tensor"
 )
 
@@ -41,41 +39,16 @@ func ParseCodec(s string) (Codec, error) { return core.ParseCodec(s) }
 // snapshots.
 func WithDiskTier(dir string, codec Codec) Option { return core.WithDiskTier(dir, codec) }
 
-// WithDeviceCapacity caps the primary (GPU-modelled) module pool at
-// capacity bytes, enabling eviction when schemas outgrow it.
-func WithDeviceCapacity(capacity int64) Option {
-	return core.WithPool(memory.NewPool(memory.Device{Name: "device", Kind: memory.HBM, Capacity: capacity}))
-}
+// WithDeviceCapacity caps the primary (GPU-modelled) module tier at
+// capacity bytes, 0 for uncapped; states that outgrow it evict the least
+// recently used module.
+func WithDeviceCapacity(capacity int64) Option { return core.WithDeviceCapacity(capacity) }
 
 // WithHostTier enables two-tier storage (§4.1): modules evicted from the
-// primary pool demote into a host pool with their states intact and
+// primary tier demote into a host tier with their states intact and
 // promote back on reuse without re-encoding. capacity 0 models unbounded
 // host DRAM.
-func WithHostTier(capacity int64) Option {
-	return core.WithHostPool(memory.NewPool(memory.Device{Name: "host", Kind: memory.DRAM, Capacity: capacity}))
-}
-
-// WithEvictionPolicy selects the cache-replacement policy by name:
-// "lru", "fifo", "lfu" or "gdsf".
-func WithEvictionPolicy(name string) (Option, error) {
-	p, err := evict.New(name)
-	if err != nil {
-		return nil, err
-	}
-	return core.WithEvictionPolicy(p), nil
-}
-
-// MustEvictionPolicy is WithEvictionPolicy for compile-time-constant
-// names: it panics on an unknown name instead of returning an error, so
-// option lists stay literal. Use the (Option, error) form for names that
-// arrive at runtime (flags, config files).
-func MustEvictionPolicy(name string) Option {
-	opt, err := WithEvictionPolicy(name)
-	if err != nil {
-		panic(err)
-	}
-	return opt
-}
+func WithHostTier(capacity int64) Option { return core.WithHostTier(capacity) }
 
 // WithBackend selects the tensor kernel backend by name: "scalar" (one
 // worker, the single-threaded reference), or "parallel", "auto" or ""

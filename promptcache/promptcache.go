@@ -59,11 +59,12 @@
 // # Options convention
 //
 // Option constructors that cannot fail return Option directly
-// (WithDecodeScheduler, WithSpeculation, ...). Constructors that
-// validate a name return (Option, error) — WithBackend,
-// WithEvictionPolicy — for runtime-supplied names (flags, config files);
-// their Must* variants (MustBackend, MustEvictionPolicy) panic on a bad
-// name and exist for compile-time-constant names in tests and examples.
+// (WithDecodeScheduler, WithSpeculation, WithDeviceCapacity, ...). A
+// constructor that validates a name returns (Option, error) — WithBackend
+// — for runtime-supplied names (flags, config files); its Must* variant
+// (MustBackend) panics on a bad name and exists for compile-time-constant
+// names in tests and examples. Capacities are plain byte counts, 0 for
+// uncapped, and the device tier evicts the least recently used module.
 //
 // WithBackend selects the tensor kernel backend's worker count by name
 // ("scalar" for one worker; "parallel" or "auto", the default, for one
@@ -110,9 +111,8 @@ type Client struct {
 	cache *core.Cache
 }
 
-// New builds a Client around a model. Options (memory pools, eviction
-// policy, disk tier and its codec, chat template) pass through to the
-// engine.
+// New builds a Client around a model. Options (tier capacities, disk
+// tier and its codec, chat template) pass through to the engine.
 func New(m *model.Model, opts ...Option) *Client {
 	return &Client{cache: core.NewCache(m, opts...)}
 }

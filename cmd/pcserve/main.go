@@ -217,7 +217,7 @@ func main() {
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			log.Printf("pcserve: drain timed out after 10s; snapshotting with requests still in flight")
+			log.Printf("pcserve: drain timed out after 10s; snapshotting while requests finish (the snapshot is the registry at its cut)")
 		} else {
 			log.Printf("pcserve: shutdown: %v", err)
 		}

@@ -105,10 +105,12 @@
 // back disk-resident and promote lazily, so a restarted server's first
 // cached request is a cache hit. Scaffolds are modules throughout: they
 // evict, demote, spill (always fp32, for exactness) and reload like any
-// other. `pcserve -cache-dir` wires the loop end to end (SIGTERM
-// snapshots, next boot warm-restores). Snapshots validate model shape,
-// module rosters and token counts before restoring, and corrupt blobs
-// degrade to a transparent re-encode, never a crash.
+// other. SaveAll locks the engine only to cut the registry and writes
+// off the lock, so serving and registration continue; the snapshot is
+// the registry at the cut. `pcserve -cache-dir` wires the loop end to
+// end (SIGTERM snapshots, next boot warm-restores). Snapshots validate
+// model shape, module rosters and token counts before restoring, and
+// corrupt blobs degrade to a transparent re-encode, never a crash.
 //
 // # Automatic module mining
 //

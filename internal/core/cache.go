@@ -7,8 +7,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -156,9 +156,9 @@ func newSchemaEntry(schema *pml.Schema, layout *pml.Layout, src string) (*schema
 // the serve's result closes (views read module memory in place). The
 // Cache produces every state the store lacks outside the lock:
 // RegisterSchema encodes a schema's modules concurrently and installs
-// them under one short hold, and a serve that needs a disk-resident or
+// them under one short hold, a serve that needs a disk-resident or
 // dropped module reads its blob or re-encodes it off the lock
-// (resolvePart). Only SaveAll's stop-the-world snapshot encodes under mu.
+// (resolvePart), and SaveAll writes off the lock after a short cut.
 type Cache struct {
 	m    *model.Model
 	tok  *tokenizer.Tokenizer
@@ -305,12 +305,7 @@ func (c *Cache) Tokenizer() *tokenizer.Tokenizer { return c.tok }
 func (c *Cache) SchemaNames() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.schemas))
-	for name := range c.schemas {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(c.schemas))
 }
 
 // RegisterSchema parses a PML schema, compiles its position layout, and

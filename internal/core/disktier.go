@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -70,11 +71,6 @@ type diskTier struct {
 	index map[string]diskEntry
 	// bytes is the index's blob bytes, the disk tier's gauge.
 	bytes int64
-	// keepBlobs suppresses blob-file deletion while an OpenDir restore
-	// is cleaning up after a failure: the files are the persisted
-	// snapshot, and a cache that failed to adopt them must not destroy
-	// them. Guarded by Cache.mu.
-	keepBlobs bool
 	// inject, when non-nil, is consulted before every blob read and
 	// write (WithFaultInjection); nil costs one pointer check.
 	inject *faultinject.Injector
@@ -275,87 +271,121 @@ func HasSnapshot(dir string) bool {
 	return err == nil
 }
 
-// SaveAll persists every registered schema — layout source plus all
-// module states, scaffolds and mined modules included — into dir as a
-// warm-restart snapshot. Declared module blobs are written with the disk
-// tier's codec when one is configured (CodecFP32 otherwise); scaffold and
-// mined states are always fp32, as in memory (they exist for
-// exactness). Modules already spilled into the same dir reuse their
-// blobs. The tokenizer's learned vocabulary is saved alongside, so
-// prompts tokenize identically after OpenDir.
+// SaveAll persists every registered schema — its source and the states
+// of all its modules, scaffolds and mined modules — into dir as a
+// warm-restart snapshot, with the tokenizer's learned vocabulary.
+// Declared module blobs take the disk tier's codec (CodecFP32 without
+// one), the rest fp32; modules spilled into dir reuse their blobs.
+// Cache.mu is held only to cut the registry (cutLocked) and to count what
+// the write did: the write runs off the lock (writeSnapshot), so serving
+// and registration continue, and the snapshot is the registry at the cut.
 func (c *Cache) SaveAll(dir string) error {
-	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
+	c.mu.Lock()
+	cut, err := c.cutLocked(dir)
+	c.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	codec := CodecFP32
-	if c.store.disk != nil {
-		codec = c.store.disk.codec
+	err = c.writeSnapshot(cut)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, em := range cut.encoded {
+		c.store.countEncode(em)
 	}
-	tier := c.store.disk
+	c.stats.DiskRetries += cut.retries
+	c.stats.MinedSnapshotSkipped += cut.skipped
+	return err
+}
+
+// snapshotCut is the registry as a SaveAll cut saw it — each schema's
+// name, source and modules in manifest order, each module with the blob
+// its target directory indexes, else its states in memory, else neither
+// (immutable, so valid off the lock) — plus what the write counts.
+type snapshotCut struct {
+	tier             *diskTier // writes the blobs
+	schemas          []manifestSchema
+	modules          [][]cutModule // per schema
+	encoded          []*EncodedModule
+	retries, skipped int
+}
+
+type cutModule struct {
+	em   *EncodedModule
+	blob diskEntry // hash "" for none
+	kv   *kvcache.Cache
+}
+
+// cutLocked records every schema for a snapshot into dir, in name order,
+// with its modules: declared, then scaffolds, then mined by name.
+func (c *Cache) cutLocked(dir string) (*snapshotCut, error) {
+	tier, codec := c.store.disk, CodecFP32
+	if tier != nil {
+		codec = tier.codec
+	}
 	if tier == nil || tier.dir != dir {
 		tier = newDiskTier(dir, codec) // blob writer only; index unused
 	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	man := diskManifest{
-		Version: manifestVersion,
-		Codec:   codec.String(),
-		NLayers: c.m.Cfg.NLayers,
-		KVDim:   c.m.Cfg.KVDim(),
-	}
-	names := make([]string, 0, len(c.schemas))
-	for name := range c.schemas {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		e := c.schemas[name]
-		ms := manifestSchema{Name: name, PML: e.src}
-		// Declared modules fill the manifest's module list and scaffolds
-		// its scaffold list, under their PML names.
-		for i, mod := range e.order {
-			em := c.store.modules[name+"/"+mod]
-			if em == nil {
-				return fmt.Errorf("%w: schema %q missing module %q", ErrBadSnapshot, name, mod)
-			}
-			entry, err := c.snapshotStatesLocked(tier, codec, em)
-			if err != nil {
-				return err
-			}
-			if i < len(e.layout.Order) {
-				ms.Modules = append(ms.Modules, manifestEntry(mod, entry))
-			} else {
-				ms.Scaffolds = append(ms.Scaffolds, manifestEntry(strings.TrimPrefix(mod, scaffoldPrefix), entry))
-			}
-		}
-		// Mined modules persist with their prefix; one that cannot be
-		// snapshotted is skipped with a counted stat rather than failing
-		// the snapshot — it will simply re-mine after the restart.
+	cut := &snapshotCut{tier: tier}
+	for _, name := range slices.Sorted(maps.Keys(c.schemas)) {
 		var mined []string
-		for key, em := range c.store.modules {
+		for _, em := range c.store.modules {
 			if em.Schema == name && em.Mined != nil {
-				mined = append(mined, key)
+				mined = append(mined, em.Name)
 			}
 		}
 		sort.Strings(mined)
-		for _, key := range mined {
-			em := c.store.modules[key]
-			entry, err := c.snapshotStatesLocked(tier, codec, em)
-			if err != nil {
-				c.stats.MinedSnapshotSkipped++
-				continue
+		var mods []cutModule
+		for _, mod := range append(slices.Clip(c.schemas[name].order), mined...) {
+			em := c.store.modules[name+"/"+mod]
+			if em == nil {
+				return nil, fmt.Errorf("%w: schema %q missing module %q", ErrBadSnapshot, name, mod)
 			}
-			ms.Mined = append(ms.Mined, manifestMined{
-				manifestModule: manifestEntry(em.Name, entry),
-				Class:          em.Mined.Class,
-				Toks:           em.Toks,
-				Pos:            em.Pos,
-			})
+			m := cutModule{em: em, kv: em.KV}
+			if entry, ok := tier.index[em.key()]; ok {
+				m.blob, m.kv = entry, nil
+			}
+			mods = append(mods, m)
+		}
+		cut.schemas = append(cut.schemas, manifestSchema{Name: name, PML: c.schemas[name].src})
+		cut.modules = append(cut.modules, mods)
+	}
+	return cut, nil
+}
+
+// writeSnapshot writes a cut's blobs, vocabulary and manifest, off the
+// lock. A mined module whose blob cannot be had is skipped (counted)
+// rather than failing the snapshot: it re-mines after the restart.
+func (c *Cache) writeSnapshot(cut *snapshotCut) error {
+	dir := cut.tier.dir
+	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
+		return err
+	}
+	man := diskManifest{
+		Version: manifestVersion,
+		Codec:   cut.tier.codec.String(),
+		NLayers: c.m.Cfg.NLayers,
+		KVDim:   c.m.Cfg.KVDim(),
+	}
+	for i, ms := range cut.schemas {
+		for _, m := range cut.modules[i] {
+			em := m.em
+			entry, err := c.snapshotBlob(cut, m)
+			switch {
+			case em.Mined != nil && err != nil:
+				cut.skipped++
+			case err != nil:
+				return fmt.Errorf("core: snapshot %s: %w", em.key(), err)
+			case em.Layout != nil:
+				ms.Modules = append(ms.Modules, manifestEntry(em.Name, entry))
+			case em.Mined == nil:
+				ms.Scaffolds = append(ms.Scaffolds, manifestEntry(strings.TrimPrefix(em.Name, scaffoldPrefix), entry))
+			default:
+				ms.Mined = append(ms.Mined, manifestMined{manifestModule: manifestEntry(em.Name, entry),
+					Class: em.Mined.Class, Toks: em.Toks, Pos: em.Pos})
+			}
 		}
 		man.Schemas = append(man.Schemas, ms)
 	}
-
 	var vocab bytes.Buffer
 	if err := c.tok.SaveVocab(&vocab); err != nil {
 		return err
@@ -370,6 +400,31 @@ func (c *Cache) SaveAll(dir string) error {
 	return writeFileAtomic(manifestPath(dir), data)
 }
 
+// snapshotBlob writes a cut module's blob, unless the cut found one. A
+// module the cut found no states for is produced as a serve produces a
+// pending part: its blob is read (readPart), and re-encoded when that
+// fails — but a mined module cannot re-encode.
+func (c *Cache) snapshotBlob(cut *snapshotCut, m cutModule) (diskEntry, error) {
+	if m.blob.hash != "" {
+		return m.blob, nil
+	}
+	if m.kv == nil {
+		r := c.readPart(servePart{key: m.em.key(), pending: m.em})
+		cut.retries += r.retries
+		if m.kv = r.kv; r.err != nil {
+			if m.em.Mined != nil {
+				return diskEntry{}, r.err
+			}
+			var err error
+			if m.kv, err = c.encodeStates(m.em); err != nil {
+				return diskEntry{}, err
+			}
+			cut.encoded = append(cut.encoded, m.em)
+		}
+	}
+	return cut.tier.writeBlob(m.kv, m.em.spillCodec(cut.tier.codec))
+}
+
 func manifestEntry(name string, entry diskEntry) manifestModule {
 	return manifestModule{
 		Name:   name,
@@ -380,67 +435,22 @@ func manifestEntry(name string, entry diskEntry) manifestModule {
 	}
 }
 
-// snapshotStatesLocked writes one module's states into tier's blob
-// store, with the module's spill codec, without changing its residency:
-// resident and demoted modules snapshot in place, disk modules reuse
-// their blob when tier is the cache's own store and read it back
-// otherwise, and dropped modules re-encode transiently — except a mined
-// one, which cannot re-encode and so has no states to snapshot.
-func (c *Cache) snapshotStatesLocked(tier *diskTier, codec Codec, em *EncodedModule) (diskEntry, error) {
-	key := em.key()
-	var kv *kvcache.Cache
-	var err error
-	switch em.state {
-	case stateResident, stateDemoted:
-		kv = em.KV
-	case stateDisk:
-		entry := c.store.disk.index[key]
-		if tier == c.store.disk {
-			return entry, nil
-		}
-		//pclint:ignore lockscope snapshot path (SaveAll of a disk-resident module): blob reads under the lock are the documented one-time cost; serves use the off-lock resolvePart
-		if kv, err = c.store.disk.readBlob(entry); err == nil {
-			err = c.checkBlob(key, kv, em.rows())
-		}
-	default: // stateDropped
-		if em.Mined != nil {
-			return diskEntry{}, fmt.Errorf("%w: mined module %s has no states to snapshot", ErrBadSnapshot, key)
-		}
-		//pclint:ignore lockscope SaveAll is a stop-the-world snapshot by design: a dropped module's states are re-encoded under the lock so the manifest is one consistent cut; it is the only encode under Cache.mu
-		if kv, err = c.encodeStates(em); err == nil {
-			c.store.countEncode(em)
-		}
-	}
-	if err != nil {
-		return diskEntry{}, fmt.Errorf("core: snapshot %s: %w", key, err)
-	}
-	//pclint:ignore lockscope SaveAll is a stop-the-world snapshot by design: the lock guarantees a consistent manifest while blobs stream out
-	entry, err := tier.writeBlob(kv, em.spillCodec(codec))
-	if err != nil {
-		return diskEntry{}, fmt.Errorf("core: snapshot %s: %w", key, err)
-	}
-	return entry, nil
-}
-
 func writeFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
-		return err
 	}
-	return nil
+	return err
 }
 
 // OpenDir constructs a Cache from a SaveAll snapshot: every schema in the
@@ -488,20 +498,17 @@ func OpenDir(m *model.Model, dir string, opts ...Option) (*Cache, error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// A failed restore must clean up its index without deleting blob
-	// files: they are the snapshot, not this cache's property yet.
-	c.store.disk.keepBlobs = true
 	for _, ms := range man.Schemas {
 		if err := c.restoreSchemaLocked(ms); err != nil {
 			return nil, fmt.Errorf("core: restoring schema %q: %w", ms.Name, err)
 		}
 	}
-	c.store.disk.keepBlobs = false
 	return c, nil
 }
 
 // restoreSchemaLocked registers one manifest schema with all modules
-// disk-resident.
+// disk-resident. A failure leaves its registrations for OpenDir to
+// discard with the cache: nothing a restore does deletes a blob.
 func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 	schema, err := pml.ParseSchema(ms.PML)
 	if err != nil {
@@ -515,10 +522,10 @@ func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 		return fmt.Errorf("%w: snapshot has %d modules and %d scaffolds, schema has %d and %d",
 			ErrBadSnapshot, len(ms.Modules), len(ms.Scaffolds), len(layout.Order), len(schema.Scaffolds))
 	}
-	entry, ems := newSchemaEntry(schema, layout, ms.PML)
 	if _, ok := c.schemas[schema.Name]; ok {
-		c.dropSchemaLocked(schema.Name, nil)
+		return fmt.Errorf("%w: schema %q listed twice", ErrBadSnapshot, schema.Name)
 	}
+	entry, ems := newSchemaEntry(schema, layout, ms.PML)
 	c.schemas[schema.Name] = entry
 	// The manifest lists declared modules, then scaffolds, in entry order.
 	listed := append(slices.Clip(ms.Modules), ms.Scaffolds...)
@@ -529,7 +536,6 @@ func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 			err = fmt.Errorf("%w: snapshot module %q, schema expects %q", ErrBadSnapshot, mm.Name, want)
 		}
 		if err != nil {
-			c.dropSchemaLocked(schema.Name, nil)
 			return err
 		}
 		c.store.restore(em, de)

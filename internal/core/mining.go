@@ -18,7 +18,7 @@ import (
 // promoted into *anonymous modules* — EncodedModules named "~mined/N",
 // registered in the tier store under the owning schema. They run through
 // the same tier state machine as declared modules and scaffolds
-// (tierStore, resolvePart, snapshotStatesLocked); the kinds
+// (tierStore, resolvePart, SaveAll's cut and write); the kinds
 // differ only in data on the EncodedModule — the stream, the spill
 // codec, and what unavailable states mean (a mined module cannot
 // re-encode, so it is removed and the serve misses). A later serve

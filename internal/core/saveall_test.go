@@ -1,0 +1,239 @@
+package core
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"os"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/faultinject"
+	"repro/internal/model"
+)
+
+// SaveAll cuts the registry under one short Cache.mu hold and writes the
+// snapshot off the lock, producing any states the cut found neither in
+// memory nor as a blob of the target directory the way a serve produces
+// a pending part: a blob read with retries, else a re-encode. These tests
+// pin the write's producers, the cut's moment, and that serving and
+// registration continue while a write is parked.
+
+// restoresAs opens the snapshot in dir and fails unless every module
+// prompt serves the probe's bits from it.
+func restoresAs(t *testing.T, probe *Cache, m *model.Model, dir string) {
+	t.Helper()
+	restored, err := OpenDir(m, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range allModulePrompts {
+		serveBoth(t, probe, restored, p)
+	}
+}
+
+// TestSaveAllRecoversFailedRead: a snapshot into another directory
+// reads the disk tier's blobs back as a serve does. One transient read
+// error is retried (one counted retry, no encode) and a corrupt blob is
+// re-encoded (never retried); neither fails the snapshot, which restores
+// the cold serve's bits.
+func TestSaveAllRecoversFailedRead(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		err              error
+		retries, encodes int
+	}{
+		{"transient", faultinject.ErrTransient, 1, 0},
+		{"corrupt", faultinject.ErrCorrupt, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := faultinject.New(11)
+			probe, faulty := spillingPair(t, 643, inj)
+			before := faulty.Stats()
+			inj.Set(FaultPointDiskRead, faultinject.Rule{Err: tc.err, Times: 1})
+			dir := t.TempDir()
+			if err := faulty.SaveAll(dir); err != nil {
+				t.Fatalf("one failed blob read failed the snapshot: %v", err)
+			}
+			st := faulty.Stats()
+			retries, encodes := st.DiskRetries-before.DiskRetries, st.ModulesEncoded-before.ModulesEncoded
+			if fired := inj.Fired(FaultPointDiskRead); fired != 1 || retries != tc.retries || encodes != tc.encodes {
+				t.Fatalf("fault fired %d times (want 1), %d retries (want %d), %d encodes (want %d)",
+					fired, retries, tc.retries, encodes, tc.encodes)
+			}
+			restoresAs(t, probe, faulty.Model(), dir)
+		})
+	}
+}
+
+// TestSaveAllReusesOwnBlobs: a snapshot into the disk tier's own
+// directory reuses the blob the tier indexes for a module, resident or
+// not, instead of encoding and hashing its states to find the same file.
+// After every module has been served back from disk, the snapshot
+// consults the blob writer not once.
+func TestSaveAllReusesOwnBlobs(t *testing.T) {
+	inj := faultinject.New(13)
+	probe, faulty := spillingPair(t, 643, inj)
+	for _, p := range allModulePrompts {
+		serveBoth(t, probe, faulty, p)
+	}
+	faulty.mu.Lock()
+	reused := 0
+	for key, em := range faulty.store.modules {
+		if _, ok := faulty.store.disk.index[key]; ok && em.state == stateResident {
+			reused++
+		}
+	}
+	dir := faulty.store.disk.dir
+	faulty.mu.Unlock()
+	if reused == 0 {
+		t.Fatal("setup needs a resident module with a blob")
+	}
+	inj.Set(FaultPointDiskWrite, faultinject.Rule{}) // counts calls, injects nothing
+	if err := faulty.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if n := inj.Calls(FaultPointDiskWrite); n != 0 {
+		t.Fatalf("snapshot into the tier's own directory wrote %d blobs, want 0 (%d resident modules have one)", n, reused)
+	}
+	restoresAs(t, probe, faulty.Model(), dir)
+}
+
+// TestOpenDirRejectsDuplicateSchema: a manifest that lists one schema
+// twice is a bad snapshot, not a silent replacement of the first listing.
+func TestOpenDirRejectsDuplicateSchema(t *testing.T) {
+	c := llamaCache(t)
+	mustRegister(t, c, travelSchema)
+	dir := t.TempDir()
+	if err := c.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(manifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man diskManifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	man.Schemas = append(man.Schemas, man.Schemas[0])
+	if data, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifestPath(dir), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDir(c.Model(), dir); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("a schema listed twice: err = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// saveParked starts SaveAll into c's own disk directory with its first
+// blob write parked for park, and returns once the write is parked; the
+// channel delivers SaveAll's result.
+func saveParked(t *testing.T, c *Cache, inj *faultinject.Injector, park time.Duration) <-chan error {
+	t.Helper()
+	inj.Set(FaultPointDiskWrite, faultinject.Rule{Delay: park, Times: 1})
+	saved := make(chan error, 1)
+	go func() { saved <- c.SaveAll(c.store.disk.dir) }()
+	for deadline := time.Now().Add(encodeWait); inj.Fired(FaultPointDiskWrite) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("SaveAll never reached a blob write")
+		}
+	}
+	return saved
+}
+
+// beforeSave waits for op's result and fails the test if SaveAll, parked
+// in a blob write, returns first: op waited for the cache lock.
+func beforeSave(t *testing.T, saved <-chan error, op <-chan error, what string) {
+	t.Helper()
+	select {
+	case err := <-op:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case err := <-saved:
+		t.Fatalf("SaveAll returned (%v) before %s did: it waited on the cache lock", err, what)
+	}
+}
+
+// TestSaveAllOffLock: while SaveAll is parked in a blob write, a serve
+// and the registration of another schema both return. The snapshot is
+// the registry at the cut, so it holds travel without the new schema.
+func TestSaveAllOffLock(t *testing.T) {
+	inj := faultinject.New(14)
+	c := llamaCache(t, WithDiskTier(t.TempDir(), CodecFP32), WithFaultInjection(inj))
+	mustRegister(t, c, travelSchema)
+	saved := saveParked(t, c, inj, 2*time.Second)
+	served, registered := make(chan error, 1), make(chan error, 1)
+	go func() { served <- serveClose(context.Background(), c, allModulePrompts[1]) }()
+	go func() {
+		_, err := c.RegisterSchema(encodeSchemaB)
+		registered <- err
+	}()
+	beforeSave(t, saved, served, "a serve")
+	beforeSave(t, saved, registered, "a registration")
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	restored, err := OpenDir(c.Model(), c.store.disk.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := restored.SchemaNames(); !slices.Equal(names, []string{"travel"}) {
+		t.Fatalf("snapshot holds %v, want the cut's [travel]", names)
+	}
+	assertNoPins(t, c)
+}
+
+// TestSaveAllCutIgnoresLaterReplacement: a replacement of the saved
+// schema finishes while SaveAll is parked in a blob write, and the
+// snapshot still restores the schema as the cut saw it: the old text,
+// serving the old text's cached and baseline bits.
+func TestSaveAllCutIgnoresLaterReplacement(t *testing.T) {
+	inj := faultinject.New(15)
+	c := llamaCache(t, WithDiskTier(t.TempDir(), CodecFP32), WithFaultInjection(inj))
+	mustRegister(t, c, travelSchema)
+	probe := NewCache(c.Model())
+	mustRegister(t, probe, travelSchema)
+	changed := strings.Replace(travelSchema, "superb food", "superb fresh food", 1)
+	saved := saveParked(t, c, inj, 2*time.Second)
+	replaced := make(chan error, 1)
+	go func() {
+		_, err := c.RegisterSchema(changed)
+		replaced <- err
+	}()
+	beforeSave(t, saved, replaced, "the replacement")
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	if src, _ := c.SchemaSource("travel"); src != changed {
+		t.Fatal("the live cache does not serve the replacement")
+	}
+	restored, err := OpenDir(c.Model(), c.store.disk.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, _ := restored.SchemaSource("travel"); src != travelSchema {
+		t.Fatal("snapshot holds the replacement, not the schema at the cut")
+	}
+	for _, p := range allModulePrompts {
+		serveBoth(t, probe, restored, p)
+		want, err := probe.BaselineServe(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := restored.BaselineServe(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(want.Logits, got.Logits) {
+			t.Fatalf("%s: restored baseline differs from the old text's", p)
+		}
+		want.Close()
+		got.Close()
+	}
+}

@@ -254,9 +254,6 @@ func (s *tierStore) unindex(key string) {
 	}
 	delete(s.disk.index, key)
 	s.disk.bytes -= entry.bytes
-	if s.disk.keepBlobs {
-		return
-	}
 	//pclint:ignore maporder existence scan: returning on any match is the same decision in every iteration order
 	for _, e := range s.disk.index {
 		if e.hash == entry.hash {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -163,6 +164,10 @@ type tsWorld struct {
 	// error: a transient one is always retried away.
 	failEncode bool
 	corrupt    int
+	// snap is a SaveAll cut awaiting its write (nil for none), and
+	// snapWant the want map at that cut.
+	snap       *snapshotCut
+	snapWant   map[string]*kvcache.Cache
 	violations []string
 }
 
@@ -392,6 +397,18 @@ func sameStates(a, b *kvcache.Cache) bool {
 	return true
 }
 
+// snapMined reports whether the pending cut holds a mined module.
+func (w *tsWorld) snapMined() bool {
+	for _, mods := range w.snap.modules {
+		for _, m := range mods {
+			if m.em.Mined != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func (w *tsWorld) minedKeyLocked() string {
 	for key, em := range w.c.store.modules {
 		if em.Mined != nil {
@@ -440,23 +457,41 @@ func (w *tsWorld) collect() {
 	w.c.demoteMined("b", strings.TrimPrefix(key, "b/"))
 }
 
-// cut runs SaveAll: into the disk tier's own directory when there is
-// one, so disk-resident modules keep their blobs, and into another
-// otherwise. With no serve open and the disk tier on, the snapshot then
-// restarts the world (OpenDir), optionally with the mined module's
-// manifest entry damaged so it cannot restore.
-func (w *tsWorld) cut(badMined bool) {
+// cut runs SaveAll's cut: into the disk tier's own directory when there
+// is one, so disk-resident modules keep their blobs, and into another
+// otherwise. The cut's write is a separate op (write), so other ops run
+// between the two.
+func (w *tsWorld) cut() {
 	dir := filepath.Join(w.dir, "snap")
 	if w.cfg.disk {
 		dir = w.c.store.disk.dir
 	}
-	if err := w.c.SaveAll(dir); err != nil {
-		w.fail("SaveAll: %v", err)
+	w.c.mu.Lock()
+	cut, err := w.c.cutLocked(dir)
+	w.c.mu.Unlock()
+	if err != nil {
+		w.fail("SaveAll's cut: %v", err)
+		return
+	}
+	w.snap = cut
+	w.snapWant = maps.Clone(w.want)
+}
+
+// write runs the pending cut's write. With no serve open and the disk
+// tier on, the snapshot then restarts the world (OpenDir), optionally
+// with the mined module's manifest entry damaged so it cannot restore,
+// and a serve of each restored key must see the states it had at the cut.
+func (w *tsWorld) write(badMined bool) {
+	cut := w.snap
+	w.snap = nil
+	if err := w.c.writeSnapshot(cut); err != nil {
+		w.fail("SaveAll's write: %v", err)
 		return
 	}
 	if len(w.serves) > 0 || !w.cfg.disk {
 		return
 	}
+	dir := cut.tier.dir
 	if badMined {
 		data, err := os.ReadFile(manifestPath(dir))
 		var man diskManifest
@@ -484,7 +519,7 @@ func (w *tsWorld) cut(badMined bool) {
 		w.fail("OpenDir: %v", err)
 		return
 	}
-	w.c = c
+	w.c, w.want = c, w.snapWant
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for key := range w.want {
@@ -654,8 +689,11 @@ func tsOps() []tsOp {
 		{"replace b", always, func(w *tsWorld) { w.register(tsSchemaB) }},
 		{"mine", func(w *tsWorld) bool { return !hasMined(w) }, (*tsWorld).mine},
 		{"collect", hasMined, (*tsWorld).collect},
-		{"cut", always, func(w *tsWorld) { w.cut(false) }},
-		{"cut, bad mined entry", func(w *tsWorld) bool { return hasMined(w) && w.cfg.disk && len(w.serves) == 0 }, func(w *tsWorld) { w.cut(true) }},
+		{"cut", func(w *tsWorld) bool { return w.snap == nil }, (*tsWorld).cut},
+		{"write", func(w *tsWorld) bool { return w.snap != nil }, func(w *tsWorld) { w.write(false) }},
+		{"write, bad mined entry", func(w *tsWorld) bool {
+			return w.snap != nil && w.snapMined() && w.cfg.disk && len(w.serves) == 0
+		}, func(w *tsWorld) { w.write(true) }},
 	}
 	for i := range tsPrompts {
 		ops = append(ops, tsOp{fmt.Sprintf("plan P%d", i),
@@ -756,10 +794,11 @@ func (f *tsFixture) run(cfg tsConfig, dir string, seq []int, ops []tsOp) (violat
 // failing its encode), plan, the resolve phases of a serve (read,
 // install, re-encode, install) as separate steps so other ops interleave
 // with them, close, mine, collect, transient and corrupt blob reads, and
-// SaveAll's cut with a restart from it — and checks the store's
-// invariants after every step (tsWorld.check), that every serve's states
-// equal the encode's, that a mined module is never encoded, and that a
-// failed replacement leaves the old schema serving.
+// SaveAll's cut and its write as separate steps, with a restart from the
+// snapshot — and checks the store's invariants after every step
+// (tsWorld.check), that every serve's states equal the encode's, that a
+// mined module is never encoded, and that a failed replacement leaves
+// the old schema serving.
 func TestTierStoreExhaustive(t *testing.T) {
 	m := tsModel(t)
 	ops := tsOps()

@@ -139,10 +139,10 @@ func Open(m *model.Model, dir string, opts ...Option) (*Client, error) {
 func HasSnapshot(dir string) bool { return core.HasSnapshot(dir) }
 
 // SaveAll persists every registered schema — layout plus all module,
-// scaffold and mined states — into dir as a warm-restart snapshot for
-// Open. Declared modules are quantized per the disk tier's codec when one
-// is configured; scaffold and mined states are always fp32, for
-// exactness. Open restores every one of them lazily, from disk.
+// scaffold and mined states (declared modules in the disk tier's codec,
+// the rest fp32, for exactness) — into dir as a warm-restart snapshot
+// that Open restores lazily. Serving and registration continue while it
+// runs: the snapshot is the registry at one short cut under the lock.
 func (c *Client) SaveAll(dir string) error { return c.cache.SaveAll(dir) }
 
 // Engine exposes the underlying core.Cache for advanced uses the public

@@ -192,6 +192,10 @@ type Cache struct {
 	// deterministically. Nil in production; Fire on nil is a no-op.
 	inject *faultinject.Injector
 
+	// saveMu runs SaveAll calls one at a time. It is taken before mu,
+	// never under it.
+	saveMu sync.Mutex
+
 	mu      sync.Mutex
 	schemas map[string]*schemaEntry
 	// store owns module residency; its methods run under mu.

@@ -71,6 +71,11 @@ type diskTier struct {
 	index map[string]diskEntry
 	// bytes is the index's blob bytes, the disk tier's gauge.
 	bytes int64
+	// saved holds the blob hashes the directory's manifest names, set by
+	// OpenDir and by a SaveAll into dir: unindex leaves those files,
+	// since a restart reads them, and the next SaveAll into dir removes
+	// those that neither its manifest nor the index still names.
+	saved map[string]bool
 	// inject, when non-nil, is consulted before every blob read and
 	// write (WithFaultInjection); nil costs one pointer check.
 	inject *faultinject.Injector
@@ -94,6 +99,7 @@ func newDiskTier(dir string, codec Codec) *diskTier {
 		dir:   dir,
 		codec: codec,
 		index: make(map[string]diskEntry),
+		saved: make(map[string]bool),
 	}
 }
 
@@ -279,22 +285,37 @@ func HasSnapshot(dir string) bool {
 // Cache.mu is held only to cut the registry (cutLocked) and to count what
 // the write did: the write runs off the lock (writeSnapshot), so serving
 // and registration continue, and the snapshot is the registry at the cut.
+// Snapshots run one at a time (saveMu), so the manifest a snapshot into
+// the disk tier's own directory leaves is the one whose blobs the tier
+// keeps (tierStore.resave).
 func (c *Cache) SaveAll(dir string) error {
+	c.saveMu.Lock()
+	defer c.saveMu.Unlock()
 	c.mu.Lock()
 	cut, err := c.cutLocked(dir)
 	c.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	err = c.writeSnapshot(cut)
+	named, err := c.writeSnapshot(cut)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.snapshotDoneLocked(cut, named, err)
+	return err
+}
+
+// snapshotDoneLocked counts what a cut's write did and, when it wrote
+// the disk tier's own directory without error, hands the tier the blobs
+// its manifest names (named, from writeSnapshot).
+func (c *Cache) snapshotDoneLocked(cut *snapshotCut, named map[string]bool, err error) {
 	for _, em := range cut.encoded {
 		c.store.countEncode(em)
 	}
 	c.stats.DiskRetries += cut.retries
 	c.stats.MinedSnapshotSkipped += cut.skipped
-	return err
+	if err == nil && cut.tier == c.store.disk {
+		c.store.resave(named)
+	}
 }
 
 // snapshotCut is the registry as a SaveAll cut saw it — each schema's
@@ -342,7 +363,10 @@ func (c *Cache) cutLocked(dir string) (*snapshotCut, error) {
 			}
 			m := cutModule{em: em, kv: em.KV}
 			if entry, ok := tier.index[em.key()]; ok {
+				// The new manifest will name this blob: keep it from
+				// unindex while the write runs off the lock.
 				m.blob, m.kv = entry, nil
+				tier.saved[entry.hash] = true
 			}
 			mods = append(mods, m)
 		}
@@ -353,13 +377,15 @@ func (c *Cache) cutLocked(dir string) (*snapshotCut, error) {
 }
 
 // writeSnapshot writes a cut's blobs, vocabulary and manifest, off the
-// lock. A mined module whose blob cannot be had is skipped (counted)
-// rather than failing the snapshot: it re-mines after the restart.
-func (c *Cache) writeSnapshot(cut *snapshotCut) error {
+// lock, and returns the blob hashes the manifest names. A mined module
+// whose blob cannot be had is skipped (counted) rather than failing the
+// snapshot: it re-mines after the restart.
+func (c *Cache) writeSnapshot(cut *snapshotCut) (map[string]bool, error) {
 	dir := cut.tier.dir
 	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
-		return err
+		return nil, err
 	}
+	named := map[string]bool{}
 	man := diskManifest{
 		Version: manifestVersion,
 		Codec:   cut.tier.codec.String(),
@@ -374,7 +400,7 @@ func (c *Cache) writeSnapshot(cut *snapshotCut) error {
 			case em.Mined != nil && err != nil:
 				cut.skipped++
 			case err != nil:
-				return fmt.Errorf("core: snapshot %s: %w", em.key(), err)
+				return nil, fmt.Errorf("core: snapshot %s: %w", em.key(), err)
 			case em.Layout != nil:
 				ms.Modules = append(ms.Modules, manifestEntry(em.Name, entry))
 			case em.Mined == nil:
@@ -383,21 +409,24 @@ func (c *Cache) writeSnapshot(cut *snapshotCut) error {
 				ms.Mined = append(ms.Mined, manifestMined{manifestModule: manifestEntry(em.Name, entry),
 					Class: em.Mined.Class, Toks: em.Toks, Pos: em.Pos})
 			}
+			if err == nil {
+				named[entry.hash] = true
+			}
 		}
 		man.Schemas = append(man.Schemas, ms)
 	}
 	var vocab bytes.Buffer
 	if err := c.tok.SaveVocab(&vocab); err != nil {
-		return err
+		return nil, err
 	}
 	if err := writeFileAtomic(vocabPath(dir), vocab.Bytes()); err != nil {
-		return err
+		return nil, err
 	}
 	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return writeFileAtomic(manifestPath(dir), data)
+	return named, writeFileAtomic(manifestPath(dir), data)
 }
 
 // snapshotBlob writes a cut module's blob, unless the cut found one. A

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -235,5 +236,157 @@ func TestSaveAllCutIgnoresLaterReplacement(t *testing.T) {
 		}
 		want.Close()
 		got.Close()
+	}
+}
+
+// TestSaveAllOwnDirOutlivesReplacement: a snapshot into the disk tier's
+// own directory shares its blobs with the live index, and a later
+// replacement that changes tokyo's text unindexes tokyo's key. The blob
+// stays, because the directory's manifest still names it, so the
+// snapshot restores with no load error and no encode, serving the old
+// text's bits. The next snapshot into the directory names the new text's
+// blobs and removes the old tokyo blob, which nothing names any more.
+func TestSaveAllOwnDirOutlivesReplacement(t *testing.T) {
+	inj := faultinject.New(16)
+	probe, faulty := spillingPair(t, 643, inj)
+	dir := faulty.store.disk.dir
+	if err := faulty.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	faulty.mu.Lock()
+	tokyo, onDisk := faulty.store.disk.index["travel/tokyo"]
+	faulty.mu.Unlock()
+	if !onDisk {
+		t.Fatal("setup needs tokyo's blob in the disk index")
+	}
+	mustRegister(t, faulty, strings.Replace(travelSchema, "superb food", "superb fresh food", 1))
+	restored, err := OpenDir(faulty.Model(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range allModulePrompts {
+		serveBoth(t, probe, restored, p)
+	}
+	if st := restored.Stats(); st.DiskLoadErrors != 0 || st.ModulesEncoded != 0 {
+		t.Fatalf("restored snapshot: %d load errors, %d encodes, want 0 and 0", st.DiskLoadErrors, st.ModulesEncoded)
+	}
+
+	if err := faulty.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(faulty.store.disk.blobPath(tokyo.hash)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the old tokyo blob outlived the snapshot that stopped naming it (stat: %v)", err)
+	}
+	data, err := os.ReadFile(manifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man diskManifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	for _, ms := range man.Schemas {
+		for _, mm := range append(ms.Modules, ms.Scaffolds...) {
+			named[mm.Hash+".pckv"] = true
+		}
+	}
+	faulty.mu.Lock()
+	for _, e := range faulty.store.disk.index {
+		named[e.hash+".pckv"] = true
+	}
+	faulty.mu.Unlock()
+	files, err := os.ReadDir(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !named[f.Name()] {
+			t.Errorf("blob %s is named by neither the manifest nor the index", f.Name())
+		}
+	}
+}
+
+// TestSaveAllOwnDirReplacementDuringWrite: the cut of a snapshot into
+// the disk tier's own directory reuses tokyo's indexed blob, and a
+// replacement that changes tokyo's text unindexes it while the write is
+// parked. The blob stays, because the manifest being written names it,
+// so the snapshot restores with no load error and no encode.
+func TestSaveAllOwnDirReplacementDuringWrite(t *testing.T) {
+	inj := faultinject.New(17)
+	probe, faulty := spillingPair(t, 643, inj)
+	faulty.mu.Lock()
+	_, onDisk := faulty.store.disk.index["travel/tokyo"]
+	faulty.mu.Unlock()
+	if !onDisk {
+		t.Fatal("setup needs tokyo's blob in the disk index")
+	}
+	saved := saveParked(t, faulty, inj, 2*time.Second)
+	replaced := make(chan error, 1)
+	go func() {
+		_, err := faulty.RegisterSchema(strings.Replace(travelSchema, "superb food", "superb fresh food", 1))
+		replaced <- err
+	}()
+	beforeSave(t, saved, replaced, "the replacement")
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	restored, err := OpenDir(faulty.Model(), faulty.store.disk.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range allModulePrompts {
+		serveBoth(t, probe, restored, p)
+	}
+	if st := restored.Stats(); st.DiskLoadErrors != 0 || st.ModulesEncoded != 0 {
+		t.Fatalf("restored snapshot: %d load errors, %d encodes, want 0 and 0", st.DiskLoadErrors, st.ModulesEncoded)
+	}
+}
+
+// TestSaveAllAfterCorruptSavedBlob: a restored cache reads a corrupt
+// blob its manifest names, counts a load error and re-encodes. The
+// corrupt file goes even though the manifest names it, so the next
+// snapshot into the directory writes the re-encoded states afresh under
+// the same name instead of reusing the corrupt file, and a restart from
+// it reads every module cleanly.
+func TestSaveAllAfterCorruptSavedBlob(t *testing.T) {
+	inj := faultinject.New(18)
+	probe, faulty := spillingPair(t, 643, inj)
+	dir := faulty.store.disk.dir
+	if err := faulty.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := OpenDir(faulty.Model(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.mu.Lock()
+	tokyo := restored.store.disk.index["travel/tokyo"]
+	restored.mu.Unlock()
+	path := restored.store.disk.blobPath(tokyo.hash)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2&^3+2] ^= 1 // mantissa bit 16 of a state value
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	serveBoth(t, probe, restored, allModulePrompts[0])
+	if st := restored.Stats(); st.DiskLoadErrors != 1 {
+		t.Fatalf("corrupt tokyo blob: %d load errors, want 1", st.DiskLoadErrors)
+	}
+	if err := restored.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	again, err := OpenDir(faulty.Model(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range allModulePrompts {
+		serveBoth(t, probe, again, p)
+	}
+	if st := again.Stats(); st.DiskLoadErrors != 0 || st.ModulesEncoded != 0 {
+		t.Fatalf("snapshot after the corrupt read: %d load errors, %d encodes, want 0 and 0", st.DiskLoadErrors, st.ModulesEncoded)
 	}
 }

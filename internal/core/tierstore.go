@@ -246,7 +246,7 @@ func (s *tierStore) index(key string, entry diskEntry) {
 }
 
 // unindex forgets a key's disk entry, deleting the blob when no other key
-// shares its content.
+// shares its content and the directory's manifest does not name it.
 func (s *tierStore) unindex(key string) {
 	entry, ok := s.disk.index[key]
 	if !ok {
@@ -254,13 +254,34 @@ func (s *tierStore) unindex(key string) {
 	}
 	delete(s.disk.index, key)
 	s.disk.bytes -= entry.bytes
+	if !s.disk.saved[entry.hash] && !s.indexed(entry.hash) {
+		_ = os.Remove(s.disk.blobPath(entry.hash))
+	}
+}
+
+// indexed reports whether any key's disk entry is the blob hash.
+func (s *tierStore) indexed(hash string) bool {
 	//pclint:ignore maporder existence scan: returning on any match is the same decision in every iteration order
 	for _, e := range s.disk.index {
-		if e.hash == entry.hash {
-			return
+		if e.hash == hash {
+			return true
 		}
 	}
-	_ = os.Remove(s.disk.blobPath(entry.hash))
+	return false
+}
+
+// resave records named, the blob hashes of the manifest a SaveAll just
+// wrote into the disk tier's directory, as the ones unindex keeps, and
+// removes the files the previous manifest or the cut kept that neither
+// named nor the index still names.
+func (s *tierStore) resave(named map[string]bool) {
+	//pclint:ignore maporder each file's removal depends only on its own hash, so every order removes the same set
+	for hash := range s.disk.saved {
+		if !named[hash] && !s.indexed(hash) {
+			_ = os.Remove(s.disk.blobPath(hash))
+		}
+	}
+	s.disk.saved = named
 }
 
 // remove takes a registered module out of the store: it frees every tier
@@ -338,6 +359,7 @@ func (s *tierStore) removeMined(em *EncodedModule) {
 func (s *tierStore) restore(em *EncodedModule, de diskEntry) {
 	key := em.key()
 	s.index(key, de)
+	s.disk.saved[de.hash] = true
 	em.state = stateDisk
 	s.modules[key] = em
 	s.stats.ModulesRestored++
@@ -484,6 +506,9 @@ func (s *tierStore) install(p servePart, r produced) (servePart, error) {
 	} else if r.err != nil && registered && em.state == stateDisk {
 		s.stats.DiskLoadErrors++
 		if errors.Is(r.err, errCorruptBlob) {
+			// A corrupt blob is no state's durable form, even where a
+			// manifest names it.
+			delete(s.disk.saved, s.disk.index[key].hash)
 			s.unindex(key)
 			em.state = stateDropped
 		}

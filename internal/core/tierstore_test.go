@@ -484,7 +484,11 @@ func (w *tsWorld) cut() {
 func (w *tsWorld) write(badMined bool) {
 	cut := w.snap
 	w.snap = nil
-	if err := w.c.writeSnapshot(cut); err != nil {
+	named, err := w.c.writeSnapshot(cut)
+	w.c.mu.Lock()
+	w.c.snapshotDoneLocked(cut, named, err)
+	w.c.mu.Unlock()
+	if err != nil {
 		w.fail("SaveAll's write: %v", err)
 		return
 	}

@@ -541,3 +541,80 @@ func BenchmarkDecodeStep(b *testing.B) {
 		cache.Truncate(512)
 	}
 }
+
+// BenchmarkDecodeRegime times the four step shapes a serving engine runs,
+// on one worker, in two weight regimes: the benchmark's LlamaStyle model
+// (0.9 MB of weights, resident in L2) and a paper-shaped one of the same
+// family (Dim 256, 8 layers, 8/2 heads, FFN 688: 22.7 MB, streamed from
+// beyond L2 on every step). The shapes are a 256-token prefill, one
+// decode step, a 4-position verify step and one fused step of 4 lanes,
+// each step over a 256-row context. Every iteration truncates what it
+// appended, so each does the same work at any b.N.
+func BenchmarkDecodeRegime(b *testing.B) {
+	paper := LlamaStyle(testVocab, 1)
+	paper.Name = "paper-shape"
+	paper.Dim, paper.NLayers, paper.NHeads, paper.NKVHeads, paper.FFNDim = 256, 8, 8, 2, 688
+	for _, reg := range []struct {
+		name string
+		cfg  Config
+	}{{"llama_0.9MB", LlamaStyle(testVocab, 1)}, {"paper_22.7MB", paper}} {
+		b.Run(reg.name, func(b *testing.B) {
+			const ctxRows, width = 256, 4
+			m := MustNew(reg.cfg)
+			m.SetBackend(tensor.NewBackend(1))
+			r := rng.New(3)
+			toks, pos := randTokens(r, ctxRows), seqPositions(ctxRows, 0)
+			base := m.NewCache(ctxRows)
+			if _, err := m.Prefill(toks, pos, base); err != nil {
+				b.Fatal(err)
+			}
+			b.Run("prefill_256", func(b *testing.B) {
+				kv := m.NewCache(ctxRows)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					kv.Truncate(0)
+					if _, err := m.Prefill(toks, pos, kv); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			lanes := make([]*DecodeLane, width)
+			kvs := make([]kvcache.KV, width)
+			for i := range lanes {
+				lanes[i] = m.NewDecodeLane()
+				defer lanes[i].Close()
+				kv := m.NewCache(ctxRows + width)
+				kv.AppendCache(base)
+				kvs[i] = kv
+			}
+			next := randTokens(r, width)
+			step := func(b *testing.B, run func() error, k int) {
+				for i := 0; i < b.N; i++ {
+					if err := run(); err != nil {
+						b.Fatal(err)
+					}
+					for j := 0; j < k; j++ {
+						if err := lanes[j].Err(); err != nil {
+							b.Fatal(err)
+						}
+						kvs[j].Truncate(ctxRows)
+					}
+				}
+			}
+			flatPos := make([]int, width)
+			for i := range flatPos {
+				flatPos[i] = ctxRows
+			}
+			b.Run("solo_step", func(b *testing.B) {
+				step(b, func() error { return m.DecodeStepBatch(lanes[:1], next[:1], flatPos[:1], kvs[:1]) }, 1)
+			})
+			vt, vp := [][]int{next}, [][]int{seqPositions(width, ctxRows)}
+			b.Run("verify_4", func(b *testing.B) {
+				step(b, func() error { return m.DecodeStepBatchMulti(lanes[:1], vt, vp, kvs[:1]) }, 1)
+			})
+			b.Run("lanes_4", func(b *testing.B) {
+				step(b, func() error { return m.DecodeStepBatch(lanes, next, flatPos, kvs) }, width)
+			})
+		})
+	}
+}

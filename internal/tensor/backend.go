@@ -86,26 +86,30 @@ func (bk Backend) Workers() int { return max(bk.workers, 1) }
 const (
 	// matMulParallelThreshold gates column-sharding of MatMul and
 	// MatVecT, which also computes the model's output head. The vector
-	// body finishes a shard so fast that a goroutine spawn and join
-	// outweigh the split up to about 400 K multiply-adds. Best of 5–8
-	// runs on a 2-vCPU Xeon, 1 worker inline vs 2 workers, in µs:
+	// body (two rows per weight load) finishes a shard so fast that a
+	// goroutine spawn and join outweigh the split up to about 500 K
+	// multiply-adds. Best of 60 runs of 200 products on a 2-vCPU Xeon, 1
+	// worker inline vs 2 workers, in µs, two sessions:
 	//
-	//	rows × k × m      multiply-adds   inline   2 workers
-	//	1 × 64 × 2308     148 K            11.1     13.8
-	//	16 × 64 × 176     180 K             8.1     13.2
-	//	64 × 64 × 64      262 K            10.8     17.4
-	//	2 × 64 × 2308     295 K            18.5     23.1
-	//	32 × 176 × 64     360 K            16.5     19.9
-	//	96 × 64 × 64      393 K            25.2     21.0
-	//	3 × 64 × 2308     443 K            32.8     29.0
-	//	128 × 64 × 64     524 K            28.9     25.3
-	//	4 × 64 × 2308     591 K            44.3     39.3
-	//	8 × 64 × 2308     1.18 M           82.1     60.7
+	//	rows × k × m      multiply-adds   inline      2 workers
+	//	1 × 64 × 2308     148 K            9.1  9.1   10.8 10.6
+	//	16 × 64 × 176     180 K            6.5  6.4    8.1  7.8
+	//	64 × 64 × 64      262 K            9.3  9.3   12.0 11.5
+	//	2 × 64 × 2308     295 K           13.1 13.1   15.9 14.8
+	//	32 × 176 × 64     360 K           12.7 12.8   14.9 14.7
+	//	96 × 64 × 64      393 K           14.0 14.0   15.8 15.3
+	//	3 × 64 × 2308     443 K           22.3 22.3   25.3 21.7
+	//	128 × 64 × 64     524 K           18.6 18.7   18.5 18.1
+	//	48 × 64 × 176     541 K           19.4 19.4   19.6 19.2
+	//	4 × 64 × 2308     591 K           26.2 26.2   25.0 25.6
+	//	64 × 64 × 176     721 K           26.0 25.9   24.4 22.5
+	//	5 × 64 × 2308     739 K           35.3 35.4   30.5 31.2
+	//	8 × 64 × 2308     1.18 M          52.5 52.6   41.8 44.3
 	//
-	// So one- and two-row heads run inline, while a verify step's wider
-	// head and prefill blocks from about 35 (FFN) or 96 (attention
+	// So one- to three-row heads run inline, while a verify step's wider
+	// head and prefill blocks from about 48 (FFN) or 128 (attention
 	// projection) rows up shard.
-	matMulParallelThreshold = 384 * 1024
+	matMulParallelThreshold = 512 * 1024
 	// outputHeadParallelThreshold gates vocab-sharding of the reference
 	// OutputHead (vocab × dim × lanes).
 	outputHeadParallelThreshold = 32 * 1024

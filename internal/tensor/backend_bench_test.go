@@ -21,14 +21,22 @@ func benchBackends(b *testing.B, run func(b *testing.B, bk Backend)) {
 	}
 }
 
-// BenchmarkMatMul runs a square prefill-sized product and the model's
-// output head (1 and 4 rows by the benchmark model's transposed
-// embedding, dim 64 × vocab 2,308).
+// BenchmarkMatMul runs a square prefill-sized product, the benchmark
+// model's FFN weights over a 256-row prefill block (w1/w3 64×176, w2
+// 176×64), and its output head (1, 4 and 5 rows by the transposed
+// embedding, dim 64 × vocab 2,308; 5 is a verify step's width).
 func BenchmarkMatMul(b *testing.B) {
 	for _, sh := range []struct {
 		name    string
 		n, k, m int
-	}{{"128x256x256", 128, 256, 256}, {"head_1x64x2308", 1, 64, 2308}, {"head_4x64x2308", 4, 64, 2308}} {
+	}{
+		{"128x256x256", 128, 256, 256},
+		{"ffn_256x64x176", 256, 64, 176},
+		{"ffn_256x176x64", 256, 176, 64},
+		{"head_1x64x2308", 1, 64, 2308},
+		{"head_4x64x2308", 4, 64, 2308},
+		{"head_5x64x2308", 5, 64, 2308},
+	} {
 		r := rng.NewString("bench/matmul/" + sh.name)
 		a, m := NewMatrix(sh.n, sh.k), NewMatrix(sh.k, sh.m)
 		r.FillNormal(a.Data, 1)

@@ -36,10 +36,13 @@ func hasAVX2FMA() bool {
 	return ebx7&(1<<5) != 0
 }
 
-// matMulRangeAVX2 is matMulRange's vector body. Each row's columns
-// [lo, hi8) go through matMulRowAVX2, eight columns to a ymm register;
-// the fewer than eight left over go through the Go body, which starts
-// its four-column runs at hi8, on the same grid as from lo.
+// matMulRangeAVX2 is matMulRange's vector body. Its columns [lo, hi8),
+// eight to a ymm register, go through matMulRows2AVX2 two rows at a
+// time, so each weight vector is loaded once per pair of rows; an odd
+// last row goes through matMulRowAVX2. The fewer than eight columns left
+// over go through the Go body, which starts its four-column runs at hi8,
+// on the same grid as from lo. Every output is the same one sum whichever
+// leaf computes it.
 func matMulRangeAVX2(dst, a, b *Matrix, lo, hi int) {
 	hi8 := lo + (hi-lo)&^7
 	if hi8 > lo {
@@ -49,7 +52,12 @@ func matMulRangeAVX2(dst, a, b *Matrix, lo, hi int) {
 		if k := a.Cols; k > 0 {
 			w = b.Data[lo : (k-1)*b.Cols+hi8]
 		}
-		for i := 0; i < a.Rows; i++ {
+		i := 0
+		for ; i+2 <= a.Rows; i += 2 {
+			d0, d1 := dst.Row(i)[lo:hi8], dst.Row(i + 1)[lo:hi8]
+			matMulRows2AVX2(d0, d1, a.Row(i), a.Row(i+1), w, b.Cols)
+		}
+		if i < a.Rows {
 			matMulRowAVX2(dst.Row(i)[lo:hi8], a.Row(i), w, b.Cols)
 		}
 	}
@@ -60,10 +68,20 @@ func matMulRangeAVX2(dst, a, b *Matrix, lo, hi int) {
 
 // matMulRowAVX2 sets d[j] = Σ_p x[p]·w[p·m+j] for j < len(d), a multiple
 // of 8, summing ascending in p from +0 with one multiply and one add per
-// term (lane = column, no FMA), as matMulRangeGo does per column.
+// term (lane = column, no FMA), as matMulRangeGo does per column. It
+// walks 32-column strips in four accumulators, then runs of 8.
 //
 //go:noescape
 func matMulRowAVX2(d, x, w []float32, m int)
+
+// matMulRows2AVX2 is matMulRowAVX2 for two rows, d0 from x0 and d1 from
+// x1 (len(d1) == len(d0), len(x1) == len(x0)): each weight vector it
+// loads is multiplied by both rows' x[p]. It walks 32-column strips in
+// eight accumulators, then one 16-column tier, then a run of 8, so
+// widths of 32k + 16 (the FFN's 176 and 688) run no 8-column tail.
+//
+//go:noescape
+func matMulRows2AVX2(d0, d1, x0, x1, w []float32, m int)
 
 // cpuid executes CPUID with the given leaf and sub-leaf.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -102,6 +102,171 @@ done:
 	VZEROUPPER
 	RET
 
+// func matMulRows2AVX2(d0, d1, x0, x1, w []float32, m int)
+//
+// Two rows at once: each weight vector is loaded once and multiplied by
+// both rows' x[p], each product into its own row's accumulator. A lane's
+// sum is still one column of one row, taking the same terms in the same
+// order with the same operand order as matMulRowAVX2.
+TEXT ·matMulRows2AVX2(SB), NOSPLIT, $0-128
+	MOVQ d0_base+0(FP), DI
+	MOVQ d1_base+24(FP), R12
+	MOVQ d0_len+8(FP), CX  // columns left, a multiple of 8
+	MOVQ x0_base+48(FP), SI
+	MOVQ x1_base+72(FP), R13
+	MOVQ x0_len+56(FP), DX // k, the terms per sum
+	MOVQ w_base+96(FP), BX // w[0][j] for the next column j
+	MOVQ m+120(FP), R8
+	SHLQ $2, R8            // weight row stride in bytes
+
+rcols32:
+	// 2 rows × 32 columns in eight accumulators: Y0–Y3 row 0, Y4–Y7
+	// row 1; Y8 and Y9 hold the rows' x[p].
+	CMPQ   CX, $32
+	JLT    rcols16
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ   SI, R9
+	MOVQ   R13, AX
+	MOVQ   BX, R10
+	MOVQ   DX, R11
+	TESTQ  R11, R11
+	JZ     rstore32
+
+rterms32:
+	VBROADCASTSS (R9), Y8
+	VBROADCASTSS (AX), Y9
+	VMOVUPS      (R10), Y10
+	VMOVUPS      32(R10), Y12
+	VMULPS       Y8, Y10, Y11 // Y11 = w·x0, the weight first
+	VMULPS       Y9, Y10, Y10 // Y10 = w·x1
+	VMULPS       Y8, Y12, Y13
+	VMULPS       Y9, Y12, Y12
+	VADDPS       Y11, Y0, Y0  // Y0 = sum + w·x0, the sum first
+	VADDPS       Y10, Y4, Y4
+	VADDPS       Y13, Y1, Y1
+	VADDPS       Y12, Y5, Y5
+	VMOVUPS      64(R10), Y10
+	VMOVUPS      96(R10), Y12
+	VMULPS       Y8, Y10, Y11
+	VMULPS       Y9, Y10, Y10
+	VMULPS       Y8, Y12, Y13
+	VMULPS       Y9, Y12, Y12
+	VADDPS       Y11, Y2, Y2
+	VADDPS       Y10, Y6, Y6
+	VADDPS       Y13, Y3, Y3
+	VADDPS       Y12, Y7, Y7
+	ADDQ         $4, R9
+	ADDQ         $4, AX
+	ADDQ         R8, R10
+	DECQ         R11
+	JNZ          rterms32
+
+rstore32:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, (R12)
+	VMOVUPS Y5, 32(R12)
+	VMOVUPS Y6, 64(R12)
+	VMOVUPS Y7, 96(R12)
+	ADDQ    $128, DI
+	ADDQ    $128, R12
+	ADDQ    $128, BX
+	SUBQ    $32, CX
+	JMP     rcols32
+
+rcols16:
+	// At most one 2 × 16 tier: Y0–Y1 row 0, Y4–Y5 row 1.
+	CMPQ   CX, $16
+	JLT    rcols8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	MOVQ   SI, R9
+	MOVQ   R13, AX
+	MOVQ   BX, R10
+	MOVQ   DX, R11
+	TESTQ  R11, R11
+	JZ     rstore16
+
+rterms16:
+	VBROADCASTSS (R9), Y8
+	VBROADCASTSS (AX), Y9
+	VMOVUPS      (R10), Y10
+	VMOVUPS      32(R10), Y12
+	VMULPS       Y8, Y10, Y11
+	VMULPS       Y9, Y10, Y10
+	VMULPS       Y8, Y12, Y13
+	VMULPS       Y9, Y12, Y12
+	VADDPS       Y11, Y0, Y0
+	VADDPS       Y10, Y4, Y4
+	VADDPS       Y13, Y1, Y1
+	VADDPS       Y12, Y5, Y5
+	ADDQ         $4, R9
+	ADDQ         $4, AX
+	ADDQ         R8, R10
+	DECQ         R11
+	JNZ          rterms16
+
+rstore16:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y4, (R12)
+	VMOVUPS Y5, 32(R12)
+	ADDQ    $64, DI
+	ADDQ    $64, R12
+	ADDQ    $64, BX
+	SUBQ    $16, CX
+
+rcols8:
+	// The remaining run of 8 columns, if any: Y0 row 0, Y4 row 1.
+	TESTQ  CX, CX
+	JZ     rdone
+	VXORPS Y0, Y0, Y0
+	VXORPS Y4, Y4, Y4
+	MOVQ   SI, R9
+	MOVQ   R13, AX
+	MOVQ   BX, R10
+	MOVQ   DX, R11
+	TESTQ  R11, R11
+	JZ     rstore8
+
+rterms8:
+	VBROADCASTSS (R9), Y8
+	VBROADCASTSS (AX), Y9
+	VMOVUPS      (R10), Y10
+	VMULPS       Y8, Y10, Y11
+	VMULPS       Y9, Y10, Y10
+	VADDPS       Y11, Y0, Y0
+	VADDPS       Y10, Y4, Y4
+	ADDQ         $4, R9
+	ADDQ         $4, AX
+	ADDQ         R8, R10
+	DECQ         R11
+	JNZ          rterms8
+
+rstore8:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y4, (R12)
+	ADDQ    $32, DI
+	ADDQ    $32, R12
+	ADDQ    $32, BX
+	SUBQ    $8, CX
+	JMP     rcols8
+
+rdone:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

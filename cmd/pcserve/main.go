@@ -27,14 +27,16 @@
 //	pcserve -cache-dir /var/lib/pcserve
 //
 // With -mine the cache grows itself: the engine watches the uncached
-// token streams requests send, promotes hot shared prefixes to
-// anonymous cached modules, and splices them bit-exactly into later
-// requests — the "mining" block of GET /v1/stats tracks the win.
+// token streams requests send, promotes hot shared prefixes (seen 3
+// times, 16 tokens or longer) to anonymous cached modules, and splices
+// them bit-exactly into later requests — the "mining" block of
+// GET /v1/stats tracks the win.
 //
 // With -speculate the decode phase speculates: generated token streams
 // train a per-serving-class n-gram draft source, and each decode lane
 // verifies the draft's proposals in one widened step, emitting several
-// tokens per step when the draft is right. Output is bit-identical to
+// tokens per step when the draft is right (up to 4 drafts per step; a
+// request's "max_draft" can narrow that). Output is bit-identical to
 // non-speculative decode — requests can opt out per call via
 // {"speculation": {"enabled": false}} — and the "speculation" block of
 // GET /v1/stats reports acceptance. It works with or without the decode
@@ -94,14 +96,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "durable cache directory: evicted modules spill here instead of dropping, and registered schemas persist across restarts (SIGINT/SIGTERM snapshots, next boot warm-restores)")
 	cacheCodec := flag.String("cache-codec", "fp32", "disk-tier codec: fp32 (bit-exact), int8 or int4")
 	speculate := flag.Bool("speculate", false, "speculative decoding: train an n-gram draft source on served traffic and verify its proposals in widened decode steps; output is bit-identical, only tokens-per-step changes")
-	specDraft := flag.Int("speculate-draft", 0, "speculation: max draft tokens verified per decode step; a request's max_draft can only narrow it (0 = default 4)")
-	specContext := flag.Int("speculate-context", 0, "speculation: n-gram context length of the draft source (0 = default)")
-	specHalfLife := flag.Float64("speculate-half-life", 0, "speculation: draft-transition decay half-life in observed streams (0 = default)")
 	mine := flag.Bool("mine", false, "automatic module mining: observe uncached token streams and promote hot shared prefixes to anonymous cached modules")
-	mineMinHits := flag.Float64("mine-min-hits", 0, "mining: observations before a prefix is promoted (0 = default)")
-	mineMinTokens := flag.Int("mine-min-tokens", 0, "mining: shortest prefix worth promoting (0 = default)")
-	mineMaxMods := flag.Int("mine-max-modules", 0, "mining: live mined-module budget (0 = default)")
-	mineHalfLife := flag.Float64("mine-half-life", 0, "mining: reuse-score half-life in observed serves (0 = default)")
 	admit := flag.Int("admit", 0, "admission control: concurrent-request slots; overflow queues, a full queue sheds HTTP 429 + Retry-After (0 disables admission)")
 	admitQueue := flag.Int("admit-queue", 0, "admission: waiting requests beyond the slots before shedding (0 = default when -admit is set)")
 	admitDeadline := flag.Duration("admit-deadline", 0, "admission: per-request deadline for interactive requests, queueing included; expiry is HTTP 504 (0 = none)")
@@ -140,19 +135,10 @@ func main() {
 		opts = append(opts, promptcache.WithDecodeScheduler(*decodeBatch))
 	}
 	if *speculate {
-		opts = append(opts, promptcache.WithSpeculation(promptcache.DraftOpts{
-			MaxDraft: *specDraft,
-			Context:  *specContext,
-			HalfLife: *specHalfLife,
-		}))
+		opts = append(opts, promptcache.WithSpeculation(promptcache.DraftOpts{}))
 	}
 	if *mine {
-		opts = append(opts, promptcache.WithModuleMining(promptcache.MiningOpts{
-			MinHits:    *mineMinHits,
-			MinTokens:  *mineMinTokens,
-			MaxModules: *mineMaxMods,
-			HalfLife:   *mineHalfLife,
-		}))
+		opts = append(opts, promptcache.WithModuleMining())
 	}
 	if *admit > 0 || *admitQueue > 0 || *admitDeadline > 0 || *admitBatchDeadline > 0 {
 		opts = append(opts, promptcache.WithAdmission(promptcache.AdmissionConfig{

@@ -4,7 +4,8 @@
 // replacement policy.
 //
 // With -mine the trace is also replayed through a module-mining
-// observer to report the would-be win of automatic prefix promotion:
+// observer, at the thresholds the engine mines with, to report the
+// would-be win of automatic prefix promotion:
 // how many requests would have spliced a mined prefix, and what token
 // volume that saves. Mining needs suffix token streams in the trace —
 // generate them with -shared-prefixes, or replay a recorded trace that
@@ -15,8 +16,7 @@
 //	pctrace -requests 5000 -modules 80 -hbm-gib 4 -policy gdsf
 //	pctrace -compare            # all policies + reference points
 //	pctrace -shared-prefixes 4 -mine   # offline mining report
-//	pctrace -record t.jsonl -arrival bursty -arrival-rate 200
-//	                            # trace with a replayable load schedule
+//	pctrace -record t.jsonl     # write the generated trace as JSONL
 package main
 
 import (
@@ -46,16 +46,9 @@ func main() {
 		record   = flag.String("record", "", "write the generated request trace to this JSONL file")
 		replay   = flag.String("replay", "", "replay a JSONL trace instead of generating a stream")
 
-		arrival     = flag.String("arrival", "", "stamp the recorded trace with arrival offsets: uniform, poisson or bursty (empty = none; the analytic replay ignores them, the real-server load harness paces by them)")
-		arrivalRate = flag.Float64("arrival-rate", 100, "mean offered arrivals per second for -arrival")
-
 		sharedPrefixes = flag.Int("shared-prefixes", 0, "pooled undeclared suffix prefixes in generated traces (0 = no suffix streams)")
 		sharedTokens   = flag.Int("shared-prefix-tokens", 0, "tokens per pooled prefix (0 = half the suffix)")
 		mine           = flag.Bool("mine", false, "replay the trace through a module-mining observer and report the would-be hit rate")
-		mineMinHits    = flag.Float64("mine-min-hits", 0, "mining: observations before a prefix is promoted (0 = default)")
-		mineMinTokens  = flag.Int("mine-min-tokens", 0, "mining: shortest prefix worth promoting (0 = default)")
-		mineMaxMods    = flag.Int("mine-max-modules", 0, "mining: live mined-module budget (0 = default)")
-		mineHalfLife   = flag.Float64("mine-half-life", 0, "mining: reuse-score half-life in observed serves (0 = default)")
 	)
 	flag.Parse()
 
@@ -116,20 +109,11 @@ func main() {
 	base.GPUCapacity = capacity
 	base.Policy = p
 
+	trace, err := serving.GenerateTrace(base)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *record != "" {
-		trace, err := serving.GenerateTrace(base)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *arrival != "" {
-			arr, err := serving.GenerateArrivals(*arrival, len(trace), *arrivalRate, *seed+2)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := serving.AssignArrivals(trace, arr); err != nil {
-				log.Fatal(err)
-			}
-		}
 		f, err := os.Create(*record)
 		if err != nil {
 			log.Fatal(err)
@@ -141,9 +125,6 @@ func main() {
 		fmt.Printf("recorded %d requests to %s\n", len(trace), *record)
 	}
 
-	// -mine and -replay both want the stream as an explicit trace;
-	// otherwise the generator-backed Run avoids materializing one.
-	var trace []serving.Request
 	if *replay != "" {
 		f, err := os.Open(*replay)
 		if err != nil {
@@ -154,19 +135,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-	} else if *mine {
-		trace, err = serving.GenerateTrace(base)
-		if err != nil {
-			log.Fatal(err)
-		}
 	}
 
-	var st serving.Stats
-	if trace != nil {
-		st, err = serving.RunTrace(base, trace)
-	} else {
-		st, err = serving.Run(base)
-	}
+	st, err := serving.RunTrace(base, trace)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -175,12 +146,7 @@ func main() {
 	fmt.Printf("baseline (no reuse) mean TTFT: %.1f ms\n", st.BaselineMeanTTFT.Seconds()*1e3)
 
 	if *mine {
-		ms, err := serving.MineTrace(mining.Config{
-			MinHits:    *mineMinHits,
-			MinTokens:  *mineMinTokens,
-			MaxModules: *mineMaxMods,
-			HalfLife:   *mineHalfLife,
-		}, trace)
+		ms, err := serving.MineTrace(mining.Config{}, trace)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -57,15 +57,15 @@
 // With promptcache.WithSpeculation, on either driver, the decode step
 // widens: a back-off n-gram draft source — the same radix-structure
 // family as module mining, trained on the token streams decode actually
-// produced per serving class, no second model — proposes up to MaxDraft
-// tokens per lane, and the same step, at several positions per lane,
+// produced per serving class, no second model — proposes up to 4 tokens
+// per lane, and the same step, at several positions per lane,
 // scores every proposed position. Each lane accepts exactly the longest
 // proposal prefix matching what its sampler picks, falls back to the
 // verified next token on rejection, and truncates unverified KV rows —
 // so output is bit-identical to non-speculative decode by construction,
 // and a cold or wrong draft costs verify width, never a token. Requests
-// opt in or out per call via promptcache.GenConfig.Speculation (whose
-// MaxDraft can narrow the engine's width, never widen it); `pcserve
+// opt out per call via promptcache.GenConfig.Speculation (whose MaxDraft
+// can narrow the width of 4, never widen it); `pcserve
 // -speculate` wires it into the server (the /v1/stats "speculation"
 // block tracks acceptance), and the benchmark of record's decode.spec
 // workload measures tokens per second against decode.long's identical
@@ -117,8 +117,8 @@
 // With promptcache.WithModuleMining the module inventory grows beyond
 // what schemas declare: a radix tree observes the uncached token stream
 // of every cached serve and promotes hot shared prefixes (undeclared
-// system prompts, RAG boilerplate, few-shot headers) to anonymous mined
-// modules. Mined and explicit modules coexist in one inventory — the
+// system prompts, RAG boilerplate, few-shot headers; seen 3 times and 16
+// tokens or longer) to anonymous mined modules. Mined and explicit modules coexist in one inventory — the
 // same pinning, eviction, host demotion, disk spill and warm-restart
 // paths — and a request whose suffix opens with a mined prefix splices
 // its states zero-copy, bit-identically to serving cold: prefixes are
@@ -126,7 +126,7 @@
 // attention context) and mined states stay fp32 end to end. `pcserve
 // -mine` wires it into the server (the /v1/stats "mining" block tracks
 // promotions, demotions and tokens saved); `pctrace -mine` replays
-// recorded traces offline to size the win first.
+// recorded traces offline, at the same thresholds, to size the win first.
 //
 // # Static analysis
 //

@@ -38,9 +38,9 @@ func (b BatchStats) Savings() float64 {
 
 // ServeBatch serves a batch of prompts derived from registered schemas:
 // each prompt is an ordinary ServeParsed — same plan, same pins, same
-// zero-copy views — fanned out over a bounded worker pool
-// (ServeOpts.BatchWorkers; default GOMAXPROCS), so prompts importing the
-// same module read the one resident copy and prefill concurrently.
+// zero-copy views — fanned out over min(GOMAXPROCS, len(prompts))
+// workers, so prompts importing the same module read the one resident
+// copy and prefill concurrently.
 // Results are positionally parallel to prompts, identical to serving each
 // prompt alone, and like any cached result hold module pins until Closed.
 // On error nothing stays pinned: results already served are closed.
@@ -58,13 +58,7 @@ func (c *Cache) ServeBatch(ctx context.Context, prompts []string, opts ServeOpts
 		parsed[i] = p
 	}
 
-	workers := opts.BatchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(prompts) {
-		workers = len(prompts)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(prompts))
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

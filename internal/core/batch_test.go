@@ -201,9 +201,10 @@ func TestServeBatchLedger(t *testing.T) {
 	}
 	assertLedger("after closed batch")
 
-	// Fails on its third prompt (union clash) after two members served.
+	// Fails on its third prompt (union clash); members served before the
+	// failure must release their pins.
 	bad := append(append([]string{}, good[:2]...), `<prompt schema="travel"><tokyo/><miami/>x</prompt>`)
-	if _, _, err := c.ServeBatch(ctx, bad, ServeOpts{BatchWorkers: 1}); !errors.Is(err, ErrBadPrompt) {
+	if _, _, err := c.ServeBatch(ctx, bad, ServeOpts{}); !errors.Is(err, ErrBadPrompt) {
 		t.Fatalf("failing batch returned %v, want ErrBadPrompt", err)
 	}
 	assertLedger("after failed batch")

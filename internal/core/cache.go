@@ -177,9 +177,9 @@ type Cache struct {
 	// into the cache, so it may be used both under and outside mu.
 	miner *mining.Miner
 
-	// draftOpts, when non-nil, is WithSpeculation's draft-source config;
+	// draft, when non-nil, is WithSpeculation's draft-source config;
 	// NewCache builds the draft onto sched.
-	draftOpts *DraftOpts
+	draft *mining.DraftConfig
 
 	// adm, when non-nil, bounds concurrent serving (WithAdmission):
 	// requests acquire a slot before any engine work and excess load is
@@ -291,8 +291,8 @@ func NewCache(m *model.Model, opts ...Option) *Cache {
 	if c.store.disk != nil {
 		c.store.disk.inject = c.inject
 	}
-	if c.draftOpts != nil {
-		c.sched.draft = mining.NewDraft(*c.draftOpts)
+	if c.draft != nil {
+		c.sched.draft = mining.NewDraft(*c.draft)
 	}
 	return c
 }

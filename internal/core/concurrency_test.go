@@ -238,7 +238,7 @@ func TestConcurrentServePrefetchRegisterBatch(t *testing.T) {
 				`<prompt schema="travel"><trip-plan duration="two days"/><miami/>C.</prompt>`,
 			}
 			for i := 0; i < 3; i++ {
-				if _, _, err := c.ServeBatch(ctx, prompts, ServeOpts{BatchWorkers: 2}); err != nil {
+				if _, _, err := c.ServeBatch(ctx, prompts, ServeOpts{}); err != nil {
 					errs <- err
 					return
 				}

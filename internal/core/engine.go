@@ -17,9 +17,6 @@ type ServeOpts struct {
 	// DisableScaffolds skips scaffold override even when every member of
 	// a scaffold is imported (for the §3.3 masking-effect ablation).
 	DisableScaffolds bool
-	// BatchWorkers bounds the worker pool ServeBatch fans prompts out
-	// over (0 = GOMAXPROCS). Single serves ignore it.
-	BatchWorkers int
 }
 
 // ServeResult is the outcome of assembling a prompt's attention states.
@@ -590,19 +587,15 @@ func allIncluded(members, included []string) bool {
 // module tokens with arguments substituted inline, then new text — run
 // through one full-attention prefill with no reuse. Comparing its output
 // against Serve's isolates the §3.3 masking effect.
+//
+// The baseline touches no cached states at all — it reads only the
+// immutable layout and the tokenizer — so the lock is held just long
+// enough to resolve the schema; the full prefill runs outside it.
 func (c *Cache) BaselineServe(ctx context.Context, promptSrc string) (*ServeResult, error) {
 	prompt, err := pml.ParsePrompt(promptSrc)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPrompt, err)
 	}
-	return c.BaselineServeParsed(ctx, prompt)
-}
-
-// BaselineServeParsed is BaselineServe for an already-parsed prompt.
-// The baseline touches no cached states at all — it reads only the
-// immutable layout and the tokenizer — so the lock is held just long
-// enough to resolve the schema; the full prefill runs outside it.
-func (c *Cache) BaselineServeParsed(ctx context.Context, prompt *pml.Prompt) (*ServeResult, error) {
 	c.mu.Lock()
 	e, ok := c.schemas[prompt.SchemaName]
 	if !ok {

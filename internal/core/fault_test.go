@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/mining"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -216,8 +217,8 @@ func TestFaultMinedTransientReadRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mining := WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4})
-	c := NewCache(m, mining)
+	mine := withMining(mining.Config{MinHits: 2, MinTokens: 4})
+	c := NewCache(m, mine)
 	mustRegister(t, c, travelSchema)
 	cold := serveMined(t, c)
 	defer cold.Close()
@@ -227,7 +228,7 @@ func TestFaultMinedTransientReadRetried(t *testing.T) {
 	}
 
 	inj := faultinject.New(6)
-	restored, err := OpenDir(m, dir, mining, WithFaultInjection(inj))
+	restored, err := OpenDir(m, dir, mine, WithFaultInjection(inj))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,17 +47,13 @@ const (
 	classGroupSep = "\x1e"
 )
 
-// MiningOpts configures automatic module mining; it is an alias of the
-// observer's config so promptcache can re-export it without leaking
-// internals. Zero fields take the mining package's documented defaults.
-type MiningOpts = mining.Config
-
 // WithModuleMining enables automatic module mining: cached serves feed
-// a radix-tree traffic observer, and prefixes that clear opts'
-// thresholds are promoted to anonymous modules spliced into later
-// matching serves. See MiningOpts for the knobs.
-func WithModuleMining(opts MiningOpts) Option {
-	return func(c *Cache) { c.miner = mining.New(opts) }
+// a radix-tree traffic observer, and prefixes that clear the mining
+// package's default thresholds (3 observations, 16 tokens, 64 live
+// modules) are promoted to anonymous modules spliced into later
+// matching serves.
+func WithModuleMining() Option {
+	return func(c *Cache) { c.miner = mining.New(mining.Config{}) }
 }
 
 // MinedPrefix records where an anonymous mined module's states are

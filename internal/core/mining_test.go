@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mining"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -21,7 +22,7 @@ const minedPrompt = `<prompt schema="travel"><trip-plan duration="three days"/><
 
 func miningCache(t *testing.T, cfg model.Config, extra ...Option) *Cache {
 	t.Helper()
-	opts := append([]Option{WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4})}, extra...)
+	opts := append([]Option{withMining(mining.Config{MinHits: 2, MinTokens: 4})}, extra...)
 	c := newTestCache(t, cfg, opts...)
 	mustRegister(t, c, travelSchema)
 	return c
@@ -149,7 +150,7 @@ func TestMinedBatchServe(t *testing.T) {
 	defer solo.Close()
 
 	prompts := []string{minedPrompt, minedPrompt, minedPrompt, minedPrompt}
-	results, _, err := c.ServeBatch(context.Background(), prompts, ServeOpts{BatchWorkers: 1})
+	results, _, err := c.ServeBatch(context.Background(), prompts, ServeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +175,14 @@ func TestMinedModuleEvictionWaterfall(t *testing.T) {
 	}
 	// Size the pool from an unbounded twin so the mined module plus the
 	// schema's working set cannot all stay resident.
-	probe := NewCache(m, WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}))
+	probe := NewCache(m, withMining(mining.Config{MinHits: 2, MinTokens: 4}))
 	if _, err := probe.RegisterSchema(travelSchema); err != nil {
 		t.Fatal(err)
 	}
 	need := probe.Snapshot().PoolBytes
 
 	c := NewCache(m,
-		WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}),
+		withMining(mining.Config{MinHits: 2, MinTokens: 4}),
 		WithDeviceCapacity(need+need/4),
 		WithDiskTier(t.TempDir(), CodecFP32),
 	)
@@ -212,7 +213,7 @@ func TestMinedModuleEvictionWaterfall(t *testing.T) {
 // matching traffic is garbage-collected and stops being reported live.
 func TestMinedDemotionGC(t *testing.T) {
 	c := newTestCache(t, model.LlamaStyle(coreVocab, 77),
-		WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4, HalfLife: 4}))
+		withMining(mining.Config{MinHits: 2, MinTokens: 4, HalfLife: 4}))
 	mustRegister(t, c, travelSchema)
 	serveMined(t, c).Close()
 	serveMined(t, c).Close()
@@ -246,7 +247,7 @@ func TestMinedSaveAllRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCache(m, WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}))
+	c := NewCache(m, withMining(mining.Config{MinHits: 2, MinTokens: 4}))
 	if _, err := c.RegisterSchema(travelSchema); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestMinedSaveAllRoundTrip(t *testing.T) {
 	coldLogits := append([]float32(nil), cold.Logits...)
 	cold.Close()
 
-	restored, err := OpenDir(m, dir, WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}))
+	restored, err := OpenDir(m, dir, withMining(mining.Config{MinHits: 2, MinTokens: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestMinedSaveAllRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twice, err := OpenDir(m, dir, WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}))
+	twice, err := OpenDir(m, dir, withMining(mining.Config{MinHits: 2, MinTokens: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestMinedConcurrentServes(t *testing.T) {
 	}
 	need := probe.Snapshot().PoolBytes
 	c := NewCache(m,
-		WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}),
+		withMining(mining.Config{MinHits: 2, MinTokens: 4}),
 		WithDeviceCapacity(need+need/3),
 		WithHostTier(need),
 		WithDiskTier(t.TempDir(), CodecFP32),
@@ -416,8 +417,8 @@ func TestMinedRestoreBadCodecLeavesNoGhost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mining := WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4})
-	c := NewCache(m, mining)
+	mine := withMining(mining.Config{MinHits: 2, MinTokens: 4})
+	c := NewCache(m, mine)
 	mustRegister(t, c, travelSchema)
 	serveMined(t, c).Close()
 	serveMined(t, c).Close() // promotes
@@ -443,7 +444,7 @@ func TestMinedRestoreBadCodecLeavesNoGhost(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := OpenDir(m, dir, mining)
+	restored, err := OpenDir(m, dir, mine)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/mining"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -927,7 +928,7 @@ func TestSnapshotManifestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCache(m, WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}))
+	c := NewCache(m, withMining(mining.Config{MinHits: 2, MinTokens: 4}))
 	mustRegister(t, c, travelSchema)
 	serveMined(t, c).Close()
 	serveMined(t, c).Close() // promotes

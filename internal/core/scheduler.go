@@ -224,7 +224,7 @@ func (s *Scheduler) Generate(ctx context.Context, class string, kv kvcache.KV, l
 		emit:      emit,
 		class:     SLOFromContext(ctx),
 		pos:       kv.MaxPos(),
-		specOn:    s.draft != nil && opts.Speculation.Policy != model.SpecOff,
+		specOn:    s.draft != nil && !opts.Speculation.Off,
 		specClass: class,
 	}
 	s.mu.Lock()
@@ -257,6 +257,10 @@ func (s *Scheduler) inline(ln *schedLane) {
 	var args stepArgs
 	for active := []*schedLane{ln}; len(active) > 0; {
 		active = s.iterate(&args, active)
+		// Yield per step as the run loop does: the caller's goroutine
+		// holds its core for the whole reply otherwise, and a stream's
+		// token writer waits for the preemption tick.
+		runtime.Gosched()
 	}
 }
 
@@ -460,7 +464,7 @@ func (s *Scheduler) settle(ln *schedLane) (accepted int, stop bool) {
 // draftBudget bounds a lane's draft width: the remaining position
 // headroom, the remaining token budget (a draft past MaxTokens can never
 // be accepted) and the request's MaxDraft when it sets one. Propose caps
-// the width at the engine's DraftOpts.MaxDraft, so a request without its
+// the width at the draft source's MaxDraft, so a request without its
 // own bound drafts as wide as the engine allows.
 func (s *Scheduler) draftBudget(ln *schedLane) int {
 	b := min(s.m.Cfg.MaxSeq-1-ln.pos, ln.opts.MaxTokens-len(ln.out))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -597,6 +598,38 @@ func TestGenerateStream(t *testing.T) {
 				t.Fatalf("emit refused at the second token: reply %v, want %v", refused, plain[:2])
 			}
 		})
+	}
+}
+
+// TestInlineDriverYields: the inline driver yields its core after every
+// step, as the run loop does. On one P, a goroutine made runnable just
+// before an inline GenerateStream must have run by the third token;
+// without the yield it waits for the preemption tick, long after this
+// short reply ends.
+func TestInlineDriverYields(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	c := llamaCache(t, WithBackend(tensor.NewBackend(1)))
+	mustRegister(t, c, travelSchema)
+	res, err := c.Serve(ctx, `<prompt schema="travel"><tokyo/>Keep going.</prompt>`, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	var ran atomic.Bool
+	go func() { ran.Store(true) }()
+	tokens, sawRun := 0, 0
+	if _, err := c.GenerateStream(ctx, res, model.GenerateOpts{MaxTokens: 8, StopToken: -1}, func(string) bool {
+		tokens++
+		if sawRun == 0 && ran.Load() {
+			sawRun = tokens
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if sawRun == 0 || sawRun > 3 {
+		t.Fatalf("a runnable goroutine first ran at token %d of %d, want by token 3", sawRun, tokens)
 	}
 }
 

@@ -2,11 +2,10 @@ package core
 
 import "repro/internal/mining"
 
-// DraftOpts configures the speculative-decoding draft source; it is an
-// alias of the mining package's draft config so promptcache can
-// re-export it without leaking internals. Zero fields take the draft
-// package's documented defaults.
-type DraftOpts = mining.DraftConfig
+// DraftOpts is WithSpeculation's argument. It has no fields: the draft
+// source runs on the mining package's defaults (a 3-token context, 4
+// drafts per step, 2 hits before a transition is proposed).
+type DraftOpts struct{}
 
 // WithSpeculation enables draft-and-verify speculative decoding: retired
 // generations train a per-serving-class n-gram draft source, and decode
@@ -15,8 +14,8 @@ type DraftOpts = mining.DraftConfig
 // or without it. It runs on either decode driver, fused
 // (WithDecodeScheduler) or inline; per-request policy (model.SpecOpts)
 // can opt individual generations out or narrow their draft width.
-func WithSpeculation(opts DraftOpts) Option {
-	return func(c *Cache) { c.draftOpts = &opts }
+func WithSpeculation(DraftOpts) Option {
+	return func(c *Cache) { c.draft = &mining.DraftConfig{} }
 }
 
 // SpecStats is the stats document's speculation block: the draft

@@ -7,14 +7,15 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mining"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
 
-// specDraftOpts is the draft configuration the speculation tests share:
+// specDraft is the draft configuration the speculation tests share:
 // MinHits 1 lets a single training pass qualify transitions, so a second
 // pass over the same prompts actually speculates.
-func specDraftOpts() DraftOpts { return DraftOpts{MinHits: 1} }
+func specDraft() mining.DraftConfig { return mining.DraftConfig{MinHits: 1} }
 
 // TestSpeculationGoldenSpecVsSolo is the bit-identity contract of
 // speculative decoding, in the style of TestSchedulerGoldenFused: a
@@ -32,13 +33,13 @@ func TestSpeculationGoldenSpecVsSolo(t *testing.T) {
 		name  string
 		cfg   model.Config
 		spec  tensor.Backend
-		draft DraftOpts
+		draft mining.DraftConfig
 	}{
-		{"llama", model.LlamaStyle(coreVocab, 77), tensor.NewBackend(1), specDraftOpts()},
-		{"llama-parallel", model.LlamaStyle(coreVocab, 77), tensor.NewBackend(4), specDraftOpts()},
-		{"mpt-alibi", model.MPTStyle(coreVocab, 77), tensor.NewBackend(1), specDraftOpts()},
-		{"mpt-alibi-parallel", model.MPTStyle(coreVocab, 77), tensor.NewBackend(4), specDraftOpts()},
-		{"llama-never-proposes", model.LlamaStyle(coreVocab, 77), tensor.NewBackend(1), DraftOpts{MinHits: 1 << 30}},
+		{"llama", model.LlamaStyle(coreVocab, 77), tensor.NewBackend(1), specDraft()},
+		{"llama-parallel", model.LlamaStyle(coreVocab, 77), tensor.NewBackend(4), specDraft()},
+		{"mpt-alibi", model.MPTStyle(coreVocab, 77), tensor.NewBackend(1), specDraft()},
+		{"mpt-alibi-parallel", model.MPTStyle(coreVocab, 77), tensor.NewBackend(4), specDraft()},
+		{"llama-never-proposes", model.LlamaStyle(coreVocab, 77), tensor.NewBackend(1), mining.DraftConfig{MinHits: 1 << 30}},
 	}
 	for _, arch := range archs {
 		t.Run(arch.name, func(t *testing.T) {
@@ -46,7 +47,7 @@ func TestSpeculationGoldenSpecVsSolo(t *testing.T) {
 			for _, drv := range decodeDrivers {
 				t.Run(drv.name, func(t *testing.T) {
 					spec := goldenCache(t, arch.cfg,
-						append([]Option{WithSpeculation(arch.draft), WithBackend(arch.spec)}, drv.opts...)...)
+						append([]Option{withDraft(arch.draft), WithBackend(arch.spec)}, drv.opts...)...)
 					// Pass 0 runs on a cold draft (and trains it as lanes
 					// retire), pass 1 on a warm one.
 					for pass := 0; pass < 2; pass++ {
@@ -92,15 +93,15 @@ func acceptedPerStep(s SchedStats) float64 {
 	return float64(s.TokensDecoded) / float64(laneSteps)
 }
 
-// TestSpeculationOptOut: a request carrying SpecOff must decode through
+// TestSpeculationOptOut: a request carrying Off must decode through
 // the flat (non-speculative) path even on a warmed cache — SpecSteps
 // stays put — and still produce the identical stream.
 func TestSpeculationOptOut(t *testing.T) {
 	ctx := context.Background()
-	c := llamaCache(t, WithDecodeScheduler(4), WithSpeculation(specDraftOpts()))
+	c := llamaCache(t, WithDecodeScheduler(4), withDraft(specDraft()))
 	mustRegister(t, c, travelSchema)
 	prompt := `<prompt schema="travel"><miami/>Plan a beach day.</prompt>`
-	run := func(policy model.SpecPolicy) []int {
+	run := func(off bool) []int {
 		res, err := c.Serve(ctx, prompt, ServeOpts{})
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +109,7 @@ func TestSpeculationOptOut(t *testing.T) {
 		defer res.Close()
 		ids, err := c.Generate(ctx, res, model.GenerateOpts{
 			MaxTokens: 20, StopToken: -1,
-			Speculation: model.SpecOpts{Policy: policy},
+			Speculation: model.SpecOpts{Off: off},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -116,15 +117,15 @@ func TestSpeculationOptOut(t *testing.T) {
 		return ids
 	}
 	// Train: two speculating runs (the first observes, the second accepts).
-	want := run(model.SpecAuto)
-	onWarm := run(model.SpecAuto)
+	want := run(false)
+	onWarm := run(false)
 	if c.Snapshot().Speculation.SpecSteps == 0 {
 		t.Fatalf("warm run never speculated: %+v", c.Snapshot().Speculation)
 	}
 	before := c.Snapshot().Speculation.SpecSteps
-	optedOut := run(model.SpecOff)
+	optedOut := run(true)
 	if after := c.Snapshot().Speculation.SpecSteps; after != before {
-		t.Fatalf("SpecOff request still speculated: %d -> %d spec steps", before, after)
+		t.Fatalf("Off request still speculated: %d -> %d spec steps", before, after)
 	}
 	for _, got := range [][]int{onWarm, optedOut} {
 		if len(got) != len(want) {
@@ -143,7 +144,7 @@ func TestSpeculationOptOut(t *testing.T) {
 // lane keeps decoding to its full, undisturbed reply — speculation's
 // KV truncation must not disturb cancellation bookkeeping or siblings.
 func TestSpeculationCancelMidRun(t *testing.T) {
-	c := llamaCache(t, WithDecodeScheduler(4), WithSpeculation(specDraftOpts()))
+	c := llamaCache(t, WithDecodeScheduler(4), withDraft(specDraft()))
 	mustRegister(t, c, travelSchema)
 	ctx := context.Background()
 	survivor := goldenReq{
@@ -209,7 +210,7 @@ func TestSpeculationCancelMidRun(t *testing.T) {
 func TestSpeculationChurnHammer(t *testing.T) {
 	c := llamaCache(t,
 		WithDecodeScheduler(4),
-		WithSpeculation(specDraftOpts()),
+		withDraft(specDraft()),
 		WithDeviceCapacity(96<<10),
 		WithHostTier(0),
 	)
@@ -283,7 +284,7 @@ func TestSpeculationChurnHammer(t *testing.T) {
 // applies, so the re-registered schema starts from a cold predictor.
 func TestSpeculationSchemaDropForgets(t *testing.T) {
 	ctx := context.Background()
-	c := llamaCache(t, WithDecodeScheduler(2), WithSpeculation(specDraftOpts()))
+	c := llamaCache(t, WithDecodeScheduler(2), withDraft(specDraft()))
 	mustRegister(t, c, travelSchema)
 	prompt := `<prompt schema="travel"><miami/>Plan a beach day.</prompt>`
 	for i := 0; i < 2; i++ {
@@ -312,9 +313,9 @@ func TestSpeculationSchemaDropForgets(t *testing.T) {
 // block appears only with WithDecodeScheduler.
 func TestSpeculationWithoutScheduler(t *testing.T) {
 	for _, c := range []*Cache{
-		llamaCache(t, WithSpeculation(specDraftOpts())),
-		llamaCache(t, WithSpeculation(specDraftOpts()), WithDecodeScheduler(2)),
-		llamaCache(t, WithDecodeScheduler(2), WithSpeculation(specDraftOpts())),
+		llamaCache(t, withDraft(specDraft())),
+		llamaCache(t, withDraft(specDraft()), WithDecodeScheduler(2)),
+		llamaCache(t, WithDecodeScheduler(2), withDraft(specDraft())),
 	} {
 		mustRegister(t, c, travelSchema)
 		res, err := c.Serve(context.Background(), `<prompt schema="travel"><miami/>Surf?</prompt>`, ServeOpts{})
@@ -339,10 +340,10 @@ func TestSpeculationWithoutScheduler(t *testing.T) {
 }
 
 // TestDraftWidth: a request without its own MaxDraft drafts as wide as the
-// engine's DraftOpts.MaxDraft — here 6, above the draft package's default
+// draft source's MaxDraft — here 6, above the draft package's default
 // of 4 — and a request's own MaxDraft still caps its step.
 func TestDraftWidth(t *testing.T) {
-	c := llamaCache(t, WithSpeculation(DraftOpts{MinHits: 1, MaxDraft: 6}))
+	c := llamaCache(t, withDraft(mining.DraftConfig{MinHits: 1, MaxDraft: 6}))
 	// A warmed, deterministic draft: one observed stream whose every
 	// context has exactly one successor.
 	stream := []int{101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/kvcache"
+	"repro/internal/mining"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -158,7 +159,7 @@ func TestTierStateMachine(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("%s/%s/%s", kind, stateNames[tc.state], room), func(t *testing.T) {
 			opts := []Option{
-				WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}),
+				withMining(mining.Config{MinHits: 2, MinTokens: 4}),
 				WithDeviceCapacity(tierPoolBytes),
 			}
 			switch tc.state {
@@ -249,9 +250,9 @@ func TestSaveAllDiskResidentToOtherDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mining := WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4})
+	mine := withMining(mining.Config{MinHits: 2, MinTokens: 4})
 	inj := faultinject.New(7)
-	c := NewCache(m, mining, WithDiskTier(t.TempDir(), CodecFP32), WithFaultInjection(inj))
+	c := NewCache(m, mine, WithDiskTier(t.TempDir(), CodecFP32), WithFaultInjection(inj))
 	mustRegister(t, c, travelSchema)
 	coldMined := serveMined(t, c)
 	serveMined(t, c).Close() // promotes
@@ -284,7 +285,7 @@ func TestSaveAllDiskResidentToOtherDir(t *testing.T) {
 	if st := c.Stats(); st.MinedSnapshotSkipped != 0 || st.ModulesEncoded != 5 {
 		t.Fatalf("snapshot skipped a module, or encoded other than the dropped one: %+v", st)
 	}
-	restored, err := OpenDir(m, dir, mining)
+	restored, err := OpenDir(m, dir, mine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestTierReadWindowMinedCollected(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCache(m,
-		WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}),
+		withMining(mining.Config{MinHits: 2, MinTokens: 4}),
 		WithDiskTier(t.TempDir(), CodecFP32))
 	mustRegister(t, c, travelSchema)
 	cold := serveMined(t, c)
@@ -391,7 +392,7 @@ func TestTierPendingMinedCollected(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCache(m,
-		WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 4}),
+		withMining(mining.Config{MinHits: 2, MinTokens: 4}),
 		WithDiskTier(t.TempDir(), CodecFP32))
 	mustRegister(t, c, travelSchema)
 	serveMined(t, c).Close()

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/kvcache"
+	"repro/internal/mining"
 	"repro/internal/model"
 	"repro/internal/pml"
 	"repro/internal/tokenizer"
@@ -177,7 +178,7 @@ func (w *tsWorld) opts() []Option {
 	unit := int64(2 * tsRowBytes)
 	opts := []Option{
 		WithDeviceCapacity(int64(w.cfg.device) * unit),
-		WithModuleMining(MiningOpts{MinHits: 2, MinTokens: 2}),
+		withMining(mining.Config{MinHits: 2, MinTokens: 2}),
 		WithFaultInjection(w.inj),
 	}
 	if w.cfg.host > 0 {

@@ -126,7 +126,7 @@ func DefaultConfig() *Config {
 		OrderRoots: []string{
 			// Token emission: the PR 2 argument-ordering bug class.
 			core + ".Cache.gatherNewTokens",
-			core + ".Cache.BaselineServeParsed",
+			core + ".Cache.BaselineServe",
 			// The decode loop's two drivers: lane joins, token emission
 			// and retirement order on the fused run loop and inline.
 			core + ".Scheduler.run",

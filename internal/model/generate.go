@@ -96,22 +96,20 @@ func (s *TopKSampler) Sample(logits []float32) int {
 	return idx[k-1]
 }
 
-// RepetitionPenalty wraps a sampler, dividing the logits of
-// recently-generated tokens by Penalty (> 1) before sampling — the
-// standard mitigation for the token loops untrained and small models
-// fall into.
+// RepetitionPenalty is greedy sampling that divides the logits of
+// recently-generated tokens by Penalty (> 1) first — the standard
+// mitigation for the token loops untrained and small models fall into.
 type RepetitionPenalty struct {
-	Inner   Sampler
 	Penalty float32
 	Window  int // how many recent tokens to penalize (0 = all)
 
 	recent []int
 }
 
-// Sample applies the penalty and delegates to the inner sampler.
+// Sample applies the penalty and picks the highest adjusted logit.
 func (r *RepetitionPenalty) Sample(logits []float32) int {
 	if r.Penalty <= 1 || len(r.recent) == 0 {
-		tok := r.inner().Sample(logits)
+		tok := GreedySampler{}.Sample(logits)
 		r.remember(tok)
 		return tok
 	}
@@ -127,16 +125,9 @@ func (r *RepetitionPenalty) Sample(logits []float32) int {
 			adjusted[t] *= r.Penalty
 		}
 	}
-	tok := r.inner().Sample(adjusted)
+	tok := GreedySampler{}.Sample(adjusted)
 	r.remember(tok)
 	return tok
-}
-
-func (r *RepetitionPenalty) inner() Sampler {
-	if r.Inner == nil {
-		return GreedySampler{}
-	}
-	return r.Inner
 }
 
 func (r *RepetitionPenalty) remember(tok int) {
@@ -146,26 +137,14 @@ func (r *RepetitionPenalty) remember(tok int) {
 	}
 }
 
-// SpecPolicy selects whether a generation may use draft-and-verify
-// speculative decoding. The default, SpecAuto, defers to the serving
-// engine: speculation runs iff a draft source is configured there.
-type SpecPolicy int
-
-const (
-	// SpecAuto speculates when the engine has a draft source.
-	SpecAuto SpecPolicy = iota
-	// SpecOn requests speculation (still a no-op without a draft source).
-	SpecOn
-	// SpecOff disables speculation for this generation.
-	SpecOff
-)
-
 // SpecOpts carries per-generation speculation controls. Speculation never
 // changes output — accepted drafts are exactly the tokens plain decode
 // would have sampled — so these knobs trade verify-step width against
-// wasted work, not quality.
+// wasted work, not quality. The zero value speculates exactly when the
+// engine has a draft source.
 type SpecOpts struct {
-	Policy SpecPolicy
+	// Off opts this generation out of speculation.
+	Off bool
 	// MaxDraft bounds draft tokens verified per step; zero leaves the
 	// engine's draft-source width in force.
 	MaxDraft int

@@ -21,7 +21,7 @@ func TestSpeculationOverWire(t *testing.T) {
 	}
 	client := promptcache.New(m,
 		promptcache.WithDecodeScheduler(4),
-		promptcache.WithSpeculation(promptcache.DraftOpts{MinHits: 1}),
+		promptcache.WithSpeculation(promptcache.DraftOpts{}),
 	)
 	s := New(client)
 	doJSON(t, s, http.MethodPost, "/schemas", SchemaRequest{PML: testSchema})
@@ -37,10 +37,13 @@ func TestSpeculationOverWire(t *testing.T) {
 		}
 		return out["text"].(string)
 	}
-	want := complete(body) // trains the draft
-	warm := complete(body) // speculates
-	if warm != want {
-		t.Fatalf("speculative reply diverges: %q vs %q", warm, want)
+	// A transition is proposed once it has been seen twice: the first
+	// two replies train the draft, the third speculates.
+	want := complete(body)
+	for i := 2; i <= 3; i++ {
+		if got := complete(body); got != want {
+			t.Fatalf("reply %d diverges: %q vs %q", i, got, want)
+		}
 	}
 
 	specBlock := func() map[string]any {

@@ -169,7 +169,7 @@ func TestStatsContractGolden(t *testing.T) {
 	client := promptcache.New(m,
 		promptcache.WithDecodeScheduler(4),
 		promptcache.WithDiskTier(t.TempDir(), promptcache.CodecFP32),
-		promptcache.WithModuleMining(promptcache.MiningOpts{MinHits: 2, MinTokens: 4}),
+		promptcache.WithModuleMining(),
 		promptcache.WithAdmission(promptcache.AdmissionConfig{}),
 		promptcache.WithSpeculation(promptcache.DraftOpts{}),
 	)
@@ -222,19 +222,21 @@ func TestStatsContractGolden(t *testing.T) {
 // TestStatsMiningBlock is the transport-level mining acceptance: a
 // server started with mining enabled promotes a repeated undeclared
 // suffix and reports the hit through /v1/stats — what an operator
-// watching pcserve -mine sees. Without mining the block is absent.
+// watching pcserve -mine sees. The suffix is longer than the 16-token
+// minimum, and a prefix is promoted on its third sighting. Without
+// mining the block is absent.
 func TestStatsMiningBlock(t *testing.T) {
 	m, err := model.New(model.LlamaStyle(tokenizer.WordBase+2048, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	client := promptcache.New(m,
-		promptcache.WithModuleMining(promptcache.MiningOpts{MinHits: 2, MinTokens: 4}),
+		promptcache.WithModuleMining(),
 	)
 	s := New(client)
 	doJSON(t, s, http.MethodPost, "/schemas", SchemaRequest{PML: testSchema})
-	prompt := `<prompt schema="docs"><contract/>Summarize the duties and list every obligation in order.</prompt>`
-	for i := 0; i < 4; i++ {
+	prompt := `<prompt schema="docs"><contract/>Summarize the duties and list every obligation in order, then name each party, its deadline and the remedy for a breach.</prompt>`
+	for i := 0; i < 5; i++ {
 		rec, out := doJSON(t, s, http.MethodPost, "/v1/complete", CompleteRequest{Prompt: prompt, GenConfig: promptcache.GenConfig{MaxTokens: 4}})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("complete %d: %d %v", i, rec.Code, out)
@@ -274,7 +276,7 @@ func TestStatsBlockPresence(t *testing.T) {
 	}{
 		{"bare", nil, nil},
 		{"scheduler", []promptcache.Option{promptcache.WithDecodeScheduler(2)}, []string{"scheduler"}},
-		{"mining", []promptcache.Option{promptcache.WithModuleMining(promptcache.MiningOpts{})}, []string{"mining"}},
+		{"mining", []promptcache.Option{promptcache.WithModuleMining()}, []string{"mining"}},
 		{"admission", []promptcache.Option{promptcache.WithAdmission(promptcache.AdmissionConfig{})}, []string{"admission"}},
 		{"speculation alone", []promptcache.Option{promptcache.WithSpeculation(promptcache.DraftOpts{})}, []string{"speculation"}},
 		{"speculation", []promptcache.Option{promptcache.WithSpeculation(promptcache.DraftOpts{}), promptcache.WithDecodeScheduler(2)},

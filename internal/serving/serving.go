@@ -17,7 +17,6 @@ package serving
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/evict"
@@ -51,10 +50,6 @@ type Config struct {
 	GPUCapacity int64
 	// Policy governs HBM replacement; nil defaults to LRU.
 	Policy evict.Policy
-	// OverlapTransfers pipelines module copies with the uncached-suffix
-	// computation (the prefetch direction §3.2.3 hints at): per request,
-	// TTFT pays max(copy, compute) instead of copy + compute.
-	OverlapTransfers bool
 
 	// SharedPrefixes > 0 makes GenerateTrace emit explicit suffix token
 	// streams: each request's suffix starts with one of SharedPrefixes
@@ -108,168 +103,37 @@ func DefaultUniverse(n, minTok, maxTok int, seed uint64) []ModuleSpec {
 	return out
 }
 
-// Run replays the stream and returns aggregate statistics.
-func Run(cfg Config) (Stats, error) {
-	if cfg.Device == nil || len(cfg.Modules) == 0 {
-		return Stats{}, fmt.Errorf("serving: device and modules required")
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 1000
-	}
-	if cfg.ModulesPerRequest <= 0 {
-		cfg.ModulesPerRequest = 2
-	}
-	if cfg.ModulesPerRequest > len(cfg.Modules) {
-		cfg.ModulesPerRequest = len(cfg.Modules)
-	}
-	if cfg.SuffixTokens <= 0 {
-		cfg.SuffixTokens = 120
-	}
-	if cfg.ZipfS <= 0 {
-		cfg.ZipfS = 1.0
-	}
-	policy := cfg.Policy
-	if policy == nil {
-		policy = evict.NewLRU()
-	}
-
-	r := rng.New(cfg.Seed)
-	weights := make([]float64, len(cfg.Modules))
-	var totalW float64
-	for i := range weights {
-		weights[i] = 1 / math.Pow(float64(i+1), cfg.ZipfS)
-		totalW += weights[i]
-	}
-	pick := func() int {
-		u := r.Float64() * totalW
-		acc := 0.0
-		for i, w := range weights {
-			acc += w
-			if u < acc {
-				return i
-			}
-		}
-		return len(weights) - 1
-	}
-
-	bytesOf := func(m ModuleSpec) int64 {
-		return int64(m.Tokens) * cfg.Model.BytesPerToken()
-	}
-
-	resident := map[string]int64{}
-	var hbmUsed int64
-	var st Stats
-	ttfts := make([]time.Duration, 0, cfg.Requests)
-	var baselineSum time.Duration
-
-	for q := 0; q < cfg.Requests; q++ {
-		// Distinct module picks, processed in a deterministic order.
-		chosenSet := map[int]bool{}
-		for len(chosenSet) < cfg.ModulesPerRequest {
-			chosenSet[pick()] = true
-		}
-		chosen := make([]int, 0, len(chosenSet))
-		for idx := range chosenSet {
-			chosen = append(chosen, idx)
-		}
-		sort.Ints(chosen)
-		var copyTime time.Duration
-		totalTokens := cfg.SuffixTokens
-		for _, idx := range chosen {
-			m := cfg.Modules[idx]
-			totalTokens += m.Tokens
-			b := bytesOf(m)
-			st.ModuleLookups++
-			if _, hit := resident[m.Name]; hit && cfg.GPUCapacity > 0 {
-				st.HBMHits++
-				copyTime += cfg.Device.Local.TransferTime(b)
-				policy.Touch(m.Name, b)
-				continue
-			}
-			// Miss: ship from host DRAM...
-			copyTime += cfg.Device.Upload.TransferTime(b)
-			st.BytesUploaded += b
-			// ...and promote into HBM if it can ever fit.
-			if cfg.GPUCapacity <= 0 || b > cfg.GPUCapacity {
-				continue
-			}
-			for hbmUsed+b > cfg.GPUCapacity {
-				victim, ok := policy.Victim()
-				if !ok {
-					break
-				}
-				policy.Remove(victim)
-				hbmUsed -= resident[victim]
-				delete(resident, victim)
-				st.Evictions++
-			}
-			resident[m.Name] = b
-			hbmUsed += b
-			policy.Touch(m.Name, b)
-		}
-		compute := time.Duration(cfg.Model.SuffixFLOPs(cfg.SuffixTokens, totalTokens) / cfg.Device.EffFLOPs() * float64(time.Second))
-		ttft := cfg.Device.Overhead
-		if cfg.OverlapTransfers {
-			// Copies ride alongside the suffix computation; the longer
-			// of the two gates the first token.
-			if copyTime > compute {
-				ttft += copyTime
-			} else {
-				ttft += compute
-			}
-		} else {
-			ttft += copyTime + compute
-		}
-		ttfts = append(ttfts, ttft)
-		baselineSum += hw.BaselineTTFT(cfg.Device, cfg.Model, totalTokens)
-	}
-
-	st.Requests = cfg.Requests
-	sort.Slice(ttfts, func(i, j int) bool { return ttfts[i] < ttfts[j] })
-	var sum time.Duration
-	for _, t := range ttfts {
-		sum += t
-	}
-	st.MeanTTFT = sum / time.Duration(len(ttfts))
-	st.P50TTFT = ttfts[len(ttfts)/2]
-	st.P99TTFT = ttfts[len(ttfts)*99/100]
-	st.BaselineMeanTTFT = baselineSum / time.Duration(cfg.Requests)
-	return st, nil
-}
-
-// ComparePolicies runs the same stream under each named policy at the
-// given HBM capacity and returns stats per policy name, plus the
-// host-only ("CPU memory") and unbounded-HBM reference points.
+// ComparePolicies replays base's generated stream under each named
+// policy at the given HBM capacity and returns stats per policy name,
+// plus the host-only ("CPU memory") and unbounded-HBM reference points.
 func ComparePolicies(base Config, capacity int64) (map[string]Stats, error) {
+	trace, err := GenerateTrace(base)
+	if err != nil {
+		return nil, err
+	}
 	out := map[string]Stats{}
+	run := func(name string, capacity int64, p evict.Policy) error {
+		cfg := base
+		cfg.GPUCapacity = capacity
+		cfg.Policy = p
+		st, err := RunTrace(cfg, trace)
+		out[name] = st
+		return err
+	}
 	for _, name := range evict.Names() {
 		p, err := evict.New(name)
 		if err != nil {
 			return nil, err
 		}
-		cfg := base
-		cfg.GPUCapacity = capacity
-		cfg.Policy = p
-		st, err := Run(cfg)
-		if err != nil {
+		if err := run(name, capacity, p); err != nil {
 			return nil, err
 		}
-		out[name] = st
 	}
-	hostOnly := base
-	hostOnly.GPUCapacity = 0
-	st, err := Run(hostOnly)
-	if err != nil {
+	if err := run("host-only", 0, nil); err != nil {
 		return nil, err
 	}
-	out["host-only"] = st
-
-	unbounded := base
-	unbounded.GPUCapacity = 1 << 60
-	st, err = Run(unbounded)
-	if err != nil {
+	if err := run("unbounded-hbm", 1<<60, nil); err != nil {
 		return nil, err
 	}
-	out["unbounded-hbm"] = st
 	return out, nil
 }

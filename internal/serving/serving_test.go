@@ -20,8 +20,17 @@ func baseConfig() Config {
 	}
 }
 
+// run replays cfg's generated stream.
+func run(cfg Config) (Stats, error) {
+	trace, err := GenerateTrace(cfg)
+	if err != nil {
+		return Stats{}, err
+	}
+	return RunTrace(cfg, trace)
+}
+
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := run(Config{}); err == nil {
 		t.Fatal("expected error without device/modules")
 	}
 }
@@ -30,12 +39,12 @@ func TestDeterministicRuns(t *testing.T) {
 	cfg := baseConfig()
 	cfg.GPUCapacity = 8 << 30
 	cfg.Policy = evict.NewLRU()
-	a, err := Run(cfg)
+	a, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Policy = evict.NewLRU()
-	b, err := Run(cfg)
+	b, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +56,7 @@ func TestDeterministicRuns(t *testing.T) {
 func TestCachedBeatsBaseline(t *testing.T) {
 	cfg := baseConfig()
 	cfg.GPUCapacity = 8 << 30
-	st, err := Run(cfg)
+	st, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +73,7 @@ func TestHostOnlyStillBeatsBaseline(t *testing.T) {
 	// ships over PCIe — still far faster than recomputing (§5.2.1).
 	cfg := baseConfig()
 	cfg.GPUCapacity = 0
-	st, err := Run(cfg)
+	st, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +94,7 @@ func TestCapacityMonotonicity(t *testing.T) {
 		c := cfg
 		c.GPUCapacity = gib << 30
 		c.Policy = evict.NewLRU()
-		st, err := Run(c)
+		st, err := run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,32 +157,6 @@ func TestPolicyDifferentiation(t *testing.T) {
 	for name, st := range results {
 		t.Logf("%-14s hit=%.3f mean=%v p99=%v speedup=%.1fx uploads=%dMiB",
 			name, st.HitRate(), st.MeanTTFT, st.P99TTFT, st.Speedup(), st.BytesUploaded>>20)
-	}
-}
-
-func TestOverlapTransfersNeverSlower(t *testing.T) {
-	cfg := baseConfig()
-	cfg.GPUCapacity = 0 // host-only maximizes copy time → overlap matters
-	seq, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.OverlapTransfers = true
-	ovl, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ovl.MeanTTFT > seq.MeanTTFT {
-		t.Fatalf("overlap mean %v worse than sequential %v", ovl.MeanTTFT, seq.MeanTTFT)
-	}
-	// With uploads of multi-hundred-MiB module states against a ~100
-	// token suffix, overlap should hide a visible fraction.
-	if float64(ovl.MeanTTFT) > 0.95*float64(seq.MeanTTFT) {
-		t.Fatalf("overlap saved <5%%: %v vs %v", ovl.MeanTTFT, seq.MeanTTFT)
-	}
-	// Hit accounting must be identical — overlap changes timing only.
-	if ovl.HBMHits != seq.HBMHits || ovl.BytesUploaded != seq.BytesUploaded {
-		t.Fatal("overlap changed cache behaviour")
 	}
 }
 

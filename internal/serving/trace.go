@@ -25,11 +25,6 @@ type Request struct {
 	// what MineTrace needs to discover undeclared shared prefixes.
 	// Legacy traces without it replay normally but cannot be mined.
 	SuffixToks []int `json:"suffix_toks,omitempty"`
-	// ArrivalMS, when present, is the request's arrival offset in
-	// milliseconds since replay start (see GenerateArrivals /
-	// AssignArrivals), recorded by `pctrace -record -arrival`. The
-	// analytic RunTrace ignores it and replays back-to-back.
-	ArrivalMS float64 `json:"arrival_ms,omitempty"`
 }
 
 // GenerateTrace materializes cfg's Zipf stream as an explicit trace.
@@ -166,12 +161,6 @@ func ReadTrace(r io.Reader) ([]Request, error) {
 	}
 }
 
-func evictDefault() evict.Policy { return evict.NewLRU() }
-
-func baselineFor(cfg Config, totalTokens int) time.Duration {
-	return hw.BaselineTTFT(cfg.Device, cfg.Model, totalTokens)
-}
-
 // RunTrace replays an explicit trace against cfg's device, model, tier
 // and policy (cfg's stream-generation fields are ignored). Module names
 // in the trace must exist in cfg.Modules.
@@ -188,7 +177,7 @@ func RunTrace(cfg Config, trace []Request) (Stats, error) {
 	}
 	policy := cfg.Policy
 	if policy == nil {
-		policy = evictDefault()
+		policy = evict.NewLRU()
 	}
 	resident := map[string]int64{}
 	var hbmUsed int64
@@ -237,18 +226,8 @@ func RunTrace(cfg Config, trace []Request) (Stats, error) {
 			policy.Touch(m.Name, b)
 		}
 		compute := time.Duration(cfg.Model.SuffixFLOPs(suffix, totalTokens) / cfg.Device.EffFLOPs() * float64(time.Second))
-		ttft := cfg.Device.Overhead
-		if cfg.OverlapTransfers {
-			if copyTime > compute {
-				ttft += copyTime
-			} else {
-				ttft += compute
-			}
-		} else {
-			ttft += copyTime + compute
-		}
-		ttfts = append(ttfts, ttft)
-		baselineSum += baselineFor(cfg, totalTokens)
+		ttfts = append(ttfts, cfg.Device.Overhead+copyTime+compute)
+		baselineSum += hw.BaselineTTFT(cfg.Device, cfg.Model, totalTokens)
 	}
 	st.Requests = len(trace)
 	sort.Slice(ttfts, func(i, j int) bool { return ttfts[i] < ttfts[j] })

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/evict"
 )
 
 func TestGenerateTraceDeterministic(t *testing.T) {
@@ -64,33 +62,6 @@ func TestReadTraceErrors(t *testing.T) {
 	got, err := ReadTrace(strings.NewReader(""))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty file: %v %d", err, len(got))
-	}
-}
-
-// TestRunTraceMatchesRun: replaying the generated trace must reproduce
-// the stream-mode run exactly (same hits, same mean TTFT).
-func TestRunTraceMatchesRun(t *testing.T) {
-	cfg := baseConfig()
-	cfg.GPUCapacity = 4 << 30
-	cfg.Policy = evict.NewLRU()
-	direct, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := GenerateTrace(baseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayCfg := baseConfig()
-	replayCfg.GPUCapacity = 4 << 30
-	replayCfg.Policy = evict.NewLRU()
-	replayed, err := RunTrace(replayCfg, trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.HBMHits != replayed.HBMHits || direct.MeanTTFT != replayed.MeanTTFT ||
-		direct.BytesUploaded != replayed.BytesUploaded {
-		t.Fatalf("replay diverges: %+v vs %+v", direct, replayed)
 	}
 }
 

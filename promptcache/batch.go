@@ -16,9 +16,6 @@ type BatchRequest struct {
 	DisableScaffolds bool
 	// PrefillOnly skips the decode phase for the whole batch.
 	PrefillOnly bool
-	// Workers bounds the worker pool the batch's prefills fan out over
-	// (0 = GOMAXPROCS).
-	Workers int
 	// Gen carries the generation settings shared by all prompts. Note
 	// the batch always admits as SLOBatch regardless of Gen.SLO — a bulk
 	// request is batch traffic by definition.
@@ -33,7 +30,7 @@ type BatchResponse struct {
 }
 
 // InferBatch serves and generates a batch of prompts: each is an ordinary
-// cached serve, run concurrently over the request's worker bound, so
+// cached serve, run concurrently over min(GOMAXPROCS, prompts) workers, so
 // members share module states exactly as concurrent Infer calls do.
 // Cancelling ctx aborts between (and inside) per-prompt prefills and
 // decode steps.
@@ -48,7 +45,6 @@ func (c *Client) InferBatch(ctx context.Context, req BatchRequest) (*BatchRespon
 	defer done()
 	results, stats, err := c.cache.ServeBatch(ctx, req.Prompts, core.ServeOpts{
 		DisableScaffolds: req.DisableScaffolds,
-		BatchWorkers:     req.Workers,
 	})
 	if err != nil {
 		return nil, err

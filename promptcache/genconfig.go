@@ -5,17 +5,15 @@ import "repro/internal/model"
 // SpecConfig is the per-request speculative-decoding surface inside
 // GenConfig.
 type SpecConfig struct {
-	// Enabled is tri-state: nil defers to the serving side (speculate
-	// exactly when the engine was built WithSpeculation), false opts this
-	// generation out, true requests speculation (still inert without a
-	// draft source). The pointer keeps "unset" distinct from "off" across
-	// JSON round trips.
+	// Enabled false opts this generation out. nil and true both defer
+	// to the serving side: speculate exactly when the engine was built
+	// WithSpeculation. The pointer keeps "unset" distinct from "off"
+	// across JSON round trips.
 	Enabled *bool `json:"enabled,omitempty"`
 	// MaxDraft bounds draft tokens verified per step; zero leaves the
-	// engine's DraftOpts.MaxDraft, which a request can narrow but never
-	// exceed. Output never depends on it — larger drafts trade wasted
-	// verify width for more tokens per step when the draft source is
-	// right.
+	// engine's width of 4, which a request can narrow but never exceed.
+	// Output never depends on it — larger drafts trade wasted verify
+	// width for more tokens per step when the draft source is right.
 	MaxDraft int `json:"max_draft,omitempty"`
 }
 
@@ -48,19 +46,13 @@ type GenConfig struct {
 // to the model's decode options — the single place request knobs map to
 // engine knobs.
 func (g GenConfig) generateOpts() model.GenerateOpts {
-	o := model.GenerateOpts{
+	return model.GenerateOpts{
 		MaxTokens: g.MaxTokens,
 		Sampler:   g.Sampler,
 		StopToken: g.StopToken,
+		Speculation: model.SpecOpts{
+			Off:      g.Speculation.Enabled != nil && !*g.Speculation.Enabled,
+			MaxDraft: g.Speculation.MaxDraft,
+		},
 	}
-	switch {
-	case g.Speculation.Enabled == nil:
-		o.Speculation.Policy = model.SpecAuto
-	case *g.Speculation.Enabled:
-		o.Speculation.Policy = model.SpecOn
-	default:
-		o.Speculation.Policy = model.SpecOff
-	}
-	o.Speculation.MaxDraft = g.Speculation.MaxDraft
-	return o
 }

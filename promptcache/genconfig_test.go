@@ -102,6 +102,32 @@ func TestGenConfigJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGenConfigSpeculationOpts: on the wire, "enabled": true and an
+// absent field leave speculation to the engine alike; only false opts
+// the generation out. max_draft passes through either way.
+func TestGenConfigSpeculationOpts(t *testing.T) {
+	opts := func(wire string) model.SpecOpts {
+		t.Helper()
+		var g GenConfig
+		if err := json.Unmarshal([]byte(wire), &g); err != nil {
+			t.Fatal(err)
+		}
+		return g.generateOpts().Speculation
+	}
+	on := opts(`{"speculation":{"enabled":true,"max_draft":2}}`)
+	absent := opts(`{"speculation":{"max_draft":2}}`)
+	off := opts(`{"speculation":{"enabled":false,"max_draft":2}}`)
+	if want := (model.SpecOpts{MaxDraft: 2}); on != want || absent != want {
+		t.Fatalf("enabled true -> %+v, absent -> %+v, want both %+v", on, absent, want)
+	}
+	if want := (model.SpecOpts{Off: true, MaxDraft: 2}); off != want {
+		t.Fatalf("enabled false -> %+v, want %+v", off, want)
+	}
+	if got := opts(`{}`); got != (model.SpecOpts{}) {
+		t.Fatalf("no speculation key -> %+v, want the zero SpecOpts", got)
+	}
+}
+
 // TestSnapshotShape: the consolidated Snapshot carries the version tag
 // and the per-subsystem blocks exactly when their subsystem is on.
 func TestSnapshotShape(t *testing.T) {

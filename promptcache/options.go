@@ -82,21 +82,16 @@ func Backends() []string { return tensor.Backends() }
 // WithDecodeScheduler is given a non-positive bound.
 const DefaultMaxDecodeBatch = core.DefaultMaxDecodeBatch
 
-// MiningOpts configures automatic module mining (WithModuleMining). The
-// zero value of each field selects a sensible default; the knobs are the
-// promotion threshold (MinHits), the minimum prefix worth caching
-// (MinTokens), the mined-module budget (MaxModules) and the reuse-score
-// decay rate (HalfLife, in observed serves).
-type MiningOpts = core.MiningOpts
-
 // WithModuleMining enables automatic module mining: the engine observes
 // the uncached token stream of every cached request in a radix tree, and
 // prefixes hot enough to clear the thresholds are promoted to anonymous
 // modules — cached, pinned, evicted, disk-spilled and warm-restarted
 // exactly like explicit PML modules — so later requests sharing the
-// prefix splice its states instead of re-prefilling. Splices are
-// bit-exact: a mined hit changes latency, never output.
-func WithModuleMining(opts MiningOpts) Option { return core.WithModuleMining(opts) }
+// prefix splice its states instead of re-prefilling. A prefix is
+// promoted after 3 observations if it is at least 16 tokens long, and
+// at most 64 mined modules live at once. Splices are bit-exact: a mined
+// hit changes latency, never output.
+func WithModuleMining() Option { return core.WithModuleMining() }
 
 // SLOClass classifies a request's latency objective — SLOInteractive
 // (the default) or SLOBatch — steering both admission-queue and
@@ -144,12 +139,10 @@ func WithAdmission(cfg AdmissionConfig) Option { return core.WithAdmission(cfg) 
 // bit-identical either way: same sampler state, same logits.
 func WithDecodeScheduler(maxBatch int) Option { return core.WithDecodeScheduler(maxBatch) }
 
-// DraftOpts configures the speculative-decoding draft source
-// (WithSpeculation): n-gram context length, draft budget per step, the
-// hit threshold a transition must clear before being proposed, and the
-// decay half-life that ages stale transitions out. The zero value of
-// each field selects a sensible default. An alias of the engine's type,
-// like MiningOpts.
+// DraftOpts is WithSpeculation's argument. It has no fields: the draft
+// source conditions on up to 3 preceding tokens, proposes up to 4
+// tokens per step, and proposes a transition once it has been seen
+// twice. An alias of the engine's type, like AdmissionConfig.
 type DraftOpts = core.DraftOpts
 
 // WithSpeculation enables draft-and-verify speculative decoding through

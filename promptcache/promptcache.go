@@ -28,6 +28,7 @@
 // state into owned storage). InferBatch is the same serve path fanned
 // out over a bounded worker pool: members importing a module view its
 // one resident copy, and their pins release when the batch returns.
+// The pool has one worker per CPU, at most one per prompt.
 //
 // Decode is one lane state machine with two drivers. With
 // WithDecodeScheduler the decode phase is continuous-batched: concurrent
@@ -45,7 +46,7 @@
 // lane verifies the draft's proposals in one widened step, emitting
 // several tokens per step when the draft is right. Output stays
 // bit-identical to plain decode — a wrong draft costs verify width,
-// never a token — and requests opt in or out per call via
+// never a token — and requests opt out per call via
 // GenConfig.Speculation. Snapshot's Speculation block exposes acceptance
 // counters.
 //
@@ -78,7 +79,8 @@
 // PML modules a schema declares, the engine watches the uncached token
 // streams requests actually send and promotes hot shared prefixes
 // (undeclared system prompts, RAG boilerplate, few-shot headers) to
-// anonymous mined modules. Mined and explicit modules coexist in one
+// anonymous mined modules (a prefix qualifies after 3 sightings at 16
+// tokens or more). Mined and explicit modules coexist in one
 // inventory — same pinning, eviction, disk spill and warm-restart
 // machinery — and a request whose suffix starts with a mined prefix
 // splices its states bit-exactly, like a schema hit. Snapshot's Mining
@@ -275,17 +277,10 @@ func (c *Client) Infer(ctx context.Context, req Request) (*Response, error) {
 
 // serve assembles the prompt's attention states per the request mode.
 func (c *Client) serve(ctx context.Context, req Request) (*core.ServeResult, error) {
-	opts := core.ServeOpts{DisableScaffolds: req.DisableScaffolds}
-	switch {
-	case req.Baseline && req.Parsed != nil:
-		return c.cache.BaselineServeParsed(ctx, req.Parsed)
-	case req.Baseline:
+	if req.Baseline {
 		return c.cache.BaselineServe(ctx, req.Prompt)
-	case req.Parsed != nil:
-		return c.cache.ServeParsed(ctx, req.Parsed, opts)
-	default:
-		return c.cache.Serve(ctx, req.Prompt, opts)
 	}
+	return c.cache.Serve(ctx, req.Prompt, core.ServeOpts{DisableScaffolds: req.DisableScaffolds})
 }
 
 // generate runs the decode phase of a request over a served result and

@@ -1,10 +1,6 @@
 package promptcache
 
-import (
-	"fmt"
-
-	"repro/internal/pml"
-)
+import "fmt"
 
 // Request consolidates everything one inference call can ask for. The
 // zero value plus a Prompt is a valid cached completion with default
@@ -12,9 +8,6 @@ import (
 type Request struct {
 	// Prompt is the PML prompt source, referencing a registered schema.
 	Prompt string
-	// Parsed short-circuits parsing for callers that already hold a
-	// *pml.Prompt; it takes precedence over Prompt.
-	Parsed *pml.Prompt
 
 	// Baseline disables attention reuse and runs a full prefill — the
 	// paper's KV-Cache baseline, for comparisons.
@@ -39,8 +32,8 @@ type Request struct {
 }
 
 func (r *Request) validate() error {
-	if r.Prompt == "" && r.Parsed == nil {
-		return fmt.Errorf("%w: request has neither Prompt nor Parsed", ErrBadPrompt)
+	if r.Prompt == "" {
+		return fmt.Errorf("%w: request has no Prompt", ErrBadPrompt)
 	}
 	return nil
 }

@@ -22,8 +22,8 @@ type (
 	// TopKSampler samples among the k highest logits; construct with
 	// NewTopKSampler for a seeded RNG.
 	TopKSampler = model.TopKSampler
-	// RepetitionPenalty wraps a sampler, penalizing recently generated
-	// tokens.
+	// RepetitionPenalty is greedy sampling that penalizes recently
+	// generated tokens.
 	RepetitionPenalty = model.RepetitionPenalty
 )
 

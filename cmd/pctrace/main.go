@@ -109,22 +109,7 @@ func main() {
 	base.GPUCapacity = capacity
 	base.Policy = p
 
-	trace, err := serving.GenerateTrace(base)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *record != "" {
-		f, err := os.Create(*record)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := serving.WriteTrace(f, trace); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("recorded %d requests to %s\n", len(trace), *record)
-	}
-
+	var trace []serving.Request
 	if *replay != "" {
 		f, err := os.Open(*replay)
 		if err != nil {
@@ -134,6 +119,22 @@ func main() {
 		f.Close()
 		if err != nil {
 			log.Fatal(err)
+		}
+	} else {
+		trace, err = serving.GenerateTrace(base)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if *record != "" {
+			f, err := os.Create(*record)
+			if err != nil {
+				log.Fatal(err)
+			}
+			defer f.Close()
+			if err := serving.WriteTrace(f, trace); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("recorded %d requests to %s\n", len(trace), *record)
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -201,10 +202,14 @@ func TestServeBatchLedger(t *testing.T) {
 	}
 	assertLedger("after closed batch")
 
-	// Fails on its third prompt (union clash); members served before the
-	// failure must release their pins.
+	// Fails on its third prompt (union clash) after two members served:
+	// on one P the pool has one worker, which serves the members in order,
+	// so the batch must close the two results it already holds.
 	bad := append(append([]string{}, good[:2]...), `<prompt schema="travel"><tokyo/><miami/>x</prompt>`)
-	if _, _, err := c.ServeBatch(ctx, bad, ServeOpts{}); !errors.Is(err, ErrBadPrompt) {
+	procs := runtime.GOMAXPROCS(1)
+	_, _, err = c.ServeBatch(ctx, bad, ServeOpts{})
+	runtime.GOMAXPROCS(procs)
+	if !errors.Is(err, ErrBadPrompt) {
 		t.Fatalf("failing batch returned %v, want ErrBadPrompt", err)
 	}
 	assertLedger("after failed batch")

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -214,6 +215,10 @@ func TestEvictionSkipsPinnedModule(t *testing.T) {
 // point at once — Serve, ServeBatch, promotion churn, RegisterSchema,
 // Stats — and exists mainly for the race detector.
 func TestConcurrentServePrefetchRegisterBatch(t *testing.T) {
+	// Each batch fans out over at least two workers, even on one CPU.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	c := llamaCache(t)
 	mustRegister(t, c, travelSchema)
 	ctx := context.Background()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -143,8 +144,11 @@ func TestMinedPrefixDiffersByArguments(t *testing.T) {
 }
 
 // TestMinedBatchServe: batch members observe and splice mined prefixes
-// like any serve.
+// like any serve. On one P the pool has one worker, so members are served
+// in order: the solo serve and member 0 promote the prefix and the rest
+// must hit it.
 func TestMinedBatchServe(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c := miningCache(t, model.LlamaStyle(coreVocab, 77))
 	solo := serveMined(t, c)
 	defer solo.Close()

@@ -26,12 +26,6 @@
 //
 //	pcserve -cache-dir /var/lib/pcserve
 //
-// With -mine the cache grows itself: the engine watches the uncached
-// token streams requests send, promotes hot shared prefixes (seen 3
-// times, 16 tokens or longer) to anonymous cached modules, and splices
-// them bit-exactly into later requests — the "mining" block of
-// GET /v1/stats tracks the win.
-//
 // With -speculate the decode phase speculates: generated token streams
 // train a per-serving-class n-gram draft source, and each decode lane
 // verifies the draft's proposals in one widened step, emitting several
@@ -96,7 +90,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "durable cache directory: evicted modules spill here instead of dropping, and registered schemas persist across restarts (SIGINT/SIGTERM snapshots, next boot warm-restores)")
 	cacheCodec := flag.String("cache-codec", "fp32", "disk-tier codec: fp32 (bit-exact), int8 or int4")
 	speculate := flag.Bool("speculate", false, "speculative decoding: train an n-gram draft source on served traffic and verify its proposals in widened decode steps; output is bit-identical, only tokens-per-step changes")
-	mine := flag.Bool("mine", false, "automatic module mining: observe uncached token streams and promote hot shared prefixes to anonymous cached modules")
 	admit := flag.Int("admit", 0, "admission control: concurrent-request slots; overflow queues, a full queue sheds HTTP 429 + Retry-After (0 disables admission)")
 	admitQueue := flag.Int("admit-queue", 0, "admission: waiting requests beyond the slots before shedding (0 = default when -admit is set)")
 	admitDeadline := flag.Duration("admit-deadline", 0, "admission: per-request deadline for interactive requests, queueing included; expiry is HTTP 504 (0 = none)")
@@ -136,9 +129,6 @@ func main() {
 	}
 	if *speculate {
 		opts = append(opts, promptcache.WithSpeculation(promptcache.DraftOpts{}))
-	}
-	if *mine {
-		opts = append(opts, promptcache.WithModuleMining())
 	}
 	if *admit > 0 || *admitQueue > 0 || *admitDeadline > 0 || *admitBatchDeadline > 0 {
 		opts = append(opts, promptcache.WithAdmission(promptcache.AdmissionConfig{

@@ -3,19 +3,10 @@
 // capacity-limited HBM tier in front of host DRAM and a pluggable
 // replacement policy.
 //
-// With -mine the trace is also replayed through a module-mining
-// observer, at the thresholds the engine mines with, to report the
-// would-be win of automatic prefix promotion:
-// how many requests would have spliced a mined prefix, and what token
-// volume that saves. Mining needs suffix token streams in the trace —
-// generate them with -shared-prefixes, or replay a recorded trace that
-// carries suffix_toks.
-//
 // Usage:
 //
 //	pctrace -requests 5000 -modules 80 -hbm-gib 4 -policy gdsf
 //	pctrace -compare            # all policies + reference points
-//	pctrace -shared-prefixes 4 -mine   # offline mining report
 //	pctrace -record t.jsonl     # write the generated trace as JSONL
 package main
 
@@ -27,7 +18,6 @@ import (
 
 	"repro/internal/evict"
 	"repro/internal/hw"
-	"repro/internal/mining"
 	"repro/internal/serving"
 )
 
@@ -45,10 +35,6 @@ func main() {
 		compare  = flag.Bool("compare", false, "compare all policies plus reference points")
 		record   = flag.String("record", "", "write the generated request trace to this JSONL file")
 		replay   = flag.String("replay", "", "replay a JSONL trace instead of generating a stream")
-
-		sharedPrefixes = flag.Int("shared-prefixes", 0, "pooled undeclared suffix prefixes in generated traces (0 = no suffix streams)")
-		sharedTokens   = flag.Int("shared-prefix-tokens", 0, "tokens per pooled prefix (0 = half the suffix)")
-		mine           = flag.Bool("mine", false, "replay the trace through a module-mining observer and report the would-be hit rate")
 	)
 	flag.Parse()
 
@@ -76,9 +62,6 @@ func main() {
 		SuffixTokens:      *suffix,
 		ZipfS:             *zipf,
 		Seed:              *seed,
-
-		SharedPrefixes:     *sharedPrefixes,
-		SharedPrefixTokens: *sharedTokens,
 	}
 	capacity := int64(*hbmGiB * (1 << 30))
 
@@ -145,18 +128,4 @@ func main() {
 	fmt.Printf("device=%s policy=%s hbm=%.1fGiB\n", dev.Name, *policy, *hbmGiB)
 	printStats(*policy, st)
 	fmt.Printf("baseline (no reuse) mean TTFT: %.1f ms\n", st.BaselineMeanTTFT.Seconds()*1e3)
-
-	if *mine {
-		ms, err := serving.MineTrace(mining.Config{}, trace)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("mining: streams=%d/%d promotions=%d demotions=%d live=%d\n",
-			ms.Streams, ms.Requests, ms.Promotions, ms.Demotions, ms.LiveModules)
-		fmt.Printf("mining: hits=%d (%.1f%% of streams) tokens saved=%d/%d (%.1f%%)\n",
-			ms.Hits, 100*ms.HitRate(), ms.HitTokens, ms.SuffixTokens, 100*ms.TokensSavedFrac())
-		if ms.Streams == 0 {
-			fmt.Println("mining: trace carries no suffix token streams; generate with -shared-prefixes or record suffix_toks")
-		}
-	}
 }

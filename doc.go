@@ -55,9 +55,10 @@
 // # Speculative decoding
 //
 // With promptcache.WithSpeculation, on either driver, the decode step
-// widens: a back-off n-gram draft source — the same radix-structure
-// family as module mining, trained on the token streams decode actually
-// produced per serving class, no second model — proposes up to 4 tokens
+// widens: a back-off n-gram draft source — trained on the token streams
+// decode actually produced per serving class (schema, imports,
+// scaffolds and exclusions: one attention context), no second model —
+// proposes up to 4 tokens
 // per lane, and the same step, at several positions per lane,
 // scores every proposed position. Each lane accepts exactly the longest
 // proposal prefix matching what its sampler picks, falls back to the
@@ -112,21 +113,14 @@
 // model shape, module rosters and token counts before restoring, and
 // corrupt blobs degrade to a transparent re-encode, never a crash.
 //
-// # Automatic module mining
+// # Declaring shared text
 //
-// With promptcache.WithModuleMining the module inventory grows beyond
-// what schemas declare: a radix tree observes the uncached token stream
-// of every cached serve and promotes hot shared prefixes (undeclared
-// system prompts, RAG boilerplate, few-shot headers; seen 3 times and 16
-// tokens or longer) to anonymous mined modules. Mined and explicit modules coexist in one inventory — the
-// same pinning, eviction, host demotion, disk spill and warm-restart
-// paths — and a request whose suffix opens with a mined prefix splices
-// its states zero-copy, bit-identically to serving cold: prefixes are
-// scoped to a serving class (schema + imports + exclusions, i.e. one
-// attention context) and mined states stay fp32 end to end. `pcserve
-// -mine` wires it into the server (the /v1/stats "mining" block tracks
-// promotions, demotions and tokens saved); `pctrace -mine` replays
-// recorded traces offline, at the same thresholds, to size the win first.
+// Reuse is declared, as in the paper: text many requests share — a
+// system prompt, RAG boilerplate, a few-shot header — is a <module> of a
+// schema (or a promptlang def), and a prompt that imports it splices the
+// module's states for the whole span. The engine holds two module
+// kinds, declared modules and scaffolds, and runs both through one tier
+// state machine.
 //
 // # Static analysis
 //

@@ -21,17 +21,14 @@ import (
 	"repro/internal/tokenizer"
 )
 
-// EncodedModule is one cached attention state: a declared prompt module,
-// a scaffold (§3.3), or a mined prefix. Every kind runs through the one
-// tier state machine (tierStore); they differ only in data on the module
-// — the stream its states encode (rows, encodeStates), its spill codec
-// (spillCodec), and whether unavailable states re-encode (a declared
-// module or scaffold re-encodes its stream; a mined one cannot and is
-// removed).
+// EncodedModule is one cached attention state: a declared prompt module
+// or a scaffold (§3.3). Both kinds run through the one tier state machine
+// (tierStore); they differ only in data on the module — the stream its
+// states encode (rows, encodeStates) and its spill codec (spillCodec).
+// Unavailable states of either kind re-encode from the stream.
 type EncodedModule struct {
 	// Name is the module's name within its schema: a declared module's
-	// tag, scaffoldPrefix plus a scaffold's name, or minedPrefixTag plus
-	// a sequence number.
+	// tag, or scaffoldPrefix plus a scaffold's name.
 	Name   string
 	Schema string
 	// KV holds the module's attention states (text and parameter <unk>
@@ -40,18 +37,13 @@ type EncodedModule struct {
 	// resident (§4.1); nil once evicted past the host tier.
 	KV *kvcache.Cache
 	// Toks and Pos are the (token, position) stream the states encode: a
-	// declared module's own tokens (moduleTokens), a scaffold's members'
-	// streams in schema order, or a mined module's observed prefix.
+	// declared module's own tokens (moduleTokens), or a scaffold's
+	// members' streams in schema order.
 	Toks, Pos []int
 	// Layout is a declared module's compiled layout entry; nil for
-	// scaffolds and mined modules, whose states exist for output
-	// exactness and so spill fp32 whatever the disk codec.
+	// scaffolds, whose states exist for output exactness and so spill
+	// fp32 whatever the disk codec.
 	Layout *pml.ModuleLayout
-	// Mined marks an anonymous module promoted by the traffic observer
-	// (WithModuleMining). Its rows attended to its serving class's
-	// context when computed, so they cannot re-encode from the stream
-	// alone: eviction past the last tier removes the module instead.
-	Mined *MinedPrefix
 	// state and pins are the tier store's, guarded by Cache.mu. pins
 	// counts open serves whose KV views read this module's states
 	// outside the cache lock; eviction never selects a pinned module, so
@@ -93,9 +85,8 @@ func (m *EncodedModule) key() string { return m.Schema + "/" + m.Name }
 func (m *EncodedModule) rows() int { return len(m.Toks) }
 
 // spillCodec is the codec the module's blob is written with: the tier's
-// for a declared module; fp32 for scaffold and mined states, which are
-// bit-exact by contract (a scaffold reproduces the full-attention
-// baseline, a mined splice the cold serve's logits).
+// for a declared module; fp32 for scaffold states, which are bit-exact
+// by contract (a scaffold reproduces the full-attention baseline).
 func (m *EncodedModule) spillCodec(tier Codec) Codec {
 	if m.Layout == nil {
 		return CodecFP32
@@ -171,12 +162,6 @@ type Cache struct {
 	// never takes mu.
 	sched *Scheduler
 
-	// miner, when non-nil, observes serve-time token streams and
-	// promotes hot shared prefixes to anonymous modules
-	// (WithModuleMining). It synchronizes itself and never calls back
-	// into the cache, so it may be used both under and outside mu.
-	miner *mining.Miner
-
 	// draft, when non-nil, is WithSpeculation's draft-source config;
 	// NewCache builds the draft onto sched.
 	draft *mining.DraftConfig
@@ -200,10 +185,7 @@ type Cache struct {
 	schemas map[string]*schemaEntry
 	// store owns module residency; its methods run under mu.
 	store tierStore
-	// minedSeq names promoted modules ~mined/0, ~mined/1, ... within
-	// this cache's lifetime (warm restarts advance it past restored ids).
-	minedSeq int
-	stats    Stats
+	stats Stats
 }
 
 // Option configures a Cache.
@@ -281,7 +263,6 @@ func NewCache(m *model.Model, opts ...Option) *Cache {
 		o(c)
 	}
 	c.store.stats = &c.stats
-	c.store.miner = c.miner
 	if c.sched == nil {
 		c.sched = newScheduler(m, false, 0)
 	}
@@ -416,18 +397,11 @@ func (c *Cache) encodeAll(ems []*EncodedModule) ([]*kvcache.Cache, error) {
 
 // dropSchemaLocked forgets a schema: its modules leave every tier (one
 // that next repeats hands its blob to its successor, tierStore.dropSchema),
-// and the observer and draft source forget its traffic.
+// and the draft source forgets its traffic.
 func (c *Cache) dropSchemaLocked(name string, next []*EncodedModule) {
 	if d := c.sched.draft; d != nil {
 		// The draft source's learned phrasing dies with the schema too.
 		d.DropClassPrefix(classPrefix(name))
-	}
-	if c.miner != nil {
-		// Forget the schema's observed traffic; the mined modules counted
-		// here leave the store with the schema's other modules.
-		for range c.miner.DropClassPrefix(classPrefix(name)) {
-			c.stats.MinedDemotions++
-		}
 	}
 	c.store.dropSchema(name, next)
 	delete(c.schemas, name)

@@ -160,6 +160,19 @@ func mustRegister(t *testing.T, c *Cache, src string) {
 	}
 }
 
+// serveClose serves each prompt and releases its pins: the promotion
+// and eviction churn a real workload causes.
+func serveClose(ctx context.Context, c *Cache, prompts ...string) error {
+	for _, p := range prompts {
+		res, err := c.Serve(ctx, p, ServeOpts{})
+		if err != nil {
+			return err
+		}
+		res.Close()
+	}
+	return nil
+}
+
 // TestSingleModuleExactEquivalence is the core correctness theorem: when
 // a prompt consists of one module spanning the schema from position 0
 // plus a trailing suffix, cached inference is *numerically equivalent* to

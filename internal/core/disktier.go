@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -30,9 +29,9 @@ import (
 // read back on the next serve instead of re-encoding. The blob is the
 // engine's one quantization point: states are encoded per the tier's
 // codec on the way out and decoded to fp32 on the way back in, so memory
-// only ever holds fp32 states, and under CodecFP32 (and for scaffolds and
-// mined modules under any codec) a module serves the same bits whichever
-// tier it came through. SaveAll/OpenDir extend the same blob store into
+// only ever holds fp32 states, and under CodecFP32 (and for scaffolds
+// under any codec) a module serves the same bits whichever tier it came
+// through. SaveAll/OpenDir extend the same blob store into
 // a full warm-restart snapshot: every registered schema's layout and
 // module states persist across process restarts, so a restarted server
 // answers its first cached request without paying the §3.3 encoding cost
@@ -244,10 +243,11 @@ type manifestSchema struct {
 	PML       string           `json:"pml"`
 	Modules   []manifestModule `json:"modules"` // in layout order
 	Scaffolds []manifestModule `json:"scaffolds,omitempty"`
-	// Mined persists anonymous modules promoted by the traffic observer.
-	// They have no PML source, so the manifest carries the prefix itself;
-	// restoring without mining enabled skips them (counted).
-	Mined []manifestMined `json:"mined,omitempty"`
+	// Mined is read from older snapshots only, which listed modules a
+	// traffic observer promoted. They are not restored; OpenDir hands
+	// their blobs to the disk tier's saved set, so the next SaveAll into
+	// the directory removes them.
+	Mined []manifestModule `json:"mined,omitempty"`
 }
 
 type manifestModule struct {
@@ -256,15 +256,6 @@ type manifestModule struct {
 	Codec  string `json:"codec"`
 	Bytes  int64  `json:"bytes"`
 	Tokens int    `json:"tokens"`
-}
-
-// manifestMined is a mined module's manifest entry: the blob reference
-// plus the class and (token, position) prefix the states reproduce.
-type manifestMined struct {
-	manifestModule
-	Class string `json:"class"`
-	Toks  []int  `json:"toks"`
-	Pos   []int  `json:"pos"`
 }
 
 func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
@@ -278,8 +269,8 @@ func HasSnapshot(dir string) bool {
 }
 
 // SaveAll persists every registered schema — its source and the states
-// of all its modules, scaffolds and mined modules — into dir as a
-// warm-restart snapshot, with the tokenizer's learned vocabulary.
+// of all its modules and scaffolds — into dir as a warm-restart
+// snapshot, with the tokenizer's learned vocabulary.
 // Declared module blobs take the disk tier's codec (CodecFP32 without
 // one), the rest fp32; modules spilled into dir reuse their blobs.
 // Cache.mu is held only to cut the registry (cutLocked) and to count what
@@ -312,7 +303,6 @@ func (c *Cache) snapshotDoneLocked(cut *snapshotCut, named map[string]bool, err 
 		c.store.countEncode(em)
 	}
 	c.stats.DiskRetries += cut.retries
-	c.stats.MinedSnapshotSkipped += cut.skipped
 	if err == nil && cut.tier == c.store.disk {
 		c.store.resave(named)
 	}
@@ -323,11 +313,11 @@ func (c *Cache) snapshotDoneLocked(cut *snapshotCut, named map[string]bool, err 
 // its target directory indexes, else its states in memory, else neither
 // (immutable, so valid off the lock) — plus what the write counts.
 type snapshotCut struct {
-	tier             *diskTier // writes the blobs
-	schemas          []manifestSchema
-	modules          [][]cutModule // per schema
-	encoded          []*EncodedModule
-	retries, skipped int
+	tier    *diskTier // writes the blobs
+	schemas []manifestSchema
+	modules [][]cutModule // per schema
+	encoded []*EncodedModule
+	retries int
 }
 
 type cutModule struct {
@@ -337,7 +327,7 @@ type cutModule struct {
 }
 
 // cutLocked records every schema for a snapshot into dir, in name order,
-// with its modules: declared, then scaffolds, then mined by name.
+// with its modules: declared, then scaffolds.
 func (c *Cache) cutLocked(dir string) (*snapshotCut, error) {
 	tier, codec := c.store.disk, CodecFP32
 	if tier != nil {
@@ -348,15 +338,8 @@ func (c *Cache) cutLocked(dir string) (*snapshotCut, error) {
 	}
 	cut := &snapshotCut{tier: tier}
 	for _, name := range slices.Sorted(maps.Keys(c.schemas)) {
-		var mined []string
-		for _, em := range c.store.modules {
-			if em.Schema == name && em.Mined != nil {
-				mined = append(mined, em.Name)
-			}
-		}
-		sort.Strings(mined)
 		var mods []cutModule
-		for _, mod := range append(slices.Clip(c.schemas[name].order), mined...) {
+		for _, mod := range c.schemas[name].order {
 			em := c.store.modules[name+"/"+mod]
 			if em == nil {
 				return nil, fmt.Errorf("%w: schema %q missing module %q", ErrBadSnapshot, name, mod)
@@ -377,9 +360,7 @@ func (c *Cache) cutLocked(dir string) (*snapshotCut, error) {
 }
 
 // writeSnapshot writes a cut's blobs, vocabulary and manifest, off the
-// lock, and returns the blob hashes the manifest names. A mined module
-// whose blob cannot be had is skipped (counted) rather than failing the
-// snapshot: it re-mines after the restart.
+// lock, and returns the blob hashes the manifest names.
 func (c *Cache) writeSnapshot(cut *snapshotCut) (map[string]bool, error) {
 	dir := cut.tier.dir
 	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
@@ -397,21 +378,14 @@ func (c *Cache) writeSnapshot(cut *snapshotCut) (map[string]bool, error) {
 			em := m.em
 			entry, err := c.snapshotBlob(cut, m)
 			switch {
-			case em.Mined != nil && err != nil:
-				cut.skipped++
 			case err != nil:
 				return nil, fmt.Errorf("core: snapshot %s: %w", em.key(), err)
 			case em.Layout != nil:
 				ms.Modules = append(ms.Modules, manifestEntry(em.Name, entry))
-			case em.Mined == nil:
-				ms.Scaffolds = append(ms.Scaffolds, manifestEntry(strings.TrimPrefix(em.Name, scaffoldPrefix), entry))
 			default:
-				ms.Mined = append(ms.Mined, manifestMined{manifestModule: manifestEntry(em.Name, entry),
-					Class: em.Mined.Class, Toks: em.Toks, Pos: em.Pos})
+				ms.Scaffolds = append(ms.Scaffolds, manifestEntry(strings.TrimPrefix(em.Name, scaffoldPrefix), entry))
 			}
-			if err == nil {
-				named[entry.hash] = true
-			}
+			named[entry.hash] = true
 		}
 		man.Schemas = append(man.Schemas, ms)
 	}
@@ -432,7 +406,7 @@ func (c *Cache) writeSnapshot(cut *snapshotCut) (map[string]bool, error) {
 // snapshotBlob writes a cut module's blob, unless the cut found one. A
 // module the cut found no states for is produced as a serve produces a
 // pending part: its blob is read (readPart), and re-encoded when that
-// fails — but a mined module cannot re-encode.
+// fails.
 func (c *Cache) snapshotBlob(cut *snapshotCut, m cutModule) (diskEntry, error) {
 	if m.blob.hash != "" {
 		return m.blob, nil
@@ -441,9 +415,6 @@ func (c *Cache) snapshotBlob(cut *snapshotCut, m cutModule) (diskEntry, error) {
 		r := c.readPart(servePart{key: m.em.key(), pending: m.em})
 		cut.retries += r.retries
 		if m.kv = r.kv; r.err != nil {
-			if m.em.Mined != nil {
-				return diskEntry{}, r.err
-			}
 			var err error
 			if m.kv, err = c.encodeStates(m.em); err != nil {
 				return diskEntry{}, err
@@ -569,12 +540,8 @@ func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 		}
 		c.store.restore(em, de)
 	}
-	// Mined modules restore lazily like declared ones (stateDisk), and
-	// the observer adopts their prefixes so lookups match immediately.
-	// A cache opened without mining skips them with a counted stat —
-	// the blobs stay on disk for a later mining-enabled open.
 	for _, mm := range ms.Mined {
-		c.adoptMinedLocked(schema.Name, mm)
+		c.store.disk.saved[mm.Hash] = true
 	}
 	return nil
 }
@@ -612,14 +579,13 @@ func (c *Cache) resolveParts(plan *servePlan) error {
 	return nil
 }
 
-// resolvePart completes one pending part, of any module kind: the one
+// resolvePart completes one pending part, of either module kind: the one
 // place a serve produces states it does not hold, by a blob read or by a
 // re-encode, and both run outside the cache lock (disk IO and prefill
 // must never serialize serving). A registered module with a blob has it
 // read (readPart); a brief re-lock installs the states
 // (tierStore.install). When there was no blob, or it failed, the
-// module is unavailable: a mined one is a miss, and a declared module or
-// scaffold re-encodes its stream, which a last re-lock installs the same
+// module re-encodes its stream, which a last re-lock installs the same
 // way.
 func (c *Cache) resolvePart(p servePart) (servePart, error) {
 	r := c.readPart(p)

@@ -46,9 +46,9 @@ type ServeResult struct {
 	spliced []*kvcache.Cache
 
 	// class is the serve's serving-class key (see servingClass), set when
-	// mining or speculation is active. Generate hands it to the decode
-	// loop so draft-source lookups stay scoped to streams whose attention
-	// context matches.
+	// speculation is active. Generate hands it to the decode loop so
+	// draft-source lookups stay scoped to streams whose attention context
+	// matches.
 	class string
 }
 
@@ -146,20 +146,9 @@ func (c *Cache) ServeParsed(ctx context.Context, prompt *pml.Prompt, opts ServeO
 		return nil, err
 	}
 
-	// Module mining: the uncached stream may start with a previously
-	// promoted prefix; splice its states like a schema hit and prefill
-	// only the remainder. The untrimmed stream feeds the observer after
-	// the serve. The pin set is built after the splice — a resident
-	// mined hit appends its own pin.
-	fullToks, fullPos := newToks, newPos
-	var class, minedName string
-	if c.miner != nil || c.sched.draft != nil {
+	var class string
+	if c.sched.draft != nil {
 		class = servingClass(prompt.SchemaName, plan)
-	}
-	if c.miner != nil {
-		var n int
-		minedName, n = c.spliceMined(plan, prompt.SchemaName, class, newToks, newPos)
-		newToks, newPos = newToks[n:], newPos[n:]
 	}
 	ps := &pinSet{cache: c, pins: plan.pinned}
 
@@ -169,12 +158,8 @@ func (c *Cache) ServeParsed(ctx context.Context, prompt *pml.Prompt, opts ServeO
 	seq := c.m.NewSeq(plan.tailCap)
 	spliced := make([]*kvcache.Cache, len(plan.parts))
 	for i, part := range plan.parts {
-		excl := plan.excluded
-		if part.noExclude {
-			excl = nil
-		}
 		spliced[i] = part.states()
-		addViews(seq, spliced[i], excl)
+		addViews(seq, spliced[i], plan.excluded)
 	}
 	res, err := c.finishServe(ctx, plan, seq, newToks, newPos)
 	if err != nil {
@@ -182,15 +167,6 @@ func (c *Cache) ServeParsed(ctx context.Context, prompt *pml.Prompt, opts ServeO
 		return nil, err
 	}
 	res.spliced = spliced
-	if minedName != "" {
-		// Copy-on-append: res.Modules aliases plan.included.
-		res.Modules = append(res.Modules[:len(res.Modules):len(res.Modules)], minedName)
-	}
-	if c.miner != nil {
-		// Observe while the pins are held, so a promotion can copy its
-		// rows out of the still-stable views.
-		c.observeServe(prompt.SchemaName, class, fullToks, fullPos, seq)
-	}
 	res.class = class
 	res.pins = ps
 	return res, nil
@@ -212,10 +188,6 @@ type servePart struct {
 	// gone — which resolvePart does outside the cache lock. A resolved
 	// plan has no pending parts left.
 	pending *EncodedModule
-	// noExclude marks a part whose rows must not be filtered against the
-	// plan's excluded positions: a mined prefix already contains the
-	// serve-computed states at those positions.
-	noExclude bool
 }
 
 // states materializes the part's attention states. Safe outside the
@@ -337,9 +309,8 @@ func (c *Cache) planServeLocked(prompt *pml.Prompt, opts ServeOpts) (*servePlan,
 
 // finishServe completes a planned serve outside the cache lock: run the
 // already-gathered uncached stream (parameter arguments at their slot
-// positions, new text per §3.4; minus any mined prefix the caller
-// spliced) through the prefill into the view's tail, and fold the reuse
-// stats back in under a brief re-lock.
+// positions, new text per §3.4) through the prefill into the view's
+// tail, and fold the reuse stats back in under a brief re-lock.
 func (c *Cache) finishServe(ctx context.Context, plan *servePlan, kv kvcache.KV, newToks, newPos []int) (*ServeResult, error) {
 	res := &ServeResult{
 		Modules:      plan.included,

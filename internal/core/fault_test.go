@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/mining"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -203,57 +202,5 @@ func TestFaultSlowReadDelaysNotFails(t *testing.T) {
 	st := faulty.Stats()
 	if st.DiskLoadErrors != 0 || st.DiskRetries != 0 {
 		t.Fatalf("pure delay must not count as error or retry: %+v", st)
-	}
-}
-
-// TestFaultMinedTransientReadRetried: a mined module's blob read takes
-// the same retry ladder as a declared one's. After a warm restart whose
-// declared modules are already resident again, the mined blob is the
-// only disk read left; one injected transient error on it is absorbed
-// by a retry, and the serve is still a bit-identical mined hit.
-func TestFaultMinedTransientReadRetried(t *testing.T) {
-	dir := t.TempDir()
-	m, err := model.New(model.LlamaStyle(coreVocab, 77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mine := withMining(mining.Config{MinHits: 2, MinTokens: 4})
-	c := NewCache(m, mine)
-	mustRegister(t, c, travelSchema)
-	cold := serveMined(t, c)
-	defer cold.Close()
-	serveMined(t, c).Close() // promotes
-	if err := c.SaveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	inj := faultinject.New(6)
-	restored, err := OpenDir(m, dir, mine, WithFaultInjection(inj))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the declared modules with an argument the mined prefix does
-	// not match, so only the mined module stays on disk.
-	warm := `<prompt schema="travel"><trip-plan duration="a week"/><miami/>x</prompt>`
-	if err := serveClose(context.Background(), restored, warm); err != nil {
-		t.Fatal(err)
-	}
-	before := restored.Stats()
-	inj.Set(FaultPointDiskRead, faultinject.Rule{Err: faultinject.ErrTransient, Times: 1})
-	hit := serveMined(t, restored)
-	defer hit.Close()
-	st := restored.Stats()
-	if inj.Fired(FaultPointDiskRead) != 1 {
-		t.Fatalf("injected fault fired %d times, want 1", inj.Fired(FaultPointDiskRead))
-	}
-	if st.MinedHits != before.MinedHits+1 {
-		t.Fatalf("transient blip turned the mined hit into a miss: %+v", st)
-	}
-	if st.DiskRetries != before.DiskRetries+1 || st.DiskLoadErrors != before.DiskLoadErrors {
-		t.Fatalf("retries %d -> %d (want +1), load errors %d -> %d (want +0)",
-			before.DiskRetries, st.DiskRetries, before.DiskLoadErrors, st.DiskLoadErrors)
-	}
-	if d := tensor.MaxAbsDiff(cold.Logits, hit.Logits); d != 0 {
-		t.Fatalf("retried mined hit differs from the cold serve by %v", d)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
-	"repro/internal/mining"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -918,8 +917,8 @@ func TestMissingDiskBlobFallsBack(t *testing.T) {
 }
 
 // TestSnapshotManifestGolden pins the snapshot format byte for byte: the
-// sha256 of manifest.json after SaveAll of the travel schema plus one
-// mined module, under fp32. Blob hashes are sha256 over deterministic
+// sha256 of manifest.json after SaveAll of the travel schema, under
+// fp32. Blob hashes are sha256 over deterministic
 // bytes, so the pin catches a change to the manifest's shape and a
 // change to any module's state bits alike. A deliberate format change
 // bumps manifestVersion and replaces the constant.
@@ -928,10 +927,8 @@ func TestSnapshotManifestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCache(m, withMining(mining.Config{MinHits: 2, MinTokens: 4}))
+	c := NewCache(m)
 	mustRegister(t, c, travelSchema)
-	serveMined(t, c).Close()
-	serveMined(t, c).Close() // promotes
 	dir := t.TempDir()
 	if err := c.SaveAll(dir); err != nil {
 		t.Fatal(err)
@@ -940,7 +937,7 @@ func TestSnapshotManifestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "25ba60bd513b29222168cbdc7f431ec381032959594ccf2b92900f4319044f9a"
+	const want = "c9f88cc997130c09b9557a5bdba3a3d21d9cdd64b1bcdecf41f899be15dad574"
 	sum := sha256.Sum256(got)
 	if hex.EncodeToString(sum[:]) != want {
 		t.Fatalf("manifest.json sha256 = %x, want %s; the manifest:\n%s", sum, want, got)

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/model"
+	"repro/internal/tensor"
 )
 
 // SaveAll cuts the registry under one short Cache.mu hold and writes the
@@ -277,6 +278,13 @@ func TestSaveAllOwnDirOutlivesReplacement(t *testing.T) {
 	if _, err := os.Stat(faulty.store.disk.blobPath(tokyo.hash)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("the old tokyo blob outlived the snapshot that stopped naming it (stat: %v)", err)
 	}
+	assertBlobsNamed(t, faulty, dir)
+}
+
+// assertBlobsNamed fails for each blob file in dir that neither dir's
+// manifest nor c's disk index names.
+func assertBlobsNamed(t *testing.T, c *Cache, dir string) {
+	t.Helper()
 	data, err := os.ReadFile(manifestPath(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -291,11 +299,11 @@ func TestSaveAllOwnDirOutlivesReplacement(t *testing.T) {
 			named[mm.Hash+".pckv"] = true
 		}
 	}
-	faulty.mu.Lock()
-	for _, e := range faulty.store.disk.index {
+	c.mu.Lock()
+	for _, e := range c.store.disk.index {
 		named[e.hash+".pckv"] = true
 	}
-	faulty.mu.Unlock()
+	c.mu.Unlock()
 	files, err := os.ReadDir(filepath.Join(dir, "blobs"))
 	if err != nil {
 		t.Fatal(err)
@@ -305,6 +313,87 @@ func TestSaveAllOwnDirOutlivesReplacement(t *testing.T) {
 			t.Errorf("blob %s is named by neither the manifest nor the index", f.Name())
 		}
 	}
+}
+
+// TestOpenDirLegacyMinedEntries: a snapshot written while caches still
+// promoted mined modules lists them in a "mined" section, each with its
+// blob. OpenDir restores every declared module and scaffold from such a
+// manifest without an encode and restores no mined entry; the next
+// SaveAll into the directory removes the mined blobs, which nothing
+// reads any more.
+func TestOpenDirLegacyMinedEntries(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 613))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := NewCache(m)
+	mustRegister(t, orig, scaffoldSchema)
+	want, err := orig.Serve(context.Background(), scaffoldPrompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Close()
+	dir := t.TempDir()
+	if err := orig.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	// The legacy entry: a prefix's states in a blob of their own, listed
+	// as the older format listed them.
+	layout, err := orig.Layout("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := &EncodedModule{Name: "~mined/0", Schema: "s", Toks: orig.tok.Encode("legacy shared prefix words")}
+	for i := range prefix.Toks {
+		prefix.Pos = append(prefix.Pos, layout.TotalLen+i)
+	}
+	kv, err := orig.encodeStates(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := newDiskTier(dir, CodecFP32).writeBlob(kv, CodecFP32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(manifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["schemas"].([]any)[0].(map[string]any)["mined"] = []any{map[string]any{
+		"name": prefix.Name, "hash": blob.hash, "codec": "fp32", "bytes": blob.bytes, "tokens": blob.tokens,
+		"class": "s", "toks": prefix.Toks, "pos": prefix.Pos,
+	}}
+	if data, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifestPath(dir), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	restored, err := OpenDir(m, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Serve(context.Background(), scaffoldPrompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Close()
+	if !sameBits(want.Logits, got.Logits) {
+		t.Fatalf("restored serve differs by %v", tensor.MaxAbsDiff(want.Logits, got.Logits))
+	}
+	if st := restored.Stats(); st.ModulesRestored != 3 || st.ModulesEncoded != 0 {
+		t.Fatalf("want the 2 modules and the scaffold restored, none encoded: %+v", st)
+	}
+	if err := restored.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	assertBlobsNamed(t, restored, dir)
 }
 
 // TestSaveAllOwnDirReplacementDuringWrite: the cut of a snapshot into

@@ -1,6 +1,12 @@
 package core
 
-import "repro/internal/mining"
+import (
+	"sort"
+	"strconv"
+	"strings"
+
+	"repro/internal/mining"
+)
 
 // DraftOpts is WithSpeculation's argument. It has no fields: the draft
 // source runs on the mining package's defaults (a 3-token context, 4
@@ -40,3 +46,46 @@ type SpecStats struct {
 	// token.
 	AcceptRate float64 `json:"accept_rate"`
 }
+
+// classFieldSep/classGroupSep build class keys. Neither byte can appear
+// in schema or module names (PML tags are letters, digits, '-', '_',
+// '.'), so keys cannot collide across field boundaries.
+const (
+	classFieldSep = "\x1f"
+	classGroupSep = "\x1e"
+)
+
+// servingClass derives the stream-comparison class of a planned serve:
+// everything that determines the attention context the uncached tokens
+// see. The draft source keys its n-gram tables on it, so proposals learned
+// in one attention context are never offered in another.
+func servingClass(schemaName string, plan *servePlan) string {
+	var b strings.Builder
+	b.WriteString(schemaName)
+	b.WriteString(classFieldSep)
+	for _, m := range plan.included {
+		b.WriteString(m)
+		b.WriteString(classFieldSep)
+	}
+	b.WriteString(classGroupSep)
+	for _, s := range plan.scaffolds {
+		b.WriteString(s)
+		b.WriteString(classFieldSep)
+	}
+	b.WriteString(classGroupSep)
+	ex := make([]int, 0, len(plan.excluded))
+	for p := range plan.excluded {
+		ex = append(ex, p)
+	}
+	sort.Ints(ex)
+	for _, p := range ex {
+		b.WriteString(strconv.Itoa(p))
+		b.WriteString(classFieldSep)
+	}
+	return b.String()
+}
+
+// classPrefix is the class-key prefix shared by every class of one
+// schema — what dropSchemaLocked hands the draft source to forget a
+// schema's traffic.
+func classPrefix(schemaName string) string { return schemaName + classFieldSep }

@@ -280,8 +280,8 @@ func TestSpeculationChurnHammer(t *testing.T) {
 }
 
 // TestSpeculationSchemaDropForgets: replacing a schema must clear the
-// draft classes its serving traffic trained, the same hygiene the miner
-// applies, so the re-registered schema starts from a cold predictor.
+// draft classes its serving traffic trained, so the re-registered schema
+// starts from a cold predictor.
 func TestSpeculationSchemaDropForgets(t *testing.T) {
 	ctx := context.Background()
 	c := llamaCache(t, WithDecodeScheduler(2), withDraft(specDraft()))

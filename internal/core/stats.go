@@ -16,14 +16,8 @@ type Stats struct {
 
 	ModulesSpilled int // evictions that wrote states to the disk tier
 	DiskHits       int // module states read back from the disk tier
-	DiskLoadErrors int // unreadable disk blobs (fell back to re-encode; a mined module misses)
+	DiskLoadErrors int // unreadable disk blobs (fell back to re-encode)
 	DiskRetries    int // transient blob-read failures recovered by backoff retry
-
-	MinedPromotions      int // hot prefixes promoted to anonymous modules (WithModuleMining)
-	MinedDemotions       int // mined modules garbage-collected (cold, evicted, or schema dropped)
-	MinedHits            int // serves that spliced a mined module's states
-	MinedHitTokens       int // prefill tokens skipped by mined splices
-	MinedSnapshotSkipped int // mined modules not round-tripped through SaveAll/OpenDir
 }
 
 // Stats returns a snapshot of cache activity counters.
@@ -41,7 +35,7 @@ const StatsAPIVersion = 1
 
 // Snapshot is the one stats document: cache counters, tier occupancy,
 // backend identity, and — when the matching subsystem is configured —
-// mining, admission, scheduler and speculation blocks, each the
+// admission, scheduler and speculation blocks, each the
 // subsystem's own stats struct. Cache.Snapshot assembles it and
 // /v1/stats serializes it directly, so its JSON tags ARE the monitoring
 // contract (pinned by the server's stats-contract golden test).
@@ -66,7 +60,6 @@ type Snapshot struct {
 
 	// Optional blocks: non-nil exactly when their subsystem is
 	// configured.
-	Mining      *MiningStats    `json:"mining,omitempty"`
 	Admission   *AdmissionStats `json:"admission,omitempty"`
 	Scheduler   *SchedStats     `json:"scheduler,omitempty"`
 	Speculation *SpecStats      `json:"speculation,omitempty"`
@@ -106,8 +99,8 @@ type BackendSnapshot struct {
 
 // Snapshot assembles the stats document. The counters, the three tiers'
 // occupancy and the disk index size are read under one cache-lock hold,
-// so they describe one moment; the self-synchronized subsystems (miner,
-// admission, scheduler, draft) are read after it, each once.
+// so they describe one moment; the self-synchronized subsystems
+// (admission, scheduler, draft) are read after it, each once.
 func (c *Cache) Snapshot() Snapshot {
 	c.mu.Lock()
 	st := c.stats
@@ -149,21 +142,6 @@ func (c *Cache) Snapshot() Snapshot {
 			MaxProcs: cpu.MaxProcs,
 			Vector:   cpu.Vector,
 		},
-	}
-	if c.miner != nil {
-		ts := c.miner.Stats()
-		snap.Mining = &MiningStats{
-			Observed:        ts.Observed,
-			Classes:         ts.Classes,
-			Nodes:           ts.Nodes,
-			Candidates:      ts.Candidates,
-			LiveModules:     ts.Promoted,
-			Promotions:      st.MinedPromotions,
-			Demotions:       st.MinedDemotions,
-			Hits:            st.MinedHits,
-			HitTokens:       st.MinedHitTokens,
-			SnapshotSkipped: st.MinedSnapshotSkipped,
-		}
 	}
 	if c.adm != nil {
 		as := c.adm.stats()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,18 +9,18 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/kvcache"
-	"repro/internal/mining"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
 
 // The tier state machine (tierStore, with the Cache's off-lock
-// resolvePart) serves declared and mined modules alike. These tests run
-// it on a real model: they drive one module of each kind through every
-// state it can be served from, with and without room in the device pool,
-// and pin the reuse accounting, the pin ledger and the output bits — the
-// bits a fake encode cannot check. tierstore_test.go checks the store
-// itself exhaustively at small scope with fake producers.
+// resolvePart) serves declared modules and scaffolds alike. These
+// tests run it on a real model: they drive a module through every
+// state it can be served from, with and without room in the device
+// pool, and pin the reuse accounting, the pin ledger and the output
+// bits — the bits a fake encode cannot check. tierstore_test.go
+// checks the store itself exhaustively at small scope with fake
+// producers.
 
 // tierPoolBytes is the device pool of the tier tests: far larger than
 // the travel schema, so it is full only when a test shrinks it to what
@@ -70,41 +69,25 @@ func assertNoPins(t *testing.T, c *Cache) {
 	}
 }
 
-// minedKeyLocked returns the key of the store's one mined module.
-func minedKeyLocked(t *testing.T, s *tierStore) string {
-	t.Helper()
-	var keys []string
-	for key, em := range s.modules {
-		if em.Mined != nil {
-			keys = append(keys, key)
-		}
-	}
-	if len(keys) != 1 {
-		t.Fatalf("want one mined module, have %v", keys)
-	}
-	return keys[0]
-}
-
 // tierDelta is the part of Stats a tier case pins.
-type tierDelta struct{ reused, diskHits, promoted, minedHits int }
+type tierDelta struct{ reused, diskHits, promoted int }
 
 func tierDeltaOf(before, after Stats) tierDelta {
 	return tierDelta{
-		reused:    after.ModulesReused - before.ModulesReused,
-		diskHits:  after.DiskHits - before.DiskHits,
-		promoted:  after.ModulesPromoted - before.ModulesPromoted,
-		minedHits: after.MinedHits - before.MinedHits,
+		reused:   after.ModulesReused - before.ModulesReused,
+		diskHits: after.DiskHits - before.DiskHits,
+		promoted: after.ModulesPromoted - before.ModulesPromoted,
 	}
 }
 
-// TestTierStateMachine serves a declared module (tokyo) and a mined
-// module from each tier state — resident, demoted to host, spilled to
-// disk, dropped — once with room in the device pool and once with the
-// pool full and every other module pinned, which forces the read-through
-// branches. Each serve must match a cold serve bit for bit, count the
-// state's reuse exactly, and leave no pin behind once closed. Three
-// declared modules are always resident (the schema preamble, trip-plan
-// and the city), so every serve reuses at least three.
+// TestTierStateMachine serves a declared module (tokyo) from each
+// tier state — resident, demoted to host, spilled to disk, dropped —
+// once with room in the device pool and once with the pool full and
+// every other module pinned, which forces the read-through branches.
+// Each serve must match a cold serve bit for bit, count the state's
+// reuse exactly, and leave no pin behind once closed. Three declared
+// modules are always resident (the schema preamble, trip-plan and the
+// city), so every serve reuses at least three.
 func TestTierStateMachine(t *testing.T) {
 	m, err := model.New(model.LlamaStyle(coreVocab, 77))
 	if err != nil {
@@ -112,56 +95,35 @@ func TestTierStateMachine(t *testing.T) {
 	}
 	probe := NewCache(m)
 	mustRegister(t, probe, travelSchema)
-	cold := map[string][]float32{}
-	for _, p := range []string{declaredTierPrompt, minedPrompt} {
-		res, err := probe.Serve(context.Background(), p, ServeOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold[p] = res.Logits
-		res.Close()
+	cold, err := probe.Serve(context.Background(), declaredTierPrompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	cold.Close()
 
 	cases := []struct {
-		mined bool
 		state moduleState
 		full  bool
 		want  tierDelta
 	}{
-		{false, stateResident, false, tierDelta{reused: 3}},
-		{false, stateResident, true, tierDelta{reused: 3}},
-		{false, stateDemoted, false, tierDelta{reused: 3, promoted: 1}},
-		{false, stateDemoted, true, tierDelta{reused: 3}},
-		{false, stateDisk, false, tierDelta{reused: 3, diskHits: 1}},
-		{false, stateDisk, true, tierDelta{reused: 3, diskHits: 1}},
-		// A dropped declared module re-encodes: a reload, not a reuse.
-		{false, stateDropped, false, tierDelta{reused: 2}},
-		{false, stateDropped, true, tierDelta{reused: 2}},
-		{true, stateResident, false, tierDelta{reused: 4, minedHits: 1}},
-		{true, stateResident, true, tierDelta{reused: 4, minedHits: 1}},
-		{true, stateDemoted, false, tierDelta{reused: 4, promoted: 1, minedHits: 1}},
-		{true, stateDemoted, true, tierDelta{reused: 4, minedHits: 1}},
-		{true, stateDisk, false, tierDelta{reused: 4, diskHits: 1, minedHits: 1}},
-		{true, stateDisk, true, tierDelta{reused: 4, diskHits: 1, minedHits: 1}},
-		// A dropped mined module cannot re-encode: it is removed, and
-		// the serve is a miss that prefills the whole stream.
-		{true, stateDropped, false, tierDelta{reused: 3}},
-		{true, stateDropped, true, tierDelta{reused: 3}},
+		{stateResident, false, tierDelta{reused: 3}},
+		{stateResident, true, tierDelta{reused: 3}},
+		{stateDemoted, false, tierDelta{reused: 3, promoted: 1}},
+		{stateDemoted, true, tierDelta{reused: 3}},
+		{stateDisk, false, tierDelta{reused: 3, diskHits: 1}},
+		{stateDisk, true, tierDelta{reused: 3, diskHits: 1}},
+		// A dropped module re-encodes: a reload, not a reuse.
+		{stateDropped, false, tierDelta{reused: 2}},
+		{stateDropped, true, tierDelta{reused: 2}},
 	}
 	stateNames := map[moduleState]string{stateResident: "resident", stateDemoted: "demoted", stateDisk: "disk", stateDropped: "dropped"}
 	for _, tc := range cases {
-		kind, room := "declared", "room"
-		if tc.mined {
-			kind = "mined"
-		}
+		room := "room"
 		if tc.full {
 			room = "full"
 		}
-		t.Run(fmt.Sprintf("%s/%s/%s", kind, stateNames[tc.state], room), func(t *testing.T) {
-			opts := []Option{
-				withMining(mining.Config{MinHits: 2, MinTokens: 4}),
-				WithDeviceCapacity(tierPoolBytes),
-			}
+		t.Run(fmt.Sprintf("declared/%s/%s", stateNames[tc.state], room), func(t *testing.T) {
+			opts := []Option{WithDeviceCapacity(tierPoolBytes)}
 			switch tc.state {
 			case stateDemoted:
 				opts = append(opts, WithHostTier(0))
@@ -170,29 +132,16 @@ func TestTierStateMachine(t *testing.T) {
 			}
 			c := NewCache(m, opts...)
 			mustRegister(t, c, travelSchema)
-			prompt, key := declaredTierPrompt, "travel/tokyo"
-			if tc.mined {
-				prompt = minedPrompt
-				serveMined(t, c).Close()
-				serveMined(t, c).Close() // promotes
-				c.mu.Lock()
-				key = minedKeyLocked(t, &c.store)
-				c.mu.Unlock()
-			}
+			const key = "travel/tokyo"
 
 			c.mu.Lock()
 			em := c.store.modules[key]
 			if tc.state != stateResident {
 				evictKeyLocked(t, &c.store, key)
 			}
-			if tc.state != stateDropped || !tc.mined {
-				if em.state != tc.state {
-					c.mu.Unlock()
-					t.Fatalf("setup left %s in state %d, want %d", key, em.state, tc.state)
-				}
-			} else if c.store.modules[key] != nil {
+			if em.state != tc.state {
 				c.mu.Unlock()
-				t.Fatalf("dropped mined module %s is still registered", key)
+				t.Fatalf("setup left %s in state %d, want %d", key, em.state, tc.state)
 			}
 			var held []*EncodedModule
 			if tc.full {
@@ -205,18 +154,14 @@ func TestTierStateMachine(t *testing.T) {
 			before := c.stats
 			c.mu.Unlock()
 
-			res, err := c.Serve(context.Background(), prompt, ServeOpts{})
+			res, err := c.Serve(context.Background(), declaredTierPrompt, ServeOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := tensor.MaxAbsDiff(cold[prompt], res.Logits); d != 0 {
+			if d := tensor.MaxAbsDiff(cold.Logits, res.Logits); d != 0 {
 				t.Errorf("logits differ from a cold serve by %v", d)
 			}
-			hit := strings.Contains(strings.Join(res.Modules, ","), minedPrefixTag)
 			res.Close()
-			if want := tc.mined && tc.state != stateDropped; hit != want {
-				t.Errorf("mined module in result = %v, want %v", hit, want)
-			}
 			if got := tierDeltaOf(before, c.Stats()); got != tc.want {
 				t.Errorf("stats delta = %+v, want %+v", got, tc.want)
 			}
@@ -230,7 +175,7 @@ func TestTierStateMachine(t *testing.T) {
 			if tc.full {
 				wantState = tc.state
 			}
-			if em := c.store.modules[key]; em != nil && em.state != wantState {
+			if em.state != wantState {
 				t.Errorf("%s ends in state %d, want %d", key, em.state, wantState)
 			}
 			c.mu.Unlock()
@@ -241,34 +186,33 @@ func TestTierStateMachine(t *testing.T) {
 
 // TestSaveAllDiskResidentToOtherDir snapshots modules whose states live
 // only in the cache's own disk tier into a different directory: SaveAll
-// reads each blob back (a declared and a mined one) and writes it into
-// the new store. A declared module dropped by a failed spill re-encodes
-// into the snapshot. The restored cache serves all of them
-// bit-identically.
+// reads the blob back and writes it into the new store. A module dropped
+// by a failed spill re-encodes into the snapshot. The restored cache
+// serves both bit-identically.
 func TestSaveAllDiskResidentToOtherDir(t *testing.T) {
 	m, err := model.New(model.LlamaStyle(coreVocab, 77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mine := withMining(mining.Config{MinHits: 2, MinTokens: 4})
 	inj := faultinject.New(7)
-	c := NewCache(m, mine, WithDiskTier(t.TempDir(), CodecFP32), WithFaultInjection(inj))
+	c := NewCache(m, WithDiskTier(t.TempDir(), CodecFP32), WithFaultInjection(inj))
 	mustRegister(t, c, travelSchema)
-	coldMined := serveMined(t, c)
-	serveMined(t, c).Close() // promotes
-	coldDeclared, err := c.Serve(context.Background(), declaredTierPrompt, ServeOpts{})
+	coldTokyo, err := c.Serve(context.Background(), declaredTierPrompt, ServeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldDeclared.Close()
-	coldMined.Close()
+	coldTokyo.Close()
+	const miamiPrompt = `<prompt schema="travel"><trip-plan duration="three days"/><miami/>List the best surf spots.</prompt>`
+	coldMiami, err := c.Serve(context.Background(), miamiPrompt, ServeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldMiami.Close()
 	c.mu.Lock()
-	for _, key := range []string{"travel/tokyo", minedKeyLocked(t, &c.store)} {
-		evictKeyLocked(t, &c.store, key)
-		if em := c.store.modules[key]; em.state != stateDisk {
-			c.mu.Unlock()
-			t.Fatalf("%s not spilled: state %d", key, em.state)
-		}
+	evictKeyLocked(t, &c.store, "travel/tokyo")
+	if em := c.store.modules["travel/tokyo"]; em.state != stateDisk {
+		c.mu.Unlock()
+		t.Fatalf("travel/tokyo not spilled: state %d", em.state)
 	}
 	inj.Set(FaultPointDiskWrite, faultinject.Rule{Err: faultinject.ErrNoSpace, Times: 1})
 	evictKeyLocked(t, &c.store, "travel/miami")
@@ -282,17 +226,17 @@ func TestSaveAllDiskResidentToOtherDir(t *testing.T) {
 	if err := c.SaveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.MinedSnapshotSkipped != 0 || st.ModulesEncoded != 5 {
-		t.Fatalf("snapshot skipped a module, or encoded other than the dropped one: %+v", st)
+	if st := c.Stats(); st.ModulesEncoded != 5 {
+		t.Fatalf("snapshot encoded other than the dropped module: %+v", st)
 	}
-	restored, err := OpenDir(m, dir, mine)
+	restored, err := OpenDir(m, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		prompt string
 		want   []float32
-	}{{declaredTierPrompt, coldDeclared.Logits}, {minedPrompt, coldMined.Logits}} {
+	}{{declaredTierPrompt, coldTokyo.Logits}, {miamiPrompt, coldMiami.Logits}} {
 		res, err := restored.Serve(context.Background(), tc.prompt, ServeOpts{})
 		if err != nil {
 			t.Fatal(err)
@@ -301,9 +245,6 @@ func TestSaveAllDiskResidentToOtherDir(t *testing.T) {
 			t.Errorf("restored serve differs by %v", d)
 		}
 		res.Close()
-	}
-	if st := restored.Snapshot().Mining; st.Hits != 1 {
-		t.Fatalf("restored mined module not hit: %+v", st)
 	}
 }
 
@@ -329,96 +270,6 @@ func readWindowLocked(t *testing.T, c *Cache, key string, during func()) (*kvcac
 	c.mu.Lock()
 	part, err := c.store.install(servePart{key: key, pending: em}, produced{kv: kv, err: loadErr})
 	return kv, part, err
-}
-
-// TestTierReadWindowMinedCollected: a mined module collected while its
-// blob is read off-lock is a miss, even though the read succeeded. Its
-// removal was already counted and confirmed to the observer, so the
-// loaded copy must not serve as a hit, count a reuse, or claim the pool.
-func TestTierReadWindowMinedCollected(t *testing.T) {
-	m, err := model.New(model.LlamaStyle(coreVocab, 77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache(m,
-		withMining(mining.Config{MinHits: 2, MinTokens: 4}),
-		WithDiskTier(t.TempDir(), CodecFP32))
-	mustRegister(t, c, travelSchema)
-	cold := serveMined(t, c)
-	cold.Close()
-	serveMined(t, c).Close() // promotes
-
-	c.mu.Lock()
-	key := minedKeyLocked(t, &c.store)
-	evictKeyLocked(t, &c.store, key)
-	before := c.stats
-	used := c.store.device.used
-	name := strings.TrimPrefix(key, "travel/")
-	_, _, err = readWindowLocked(t, c, key, func() { c.demoteMined("travel", name) })
-	if !errors.Is(err, errMinedMiss) {
-		c.mu.Unlock()
-		t.Fatalf("collected mined module resolved with %v, want a miss", err)
-	}
-	got := c.stats
-	if c.store.device.members[key] != nil || c.store.device.used != used {
-		t.Errorf("collected mined module claimed the pool: used %d -> %d", used, c.store.device.used)
-	}
-	c.mu.Unlock()
-	if got.MinedDemotions != before.MinedDemotions+1 || got.DiskHits != before.DiskHits ||
-		got.ModulesReused != before.ModulesReused || got.DiskLoadErrors != before.DiskLoadErrors {
-		t.Errorf("stats before %+v, after %+v: want one demotion and nothing else", before, got)
-	}
-
-	// The next serve of the prompt misses and prefills it in full.
-	res := serveMined(t, c)
-	res.Close()
-	if st := c.Stats(); st.MinedHits != before.MinedHits {
-		t.Errorf("collected mined module hit again: %+v", st)
-	}
-	if d := tensor.MaxAbsDiff(cold.Logits, res.Logits); d != 0 {
-		t.Errorf("serve after the collection differs from the cold serve by %v", d)
-	}
-	assertNoPins(t, c)
-}
-
-// TestTierPendingMinedCollected: a mined module on disk planned as a
-// pending part, then collected before the part resolves, is a miss. It
-// must not re-encode: its stream alone never attended to the schema's
-// modules, so an encode would splice states that differ from the mined
-// ones, and would cost a prefill and count as an encode and a reload.
-func TestTierPendingMinedCollected(t *testing.T) {
-	m, err := model.New(model.LlamaStyle(coreVocab, 77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache(m,
-		withMining(mining.Config{MinHits: 2, MinTokens: 4}),
-		WithDiskTier(t.TempDir(), CodecFP32))
-	mustRegister(t, c, travelSchema)
-	serveMined(t, c).Close()
-	serveMined(t, c).Close() // promotes
-
-	c.mu.Lock()
-	key := minedKeyLocked(t, &c.store)
-	evictKeyLocked(t, &c.store, key)
-	em := c.store.modules[key]
-	part, err := c.store.acquire(key)
-	if err != nil || part.pending != em {
-		c.mu.Unlock()
-		t.Fatalf("disk-resident mined module planned as %+v, %v; want a pending part", part, err)
-	}
-	c.store.removeMined(em)
-	before := c.stats
-	c.mu.Unlock()
-
-	if _, err := c.resolvePart(part); !errors.Is(err, errMinedMiss) {
-		t.Fatalf("collected mined module resolved with %v, want a miss", err)
-	}
-	if got := c.Stats(); got.ModulesEncoded != before.ModulesEncoded || got.TokensEncoded != before.TokensEncoded ||
-		got.ModulesReloaded != before.ModulesReloaded || got.DiskHits != before.DiskHits || got.ModulesReused != before.ModulesReused {
-		t.Errorf("stats before %+v, after %+v: want nothing counted", before, got)
-	}
-	assertNoPins(t, c)
 }
 
 // TestTierReadWindowSchemaReplaced: a declared module orphaned by a

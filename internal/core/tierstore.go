@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"repro/internal/kvcache"
-	"repro/internal/mining"
 )
 
 // tierStore owns module residency, the tier state machine every cached
@@ -43,8 +42,6 @@ type tierStore struct {
 	modules map[string]*EncodedModule
 	// stats is the owning cache's counters.
 	stats *Stats
-	// miner, when set, is told when a mined module is removed for good.
-	miner *mining.Miner
 }
 
 // ledger is one memory tier's account: its capacity in bytes (0 for
@@ -146,9 +143,8 @@ func (s *tierStore) makeRoom(key string, kv *kvcache.Cache) error {
 }
 
 // place makes kv a module's resident states and registers the module,
-// making room for them (makeRoom). A registration's encodes, a mined
-// promotion and a serve's install of produced states all enter residency
-// here.
+// making room for them (makeRoom). A registration's encodes and a
+// serve's install of produced states both enter residency here.
 func (s *tierStore) place(em *EncodedModule, kv *kvcache.Cache) error {
 	key := em.key()
 	if err := s.makeRoom(key, kv); err != nil {
@@ -206,8 +202,7 @@ func (s *tierStore) freeHost(key string) {
 
 // sink sends a module evicted from the device or host tier below the
 // host: it spills to the disk tier, or drops when there is none or the
-// spill fails. A mined module cannot re-encode, so its drop is terminal:
-// it is removed (removeMined).
+// spill fails.
 func (s *tierStore) sink(key string, em *EncodedModule) {
 	if s.disk != nil && s.spill(key, em) == nil {
 		em.state = stateDisk
@@ -216,9 +211,6 @@ func (s *tierStore) sink(key string, em *EncodedModule) {
 		em.state = stateDropped
 	}
 	em.KV = nil
-	if em.Mined != nil && em.state == stateDropped {
-		s.removeMined(em)
-	}
 }
 
 // spill writes a module's states to the disk tier under key. When the
@@ -306,7 +298,7 @@ func (s *tierStore) forget(em *EncodedModule) {
 	delete(s.modules, key)
 }
 
-// dropSchema removes every module of a schema, of any kind, ahead of
+// dropSchema removes every module of a schema, of either kind, ahead of
 // next, the modules replacing them (nil for none). A module whose
 // successor in next has its key and stream — so the same states — hands
 // its disk entry over instead of deleting its blob: the successor
@@ -337,20 +329,6 @@ func (s *tierStore) dropSchema(name string, next []*EncodedModule) {
 			s.modules[em.key()] = em
 		}
 	}
-}
-
-// removeMined removes a mined module for good and confirms the removal
-// to the observer. Unlike declared modules, a mined module cannot
-// re-encode (its states came from a live serve), so removal is its
-// terminal state.
-func (s *tierStore) removeMined(em *EncodedModule) {
-	s.remove(em)
-	em.KV = nil
-	em.state = stateDropped
-	if s.miner != nil {
-		s.miner.Demoted(em.Name)
-	}
-	s.stats.MinedDemotions++
 }
 
 // restore registers a module whose states are only a blob (an OpenDir
@@ -400,7 +378,7 @@ func (s *tierStore) promote(key string, em *EncodedModule) error {
 }
 
 // acquire runs one module through the tier state machine for the serve
-// planning phase, every kind alike: it returns the module's states as a
+// planning phase, both kinds alike: it returns the module's states as a
 // servePart safe to read outside the lock. The happy path promotes into
 // the device tier and pins the module, making it immune to eviction
 // until release. When the device cannot hold the serve's whole working
@@ -408,16 +386,19 @@ func (s *tierStore) promote(key string, em *EncodedModule) error {
 // by this very serve — it degrades to a read-through: demoted states are
 // snapshotted straight from the host tier without claiming device
 // residency, so a working set larger than the device still serves. A
-// disk-resident module returns a pending part for the serve to resolve
-// off the lock; a dropped one is unavailable's.
+// disk-resident or dropped module returns a pending part, which the
+// serve reads back or re-encodes off the lock.
 func (s *tierStore) acquire(key string) (servePart, error) {
 	em := s.modules[key]
 	if em == nil {
 		return servePart{}, fmt.Errorf("%w: no module %q", ErrBadPrompt, key)
 	}
 	switch em.state {
-	case stateDropped:
-		return s.unavailable(key, em)
+	case stateDisk, stateDropped:
+		// The blob read or the re-encode must not run under the
+		// cache-wide lock: return a pending part; the serve resolves it
+		// off-lock and re-locks briefly to install it.
+		return servePart{key: key, pending: em}, nil
 	case stateDemoted:
 		kv := em.KV
 		if err := s.promote(key, em); err != nil {
@@ -431,35 +412,10 @@ func (s *tierStore) acquire(key string) (servePart, error) {
 			s.stats.ModulesReused++
 			return servePart{key: key, kv: kv}, nil
 		}
-	case stateDisk:
-		// The blob read is disk IO and must not run under the cache-wide
-		// lock: return a pending part; the serve resolves it off-lock and
-		// re-locks briefly to install it.
-		return servePart{key: key, pending: em}, nil
 	}
 	s.device.touch(key)
 	s.stats.ModulesReused++
 	return s.pin(key, em), nil
-}
-
-// errMinedMiss reports a mined module whose states cannot be had; the
-// mined splice turns it into a miss, never a failed serve.
-var errMinedMiss = errors.New("core: mined module states unavailable")
-
-// unavailable serves a module whose states are gone (dropped, or a disk
-// blob that failed to read). A declared module or scaffold re-encodes
-// its stream: it returns a pending part, which the serve encodes outside
-// the lock and installs. A mined module cannot — its states came from a
-// live serve — so the serve counts a miss, and a mined module dropped
-// for good is removed.
-func (s *tierStore) unavailable(key string, em *EncodedModule) (servePart, error) {
-	if em.Mined != nil {
-		if em.state == stateDropped && s.modules[key] == em {
-			s.removeMined(em)
-		}
-		return servePart{}, errMinedMiss
-	}
-	return servePart{key: key, pending: em}, nil
 }
 
 // blob returns the disk entry a pending part reads: its module's, while
@@ -487,10 +443,8 @@ type produced struct {
 // window allows. A failed read counts a load error: proven corruption
 // deletes the blob and drops the module so nothing retries a bad file
 // forever, while a transient failure keeps both for the next access. A
-// mined module collected meanwhile is a miss: its removal is already
-// counted and confirmed to the observer. A module another serve
-// restored meanwhile goes back through acquire. A failed read leaves the
-// module unavailable (a pending part for a re-encode, or a mined miss).
+// module another serve restored meanwhile goes back through acquire. A
+// failed read leaves a pending part, which the serve re-encodes.
 // Otherwise the states install pinned and resident — a blob stays as the
 // states' durable form, so a later eviction re-spills for free — or
 // serve as a read-through, without residency, when the device cannot hold
@@ -514,11 +468,8 @@ func (s *tierStore) install(p servePart, r produced) (servePart, error) {
 		}
 	}
 	restored := registered && (em.state == stateResident || em.state == stateDemoted)
-	if !registered && em.Mined != nil {
-		return servePart{}, errMinedMiss
-	}
 	if r.err != nil && !restored {
-		return s.unavailable(key, em)
+		return servePart{key: key, pending: em}, nil
 	}
 	if restored {
 		return s.acquire(key)

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"maps"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,7 +12,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/kvcache"
-	"repro/internal/mining"
 	"repro/internal/model"
 	"repro/internal/pml"
 	"repro/internal/tokenizer"
@@ -25,7 +22,7 @@ import (
 var tierDepth = flag.Int("tierdepth", 2, "TestTierStoreExhaustive enumerates every op sequence up to this depth")
 
 // The checker's world is small enough to enumerate: two schemas of 3–4
-// modules on a one-layer model, one of them a scaffold and one mined, in
+// modules on a one-layer model, one of them a scaffold, in
 // device and host pools one or two units (two token rows) wide, with the
 // disk tier on and off. Schema a's scaffold co-encodes m0 and m1, one row
 // each, so it takes a unit like m2 and every module of b.
@@ -42,16 +39,12 @@ const (
 
 // tsPrompts are the serves the checker plans: a's scaffold, two of a's
 // modules (a working set wider than a one-unit device), and two of b's
-// modules plus b's mined module when it has one.
+// modules.
 var tsPrompts = []string{
 	`<prompt schema="a"><m0/><m1/>Go.</prompt>`,
 	`<prompt schema="a"><m1/><m2/>Go.</prompt>`,
 	`<prompt schema="b"><x/><y/>Go.</prompt>`,
 }
-
-// tsMinedWords is the stream b's mined module is promoted from (its
-// first two tokens), observed at positions after b's layout.
-const tsMinedWords = "seven eight nine"
 
 // tsRowBytes is one cached token row of tsModel: K and V, one layer,
 // KVDim 4, fp32.
@@ -119,8 +112,8 @@ func newTSFixture(t *testing.T, m *model.Model) *tsFixture {
 type tsServe struct {
 	prompt int
 	plan   *servePlan
-	// want holds, per part, the states it must serve: the encode's (or a
-	// mined module's promoted rows) when the serve planned.
+	// want holds, per part, the states it must serve: the encode's when
+	// the serve planned.
 	want []*kvcache.Cache
 	// phase is the next step of the part being resolved (next): 0 read
 	// its blob, 1 install the read, 2 re-encode and install.
@@ -128,8 +121,7 @@ type tsServe struct {
 	read  produced
 }
 
-// next is the index of the serve's last pending part, so b's mined
-// module, when it has one, resolves first.
+// next is the index of the serve's last pending part.
 func (s *tsServe) next() int {
 	i := len(s.plan.parts) - 1
 	for s.plan.parts[i].pending == nil {
@@ -178,7 +170,6 @@ func (w *tsWorld) opts() []Option {
 	unit := int64(2 * tsRowBytes)
 	opts := []Option{
 		WithDeviceCapacity(int64(w.cfg.device) * unit),
-		withMining(mining.Config{MinHits: 2, MinTokens: 2}),
 		WithFaultInjection(w.inj),
 	}
 	if w.cfg.host > 0 {
@@ -195,11 +186,8 @@ func (w *tsWorld) fail(format string, args ...any) {
 }
 
 // encode is the test's encode producer: the model's encoding prefill,
-// memoized, failing when armed. A mined module must never reach it.
+// memoized, failing when armed.
 func (w *tsWorld) encode(em *EncodedModule) (*kvcache.Cache, error) {
-	if em.Mined != nil {
-		w.fail("mined module %s encoded", em.key())
-	}
 	if w.failEncode {
 		w.failEncode = false
 		return nil, errTSEncode
@@ -267,8 +255,7 @@ func (w *tsWorld) register(src string) {
 	}
 }
 
-// plan plans a serve under the lock as ServeParsed does; b's prompt also
-// acquires b's mined module as spliceMined does.
+// plan plans a serve under the lock as ServeParsed does.
 func (w *tsWorld) plan(i int) {
 	c := w.c
 	c.mu.Lock()
@@ -278,19 +265,6 @@ func (w *tsWorld) plan(i int) {
 		w.fail("plan %d: %v", i, err)
 		return
 	}
-	if key := w.minedKeyLocked(); key != "" && i == 2 {
-		part, err := c.store.acquire(key)
-		switch {
-		case err == nil:
-			part.noExclude = true
-			if part.em != nil {
-				plan.pinned = append(plan.pinned, part.em)
-			}
-			plan.parts = append(plan.parts, part)
-		case !errors.Is(err, errMinedMiss):
-			w.fail("mined acquire: %v", err)
-		}
-	}
 	s := &tsServe{prompt: i, plan: plan}
 	for _, p := range plan.parts {
 		s.want = append(s.want, w.want[p.key])
@@ -298,8 +272,7 @@ func (w *tsWorld) plan(i int) {
 	w.serves = append(w.serves, s)
 }
 
-// step runs a serve's last pending part (b's mined module, when it has
-// one) up to the next point where resolvePart leaves the lock with work
+// step runs a serve's last pending part up to the next point where resolvePart leaves the lock with work
 // in flight: a blob read, then its install, then a re-encode and its
 // install. Other ops run between steps, inside those windows.
 func (w *tsWorld) step(s *tsServe) {
@@ -321,23 +294,16 @@ func (w *tsWorld) step(s *tsServe) {
 	case 1:
 		c.mu.Lock()
 		part, err = c.store.install(p, s.read)
-		w.checkCollected(p, err)
 		c.mu.Unlock()
 	case 2:
 		var kv *kvcache.Cache
 		if kv, err = w.encode(p.pending); err == nil {
 			c.mu.Lock()
 			part, err = c.store.install(p, produced{kv: kv, encoded: true})
-			w.checkCollected(p, err)
 			c.mu.Unlock()
 		}
 	}
 	switch {
-	case err != nil && p.pending.Mined != nil && errors.Is(err, errMinedMiss):
-		// A mined miss: the serve prefills the stream instead.
-		s.plan.parts = append(s.plan.parts[:i], s.plan.parts[i+1:]...)
-		s.want = append(s.want[:i], s.want[i+1:]...)
-		s.phase = 0
 	case err != nil:
 		if !errors.Is(err, errTSEncode) {
 			w.fail("resolve %s: %v", p.key, err)
@@ -352,15 +318,6 @@ func (w *tsWorld) step(s *tsServe) {
 			s.plan.pinned = append(s.plan.pinned, part.em)
 		}
 		s.phase = 0
-	}
-}
-
-// checkCollected: a mined module collected while its part was pending
-// is a miss; its removal was already counted and confirmed to the
-// observer, so its states must neither serve nor re-encode.
-func (w *tsWorld) checkCollected(p servePart, err error) {
-	if err == nil && p.pending.Mined != nil && w.c.store.modules[p.key] != p.pending {
-		w.fail("collected mined module %s was not a miss", p.key)
 	}
 }
 
@@ -398,66 +355,6 @@ func sameStates(a, b *kvcache.Cache) bool {
 	return true
 }
 
-// snapMined reports whether the pending cut holds a mined module.
-func (w *tsWorld) snapMined() bool {
-	for _, mods := range w.snap.modules {
-		for _, m := range mods {
-			if m.em.Mined != nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (w *tsWorld) minedKeyLocked() string {
-	for key, em := range w.c.store.modules {
-		if em.Mined != nil {
-			return key
-		}
-	}
-	return ""
-}
-
-// mine observes b's mined stream until the observer nominates its
-// prefix, which observeServe promotes into a resident mined module — or
-// fails to, when the device pool cannot make room for it.
-func (w *tsWorld) mine() {
-	c := w.c
-	c.mu.Lock()
-	layout := c.schemas["b"].layout
-	c.mu.Unlock()
-	toks := c.tok.Encode(tsMinedWords)
-	pos := make([]int, len(toks))
-	for i := range pos {
-		pos[i] = layout.TotalLen + i
-	}
-	kv, err := w.encode(&EncodedModule{Name: "stream", Schema: "b", Toks: toks, Pos: pos})
-	if err != nil {
-		return
-	}
-	class := classPrefix("b") + "k"
-	for range 3 {
-		c.observeServe("b", class, toks, pos, kv)
-		c.mu.Lock()
-		key := w.minedKeyLocked()
-		if key != "" {
-			w.want[key] = c.store.modules[key].KV
-		}
-		c.mu.Unlock()
-		if key != "" {
-			return
-		}
-	}
-}
-
-func (w *tsWorld) collect() {
-	w.c.mu.Lock()
-	key := w.minedKeyLocked()
-	w.c.mu.Unlock()
-	w.c.demoteMined("b", strings.TrimPrefix(key, "b/"))
-}
-
 // cut runs SaveAll's cut: into the disk tier's own directory when there
 // is one, so disk-resident modules keep their blobs, and into another
 // otherwise. The cut's write is a separate op (write), so other ops run
@@ -479,10 +376,9 @@ func (w *tsWorld) cut() {
 }
 
 // write runs the pending cut's write. With no serve open and the disk
-// tier on, the snapshot then restarts the world (OpenDir), optionally
-// with the mined module's manifest entry damaged so it cannot restore,
-// and a serve of each restored key must see the states it had at the cut.
-func (w *tsWorld) write(badMined bool) {
+// tier on, the snapshot then restarts the world (OpenDir), and a serve
+// of each restored key must see the states it had at the cut.
+func (w *tsWorld) write() {
 	cut := w.snap
 	w.snap = nil
 	named, err := w.c.writeSnapshot(cut)
@@ -496,30 +392,7 @@ func (w *tsWorld) write(badMined bool) {
 	if len(w.serves) > 0 || !w.cfg.disk {
 		return
 	}
-	dir := cut.tier.dir
-	if badMined {
-		data, err := os.ReadFile(manifestPath(dir))
-		var man diskManifest
-		if err == nil {
-			err = json.Unmarshal(data, &man)
-		}
-		for i := range man.Schemas {
-			for j := range man.Schemas[i].Mined {
-				man.Schemas[i].Mined[j].Codec = "bogus"
-			}
-		}
-		if err == nil {
-			data, err = json.Marshal(man)
-		}
-		if err == nil {
-			err = os.WriteFile(manifestPath(dir), data, 0o644)
-		}
-		if err != nil {
-			w.fail("damaging the manifest: %v", err)
-			return
-		}
-	}
-	c, err := OpenDir(w.f.m, dir, w.opts()...)
+	c, err := OpenDir(w.f.m, cut.tier.dir, w.opts()...)
 	if err != nil {
 		w.fail("OpenDir: %v", err)
 		return
@@ -528,7 +401,7 @@ func (w *tsWorld) write(badMined bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for key := range w.want {
-		if em := c.store.modules[key]; em == nil && !strings.Contains(key, minedPrefixTag) || em != nil && em.state != stateDisk {
+		if em := c.store.modules[key]; em == nil || em.state != stateDisk {
 			w.fail("restored %s: %+v", key, em)
 		}
 	}
@@ -537,8 +410,8 @@ func (w *tsWorld) write(badMined bool) {
 // check asserts the store's invariants after a step: each module is in
 // exactly one state, matching its pool and index membership; the pool
 // gauges equal the modules' bytes; pins equal the open serves' and are
-// never negative; the observer promotes exactly the store's mined
-// modules; only a corrupt read counts a load error. evicted and entered are the step's evictions and the modules
+// never negative; only a corrupt read counts a load error. evicted and
+// entered are the step's evictions and the modules
 // that entered the device pool in it: evictions must buy a placement,
 // and with a host wide enough for every module each victim demotes.
 func (w *tsWorld) check(evicted, demoted int, entered bool) {
@@ -551,7 +424,7 @@ func (w *tsWorld) check(evicted, demoted int, entered bool) {
 		}
 	}
 	var device, host, disk int64
-	mined, nResident, nDemoted := 0, 0, 0
+	nResident, nDemoted := 0, 0
 	for key, em := range s.modules {
 		if em.key() != key {
 			w.fail("%s indexed under %s", em.key(), key)
@@ -574,7 +447,7 @@ func (w *tsWorld) check(evicted, demoted int, entered bool) {
 		case stateDisk:
 			ok = indexed && !onDevice && !onHost && em.KV == nil && entry.tokens == em.rows()
 		case stateDropped:
-			ok = !indexed && !onDevice && !onHost && em.KV == nil && em.Mined == nil
+			ok = !indexed && !onDevice && !onHost && em.KV == nil
 		}
 		if !ok {
 			w.fail("%s in state %d: device %v host %v indexed %v states %v", key, em.state, onDevice, onHost, indexed, em.KV != nil)
@@ -583,9 +456,6 @@ func (w *tsWorld) check(evicted, demoted int, entered bool) {
 			w.fail("%s holds %d pins, open serves %d", key, em.pins, held[em])
 		}
 		delete(held, em)
-		if em.Mined != nil {
-			mined++
-		}
 	}
 	for em, n := range held {
 		if em.pins != n {
@@ -610,9 +480,6 @@ func (w *tsWorld) check(evicted, demoted int, entered bool) {
 		if s.disk.bytes != disk {
 			w.fail("disk tier holds %d bytes, index %d", s.disk.bytes, disk)
 		}
-	}
-	if promoted := c.miner.Stats().Promoted; promoted != mined {
-		w.fail("observer promotes %d mined modules, store holds %d", promoted, mined)
 	}
 	if c.stats.DiskLoadErrors > w.corrupt {
 		w.fail("%d disk load errors from %d corrupt reads", c.stats.DiskLoadErrors, w.corrupt)
@@ -685,20 +552,14 @@ type tsOp struct {
 }
 
 func tsOps() []tsOp {
-	hasMined := func(w *tsWorld) bool { return w.minedKeyLocked() != "" }
 	always := func(*tsWorld) bool { return true }
 	ops := []tsOp{
 		{"replace a", always, func(w *tsWorld) { w.register(tsSchemaA) }},
 		{"replace a wide", always, func(w *tsWorld) { w.register(tsSchemaAWide) }},
 		{"replace a, encode fails", always, func(w *tsWorld) { w.failEncode = true; w.register(tsSchemaA) }},
 		{"replace b", always, func(w *tsWorld) { w.register(tsSchemaB) }},
-		{"mine", func(w *tsWorld) bool { return !hasMined(w) }, (*tsWorld).mine},
-		{"collect", hasMined, (*tsWorld).collect},
 		{"cut", func(w *tsWorld) bool { return w.snap == nil }, (*tsWorld).cut},
-		{"write", func(w *tsWorld) bool { return w.snap != nil }, func(w *tsWorld) { w.write(false) }},
-		{"write, bad mined entry", func(w *tsWorld) bool {
-			return w.snap != nil && w.snapMined() && w.cfg.disk && len(w.serves) == 0
-		}, func(w *tsWorld) { w.write(true) }},
+		{"write", func(w *tsWorld) bool { return w.snap != nil }, (*tsWorld).write},
 	}
 	for i := range tsPrompts {
 		ops = append(ops, tsOp{fmt.Sprintf("plan P%d", i),
@@ -748,11 +609,10 @@ func (w *tsWorld) faultyStep(s *tsServe, err error) {
 // step; it returns the first violations found, or nil.
 func (f *tsFixture) run(cfg tsConfig, dir string, seq []int, ops []tsOp) (violations []string, ran bool) {
 	w := &tsWorld{f: f, cfg: cfg, dir: dir, inj: faultinject.New(1), want: map[string]*kvcache.Cache{}}
-	// Every sequence starts from both schemas registered and b's mined
-	// module promoted, then pushed below the device by a's registration.
+	// Every sequence starts from both schemas registered, b's modules
+	// pushed below the device by a's registration.
 	w.c = NewCache(f.m, w.opts()...)
 	w.register(tsSchemaB)
-	w.mine()
 	w.register(tsSchemaA)
 	w.c.mu.Lock()
 	w.check(0, 0, true)
@@ -798,12 +658,11 @@ func (f *tsFixture) run(cfg tsConfig, dir string, seq []int, ops []tsOp) (violat
 // -tierdepth on every pool shape — register, replace (fitting, refused,
 // failing its encode), plan, the resolve phases of a serve (read,
 // install, re-encode, install) as separate steps so other ops interleave
-// with them, close, mine, collect, transient and corrupt blob reads, and
+// with them, close, transient and corrupt blob reads, and
 // SaveAll's cut and its write as separate steps, with a restart from the
 // snapshot — and checks the store's invariants after every step
-// (tsWorld.check), that every serve's states equal the encode's, that a
-// mined module is never encoded, and that a failed replacement leaves
-// the old schema serving.
+// (tsWorld.check), that every serve's states equal the encode's, and
+// that a failed replacement leaves the old schema serving.
 func TestTierStoreExhaustive(t *testing.T) {
 	m := tsModel(t)
 	ops := tsOps()

@@ -107,7 +107,8 @@ func appendFiltered(dst, src *kvcache.Cache, excluded map[int]bool) {
 			continue
 		}
 		for l := 0; l < src.NLayers; l++ {
-			dst.AppendToken(l, src.KeyRow(l, i), src.ValueRow(l, i))
+			d := src.KVDim
+			dst.AppendToken(l, src.K[l][i*d:(i+1)*d], src.V[l][i*d:(i+1)*d])
 		}
 		dst.AppendPos(p)
 	}

@@ -67,16 +67,6 @@ func (c *Cache) Bytes(bytesPerScalar int) int64 {
 	return int64(c.Len()) * int64(c.NLayers) * int64(c.KVDim) * 2 * int64(bytesPerScalar)
 }
 
-// KeyRow returns a view of layer l's key state for cached token i.
-func (c *Cache) KeyRow(l, i int) []float32 {
-	return c.K[l][i*c.KVDim : (i+1)*c.KVDim]
-}
-
-// ValueRow returns a view of layer l's value state for cached token i.
-func (c *Cache) ValueRow(l, i int) []float32 {
-	return c.V[l][i*c.KVDim : (i+1)*c.KVDim]
-}
-
 // AppendToken appends one token's K/V rows for layer l. The caller must
 // append the same token to every layer and then record its position with
 // AppendPos exactly once.

@@ -80,10 +80,10 @@ func TestConcatOrderAndContent(t *testing.T) {
 	}
 	// Content preserved per layer.
 	for l := 0; l < 2; l++ {
-		if out.KeyRow(l, 0)[0] != a.KeyRow(l, 0)[0] {
+		if out.K[l][0] != a.K[l][0] {
 			t.Fatal("concat lost a's content")
 		}
-		if out.ValueRow(l, 2)[1] != b.ValueRow(l, 0)[1] {
+		if out.V[l][2*out.KVDim+1] != b.V[l][1] {
 			t.Fatal("concat lost b's content")
 		}
 	}

@@ -33,9 +33,6 @@ type KV interface {
 	// Positions returns all position IDs in row order. The slice may
 	// alias internal state; callers must not modify it.
 	Positions() []int
-	// KeyRow and ValueRow return views of one token's layer-l state.
-	KeyRow(l, i int) []float32
-	ValueRow(l, i int) []float32
 	// AppendToken appends one token's K/V rows for layer l; the caller
 	// appends the same token to every layer and then records its
 	// position with AppendPos exactly once.
@@ -147,20 +144,6 @@ func (s *Seq) ViewLen() int { return s.base }
 // Len returns the number of cached tokens (views + tail).
 func (s *Seq) Len() int { return s.base + s.tail.Len() }
 
-// find locates the window containing global row i. Callers guarantee
-// i < s.base.
-func (s *Seq) find(i int) *window {
-	// Serving Seqs hold a handful of windows (one per module, plus
-	// exclusion splits); linear scan beats binary search at that size,
-	// and the hot paths walk segments instead of calling this at all.
-	for w := range s.wins {
-		if i < s.wins[w].start+(s.wins[w].hi-s.wins[w].lo) {
-			return &s.wins[w]
-		}
-	}
-	panic(fmt.Sprintf("kvcache: row %d out of %d view rows", i, s.base))
-}
-
 // MaxPos returns the largest position ID in the view, or -1 when empty.
 func (s *Seq) MaxPos() int {
 	if t := s.tail.MaxPos(); t > s.basePos {
@@ -176,24 +159,6 @@ func (s *Seq) Positions() []int {
 		out = append(out, w.src.Pos[w.lo:w.hi]...)
 	}
 	return append(out, s.tail.Pos...)
-}
-
-// KeyRow returns a view of layer l's key state for cached token i.
-func (s *Seq) KeyRow(l, i int) []float32 {
-	if i >= s.base {
-		return s.tail.KeyRow(l, i-s.base)
-	}
-	w := s.find(i)
-	return w.src.KeyRow(l, w.lo+i-w.start)
-}
-
-// ValueRow returns a view of layer l's value state for cached token i.
-func (s *Seq) ValueRow(l, i int) []float32 {
-	if i >= s.base {
-		return s.tail.ValueRow(l, i-s.base)
-	}
-	w := s.find(i)
-	return w.src.ValueRow(l, w.lo+i-w.start)
 }
 
 // AppendToken appends one token's K/V rows for layer l to the tail.

@@ -4,6 +4,25 @@ import (
 	"testing"
 )
 
+// keyRow returns a view of layer l's key state for c's cached token i.
+func keyRow(c *Cache, l, i int) []float32 {
+	return c.K[l][i*c.KVDim : (i+1)*c.KVDim]
+}
+
+// seqKeyRow returns the view a Seq reads for layer l's key state of
+// cached token i: a window's source row, or the tail's.
+func seqKeyRow(s *Seq, l, i int) []float32 {
+	if i >= s.base {
+		return keyRow(s.tail, l, i-s.base)
+	}
+	for _, w := range s.wins {
+		if i < w.start+(w.hi-w.lo) {
+			return keyRow(w.src, l, w.lo+i-w.start)
+		}
+	}
+	panic("row out of range")
+}
+
 func TestSeqViewsAndTail(t *testing.T) {
 	a := New(2, 4, 8)
 	fill(a, 5, 0, 100)
@@ -23,10 +42,10 @@ func TestSeqViewsAndTail(t *testing.T) {
 		t.Fatalf("MaxPos = %d", s.MaxPos())
 	}
 	// Views must alias, not copy.
-	if &s.KeyRow(1, 0)[0] != &a.KeyRow(1, 0)[0] {
+	if &seqKeyRow(s, 1, 0)[0] != &keyRow(a, 1, 0)[0] {
 		t.Fatal("KeyRow does not alias the source cache")
 	}
-	if &s.KeyRow(0, 5)[0] != &b.KeyRow(0, 1)[0] {
+	if &seqKeyRow(s, 0, 5)[0] != &keyRow(b, 0, 1)[0] {
 		t.Fatal("windowed KeyRow offset wrong")
 	}
 
@@ -102,7 +121,7 @@ func TestSeqMaterializeMatches(t *testing.T) {
 			t.Fatalf("pos[%d]: %d != %d", i, flat.Pos[i], s.Positions()[i])
 		}
 		for l := 0; l < 2; l++ {
-			kc, ks := flat.KeyRow(l, i), s.KeyRow(l, i)
+			kc, ks := keyRow(flat, l, i), seqKeyRow(s, l, i)
 			for j := range kc {
 				if kc[j] != ks[j] {
 					t.Fatalf("key[%d][%d] differs", l, i)

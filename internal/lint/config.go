@@ -102,8 +102,8 @@ func DefaultConfig() *Config {
 		Acquires: []AcquireSpec{
 			// "On error no pins are retained" (engine.go).
 			{Func: core + ".Cache.planServeLocked", OwnErrorExempt: true},
-			// The tier state machine: every module pin, declared or mined,
-			// is taken by one of these.
+			// The tier state machine: every module pin, declared module or
+			// scaffold, is taken by one of these.
 			{Func: core + ".tierStore.acquire", OwnErrorExempt: true},
 			{Func: core + ".Cache.resolvePart", OwnErrorExempt: true},
 			{Func: core + ".tierStore.pin"},

@@ -1,3 +1,12 @@
+// Package mining learns from the token streams decode produces: it holds
+// the speculative-decoding draft source (Draft), a back-off n-gram table
+// per serving class that proposes the tokens a reply is likely to
+// continue with. The engine's verify step checks every proposal against
+// the real model, so the table changes how many tokens a step yields,
+// never which tokens.
+//
+// The table uses a logical clock (one tick per observation) rather than
+// wall time, so its decay is deterministic and replayable offline.
 package mining
 
 import (
@@ -9,10 +18,12 @@ import (
 
 // Draft is the speculative-decoding draft source: a back-off n-gram
 // predictor over the token streams decode actually produced, keyed by
-// the same serving-class strings as the module-mining radix tree. It is
-// not a second model — proposals come from counting which token followed
-// which context in earlier replies of the same class, with the miner's
-// exponential logical-clock decay so stale phrasing ages out.
+// serving class: an opaque string naming everything that sets the
+// attention context of a reply (schema, included modules, scaffold
+// overrides, excluded positions). It is not a second model — proposals
+// come from counting which token followed which context in earlier
+// replies of the same class, with exponential logical-clock decay so
+// stale phrasing ages out.
 //
 // The predictor only ever *proposes*; the engine's verify step scores
 // every proposal with the real model and accepts exactly the prefix solo
@@ -20,8 +31,8 @@ import (
 // verify width, never a wrong token, which is why a statistics table
 // this cheap is a sound draft source.
 //
-// Like Miner, a Draft synchronizes itself and all methods are leaf
-// calls, so callers may hold their own locks across it.
+// A Draft synchronizes itself and all methods are leaf calls, so
+// callers may hold their own locks across it.
 type Draft struct {
 	cfg DraftConfig
 
@@ -44,8 +55,9 @@ type DraftConfig struct {
 	// transition needs before it is proposed; colder transitions — and a
 	// cold tree — propose nothing (default 2).
 	MinHits float64
-	// HalfLife is the decay half-life in observations (logical ticks),
-	// matching the miner's clock semantics (default 512).
+	// HalfLife is the decay half-life in observations (logical ticks):
+	// a transition untouched for HalfLife observations counts half as
+	// hot (default 512).
 	HalfLife float64
 	// MaxEntries bounds distinct contexts across all classes; once
 	// reached, new contexts are not created (existing ones still update),
@@ -62,6 +74,7 @@ const (
 	DefaultDraftMinHits    = 2
 	DefaultDraftHalfLife   = 512
 	DefaultDraftMaxEntries = 65536
+	DefaultMaxStreamTokens = 512
 )
 
 func (c DraftConfig) withDefaults() DraftConfig {
@@ -259,9 +272,9 @@ func (d *Draft) bestLocked(dc *draftClass, cur []int) (int, bool) {
 	return 0, false
 }
 
-// DropClassPrefix removes every class whose key starts with prefix — the
-// draft-side counterpart of Miner.DropClassPrefix, called when a schema
-// is dropped or replaced so its learned phrasing dies with it.
+// DropClassPrefix removes every class whose key starts with prefix,
+// called when a schema is dropped or replaced so its learned phrasing
+// dies with it.
 func (d *Draft) DropClassPrefix(prefix string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

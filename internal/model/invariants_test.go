@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -49,13 +50,8 @@ type cacheSnapshot struct{ k, v [][]float32 }
 func snapshotPrefix(c *kvcache.Cache, n int) *cacheSnapshot {
 	snap := &cacheSnapshot{}
 	for l := 0; l < c.NLayers; l++ {
-		var ks, vs []float32
-		for i := 0; i < n; i++ {
-			ks = append(ks, c.KeyRow(l, i)...)
-			vs = append(vs, c.ValueRow(l, i)...)
-		}
-		snap.k = append(snap.k, ks)
-		snap.v = append(snap.v, vs)
+		snap.k = append(snap.k, slices.Clone(c.K[l][:n*c.KVDim]))
+		snap.v = append(snap.v, slices.Clone(c.V[l][:n*c.KVDim]))
 	}
 	return snap
 }

@@ -55,10 +55,16 @@ func TestCodecRoundTripFP32(t *testing.T) {
 // exact int4 half-way ties (max 7, so the int4 scale is exactly 1).
 func pinnedKV(t testing.TB) *kvcache.Cache {
 	kv := randomKV(t, 3, 9, 11, 35)
-	copy(kv.KeyRow(0, 0), make([]float32, 9))
-	copy(kv.ValueRow(1, 4), []float32{1e30, -1e30, 0.5, -0.5, 3, -3, 1e-3, 0, 7})
-	copy(kv.KeyRow(2, 7), []float32{7, 0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 3.5, -7})
+	copy(kvRow(kv, kv.K, 0, 0), make([]float32, 9))
+	copy(kvRow(kv, kv.V, 1, 4), []float32{1e30, -1e30, 0.5, -0.5, 3, -3, 1e-3, 0, 7})
+	copy(kvRow(kv, kv.K, 2, 7), []float32{7, 0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 3.5, -7})
 	return kv
+}
+
+// kvRow returns a view of cached token i's layer-l state in states, kv's
+// K or V.
+func kvRow(kv *kvcache.Cache, states [][]float32, l, i int) []float32 {
+	return states[l][i*kv.KVDim : (i+1)*kv.KVDim : (i+1)*kv.KVDim]
 }
 
 // TestCodecBlobPinned pins the on-disk format: the sha256 of each codec's

@@ -62,8 +62,8 @@ func checkHalfScale(t testing.TB, codec Codec, orig, rec *kvcache.Cache) {
 	for l := 0; l < orig.NLayers; l++ {
 		for i := 0; i < orig.Len(); i++ {
 			for _, rows := range [2][2][]float32{
-				{orig.KeyRow(l, i), rec.KeyRow(l, i)},
-				{orig.ValueRow(l, i), rec.ValueRow(l, i)},
+				{kvRow(orig, orig.K, l, i), kvRow(rec, rec.K, l, i)},
+				{kvRow(orig, orig.V, l, i), kvRow(rec, rec.V, l, i)},
 			} {
 				var rowMax float32
 				for _, v := range rows[0] {
@@ -184,7 +184,7 @@ func TestInt4PositionsAndZeros(t *testing.T) {
 	if rec.Pos[0] != 7 || rec.Pos[1] != 19 {
 		t.Fatal("positions corrupted")
 	}
-	for _, v := range append(rec.KeyRow(0, 0), rec.ValueRow(0, 1)...) {
+	for _, v := range append(kvRow(rec, rec.K, 0, 0), kvRow(rec, rec.V, 0, 1)...) {
 		if v != 0 {
 			t.Fatal("zero row must survive exactly")
 		}
@@ -201,7 +201,7 @@ func TestExtremeValuesClamped(t *testing.T) {
 	for _, codec := range quantized {
 		rec, _ := roundTrip(t, kv, codec)
 		rail := codec.qmax() * (row[0] / codec.qmax())
-		if got := rec.KeyRow(0, 0); got[0] != rail || got[1] != -rail || got[2] != 0 || got[3] != 0 {
+		if got := kvRow(rec, rec.K, 0, 0); got[0] != rail || got[1] != -rail || got[2] != 0 || got[3] != 0 {
 			t.Fatalf("%v: extremes decoded as %v, want rails ±%v and zeros", codec, got, rail)
 		}
 	}

@@ -15,8 +15,8 @@ import (
 // The /v1/stats JSON document is a monitoring contract: dashboards and
 // alerts key on its field names and types, so a rename or a type change
 // is a breaking change even when every Go test still passes. The golden
-// maps below pin the full document — top level, tiers, scheduler and
-// mining blocks. Adding a field requires touching the golden (visible in
+// maps below pin the full document — top level, tiers, backend,
+// scheduler, admission and speculation blocks. Adding a field requires touching the golden (visible in
 // review); removing or renaming one fails the test.
 
 // kindOf names a decoded JSON value's type the way the contract sees it.
@@ -76,7 +76,6 @@ var statsTopContract = map[string]string{
 	"tiers":            "object",
 	"backend":          "object",
 	"scheduler":        "object",
-	"mining":           "object",
 	"admission":        "object",
 	"speculation":      "object",
 }
@@ -146,19 +145,6 @@ var statsSpeculationContract = map[string]string{
 	"accept_rate":    "number",
 }
 
-var statsMiningContract = map[string]string{
-	"observed":         "number",
-	"classes":          "number",
-	"nodes":            "number",
-	"candidates":       "number",
-	"live_modules":     "number",
-	"promotions":       "number",
-	"demotions":        "number",
-	"hits":             "number",
-	"hit_tokens_saved": "number",
-	"snapshot_skipped": "number",
-}
-
 func TestStatsContractGolden(t *testing.T) {
 	m, err := model.New(model.LlamaStyle(tokenizer.WordBase+2048, 11))
 	if err != nil {
@@ -169,7 +155,6 @@ func TestStatsContractGolden(t *testing.T) {
 	client := promptcache.New(m,
 		promptcache.WithDecodeScheduler(4),
 		promptcache.WithDiskTier(t.TempDir(), promptcache.CodecFP32),
-		promptcache.WithModuleMining(),
 		promptcache.WithAdmission(promptcache.AdmissionConfig{}),
 		promptcache.WithSpeculation(promptcache.DraftOpts{}),
 	)
@@ -201,9 +186,6 @@ func TestStatsContractGolden(t *testing.T) {
 	if sched, ok := out["scheduler"].(map[string]any); ok {
 		checkBlock(t, "scheduler", sched, statsSchedulerContract)
 	}
-	if mining, ok := out["mining"].(map[string]any); ok {
-		checkBlock(t, "mining", mining, statsMiningContract)
-	}
 	spec, ok := out["speculation"].(map[string]any)
 	if !ok {
 		t.Fatalf("no speculation block in /v1/stats with WithSpeculation: %v", out)
@@ -219,56 +201,12 @@ func TestStatsContractGolden(t *testing.T) {
 	}
 }
 
-// TestStatsMiningBlock is the transport-level mining acceptance: a
-// server started with mining enabled promotes a repeated undeclared
-// suffix and reports the hit through /v1/stats — what an operator
-// watching pcserve -mine sees. The suffix is longer than the 16-token
-// minimum, and a prefix is promoted on its third sighting. Without
-// mining the block is absent.
-func TestStatsMiningBlock(t *testing.T) {
-	m, err := model.New(model.LlamaStyle(tokenizer.WordBase+2048, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := promptcache.New(m,
-		promptcache.WithModuleMining(),
-	)
-	s := New(client)
-	doJSON(t, s, http.MethodPost, "/schemas", SchemaRequest{PML: testSchema})
-	prompt := `<prompt schema="docs"><contract/>Summarize the duties and list every obligation in order, then name each party, its deadline and the remedy for a breach.</prompt>`
-	for i := 0; i < 5; i++ {
-		rec, out := doJSON(t, s, http.MethodPost, "/v1/complete", CompleteRequest{Prompt: prompt, GenConfig: promptcache.GenConfig{MaxTokens: 4}})
-		if rec.Code != http.StatusOK {
-			t.Fatalf("complete %d: %d %v", i, rec.Code, out)
-		}
-	}
-	_, out := doJSON(t, s, http.MethodGet, "/v1/stats", nil)
-	mining, ok := out["mining"].(map[string]any)
-	if !ok {
-		t.Fatalf("no mining block in /v1/stats: %v", out)
-	}
-	if mining["promotions"].(float64) < 1 {
-		t.Fatalf("repeated suffix never promoted: %v", mining)
-	}
-	if mining["hits"].(float64) < 1 || mining["hit_tokens_saved"].(float64) <= 0 {
-		t.Fatalf("promoted prefix never hit: %v", mining)
-	}
-
-	// Plain server: no mining block.
-	plain := newServer(t)
-	doJSON(t, plain, http.MethodPost, "/schemas", SchemaRequest{PML: testSchema})
-	_, out = doJSON(t, plain, http.MethodGet, "/v1/stats", nil)
-	if _, has := out["mining"]; has {
-		t.Fatalf("mining block present without mining: %v", out)
-	}
-}
-
 // TestStatsBlockPresence pins the "present exactly when configured"
 // contract of the optional blocks: a non-nil block is the only enabled
 // flag the document carries. Speculation runs on either decode driver,
 // so on its own it shows its block and no scheduler block.
 func TestStatsBlockPresence(t *testing.T) {
-	optional := []string{"scheduler", "mining", "admission", "speculation"}
+	optional := []string{"scheduler", "admission", "speculation"}
 	cases := []struct {
 		name string
 		opts []promptcache.Option
@@ -276,7 +214,6 @@ func TestStatsBlockPresence(t *testing.T) {
 	}{
 		{"bare", nil, nil},
 		{"scheduler", []promptcache.Option{promptcache.WithDecodeScheduler(2)}, []string{"scheduler"}},
-		{"mining", []promptcache.Option{promptcache.WithModuleMining()}, []string{"mining"}},
 		{"admission", []promptcache.Option{promptcache.WithAdmission(promptcache.AdmissionConfig{})}, []string{"admission"}},
 		{"speculation alone", []promptcache.Option{promptcache.WithSpeculation(promptcache.DraftOpts{})}, []string{"speculation"}},
 		{"speculation", []promptcache.Option{promptcache.WithSpeculation(promptcache.DraftOpts{}), promptcache.WithDecodeScheduler(2)},

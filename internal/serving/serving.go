@@ -50,13 +50,6 @@ type Config struct {
 	GPUCapacity int64
 	// Policy governs HBM replacement; nil defaults to LRU.
 	Policy evict.Policy
-
-	// SharedPrefixes > 0 makes GenerateTrace emit explicit suffix token
-	// streams: each request's suffix starts with one of SharedPrefixes
-	// pooled prefixes (Zipf-picked, SharedPrefixTokens long) followed by
-	// unique filler — undeclared shared structure for MineTrace to find.
-	SharedPrefixes     int
-	SharedPrefixTokens int
 }
 
 // Stats summarizes a run.

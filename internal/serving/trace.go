@@ -21,10 +21,6 @@ import (
 type Request struct {
 	Modules []string `json:"modules"`
 	Suffix  int      `json:"suffix"`
-	// SuffixToks, when present, is the suffix's actual token stream —
-	// what MineTrace needs to discover undeclared shared prefixes.
-	// Legacy traces without it replay normally but cannot be mined.
-	SuffixToks []int `json:"suffix_toks,omitempty"`
 }
 
 // GenerateTrace materializes cfg's Zipf stream as an explicit trace.
@@ -65,44 +61,6 @@ func GenerateTrace(cfg Config) ([]Request, error) {
 		}
 		return len(weights) - 1
 	}
-	// With SharedPrefixes > 0, suffixes carry explicit token streams
-	// drawn from a pool of undeclared shared prefixes — the traffic
-	// shape module mining exists to exploit. Prefix popularity follows
-	// the same Zipf skew as module popularity; the rest of each suffix
-	// is unique filler, so only the pooled prefixes are minable.
-	var prefixes [][]int
-	prefixLen := cfg.SharedPrefixTokens
-	if cfg.SharedPrefixes > 0 {
-		if prefixLen <= 0 || prefixLen > cfg.SuffixTokens {
-			prefixLen = cfg.SuffixTokens / 2
-		}
-		prefixes = make([][]int, cfg.SharedPrefixes)
-		for i := range prefixes {
-			p := make([]int, prefixLen)
-			for j := range p {
-				p[j] = 1 + int(r.Float64()*30000)
-			}
-			prefixes[i] = p
-		}
-	}
-	pickPrefix := func() []int {
-		u := r.Float64()
-		var totalPW float64
-		for i := range prefixes {
-			totalPW += 1 / math.Pow(float64(i+1), cfg.ZipfS)
-		}
-		u *= totalPW
-		acc := 0.0
-		for i := range prefixes {
-			acc += 1 / math.Pow(float64(i+1), cfg.ZipfS)
-			if u < acc {
-				return prefixes[i]
-			}
-		}
-		return prefixes[len(prefixes)-1]
-	}
-	filler := 1 << 20 // unique-token counter, disjoint from prefix tokens
-
 	trace := make([]Request, cfg.Requests)
 	for q := range trace {
 		chosen := map[int]bool{}
@@ -117,13 +75,6 @@ func GenerateTrace(cfg Config) ([]Request, error) {
 		req := Request{Suffix: cfg.SuffixTokens}
 		for _, i := range idxs {
 			req.Modules = append(req.Modules, cfg.Modules[i].Name)
-		}
-		if prefixes != nil {
-			req.SuffixToks = append([]int(nil), pickPrefix()...)
-			for len(req.SuffixToks) < cfg.SuffixTokens {
-				req.SuffixToks = append(req.SuffixToks, filler)
-				filler++
-			}
 		}
 		trace[q] = req
 	}

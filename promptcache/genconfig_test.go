@@ -136,7 +136,7 @@ func TestSnapshotShape(t *testing.T) {
 	if snap.APIVersion != StatsAPIVersion {
 		t.Fatalf("APIVersion = %d, want %d", snap.APIVersion, StatsAPIVersion)
 	}
-	if snap.Mining != nil || snap.Speculation != nil || snap.Admission != nil || snap.Scheduler != nil {
+	if snap.Speculation != nil || snap.Admission != nil || snap.Scheduler != nil {
 		t.Fatalf("optional blocks present without their subsystems: %+v", snap)
 	}
 	if _, err := c.Infer(context.Background(), Request{

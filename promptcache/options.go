@@ -82,17 +82,6 @@ func Backends() []string { return tensor.Backends() }
 // WithDecodeScheduler is given a non-positive bound.
 const DefaultMaxDecodeBatch = core.DefaultMaxDecodeBatch
 
-// WithModuleMining enables automatic module mining: the engine observes
-// the uncached token stream of every cached request in a radix tree, and
-// prefixes hot enough to clear the thresholds are promoted to anonymous
-// modules — cached, pinned, evicted, disk-spilled and warm-restarted
-// exactly like explicit PML modules — so later requests sharing the
-// prefix splice its states instead of re-prefilling. A prefix is
-// promoted after 3 observations if it is at least 16 tokens long, and
-// at most 64 mined modules live at once. Splices are bit-exact: a mined
-// hit changes latency, never output.
-func WithModuleMining() Option { return core.WithModuleMining() }
-
 // SLOClass classifies a request's latency objective — SLOInteractive
 // (the default) or SLOBatch — steering both admission-queue and
 // decode-scheduler priority. An alias of the engine's type, like Option.
@@ -147,8 +136,7 @@ type DraftOpts = core.DraftOpts
 
 // WithSpeculation enables draft-and-verify speculative decoding through
 // the module cache: retired generations train a per-serving-class n-gram
-// draft source (the same radix-flavored machinery module mining uses),
-// and each decode lane verifies the draft's proposed tokens in one
+// draft source, and each decode lane verifies the draft's proposed tokens in one
 // widened step, accepting exactly the prefix plain decode would have
 // produced. Output is bit-identical with or without it — same tokens,
 // same logits — only tokens-per-step changes. It runs with or without

@@ -75,16 +75,9 @@
 // cached modules, snapshots and golden outputs are portable across
 // worker counts and machines.
 //
-// With WithModuleMining the cache grows itself: alongside the explicit
-// PML modules a schema declares, the engine watches the uncached token
-// streams requests actually send and promotes hot shared prefixes
-// (undeclared system prompts, RAG boilerplate, few-shot headers) to
-// anonymous mined modules (a prefix qualifies after 3 sightings at 16
-// tokens or more). Mined and explicit modules coexist in one
-// inventory — same pinning, eviction, disk spill and warm-restart
-// machinery — and a request whose suffix starts with a mined prefix
-// splices its states bit-exactly, like a schema hit. Snapshot's Mining
-// block exposes the observer tree and hit counters.
+// Reuse is declared, as in the paper: text many requests share — a
+// system prompt, RAG boilerplate, few-shot headers — becomes a <module>
+// of a schema, and every request that imports it splices the whole span.
 //
 // Schema registration encodes module states outside the engine lock,
 // concurrently, and installs them under one short hold: requests keep
@@ -140,9 +133,9 @@ func Open(m *model.Model, dir string, opts ...Option) (*Client, error) {
 // HasSnapshot reports whether dir holds a SaveAll snapshot.
 func HasSnapshot(dir string) bool { return core.HasSnapshot(dir) }
 
-// SaveAll persists every registered schema — layout plus all module,
-// scaffold and mined states (declared modules in the disk tier's codec,
-// the rest fp32, for exactness) — into dir as a warm-restart snapshot
+// SaveAll persists every registered schema — layout plus all module and
+// scaffold states (declared modules in the disk tier's codec, scaffolds
+// fp32, for exactness) — into dir as a warm-restart snapshot
 // that Open restores lazily. Serving and registration continue while it
 // runs: the snapshot is the registry at one short cut under the lock.
 func (c *Client) SaveAll(dir string) error { return c.cache.SaveAll(dir) }
@@ -203,8 +196,8 @@ func (c *Client) SchedulerEnabled() bool { return c.cache.SchedEnabled() }
 const StatsAPIVersion = core.StatsAPIVersion
 
 // Snapshot is the one stats document /v1/stats serializes: counters,
-// tier occupancy, backend identity, and a mining, admission, scheduler
-// or speculation block exactly when that subsystem is configured. An
+// tier occupancy, backend identity, and an admission, scheduler or
+// speculation block exactly when that subsystem is configured. An
 // alias of the engine's type, which assembles it in one consistent cut.
 type Snapshot = core.Snapshot
 

@@ -41,7 +41,7 @@ func run(args []string, stdout io.Writer) error {
 		outPath    = fs.String("out", "", "encode the schema and save it into this cache directory")
 		inPath     = fs.String("in", "", "restore the schema from this cache directory")
 		verify     = fs.Bool("verify", false, "with -in: serve every module and fail unless none re-encodes")
-		arch       = fs.String("arch", "llama", "architecture: llama, llama-large, mpt, falcon, gpt2")
+		arch       = fs.String("arch", "llama", "architecture: "+strings.Join(model.PresetNames(), ", "))
 		seed       = fs.Uint64("seed", 1, "weight seed")
 		vocab      = fs.Int("vocab", tokenizer.WordBase+8192, "vocabulary size")
 	)
@@ -55,20 +55,9 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var cfg model.Config
-	switch *arch {
-	case "llama":
-		cfg = model.LlamaStyle(*vocab, *seed)
-	case "llama-large":
-		cfg = model.LlamaStyleLarge(*vocab, *seed)
-	case "mpt":
-		cfg = model.MPTStyle(*vocab, *seed)
-	case "falcon":
-		cfg = model.FalconStyle(*vocab, *seed)
-	case "gpt2":
-		cfg = model.GPT2Style(*vocab, *seed)
-	default:
-		return fmt.Errorf("unknown architecture %q", *arch)
+	cfg, err := model.Preset(*arch, *vocab, *seed)
+	if err != nil {
+		return err
 	}
 	m, err := model.New(cfg)
 	if err != nil {

@@ -68,6 +68,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -80,7 +81,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	arch := flag.String("arch", "llama", "architecture family: llama, llama-large, mpt, falcon, gpt2")
+	arch := flag.String("arch", "llama", "architecture family: "+strings.Join(model.PresetNames(), ", "))
 	backend := flag.String("backend", "auto", "tensor kernel backend: auto or parallel (one worker per CPU) or scalar (one worker); outputs are bit-identical at any worker count")
 	seed := flag.Uint64("seed", 1, "weight seed")
 	vocab := flag.Int("vocab", tokenizer.WordBase+8192, "vocabulary size")
@@ -96,20 +97,9 @@ func main() {
 	admitBatchDeadline := flag.Duration("admit-batch-deadline", 0, "admission: per-request deadline for batch-class requests (0 = none)")
 	flag.Parse()
 
-	var cfg model.Config
-	switch *arch {
-	case "llama":
-		cfg = model.LlamaStyle(*vocab, *seed)
-	case "llama-large":
-		cfg = model.LlamaStyleLarge(*vocab, *seed)
-	case "mpt":
-		cfg = model.MPTStyle(*vocab, *seed)
-	case "falcon":
-		cfg = model.FalconStyle(*vocab, *seed)
-	case "gpt2":
-		cfg = model.GPT2Style(*vocab, *seed)
-	default:
-		log.Fatalf("pcserve: unknown architecture %q", *arch)
+	cfg, err := model.Preset(*arch, *vocab, *seed)
+	if err != nil {
+		log.Fatalf("pcserve: %v", err)
 	}
 	m, err := model.New(cfg)
 	if err != nil {

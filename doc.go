@@ -158,15 +158,14 @@
 // compiler (internal/pml), a prompt-program front end (internal/
 // promptlang), the prompt cache itself — schema encoding, scaffolding,
 // cached inference, LRU eviction, tiered storage and warm-restart
-// snapshots (internal/core) — simulated GPU/CPU/disk memory tiers
-// (internal/memory), calibrated hardware latency models
-// (internal/hw), synthetic LongBench workloads (internal/longbench),
+// snapshots (internal/core) — calibrated hardware latency and copy-path
+// models (internal/hw), synthetic LongBench workloads (internal/longbench),
 // evaluation metrics (internal/metrics), an HTTP serving layer over the
 // public API (internal/server) and the experiment harness that
 // regenerates every table and figure in the paper (internal/bench).
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
+// See README.md for a tour, and `go run ./cmd/pcbench list` for the
+// experiment index.
 // The root-level benchmarks in bench_test.go regenerate each table and
 // figure via `go test -bench=.`.
 package repro

@@ -197,7 +197,8 @@ func AblationConcat() *Report {
 		naive += fresh.Len() * nLayers * kvDim * 2 * 4
 		acc = fresh
 	}
-	// Buffered: one pre-sized buffer (kvcache.Concat).
+	// Buffered: one buffer sized for every module (kvcache.New at the
+	// total length, then AppendCache per module).
 	buffered := modules * tokens * nLayers * kvDim * 2 * 4
 	rep := &Report{
 		ID:     "ablation-concat",

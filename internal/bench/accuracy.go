@@ -120,7 +120,7 @@ func Table1(cfg AccuracyConfig) (*Report, error) {
 		Title:  "Accuracy on LongBench (baseline vs Prompt Cache, greedy sampling)",
 		Header: []string{"Dataset", "Metric", "Model", "Baseline", "Cached", "LogitCos", "GenOverlap"},
 		Notes: []string{
-			"Models are seeded architecture stand-ins (see DESIGN.md): absolute reference scores need trained weights and sit near zero for both columns; the paired Baseline≈Cached equality is the reproduced claim.",
+			"Models are seeded architecture stand-ins (internal/model presets): absolute reference scores need trained weights and sit near zero for both columns; the paired Baseline≈Cached equality is the reproduced claim.",
 			"LogitCos = cosine of first-token logits cached-vs-baseline (the direct §3.3 masking measurement); GenOverlap = token overlap of the greedy generations, which amplifies any divergence.",
 		},
 	}

@@ -3,12 +3,12 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/rng"
-	"repro/internal/serving"
 	"repro/internal/tokenizer"
 	"repro/promptcache"
 )
@@ -76,11 +76,10 @@ func EngineLatency() (*Report, error) {
 	return rep, nil
 }
 
-// EngineServing bridges the serving simulator and the real engine: a
-// Zipf trace over a 12-module schema replayed with actual inference,
-// comparing an unconstrained module cache against a tiered one (tight
-// primary pool + host pool) and against no reuse at all. Every TTFT is
-// wall-clock measured, not modelled.
+// EngineServing replays a Zipf trace over a 12-module schema with actual
+// inference, comparing an unconstrained module cache against a tiered
+// one (tight primary pool + host pool) and against no reuse at all.
+// Every TTFT is wall-clock measured, not modelled.
 func EngineServing() (*Report, error) {
 	m, err := model.New(model.LlamaStyle(tokenizer.WordBase+2048, 321))
 	if err != nil {
@@ -90,42 +89,50 @@ func EngineServing() (*Report, error) {
 	const nMods = 12
 	var sb strings.Builder
 	sb.WriteString(`<schema name="esrv">`)
-	specs := make([]serving.ModuleSpec, nMods)
 	r := rng.New(321)
 	for i := 0; i < nMods; i++ {
-		tokens := 40 + r.Intn(120)
-		specs[i] = serving.ModuleSpec{Name: fmt.Sprintf("m%d", i), Tokens: tokens}
-		words := make([]string, tokens)
+		words := make([]string, 40+r.Intn(120))
 		pool := []string{"harbor", "archive", "council", "garden", "bridge", "records", "railway", "festival"}
 		for w := range words {
 			words[w] = rng.Choice(r, pool)
 		}
-		fmt.Fprintf(&sb, `<module name=%q>%s</module>`, specs[i].Name, strings.Join(words, " "))
+		fmt.Fprintf(&sb, `<module name="m%d">%s</module>`, i, strings.Join(words, " "))
 	}
 	sb.WriteString(`</schema>`)
 	schema := sb.String()
 
-	trace, err := serving.GenerateTrace(serving.Config{
-		Modules: specs, Requests: 40, ModulesPerRequest: 2, SuffixTokens: 8, ZipfS: 1.1, Seed: 11,
-	})
-	if err != nil {
-		return nil, err
+	// 40 requests, each importing two distinct modules drawn by Zipf(1.1)
+	// popularity, in module order.
+	weights := make([]float64, nMods)
+	var totalW float64
+	for i := range weights {
+		weights[i] = 1 / math.Pow(float64(i+1), 1.1)
+		totalW += weights[i]
 	}
-	promptFor := func(req serving.Request) string {
-		var b strings.Builder
-		fmt.Fprintf(&b, `<prompt schema="esrv">`)
-		for _, name := range req.Modules {
-			fmt.Fprintf(&b, "<%s/>", name)
+	tr := rng.New(11)
+	pick := func() int {
+		u, acc := tr.Float64()*totalW, 0.0
+		for i, w := range weights {
+			if acc += w; u < acc {
+				return i
+			}
 		}
-		b.WriteString(`<user>answer briefly from the documents</user></prompt>`)
-		return b.String()
+		return nMods - 1
+	}
+	trace := make([]string, 40)
+	for q := range trace {
+		a, b := pick(), pick()
+		for b == a {
+			b = pick()
+		}
+		trace[q] = fmt.Sprintf(`<prompt schema="esrv"><m%d/><m%d/><user>answer briefly from the documents</user></prompt>`,
+			min(a, b), max(a, b))
 	}
 
 	run := func(c *promptcache.Client, baseline bool) (float64, error) {
 		ctx := context.Background()
 		var total time.Duration
-		for _, req := range trace {
-			p := promptFor(req)
+		for _, p := range trace {
 			t0 := time.Now()
 			_, err = c.Infer(ctx, promptcache.Request{Prompt: p, Baseline: baseline, PrefillOnly: true})
 			if err != nil {

@@ -6,59 +6,14 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/evict"
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/quant"
-	"repro/internal/serving"
 	"repro/internal/tensor"
 	"repro/internal/tokenizer"
 	"repro/promptcache"
 )
-
-// Serving runs the §6 serving-system experiment: a Zipf request stream
-// over a 60-module universe on the RTX 4090, comparing replacement
-// policies at a tight HBM budget against the host-only and unbounded-HBM
-// reference points.
-func Serving() (*Report, error) {
-	base := serving.Config{
-		Device:            hw.RTX4090(),
-		Model:             hw.Llama7B(),
-		Modules:           serving.DefaultUniverse(60, 200, 4000, 5),
-		Requests:          2000,
-		ModulesPerRequest: 2,
-		SuffixTokens:      100,
-		ZipfS:             1.1,
-		Seed:              42,
-	}
-	results, err := serving.ComparePolicies(base, 2<<30)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		ID:     "serving",
-		Title:  "Two-tier serving simulation (§6): 2000 requests, 2 GiB HBM for modules, Zipf(1.1)",
-		Header: []string{"Configuration", "HBM hit rate", "Mean TTFT (ms)", "P99 (ms)", "Speedup vs no-reuse", "Uploads (GiB)"},
-		Notes: []string{
-			"unbounded-hbm is the latency lower bound; host-only is the paper's CPU-memory setup.",
-		},
-	}
-	order := append([]string{"unbounded-hbm"}, evict.Names()...)
-	order = append(order, "host-only")
-	for _, name := range order {
-		st := results[name]
-		rep.Rows = append(rep.Rows, []string{
-			name,
-			f3(st.HitRate()),
-			ms(st.MeanTTFT.Seconds()),
-			ms(st.P99TTFT.Seconds()),
-			f1x(st.Speedup()),
-			fmt.Sprintf("%.1f", float64(st.BytesUploaded)/(1<<30)),
-		})
-	}
-	return rep, nil
-}
 
 // Throughput runs §3.4/§5.4's batch-size argument through the analytic
 // model: sharing module states across a batch admits more requests per

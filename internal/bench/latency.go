@@ -172,7 +172,7 @@ func Sec54() *Report {
 		[]string{"Decode TTST @3K (ms/token, paper ~32)", ms(hw.DecodeTime(d, m7, 3000).Seconds())},
 	)
 	rep.Notes = append(rep.Notes,
-		"The paper's +220 ms baseline delta is below any fixed-MFU projection of its own 900 ms anchor; see EXPERIMENTS.md.",
+		"The paper's +220 ms baseline delta is below any fixed-MFU projection of its own 900 ms anchor.",
 	)
 	return rep
 }

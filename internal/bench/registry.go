@@ -50,7 +50,6 @@ var experiments = []Experiment{
 	{ID: "ablation-masking", Summary: "Masking severity vs module granularity (§3.3)", run: AblationMasking},
 	{ID: "engine", Summary: "Measured wall-clock TTFT on the Go engine (Fig. 5 shape)", run: EngineLatency},
 	{ID: "engine-serving", Summary: "Measured Zipf trace replay with tiered cache on the engine", run: EngineServing},
-	{ID: "serving", Summary: "Two-tier serving simulation with replacement policies (§6)", run: Serving},
 	{ID: "quant", Summary: "int8 module-state compression vs fp32 (§6)", run: Quant},
 	{ID: "throughput", Summary: "Batch throughput vs module sharing (§3.4/§5.4)", run: pure(Throughput)},
 	{ID: "breakdown", Summary: "Cached TTFT cost decomposition (model inspection)", run: pure(Breakdown)},

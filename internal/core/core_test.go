@@ -182,12 +182,11 @@ func TestSingleModuleExactEquivalence(t *testing.T) {
 	  <module name="contract">The tenant shall pay rent monthly and keep the garden tidy at all times.</module>
 	</schema>`
 	prompt := `<prompt schema="doc"><contract/>Summarize the obligations.</prompt>`
-	for _, cfg := range []model.Config{
-		model.LlamaStyle(coreVocab, 5),
-		model.MPTStyle(coreVocab, 5),
-		model.FalconStyle(coreVocab, 5),
-		model.GPT2Style(coreVocab, 5),
-	} {
+	for _, arch := range []string{"llama", "mpt", "falcon", "gpt2"} {
+		cfg, err := model.Preset(arch, coreVocab, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		c := newTestCache(t, cfg)
 		mustRegister(t, c, schema)
 		cached, err := c.Serve(context.Background(), prompt, ServeOpts{})

@@ -541,6 +541,9 @@ func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 		c.store.restore(em, de)
 	}
 	for _, mm := range ms.Mined {
+		if err := mm.checkHash(); err != nil {
+			return err
+		}
 		c.store.disk.saved[mm.Hash] = true
 	}
 	return nil
@@ -549,6 +552,9 @@ func (c *Cache) restoreSchemaLocked(ms manifestSchema) error {
 // diskEntry checks a manifest entry against the row count of the module
 // it restores and returns its blob reference.
 func (mm manifestModule) diskEntry(rows int) (diskEntry, error) {
+	if err := mm.checkHash(); err != nil {
+		return diskEntry{}, err
+	}
 	if mm.Tokens != rows {
 		return diskEntry{}, fmt.Errorf("%w: snapshot %q has %d tokens, module expects %d (schema text or tokenizer changed)", ErrBadSnapshot, mm.Name, mm.Tokens, rows)
 	}
@@ -557,6 +563,22 @@ func (mm manifestModule) diskEntry(rows int) (diskEntry, error) {
 		return diskEntry{}, fmt.Errorf("%w: snapshot %q: %v", ErrBadSnapshot, mm.Name, err)
 	}
 	return diskEntry{hash: mm.Hash, codec: codec, bytes: mm.Bytes, tokens: mm.Tokens}, nil
+}
+
+// checkHash accepts only what writeBlob names a blob: 64 lowercase hex
+// digits. A manifest's hash becomes a file name under blobs/, and a blob
+// that fails its check is removed, so a hash holding a path segment must
+// never reach blobPath.
+func (mm manifestModule) checkHash() error {
+	ok := len(mm.Hash) == 2*sha256.Size
+	for i := 0; ok && i < len(mm.Hash); i++ {
+		c := mm.Hash[i]
+		ok = '0' <= c && c <= '9' || 'a' <= c && c <= 'f'
+	}
+	if !ok {
+		return fmt.Errorf("%w: snapshot %q: blob hash %q is not a sha256", ErrBadSnapshot, mm.Name, mm.Hash)
+	}
+	return nil
 }
 
 // resolveParts completes a serve plan whose parts include pending

@@ -509,6 +509,76 @@ func TestOpenDirRejectsDrift(t *testing.T) {
 	}
 }
 
+// TestOpenDirRejectsPathHash: a manifest's blob hash names a file under
+// blobs/, so a hash that is not a sha256 (here one with "../" segments)
+// is ErrBadSnapshot, in a declared module's entry and in an older
+// manifest's "mined" section alike. Trusted, it would point a later
+// corrupt-blob cleanup at a file outside the directory.
+func TestOpenDirRejectsPathHash(t *testing.T) {
+	m, err := model.New(model.LlamaStyle(coreVocab, 647))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := NewCache(m)
+	mustRegister(t, orig, travelSchema)
+	for _, section := range []string{"modules", "mined"} {
+		t.Run(section, func(t *testing.T) {
+			root := t.TempDir()
+			dir := filepath.Join(root, "a", "b")
+			if err := orig.SaveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			victim := filepath.Join(root, "a", "victim.pckv")
+			if err := os.WriteFile(victim, []byte("not a blob"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(manifestPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var man map[string]any
+			if err := json.Unmarshal(data, &man); err != nil {
+				t.Fatal(err)
+			}
+			schema := man["schemas"].([]any)[0].(map[string]any)
+			bad := map[string]any{"name": "tokyo", "hash": "../../victim", "codec": "fp32", "bytes": 10, "tokens": 1}
+			if section == "mined" {
+				schema["mined"] = []any{bad}
+			} else {
+				for _, mod := range schema["modules"].([]any) {
+					if mod := mod.(map[string]any); mod["name"] == "tokyo" {
+						mod["hash"] = bad["hash"]
+					}
+				}
+			}
+			if data, err = json.Marshal(man); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(manifestPath(dir), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			restored, err := OpenDir(m, dir)
+			if err == nil {
+				// Serving tokyo reads the named file, finds it corrupt and
+				// removes it; an own-directory SaveAll removes the rest.
+				res, serr := restored.Serve(context.Background(),
+					`<prompt schema="travel"><trip-plan duration="five days"/><tokyo/>Plan the trip.</prompt>`, ServeOpts{})
+				if serr == nil {
+					res.Close()
+				}
+				_ = restored.SaveAll(dir)
+			}
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("OpenDir = %v, want ErrBadSnapshot", err)
+			}
+			if _, err := os.Stat(victim); err != nil {
+				t.Errorf("file outside the snapshot: %v", err)
+			}
+		})
+	}
+}
+
 // editManifest rewrites every schema source recorded in dir's manifest.
 func editManifest(t *testing.T, dir string, edit func(pml string) string) {
 	t.Helper()

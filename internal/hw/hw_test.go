@@ -84,7 +84,7 @@ func TestGPUSpeedupBands(t *testing.T) {
 // DDR5 box and ~20× on the AMD DDR4 box for a small-suffix dataset.
 func TestCPUSpeedupBands(t *testing.T) {
 	m := Llama7B()
-	intel, amd := IntelI9(), AMDRyzen9()
+	intel, amd := IntelI9(), amdRyzen9()
 	base := BaselineTTFT(intel, m, 5060)
 	cached := CachedTTFT(intel, m, 5000, 60, FromLocal)
 	sIntel := Speedup(base, cached)
@@ -137,7 +137,7 @@ func TestQuadraticVsLinear(t *testing.T) {
 // 900 ms@3K 7B anchor under any fixed MFU (the 13B prefill is ~1.9× the
 // FLOPs), so we assert the qualitative claim — the baseline delta is large
 // and the cached delta is several times smaller — with a wide band;
-// EXPERIMENTS.md records the deviation.
+// the sec54 report states the deviation in a note.
 func TestModelSizeEffect(t *testing.T) {
 	d := RTX4090()
 	dBase := BaselineTTFT(d, Llama13B(), 3000) - BaselineTTFT(d, Llama7B(), 3000)
@@ -278,5 +278,66 @@ func TestDetectCPUVectorFollowsSelection(t *testing.T) {
 	}
 	if got := DetectCPU().Vector; got != want {
 		t.Fatalf("DetectCPU().Vector = %q, want %q (tensor.VectorISA() = %q)", got, want, tensor.VectorISA())
+	}
+}
+
+// TestPaperCopyAnchors pins the transfer model to §5.4's measured values:
+// one layer-slice of 5K tokens of Llama2-7B attention states (78.1 MiB)
+// copies in ~3.79 ms host-to-host, ~5.34 ms host-to-device and ~0.23 ms
+// device-to-device (see the anchorBytes comment for why per-layer is the
+// physically consistent reading).
+func TestPaperCopyAnchors(t *testing.T) {
+	const bytes5K = 5000 * 16 * 1024
+	cases := []struct {
+		name string
+		link Link
+		want float64 // ms
+	}{
+		{"host-to-host", hostToHost(), 3.79},
+		{"host-to-device", hostToDevice(), 5.34},
+		{"device-to-device", deviceToDevice(), 0.23},
+	}
+	for _, c := range cases {
+		got := c.link.TransferTime(bytes5K).Seconds() * 1e3
+		if math.Abs(got-c.want)/c.want > 0.05 {
+			t.Errorf("%s: %0.3f ms, want ~%0.2f ms", c.name, got, c.want)
+		}
+	}
+}
+
+func TestTransferTimeLinearInSize(t *testing.T) {
+	l := hostToDevice()
+	t1 := l.TransferTime(1 << 20).Seconds()
+	t2 := l.TransferTime(1 << 21).Seconds()
+	lat := l.Latency.Seconds()
+	ratio := (t2 - lat) / (t1 - lat)
+	if math.Abs(ratio-2) > 0.01 {
+		t.Fatalf("transfer not linear: ratio=%v", ratio)
+	}
+}
+
+func TestTransferZeroBytes(t *testing.T) {
+	l := hostToHost()
+	if got := l.TransferTime(0); got != l.Latency {
+		t.Fatalf("zero transfer = %v", got)
+	}
+}
+
+func TestScaledLink(t *testing.T) {
+	base := hostToHost()
+	slow := scaled(base, 0.5)
+	b := int64(1 << 30)
+	fastT := base.TransferTime(b) - base.Latency
+	slowT := slow.TransferTime(b) - slow.Latency
+	if math.Abs(float64(slowT)/float64(fastT)-2) > 0.01 {
+		t.Fatalf("scaled link wrong: %v vs %v", slowT, fastT)
+	}
+}
+
+func TestLatencyDominatesSmallCopies(t *testing.T) {
+	l := deviceToDevice()
+	small := l.TransferTime(64)
+	if small < l.Latency || small > l.Latency+time.Millisecond {
+		t.Fatalf("small copy = %v", small)
 	}
 }

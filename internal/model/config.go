@@ -15,6 +15,7 @@ package model
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/rng"
@@ -155,15 +156,48 @@ func FalconStyle(vocab int, seed uint64) Config {
 	}
 }
 
-// GPT2Style returns a learned-position + LayerNorm + GELU config
+// gpt2Style returns a learned-position + LayerNorm + GELU config
 // (BERT/GPT-2 family, the "no adaptation needed" case of §4.2).
-func GPT2Style(vocab int, seed uint64) Config {
+func gpt2Style(vocab int, seed uint64) Config {
 	return Config{
 		Name: "gpt2-style", VocabSize: vocab,
 		Dim: 64, NLayers: 4, NHeads: 4, NKVHeads: 4, FFNDim: 256,
 		MaxSeq: 8192, PosEnc: Learned, Norm: LayerNorm, Act: GELU,
 		Seed: seed,
 	}
+}
+
+// presets is the one architecture table: the names a command's -arch
+// flag accepts, in the order its help lists them.
+var presets = []struct {
+	name string
+	cfg  func(vocab int, seed uint64) Config
+}{
+	{"llama", LlamaStyle},
+	{"llama-large", LlamaStyleLarge},
+	{"mpt", MPTStyle},
+	{"falcon", FalconStyle},
+	{"gpt2", gpt2Style},
+}
+
+// PresetNames lists the architecture names Preset accepts.
+func PresetNames() []string {
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		names[i] = p.name
+	}
+	return names
+}
+
+// Preset returns the named architecture preset at the given vocabulary
+// size and weight seed.
+func Preset(name string, vocab int, seed uint64) (Config, error) {
+	for _, p := range presets {
+		if p.name == name {
+			return p.cfg(vocab, seed), nil
+		}
+	}
+	return Config{}, fmt.Errorf("unknown architecture %q (valid: %s)", name, strings.Join(PresetNames(), ", "))
 }
 
 // layer bundles one transformer block's weights.

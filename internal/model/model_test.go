@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/kvcache"
@@ -18,7 +19,7 @@ func allConfigs(seed uint64) []Config {
 		LlamaStyleLarge(testVocab, seed),
 		MPTStyle(testVocab, seed),
 		FalconStyle(testVocab, seed),
-		GPT2Style(testVocab, seed),
+		gpt2Style(testVocab, seed),
 	}
 }
 
@@ -616,5 +617,25 @@ func BenchmarkDecodeRegime(b *testing.B) {
 				step(b, func() error { return m.DecodeStepBatch(lanes, next, flatPos, kvs) }, width)
 			})
 		})
+	}
+}
+
+// TestPresetTable: every name the -arch flags list builds a model, and
+// an unknown name is an error that lists the valid ones.
+func TestPresetTable(t *testing.T) {
+	for _, name := range PresetNames() {
+		cfg, err := Preset(name, testVocab, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := New(cfg); err != nil {
+			t.Fatalf("%s: New: %v", name, err)
+		}
+	}
+	if len(PresetNames()) != 5 {
+		t.Fatalf("presets = %v, want the five architecture families", PresetNames())
+	}
+	if _, err := Preset("bogus", testVocab, 1); err == nil || !strings.Contains(err.Error(), "llama-large") {
+		t.Fatalf("unknown preset: err = %v", err)
 	}
 }

@@ -4,8 +4,8 @@
 //
 // Determinism matters here: every experiment in the paper reproduction is
 // seeded, so that baseline and Prompt Cache runs see exactly the same
-// model weights and the same workloads, and so that results in
-// EXPERIMENTS.md can be regenerated bit-for-bit. The generator is
+// model weights and the same workloads, and so that every `pcbench`
+// report can be regenerated bit-for-bit. The generator is
 // SplitMix64 (Steele et al., "Fast Splittable Pseudorandom Number
 // Generators"), which is tiny, fast, and passes BigCrush when used as a
 // 64-bit stream.

@@ -33,17 +33,18 @@
 // request's "max_draft" can narrow that). Output is bit-identical to
 // non-speculative decode — requests can opt out per call via
 // {"speculation": {"enabled": false}} — and the "speculation" block of
-// GET /v1/stats reports acceptance. It works with or without the decode
-// scheduler (-decode-batch 0 decodes each request on its own goroutine).
+// GET /v1/stats reports acceptance. Each request decodes on its own
+// goroutine, speculating or not, and the "scheduler" block of
+// GET /v1/stats counts its lanes and steps.
 //
 // With -admit N the server survives overload instead of collapsing
 // under it: N requests serve concurrently, -admit-queue more wait, and
 // further arrivals are shed immediately with HTTP 429 plus a computed
 // Retry-After. Requests may carry "slo": "interactive" (default) or
-// "batch" — interactive requests are admitted and decode-scheduled
-// ahead of batch backfill, and -admit-deadline / -admit-batch-deadline
-// bound each class's total latency (expiry is HTTP 504). The
-// "admission" block of GET /v1/stats keeps the ledger.
+// "batch" — interactive requests are admitted ahead of batch backfill,
+// and -admit-deadline / -admit-batch-deadline bound each class's total
+// latency (expiry is HTTP 504). The "admission" block of GET /v1/stats
+// keeps the ledger.
 //
 // With -backend the tensor kernel backend is pinned: "scalar" is one
 // worker, "parallel" and the default "auto" one worker per CPU. Outputs
@@ -87,7 +88,6 @@ func main() {
 	vocab := flag.Int("vocab", tokenizer.WordBase+8192, "vocabulary size")
 	maxSessions := flag.Int("max-sessions", server.DefaultMaxSessions, "maximum concurrently open sessions")
 	sessionIdle := flag.Duration("session-idle", server.DefaultSessionIdleTimeout, "idle age after which abandoned sessions are reaped")
-	decodeBatch := flag.Int("decode-batch", promptcache.DefaultMaxDecodeBatch, "continuous-batching decode width: concurrent generations fuse into shared model steps (0 disables the scheduler)")
 	cacheDir := flag.String("cache-dir", "", "durable cache directory: evicted modules spill here instead of dropping, and registered schemas persist across restarts (SIGINT/SIGTERM snapshots, next boot warm-restores)")
 	cacheCodec := flag.String("cache-codec", "fp32", "disk-tier codec: fp32 (bit-exact), int8 or int4")
 	speculate := flag.Bool("speculate", false, "speculative decoding: train an n-gram draft source on served traffic and verify its proposals in widened decode steps; output is bit-identical, only tokens-per-step changes")
@@ -105,18 +105,14 @@ func main() {
 	if err != nil {
 		log.Fatalf("pcserve: %v", err)
 	}
-	// One client — and so one decode scheduler — behind every endpoint:
-	// completions, streams and session turns arriving together fuse into
-	// the same batched decode steps.
+	// One client behind every endpoint: completions, streams and session
+	// turns share one module cache.
 	var opts []promptcache.Option
 	bkOpt, err := promptcache.WithBackend(*backend)
 	if err != nil {
 		log.Fatalf("pcserve: %v", err)
 	}
 	opts = append(opts, bkOpt)
-	if *decodeBatch > 0 {
-		opts = append(opts, promptcache.WithDecodeScheduler(*decodeBatch))
-	}
 	if *speculate {
 		opts = append(opts, promptcache.WithSpeculation(promptcache.DraftOpts{}))
 	}

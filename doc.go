@@ -30,37 +30,36 @@
 // releases the pins early (do this before snapshotting a result or
 // parking a session long-term under memory pressure).
 //
-// # Decode: one lane state machine, two drivers
+// # Decode: one lane state machine on each request's goroutine
 //
 // Decode runs as it would under a plain KV cache (§3.4: prompt modules
 // are not employed beyond the initial token), through one per-lane state
 // machine in internal/core (core.Scheduler): sample with the request's
 // sampler, check its stop conditions, emit, then ONE model step
-// (model.DecodeStepBatchMulti) that settles the lane. Two drivers run
-// it. With promptcache.WithDecodeScheduler, a background run loop fuses
-// every concurrent generation: each joins as a lane after its prefill,
-// and each iteration admits waiting lanes, runs one batched step for all
-// of them — a single layer walk per step for the whole batch, instead of
-// one per request — and retires finished or cancelled ones. Without it,
-// each generation drives the same state machine on its own goroutine as
-// a batch of one. Each lane's k positions run as a k-row block through
-// the one layer body that prefill (k = n) also runs. A request's token
-// and logit streams are bit-identical on either driver; the scheduler
-// changes throughput, never output.
+// (model.DecodeStepBatchMulti) that settles the lane. Each generation
+// runs it on its own goroutine after its prefill, so concurrent requests
+// decode concurrently and share only the read-only weights. Each lane's
+// k positions run as a k-row block through the one layer body that
+// prefill (k = n) also runs, so a request's token and logit streams are
+// bit-identical to plain decode. After every step the lane yields twice:
+// runtime.Gosched hands its P to runnable goroutines (a stream's token
+// writer) and a sched_yield hands its CPU to other threads — decode
+// threads never block, and without the OS-level yield they starve a
+// co-located client of the cores it needs to read tokens and send the
+// next request.
 // The scheduler block of /v1/stats (core.Cache.Snapshot, the one stats
-// document) exposes queue depth, active lanes, the batch-size histogram
-// and decode tokens/sec; the benchmark of record's decode.long workload
-// measures it through the server.
+// document) exposes active lanes, step and token counts and decode
+// tokens/sec; the benchmark of record's decode.long workload measures it
+// through the server.
 //
 // # Speculative decoding
 //
-// With promptcache.WithSpeculation, on either driver, the decode step
-// widens: a back-off n-gram draft source — trained on the token streams
-// decode actually produced per serving class (schema, imports,
-// scaffolds and exclusions: one attention context), no second model —
-// proposes up to 4 tokens
-// per lane, and the same step, at several positions per lane,
-// scores every proposed position. Each lane accepts exactly the longest
+// With promptcache.WithSpeculation the decode step widens: a back-off
+// n-gram draft source — trained on the token streams decode actually
+// produced per serving class (schema, imports, scaffolds and exclusions:
+// one attention context), no second model — proposes up to 4 tokens per
+// lane, and the same step, at several positions per lane, scores every
+// proposed position. Each lane accepts exactly the longest
 // proposal prefix matching what its sampler picks, falls back to the
 // verified next token on rejection, and truncates unverified KV rows —
 // so output is bit-identical to non-speculative decode by construction,

@@ -15,20 +15,18 @@ import (
 // and when the queue itself is full it is shed immediately with a typed
 // OverloadError carrying a retry-after estimate (queue depth × observed
 // service rate). Interactive requests are always granted slots before
-// batch requests, mirroring the decode scheduler's lane priority.
+// batch requests.
 
-// SLOClass classifies a request's latency objective. It rides the
-// request context (WithSLOClass) from the transport down to the
-// admission queue and the decode scheduler, both of which serve
-// interactive traffic before batch backfill.
+// SLOClass classifies a request's latency objective. The admission
+// queue serves interactive traffic before batch backfill.
 type SLOClass int
 
 const (
 	// SLOInteractive is the default class: user-facing requests whose
-	// TTFT matters. Admitted and scheduled ahead of batch traffic.
+	// TTFT matters. Admitted ahead of batch traffic.
 	SLOInteractive SLOClass = iota
 	// SLOBatch marks throughput-oriented backfill traffic: it yields
-	// admission slots and decode-scheduler lanes to interactive load.
+	// admission slots to interactive load.
 	SLOBatch
 	// numSLOClasses sizes per-class arrays; keep it last.
 	numSLOClasses
@@ -81,24 +79,12 @@ func (c *SLOClass) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// sloKey carries a request's SLOClass through its context.
-type sloKey struct{}
-
-// WithSLOClass tags ctx with the request's SLO class, readable anywhere
-// downstream via SLOFromContext (the decode scheduler uses it to order
-// lane admission).
-func WithSLOClass(ctx context.Context, class SLOClass) context.Context {
-	return context.WithValue(ctx, sloKey{}, class)
-}
-
-// SLOFromContext returns the context's SLO class, defaulting to
-// SLOInteractive for untagged requests.
-func SLOFromContext(ctx context.Context) SLOClass {
-	if c, ok := ctx.Value(sloKey{}).(SLOClass); ok {
-		return c
-	}
-	return SLOInteractive
-}
+// WithSLOClass tagged ctx with the request's SLO class for the fused
+// decode loop's lane order; nothing reads the tag any more.
+//
+// Deprecated: it returns ctx unchanged and is removed once no caller
+// passes it.
+func WithSLOClass(ctx context.Context, _ SLOClass) context.Context { return ctx }
 
 // Default admission bounds used when AdmissionConfig fields are
 // non-positive.

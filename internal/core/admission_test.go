@@ -3,13 +3,11 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/model"
 	"repro/internal/rng"
 )
 
@@ -40,16 +38,6 @@ func TestParseSLOClass(t *testing.T) {
 	}
 	if SLOInteractive.String() != "interactive" || SLOBatch.String() != "batch" {
 		t.Fatalf("String() = %q, %q", SLOInteractive, SLOBatch)
-	}
-}
-
-func TestSLOContextRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	if got := SLOFromContext(ctx); got != SLOInteractive {
-		t.Fatalf("untagged context class = %v, want interactive default", got)
-	}
-	if got := SLOFromContext(WithSLOClass(ctx, SLOBatch)); got != SLOBatch {
-		t.Fatalf("tagged context class = %v, want batch", got)
 	}
 }
 
@@ -346,82 +334,6 @@ func TestAdmissionContextDeadline(t *testing.T) {
 	dl, ok := bctx.Deadline()
 	if !ok || time.Until(dl) < 30*time.Minute {
 		t.Fatalf("batch deadline = %v %v, want ~1h out", dl, ok)
-	}
-}
-
-// TestSchedulerInteractiveLaneBeforeBatch: with a single-lane scheduler
-// saturated by a streaming request, a batch generation queued FIRST must
-// still decode AFTER an interactive generation queued second — the
-// scheduler pulls pending lanes interactive-first.
-func TestSchedulerInteractiveLaneBeforeBatch(t *testing.T) {
-	c := llamaCache(t, WithDecodeScheduler(1))
-	mustRegister(t, c, travelSchema)
-	ctx := context.Background()
-
-	serve := func(text string) *ServeResult {
-		res, err := c.Serve(ctx, fmt.Sprintf(`<prompt schema="travel"><miami/>%s</prompt>`, text), ServeOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	resA, resB, resC := serve("Blocker."), serve("Batch job."), serve("Interactive.")
-	defer resA.Close()
-	defer resB.Close()
-	defer resC.Close()
-
-	// First-token emissions run on the single scheduler goroutine, so
-	// their order IS the lane-admission order — unlike completion
-	// notifications, which race through separate waiter goroutines.
-	order := make(chan SLOClass, 2)
-	var wg sync.WaitGroup
-	launch := func(res *ServeResult, class SLOClass, start chan struct{}) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			gctx := WithSLOClass(ctx, class)
-			first := true
-			_, err := c.GenerateStream(gctx, res, model.GenerateOpts{MaxTokens: 4, StopToken: -1}, func(string) bool {
-				if first {
-					first = false
-					order <- class
-				}
-				return true
-			})
-			if err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	startB, startC := make(chan struct{}), make(chan struct{})
-	launch(resB, SLOBatch, startB)
-	launch(resC, SLOInteractive, startC)
-
-	// The blocker holds the only lane; from inside its stream callback
-	// (the run loop is parked there) release batch first, then
-	// interactive, and wait until each is visibly queued — so both are
-	// pending, in batch-first arrival order, before the lane frees.
-	released := false
-	_, err := c.GenerateStream(ctx, resA, model.GenerateOpts{MaxTokens: 6, StopToken: -1}, func(string) bool {
-		if !released {
-			released = true
-			close(startB)
-			waitFor(t, func() bool { return c.SchedStats().QueueDepth >= 1 })
-			close(startC)
-			waitFor(t, func() bool { return c.SchedStats().QueueDepth >= 2 })
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if first := <-order; first != SLOInteractive {
-		t.Fatalf("first admitted lane was %v, want interactive despite batch arriving first", first)
-	}
-	if second := <-order; second != SLOBatch {
-		t.Fatalf("second admitted lane was %v, want batch", second)
 	}
 }
 

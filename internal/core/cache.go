@@ -155,11 +155,9 @@ type Cache struct {
 	tok  *tokenizer.Tokenizer
 	tmpl *pml.Template
 
-	// sched is the decode loop Generate/GenerateStream run: fused into
-	// shared model steps under WithDecodeScheduler (continuous
-	// batching), inline on the caller's goroutine otherwise. It holds
-	// the speculation draft source, if any. It synchronizes itself and
-	// never takes mu.
+	// sched is the decode loop Generate/GenerateStream run, each request
+	// on its caller's goroutine. It holds the speculation draft source,
+	// if any. It synchronizes itself and never takes mu.
 	sched *Scheduler
 
 	// draft, when non-nil, is WithSpeculation's draft-source config;
@@ -217,18 +215,11 @@ func WithDiskTier(dir string, codec Codec) Option {
 	return func(c *Cache) { c.store.disk = newDiskTier(dir, codec) }
 }
 
-// WithDecodeScheduler enables continuous-batching decode: concurrent
-// Generate/GenerateStream calls (and everything built on them — Infer,
-// sessions, streaming, batches) fuse into shared model steps, so N
-// active generations cost one layer walk per token instead of N.
-// maxBatch bounds the fused-step width (non-positive selects
-// DefaultMaxDecodeBatch); requests beyond it queue and join as lanes
-// retire. Without it each generation runs the same lane state machine
-// inline on its caller's goroutine; per-request output is bit-identical
-// either way.
-func WithDecodeScheduler(maxBatch int) Option {
-	return func(c *Cache) { c.sched = newScheduler(c.m, true, maxBatch) }
-}
+// WithDecodeScheduler selected the fused decode run loop, which is gone:
+// every generation decodes on its caller's goroutine.
+//
+// Deprecated: it changes nothing and is removed once no caller passes it.
+func WithDecodeScheduler(int) Option { return func(*Cache) {} }
 
 // WithFaultInjection installs a fault injector consulted by the disk
 // tier before blob reads and writes, so robustness tests drive the
@@ -258,14 +249,12 @@ func NewCache(m *model.Model, opts ...Option) *Cache {
 		tmpl:    pml.TemplateFor(m.Cfg.Name),
 		schemas: make(map[string]*schemaEntry),
 		store:   tierStore{device: newLedger(0), modules: make(map[string]*EncodedModule)},
+		sched:   newScheduler(m),
 	}
 	for _, o := range opts {
 		o(c)
 	}
 	c.store.stats = &c.stats
-	if c.sched == nil {
-		c.sched = newScheduler(m, false, 0)
-	}
 	// Option order must not matter: wire the injector into the disk tier
 	// and build the draft source into the decode loop after all options
 	// ran, whichever order they came in.

@@ -690,10 +690,9 @@ func (c *Cache) Continue(ctx context.Context, res *ServeResult, userText string)
 // GenerateStream generates token by token, calling emit (when non-nil)
 // with each token's decoded text as soon as it is sampled; returning
 // false stops. Cancelling ctx aborts between decode steps. The request
-// decodes as one lane of the decode loop (see Scheduler): under
-// WithDecodeScheduler emit runs on the run loop's goroutine, so a sink
-// that blocks stalls every lane — transports should drop the lane
-// (return false) rather than block when their client stops reading.
+// decodes as one lane of the decode loop (see Scheduler) on the caller's
+// goroutine, and emit runs there too: a sink that blocks paces this
+// request's decode and no other's.
 func (c *Cache) GenerateStream(ctx context.Context, res *ServeResult, opts model.GenerateOpts, emit func(text string) bool) ([]int, error) {
 	var detok func(int) bool
 	if emit != nil {

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/kvcache"
 	"repro/internal/model"
@@ -63,8 +62,10 @@ type goldenRun struct {
 	err    error
 }
 
-// decodeDrivers are the decode loop's two drivers as cache options:
-// inline on each Generate caller, and the fused run loop.
+// decodeDrivers are the cache configurations the decode tests run on:
+// plain, and built with the deprecated WithDecodeScheduler, which once
+// selected the fused run loop and must now change nothing — the
+// benchmark stack still passes it.
 var decodeDrivers = []struct {
 	name string
 	opts []Option
@@ -202,11 +203,9 @@ func checkGolden(t *testing.T, c *Cache, want []goldenRun, label string) {
 
 // TestSchedulerGoldenFused is the bit-identity contract of the decode
 // loop: heterogeneous requests — different schemas, samplers, reply
-// lengths — decoded concurrently on either driver must produce, per
+// lengths — decoded concurrently, one goroutine each, must produce, per
 // request, exactly the token and logit streams of plain decode over
-// Model.Decode. On the fused driver they join and retire mid-run through
-// a batch bound smaller than the request count, so admission also
-// churns. Covered on RoPE and on ALiBi (whose position gaps between
+// Model.Decode. Covered on RoPE and on ALiBi (whose position gaps between
 // modules exercise the §4.2 "white space" path during decode attention).
 func TestSchedulerGoldenFused(t *testing.T) {
 	// The worker dimension makes this also the cross-worker golden: the
@@ -234,19 +233,16 @@ func TestSchedulerGoldenFused(t *testing.T) {
 					if c.Snapshot().Speculation != nil {
 						t.Fatal("speculation block without WithSpeculation")
 					}
-					if !c.SchedEnabled() {
-						return
-					}
 					st := c.SchedStats()
 					n := int64(len(want))
-					if st.MaxBatch != 4 {
+					if st.MaxBatch != 1 || st.QueueDepth != 0 || len(st.BatchHist) != 1 || st.BatchHist[0] != st.Steps {
 						t.Fatalf("scheduler stats: %+v", st)
 					}
-					if st.LanesJoined < n || st.LanesRetired != st.LanesJoined {
-						t.Fatalf("joined %d retired %d, want %d lifecycle-balanced", st.LanesJoined, st.LanesRetired, n)
+					if st.LanesJoined < n || st.LanesRetired != st.LanesJoined || st.ActiveLanes != 0 {
+						t.Fatalf("joined %d retired %d active %d, want %d lifecycle-balanced", st.LanesJoined, st.LanesRetired, st.ActiveLanes, n)
 					}
 					if st.TokensDecoded == 0 || st.Steps == 0 {
-						t.Fatalf("no fused work recorded: %+v", st)
+						t.Fatalf("no decode work recorded: %+v", st)
 					}
 				})
 			}
@@ -254,80 +250,17 @@ func TestSchedulerGoldenFused(t *testing.T) {
 	}
 }
 
-// TestSchedulerFusesLanes proves two concurrent generations actually
-// share fused steps (the batch-size histogram moves past 1): request A's
-// stream callback gates until B is visible to the scheduler, so the join
-// is deterministic, not a timing accident.
-func TestSchedulerFusesLanes(t *testing.T) {
-	c := llamaCache(t, WithDecodeScheduler(4))
-	mustRegister(t, c, travelSchema)
-	ctx := context.Background()
-	resA, err := c.Serve(ctx, `<prompt schema="travel"><miami/>First.</prompt>`, ServeOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resA.Close()
-	resB, err := c.Serve(ctx, `<prompt schema="travel"><tokyo/>Second.</prompt>`, ServeOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resB.Close()
-
-	startB := make(chan struct{})
-	bDone := make(chan error, 1)
-	go func() {
-		<-startB
-		_, err := c.Generate(ctx, resB, model.GenerateOpts{MaxTokens: 8, StopToken: -1})
-		bDone <- err
-	}()
-
-	gated := false
-	_, err = c.GenerateStream(ctx, resA, model.GenerateOpts{MaxTokens: 40, StopToken: -1}, func(string) bool {
-		if !gated {
-			gated = true
-			close(startB)
-			// Wait (bounded) until B is enqueued or admitted; the run loop
-			// is parked in this callback, so B cannot be missed afterwards.
-			deadline := time.Now().Add(10 * time.Second)
-			for time.Now().Before(deadline) {
-				st := c.SchedStats()
-				if st.QueueDepth+st.ActiveLanes >= 2 {
-					return true
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-bDone; err != nil {
-		t.Fatal(err)
-	}
-	st := c.SchedStats()
-	var fusedSteps int64
-	for i, n := range st.BatchHist {
-		if i >= 1 {
-			fusedSteps += n
-		}
-	}
-	if fusedSteps == 0 {
-		t.Fatalf("no fused steps recorded: hist=%v", st.BatchHist)
-	}
-}
-
 // TestSchedulerCancelEvictsLane: cancelling one request's context must
 // retire exactly that lane (with the context error) while a concurrent
 // lane keeps decoding to its full, undisturbed reply.
 func TestSchedulerCancelEvictsLane(t *testing.T) {
-	c := llamaCache(t, WithDecodeScheduler(4))
+	c := llamaCache(t)
 	mustRegister(t, c, travelSchema)
 	ctx := context.Background()
 
-	// Expected survivor output, decoded through the same scheduler while
-	// idle (fused output equals plain decode, so a quiet pass is a valid
-	// reference).
+	// Expected survivor output, decoded through the same cache while
+	// idle (decode output equals plain decode, so a quiet pass is a
+	// valid reference).
 	wantB := runGolden(ctx, c, goldenReq{
 		`<prompt schema="travel"><tokyo/>Keep going.</prompt>`, 24,
 		func() model.Sampler { return model.GreedySampler{} },
@@ -384,13 +317,12 @@ func TestSchedulerCancelEvictsLane(t *testing.T) {
 	}
 }
 
-// TestSchedulerChurnHammer mixes scheduler decode with every mutating
+// TestSchedulerChurnHammer mixes concurrent decode with every mutating
 // cache entry point — Serve+Generate loops, promotion churn,
 // schema registration, eviction under a deliberately tiny device pool
 // with a host tier — and exists mainly for the race detector.
 func TestSchedulerChurnHammer(t *testing.T) {
 	c := llamaCache(t,
-		WithDecodeScheduler(4),
 		WithDeviceCapacity(96<<10),
 		WithHostTier(0),
 	)
@@ -456,69 +388,9 @@ func TestSchedulerChurnHammer(t *testing.T) {
 	}
 }
 
-// TestSchedulerCancelQueuedLane: a request cancelled while still waiting
-// in the admission queue (batch full) must retire promptly — the sweep
-// at the top of each iteration — not wait for a batch slot to free.
-func TestSchedulerCancelQueuedLane(t *testing.T) {
-	c := llamaCache(t, WithDecodeScheduler(1)) // one slot: B must queue behind A
-	mustRegister(t, c, travelSchema)
-	ctx := context.Background()
-	resA, err := c.Serve(ctx, `<prompt schema="travel"><miami/>Long one.</prompt>`, ServeOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resA.Close()
-	resB, err := c.Serve(ctx, `<prompt schema="travel"><tokyo/>Queued one.</prompt>`, ServeOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resB.Close()
-
-	aStarted := make(chan struct{})
-	var once sync.Once
-	var stopA atomic.Bool
-	aDone := make(chan error, 1)
-	go func() {
-		_, err := c.GenerateStream(ctx, resA, model.GenerateOpts{MaxTokens: 100000, StopToken: -1}, func(string) bool {
-			once.Do(func() { close(aStarted) })
-			return !stopA.Load()
-		})
-		aDone <- err
-	}()
-	<-aStarted
-
-	bCtx, cancelB := context.WithCancel(ctx)
-	bDone := make(chan error, 1)
-	go func() {
-		_, err := c.Generate(bCtx, resB, model.GenerateOpts{MaxTokens: 100000, StopToken: -1})
-		bDone <- err
-	}()
-	// Let B reach the queue behind A's full batch, then cancel it.
-	deadline := time.Now().Add(10 * time.Second)
-	for c.SchedStats().QueueDepth == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("B never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancelB()
-	select {
-	case err := <-bDone:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("queued lane error = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled queued lane did not retire while the batch stayed full")
-	}
-	stopA.Store(true)
-	if err := <-aDone; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGenerateRespectsMaxTokens: on either driver, a reply ends at
-// MaxTokens or at the stop token, whichever comes first, and its tokens
-// take consecutive positions after the served cache's maximum.
+// TestGenerateRespectsMaxTokens: in either configuration, a reply ends
+// at MaxTokens or at the stop token, whichever comes first, and its
+// tokens take consecutive positions after the served cache's maximum.
 func TestGenerateRespectsMaxTokens(t *testing.T) {
 	ctx := context.Background()
 	prompt := `<prompt schema="travel"><miami/>Plan a beach day.</prompt>`
@@ -558,9 +430,9 @@ func TestGenerateRespectsMaxTokens(t *testing.T) {
 	}
 }
 
-// TestGenerateStream: on either driver, a streamed reply emits exactly
-// the tokens the plain reply returns, in order, and an emit refusal ends
-// the reply at the refused token.
+// TestGenerateStream: in either configuration, a streamed reply emits
+// exactly the tokens the plain reply returns, in order, and an emit
+// refusal ends the reply at the refused token.
 func TestGenerateStream(t *testing.T) {
 	ctx := context.Background()
 	prompt := `<prompt schema="travel"><tokyo/>Keep going.</prompt>`
@@ -601,11 +473,10 @@ func TestGenerateStream(t *testing.T) {
 	}
 }
 
-// TestInlineDriverYields: the inline driver yields its core after every
-// step, as the run loop does. On one P, a goroutine made runnable just
-// before an inline GenerateStream must have run by the third token;
-// without the yield it waits for the preemption tick, long after this
-// short reply ends.
+// TestInlineDriverYields: the decode loop yields its P after every step.
+// On one P, a goroutine made runnable just before a GenerateStream must
+// have run by the third token; without the yield it waits for the
+// preemption tick, long after this short reply ends.
 func TestInlineDriverYields(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ctx := context.Background()
@@ -633,9 +504,39 @@ func TestInlineDriverYields(t *testing.T) {
 	}
 }
 
+// TestDecodeOSYieldPerStep: the decode loop makes exactly one OS-level
+// yield per model step, on plain and speculating steps alike, so its
+// thread hands the CPU to other processes' threads as often as it steps.
+func TestDecodeOSYieldPerStep(t *testing.T) {
+	ctx := context.Background()
+	c := llamaCache(t, withDraft(specDraft()))
+	mustRegister(t, c, travelSchema)
+	var yields int64
+	c.sched.yield = func() { yields++ }
+	prompt := `<prompt schema="travel"><tokyo/>Keep going.</prompt>`
+	for pass := 0; pass < 3; pass++ {
+		res, err := c.Serve(ctx, prompt, ServeOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Generate(ctx, res, model.GenerateOpts{MaxTokens: 12, StopToken: -1})
+		res.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.SchedStats()
+	if st.Steps == 0 || st.SpecSteps == 0 {
+		t.Fatalf("want plain and speculating steps: %+v", st)
+	}
+	if yields != st.Steps {
+		t.Fatalf("%d OS yields over %d model steps, want one per step", yields, st.Steps)
+	}
+}
+
 // TestGenerateEmptyCacheRejected: a result with nothing to continue from,
-// or logits of the wrong width, is a bad prompt on either driver, and no
-// lane is left behind.
+// or logits of the wrong width, is a bad prompt in either configuration,
+// and no lane is left behind.
 func TestGenerateEmptyCacheRejected(t *testing.T) {
 	for _, drv := range decodeDrivers {
 		t.Run(drv.name, func(t *testing.T) {

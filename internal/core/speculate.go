@@ -17,9 +17,8 @@ type DraftOpts struct{}
 // generations train a per-serving-class n-gram draft source, and decode
 // lanes verify its proposals in widened steps, accepting exactly the
 // prefix plain decode would have produced — output is bit-identical with
-// or without it. It runs on either decode driver, fused
-// (WithDecodeScheduler) or inline; per-request policy (model.SpecOpts)
-// can opt individual generations out or narrow their draft width.
+// or without it. Per-request policy (model.SpecOpts) can opt individual
+// generations out or narrow their draft width.
 func WithSpeculation(DraftOpts) Option {
 	return func(c *Cache) { c.draft = &mining.DraftConfig{} }
 }

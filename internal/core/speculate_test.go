@@ -19,7 +19,7 @@ func specDraft() mining.DraftConfig { return mining.DraftConfig{MinHits: 1} }
 
 // TestSpeculationGoldenSpecVsSolo is the bit-identity contract of
 // speculative decoding, in the style of TestSchedulerGoldenFused: a
-// speculating cache, on either decode driver, must produce per request
+// speculating cache, in either configuration, must produce per request
 // exactly the token and logit streams of plain decode over Model.Decode
 // — on a cold draft (pass 1, where "never worse" means "identical"), and
 // on a warmed draft (pass 2, where drafts are actually proposed and
@@ -63,7 +63,7 @@ func TestSpeculationGoldenSpecVsSolo(t *testing.T) {
 						if st.DraftProposed != 0 || st.SpecSteps != 0 {
 							t.Fatalf("unqualified draft proposed %d tokens over %d steps, want none", st.DraftProposed, st.SpecSteps)
 						}
-						if got := acceptedPerStep(ss); spec.SchedEnabled() && got != 1 {
+						if got := acceptedPerStep(ss); got != 1 {
 							t.Fatalf("AcceptedPerStep = %v without proposals, want exactly 1", got)
 						}
 						return
@@ -71,7 +71,7 @@ func TestSpeculationGoldenSpecVsSolo(t *testing.T) {
 					if st.SpecSteps == 0 || st.DraftProposed == 0 || st.DraftAccepted == 0 {
 						t.Fatalf("warmed pass never speculated: %+v", st)
 					}
-					if got := acceptedPerStep(ss); spec.SchedEnabled() && got <= 1 {
+					if got := acceptedPerStep(ss); got <= 1 {
 						t.Fatalf("AcceptedPerStep = %v with %d tokens / %d steps", got, ss.TokensDecoded, ss.Steps)
 					}
 				})
@@ -80,17 +80,13 @@ func TestSpeculationGoldenSpecVsSolo(t *testing.T) {
 	}
 }
 
-// acceptedPerStep is the mean tokens a lane produces per fused step it
-// joins: exactly 1 without speculation, above 1 when drafts land.
+// acceptedPerStep is the mean tokens a lane produces per model step:
+// exactly 1 without speculation, above 1 when drafts land.
 func acceptedPerStep(s SchedStats) float64 {
-	var laneSteps int64
-	for i, n := range s.BatchHist {
-		laneSteps += n * int64(i+1)
-	}
-	if laneSteps == 0 {
+	if s.Steps == 0 {
 		return 0
 	}
-	return float64(s.TokensDecoded) / float64(laneSteps)
+	return float64(s.TokensDecoded) / float64(s.Steps)
 }
 
 // TestSpeculationOptOut: a request carrying Off must decode through
@@ -98,7 +94,7 @@ func acceptedPerStep(s SchedStats) float64 {
 // stays put — and still produce the identical stream.
 func TestSpeculationOptOut(t *testing.T) {
 	ctx := context.Background()
-	c := llamaCache(t, WithDecodeScheduler(4), withDraft(specDraft()))
+	c := llamaCache(t, withDraft(specDraft()))
 	mustRegister(t, c, travelSchema)
 	prompt := `<prompt schema="travel"><miami/>Plan a beach day.</prompt>`
 	run := func(off bool) []int {
@@ -144,7 +140,7 @@ func TestSpeculationOptOut(t *testing.T) {
 // lane keeps decoding to its full, undisturbed reply — speculation's
 // KV truncation must not disturb cancellation bookkeeping or siblings.
 func TestSpeculationCancelMidRun(t *testing.T) {
-	c := llamaCache(t, WithDecodeScheduler(4), withDraft(specDraft()))
+	c := llamaCache(t, withDraft(specDraft()))
 	mustRegister(t, c, travelSchema)
 	ctx := context.Background()
 	survivor := goldenReq{
@@ -209,7 +205,6 @@ func TestSpeculationCancelMidRun(t *testing.T) {
 // race detector over the draft table and the widened verify step.
 func TestSpeculationChurnHammer(t *testing.T) {
 	c := llamaCache(t,
-		WithDecodeScheduler(4),
 		withDraft(specDraft()),
 		WithDeviceCapacity(96<<10),
 		WithHostTier(0),
@@ -284,7 +279,7 @@ func TestSpeculationChurnHammer(t *testing.T) {
 // starts from a cold predictor.
 func TestSpeculationSchemaDropForgets(t *testing.T) {
 	ctx := context.Background()
-	c := llamaCache(t, WithDecodeScheduler(2), withDraft(specDraft()))
+	c := llamaCache(t, withDraft(specDraft()))
 	mustRegister(t, c, travelSchema)
 	prompt := `<prompt schema="travel"><miami/>Plan a beach day.</prompt>`
 	for i := 0; i < 2; i++ {
@@ -306,11 +301,10 @@ func TestSpeculationSchemaDropForgets(t *testing.T) {
 	}
 }
 
-// TestSpeculationWithoutScheduler: speculation runs on either decode
-// driver, so WithSpeculation alone builds the draft — a serve computes
-// its serving class for draft lookups, and the stats document carries
-// the speculation block — whatever the option order, and the scheduler
-// block appears only with WithDecodeScheduler.
+// TestSpeculationWithoutScheduler: WithSpeculation alone builds the
+// draft — a serve computes its serving class for draft lookups, and the
+// stats document carries the speculation block beside the scheduler
+// block — whatever the order against the deprecated WithDecodeScheduler.
 func TestSpeculationWithoutScheduler(t *testing.T) {
 	for _, c := range []*Cache{
 		llamaCache(t, withDraft(specDraft())),
@@ -330,8 +324,8 @@ func TestSpeculationWithoutScheduler(t *testing.T) {
 		if sp := snap.Speculation; sp == nil || !sp.Enabled {
 			t.Fatalf("speculation block %+v", sp)
 		}
-		if (snap.Scheduler != nil) != c.SchedEnabled() {
-			t.Fatalf("scheduler %v: scheduler block %+v", c.SchedEnabled(), snap.Scheduler)
+		if snap.Scheduler == nil {
+			t.Fatal("no scheduler block")
 		}
 		if res.class == "" {
 			t.Fatal("speculating serve computed no serving class")

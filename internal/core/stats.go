@@ -34,9 +34,9 @@ func (c *Cache) Stats() Stats {
 const StatsAPIVersion = 1
 
 // Snapshot is the one stats document: cache counters, tier occupancy,
-// backend identity, and — when the matching subsystem is configured —
-// admission, scheduler and speculation blocks, each the
-// subsystem's own stats struct. Cache.Snapshot assembles it and
+// backend identity, the decode loop's scheduler block, and — when the
+// matching subsystem is configured — admission and speculation blocks,
+// each the subsystem's own stats struct. Cache.Snapshot assembles it and
 // /v1/stats serializes it directly, so its JSON tags ARE the monitoring
 // contract (pinned by the server's stats-contract golden test).
 type Snapshot struct {
@@ -58,10 +58,11 @@ type Snapshot struct {
 	Tiers   TierSnapshot    `json:"tiers"`
 	Backend BackendSnapshot `json:"backend"`
 
+	// Scheduler is always non-nil: every cache decodes.
+	Scheduler *SchedStats `json:"scheduler"`
 	// Optional blocks: non-nil exactly when their subsystem is
 	// configured.
 	Admission   *AdmissionStats `json:"admission,omitempty"`
-	Scheduler   *SchedStats     `json:"scheduler,omitempty"`
 	Speculation *SpecStats      `json:"speculation,omitempty"`
 }
 
@@ -122,6 +123,7 @@ func (c *Cache) Snapshot() Snapshot {
 	}
 	c.mu.Unlock()
 
+	ss := c.sched.Stats()
 	cpu := hw.DetectCPU()
 	bk := c.m.Backend()
 	snap := Snapshot{
@@ -134,6 +136,7 @@ func (c *Cache) Snapshot() Snapshot {
 		TokensReused:    st.TokensReused,
 		PoolBytes:       tiers.DeviceBytes,
 		Tiers:           tiers,
+		Scheduler:       &ss,
 		Backend: BackendSnapshot{
 			Name:     bk.Name(),
 			Workers:  bk.Workers(),
@@ -146,10 +149,6 @@ func (c *Cache) Snapshot() Snapshot {
 	if c.adm != nil {
 		as := c.adm.stats()
 		snap.Admission = &as
-	}
-	ss := c.sched.Stats()
-	if c.sched.fused {
-		snap.Scheduler = &ss
 	}
 	if d := c.sched.draft; d != nil {
 		ds := d.Stats()
@@ -170,18 +169,7 @@ func (c *Cache) Snapshot() Snapshot {
 	return snap
 }
 
-// SchedEnabled reports whether a decode scheduler is configured — the
-// cheap check for callers that branch on it per request (no lock, no
-// stats snapshot).
-func (c *Cache) SchedEnabled() bool { return c.sched.fused }
-
-// SchedStats returns a snapshot of decode-scheduler activity — the
+// SchedStats returns a snapshot of decode-loop activity — the
 // document's scheduler block alone, for callers that diff step counts
-// around one request (the benchmark's traced runs). With no scheduler
-// configured it returns the zero snapshot.
-func (c *Cache) SchedStats() SchedStats {
-	if !c.sched.fused {
-		return SchedStats{}
-	}
-	return c.sched.Stats()
-}
+// around one request (the benchmark's traced runs).
+func (c *Cache) SchedStats() SchedStats { return c.sched.Stats() }

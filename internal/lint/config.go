@@ -69,8 +69,8 @@ func DefaultConfig() *Config {
 		GuardedMutexes: []string{
 			core + ".Cache.mu",
 			core + ".Scheduler.mu",
-			// The draft source's table lock: Propose runs on the scheduler's
-			// decode path between fused steps, so nothing heavy may ever run
+			// The draft source's table lock: Propose runs on the decode
+			// loop between model steps, so nothing heavy may ever run
 			// under it.
 			"repro/internal/mining.Draft.mu",
 		},
@@ -82,8 +82,8 @@ func DefaultConfig() *Config {
 			model + ".Model.PrefillCtx",
 			model + ".Model.Decode",
 			model + ".Model.DecodeStepBatch",
-			// The fused step at any width: as heavy as DecodeStepBatch times
-			// the draft depth.
+			// The decode step at any width: as heavy as DecodeStepBatch
+			// times the draft depth.
 			model + ".Model.DecodeStepBatchMulti",
 			// A module's encoding prefill: heavy itself, so a call under
 			// the lock is reported where it is made.
@@ -127,14 +127,12 @@ func DefaultConfig() *Config {
 			// Token emission: the PR 2 argument-ordering bug class.
 			core + ".Cache.gatherNewTokens",
 			core + ".Cache.BaselineServe",
-			// The decode loop's two drivers: lane joins, token emission
-			// and retirement order on the fused run loop and inline.
-			core + ".Scheduler.run",
-			core + ".Scheduler.inline",
+			// The decode loop: token emission and retirement order.
+			core + ".Scheduler.decode",
 			core + ".Scheduler.advance",
-			// The step and settle: token emission across lanes (already
-			// reachable from both drivers; listed so the root survives a
-			// future refactor that severs those paths).
+			// The step and settle: token emission (already reachable from
+			// decode; listed so the root survives a future refactor that
+			// severs that path).
 			core + ".Scheduler.step",
 			// Manifest writing: warm restarts replay this byte stream.
 			core + ".Cache.SaveAll",

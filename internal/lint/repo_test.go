@@ -56,7 +56,7 @@ func TestUnreachedReadsBenchmarkModule(t *testing.T) {
 	}
 	slices.Sort(got)
 	want := []string{
-		"core.Cache.SchedStats", "kvcache.Cache.Positions", "kvcache.Seq.Positions", "kvcache.Seq.ViewLen",
+		"core.Cache.SchedStats", "core.WithSLOClass", "kvcache.Cache.Positions", "kvcache.Seq.Positions", "kvcache.Seq.ViewLen",
 		"model.Config.BytesPerCachedToken", "model.Model.DecodeStepBatch", "tensor.Backend.MatVecT", "tensor.Backend.OutputHead",
 	}
 	if !slices.Equal(got, want) {

@@ -12,8 +12,8 @@ import (
 // NewDecodeLane, release with Close.
 //
 // A lane is not synchronized: it belongs to whichever goroutine is
-// driving the batch (the decode loop in internal/core: its fused run
-// loop, or a caller driving a batch of one).
+// driving the batch (the decode loop in internal/core drives a batch of
+// one on each request's goroutine).
 type DecodeLane struct {
 	m *Model
 	// b holds a step's k positions as its rows, and their logits until
@@ -82,9 +82,9 @@ func (m *Model) DecodeStepBatch(lanes []*DecodeLane, tokens, positions []int, kv
 // lanes[i].LogitsAt(j)). k = 1 is ordinary decode; k > 1 is the
 // speculative verify step scoring several consecutive draft tokens. The
 // layer loop runs once for the whole batch — each layer's weights are
-// walked a single time while every lane passes through it — which is
-// what lets a continuous-batching scheduler charge N concurrent
-// generations one shared model traversal per step instead of N.
+// walked a single time while every lane passes through it. The engine's
+// decode loop steps one lane per call; multi-lane batches come from
+// other callers, such as the benchmark's lane probe.
 //
 // Bit-identity with sequential Decode is structural: the walk is
 // layer-outer, lane-inner, and each lane's k positions run as one block

@@ -5,12 +5,9 @@
 // cached attention states, and /v1/sessions carries multi-turn traffic
 // over server-held KV state. Request contexts propagate into the engine,
 // so a client that disconnects aborts its prefill and decode mid-flight
-// — under continuous batching, that evicts the request's scheduler lane
-// without disturbing the rest of the fused batch. Every endpoint shares
-// one Client, so when the client runs a decode scheduler, mixed traffic
-// (/v1/complete, /v1/stream, session sends) fuses into the same batched
-// decode steps; /v1/stats reports the scheduler's queue, lanes and
-// batch-size histogram.
+// without disturbing any other request's decode lane. Every endpoint
+// shares one Client, and so one module cache; /v1/stats reports the
+// decode loop's lanes, steps and tokens in its scheduler block.
 package server
 
 import (
@@ -217,11 +214,9 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamTokenBuffer bounds how far decoding may run ahead of a stream
-// client's reads. Under the decode scheduler, a client that falls
-// further behind than this has its lane dropped (generation ends early,
-// the done event still flushes) rather than letting its backpressure
-// stall the shared decode batch; without a scheduler, generation simply
-// paces to the client's reads as before.
+// client's reads. Decode runs on the request's own goroutine, so once a
+// slow client falls this far behind, its generation waits for the
+// client's reads (or its disconnect) and blocks no other request.
 const streamTokenBuffer = 256
 
 // handleStream serves a completion as server-sent events: one
@@ -229,9 +224,8 @@ const streamTokenBuffer = 256
 // `data: {"done": true, ...}` event with the reuse statistics. TTFT is
 // visible to clients as the delay before the first event — the quantity
 // Prompt Cache improves. A disconnecting client cancels the request
-// context, which aborts the decode loop inside the engine (under the
-// decode scheduler: evicts the request's lane without disturbing the
-// batch); a connected-but-stalled client is dropped once it falls
+// context, which retires the request's decode lane at its next step; a
+// connected-but-stalled client paces its own generation once it falls
 // streamTokenBuffer tokens behind.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.reapIdle()
@@ -255,12 +249,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	// Token delivery is decoupled from decoding: under the shared decode
-	// scheduler the Stream callback runs on the scheduler goroutine, so
-	// it must never write to (or block on) the connection — a dead or
-	// slow client would stall every other lane in the batch. The
-	// callback only hands tokens to a buffered channel; this writer
-	// goroutine owns the actual SSE writes.
+	// Token delivery is decoupled from decoding: the Stream callback
+	// runs on the decode loop and only hands tokens to a buffered
+	// channel, so decode runs ahead of the network by up to
+	// streamTokenBuffer tokens; this writer goroutine owns the actual
+	// SSE writes.
 	tokens := make(chan string, streamTokenBuffer)
 	writerDone := make(chan struct{})
 	go func() {
@@ -269,34 +262,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			send(map[string]string{"token": text})
 		}
 	}()
-	fused := s.client.SchedulerEnabled()
 	resp, err := s.client.Infer(r.Context(), promptcache.Request{
 		Prompt:   req.Prompt,
 		Baseline: req.Baseline,
 		Gen:      req.GenConfig,
 		Stream: func(text string) bool {
-			// Drop the lane the moment the client disconnects.
-			if r.Context().Err() != nil {
-				return false
-			}
-			if !fused {
-				// Solo decode: emit runs on this request's own goroutine,
-				// so pacing generation to the client's reads (the
-				// pre-scheduler behavior) blocks nobody else.
-				select {
-				case tokens <- text:
-					return true
-				case <-r.Context().Done():
-					return false
-				}
-			}
-			// Fused decode: this callback runs on the shared scheduler
-			// goroutine. A client that stops reading must cost its own
-			// lane, never the batch — drop rather than block.
 			select {
 			case tokens <- text:
 				return true
-			default:
+			case <-r.Context().Done():
 				return false
 			}
 		},

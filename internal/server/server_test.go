@@ -493,23 +493,22 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// newSchedServer builds a server whose client runs the continuous-
-// batching decode scheduler, returning both so tests can observe lanes.
+// newSchedServer builds a server around a default client, returning
+// both so tests can observe decode lanes.
 func newSchedServer(t *testing.T) (*Server, *promptcache.Client) {
 	t.Helper()
 	m, err := model.New(model.LlamaStyle(tokenizer.WordBase+2048, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := promptcache.New(m, promptcache.WithDecodeScheduler(4))
+	client := promptcache.New(m)
 	return New(client), client
 }
 
-// TestStreamClientDisconnectRetiresLane is the regression test for
-// streaming under continuous batching: a client that kills its SSE
-// connection mid-reply must have its scheduler lane retired promptly
-// (via r.Context() or the emit refusal), not decode on toward
-// max_tokens while other lanes share its batch.
+// TestStreamClientDisconnectRetiresLane: a client that kills its SSE
+// connection mid-reply must have its decode lane retired promptly (the
+// request context ends the Stream callback's wait and the next step's
+// context check), not decode on toward max_tokens.
 func TestStreamClientDisconnectRetiresLane(t *testing.T) {
 	s, client := newSchedServer(t)
 	ts := httptest.NewServer(s)
@@ -555,9 +554,8 @@ func TestStreamClientDisconnectRetiresLane(t *testing.T) {
 	}
 }
 
-// TestStatsSchedulerBlock: /v1/stats (and /stats) must expose the decode
-// scheduler's observability block when the scheduler is enabled, and
-// omit it when it is not.
+// TestStatsSchedulerBlock: /v1/stats must expose the decode loop's
+// scheduler block on every server, with one lane per step.
 func TestStatsSchedulerBlock(t *testing.T) {
 	s, _ := newSchedServer(t)
 	doJSON(t, s, http.MethodPost, "/schemas", SchemaRequest{PML: testSchema})
@@ -568,7 +566,7 @@ func TestStatsSchedulerBlock(t *testing.T) {
 	if !ok {
 		t.Fatalf("no scheduler block in /v1/stats: %v", out)
 	}
-	if sched["max_batch"].(float64) != 4 {
+	if sched["max_batch"].(float64) != 1 || sched["queue_depth"].(float64) != 0 {
 		t.Fatalf("scheduler block = %v", sched)
 	}
 	if sched["tokens_decoded"].(float64) != 4 {
@@ -578,16 +576,8 @@ func TestStatsSchedulerBlock(t *testing.T) {
 		t.Fatalf("lane lifecycle: %v", sched)
 	}
 	hist, ok := sched["batch_hist"].([]any)
-	if !ok || len(hist) != 4 || hist[0].(float64) == 0 {
+	if !ok || len(hist) != 1 || hist[0].(float64) == 0 || hist[0] != sched["fused_steps"] {
 		t.Fatalf("batch_hist = %v", sched["batch_hist"])
-	}
-
-	// Unscheduled server: no block.
-	plain := newServer(t)
-	doJSON(t, plain, http.MethodPost, "/schemas", SchemaRequest{PML: testSchema})
-	_, out = doJSON(t, plain, http.MethodGet, "/v1/stats", nil)
-	if _, has := out["scheduler"]; has {
-		t.Fatalf("scheduler block present without scheduler: %v", out)
 	}
 }
 

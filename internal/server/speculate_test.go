@@ -19,10 +19,7 @@ func TestSpeculationOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := promptcache.New(m,
-		promptcache.WithDecodeScheduler(4),
-		promptcache.WithSpeculation(promptcache.DraftOpts{}),
-	)
+	client := promptcache.New(m, promptcache.WithSpeculation(promptcache.DraftOpts{}))
 	s := New(client)
 	doJSON(t, s, http.MethodPost, "/schemas", SchemaRequest{PML: testSchema})
 	body := map[string]any{

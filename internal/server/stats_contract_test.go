@@ -153,7 +153,6 @@ func TestStatsContractGolden(t *testing.T) {
 	// Every optional block enabled at once, so the contract covers the
 	// full document.
 	client := promptcache.New(m,
-		promptcache.WithDecodeScheduler(4),
 		promptcache.WithDiskTier(t.TempDir(), promptcache.CodecFP32),
 		promptcache.WithAdmission(promptcache.AdmissionConfig{}),
 		promptcache.WithSpeculation(promptcache.DraftOpts{}),
@@ -183,9 +182,11 @@ func TestStatsContractGolden(t *testing.T) {
 		t.Fatalf("no backend block in /v1/stats: %v", out)
 	}
 	checkBlock(t, "backend", bk, statsBackendContract)
-	if sched, ok := out["scheduler"].(map[string]any); ok {
-		checkBlock(t, "scheduler", sched, statsSchedulerContract)
+	sched, ok := out["scheduler"].(map[string]any)
+	if !ok {
+		t.Fatalf("no scheduler block in /v1/stats: %v", out)
 	}
+	checkBlock(t, "scheduler", sched, statsSchedulerContract)
 	spec, ok := out["speculation"].(map[string]any)
 	if !ok {
 		t.Fatalf("no speculation block in /v1/stats with WithSpeculation: %v", out)
@@ -201,21 +202,22 @@ func TestStatsContractGolden(t *testing.T) {
 	}
 }
 
-// TestStatsBlockPresence pins the "present exactly when configured"
-// contract of the optional blocks: a non-nil block is the only enabled
-// flag the document carries. Speculation runs on either decode driver,
-// so on its own it shows its block and no scheduler block.
+// TestStatsBlockPresence pins the presence rule of the blocks: the
+// scheduler block is always there, since every server decodes, and each
+// optional block is present exactly when configured — a non-nil block is
+// the only enabled flag the document carries. The deprecated
+// WithDecodeScheduler adds nothing.
 func TestStatsBlockPresence(t *testing.T) {
-	optional := []string{"scheduler", "admission", "speculation"}
+	blocks := []string{"scheduler", "admission", "speculation"}
 	cases := []struct {
 		name string
 		opts []promptcache.Option
 		want []string
 	}{
-		{"bare", nil, nil},
+		{"bare", nil, []string{"scheduler"}},
 		{"scheduler", []promptcache.Option{promptcache.WithDecodeScheduler(2)}, []string{"scheduler"}},
-		{"admission", []promptcache.Option{promptcache.WithAdmission(promptcache.AdmissionConfig{})}, []string{"admission"}},
-		{"speculation alone", []promptcache.Option{promptcache.WithSpeculation(promptcache.DraftOpts{})}, []string{"speculation"}},
+		{"admission", []promptcache.Option{promptcache.WithAdmission(promptcache.AdmissionConfig{})}, []string{"scheduler", "admission"}},
+		{"speculation alone", []promptcache.Option{promptcache.WithSpeculation(promptcache.DraftOpts{})}, []string{"scheduler", "speculation"}},
 		{"speculation", []promptcache.Option{promptcache.WithSpeculation(promptcache.DraftOpts{}), promptcache.WithDecodeScheduler(2)},
 			[]string{"scheduler", "speculation"}},
 	}
@@ -229,7 +231,7 @@ func TestStatsBlockPresence(t *testing.T) {
 			if rec.Code != http.StatusOK {
 				t.Fatalf("stats: %d", rec.Code)
 			}
-			for _, block := range optional {
+			for _, block := range blocks {
 				_, has := out[block]
 				if want := slices.Contains(tc.want, block); has != want {
 					t.Errorf("%s block present = %v, want %v", block, has, want)

@@ -58,12 +58,10 @@ func (c *Client) InferBatch(ctx context.Context, req BatchRequest) (*BatchRespon
 	}()
 	out := &BatchResponse{Stats: stats, Results: make([]*Response, len(results))}
 	one := Request{PrefillOnly: req.PrefillOnly, Gen: req.Gen}
-	// Generate every member concurrently: under a decode scheduler the
-	// whole batch decodes as simultaneous lanes of the fused steps, and
-	// inline each member's lane runs on its own goroutine. Only with the
-	// stateless default sampler, though: the request's one Sampler is
-	// shared across members, and concurrent lanes would consume its
-	// state in nondeterministic member order.
+	// Generate every member concurrently, each member's lane on its own
+	// goroutine. Only with the stateless default sampler, though: the
+	// request's one Sampler is shared across members, and concurrent
+	// lanes would consume its state in nondeterministic member order.
 	if !req.PrefillOnly && req.Gen.Sampler == nil && len(results) > 1 {
 		errs := make([]error, len(results))
 		var wg sync.WaitGroup

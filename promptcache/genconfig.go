@@ -34,9 +34,9 @@ type GenConfig struct {
 	// StopToken ends generation when sampled (default EOS).
 	StopToken int `json:"stop_token,omitempty"`
 	// SLO classifies the request's latency objective: SLOInteractive
-	// (the zero value) is admitted and decode-scheduled ahead of
-	// SLOBatch backfill. On the wire it is the class name ("interactive",
-	// "batch"; "" means interactive).
+	// (the zero value) is admitted ahead of SLOBatch backfill. On the
+	// wire it is the class name ("interactive", "batch"; "" means
+	// interactive).
 	SLO SLOClass `json:"slo,omitempty"`
 	// Speculation carries the draft-and-verify controls.
 	Speculation SpecConfig `json:"speculation,omitzero"`

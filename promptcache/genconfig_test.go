@@ -128,16 +128,20 @@ func TestGenConfigSpeculationOpts(t *testing.T) {
 	}
 }
 
-// TestSnapshotShape: the consolidated Snapshot carries the version tag
-// and the per-subsystem blocks exactly when their subsystem is on.
+// TestSnapshotShape: the consolidated Snapshot carries the version tag,
+// the decode loop's scheduler block always, and the optional blocks
+// exactly when their subsystem is on.
 func TestSnapshotShape(t *testing.T) {
 	c := newClient(t)
 	snap := c.Snapshot()
 	if snap.APIVersion != StatsAPIVersion {
 		t.Fatalf("APIVersion = %d, want %d", snap.APIVersion, StatsAPIVersion)
 	}
-	if snap.Speculation != nil || snap.Admission != nil || snap.Scheduler != nil {
+	if snap.Speculation != nil || snap.Admission != nil {
 		t.Fatalf("optional blocks present without their subsystems: %+v", snap)
+	}
+	if snap.Scheduler == nil {
+		t.Fatalf("no scheduler block: %+v", snap)
 	}
 	if _, err := c.Infer(context.Background(), Request{
 		Prompt: `<prompt schema="travel"><miami/><user>hi</user></prompt>`,

@@ -78,17 +78,19 @@ func MustBackend(name string) Option {
 // Backends lists the selectable backend names for WithBackend.
 func Backends() []string { return tensor.Backends() }
 
-// DefaultMaxDecodeBatch is the fused-step width used when
-// WithDecodeScheduler is given a non-positive bound.
-const DefaultMaxDecodeBatch = core.DefaultMaxDecodeBatch
+// DefaultMaxDecodeBatch was the fused-step width of WithDecodeScheduler.
+//
+// Deprecated: the fused decode loop is gone; removed with
+// WithDecodeScheduler.
+const DefaultMaxDecodeBatch = 8
 
 // SLOClass classifies a request's latency objective — SLOInteractive
-// (the default) or SLOBatch — steering both admission-queue and
-// decode-scheduler priority. An alias of the engine's type, like Option.
+// (the default) or SLOBatch — steering admission-queue priority. An
+// alias of the engine's type, like Option.
 type SLOClass = core.SLOClass
 
-// The SLO classes: interactive traffic is admitted and scheduled ahead
-// of batch backfill.
+// The SLO classes: interactive traffic is admitted ahead of batch
+// backfill.
 const (
 	SLOInteractive = core.SLOInteractive
 	SLOBatch       = core.SLOBatch
@@ -117,15 +119,11 @@ const (
 // set, bound each request end to end; expiry surfaces as ErrDeadline.
 func WithAdmission(cfg AdmissionConfig) Option { return core.WithAdmission(cfg) }
 
-// WithDecodeScheduler enables continuous-batching decode: concurrent
-// generations through this Client — Infer, Session.Send, streaming
-// requests, batch members — fuse into shared model steps, so N active
-// replies cost one layer walk per token instead of N. maxBatch bounds
-// how many sequences one fused step carries (non-positive selects
-// DefaultMaxDecodeBatch); excess requests queue and join as lanes
-// retire. Without it each generation runs the same lane state machine
-// on its caller's goroutine. Each request's token stream is
-// bit-identical either way: same sampler state, same logits.
+// WithDecodeScheduler selected the fused decode run loop, which is gone:
+// every generation — Infer, Session.Send, streaming requests, batch
+// members — decodes on its caller's goroutine.
+//
+// Deprecated: it changes nothing and is removed once no caller passes it.
 func WithDecodeScheduler(maxBatch int) Option { return core.WithDecodeScheduler(maxBatch) }
 
 // DraftOpts is WithSpeculation's argument. It has no fields: the draft
@@ -139,6 +137,6 @@ type DraftOpts = core.DraftOpts
 // draft source, and each decode lane verifies the draft's proposed tokens in one
 // widened step, accepting exactly the prefix plain decode would have
 // produced. Output is bit-identical with or without it — same tokens,
-// same logits — only tokens-per-step changes. It runs with or without
-// WithDecodeScheduler; per-request policy rides GenConfig.Speculation.
+// same logits — only tokens-per-step changes. Per-request policy rides
+// GenConfig.Speculation.
 func WithSpeculation(opts DraftOpts) Option { return core.WithSpeculation(opts) }

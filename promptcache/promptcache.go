@@ -30,18 +30,16 @@
 // one resident copy, and their pins release when the batch returns.
 // The pool has one worker per CPU, at most one per prompt.
 //
-// Decode is one lane state machine with two drivers. With
-// WithDecodeScheduler the decode phase is continuous-batched: concurrent
-// generations join a shared token scheduler after their prefills and
-// advance together, one fused model step per token for the whole batch.
-// Requests join mid-flight, retire independently (stop token, MaxTokens,
-// context cancellation), and each produces exactly the token stream it
-// would have produced decoding alone — the scheduler changes throughput,
-// never output. Snapshot's Scheduler block exposes queue depth, active
-// lanes and the batch-size histogram. Without it each generation runs
-// the same state machine on its caller's goroutine.
+// Decode is one lane state machine that each generation runs on its
+// caller's goroutine, after its prefill: concurrent requests decode
+// concurrently, retire independently (stop token, MaxTokens, context
+// cancellation), and each produces exactly the token stream of plain
+// decode. After every step a lane yields its core, so decode threads
+// never starve the goroutines and processes that carry its tokens out.
+// Snapshot's Scheduler block exposes active lanes, step and token
+// counts and decode throughput.
 //
-// With WithSpeculation decode speculates, on either driver: accepted
+// With WithSpeculation decode speculates: accepted
 // token streams train a per-serving-class n-gram draft source, and each
 // lane verifies the draft's proposals in one widened step, emitting
 // several tokens per step when the draft is right. Output stays
@@ -60,7 +58,7 @@
 // # Options convention
 //
 // Option constructors that cannot fail return Option directly
-// (WithDecodeScheduler, WithSpeculation, WithDeviceCapacity, ...). A
+// (WithSpeculation, WithDeviceCapacity, ...). A
 // constructor that validates a name returns (Option, error) — WithBackend
 // — for runtime-supplied names (flags, config files); its Must* variant
 // (MustBackend) panics on a bad name and exists for compile-time-constant
@@ -186,18 +184,14 @@ func (c *Client) RegisterSchema(src string) (*SchemaInfo, error) {
 // Schemas returns the names of all registered schemas, sorted.
 func (c *Client) Schemas() []string { return c.cache.SchemaNames() }
 
-// SchedulerEnabled reports whether this client decodes through a
-// continuous-batching scheduler (WithDecodeScheduler), without the
-// locking and copying of a full Snapshot.
-func (c *Client) SchedulerEnabled() bool { return c.cache.SchedEnabled() }
-
 // StatsAPIVersion is the schema version of the Snapshot document; it
 // bumps only on a breaking change.
 const StatsAPIVersion = core.StatsAPIVersion
 
 // Snapshot is the one stats document /v1/stats serializes: counters,
-// tier occupancy, backend identity, and an admission, scheduler or
-// speculation block exactly when that subsystem is configured. An
+// tier occupancy, backend identity, the decode loop's scheduler block,
+// and an admission or speculation block exactly when that subsystem is
+// configured. An
 // alias of the engine's type, which assembles it in one consistent cut.
 type Snapshot = core.Snapshot
 
@@ -222,8 +216,8 @@ func RetryAfterHint(err error) (d time.Duration, ok bool) {
 }
 
 // admit acquires an admission slot (and the class deadline) for one
-// request, returning the possibly-deadline-bound, SLO-tagged context
-// plus the cleanup that releases both. The slot spans the whole request
+// request, returning the possibly-deadline-bound context plus the
+// cleanup that releases both. The slot spans the whole request
 // — queueing, prefill and decode — so MaxConcurrent bounds true
 // end-to-end concurrency. On error nothing is held and done must not
 // be called.
@@ -237,7 +231,7 @@ func (c *Client) admit(ctx context.Context, class SLOClass) (context.Context, fu
 		c.cache.AdmitRelease(class)
 		cancel()
 	}
-	return core.WithSLOClass(ctx, class), done, nil
+	return ctx, done, nil
 }
 
 // Infer runs one inference request end to end: admission (under

@@ -354,9 +354,10 @@ func TestInferBatchSharing(t *testing.T) {
 	}
 }
 
-// TestSchedulerRoutesAllPaths: with WithDecodeScheduler every decode —
-// Infer, streaming, session turns — runs as a lane of the shared fused
-// batch and must produce exactly the text of an unscheduled client.
+// TestSchedulerRoutesAllPaths: every decode — Infer, streaming, session
+// turns — runs as a lane of the decode loop, counted in the scheduler
+// block, and a client built with the deprecated WithDecodeScheduler
+// produces exactly the text of a plain one.
 func TestSchedulerRoutesAllPaths(t *testing.T) {
 	m, err := model.New(model.LlamaStyle(testVocab, 77))
 	if err != nil {
@@ -409,18 +410,17 @@ func TestSchedulerRoutesAllPaths(t *testing.T) {
 		t.Fatalf("scheduled output diverged:\ninfer  %q vs %q\nstream %q vs %q\nturn   %q vs %q",
 			gotInfer, wantInfer, gotStream, wantStream, gotTurn, wantTurn)
 	}
-	st := fused.Snapshot().Scheduler
-	if st == nil || st.LanesJoined < 4 || st.LanesJoined != st.LanesRetired {
-		t.Fatalf("scheduler did not carry the decodes: %+v", st)
-	}
-	if plainStats := plain.Snapshot().Scheduler; plainStats != nil {
-		t.Fatalf("unscheduled client reports a scheduler: %+v", plainStats)
+	for _, c := range []*Client{plain, fused} {
+		st := c.Snapshot().Scheduler
+		if st == nil || st.LanesJoined < 4 || st.LanesJoined != st.LanesRetired {
+			t.Fatalf("scheduler did not carry the decodes: %+v", st)
+		}
 	}
 }
 
-// TestSchedulerBatchDecodeFuses: InferBatch under a scheduler decodes
-// its members as concurrent lanes, with results identical to the
-// sequential (unscheduled) batch.
+// TestSchedulerBatchDecodeFuses: InferBatch decodes its members as
+// concurrent lanes, and a client built with the deprecated
+// WithDecodeScheduler returns results identical to a plain one's.
 func TestSchedulerBatchDecodeFuses(t *testing.T) {
 	m, err := model.New(model.LlamaStyle(testVocab, 77))
 	if err != nil {
